@@ -3,7 +3,9 @@
 //!
 //! Per scenario this reports:
 //!
-//! * `seq_qps` — single-thread sequential throughput (the PR 2 path),
+//! * `seq_qps` — one worker: the morsel executor inline on the calling
+//!   thread, the same code as the `par*` rows minus thread spawn and span
+//!   splitting (sequential execution is no separate implementation),
 //! * `par2_qps` / `par4_qps` — one query at a time, morsel-parallel
 //!   operators at 2 / 4 workers (intra-query parallelism),
 //! * `clients4_qps` — 4 client threads each running sequential queries

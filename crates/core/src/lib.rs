@@ -38,7 +38,7 @@
 //!    (subject-clustered OIDs, sorted literals, dense segments).
 //!
 //! Queries run against the newest built generation by default; benchmarks
-//! pin a generation + plan scheme with [`Database::query_with`].
+//! pin a generation + plan scheme through [`QueryRequest`].
 //!
 //! The store stays organized **as data keeps arriving**: after
 //! [`Database::self_organize`], [`Database::insert_ntriples`] and
@@ -92,17 +92,14 @@ use std::path::{Path, PathBuf};
 // guards only the stop flag and handles poisoning inline.
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use sordf_columnar::crash_point;
 pub use sordf_columnar::ColumnEncoding;
 use sordf_columnar::{BufferPool, DiskManager, PoolStats};
-use sordf_engine::agg::ResultSet;
-use sordf_engine::context::StatsSnapshot;
 pub use sordf_engine::planner::{PlanInfo, StepInfo};
 pub use sordf_engine::{CancellationToken, ExecConfig, ParallelConfig, PlanScheme, StopReason};
-use sordf_engine::{ExecContext, PhysicalPlan, StorageRef};
 use sordf_model::{
     ntriples, Dictionary, FxHashMap, FxHashSet, ModelError, Oid, Term, TermTriple, Triple,
 };
@@ -114,7 +111,10 @@ use sordf_storage::{
     ReorgReport, StoreSnapshot, TripleSet, WalRecord, WalWriter,
 };
 pub use sordf_storage::{DictPin, Snapshot, StoreGeneration, SyncPolicy, WalFormat};
-use std::collections::HashMap;
+
+mod query;
+use query::PlanCache;
+pub use query::{PlanCacheStats, QueryLang, QueryRequest, QueryResponse};
 
 /// Every labeled crash point in the durable write paths, in rough lifecycle
 /// order. The fault-injection harness iterates this catalog, killing a
@@ -225,190 +225,6 @@ pub enum Generation {
     CsParseOrder,
     /// Fully self-organized: clustered OIDs, dense segments.
     Clustered,
-}
-
-/// A query's result together with its execution trace.
-pub struct Traced {
-    pub results: ResultSet,
-    pub stats: StatsSnapshot,
-    pub pool: PoolStats,
-}
-
-/// The query language of a [`QueryRequest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryLang {
-    /// The supported SPARQL subset (see `sordf_sparql`).
-    Sparql,
-    /// The emergent-schema SQL view (requires [`Database::self_organize`]).
-    Sql,
-}
-
-/// One fully-specified query, the single argument of [`Database::execute`].
-///
-/// A builder over everything the seven historical `query_*` variants spread
-/// across their signatures: language, generation pin, engine configuration,
-/// morsel parallelism, snapshot, trace, plus the request-lifecycle knobs the
-/// old API had no room for — a deadline ([`timeout`](Self::timeout)) and a
-/// [`CancellationToken`] ([`cancel`](Self::cancel)). Everything is optional
-/// except the query text:
-///
-/// ```
-/// use sordf::{Database, QueryRequest};
-/// use std::time::Duration;
-///
-/// let mut db = Database::in_temp_dir().unwrap();
-/// db.load_ntriples("<http://ex/s> <http://ex/p> <http://ex/o> .").unwrap();
-/// db.self_organize().unwrap();
-/// let resp = db
-///     .execute(&QueryRequest::sparql("SELECT ?s WHERE { ?s <http://ex/p> ?o . }")
-///         .timeout(Duration::from_secs(5))
-///         .traced(true))
-///     .unwrap();
-/// assert_eq!(resp.results.len(), 1);
-/// assert!(resp.stats.unwrap().rows_scanned >= 1);
-/// ```
-///
-/// When both a token and a timeout are given, the effective deadline is the
-/// earlier of the two and cancelling the caller's token still stops the
-/// query. A tripped token fails the request with [`Error::Cancelled`] /
-/// [`Error::Timeout`] *before* execution starts, so queueing time counts
-/// against the deadline.
-#[derive(Debug, Clone)]
-pub struct QueryRequest {
-    text: String,
-    lang: QueryLang,
-    generation: Option<Generation>,
-    config: Option<ExecConfig>,
-    parallel: Option<ParallelConfig>,
-    snapshot: Option<Snapshot>,
-    timeout: Option<Duration>,
-    cancel: Option<CancellationToken>,
-    trace: bool,
-}
-
-impl QueryRequest {
-    fn new(text: impl Into<String>, lang: QueryLang) -> QueryRequest {
-        QueryRequest {
-            text: text.into(),
-            lang,
-            generation: None,
-            config: None,
-            parallel: None,
-            snapshot: None,
-            timeout: None,
-            cancel: None,
-            trace: false,
-        }
-    }
-
-    /// A SPARQL request with every option defaulted: newest generation,
-    /// database-default [`ExecConfig`], sequential, current data, no
-    /// deadline, no trace.
-    pub fn sparql(text: impl Into<String>) -> QueryRequest {
-        QueryRequest::new(text, QueryLang::Sparql)
-    }
-
-    /// A SQL request against the emergent relational view (requires
-    /// [`Database::self_organize`] first). Same defaults as
-    /// [`sparql`](Self::sparql); [`generation`](Self::generation) is
-    /// ignored — SQL always reads the clustered generation.
-    pub fn sql(text: impl Into<String>) -> QueryRequest {
-        QueryRequest::new(text, QueryLang::Sql)
-    }
-
-    /// Pin the storage generation (default: newest built).
-    pub fn generation(mut self, generation: Generation) -> QueryRequest {
-        self.generation = Some(generation);
-        self
-    }
-
-    /// Override the database's default engine configuration.
-    pub fn config(mut self, config: ExecConfig) -> QueryRequest {
-        self.config = Some(config);
-        self
-    }
-
-    /// Execute with morsel-parallel operators (see [`sordf_engine::parallel`]).
-    /// Non-aggregate results are byte-identical to the sequential path;
-    /// SUM/AVG aggregates may differ in the last ulp (canonical forms agree).
-    pub fn parallel(mut self, parallel: ParallelConfig) -> QueryRequest {
-        self.parallel = Some(parallel);
-        self
-    }
-
-    /// Pin the visible data to a write [`Snapshot`] (see
-    /// [`Database::snapshot`]); later writes are invisible.
-    pub fn snapshot(mut self, snapshot: Snapshot) -> QueryRequest {
-        self.snapshot = Some(snapshot);
-        self
-    }
-
-    /// Fail with [`Error::Timeout`] once this much time has passed —
-    /// measured from [`Database::execute`] entry, enforced cooperatively at
-    /// page granularity inside the engine.
-    pub fn timeout(mut self, timeout: Duration) -> QueryRequest {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Attach a cancellation token; [`CancellationToken::cancel`] from any
-    /// thread fails the query with [`Error::Cancelled`] within one page of
-    /// work.
-    pub fn cancel(mut self, cancel: CancellationToken) -> QueryRequest {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Collect operator and buffer-pool statistics into
-    /// [`QueryResponse::stats`] / [`QueryResponse::pool`].
-    pub fn traced(mut self, trace: bool) -> QueryRequest {
-        self.trace = trace;
-        self
-    }
-
-    /// The query text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// The query language.
-    pub fn lang(&self) -> QueryLang {
-        self.lang
-    }
-
-    /// The token execution actually polls: the caller's token, the timeout,
-    /// or their combination (earliest deadline wins, cancellation shared).
-    fn effective_token(&self) -> Option<CancellationToken> {
-        let deadline = self.timeout.and_then(|t| Instant::now().checked_add(t));
-        match (&self.cancel, deadline) {
-            (None, None) => None,
-            (Some(t), None) => Some(t.clone()),
-            (None, Some(d)) => Some(CancellationToken::with_deadline(Some(d))),
-            (Some(t), Some(d)) => Some(t.with_deadline_floor(d)),
-        }
-    }
-}
-
-/// What [`Database::execute`] returns.
-///
-/// # Decoding results
-///
-/// `results` holds OIDs valid under the dictionary the query executed
-/// against, and a concurrent reorganization installs a *renumbered*
-/// dictionary — so results must be decoded through the [`DictPin`] carried
-/// here (`resp.results.canonical(&resp.pin)`), never through a fresh
-/// [`Database::dict`] taken after the query returns. The pin also keeps that
-/// dictionary generation alive for as long as you hold the response.
-#[derive(Debug)]
-pub struct QueryResponse {
-    pub results: ResultSet,
-    /// Read pin on the dictionary the query executed under — the only
-    /// correct way to decode `results` (see the type-level docs).
-    pub pin: DictPin,
-    /// Operator statistics, when the request was [`QueryRequest::traced`].
-    pub stats: Option<StatsSnapshot>,
-    /// Buffer-pool activity attributable to this query, when traced.
-    pub pool: Option<PoolStats>,
 }
 
 /// Thresholds that drive adaptive reorganization ([`Database::maybe_reorganize`]).
@@ -592,30 +408,6 @@ struct DbInner {
     plans: Mutex<PlanCache>,
 }
 
-/// See [`DbInner::plans`].
-#[derive(Default)]
-struct PlanCache {
-    /// The [`State::epoch`] the cached plans were optimized under.
-    epoch: u64,
-    map: HashMap<String, Arc<PhysicalPlan>>,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-}
-
-/// Plan-cache counters (see [`Database::plan_cache_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Cached plans currently held.
-    pub entries: u64,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that ran the optimizer.
-    pub misses: u64,
-    /// Whole-cache invalidations (epoch bumps observed).
-    pub invalidations: u64,
-}
-
 /// Per-component resident-byte accounting (see [`Database::memory_stats`]).
 /// Approximate by design: page bytes and pool contents are exact, hash-index
 /// and allocator overheads are estimated.
@@ -778,41 +570,6 @@ impl DbInner {
             },
             routed,
         )
-    }
-
-    /// Fetch a cached plan for `key` (stamped `epoch`), or optimize via
-    /// `make` and cache the result. An epoch change clears the whole cache
-    /// first — every cached plan references the superseded dictionary.
-    ///
-    /// The `plans` mutex is unranked and leaf-only: held just for the map
-    /// access, never across `pin()`/`state` acquisitions or the optimizer.
-    fn cached_plan(
-        &self,
-        key: String,
-        epoch: u64,
-        make: impl FnOnce() -> PhysicalPlan,
-    ) -> Arc<PhysicalPlan> {
-        {
-            let mut pc = self.plans.lock();
-            if pc.epoch != epoch {
-                pc.map.clear();
-                pc.epoch = epoch;
-                pc.invalidations += 1;
-            }
-            if let Some(pp) = pc.map.get(&key).map(Arc::clone) {
-                pc.hits += 1;
-                return pp;
-            }
-            pc.misses += 1;
-        }
-        // Optimize outside the lock — concurrent same-shape queries may
-        // both optimize; last insert wins, both plans are valid.
-        let pp = Arc::new(make());
-        let mut pc = self.plans.lock();
-        if pc.epoch == epoch {
-            pc.map.insert(key, Arc::clone(&pp));
-        }
-        pp
     }
 
     // lock-order: acquires(db_state)
@@ -1288,14 +1045,6 @@ impl Database {
         self.inner.state.lock().delta.snapshot()
     }
 
-    /// Run a SPARQL query pinned to a [`Snapshot`] (newest generation,
-    /// default configuration).
-    pub fn query_snapshot(&self, sparql: &str, snap: Snapshot) -> Result<ResultSet, Error> {
-        Ok(self
-            .execute(&QueryRequest::sparql(sparql).snapshot(snap))?
-            .results)
-    }
-
     /// Incremental-routing drift statistics: how far the live data has
     /// diverged from the organized base generation.
     pub fn drift_stats(&self) -> DriftStats {
@@ -1654,347 +1403,6 @@ impl Database {
     pub fn default_generation(&self) -> Result<Generation, Error> {
         newest_generation(&self.inner.state.lock().gen)
     }
-
-    /// Run a SPARQL query against the newest generation with the default
-    /// configuration. Shorthand for
-    /// `execute(&QueryRequest::sparql(sparql))`.
-    pub fn query(&self, sparql: &str) -> Result<ResultSet, Error> {
-        Ok(self.execute(&QueryRequest::sparql(sparql))?.results)
-    }
-
-    /// Execute one [`QueryRequest`] — the single entry point every other
-    /// query method (and the HTTP server) funnels through.
-    ///
-    /// Checks the request's token *before* touching any state (so time spent
-    /// queueing counts against the deadline), pins the generation + delta
-    /// snapshot, runs the engine with the token threaded into the execution
-    /// context, and maps a mid-query interrupt to [`Error::Cancelled`] /
-    /// [`Error::Timeout`] rather than a stringly [`Error::Exec`]. See
-    /// [`QueryResponse`] for the result-decoding rule under concurrent
-    /// reorganization.
-    pub fn execute(&self, req: &QueryRequest) -> Result<QueryResponse, Error> {
-        let cancel = req.effective_token();
-        if let Some(t) = &cancel {
-            match t.stop_reason() {
-                Some(StopReason::Cancelled) => return Err(Error::Cancelled),
-                Some(StopReason::TimedOut) => return Err(Error::Timeout),
-                None => {}
-            }
-        }
-        let config = req.config.unwrap_or(self.config);
-        match req.lang {
-            QueryLang::Sparql => {
-                let (traced, pin) = self.query_traced_impl(
-                    &req.text,
-                    req.generation,
-                    config,
-                    req.parallel.as_ref(),
-                    req.snapshot,
-                    cancel,
-                )?;
-                Ok(QueryResponse {
-                    results: traced.results,
-                    pin,
-                    stats: req.trace.then_some(traced.stats),
-                    pool: req.trace.then_some(traced.pool),
-                })
-            }
-            QueryLang::Sql => self.execute_sql(req, config, cancel),
-        }
-    }
-
-    /// Run a SPARQL query pinned to a generation + configuration.
-    #[deprecated(since = "0.1.0", note = "use Database::execute with a QueryRequest")]
-    pub fn query_with(
-        &self,
-        sparql: &str,
-        generation: Generation,
-        config: ExecConfig,
-    ) -> Result<ResultSet, Error> {
-        Ok(self
-            .execute(
-                &QueryRequest::sparql(sparql)
-                    .generation(generation)
-                    .config(config),
-            )?
-            .results)
-    }
-
-    /// Run a SPARQL query and return operator/pool statistics with it.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Database::execute with a traced QueryRequest"
-    )]
-    pub fn query_traced(
-        &self,
-        sparql: &str,
-        generation: Generation,
-        config: ExecConfig,
-    ) -> Result<Traced, Error> {
-        let resp = self.execute(
-            &QueryRequest::sparql(sparql)
-                .generation(generation)
-                .config(config)
-                .traced(true),
-        )?;
-        Ok(traced_of(resp))
-    }
-
-    /// Run a SPARQL query with morsel-parallel operators (see
-    /// [`sordf_engine::parallel`]): page/row ranges are split across
-    /// `parallel.workers` scoped threads sharing this database's buffer
-    /// pool. Non-aggregate results are byte-identical to the sequential
-    /// path (same rows, same order); SUM/AVG aggregates merge per-worker
-    /// partials through the compensated accumulator and may differ from
-    /// the sequential value in the last ulp (canonical/rendered forms
-    /// agree — do not compare raw aggregate `f64`s bitwise).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Database::execute with a parallel QueryRequest"
-    )]
-    pub fn query_parallel(
-        &self,
-        sparql: &str,
-        parallel: &ParallelConfig,
-    ) -> Result<ResultSet, Error> {
-        Ok(self
-            .execute(&QueryRequest::sparql(sparql).parallel(*parallel))?
-            .results)
-    }
-
-    /// [`Database::query_parallel`] pinned to a generation + configuration,
-    /// returning operator/pool statistics with the results.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Database::execute with a traced QueryRequest"
-    )]
-    pub fn query_traced_parallel(
-        &self,
-        sparql: &str,
-        generation: Generation,
-        config: ExecConfig,
-        parallel: &ParallelConfig,
-    ) -> Result<Traced, Error> {
-        let resp = self.execute(
-            &QueryRequest::sparql(sparql)
-                .generation(generation)
-                .config(config)
-                .parallel(*parallel)
-                .traced(true),
-        )?;
-        Ok(traced_of(resp))
-    }
-
-    /// The shared SPARQL path. `generation: None` = newest built in the
-    /// pinned generation (evaluated against the *pin*, so a concurrent swap
-    /// cannot split the choice from the data it runs on).
-    fn query_traced_impl(
-        &self,
-        sparql: &str,
-        generation: Option<Generation>,
-        config: ExecConfig,
-        parallel: Option<&ParallelConfig>,
-        snap: Option<Snapshot>,
-        cancel: Option<CancellationToken>,
-    ) -> Result<(Traced, DictPin), Error> {
-        let pin = self.inner.pin(snap);
-        let generation = match generation {
-            Some(g) => g,
-            None => newest_generation(&pin.gen)?,
-        };
-        let query = sordf_sparql::parse_sparql(sparql, &pin.dict)?;
-        let storage = storage_for(&pin.gen, generation)?;
-        let cx = ExecContext::new(&self.inner.pool, &pin.dict, storage, config)
-            .with_delta(pin.delta.clone())
-            .with_cancel(cancel);
-        let pool_before = self.inner.pool.stats();
-        let key = plan_cache_key(&query, generation, config, pin.gen.encoding);
-        // Query-boundary fault isolation: an engine panic (e.g. a page read
-        // that keeps failing after the pool's retries) fails this query, not
-        // the process — the next query sees intact immutable storage. A
-        // cancellation/deadline interrupt rides the same unwind and is
-        // downcast back to its typed error here.
-        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (q, lp) = sordf_engine::prepare(&query);
-            let pp = self
-                .inner
-                .cached_plan(key, pin.epoch, || sordf_engine::optimize(&cx, &lp));
-            match parallel {
-                None => sordf_engine::execute_physical_seq(&cx, &q, &lp, &pp),
-                Some(par) => sordf_engine::execute_physical_parallel(&cx, &q, &lp, &pp, par),
-            }
-        }))
-        .map_err(interrupt_or_exec)?;
-        let traced = Traced {
-            results,
-            stats: cx.stats.snapshot(),
-            pool: self.inner.pool.stats().since(&pool_before),
-        };
-        drop(cx);
-        Ok((traced, pin.dict))
-    }
-
-    /// Run a SPARQL query and return the results together with a read pin
-    /// on the dictionary the query executed under. Under concurrent
-    /// reorganization this is the only way to decode correctly: a swap
-    /// installs a *renumbered* dictionary, so results must be rendered with
-    /// the pinned one — `results.canonical(&pin)` — never with a fresh
-    /// [`Database::dict`] taken after the query. ([`Database::execute`]
-    /// returns the same pin on every [`QueryResponse`].)
-    pub fn query_pinned(
-        &self,
-        sparql: &str,
-        generation: Generation,
-        config: ExecConfig,
-        parallel: Option<&ParallelConfig>,
-    ) -> Result<(ResultSet, DictPin), Error> {
-        let mut req = QueryRequest::sparql(sparql)
-            .generation(generation)
-            .config(config);
-        if let Some(par) = parallel {
-            req = req.parallel(*par);
-        }
-        let resp = self.execute(&req)?;
-        Ok((resp.results, resp.pin))
-    }
-
-    /// Explain the plan a SPARQL query would get: star order, the physical
-    /// operator and join strategy per step, per-step cost and estimated
-    /// cardinality. Always re-optimizes (never served from the plan cache),
-    /// so it shows what the optimizer would pick *now*.
-    pub fn explain(&self, sparql: &str) -> Result<PlanInfo, Error> {
-        let pin = self.inner.pin(None);
-        self.explain_pinned(&pin, sparql, newest_generation(&pin.gen)?, self.config)
-    }
-
-    /// [`Database::explain`] against an explicit generation and exec config
-    /// (the EXPLAIN counterpart of [`Database::query_with`]).
-    pub fn explain_with(
-        &self,
-        sparql: &str,
-        generation: Generation,
-        config: ExecConfig,
-    ) -> Result<PlanInfo, Error> {
-        let pin = self.inner.pin(None);
-        self.explain_pinned(&pin, sparql, generation, config)
-    }
-
-    fn explain_pinned(
-        &self,
-        pin: &Pin,
-        sparql: &str,
-        generation: Generation,
-        config: ExecConfig,
-    ) -> Result<PlanInfo, Error> {
-        let query = sordf_sparql::parse_sparql(sparql, &pin.dict)?;
-        let storage = storage_for(&pin.gen, generation)?;
-        let cx = ExecContext::new(&self.inner.pool, &pin.dict, storage, config)
-            .with_delta(pin.delta.clone());
-        Ok(sordf_engine::explain(&cx, &query))
-    }
-
-    /// EXPLAIN ANALYZE: execute the query and report the plan with per-step
-    /// *actual* bound-row counts alongside the optimizer's estimates.
-    pub fn explain_analyze(&self, sparql: &str) -> Result<(PlanInfo, ResultSet), Error> {
-        let pin = self.inner.pin(None);
-        let query = sordf_sparql::parse_sparql(sparql, &pin.dict)?;
-        let storage = storage_for(&pin.gen, newest_generation(&pin.gen)?)?;
-        let cx = ExecContext::new(&self.inner.pool, &pin.dict, storage, self.config)
-            .with_delta(pin.delta.clone());
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sordf_engine::explain_analyze(&cx, &query)
-        }))
-        .map_err(|payload| Error::Exec(panic_message(payload)))
-    }
-
-    /// Cost every star-order permutation of a query: `(order, total cost)`,
-    /// with the per-edge operator choices re-optimized inside each forced
-    /// order. Diagnostics for the optimizer itself (is the chosen order
-    /// near the best one?); factorial in the star count, so refused beyond
-    /// 8 stars.
-    pub fn explain_orders(&self, sparql: &str) -> Result<Vec<(Vec<usize>, f64)>, Error> {
-        let pin = self.inner.pin(None);
-        let query = sordf_sparql::parse_sparql(sparql, &pin.dict)?;
-        let storage = storage_for(&pin.gen, newest_generation(&pin.gen)?)?;
-        let cx = ExecContext::new(&self.inner.pool, &pin.dict, storage, self.config)
-            .with_delta(pin.delta.clone());
-        let (_q, lp) = sordf_engine::prepare(&query);
-        let n = lp.stars.len();
-        if n > 8 {
-            return Err(Error::State(format!(
-                "explain_orders is factorial; {n} stars exceeds the 8-star limit"
-            )));
-        }
-        let mut out = Vec::new();
-        let mut order: Vec<usize> = (0..n).collect();
-        permutations(&mut order, 0, &mut |perm| {
-            let pp = sordf_engine::optimize_with_order(&cx, &lp, perm);
-            out.push((perm.to_vec(), pp.total_cost));
-        });
-        Ok(out)
-    }
-
-    /// Plan-cache counters: entries, hits, misses, and epoch invalidations.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        let pc = self.inner.plans.lock();
-        PlanCacheStats {
-            entries: pc.map.len() as u64,
-            hits: pc.hits,
-            misses: pc.misses,
-            invalidations: pc.invalidations,
-        }
-    }
-
-    /// Run a SQL query against the emergent relational schema (requires
-    /// [`Database::self_organize`] first). Shorthand for
-    /// `execute(&QueryRequest::sql(sql))`.
-    pub fn sql(&self, sql: &str) -> Result<ResultSet, Error> {
-        Ok(self.execute(&QueryRequest::sql(sql))?.results)
-    }
-
-    /// The SQL half of [`Database::execute`]: compile against the emergent
-    /// schema, run with the same fault-isolation + interrupt boundary as the
-    /// SPARQL path.
-    fn execute_sql(
-        &self,
-        req: &QueryRequest,
-        config: ExecConfig,
-        cancel: Option<CancellationToken>,
-    ) -> Result<QueryResponse, Error> {
-        let (pin, routed) = self.inner.pin_with_routing(req.snapshot);
-        let (Some(store), Some(schema)) = (&pin.gen.clustered, &pin.gen.schema) else {
-            return Err(Error::State(
-                "SQL view requires self_organize() first".into(),
-            ));
-        };
-        let query = sordf_sql::compile_sql(&req.text, schema, store, &pin.dict, &routed)
-            .map_err(Error::Sql)?;
-        let storage = StorageRef::Clustered { store, schema };
-        // Deletes of base rows are respected through the delta view, and
-        // rows inserted since the last reorganization are admitted through
-        // the routing table captured with the pin: the compiler widens each
-        // table's segment restriction to include its class's delta-routed
-        // subjects, whose triples the delta merge already surfaces.
-        // (At a historical snapshot, routed-but-later subjects contribute
-        // nothing — their triples are absent from that delta view.)
-        let cx = ExecContext::new(&self.inner.pool, &pin.dict, storage, config)
-            .with_delta(pin.delta.clone())
-            .with_cancel(cancel);
-        let pool_before = self.inner.pool.stats();
-        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sordf_engine::execute(&cx, &query)
-        }))
-        .map_err(interrupt_or_exec)?;
-        let stats = cx.stats.snapshot();
-        let pool = self.inner.pool.stats().since(&pool_before);
-        drop(cx);
-        Ok(QueryResponse {
-            results,
-            pin: pin.dict,
-            stats: req.trace.then_some(stats),
-            pool: req.trace.then_some(pool),
-        })
-    }
 }
 
 /// Insert-run count at which the auto-reorg thread compacts the delta
@@ -2016,146 +1424,6 @@ impl Drop for Database {
 
 // ---- state helpers (all run under the state lock) --------------------------
 
-/// Visit every permutation of `items` (recursive Heap-style enumeration;
-/// callers bound the length).
-fn permutations(items: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
-    if k == items.len() {
-        visit(items);
-        return;
-    }
-    for i in k..items.len() {
-        items.swap(k, i);
-        permutations(items, k + 1, visit);
-        items.swap(k, i);
-    }
-}
-
-/// The plan-cache key: generation + engine config + the structural shape of
-/// the parsed query. Variables keep their ids (plan steps reference them,
-/// and ids depend on the full parse order — so the *whole* query shape is
-/// serialized, not just the BGP); predicates keep their OIDs (they decide
-/// the plan); object and filter constants are abstracted to `C`/`N` so one
-/// cached plan serves a query family differing only in literals.
-fn plan_cache_key(
-    query: &sordf_engine::Query,
-    generation: Generation,
-    config: ExecConfig,
-    encoding: ColumnEncoding,
-) -> String {
-    use sordf_engine::{Expr, SelectItem, VarOrOid};
-    use std::fmt::Write;
-    fn expr(out: &mut String, e: &Expr) {
-        match e {
-            Expr::Var(v) => {
-                let _ = write!(out, "?{}", v.0);
-            }
-            Expr::Const(_) => out.push('C'),
-            Expr::Num(_) => out.push('N'),
-            Expr::Cmp(a, op, b) => {
-                let _ = write!(out, "({op:?} ");
-                expr(out, a);
-                out.push(' ');
-                expr(out, b);
-                out.push(')');
-            }
-            Expr::Arith(a, op, b) => {
-                let _ = write!(out, "({op:?} ");
-                expr(out, a);
-                out.push(' ');
-                expr(out, b);
-                out.push(')');
-            }
-            Expr::And(a, b) => {
-                out.push_str("(and ");
-                expr(out, a);
-                out.push(' ');
-                expr(out, b);
-                out.push(')');
-            }
-            Expr::Or(a, b) => {
-                out.push_str("(or ");
-                expr(out, a);
-                out.push(' ');
-                expr(out, b);
-                out.push(')');
-            }
-            Expr::Not(a) => {
-                out.push_str("(not ");
-                expr(out, a);
-                out.push(')');
-            }
-            Expr::InSet(a, set) => {
-                // Content-hash the set: only the SQL path builds InSet and
-                // SQL queries are not plan-cached today, but a stale hit
-                // would be silently wrong if they ever were.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for o in set.iter() {
-                    h = (h ^ o.raw()).wrapping_mul(0x0100_0000_01b3);
-                }
-                let _ = write!(out, "(in{}#{h:016x} ", set.len());
-                expr(out, a);
-                out.push(')');
-            }
-        }
-    }
-    let pos = |out: &mut String, v: VarOrOid| match v {
-        VarOrOid::Var(v) => {
-            let _ = write!(out, "?{}", v.0);
-        }
-        VarOrOid::Const(_) => out.push('C'),
-    };
-    let mut out = format!(
-        "{generation:?}|{encoding:?}|{:?}|zm{}|v{}|",
-        config.scheme,
-        config.zonemaps,
-        query.vars.len()
-    );
-    for p in &query.patterns {
-        pos(&mut out, p.s);
-        let _ = write!(out, " {} ", p.p.raw());
-        pos(&mut out, p.o);
-        out.push('.');
-    }
-    out.push('|');
-    for f in &query.filters {
-        expr(&mut out, f);
-    }
-    out.push('|');
-    for item in &query.select {
-        match item {
-            SelectItem::Var(v) => {
-                let _ = write!(out, "?{},", v.0);
-            }
-            SelectItem::Expr { expr: e, .. } => {
-                out.push_str("e:");
-                expr(&mut out, e);
-                out.push(',');
-            }
-            SelectItem::Agg { func, expr: e, .. } => {
-                let _ = write!(out, "a{func:?}:");
-                expr(&mut out, e);
-                out.push(',');
-            }
-        }
-    }
-    out.push('|');
-    for g in &query.group_by {
-        let _ = write!(out, "?{},", g.0);
-    }
-    let _ = write!(
-        out,
-        "|o{:?}|l{:?}|d{}",
-        query
-            .order_by
-            .iter()
-            .map(|k| (k.output, k.ascending))
-            .collect::<Vec<_>>(),
-        query.limit,
-        query.distinct
-    );
-    out
-}
-
 /// The newest generation built in `gen`.
 fn newest_generation(gen: &StoreGeneration) -> Result<Generation, Error> {
     if gen.clustered.is_some() {
@@ -2168,32 +1436,6 @@ fn newest_generation(gen: &StoreGeneration) -> Result<Generation, Error> {
         Err(Error::State(
             "no storage built; load data and call self_organize()".into(),
         ))
-    }
-}
-
-fn storage_for(gen: &StoreGeneration, generation: Generation) -> Result<StorageRef<'_>, Error> {
-    match generation {
-        Generation::Baseline => {
-            gen.baseline
-                .as_deref()
-                .map(StorageRef::Baseline)
-                .ok_or(Error::State(
-                    "baseline not built; call build_baseline()".into(),
-                ))
-        }
-        Generation::CsParseOrder => gen
-            .cs_parse_order
-            .as_ref()
-            .map(|(store, schema)| StorageRef::Clustered { store, schema })
-            .ok_or(Error::State(
-                "CS tables not built; call build_cs_tables()".into(),
-            )),
-        Generation::Clustered => match (&gen.clustered, &gen.schema) {
-            (Some(store), Some(schema)) => Ok(StorageRef::Clustered { store, schema }),
-            _ => Err(Error::State(
-                "not self-organized; call self_organize()".into(),
-            )),
-        },
     }
 }
 
@@ -3089,30 +2331,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Classify a payload caught at the query boundary: a cancellation/deadline
-/// interrupt (see [`sordf_engine::cancel`]) maps to its typed error; any
-/// other panic is a genuine engine fault and stays a stringly `Exec`.
-fn interrupt_or_exec(payload: Box<dyn std::any::Any + Send>) -> Error {
-    match sordf_engine::cancel::interrupted(payload.as_ref()) {
-        Some(StopReason::Cancelled) => Error::Cancelled,
-        Some(StopReason::TimedOut) => Error::Timeout,
-        None => Error::Exec(panic_message(payload)),
-    }
-}
-
-/// Repackage a traced [`QueryResponse`] into the legacy [`Traced`] shape
-/// (the deprecated `query_traced*` wrappers return it).
-fn traced_of(resp: QueryResponse) -> Traced {
-    Traced {
-        results: resp.results,
-        // sordf-lint: allow(L3) — infallible: every caller sets traced(true),
-        // which guarantees both fields are populated.
-        stats: resp.stats.expect("traced request always carries stats"),
-        // sordf-lint: allow(L3) — infallible: see above.
-        pool: resp.pool.expect("traced request always carries pool stats"),
-    }
-}
-
 /// Compile-time thread-safety audit: one `Database` serves concurrent
 /// queries *and writes* from many threads (shared pool, per-query pins),
 /// and the background-reorg machinery crosses threads.
@@ -3128,6 +2346,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::plan_cache_key;
     use sordf_model::Term;
 
     fn sample_triples() -> Vec<TermTriple> {
@@ -3275,6 +2494,22 @@ mod tests {
         assert_eq!(s2.misses, s1.misses, "same shape never re-optimizes");
         assert!(s2.hits > s1.hits);
 
+        // SQL runs the same pipeline: two queries differing only in a
+        // literal are one miss, then one hit.
+        let table = db.schema().unwrap().classes[0].name.clone();
+        let sql = |n: u32| format!("SELECT qty FROM {table} WHERE qty = {n}");
+        assert_eq!(db.sql(&sql(3)).unwrap().len(), 5);
+        let sql_first = db.plan_cache_stats();
+        assert_eq!(sql_first.misses, s2.misses + 1, "the SQL shape optimizes");
+        assert_eq!(sql_first.hits, s2.hits);
+        assert_eq!(db.sql(&sql(7)).unwrap().len(), 5);
+        let s2 = db.plan_cache_stats();
+        assert_eq!(
+            s2.misses, sql_first.misses,
+            "same SQL shape: no re-optimize"
+        );
+        assert_eq!(s2.hits, sql_first.hits + 1);
+
         // A delta write does NOT invalidate (cached plans stay correct,
         // possibly stale-optimal)...
         db.insert_ntriples(
@@ -3300,6 +2535,14 @@ mod tests {
         );
         assert_eq!(s4.misses, s3.misses + 1, "post-swap run re-optimizes");
         assert_eq!(db.query(q).unwrap().len(), 6, "3 old + new itemX");
+        assert_eq!(db.sql(&sql(3)).unwrap().len(), 6);
+        let s5 = db.plan_cache_stats();
+        assert_eq!(
+            s5.misses,
+            s4.misses + 1,
+            "the swap dropped the SQL plan too"
+        );
+        assert_eq!(s5.invalidations, s4.invalidations);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::context::ExecContext;
 use crate::expr::{compare, AggFunc, EvalValue};
+use crate::parallel::{run_tasks, split_range};
 use crate::query::{Query, SelectItem};
 use crate::table::{Table, VarId};
 use sordf_model::{Dictionary, FxHashMap, Oid};
@@ -156,8 +157,8 @@ impl CompensatedSum {
     /// Fold another compensated sum into this one. Adding the partial's sum
     /// through the compensated path and carrying its compensation keeps the
     /// merged total order-insensitive to within one ulp — the property that
-    /// lets per-worker aggregation partials merge in any order and still
-    /// agree with the sequential accumulation.
+    /// lets per-span aggregation partials merge in any order and still
+    /// agree with the one-span accumulation.
     fn merge(&mut self, other: &CompensatedSum) {
         self.add(other.sum);
         self.compensation += other.compensation;
@@ -169,7 +170,7 @@ impl CompensatedSum {
 }
 
 /// Aggregate accumulator.
-pub(crate) enum AggState {
+enum AggState {
     Count(u64),
     Sum(CompensatedSum),
     Avg(CompensatedSum, u64),
@@ -229,7 +230,7 @@ impl AggState {
     /// Fold a partial accumulator (from another row range) into this one.
     /// COUNT/MIN/MAX merge exactly; SUM/AVG merge through the compensated
     /// path, order-insensitive to within one ulp.
-    pub(crate) fn merge(&mut self, other: AggState, dict: &Dictionary) {
+    fn merge(&mut self, other: AggState, dict: &Dictionary) {
         match (self, other) {
             (AggState::Count(n), AggState::Count(m)) => *n += m,
             (AggState::Sum(s), AggState::Sum(o)) => s.merge(&o),
@@ -275,7 +276,7 @@ impl AggState {
 }
 
 /// Effective select list: all pattern vars when empty.
-pub(crate) fn effective_select(query: &Query) -> Vec<SelectItem> {
+fn effective_select(query: &Query) -> Vec<SelectItem> {
     if query.select.is_empty() {
         query
             .pattern_vars()
@@ -289,7 +290,7 @@ pub(crate) fn effective_select(query: &Query) -> Vec<SelectItem> {
 
 /// Dense VarId -> column map, resolved once — per-row lookups must not
 /// re-scan the table's variable list per access.
-pub(crate) fn var_col_map(table: &Table) -> Vec<Option<usize>> {
+fn var_col_map(table: &Table) -> Vec<Option<usize>> {
     let n_var_ids = table
         .vars
         .iter()
@@ -304,7 +305,7 @@ pub(crate) fn var_col_map(table: &Table) -> Vec<Option<usize>> {
 }
 
 /// Fresh accumulators for a select list (placeholders for non-aggregates).
-pub(crate) fn new_agg_states(select: &[SelectItem]) -> Vec<AggState> {
+fn new_agg_states(select: &[SelectItem]) -> Vec<AggState> {
     select
         .iter()
         .map(|s| match s {
@@ -315,9 +316,9 @@ pub(crate) fn new_agg_states(select: &[SelectItem]) -> Vec<AggState> {
 }
 
 /// Accumulate a row range of the binding table into single-group (no GROUP
-/// BY) aggregate states — the partial-aggregation unit the parallel
-/// executor runs per worker before merging with [`AggState::merge`].
-pub(crate) fn accumulate_single_group(
+/// BY) aggregate states — the partial-aggregation unit [`finalize`] runs per
+/// row span before merging with [`AggState::merge`].
+fn accumulate_single_group(
     cx: &ExecContext,
     select: &[SelectItem],
     table: &Table,
@@ -343,7 +344,7 @@ pub(crate) fn accumulate_single_group(
 }
 
 /// Render finished single-group states as the one-row result set.
-pub(crate) fn single_group_result(
+fn single_group_result(
     cx: &ExecContext,
     query: &Query,
     select: &[SelectItem],
@@ -393,9 +394,26 @@ pub fn finalize(cx: &ExecContext, query: &Query, table: &Table) -> ResultSet {
     let mut rs = ResultSet::new(columns);
     if query.has_aggregates() && query.group_by.is_empty() && !table.is_empty() {
         // Single-group fast path (Q6-style whole-table aggregates): one
-        // accumulator vector, one tight pass over the columns, no hashing.
-        let mut states = new_agg_states(&select);
-        accumulate_single_group(cx, &select, table, &var_col, 0..table.len(), &mut states);
+        // accumulator vector and one tight pass over the columns per row
+        // span, no hashing. One worker (or a small table) is one span;
+        // otherwise per-span partials merge in span order (SUM/AVG through
+        // the compensated accumulator — order-insensitive to within one ulp).
+        let par = &cx.parallel;
+        let spans = split_range(0..table.len(), par.workers, par.min_morsel_rows);
+        let mut partials = run_tasks(cx.cancel_token(), par.workers, spans.len(), |i| {
+            let mut states = new_agg_states(&select);
+            accumulate_single_group(cx, &select, table, &var_col, spans[i].clone(), &mut states);
+            states
+        })
+        .into_iter();
+        // sordf-lint: allow(L3) — split_range on a non-empty row range yields
+        // at least one span, so there is always a first partial.
+        let mut states = partials.next().expect("non-empty table has one partial");
+        for partial in partials {
+            for (s, o) in states.iter_mut().zip(partial) {
+                s.merge(o, cx.dict);
+            }
+        }
         rs = single_group_result(cx, query, &select, states);
     } else if query.has_aggregates() {
         // Hash grouping on the GROUP BY key.
@@ -492,9 +510,8 @@ pub fn finalize(cx: &ExecContext, query: &Query, table: &Table) -> ResultSet {
     rs
 }
 
-/// The DISTINCT / ORDER BY / LIMIT tail of [`finalize`], shared with the
-/// parallel executor (which builds the aggregate row itself).
-pub(crate) fn apply_modifiers(cx: &ExecContext, query: &Query, rs: &mut ResultSet) {
+/// The DISTINCT / ORDER BY / LIMIT tail of [`finalize`].
+fn apply_modifiers(cx: &ExecContext, query: &Query, rs: &mut ResultSet) {
     let nc = rs.columns.len();
     if query.distinct {
         let mut kept: Vec<OutVal> = Vec::new();

@@ -3,10 +3,9 @@
 //! A [`CancellationToken`] is a shared flag (plus an optional deadline) the
 //! caller hands to a query through
 //! [`ExecContext`](crate::context::ExecContext). Operators poll it at
-//! *bounded-work* boundaries — per claimed morsel in the parallel executor,
-//! per page in the chunked scans, per property scan and per plan step in the
-//! sequential path — so a cancelled or timed-out query stops within one page
-//! of work instead of running to completion.
+//! *bounded-work* boundaries — per claimed morsel, per page in the chunked
+//! scans, per property scan and per plan step — so a cancelled or timed-out
+//! query stops within one page of work instead of running to completion.
 //!
 //! The stop mechanism reuses the engine's existing query-boundary fault
 //! isolation: a tripped check raises a panic carrying the

@@ -1,6 +1,7 @@
 //! Execution context: storage handles, configuration, runtime counters.
 
 use crate::cancel::CancellationToken;
+use crate::parallel::ParallelConfig;
 use sordf_columnar::BufferPool;
 use sordf_model::Dictionary;
 use sordf_schema::EmergentSchema;
@@ -180,13 +181,16 @@ pub struct ExecContext<'a> {
     /// merge work. When set, property scans union the view's insert runs
     /// with base storage and filter its tombstones out of every
     /// base-resident value (the merged-source contract shared by the
-    /// sequential, parallel and rowwise operators).
+    /// vectorized and rowwise operators).
     delta: Option<Arc<DeltaView>>,
     /// Cooperative interrupt for this query, polled by the operators at
     /// bounded-work boundaries (see [`crate::cancel`]). `None` (the
     /// embedded-library default) makes every poll a no-op branch.
     cancel: Option<CancellationToken>,
     pub config: ExecConfig,
+    /// How many workers evaluate this query's morsels (default: one — the
+    /// whole query runs inline on the calling thread).
+    pub parallel: ParallelConfig,
     pub stats: ExecStats,
 }
 
@@ -220,8 +224,16 @@ impl<'a> ExecContext<'a> {
             delta: None,
             cancel: None,
             config,
+            parallel: ParallelConfig::with_workers(1),
             stats: ExecStats::default(),
         }
+    }
+
+    /// Evaluate this query's morsels on `parallel.workers` threads (see
+    /// [`crate::parallel`]); results do not depend on the worker count.
+    pub fn with_parallel(mut self, parallel: ParallelConfig) -> ExecContext<'a> {
+        self.parallel = parallel;
+        self
     }
 
     /// Pin a delta view (the query's write snapshot) to this context. Empty

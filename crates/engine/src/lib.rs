@@ -37,11 +37,8 @@ pub use cancel::{CancellationToken, QueryInterrupted, StopReason};
 pub use context::{ExecConfig, ExecContext, ExecStats, PlanScheme, StorageRef};
 pub use expr::{AggFunc, CmpOp, Expr};
 pub use optimizer::{optimize, optimize_with_order};
-pub use parallel::{execute_parallel, execute_physical_parallel, ParallelConfig};
+pub use parallel::{eval_star, ParallelConfig};
 pub use plan::{prepare, JoinStrategy, LogicalOp, LogicalPlan, PhysicalPlan, StarAccess};
-pub use planner::{
-    execute, execute_physical, execute_physical_seq, execute_with, explain, explain_analyze,
-    StarEvalFn,
-};
+pub use planner::{execute, execute_physical, explain, explain_analyze};
 pub use query::{Query, SelectItem, TriplePattern, VarOrOid};
 pub use table::{Table, VarId};

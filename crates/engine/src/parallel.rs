@@ -1,41 +1,36 @@
-//! Morsel-driven parallel execution.
+//! Morsel-driven execution — the engine's one vectorized star path.
 //!
 //! The paper's pitch is that emergent-schema clustering makes RDF behave
 //! like relational analytics — and relational analytics engines scale across
-//! cores. This module executes the same operators as the sequential planner
-//! **morsel-at-a-time**: zone-map-pruned page ranges (RDFscan), candidate
-//! row ranges (RDFjoin), and per-property streams (Default-scheme property
-//! scans) are split into independent work units executed by
-//! `std::thread::scope` workers pulling from a shared queue.
+//! cores. Every star is evaluated **morsel-at-a-time**: zone-map-pruned page
+//! ranges (RDFscan), candidate row ranges (RDFjoin), and per-property
+//! streams (IdxScan+MergeJoin) are independent work units pulled from a
+//! shared queue by the [`ParallelConfig::workers`] of the query's
+//! [`ExecContext`]. Sequential execution is the same code with one worker:
+//! each prepared class scan is exactly one morsel and every unit runs inline
+//! on the calling thread — no thread is spawned, no span is split.
 //!
-//! Correctness contract: results are **byte-identical** to the sequential
-//! path. Each morsel covers a contiguous slice of a class segment (or of the
-//! candidate list), morsels are enumerated in the order the sequential scan
-//! would visit them, and per-worker partial tables are concatenated in that
-//! enumeration order — never in completion order. Whole-table aggregates
-//! merge per-worker partials through the Neumaier-compensated accumulator,
-//! which keeps SUM/AVG order-insensitive to within one ulp (the same
-//! property the cross-generation differential tests already rely on).
+//! Correctness contract: results are **byte-identical** for every worker
+//! count. Each morsel covers a contiguous slice of a class segment (or of
+//! the candidate list), morsels are enumerated in segment order, and partial
+//! tables are concatenated in that enumeration order — never in completion
+//! order. Whole-table aggregates merge per-span partials through the
+//! Neumaier-compensated accumulator, which keeps SUM/AVG order-insensitive
+//! to within one ulp (the same property the cross-generation differential
+//! tests already rely on).
 //!
 //! Sharing model: one [`ExecContext`] is shared by all workers of a query —
 //! it is `Sync` (storage handles are immutable, the buffer pool is
 //! internally sharded, and [`crate::context::ExecStats`] counters are
 //! relaxed atomics that sum naturally across workers).
 
-use crate::agg::{
-    accumulate_single_group, apply_modifiers, effective_select, finalize, new_agg_states,
-    single_group_result, var_col_map, AggState, ResultSet,
-};
 use crate::context::{ExecContext, StorageRef};
 use crate::expr::Expr;
-use crate::plan::{LogicalPlan, PhysicalPlan, StarAccess};
-use crate::planner::{execute_physical, execute_plan, StarEvalFn};
-use crate::query::Query;
+use crate::plan::StarAccess;
 use crate::scan::{SRange, Source};
 use crate::star::{
-    default_scan_range, intersect_ranges, irregular_star_table, join_star_streams,
-    prepare_star_scans, scan_chunk_pages, scan_row_range, scan_star_prop, subject_filter_range,
-    ClassScanPrep, Star,
+    default_scan_range, intersect_ranges, join_star_streams, prepare_star_scans, scan_star_prop,
+    subject_filter_range, uncovered_rows, Star,
 };
 use crate::table::Table;
 use parking_lot::Mutex;
@@ -43,10 +38,11 @@ use sordf_model::Oid;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Parallel execution knobs.
+/// How many workers evaluate a query's morsels, and how small a morsel may
+/// get.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
-    /// Worker threads per query (1 = run the sequential path).
+    /// Worker threads per query (1 = everything inline on the caller).
     pub workers: usize,
     /// Minimum pages per RDFscan morsel — below this, splitting a segment
     /// costs more in scheduling than it buys in parallelism.
@@ -57,14 +53,12 @@ pub struct ParallelConfig {
 
 impl Default for ParallelConfig {
     fn default() -> ParallelConfig {
-        ParallelConfig {
-            workers: std::thread::available_parallelism()
+        ParallelConfig::with_workers(
+            std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(8),
-            min_morsel_pages: 1,
-            min_morsel_rows: 4096,
-        }
+        )
     }
 }
 
@@ -73,21 +67,16 @@ impl ParallelConfig {
     pub fn with_workers(workers: usize) -> ParallelConfig {
         ParallelConfig {
             workers: workers.max(1),
-            ..ParallelConfig::default()
+            min_morsel_pages: 1,
+            min_morsel_rows: 4096,
         }
     }
 }
 
-/// A unit of parallel work returning `T`.
-type Task<'s, T> = Box<dyn Fn() -> T + Send + Sync + 's>;
-
-/// A property stream task result: `(property index, (s, o) pairs)`.
-type PropStream = (usize, Vec<(Oid, Oid)>);
-
 /// Split `r` into at most `max_chunks` contiguous chunks of at least
 /// `min_len` (the final chunk absorbs the remainder). Preserves order:
 /// concatenating the chunks yields `r`.
-fn split_range(r: Range<usize>, max_chunks: usize, min_len: usize) -> Vec<Range<usize>> {
+pub(crate) fn split_range(r: Range<usize>, max_chunks: usize, min_len: usize) -> Vec<Range<usize>> {
     let len = r.end.saturating_sub(r.start);
     if len == 0 {
         return Vec::new();
@@ -106,9 +95,10 @@ fn split_range(r: Range<usize>, max_chunks: usize, min_len: usize) -> Vec<Range<
     out
 }
 
-/// Run boxed tasks on `workers` scoped threads pulling from a shared atomic
-/// queue, returning results **in task order** (not completion order). With
-/// one worker or one task, runs inline — no threads spawned.
+/// Run `task(0..n_tasks)` on `workers` scoped threads pulling indexes from a
+/// shared atomic queue, returning results **in task order** (not completion
+/// order). With one worker or one task, runs inline on the calling thread —
+/// no threads spawned.
 ///
 /// A panicking task is caught on its worker and its original payload is
 /// re-raised on the calling thread — `std::thread::scope` would otherwise
@@ -119,26 +109,25 @@ fn split_range(r: Range<usize>, max_chunks: usize, min_len: usize) -> Vec<Range<
 /// in-flight morsels instead of draining the whole queue for a result that
 /// will be discarded.
 ///
-/// Cancellation rides the same machinery: `cancel` (when present) is polled
-/// before each claimed task — the morsel boundary — and a tripped token
-/// panics with the interrupt sentinel inside the per-task `catch_unwind`,
-/// so the failure flag stops every worker and the sentinel is re-raised on
-/// the caller for the facade to classify.
-fn run_tasks<'s, T: Send + 's>(
+/// Cancellation rides the same machinery: the context's token (when
+/// present) is polled before each claimed task — the morsel boundary — and a
+/// tripped token panics with the interrupt sentinel inside the per-task
+/// `catch_unwind`, so the failure flag stops every worker and the sentinel
+/// is re-raised on the caller for the facade to classify.
+pub(crate) fn run_tasks<T: Send>(
     cancel: Option<&crate::cancel::CancellationToken>,
     workers: usize,
-    tasks: &[Task<'s, T>],
+    n_tasks: usize,
+    task: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    if workers <= 1 || tasks.len() <= 1 {
-        return tasks
-            .iter()
-            .map(|t| {
-                if let Some(c) = cancel {
-                    c.check();
-                }
-                t()
-            })
-            .collect();
+    let run = |i: usize| {
+        if let Some(c) = cancel {
+            c.check();
+        }
+        task(i)
+    };
+    if workers <= 1 || n_tasks <= 1 {
+        return (0..n_tasks).map(run).collect();
     }
     type TaskResult<T> = Result<T, Box<dyn std::any::Any + Send>>;
     // ordering: Relaxed throughout this function — `next` needs only
@@ -147,23 +136,18 @@ fn run_tasks<'s, T: Send + 's>(
     // the per-slot mutexes plus the scope join, not by these flags.
     let next = AtomicUsize::new(0);
     let failed = std::sync::atomic::AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<TaskResult<T>>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<TaskResult<T>>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
-        for _ in 0..workers.min(tasks.len()) {
+        for _ in 0..workers.min(n_tasks) {
             s.spawn(|| loop {
                 if failed.load(Ordering::Relaxed) {
                     break;
                 }
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks.len() {
+                if i >= n_tasks {
                     break;
                 }
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(c) = cancel {
-                        c.check();
-                    }
-                    tasks[i]()
-                }));
+                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(i)));
                 if out.is_err() {
                     failed.store(true, Ordering::Relaxed);
                 }
@@ -174,7 +158,7 @@ fn run_tasks<'s, T: Send + 's>(
             });
         }
     });
-    let mut out = Vec::with_capacity(tasks.len());
+    let mut out = Vec::with_capacity(n_tasks);
     let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
     for slot in slots {
         match slot.into_inner() {
@@ -189,104 +173,67 @@ fn run_tasks<'s, T: Send + 's>(
     if let Some(payload) = first_panic {
         std::panic::resume_unwind(payload);
     }
-    assert_eq!(out.len(), tasks.len(), "every task completed");
+    assert_eq!(out.len(), n_tasks, "every task completed");
     out
 }
 
-/// Execute a query with morsel-parallel operators and a merging aggregation.
-/// Non-aggregate results are byte-identical to [`crate::planner::execute`]
-/// (same rows, same order); SUM/AVG aggregates merge per-worker partials
-/// through the compensated accumulator and may differ from the sequential
-/// value in the last ulp — canonical/rendered forms agree, raw aggregate
-/// `f64`s must not be compared bitwise.
-pub fn execute_parallel(cx: &ExecContext, query: &Query, par: &ParallelConfig) -> ResultSet {
-    if par.workers <= 1 {
-        return crate::planner::execute(cx, query);
-    }
-    let eval = |cx: &ExecContext,
-                star: &Star,
-                access: StarAccess,
-                filters: &[&Expr],
-                cands: Option<&[Oid]>,
-                s_range: SRange| {
-        eval_star_parallel(cx, star, access, filters, cands, s_range, par)
-    };
-    let (q, table) = execute_plan(cx, query, &eval as &StarEvalFn);
-    finalize_parallel(cx, &q, &table, par)
-}
-
-/// Execute an already-optimized physical plan with the morsel-parallel
-/// operators and a merging aggregation (the plan-cache fast path).
-pub fn execute_physical_parallel(
-    cx: &ExecContext,
-    q: &Query,
-    lp: &LogicalPlan,
-    pp: &PhysicalPlan,
-    par: &ParallelConfig,
-) -> ResultSet {
-    if par.workers <= 1 {
-        return crate::planner::execute_physical_seq(cx, q, lp, pp);
-    }
-    let eval = |cx: &ExecContext,
-                star: &Star,
-                access: StarAccess,
-                filters: &[&Expr],
-                cands: Option<&[Oid]>,
-                s_range: SRange| {
-        eval_star_parallel(cx, star, access, filters, cands, s_range, par)
-    };
-    let table = execute_physical(cx, lp, pp, &eval as &StarEvalFn, None);
-    finalize_parallel(cx, q, &table, par)
-}
-
-/// Evaluate one star with the parallel operator matching the plan's chosen
-/// access path (the parallel counterpart of the planner's star evaluator).
-pub fn eval_star_parallel(
+/// Evaluate one star with the plan's chosen access path (not the scheme —
+/// the optimizer already folded the scheme and the storage layout into that
+/// choice), optionally driven by candidate subjects (RDFjoin) and restricted
+/// to a subject range. The one star evaluator every plan step goes through;
+/// [`crate::context::ExecConfig::rowwise`] swaps in the value-at-a-time
+/// reference operators the differential tests compare against.
+pub fn eval_star(
     cx: &ExecContext,
     star: &Star,
     access: StarAccess,
     filters: &[&Expr],
     candidates: Option<&[Oid]>,
     s_range: SRange,
-    par: &ParallelConfig,
 ) -> Table {
+    if cx.config.rowwise {
+        return crate::rowwise::eval_star_rowwise(cx, star, access, filters, candidates, s_range);
+    }
     match (access, &cx.storage) {
-        (StarAccess::RdfScan, StorageRef::Clustered { .. }) => {
-            eval_star_rdfscan_parallel(cx, star, filters, candidates, s_range, par)
+        (StarAccess::RdfScan, StorageRef::Clustered { store, schema }) => {
+            eval_rdfscan(cx, star, filters, candidates, s_range, store, schema)
         }
-        _ => eval_star_default_parallel(cx, star, filters, candidates, s_range, Source::Full, par),
+        _ => eval_prop_merge(
+            cx,
+            star,
+            filters,
+            candidates,
+            s_range,
+            Source::Full,
+            cx.parallel.workers,
+        ),
     }
 }
 
-/// Default scheme, parallel: the per-property scans of a star are
-/// independent — run one task per property, then join the streams
-/// sequentially (the join pipeline is a small fraction of the work).
-fn eval_star_default_parallel(
+/// IdxScan+MergeJoin: the per-property scans of a star are independent —
+/// one task per property, then the streams are joined on the caller (the
+/// join pipeline is a small fraction of the work).
+fn eval_prop_merge(
     cx: &ExecContext,
     star: &Star,
     filters: &[&Expr],
     candidates: Option<&[Oid]>,
     s_range: SRange,
     source: Source,
-    par: &ParallelConfig,
+    workers: usize,
 ) -> Table {
     let s_range = default_scan_range(star, filters, s_range);
-    let tasks: Vec<Task<PropStream>> = (0..star.props.len())
-        .map(|i| {
-            let task: Task<PropStream> = Box::new(move || {
-                (
-                    i,
-                    scan_star_prop(cx, star, i, filters, candidates, s_range, source),
-                )
-            });
-            task
-        })
-        .collect();
-    let streams = run_tasks(cx.cancel_token(), par.workers, &tasks);
+    let streams = run_tasks(cx.cancel_token(), workers, star.props.len(), |i| {
+        (
+            i,
+            scan_star_prop(cx, star, i, filters, candidates, s_range, source),
+        )
+    });
     join_star_streams(cx, star, filters, streams)
 }
 
-/// One unit of parallel RDFscan/RDFjoin work.
+/// One unit of RDFscan/RDFjoin work.
+#[derive(Debug, PartialEq)]
 enum Morsel {
     /// A span of a prepared class scan: a page range (RDFscan) or a
     /// candidate-row range (RDFjoin).
@@ -295,162 +242,85 @@ enum Morsel {
     Irregular,
 }
 
-/// RDFscan / RDFjoin, parallel: per-class preparation (class selection,
-/// row-range narrowing, access resolution) happens once via the shared
-/// [`prepare_star_scans`] — the same enumeration the sequential path
-/// executes — then the page/row span of each class is split into morsels
-/// executed by scoped workers, and partial tables are concatenated in
-/// (class, span) order with the irregular branch last — exactly the
-/// sequential row order.
-fn eval_star_rdfscan_parallel(
+/// Morsels of one star, given each prepared class scan's `(span, minimum
+/// morsel length)`. Several workers get a few morsels per worker and scan so
+/// a slow span (zone maps prune unevenly) cannot straggle the whole query;
+/// one worker gets every scan whole. The irregular branch is queued FIRST —
+/// it is the one task that cannot be split, so it must start early rather
+/// than after every class morsel has been claimed; its partial is still
+/// merged last (placement, not execution order, decides the result layout).
+fn morselize(
+    scans: impl IntoIterator<Item = (Range<usize>, usize)>,
+    workers: usize,
+) -> Vec<Morsel> {
+    let per_scan = if workers <= 1 { 1 } else { workers * 2 };
+    let mut morsels = vec![Morsel::Irregular];
+    for (prep, (span, min_len)) in scans.into_iter().enumerate() {
+        morsels.extend(
+            split_range(span, per_scan, min_len)
+                .into_iter()
+                .map(|span| Morsel::Class { prep, span }),
+        );
+    }
+    morsels
+}
+
+/// RDFscan / RDFjoin: per-class preparation (class selection, row-range
+/// narrowing, access resolution) happens once via [`prepare_star_scans`],
+/// then the page/row span of each class is cut into morsels, and partial
+/// tables are concatenated in (class, span) order with the irregular branch
+/// last.
+fn eval_rdfscan(
     cx: &ExecContext,
     star: &Star,
     filters: &[&Expr],
     candidates: Option<&[Oid]>,
     s_range: SRange,
-    par: &ParallelConfig,
+    store: &sordf_storage::ClusteredStore,
+    schema: &sordf_schema::EmergentSchema,
 ) -> Table {
-    let StorageRef::Clustered { store, schema } = &cx.storage else {
-        return eval_star_default_parallel(
-            cx,
-            star,
-            filters,
-            candidates,
-            s_range,
-            Source::Full,
-            par,
-        );
-    };
+    let par = &cx.parallel;
     let s_range = intersect_ranges(subject_filter_range(star, filters), s_range);
     let out_vars = star.output_vars();
 
     let (covering_classes, preps) =
         prepare_star_scans(cx, star, filters, candidates, s_range, store, schema);
+    let morsels = morselize(preps.iter().map(|p| p.span(par)), par.workers);
 
-    // Morselize: aim for a few morsels per worker so a slow span (zone maps
-    // prune unevenly) cannot straggle the whole query. The irregular branch
-    // is queued FIRST — it is the one task that cannot be split, so it must
-    // start early rather than after every class morsel has been claimed;
-    // its partial is still merged last (placement, not execution order,
-    // decides the result layout).
-    let mut morsels: Vec<Morsel> = vec![Morsel::Irregular];
-    for (pi, prep) in preps.iter().enumerate() {
-        let spans = match prep {
-            ClassScanPrep::Chunks(p) => {
-                split_range(p.pages(), par.workers * 2, par.min_morsel_pages)
-            }
-            ClassScanPrep::Rows(p) => {
-                split_range(0..p.n_rows(), par.workers * 2, par.min_morsel_rows)
-            }
-        };
-        morsels.extend(
-            spans
-                .into_iter()
-                .map(|span| Morsel::Class { prep: pi, span }),
-        );
-    }
-
-    let preps = &preps;
-    let covering = &covering_classes;
-    let out_vars_ref = &out_vars;
-    let tasks: Vec<Task<Table>> = morsels
-        .iter()
-        .map(|m| {
-            let task: Task<Table> = match m {
-                Morsel::Class { prep, span } => {
-                    let (pi, span) = (*prep, span.clone());
-                    Box::new(move || match &preps[pi] {
-                        ClassScanPrep::Chunks(p) => scan_chunk_pages(cx, p, span.clone()),
-                        ClassScanPrep::Rows(p) => scan_row_range(cx, p, span.clone()),
-                    })
-                }
-                Morsel::Irregular => Box::new(move || {
-                    irregular_star_table(
-                        cx,
-                        star,
-                        filters,
-                        candidates,
-                        s_range,
-                        schema,
-                        covering,
-                        out_vars_ref,
-                    )
-                }),
-            };
-            task
-        })
-        .collect();
-    let mut partials = run_tasks(cx.cancel_token(), par.workers, &tasks).into_iter();
+    let mut partials = run_tasks(cx.cancel_token(), par.workers, morsels.len(), |i| {
+        match &morsels[i] {
+            Morsel::Class { prep, span } => preps[*prep].scan(cx, span.clone()),
+            // Subjects in no covering class, the star fully answered from
+            // the irregular store — inline: this already is one task.
+            Morsel::Irregular => uncovered_rows(
+                eval_prop_merge(
+                    cx,
+                    star,
+                    filters,
+                    candidates,
+                    s_range,
+                    Source::IrregularOnly,
+                    1,
+                ),
+                star,
+                schema,
+                &covering_classes,
+                &out_vars,
+            ),
+        }
+    })
+    .into_iter();
     // sordf-lint: allow(L3) — morsels[0] is Morsel::Irregular by
-    // construction above and run_tasks returns one result per task.
+    // construction and run_tasks returns one result per task.
     let irregular = partials.next().expect("irregular task present");
 
-    // Order-stable merge: class morsels in enumeration order, irregular
-    // last — identical to the sequential append order.
     let mut result = Table::empty(out_vars.clone());
-    for t in partials {
+    for t in partials.chain(std::iter::once(irregular)) {
         if !t.is_empty() {
             result.append(t);
         }
     }
-    if !irregular.is_empty() {
-        result.append(irregular);
-    }
     result
-}
-
-/// Finalize with parallel whole-table aggregation when profitable: the
-/// binding table's rows are split into per-worker ranges, each accumulated
-/// into partial [`AggState`]s, merged in range order (Neumaier-compensated
-/// SUM/AVG — order-insensitive to within one ulp), then rendered like the
-/// sequential single-group fast path. Everything else (grouping, plain
-/// projection) goes through the sequential [`finalize`] unchanged.
-pub(crate) fn finalize_parallel(
-    cx: &ExecContext,
-    query: &Query,
-    table: &Table,
-    par: &ParallelConfig,
-) -> ResultSet {
-    let single_group = query.has_aggregates() && query.group_by.is_empty() && !table.is_empty();
-    if !single_group || par.workers <= 1 || table.len() < 2 * par.min_morsel_rows.max(1) {
-        return finalize(cx, query, table);
-    }
-    let select = effective_select(query);
-    let var_col = var_col_map(table);
-    let spans = split_range(0..table.len(), par.workers, par.min_morsel_rows);
-    let select_ref = &select;
-    let var_col_ref = &var_col;
-    let tasks: Vec<Task<Vec<AggState>>> = spans
-        .iter()
-        .map(|span| {
-            let span = span.clone();
-            let task: Task<Vec<AggState>> = Box::new(move || {
-                let mut states = new_agg_states(select_ref);
-                accumulate_single_group(
-                    cx,
-                    select_ref,
-                    table,
-                    var_col_ref,
-                    span.clone(),
-                    &mut states,
-                );
-                states
-            });
-            task
-        })
-        .collect();
-    let mut partials = run_tasks(cx.cancel_token(), par.workers, &tasks).into_iter();
-    // sordf-lint: allow(L3) — split_range on a non-empty row range yields
-    // at least one span, so there is always a first partial.
-    let mut states = partials.next().expect("non-empty table has one partial");
-    for partial in partials {
-        for (s, o) in states.iter_mut().zip(partial) {
-            s.merge(o, cx.dict);
-        }
-    }
-    let mut rs = single_group_result(cx, query, &select, states);
-    apply_modifiers(cx, query, &mut rs);
-    rs
 }
 
 #[cfg(test)]
@@ -481,22 +351,59 @@ mod tests {
                 assert!(spans.iter().all(|s| s.len() >= min_len));
             }
         }
+
+        // A multi-class star (three prepared class scans: two page spans,
+        // one candidate-row span). One worker: one task per prepared scan,
+        // each covering its whole span — nothing is split.
+        let scans = [(0..100, 1), (3..9, 1), (0..50_000, 4096)];
+        let mut whole = vec![Morsel::Irregular];
+        whole.extend(
+            scans
+                .iter()
+                .enumerate()
+                .map(|(prep, (span, _))| Morsel::Class {
+                    prep,
+                    span: span.clone(),
+                }),
+        );
+        assert_eq!(morselize(scans.iter().cloned(), 1), whole);
+        // Several workers split the same scans, in (class, span) order.
+        let split = morselize(scans.iter().cloned(), 2);
+        assert_eq!(split[0], Morsel::Irregular);
+        assert!(split.len() > whole.len());
+        for (prep, (span, _)) in scans.iter().enumerate() {
+            let covered: Vec<usize> = split
+                .iter()
+                .filter_map(|m| match m {
+                    Morsel::Class { prep: p, span } if *p == prep => Some(span.clone()),
+                    _ => None,
+                })
+                .flatten()
+                .collect();
+            assert_eq!(covered, span.clone().collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn run_tasks_returns_in_task_order() {
-        let tasks: Vec<Box<dyn Fn() -> usize + Send + Sync>> = (0..32usize)
-            .map(|i| {
-                let t: Box<dyn Fn() -> usize + Send + Sync> = Box::new(move || {
-                    // Jitter completion order.
-                    std::thread::sleep(std::time::Duration::from_micros(((i * 7) % 5) as u64));
-                    i
-                });
-                t
-            })
-            .collect();
-        assert_eq!(run_tasks(None, 4, &tasks), (0..32).collect::<Vec<_>>());
-        assert_eq!(run_tasks(None, 1, &tasks), (0..32).collect::<Vec<_>>());
+        let task = |i: usize| {
+            // Jitter completion order.
+            std::thread::sleep(std::time::Duration::from_micros(((i * 7) % 5) as u64));
+            (i, std::thread::current().id())
+        };
+        let order = |out: &[(usize, std::thread::ThreadId)]| -> Vec<usize> {
+            out.iter().map(|&(i, _)| i).collect()
+        };
+        assert_eq!(
+            order(&run_tasks(None, 4, 32, task)),
+            (0..32).collect::<Vec<_>>()
+        );
+        // One worker is the sequential path: every task runs on the calling
+        // thread, no thread is spawned.
+        let inline = run_tasks(None, 1, 32, task);
+        assert_eq!(order(&inline), (0..32).collect::<Vec<_>>());
+        let caller = std::thread::current().id();
+        assert!(inline.iter().all(|&(_, id)| id == caller));
     }
 
     #[test]
@@ -504,20 +411,13 @@ mod tests {
         use crate::cancel::{interrupted, CancellationToken, StopReason};
         let token = CancellationToken::new();
         token.cancel();
-        let ran = std::sync::atomic::AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn Fn() -> usize + Send + Sync>> = (0..64usize)
-            .map(|i| {
-                let ran = &ran;
-                let t: Box<dyn Fn() -> usize + Send + Sync> = Box::new(move || {
-                    // ordering: Relaxed — test-only counter, read after join.
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    i
-                });
-                t
-            })
-            .collect();
+        let ran = AtomicUsize::new(0);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_tasks(Some(&token), 4, &tasks)
+            run_tasks(Some(&token), 4, 64, |i| {
+                // ordering: Relaxed — test-only counter, read after join.
+                ran.fetch_add(1, Ordering::Relaxed);
+                i
+            })
         }))
         .unwrap_err();
         assert_eq!(interrupted(err.as_ref()), Some(StopReason::Cancelled));

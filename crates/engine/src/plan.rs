@@ -12,10 +12,11 @@
 //! edge that connects it to the already-bound prefix ([`JoinStrategy`]:
 //! candidate-driven RDFjoin, zone-map range pushdown, plain hash join, or a
 //! guarded cross product), the *complete* set of shared join variables, and
-//! the optimizer's cost/cardinality estimates. All three executors — the
-//! sequential planner, the morsel-parallel executor and the rowwise oracle
-//! — consume the same `PhysicalPlan` through the [`crate::planner::StarEvalFn`]
-//! seam, so a plan fixes the result bytes regardless of executor.
+//! the optimizer's cost/cardinality estimates. One executor
+//! ([`crate::planner::execute_physical`]) interprets it, every star through
+//! [`crate::parallel::eval_star`] — so a plan fixes the result bytes
+//! regardless of worker count, and of whether the rowwise oracle
+//! ([`crate::context::ExecConfig::rowwise`]) stands in for the kernels.
 
 use crate::context::PlanScheme;
 use crate::expr::Expr;

@@ -5,21 +5,20 @@
 //! The pipeline is prepare → optimize → execute: [`crate::plan::prepare`]
 //! normalizes the query into a [`LogicalPlan`], [`crate::optimizer::optimize`]
 //! lowers it to a [`PhysicalPlan`] (star order, access path and join
-//! strategy per step), and [`execute_physical`] interprets the steps
-//! against a pluggable star evaluator ([`StarEvalFn`]) — which is how the
-//! sequential operators, the morsel-parallel operators and the rowwise
-//! reference operators all run the *same* plan.
+//! strategy per step), and [`execute_physical`] interprets the steps —
+//! every star through the one morsel evaluator
+//! ([`crate::parallel::eval_star`]), with the worker count taken from the
+//! [`ExecContext`].
 
 use crate::agg::{finalize, ResultSet};
 use crate::context::ExecContext;
 use crate::expr::Expr;
 use crate::optimizer::optimize;
+use crate::parallel::eval_star;
 use crate::plan::{prepare, JoinStrategy, LogicalPlan, PhysicalPlan, StarAccess};
 use crate::query::Query;
-use crate::scan::{SRange, Source};
-use crate::star::{apply_filters, eval_star_default, eval_star_rdfscan, filters_bound_by, Star};
+use crate::star::{apply_filters, filters_bound_by};
 use crate::table::Table;
-use sordf_model::Oid;
 
 /// One step of an explained plan: the operator choices and the optimizer's
 /// expectations, plus (after EXPLAIN ANALYZE) what actually happened.
@@ -69,58 +68,35 @@ pub struct PlanInfo {
     pub text: String,
 }
 
-/// A star evaluator: how one star (with a chosen access path, filters,
-/// optional candidate subjects, and a subject range) becomes a binding
-/// table. The executor is parameterized over this so the same physical plan
-/// drives the sequential operators, the morsel-parallel operators
-/// ([`crate::parallel`]), and the value-at-a-time reference operators
-/// ([`crate::rowwise`]) in differential tests.
-pub type StarEvalFn<'f> =
-    dyn Fn(&ExecContext, &Star, StarAccess, &[&Expr], Option<&[Oid]>, SRange) -> Table + Sync + 'f;
-
-/// Execute a query end to end, returning the finalized result set.
+/// Execute a query end to end: prepare → optimize → execute.
 pub fn execute(cx: &ExecContext, query: &Query) -> ResultSet {
-    execute_with(cx, query, &eval_one_star)
+    let (q, lp) = prepare(query);
+    let pp = optimize(cx, &lp);
+    execute_physical(cx, &q, &lp, &pp, None)
 }
 
-/// Execute with a custom star evaluator (see [`StarEvalFn`]).
-pub fn execute_with(cx: &ExecContext, query: &Query, eval: &StarEvalFn) -> ResultSet {
-    let (q, table) = execute_plan(cx, query, eval);
-    finalize(cx, &q, &table)
-}
-
-/// Execute an already-optimized physical plan with the sequential operators
-/// and finalize (the plan-cache fast path: prepare and optimize skipped).
-pub fn execute_physical_seq(
+/// Execute an already-optimized physical plan of the normalized query `q`
+/// (the plan-cache fast path skips prepare's optimizer half) and finalize.
+/// For a fixed plan the result is identical for every worker count of `cx`
+/// (SUM/AVG to within one ulp — see [`crate::parallel`]). `actuals`, when
+/// given, receives the bound row count after every step (EXPLAIN ANALYZE);
+/// steps short-circuited by an empty prefix record 0.
+pub fn execute_physical(
     cx: &ExecContext,
     q: &Query,
     lp: &LogicalPlan,
     pp: &PhysicalPlan,
+    actuals: Option<&mut Vec<u64>>,
 ) -> ResultSet {
-    let table = execute_physical(cx, lp, pp, &eval_one_star, None);
+    let table = run_steps(cx, lp, pp, actuals);
     finalize(cx, q, &table)
 }
 
-/// Run prepare → optimize → execute, returning the normalized query (fresh
-/// variables introduced by star rewriting) and the final binding table,
-/// ready for [`finalize`]. Shared by [`execute`] and the parallel executor
-/// (which finalizes with a merging aggregation).
-pub(crate) fn execute_plan(cx: &ExecContext, query: &Query, eval: &StarEvalFn) -> (Query, Table) {
-    let (q, lp) = prepare(query);
-    let pp = optimize(cx, &lp);
-    let table = execute_physical(cx, &lp, &pp, eval, None);
-    (q, table)
-}
-
-/// Execute an already-optimized physical plan against a star evaluator.
-/// For a fixed plan the output table is byte-identical across evaluators.
-/// `actuals`, when given, receives the bound row count after every step
-/// (EXPLAIN ANALYZE); steps short-circuited by an empty prefix record 0.
-pub fn execute_physical(
+/// Evaluate the plan's steps into the final binding table.
+fn run_steps(
     cx: &ExecContext,
     lp: &LogicalPlan,
     pp: &PhysicalPlan,
-    eval: &StarEvalFn,
     mut actuals: Option<&mut Vec<u64>>,
 ) -> Table {
     let filter_refs: Vec<&Expr> = lp.filters.iter().collect();
@@ -132,14 +108,14 @@ pub fn execute_physical(
         cx.check_cancelled();
         let star = &lp.stars[step.star];
         let star_table = match (&result, &step.join) {
-            (None, _) => eval(cx, star, step.access, &filter_refs, None, None),
+            (None, _) => eval_star(cx, star, step.access, &filter_refs, None, None),
             (Some(res), JoinStrategy::Candidates { var }) => {
                 // RDFjoin: the prefix's distinct link values drive the
                 // star's evaluation directly.
                 // sordf-lint: allow(L3) — the optimizer only picks a link var bound by the prefix.
                 let lc = res.col_of(*var).unwrap();
                 let link_vals = res.distinct_col(lc);
-                eval(cx, star, step.access, &filter_refs, Some(&link_vals), None)
+                eval_star(cx, star, step.access, &filter_refs, Some(&link_vals), None)
             }
             (Some(res), JoinStrategy::SubjectRange { var }) => {
                 // Zone-map pushdown: restrict the probed star's scans to
@@ -157,7 +133,7 @@ pub fn execute_physical(
                         link_vals.last().unwrap().raw(),
                     ))
                 };
-                eval(cx, star, step.access, &filter_refs, None, s_range)
+                eval_star(cx, star, step.access, &filter_refs, None, s_range)
             }
             (Some(res), JoinStrategy::ObjectRange { var }) => {
                 // Zone-map sideways information passing (§II-D): the link
@@ -170,7 +146,7 @@ pub fn execute_physical(
                 let lc = res.col_of(*var).unwrap();
                 let vals = res.distinct_col(lc);
                 if vals.is_empty() {
-                    eval(cx, star, step.access, &filter_refs, None, None)
+                    eval_star(cx, star, step.access, &filter_refs, None, None)
                 } else {
                     // sordf-lint: allow(L3) — guarded by !vals.is_empty() above.
                     let lo = *vals.first().unwrap();
@@ -181,10 +157,10 @@ pub fn execute_physical(
                     let mut narrowed: Vec<&Expr> = filter_refs.clone();
                     narrowed.push(&ge);
                     narrowed.push(&le);
-                    eval(cx, star, step.access, &narrowed, None, None)
+                    eval_star(cx, star, step.access, &narrowed, None, None)
                 }
             }
-            (Some(_), _) => eval(cx, star, step.access, &filter_refs, None, None),
+            (Some(_), _) => eval_star(cx, star, step.access, &filter_refs, None, None),
         };
 
         result = Some(match result {
@@ -218,28 +194,6 @@ pub fn execute_physical(
     let remaining = filters_bound_by(&lp.filters, &table.vars);
     apply_filters(cx, &mut table, &remaining);
     table
-}
-
-/// The sequential star evaluator: dispatches on the plan's chosen access
-/// path (not the scheme — the optimizer already folded the scheme and the
-/// storage layout into that choice).
-pub(crate) fn eval_one_star(
-    cx: &ExecContext,
-    star: &Star,
-    access: StarAccess,
-    filters: &[&Expr],
-    candidates: Option<&[Oid]>,
-    s_range: SRange,
-) -> Table {
-    if cx.config.rowwise {
-        return crate::rowwise::eval_star_rowwise(cx, star, access, filters, candidates, s_range);
-    }
-    match access {
-        StarAccess::PropMerge => {
-            eval_star_default(cx, star, filters, candidates, s_range, Source::Full)
-        }
-        StarAccess::RdfScan => eval_star_rdfscan(cx, star, filters, candidates, s_range),
-    }
 }
 
 /// Cartesian product for disconnected BGPs, guarded by
@@ -368,10 +322,8 @@ pub fn explain_analyze(cx: &ExecContext, query: &Query) -> (PlanInfo, ResultSet)
     let (q, lp) = prepare(query);
     let pp = optimize(cx, &lp);
     let mut actuals = Vec::with_capacity(pp.steps.len());
-    let table = execute_physical(cx, &lp, &pp, &eval_one_star, Some(&mut actuals));
-    let info = plan_info(&q, &lp, &pp, Some(&actuals));
-    let rs = finalize(cx, &q, &table);
-    (info, rs)
+    let rs = execute_physical(cx, &q, &lp, &pp, Some(&mut actuals));
+    (plan_info(&q, &lp, &pp, Some(&actuals)), rs)
 }
 
 #[cfg(test)]
@@ -380,7 +332,7 @@ mod tests {
     use crate::context::{ExecConfig, StorageRef};
     use crate::table::VarId;
     use sordf_columnar::{BufferPool, DiskManager};
-    use sordf_model::Dictionary;
+    use sordf_model::{Dictionary, Oid};
     use std::sync::Arc;
 
     fn small_table(var: u16, n: u64) -> Table {

@@ -12,7 +12,8 @@
 //!   pinned-slice path to quantify the page-at-a-time win and to show the
 //!   per-value `pool.get` traffic disappearing from the counters.
 //!
-//! Nothing in the planner calls into this module; it is reference code, kept
+//! The executor reaches this module only through
+//! [`crate::context::ExecConfig::rowwise`]; it is reference code, kept
 //! deliberately row-at-a-time. Do not "optimize" it.
 
 use crate::context::{ExecContext, ExecStats, StorageRef};
@@ -295,8 +296,9 @@ fn scan_multi_table_rw(
 }
 
 /// Value-at-a-time star evaluator dispatching on the physical plan's
-/// chosen access path — the rowwise counterpart of the planner's
-/// `eval_one_star`, pluggable as a [`crate::planner::StarEvalFn`].
+/// chosen access path — the rowwise counterpart of
+/// [`crate::parallel::eval_star`], which calls it when
+/// [`crate::context::ExecConfig::rowwise`] is set.
 pub fn eval_star_rowwise(
     cx: &ExecContext,
     star: &Star,
@@ -316,7 +318,7 @@ pub fn eval_star_rowwise(
     }
 }
 
-/// Value-at-a-time [`crate::star::eval_star_default`].
+/// Value-at-a-time IdxScan+MergeJoin star.
 pub fn eval_star_default_rowwise(
     cx: &ExecContext,
     star: &Star,
@@ -390,7 +392,7 @@ pub fn eval_star_default_rowwise(
     table
 }
 
-/// Value-at-a-time [`crate::star::eval_star_rdfscan`].
+/// Value-at-a-time RDFscan / RDFjoin star.
 pub fn eval_star_rdfscan_rowwise(
     cx: &ExecContext,
     star: &Star,

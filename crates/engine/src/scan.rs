@@ -273,7 +273,7 @@ fn scan_segment_column(
         rows,
         |_, st| {
             // Runs once per page before it is pinned: the per-chunk
-            // cancellation poll of the sequential scan path.
+            // cancellation poll of the property scans.
             cx.check_cancelled();
             if st.n_nonnull == 0 {
                 // Only NULL sentinels here; nothing can be emitted.

@@ -8,8 +8,9 @@
 //! store only for exceptions and uncovered properties. RDFjoin is RDFscan
 //! driven by a stream of candidate subjects (Fig. 4b, cf. Pivot Index Scan).
 
-use crate::context::{ExecContext, ExecStats, StorageRef};
+use crate::context::{ExecContext, ExecStats};
 use crate::expr::{CmpOp, Expr};
+use crate::parallel::ParallelConfig;
 use crate::query::{Query, VarOrOid};
 use crate::scan::{scan_property, ORestrict, SRange, Source};
 use crate::table::{Table, VarId};
@@ -248,7 +249,7 @@ pub(crate) fn default_scan_range(star: &Star, filters: &[&Expr], s_range: SRange
 
 /// Scan one property's (subject, object) stream for a Default-scheme star —
 /// pushes the property's restriction and semi-joins against candidates.
-/// The unit of work the parallel executor fans out per property.
+/// The unit of work the morsel executor fans out per property.
 pub(crate) fn scan_star_prop(
     cx: &ExecContext,
     star: &Star,
@@ -337,28 +338,6 @@ pub(crate) fn join_star_streams(
     table
 }
 
-/// Evaluate a star with the **Default** scheme: one property scan per
-/// pattern, subject merge self-joins, post-filtering.
-pub fn eval_star_default(
-    cx: &ExecContext,
-    star: &Star,
-    filters: &[&Expr],
-    candidates: Option<&[Oid]>,
-    s_range: SRange,
-    source: Source,
-) -> Table {
-    let s_range = default_scan_range(star, filters, s_range);
-    let streams: Vec<(usize, Vec<(Oid, Oid)>)> = (0..star.props.len())
-        .map(|i| {
-            (
-                i,
-                scan_star_prop(cx, star, i, filters, candidates, s_range, source),
-            )
-        })
-        .collect();
-    join_star_streams(cx, star, filters, streams)
-}
-
 /// How a star property maps onto one class.
 pub(crate) enum Covered {
     Col(usize),
@@ -367,7 +346,7 @@ pub(crate) enum Covered {
 }
 
 /// How each star property maps onto `class`, plus how many properties the
-/// class covers at all. Shared by the sequential and parallel RDFscan paths.
+/// class covers at all.
 pub(crate) fn class_coverage(class: &sordf_schema::ClassDef, star: &Star) -> (Vec<Covered>, usize) {
     let covered: Vec<Covered> = star
         .props
@@ -389,27 +368,16 @@ pub(crate) fn class_coverage(class: &sordf_schema::ClassDef, star: &Star) -> (Ve
     (covered, n_covered)
 }
 
-/// The irregular branch of RDFscan: subjects in no covering class, star fully
-/// answered from the irregular store, projected onto the star layout.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn irregular_star_table(
-    cx: &ExecContext,
+/// The irregular branch of RDFscan: of a star fully answered from the
+/// irregular store (`irr`), keep the subjects in no covering class — the
+/// class scans already produced the others — projected onto the star layout.
+pub(crate) fn uncovered_rows(
+    mut irr: Table,
     star: &Star,
-    filters: &[&Expr],
-    candidates: Option<&[Oid]>,
-    s_range: SRange,
     schema: &sordf_schema::EmergentSchema,
     covering_classes: &[bool],
     out_vars: &[VarId],
 ) -> Table {
-    let mut irr = eval_star_default(
-        cx,
-        star,
-        filters,
-        candidates,
-        s_range,
-        Source::IrregularOnly,
-    );
     if irr.is_empty() {
         return Table::empty(out_vars.to_vec());
     }
@@ -432,19 +400,30 @@ pub(crate) fn irregular_star_table(
 
 /// A prepared scan over one class segment: page-at-a-time (RDFscan) or
 /// candidate-driven (RDFjoin). Produced by [`prepare_star_scans`]; the
-/// sequential path executes each over its full span, the parallel path
-/// splits the span into morsels.
+/// morsel executor cuts [`span`](Self::span) into morsels and runs each
+/// through [`scan`](Self::scan).
 pub(crate) enum ClassScanPrep<'a> {
     Chunks(ChunkScanPrep<'a>),
     Rows(RowScanPrep<'a>),
 }
 
 impl ClassScanPrep<'_> {
-    /// Execute this prepared scan over its entire span.
-    pub(crate) fn scan_all(&self, cx: &ExecContext) -> Table {
+    /// The scan's whole span — touched pages (RDFscan) or candidate rows
+    /// (RDFjoin) — and the smallest morsel worth cutting from it.
+    pub(crate) fn span(&self, par: &ParallelConfig) -> (std::ops::Range<usize>, usize) {
         match self {
-            ClassScanPrep::Chunks(p) => scan_chunk_pages(cx, p, p.pages()),
-            ClassScanPrep::Rows(p) => scan_row_range(cx, p, 0..p.n_rows()),
+            ClassScanPrep::Chunks(p) => (p.first_page..p.last_page + 1, par.min_morsel_pages),
+            ClassScanPrep::Rows(p) => (0..p.rows.len(), par.min_morsel_rows),
+        }
+    }
+
+    /// Execute any sub-range of [`span`](Self::span). Concatenating the
+    /// outputs of consecutive sub-ranges yields exactly the whole-span
+    /// table — the order-stability contract morsels rely on.
+    pub(crate) fn scan(&self, cx: &ExecContext, span: std::ops::Range<usize>) -> Table {
+        match self {
+            ClassScanPrep::Chunks(p) => scan_chunk_pages(cx, p, span),
+            ClassScanPrep::Rows(p) => scan_row_range(cx, p, span),
         }
     }
 }
@@ -452,9 +431,9 @@ impl ClassScanPrep<'_> {
 /// Select the classes covering at least one star property and prepare one
 /// scan per non-empty segment, **in schema class order**. Returns the
 /// covering-class mask (for the irregular branch) and the preps. This is
-/// the single source of segment enumeration shared by the sequential and
-/// parallel RDFscan paths — their byte-identity contract depends on both
-/// visiting exactly these segments in exactly this order.
+/// the single source of segment enumeration: results are byte-identical
+/// across worker counts because every run visits exactly these segments in
+/// exactly this order.
 pub(crate) fn prepare_star_scans<'a>(
     cx: &ExecContext,
     star: &'a Star,
@@ -491,50 +470,6 @@ pub(crate) fn prepare_star_scans<'a>(
         }
     }
     (covering_classes, preps)
-}
-
-/// Evaluate a star with **RDFscan** (or **RDFjoin** when `candidates` is
-/// given). Falls back to the Default scheme on baseline storage.
-pub fn eval_star_rdfscan(
-    cx: &ExecContext,
-    star: &Star,
-    filters: &[&Expr],
-    candidates: Option<&[Oid]>,
-    s_range: SRange,
-) -> Table {
-    let StorageRef::Clustered { store, schema } = &cx.storage else {
-        return eval_star_default(cx, star, filters, candidates, s_range, Source::Full);
-    };
-    let s_range = intersect_ranges(subject_filter_range(star, filters), s_range);
-
-    let out_vars = star.output_vars();
-    let mut result = Table::empty(out_vars.clone());
-
-    let (covering_classes, preps) =
-        prepare_star_scans(cx, star, filters, candidates, s_range, store, schema);
-    for prep in &preps {
-        let t = prep.scan_all(cx);
-        if !t.is_empty() {
-            result.append(t);
-        }
-    }
-
-    // Irregular branch: subjects in no covering class, star fully answered
-    // from the irregular store.
-    let irr = irregular_star_table(
-        cx,
-        star,
-        filters,
-        candidates,
-        s_range,
-        schema,
-        &covering_classes,
-        &out_vars,
-    );
-    if !irr.is_empty() {
-        result.append(irr);
-    }
-    result
 }
 
 /// Per-property access resolved against one class segment. Column values are
@@ -645,8 +580,8 @@ fn build_accesses(
 
 /// Prepared state for a candidate-driven (RDFjoin) class scan: resolved row
 /// ids, their subjects, and the per-property accesses. [`scan_row_range`]
-/// executes any contiguous sub-range of `rows` independently — the morsel
-/// unit of the parallel executor.
+/// executes any contiguous sub-range of `rows` independently — the RDFjoin
+/// morsel.
 pub(crate) struct RowScanPrep<'a> {
     star: &'a Star,
     seg: &'a ClassSegment,
@@ -659,16 +594,9 @@ pub(crate) struct RowScanPrep<'a> {
     pure_columns: bool,
 }
 
-impl RowScanPrep<'_> {
-    /// Number of candidate rows to evaluate.
-    pub(crate) fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-}
-
 /// Resolve candidates to segment rows and build the shared scan state.
 /// Returns `None` when no candidate falls into this segment.
-pub(crate) fn prepare_row_scan<'a>(
+fn prepare_row_scan<'a>(
     cx: &ExecContext,
     star: &'a Star,
     filters: &[&'a Expr],
@@ -729,11 +657,7 @@ pub(crate) fn prepare_row_scan<'a>(
 /// touched page). Concatenating the outputs of consecutive ranges yields
 /// exactly the full-range table — the order-stability contract morsels
 /// rely on.
-pub(crate) fn scan_row_range(
-    cx: &ExecContext,
-    prep: &RowScanPrep,
-    rr: std::ops::Range<usize>,
-) -> Table {
+fn scan_row_range(cx: &ExecContext, prep: &RowScanPrep, rr: std::ops::Range<usize>) -> Table {
     let pool = cx.pool;
     let star = prep.star;
     let seg = prep.seg;
@@ -829,7 +753,7 @@ pub(crate) fn scan_row_range(
 /// Prepared state for a page-at-a-time (RDFscan) class scan: the narrowed
 /// row range, per-property accesses, and zone-map pruning plan.
 /// [`scan_chunk_pages`] executes any page sub-range independently — the
-/// morsel unit of the parallel executor.
+/// RDFscan morsel.
 pub(crate) struct ChunkScanPrep<'a> {
     star: &'a Star,
     seg: &'a ClassSegment,
@@ -844,16 +768,9 @@ pub(crate) struct ChunkScanPrep<'a> {
     last_page: usize,
 }
 
-impl ChunkScanPrep<'_> {
-    /// The touched pages as a half-open range (for morsel splitting).
-    pub(crate) fn pages(&self) -> std::ops::Range<usize> {
-        self.first_page..self.last_page + 1
-    }
-}
-
 /// Narrow the row range and build the shared scan state for one segment.
 /// Returns `None` when the subject/sort-key restrictions leave no rows.
-pub(crate) fn prepare_chunk_scan<'a>(
+fn prepare_chunk_scan<'a>(
     cx: &ExecContext,
     star: &'a Star,
     filters: &[&'a Expr],
@@ -995,7 +912,7 @@ pub(crate) fn prepare_chunk_scan<'a>(
 /// contiguous slices, with no row-id or column materialization.
 /// Concatenating the outputs of consecutive page ranges yields exactly the
 /// full-range table — the order-stability contract morsels rely on.
-pub(crate) fn scan_chunk_pages(
+fn scan_chunk_pages(
     cx: &ExecContext,
     prep: &ChunkScanPrep,
     pages: std::ops::Range<usize>,

@@ -1,19 +1,17 @@
-//! Parallel-vs-sequential differential: the morsel-parallel executor in
-//! `sordf_engine::parallel` must return **byte-identical** results to the
-//! sequential planner — and both must agree with the value-at-a-time
-//! reference operators in `sordf_engine::rowwise` — on arbitrary RDF data,
-//! across every storage generation, plan scheme, and worker count. This is
-//! the correctness contract of the parallelization PR: morsel execution is a
-//! pure scheduling change, never a semantic one.
+//! Worker-count differential: the morsel executor in
+//! `sordf_engine::parallel` must return **byte-identical** results on
+//! several workers and on one (the sequential path) — and both must agree
+//! with the value-at-a-time reference operators in `sordf_engine::rowwise`,
+//! the independent implementation — on arbitrary RDF data, across every
+//! storage generation, plan scheme, and worker count. The worker count is a
+//! pure scheduling choice, never a semantic one.
 
 use proptest::prelude::*;
 use sordf_columnar::{BufferPool, DiskManager};
-use sordf_engine::parallel::{execute_parallel, ParallelConfig};
-use sordf_engine::rowwise;
-use sordf_engine::star::Star;
+use sordf_engine::parallel::ParallelConfig;
 use sordf_engine::{
-    execute, execute_with, AggFunc, CmpOp, ExecConfig, ExecContext, Expr, PlanScheme, Query,
-    SelectItem, StorageRef, TriplePattern, VarOrOid,
+    execute, AggFunc, CmpOp, ExecConfig, ExecContext, Expr, PlanScheme, Query, SelectItem,
+    StorageRef, TriplePattern, VarOrOid,
 };
 use sordf_model::{Oid, Term, TermTriple};
 use sordf_schema::SchemaConfig;
@@ -181,18 +179,6 @@ fn contexts<'a>(
     ]
 }
 
-/// The value-at-a-time reference operators, plugged into the same planner.
-fn rowwise_eval(
-    cx: &ExecContext,
-    star: &Star,
-    access: sordf_engine::StarAccess,
-    filters: &[&Expr],
-    cands: Option<&[Oid]>,
-    s_range: sordf_engine::scan::SRange,
-) -> sordf_engine::Table {
-    rowwise::eval_star_rowwise(cx, star, access, filters, cands, s_range)
-}
-
 /// A star query over subject props, optionally linked to the tag star
 /// (cross-star hash join driving RDFjoin), optionally aggregated.
 fn make_query(
@@ -284,18 +270,21 @@ proptest! {
     ) {
         let g = build(&triples);
         let scheme = if scheme_pick { PlanScheme::RdfScanJoin } else { PlanScheme::Default };
-        for (name, cx, dict) in contexts(&g, scheme, zonemaps) {
+        for (name, mut cx, dict) in contexts(&g, scheme, zonemaps) {
             let Some(q) = make_query(dict, width, link, agg, lo) else { continue };
             let seq = execute(&cx, &q);
-            let row = execute_with(&cx, &q, &rowwise_eval);
+            // The value-at-a-time reference operators, on the same plan.
+            cx.config.rowwise = true;
+            let row = execute(&cx, &q);
+            cx.config.rowwise = false;
             prop_assert_eq!(
                 seq.canonical(dict), row.canonical(dict),
                 "sequential vs rowwise on {} ({:?}, zm={})", name, scheme, zonemaps
             );
             for workers in [2usize, 3, 4] {
                 // Tiny morsels so small proptest graphs still split.
-                let par = ParallelConfig { workers, min_morsel_pages: 1, min_morsel_rows: 1 };
-                let par_rs = execute_parallel(&cx, &q, &par);
+                cx.parallel = ParallelConfig { workers, min_morsel_pages: 1, min_morsel_rows: 1 };
+                let par_rs = execute(&cx, &q);
                 if agg {
                     // Aggregates merge through the compensated accumulator:
                     // order-insensitive to within one ulp; canonical forms
@@ -317,10 +306,10 @@ proptest! {
         }
     }
 
-    /// Four threads share one pool and one context (it is `Sync`) and run
-    /// the same query concurrently — sequential and parallel — against a
-    /// pre-computed reference. Exercises concurrent pool misses/evictions
-    /// under real operator traffic.
+    /// Four threads share one pool and two contexts (they are `Sync`) —
+    /// one worker and two workers — and run the same query concurrently on
+    /// both against a pre-computed reference. Exercises concurrent pool
+    /// misses/evictions under real operator traffic.
     #[test]
     fn concurrent_queries_share_a_pool(
         triples in arb_graph(),
@@ -328,23 +317,23 @@ proptest! {
         lo in 0i64..12,
     ) {
         let g = build(&triples);
-        for (name, cx, dict) in contexts(&g, PlanScheme::RdfScanJoin, true) {
+        let two_workers = contexts(&g, PlanScheme::RdfScanJoin, true).into_iter().map(|(_, cx, _)| {
+            cx.with_parallel(ParallelConfig { workers: 2, min_morsel_pages: 1, min_morsel_rows: 1 })
+        });
+        for ((name, cx, dict), cx2) in
+            contexts(&g, PlanScheme::RdfScanJoin, true).into_iter().zip(two_workers)
+        {
             let Some(q) = make_query(dict, width, true, false, lo) else { continue };
             let reference = execute(&cx, &q);
             let reference_rows: Vec<_> = reference.rows().collect();
             std::thread::scope(|s| {
                 for _ in 0..4 {
-                    let cx = &cx;
+                    let (cx, cx2) = (&cx, &cx2);
                     let q = &q;
                     let reference_rows = &reference_rows;
                     s.spawn(move || {
-                        for workers in [1usize, 2] {
-                            let par = ParallelConfig {
-                                workers,
-                                min_morsel_pages: 1,
-                                min_morsel_rows: 1,
-                            };
-                            let rs = execute_parallel(cx, q, &par);
+                        for cx in [cx, cx2] {
+                            let rs = execute(cx, q);
                             assert_eq!(
                                 &rs.rows().collect::<Vec<_>>(),
                                 reference_rows,

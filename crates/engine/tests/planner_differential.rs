@@ -1,18 +1,17 @@
 //! Optimizer differential: the cost-based plan picked by
 //! [`sordf_engine::optimize`] must return results **canonically identical**
 //! to every forced star-order permutation ([`optimize_with_order`]), across
-//! the sequential, morsel-parallel, and value-at-a-time executors, both plan
+//! one-worker, multi-worker, and value-at-a-time execution, both plan
 //! schemes, every storage generation, and with or without pending delta
 //! writes. Cost-based planning is a pure choice among equivalent plans —
 //! never a semantic change.
 
 use proptest::prelude::*;
 use sordf_columnar::{BufferPool, DiskManager};
-use sordf_engine::parallel::{execute_physical_parallel, ParallelConfig};
-use sordf_engine::rowwise;
+use sordf_engine::parallel::ParallelConfig;
 use sordf_engine::{
-    execute_physical_seq, execute_with, optimize, optimize_with_order, prepare, CmpOp, ExecConfig,
-    ExecContext, Expr, PlanScheme, Query, StorageRef, TriplePattern, VarOrOid,
+    execute_physical, optimize, optimize_with_order, prepare, CmpOp, ExecConfig, ExecContext, Expr,
+    PlanScheme, Query, StorageRef, TriplePattern, VarOrOid,
 };
 use sordf_model::{Oid, Term, TermTriple, Triple};
 use sordf_schema::SchemaConfig;
@@ -279,19 +278,21 @@ proptest! {
             let Some(q) = make_query(dict, width, link, lo) else { continue };
             let (q, lp) = prepare(&q);
 
-            // The optimizer's pick, through all three executors.
+            // The optimizer's pick: one worker, the rowwise reference
+            // operators, and three workers — all on the same plan.
             let pp = optimize(&cx, &lp);
-            let chosen = execute_physical_seq(&cx, &q, &lp, &pp).canonical(dict);
-            let row = execute_with(&cx, &q, &|cx, star, access, filters, cands, s_range| {
-                rowwise::eval_star_rowwise(cx, star, access, filters, cands, s_range)
-            });
+            let chosen = execute_physical(&cx, &q, &lp, &pp, None).canonical(dict);
+            cx.config.rowwise = true;
+            let row = execute_physical(&cx, &q, &lp, &pp, None);
+            cx.config.rowwise = false;
             prop_assert_eq!(
                 &chosen, &row.canonical(dict),
                 "optimizer plan: sequential vs rowwise on {} ({:?}, zm={}, delta={})",
                 name, scheme, zonemaps, with_delta
             );
-            let par = ParallelConfig { workers: 3, min_morsel_pages: 1, min_morsel_rows: 1 };
-            let par_rs = execute_physical_parallel(&cx, &q, &lp, &pp, &par);
+            cx.parallel = ParallelConfig { workers: 3, min_morsel_pages: 1, min_morsel_rows: 1 };
+            let par_rs = execute_physical(&cx, &q, &lp, &pp, None);
+            cx.parallel = ParallelConfig::with_workers(1);
             prop_assert_eq!(
                 &chosen, &par_rs.canonical(dict),
                 "optimizer plan: sequential vs parallel on {} ({:?}, zm={}, delta={})",
@@ -304,7 +305,7 @@ proptest! {
             for perm in permutations(lp.stars.len()) {
                 let forced = optimize_with_order(&cx, &lp, &perm);
                 best_forced = best_forced.min(forced.total_cost);
-                let rs = execute_physical_seq(&cx, &q, &lp, &forced);
+                let rs = execute_physical(&cx, &q, &lp, &forced, None);
                 prop_assert_eq!(
                     &chosen, &rs.canonical(dict),
                     "forced order {:?} diverged on {} ({:?}, zm={}, delta={})",

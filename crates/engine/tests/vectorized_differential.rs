@@ -9,8 +9,11 @@ use proptest::prelude::*;
 use sordf_columnar::{BufferPool, DiskManager};
 use sordf_engine::rowwise;
 use sordf_engine::scan::{scan_property, ORestrict, Source};
-use sordf_engine::star::{eval_star_default, eval_star_rdfscan, Star, StarProp};
-use sordf_engine::{CmpOp, ExecConfig, ExecContext, Expr, PlanScheme, Query, StorageRef, VarOrOid};
+use sordf_engine::star::{Star, StarProp};
+use sordf_engine::{
+    eval_star, CmpOp, ExecConfig, ExecContext, Expr, PlanScheme, Query, StarAccess, StorageRef,
+    VarOrOid,
+};
 use sordf_model::{Oid, Term, TermTriple};
 use sordf_schema::SchemaConfig;
 use sordf_storage::{build_clustered, reorganize, BaselineStore, ClusterSpec, TripleSet};
@@ -254,11 +257,11 @@ proptest! {
             };
             let cands = use_candidates.then_some(all_subjects.as_slice());
 
-            let vec_scan = eval_star_rdfscan(&cx, &star, &filters, cands, None);
+            let vec_scan = eval_star(&cx, &star, StarAccess::RdfScan, &filters, cands, None);
             let ref_scan = rowwise::eval_star_rdfscan_rowwise(&cx, &star, &filters, cands, None);
             assert_tables_identical(&vec_scan, &ref_scan, &format!("rdfscan on {name}"));
 
-            let vec_def = eval_star_default(&cx, &star, &filters, cands, None, Source::Full);
+            let vec_def = eval_star(&cx, &star, StarAccess::PropMerge, &filters, cands, None);
             let ref_def =
                 rowwise::eval_star_default_rowwise(&cx, &star, &filters, cands, None, Source::Full);
             assert_tables_identical(&vec_def, &ref_def, &format!("default on {name}"));

@@ -1,9 +1,28 @@
 //! Fig. 1's architecture claim: SQL and SPARQL frontends over the same
 //! self-organized store must agree.
 
-use sordf::Database;
+use sordf::{Database, Error, Generation, ParallelConfig, QueryRequest};
 use sordf_model::{Term, TermTriple};
 use sordf_rdfh::{generate, RdfhConfig};
+
+const Q6_SQL: &str = "SELECT SUM(lineitem_extendedprice * lineitem_discount) AS revenue \
+     FROM lineitem \
+     WHERE lineitem_shipdate >= DATE '1994-01-01' \
+       AND lineitem_shipdate < DATE '1995-01-01' \
+       AND lineitem_discount BETWEEN 0.05 AND 0.07 \
+       AND lineitem_quantity < 24";
+
+const FK_JOIN_SQL: &str = "SELECT COUNT(*) AS n FROM order o \
+     JOIN customer c ON o.order_custkey = c.subject \
+     WHERE customer_mktsegment = 'BUILDING'";
+
+/// Every SQL statement this file runs against the bulk-loaded store.
+const SQL_CATALOG: &[&str] = &[
+    Q6_SQL,
+    FK_JOIN_SQL,
+    "SELECT type FROM customer",
+    "SELECT customer_name FROM customer",
+];
 
 fn rdfh_db() -> Database {
     let data = generate(&RdfhConfig::new(0.001));
@@ -19,16 +38,7 @@ fn q6_sql_equals_sparql() {
     let sparql = db
         .query(sordf_rdfh::query(sordf_rdfh::QueryId::Q6))
         .unwrap();
-    let sql = db
-        .sql(
-            "SELECT SUM(lineitem_extendedprice * lineitem_discount) AS revenue \
-             FROM lineitem \
-             WHERE lineitem_shipdate >= DATE '1994-01-01' \
-               AND lineitem_shipdate < DATE '1995-01-01' \
-               AND lineitem_discount BETWEEN 0.05 AND 0.07 \
-               AND lineitem_quantity < 24",
-        )
-        .unwrap();
+    let sql = db.sql(Q6_SQL).unwrap();
     assert_eq!(sparql.render(&db.dict()), sql.render(&db.dict()));
 }
 
@@ -44,13 +54,7 @@ fn fk_join_counts_agree() {
                }"#,
         )
         .unwrap();
-    let sql = db
-        .sql(
-            "SELECT COUNT(*) AS n FROM order o \
-             JOIN customer c ON o.order_custkey = c.subject \
-             WHERE customer_mktsegment = 'BUILDING'",
-        )
-        .unwrap();
+    let sql = db.sql(FK_JOIN_SQL).unwrap();
     assert_eq!(sparql.render(&db.dict()), sql.render(&db.dict()));
     let n: f64 = sparql.render(&db.dict())[0][0].parse().unwrap();
     assert!(n > 0.0, "the join must find orders");
@@ -133,6 +137,46 @@ fn sql_view_sees_pending_inserts() {
         .unwrap();
     let n: usize = sparql.render(&db.dict())[0][0].parse().unwrap();
     assert_eq!(n, rows.len(), "SPARQL and SQL see the same customers");
+}
+
+#[test]
+fn sql_requests_honour_parallel_and_refuse_other_generations() {
+    // SQL goes through the same pipeline as SPARQL: `parallel` reaches the
+    // engine (tiny morsels, so this scale really splits) and changes no
+    // answer; a generation the SQL view cannot read is an error, not a
+    // silent run on the clustered store.
+    let db = rdfh_db();
+    let par = ParallelConfig {
+        workers: 3,
+        min_morsel_pages: 1,
+        min_morsel_rows: 16,
+    };
+    for &sql in SQL_CATALOG {
+        let seq = db.execute(&QueryRequest::sql(sql)).unwrap();
+        let split = db.execute(&QueryRequest::sql(sql).parallel(par)).unwrap();
+        assert!(!seq.results.is_empty(), "{sql}");
+        assert_eq!(
+            seq.results.canonical(&seq.pin),
+            split.results.canonical(&split.pin),
+            "parallel SQL diverged: {sql}"
+        );
+        let pinned = db
+            .execute(&QueryRequest::sql(sql).generation(Generation::Clustered))
+            .unwrap();
+        assert_eq!(
+            seq.results.canonical(&seq.pin),
+            pinned.results.canonical(&pinned.pin),
+        );
+    }
+    db.build_baseline().unwrap();
+    for generation in [Generation::Baseline, Generation::CsParseOrder] {
+        let err = db
+            .execute(&QueryRequest::sql(Q6_SQL).generation(generation))
+            .unwrap_err();
+        assert!(matches!(err, Error::State(_)), "{generation:?}: {err}");
+        assert_eq!(err.code(), "invalid_state");
+        assert!(err.to_string().contains("clustered"), "{err}");
+    }
 }
 
 #[test]
