@@ -78,8 +78,11 @@
 //! snapshot/WAL pair along with the generation; and [`Database::open`]
 //! recovers the exact acknowledged prefix after a crash at any point —
 //! snapshot load, torn-frame-truncating WAL replay, layouts rebuilt as a
-//! derived cache. Recovery is *logical* (snapshot and log hold N-Triples
-//! text): OIDs may renumber across a reopen exactly as they do across a
+//! derived cache. Snapshots are OID-level — the dictionary's pools plus
+//! the visible triples as integers, streamed out and read back with the
+//! same numbering — while the log stays term-level, so it survives the
+//! renumbering a swap performs; rebuilding a clustered layout re-clusters,
+//! so OIDs may still move across a reopen exactly as they do across a
 //! background swap, while decoded results are identical. The labeled
 //! [`CRASH_POINTS`] and the `crash_points` cargo feature arm the
 //! fault-injection harness behind `tests/recovery_differential.rs`.
@@ -108,7 +111,7 @@ pub use sordf_schema::{DriftStats, EmergentSchema, SchemaConfig};
 use sordf_storage::{
     build_clustered_with, encode_triple_skolemized, reorganize, BaselineStore, ClusterSpec,
     ClusteredStore, DeltaStore, DeltaView, DeltaWrite, GenerationHandle, LayoutFlags, Manifest,
-    ReorgReport, StoreSnapshot, TripleSet, WalRecord, WalWriter,
+    ReorgReport, SnapshotHeader, StoreSnapshot, TripleSet, WalKind, WalRecord, WalWriter,
 };
 pub use sordf_storage::{DictPin, Snapshot, StoreGeneration, SyncPolicy, WalFormat};
 
@@ -416,7 +419,7 @@ pub struct MemoryStats {
     /// Dictionary pools: IRIs, blank nodes and string literals, including
     /// their hash indexes and the front-coded frozen string run.
     pub dict_bytes: u64,
-    /// The base triple set (parse-order `Vec<Triple>`).
+    /// The base triple set (`Vec<Triple>`; SPO-sorted once a layout is built).
     pub base_triples_bytes: u64,
     /// Encoded column/index pages across every built layout (baseline
     /// permutations, CS tables, clustered segments and their irregular
@@ -666,13 +669,17 @@ impl Database {
     // lock-order: acquires(db_state)
     fn init_durable(dir: &Path, policy: SyncPolicy) -> Result<Database, Error> {
         let db = Database::with_disk(Arc::new(DiskManager::create(&dir.join("data.db"))?));
-        let snap = StoreSnapshot {
+        let header = SnapshotHeader {
             base_seq: 0,
             flags: LayoutFlags::default(),
             schema_cfg: SchemaConfig::default(),
-            triples: Vec::new(),
         };
-        snap.write_to(&Manifest::snap_path(dir, 0))?;
+        StoreSnapshot::write_to(
+            &Manifest::snap_path(dir, 0),
+            &header,
+            &Dictionary::new(),
+            std::iter::empty(),
+        )?;
         let wal = WalWriter::create(&Manifest::wal_path(dir, 0))?;
         let m = Manifest {
             snap_file: 0,
@@ -694,38 +701,45 @@ impl Database {
         Ok(db)
     }
 
-    /// Recovery: reload the live checkpoint, rebuild its layouts in the
-    /// deterministic order `self_organize` → `build_cs_tables` →
-    /// `build_baseline`, then replay the WAL suffix through the public
-    /// write paths. The durable handle is installed only *after* the
-    /// replay, so replayed writes are not logged a second time.
+    /// Recovery: reload the live checkpoint — its dictionary entry for
+    /// entry and its triples verbatim, as the staging generation — rebuild
+    /// its layouts in the deterministic order `self_organize` →
+    /// `build_cs_tables` → `build_baseline`, then replay the WAL suffix
+    /// through the public write paths. The durable handle is installed only
+    /// *after* the replay, so replayed writes are not logged a second time.
     // lock-order: acquires(db_state)
     fn recover(dir: &Path, m: Manifest, policy: SyncPolicy) -> Result<Database, Error> {
         let snap = StoreSnapshot::read_from(&Manifest::snap_path(dir, m.snap_file))?;
         let (wal, records) = WalWriter::open_recover(&Manifest::wal_path(dir, m.wal_file))?;
         // The page file is a derived cache: recovery rebuilds every column
-        // from the logical snapshot, so it starts from scratch.
+        // from the snapshot's triples, so it starts from scratch.
         let db = Database::with_disk(Arc::new(DiskManager::create(&dir.join("data.db"))?));
-        if !snap.triples.is_empty() {
-            db.load_terms(&snap.triples)?;
-        }
+        let SnapshotHeader {
+            flags, schema_cfg, ..
+        } = snap.header;
         {
             let mut st = db.inner.state.lock();
-            st.schema_cfg = snap.schema_cfg.clone();
             // Restore the recorded scheme before any rebuild below.
-            st.encoding = snap.flags.encoding();
+            st.encoding = flags.encoding();
+            st.gen = Arc::new(StoreGeneration::staging_with(
+                snap.dict,
+                snap.triples,
+                st.encoding,
+            ));
+            st.schema_cfg = schema_cfg.clone();
+            st.epoch += 1;
         }
-        if snap.flags.clustered {
+        if flags.clustered {
             db.self_organize()?;
         }
-        if snap.flags.cs_parse_order {
+        if flags.cs_parse_order {
             db.build_cs_tables()?;
         }
-        if snap.flags.baseline {
+        if flags.baseline {
             db.build_baseline()?;
         }
-        if snap.flags.schema && !snap.flags.clustered && !snap.flags.cs_parse_order {
-            db.discover_schema(&snap.schema_cfg)?;
+        if flags.schema && !flags.clustered && !flags.cs_parse_order {
+            db.discover_schema(&schema_cfg)?;
         }
         let mut last_seq = m.base_seq;
         for (_lsn, seq, record) in records {
@@ -942,9 +956,7 @@ impl Database {
         })?;
         // Write-ahead: the batch reaches the log (and, under Always, the
         // disk) before any in-memory structure sees it.
-        if st.durable.is_some() {
-            log_write(st, &WalRecord::Insert(triples.to_vec()))?;
-        }
+        log_write(st, WalKind::Insert, triples)?;
         route_inserts(
             &mut st.write,
             st.gen.schema.as_deref(),
@@ -1255,8 +1267,8 @@ impl Database {
             return Ok(());
         }
         ensure_no_pending_writes(&st, "build_baseline()")?;
-        let spo = sorted_spo(&st.gen.triples);
-        let store = BaselineStore::build_with(&self.inner.dm, &spo, st.encoding);
+        sort_base(&mut st);
+        let store = BaselineStore::build_with(&self.inner.dm, &st.gen.triples, st.encoding);
         let encoding = st.encoding;
         let gen = Arc::make_mut(&mut st.gen);
         gen.baseline = Some(Arc::new(store));
@@ -1439,12 +1451,13 @@ fn newest_generation(gen: &StoreGeneration) -> Result<Generation, Error> {
     }
 }
 
-/// A copy of `triples` sorted in SPO order (the order schema discovery and
-/// the store builders require).
-fn sorted_spo(triples: &[Triple]) -> Vec<Triple> {
-    let mut v = triples.to_vec();
-    v.sort_unstable_by_key(|t| t.key_spo());
-    v
+/// Put the base triples in SPO order: the order schema discovery and the
+/// store builders consume, and the one a built generation publishes (see
+/// [`StoreGeneration::triples`]). One ordered pass when they already are.
+fn sort_base(st: &mut State) {
+    if !st.gen.triples.windows(2).all(|w| w[0] <= w[1]) {
+        Arc::make_mut(&mut Arc::make_mut(&mut st.gen).triples).sort_unstable();
+    }
 }
 
 fn drift_stats_locked(st: &State) -> DriftStats {
@@ -1504,14 +1517,14 @@ fn decode_for_log(st: &State, triples: &[Triple]) -> Result<Option<Vec<TermTripl
 /// to log around it could silently diverge the log from the applied state —
 /// the caller sees the error, the in-memory store stays usable, and the
 /// on-disk state remains a consistent (possibly stale) prefix.
-fn log_write(st: &mut State, record: &WalRecord) -> Result<(), Error> {
+fn log_write(st: &mut State, kind: WalKind, batch: &[TermTriple]) -> Result<(), Error> {
     let Some(d) = st.durable.as_mut() else {
         return Ok(());
     };
     let seq = d.seq + 1;
     match d
         .wal
-        .append(seq, record)
+        .append_batch(seq, kind, batch)
         .and_then(|_| d.wal.maybe_sync(d.policy))
     {
         Ok(()) => {
@@ -1526,30 +1539,18 @@ fn log_write(st: &mut State, record: &WalRecord) -> Result<(), Error> {
 }
 
 /// Write a full checkpoint of the current state (see
-/// [`Database::checkpoint`]): snapshot = the *visible* triples (base minus
-/// tombstones plus delta inserts) decoded to terms, `base_seq` = the
-/// current log sequence; then a fresh WAL and an atomic manifest commit.
-/// A failure at any step leaves the previous snapshot + WAL pair live and
-/// consistent — the error is returned, durability stays enabled.
+/// [`Database::checkpoint`]): snapshot = the dictionary plus the *visible*
+/// triples (base minus tombstones plus delta inserts) streamed out as OIDs,
+/// `base_seq` = the current log sequence; then a fresh WAL and an atomic
+/// manifest commit. A failure at any step leaves the previous snapshot +
+/// WAL pair live and consistent — the error is returned, durability stays
+/// enabled.
 fn checkpoint_locked(st: &mut State) -> Result<(), Error> {
-    let triples = {
-        let Some(_) = st.durable.as_ref() else {
-            return Ok(());
-        };
-        let dict = st.gen.dict.as_ref();
-        let view = st.delta.current_view();
-        let mut out = Vec::with_capacity(st.gen.triples.len() + view.map_or(0, |v| v.n_inserts()));
-        for &t in st.gen.triples.iter() {
-            if view.is_some_and(|v| v.is_deleted(t)) {
-                continue;
-            }
-            out.push(decode_triple(dict, t)?);
-        }
-        for t in st.delta.visible_inserts() {
-            out.push(decode_triple(dict, t)?);
-        }
-        out
+    let Some(d) = st.durable.as_mut() else {
+        return Ok(());
     };
+    let snap_n = d.snap_file + 1;
+    let wal_n = d.wal_file + 1;
     let mut flags = LayoutFlags {
         baseline: st.gen.baseline.is_some(),
         cs_parse_order: st.gen.cs_parse_order.is_some(),
@@ -1558,17 +1559,25 @@ fn checkpoint_locked(st: &mut State) -> Result<(), Error> {
         plain_encoding: false,
     };
     flags.record_encoding(st.gen.encoding);
-    // sordf-lint: allow(L3) — the durable-handle check above returned early.
-    let d = st.durable.as_mut().unwrap();
-    let snap_n = d.snap_file + 1;
-    let wal_n = d.wal_file + 1;
-    let snap = StoreSnapshot {
+    let header = SnapshotHeader {
         base_seq: d.seq,
         flags,
         schema_cfg: st.schema_cfg.clone(),
-        triples,
     };
-    snap.write_to(&Manifest::snap_path(&d.dir, snap_n))?;
+    let view = st.delta.current_view();
+    let visible = st
+        .gen
+        .triples
+        .iter()
+        .copied()
+        .filter(|&t| !view.is_some_and(|v| v.is_deleted(t)))
+        .chain(st.delta.visible_inserts());
+    StoreSnapshot::write_to(
+        &Manifest::snap_path(&d.dir, snap_n),
+        &header,
+        &st.gen.dict,
+        visible,
+    )?;
     let wal = WalWriter::create_with(&Manifest::wal_path(&d.dir, wal_n), d.wal.format())?;
     crash_point!("checkpoint.pre_manifest");
     let m = Manifest {
@@ -1653,9 +1662,7 @@ fn load_terms_locked(st: &mut State, triples: &[TermTriple]) -> Result<usize, Er
     // Log after the encode proves the batch well-formed (so recovery can
     // never trip over a record the live path rejected) but before any
     // visible mutation. The collapse above is logically invisible.
-    if st.durable.is_some() {
-        log_write(st, &WalRecord::Load(triples.to_vec()))?;
-    }
+    log_write(st, WalKind::Load, triples)?;
     let gen = Arc::make_mut(&mut st.gen);
     Arc::make_mut(&mut gen.triples).extend(encoded);
     gen.baseline = None;
@@ -1668,47 +1675,30 @@ fn load_terms_locked(st: &mut State, triples: &[TermTriple]) -> Result<usize, Er
     Ok(triples.len())
 }
 
-/// Tombstone already-encoded triples that are currently visible.
+/// Delete already-encoded triples that are currently visible: tombstones on
+/// a built generation, plain removal while staging.
 fn delete_encoded_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, Error> {
     if targets.is_empty() {
         return Ok(0);
     }
     if !st.gen.any_built() {
-        // Staging mode: remove from the base set directly.
-        if let Some(terms) = decode_for_log(st, &targets)? {
-            log_write(st, &WalRecord::Delete(terms))?;
-        }
-        let set: FxHashSet<Triple> = targets.into_iter().collect();
-        let gen = Arc::make_mut(&mut st.gen);
-        let triples = Arc::make_mut(&mut gen.triples);
-        let before = triples.len();
-        triples.retain(|t| !set.contains(t));
-        st.epoch += 1;
-        return Ok(before - triples.len());
+        return delete_staged_locked(st, targets);
     }
-    let visible: Vec<Triple> = {
-        let view = st.delta.current_view();
-        // One pass over the base against a targets-sized set (not the
-        // other way round — the base can be large, the batch is small).
-        let target_set: FxHashSet<Triple> = targets.iter().copied().collect();
-        let mut in_base: FxHashSet<Triple> = FxHashSet::default();
-        for t in st.gen.triples.iter() {
-            if target_set.contains(t) {
-                in_base.insert(*t);
-            }
-        }
-        targets
-            .into_iter()
-            .filter(|&t| match view {
-                None => in_base.contains(&t),
-                Some(d) => {
-                    (in_base.contains(&t) && !d.is_deleted(t))
-                        || d.insert_pairs_for(t.p, Some((t.s.raw(), t.s.raw())))
-                            .any(|(_, o)| o == t.o)
-                }
-            })
-            .collect()
-    };
+    // A target is visible when it sits in the base untombstoned or among
+    // the delta's visible inserts. Both are sorted, so resolving the batch
+    // is two binary searches per target — O(batch · log n), whatever the
+    // store holds.
+    let view = st.delta.current_view();
+    let visible: Vec<Triple> = targets
+        .into_iter()
+        .filter(|&t| {
+            (st.gen.base_contains(t) && !view.is_some_and(|d| d.is_deleted(t)))
+                || view.is_some_and(|d| {
+                    d.insert_pairs_for(t.p, Some((t.s.raw(), t.s.raw())))
+                        .any(|(_, o)| o == t.o)
+                })
+        })
+        .collect();
     if visible.is_empty() {
         return Ok(0);
     }
@@ -1717,11 +1707,26 @@ fn delete_encoded_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, 
     // above) never consume a log sequence — keeping the log and the delta
     // advancing in lockstep.
     if let Some(terms) = decode_for_log(st, &visible)? {
-        log_write(st, &WalRecord::Delete(terms))?;
+        log_write(st, WalKind::Delete, &terms)?;
     }
     let n = visible.len();
     let _ = st.delta.delete(&visible);
     Ok(n)
+}
+
+/// Staging mode (nothing built, base in load order): remove the targets
+/// from the base set directly.
+fn delete_staged_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, Error> {
+    if let Some(terms) = decode_for_log(st, &targets)? {
+        log_write(st, WalKind::Delete, &terms)?;
+    }
+    let set: FxHashSet<Triple> = targets.into_iter().collect();
+    let gen = Arc::make_mut(&mut st.gen);
+    let triples = Arc::make_mut(&mut gen.triples);
+    let before = triples.len();
+    triples.retain(|t| !set.contains(t));
+    st.epoch += 1;
+    Ok(before - triples.len())
 }
 
 /// Route one insert batch's subjects through the incremental assigner
@@ -1788,8 +1793,8 @@ fn discover_schema_locked(st: &mut State, cfg: &SchemaConfig) -> Result<f64, Err
         ));
     }
     ensure_no_pending_writes(st, "discover_schema()")?;
-    let spo = sorted_spo(&st.gen.triples);
-    let schema = sordf_schema::discover(&spo, &st.gen.dict, cfg);
+    sort_base(st);
+    let schema = sordf_schema::discover(&st.gen.triples, &st.gen.dict, cfg);
     let coverage = schema.coverage;
     Arc::make_mut(&mut st.gen).schema = Some(Arc::new(schema));
     st.schema_cfg = cfg.clone();
@@ -1808,9 +1813,9 @@ fn build_cs_tables_locked(st: &mut State, dm: &Arc<DiskManager>) -> Result<(), E
     }
     // sordf-lint: allow(L3) — discover_schema_locked just populated the schema.
     let mut schema = st.gen.schema.as_deref().unwrap().clone();
-    let spo = sorted_spo(&st.gen.triples);
+    sort_base(st);
     let spec = ClusterSpec::auto(&schema);
-    let store = build_clustered_with(dm, &spo, &mut schema, &spec, false, st.encoding);
+    let store = build_clustered_with(dm, &st.gen.triples, &mut schema, &spec, false, st.encoding);
     let gen = Arc::make_mut(&mut st.gen);
     gen.cs_parse_order = Some((Arc::new(store), Arc::new(schema)));
     gen.encoding = st.encoding;
@@ -1852,8 +1857,10 @@ fn self_organize_locked(
     // sordf-lint: allow(L3) — ensured Some by the discover_schema_locked call above.
     let mut schema = st.gen.schema.as_deref().unwrap().clone();
     let report = reorganize(&mut ts, &mut schema, &spec);
-    let spo = ts.sorted_spo();
-    let store = build_clustered_with(dm, &spo, &mut schema, &spec, true, st.encoding);
+    // Clustering renumbered every subject: re-sort under the new numbering.
+    // The sorted list feeds the builder and is what the generation publishes.
+    ts.triples.sort_unstable();
+    let store = build_clustered_with(dm, &ts.triples, &mut schema, &spec, true, st.encoding);
     // The string pool was just sorted: OID order equals value order for
     // everything interned so far.
     let strings_sorted_len = ts.dict.n_strings();
@@ -1982,15 +1989,17 @@ fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> BuiltGeneration 
         encoding: pin.encoding,
     };
     let mut frozen: Option<Arc<EmergentSchema>> = None;
-    // One SPO copy serves every builder; clustering renumbers the OIDs, so
-    // it is the only step after which the copy must be re-derived.
-    let mut spo = ts.sorted_spo();
+    // The folded set is SPO-sorted (sorted base merged with sorted inserts)
+    // and serves every builder as it is; clustering renumbers the OIDs, so
+    // it is the only step after which it must be sorted again. What is
+    // sorted here is what the swap publishes as the base.
+    debug_assert!(ts.triples.windows(2).all(|w| w[0] <= w[1]));
     if pin.gen.clustered.is_some() {
-        let mut schema = sordf_schema::discover(&spo, &ts.dict, &pin.schema_cfg);
+        let mut schema = sordf_schema::discover(&ts.triples, &ts.dict, &pin.schema_cfg);
         let spec = ClusterSpec::auto(&schema);
         let report = reorganize(&mut ts, &mut schema, &spec);
-        spo = ts.sorted_spo();
-        let store = build_clustered_with(dm, &spo, &mut schema, &spec, true, pin.encoding);
+        ts.triples.sort_unstable();
+        let store = build_clustered_with(dm, &ts.triples, &mut schema, &spec, true, pin.encoding);
         out.strings_sorted_len = ts.dict.n_strings();
         out.clustered = Some(store);
         out.spec = spec;
@@ -2003,16 +2012,20 @@ fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> BuiltGeneration 
         // clustering collapse.
         let base = match &frozen {
             Some(s) => Arc::clone(s),
-            None => Arc::new(sordf_schema::discover(&spo, &ts.dict, &pin.schema_cfg)),
+            None => Arc::new(sordf_schema::discover(
+                &ts.triples,
+                &ts.dict,
+                &pin.schema_cfg,
+            )),
         };
         let mut schema = (*base).clone();
         let spec = ClusterSpec::auto(&schema);
-        let store = build_clustered_with(dm, &spo, &mut schema, &spec, false, pin.encoding);
+        let store = build_clustered_with(dm, &ts.triples, &mut schema, &spec, false, pin.encoding);
         out.cs_parse_order = Some((store, Arc::new(schema)));
         frozen.get_or_insert(base);
     }
     if pin.gen.baseline.is_some() {
-        out.baseline = Some(BaselineStore::build_with(dm, &spo, pin.encoding));
+        out.baseline = Some(BaselineStore::build_with(dm, &ts.triples, pin.encoding));
     }
     out.schema = frozen;
     out.ts = ts;
@@ -2038,7 +2051,7 @@ fn encode_terms(new_dict: &Dictionary, terms: &[TermTriple]) -> Result<Vec<Tripl
     Ok(out)
 }
 
-/// Serialize the built generation as the pre-swap checkpoint snapshot,
+/// Stream the built generation out as the pre-swap checkpoint snapshot,
 /// off-lock, under the staging name [`SNAP_TMP`] (the swap renames it to
 /// its final number under the state lock, where the number is decided).
 fn write_rebuild_snapshot(
@@ -2046,7 +2059,6 @@ fn write_rebuild_snapshot(
     pin: &RebuildPin,
     built: &BuiltGeneration,
 ) -> Result<(), Error> {
-    let triples = decode_triples(&built.ts.dict, &built.ts.triples)?;
     let mut flags = LayoutFlags {
         baseline: built.baseline.is_some(),
         cs_parse_order: built.cs_parse_order.is_some(),
@@ -2055,13 +2067,17 @@ fn write_rebuild_snapshot(
         plain_encoding: false,
     };
     flags.record_encoding(built.encoding);
-    let snap = StoreSnapshot {
+    let header = SnapshotHeader {
         base_seq: dp.pin_log_seq,
         flags,
         schema_cfg: pin.schema_cfg.clone(),
-        triples,
     };
-    snap.write_to(&dp.dir.join(SNAP_TMP))?;
+    StoreSnapshot::write_to(
+        &dp.dir.join(SNAP_TMP),
+        &header,
+        &built.ts.dict,
+        built.ts.triples.iter().copied(),
+    )?;
     Ok(())
 }
 

@@ -160,6 +160,32 @@ impl FrontCoded {
         Some(Cow::Owned(s))
     }
 
+    /// Visit every entry in index order: one sequential pass over the
+    /// arena, each group decoded once (positional [`FrontCoded::get`] would
+    /// re-walk a group per follower).
+    fn try_for_each<E>(&self, mut f: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+        let mut cur: Vec<u8> = Vec::new();
+        for (g, &start) in self.groups.iter().enumerate() {
+            let (len, mut pos) = read_varint(&self.arena, start as usize);
+            cur.clear();
+            cur.extend_from_slice(&self.arena[pos..pos + len as usize]);
+            pos += len as usize;
+            let in_group = (self.len - g * FC_GROUP).min(FC_GROUP);
+            for r in 0..in_group {
+                if r > 0 {
+                    let (shared, p) = read_varint(&self.arena, pos);
+                    let (slen, p) = read_varint(&self.arena, p);
+                    cur.truncate(shared as usize);
+                    cur.extend_from_slice(&self.arena[p..p + slen as usize]);
+                    pos = p + slen as usize;
+                }
+                f(std::str::from_utf8(&cur)
+                    .expect("front-coded deltas reconstruct the original UTF-8 string"))?;
+            }
+        }
+        Ok(())
+    }
+
     /// Binary search the sorted run: group leaders first, then a linear
     /// delta walk inside the one candidate group.
     fn search(&self, key: &str) -> Option<u64> {
@@ -411,23 +437,53 @@ impl Pool {
     }
 
     /// Reorder entries so entry `old` moves to position `new_of_old[old]`,
-    /// folding the tail into a fresh frozen prefix.
+    /// folding the tail into a fresh frozen prefix. Entries mapped to
+    /// [`Dictionary::DROPPED`] are discarded; the surviving targets must be
+    /// exactly `0..survivors`.
     fn permute(&mut self, new_of_old: &[u64]) {
         let n = self.len();
         assert_eq!(new_of_old.len(), n, "permutation size mismatch");
-        let mut reordered = vec![String::new(); n];
+        let kept = new_of_old
+            .iter()
+            .filter(|&&new| new != Dictionary::DROPPED)
+            .count();
+        let mut reordered = vec![String::new(); kept];
         for old in 0..n {
+            if new_of_old[old] == Dictionary::DROPPED {
+                continue;
+            }
             // sordf-lint: allow(L3) — old < len, so the entry exists.
             let s = self.get(old as u64).expect("entry below len").to_string();
             reordered[new_of_old[old] as usize] = s;
         }
-        let index = self.index.get_mut();
-        index.clear();
-        for (i, s) in reordered.iter().enumerate() {
-            index.insert(s.clone(), i as u64);
+        *self = Pool::from_frozen(reordered).expect("a permutation introduces no duplicates");
+    }
+
+    /// A pool whose entries are exactly `entries`, in that index order, all
+    /// frozen; `None` when an entry repeats (two indexes for one term).
+    fn from_frozen(entries: Vec<String>) -> Option<Pool> {
+        let mut index = FxHashMap::default();
+        index.reserve(entries.len());
+        for (i, s) in entries.iter().enumerate() {
+            if index.insert(s.clone(), i as u64).is_some() {
+                return None;
+            }
         }
-        self.frozen = Arc::new(reordered);
-        self.tail = AppendTail::default();
+        Some(Pool {
+            frozen: Arc::new(entries),
+            tail: AppendTail::default(),
+            index: RwLock::new(index),
+        })
+    }
+
+    /// Visit every entry in index order (those published when the walk
+    /// starts: the pool may be interned into meanwhile).
+    fn try_for_each<E>(&self, mut f: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+        for i in 0..self.len() as u64 {
+            // sordf-lint: allow(L3) — i < len, so the entry exists.
+            f(self.get(i).expect("entry below len"))?;
+        }
+        Ok(())
     }
 
     /// Approximate resident bytes: entry content (counted twice — pool +
@@ -511,18 +567,19 @@ impl StrPool {
         self.frozen.len() + self.tail.len() as usize
     }
 
-    /// Sort all entries lexicographically and rebuild the frozen prefix
-    /// front-coded; returns `new_of_old`.
-    fn rebuild_sorted(&mut self) -> Vec<u64> {
+    /// Sort the entries `live` keeps lexicographically and rebuild the
+    /// frozen prefix front-coded, discarding the rest; returns `new_of_old`
+    /// ([`Dictionary::DROPPED`] for a discarded entry).
+    fn rebuild_sorted(&mut self, live: impl Fn(usize) -> bool) -> Vec<u64> {
         let n = self.len();
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {
             // sordf-lint: allow(L3) — i < len, so the entry exists.
             entries.push(self.get(i as u64).expect("entry below len").into_owned());
         }
-        let mut order: Vec<u64> = (0..n as u64).collect();
+        let mut order: Vec<u64> = (0..n as u64).filter(|&i| live(i as usize)).collect();
         order.sort_unstable_by(|&a, &b| entries[a as usize].cmp(&entries[b as usize]));
-        let mut new_of_old = vec![0u64; n];
+        let mut new_of_old = vec![Dictionary::DROPPED; n];
         for (new, &old) in order.iter().enumerate() {
             new_of_old[old as usize] = new as u64;
         }
@@ -534,6 +591,38 @@ impl StrPool {
         self.tail = AppendTail::default();
         *self.index.get_mut() = FxHashMap::default();
         new_of_old
+    }
+
+    /// A pool whose entries are exactly `entries` in that index order: the
+    /// first `frozen` as the sorted front-coded run, the rest as the
+    /// hash-indexed tail. `None` when the run is not strictly sorted or an
+    /// entry repeats.
+    fn from_entries(entries: Vec<String>, frozen: usize) -> Option<StrPool> {
+        if frozen > entries.len() || !entries[..frozen].windows(2).all(|w| w[0] < w[1]) {
+            return None;
+        }
+        let pool = StrPool {
+            frozen: FrontCoded::build(&entries[..frozen]),
+            ..StrPool::default()
+        };
+        for s in entries.into_iter().skip(frozen) {
+            let before = pool.len();
+            if pool.intern(&s) != before as u64 {
+                return None;
+            }
+        }
+        Some(pool)
+    }
+
+    /// Visit every entry in index order (those published when the tail
+    /// walk starts: the pool may be interned into meanwhile).
+    fn try_for_each<E>(&self, mut f: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+        self.frozen.try_for_each(&mut f)?;
+        for t in 0..self.tail.len() {
+            // sordf-lint: allow(L3) — t < tail len, so the entry exists.
+            f(self.tail.get(t).expect("entry below len"))?;
+        }
+        Ok(())
     }
 
     fn approx_bytes(&self) -> u64 {
@@ -592,9 +681,66 @@ pub struct Dictionary {
     strings: StrPool,
 }
 
+/// One of the dictionary's three interning pools, in the order a snapshot
+/// dumps them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DictPool {
+    Iris,
+    Blanks,
+    Strings,
+}
+
 impl Dictionary {
+    /// The `new_of_old` value of an entry a renumbering discards (see
+    /// [`Dictionary::apply_iri_permutation`], [`Dictionary::sort_live_strings`]).
+    pub const DROPPED: u64 = u64::MAX;
+
     pub fn new() -> Dictionary {
         Dictionary::default()
+    }
+
+    /// Rebuild a dictionary from dumped pools: entry `i` of each vector gets
+    /// index `i` again, so every OID encoded under the dumped dictionary
+    /// decodes identically under this one. The first `strings_frozen`
+    /// strings must be the strictly sorted front-coded run. Errors when a
+    /// pool repeats an entry or the run is unsorted — a dump this crate
+    /// wrote never does either.
+    pub fn from_pools(
+        iris: Vec<String>,
+        blanks: Vec<String>,
+        strings: Vec<String>,
+        strings_frozen: usize,
+    ) -> Result<Dictionary, ModelError> {
+        let bad = |what: &str| ModelError::BadDictionary(what.to_string());
+        Ok(Dictionary {
+            iris: Pool::from_frozen(iris).ok_or_else(|| bad("duplicate IRI"))?,
+            blanks: Pool::from_frozen(blanks).ok_or_else(|| bad("duplicate blank node"))?,
+            strings: StrPool::from_entries(strings, strings_frozen)
+                .ok_or_else(|| bad("string pool unsorted or duplicated"))?,
+        })
+    }
+
+    /// Visit the entries of `pool` in index order (entry `i` is the text
+    /// behind OID payload `i`) — what a snapshot dumps and
+    /// [`Dictionary::from_pools`] reads back. A pool interned into
+    /// meanwhile is visited up to some point of its growth; count the
+    /// visits rather than asking for the size separately.
+    pub fn try_for_each_entry<E>(
+        &self,
+        pool: DictPool,
+        f: impl FnMut(&str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match pool {
+            DictPool::Iris => self.iris.try_for_each(f),
+            DictPool::Blanks => self.blanks.try_for_each(f),
+            DictPool::Strings => self.strings.try_for_each(f),
+        }
+    }
+
+    /// Length of the sorted, front-coded string run (0 before the first
+    /// string sort): string OIDs below it compare like their values.
+    pub fn n_strings_frozen(&self) -> usize {
+        self.strings.frozen.len()
     }
 
     /// Intern an IRI, returning its OID (ParseOrder assignment on first use).
@@ -738,7 +884,9 @@ impl Dictionary {
     /// Apply a subject-clustering permutation to the IRI pool:
     /// `new_of_old[old_index] = new_index`. Every existing IRI OID `Oid::iri(i)`
     /// must afterwards be rewritten to `Oid::iri(new_of_old[i])` by the caller
-    /// (the storage layer rewrites all triples).
+    /// (the storage layer rewrites all triples). An entry mapped to
+    /// [`Dictionary::DROPPED`] leaves the pool — the caller vouches that no
+    /// stored OID references it; the remaining targets must be dense.
     pub fn apply_iri_permutation(&mut self, new_of_old: &[u64]) {
         self.iris.permute(new_of_old);
     }
@@ -748,7 +896,15 @@ impl Dictionary {
     /// rebuilding it front-coded. Returns `new_of_old` for the caller to
     /// rewrite stored OIDs.
     pub fn sort_strings(&mut self) -> Vec<u64> {
-        self.strings.rebuild_sorted()
+        self.strings.rebuild_sorted(|_| true)
+    }
+
+    /// [`Dictionary::sort_strings`] keeping only the entries `live[i]`
+    /// marks: the rest leave the pool and map to [`Dictionary::DROPPED`] —
+    /// the caller vouches that no stored OID references them.
+    pub fn sort_live_strings(&mut self, live: &[bool]) -> Vec<u64> {
+        assert_eq!(live.len(), self.strings.len(), "live mask size mismatch");
+        self.strings.rebuild_sorted(|i| live[i])
     }
 }
 
@@ -835,6 +991,96 @@ mod tests {
         assert_eq!(d.iri_str(Oid::iri(1)).unwrap(), "x");
         assert_eq!(d.iri_str(Oid::iri(0)).unwrap(), "y");
         assert_eq!(d.iri_oid("x"), Some(Oid::iri(1)));
+    }
+
+    #[test]
+    fn dropped_entries_leave_the_pools() {
+        let mut d = Dictionary::new();
+        for iri in ["a", "dead", "b"] {
+            d.encode_iri(iri);
+        }
+        d.apply_iri_permutation(&[1, Dictionary::DROPPED, 0]);
+        assert_eq!(d.n_iris(), 2);
+        assert_eq!(d.iri_oid("a"), Some(Oid::iri(1)));
+        assert_eq!(d.iri_oid("b"), Some(Oid::iri(0)));
+        assert_eq!(d.iri_oid("dead"), None);
+        for s in ["pear", "gone", "apple"] {
+            d.encode_value(&Value::str(s)).unwrap();
+        }
+        let map = d.sort_live_strings(&[true, false, true]);
+        assert_eq!(map, vec![1, Dictionary::DROPPED, 0]);
+        assert_eq!(d.n_strings(), 2);
+        assert_eq!(d.string_oid("gone"), None);
+        assert_eq!(d.decode(Oid::string(0)).unwrap(), Term::str("apple"));
+    }
+
+    fn dump(d: &Dictionary, pool: DictPool) -> Vec<String> {
+        let mut out = Vec::new();
+        d.try_for_each_entry(pool, |s| {
+            out.push(s.to_string());
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn pools_roundtrip_with_identical_oids() {
+        // A frozen sorted run spanning several front-coded groups plus a
+        // tail interned after the sort, in all three pools.
+        let mut d = Dictionary::new();
+        for i in 0..FC_GROUP * 2 + 3 {
+            d.encode_value(&Value::str(format!("sorted-{i:04}")))
+                .unwrap();
+            d.encode_iri(&format!("http://e/{i}"));
+        }
+        d.encode_blank("b0");
+        d.sort_strings();
+        d.apply_iri_permutation(&(0..d.n_iris() as u64).rev().collect::<Vec<_>>());
+        let late = [
+            d.encode_value(&Value::str("aaa-late")).unwrap(),
+            d.encode_iri("http://e/late"),
+            d.encode_blank("b1"),
+        ];
+        let back = Dictionary::from_pools(
+            dump(&d, DictPool::Iris),
+            dump(&d, DictPool::Blanks),
+            dump(&d, DictPool::Strings),
+            d.n_strings_frozen(),
+        )
+        .unwrap();
+        assert_eq!(back.n_strings_frozen(), FC_GROUP * 2 + 3);
+        for i in 0..d.n_iris() as u64 {
+            assert_eq!(back.decode(Oid::iri(i)), d.decode(Oid::iri(i)));
+        }
+        for i in 0..d.n_strings() as u64 {
+            assert_eq!(back.decode(Oid::string(i)), d.decode(Oid::string(i)));
+        }
+        for oid in late {
+            let term = d.decode(oid).unwrap();
+            assert_eq!(back.term_oid(&term), Some(oid), "lookup {term:?}");
+        }
+        // The same physical shape as a freshly renumbered dictionary
+        // holding the same entries: nothing extra becomes resident.
+        let mut fresh = d.clone();
+        fresh.apply_iri_permutation(&(0..d.n_iris() as u64).collect::<Vec<_>>());
+        assert_eq!(back.approx_bytes().iris, fresh.approx_bytes().iris);
+        assert_eq!(back.approx_bytes().strings, d.approx_bytes().strings);
+    }
+
+    #[test]
+    fn malformed_pools_are_rejected() {
+        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(Dictionary::from_pools(s(&["a", "a"]), vec![], vec![], 0).is_err());
+        assert!(Dictionary::from_pools(vec![], s(&["b", "b"]), vec![], 0).is_err());
+        // Frozen run out of order, repeated, or longer than the pool.
+        assert!(Dictionary::from_pools(vec![], vec![], s(&["b", "a"]), 2).is_err());
+        assert!(Dictionary::from_pools(vec![], vec![], s(&["a", "a"]), 2).is_err());
+        assert!(Dictionary::from_pools(vec![], vec![], s(&["a"]), 2).is_err());
+        // A tail entry repeating a frozen or an earlier tail entry.
+        assert!(Dictionary::from_pools(vec![], vec![], s(&["a", "b", "a"]), 2).is_err());
+        assert!(Dictionary::from_pools(vec![], vec![], s(&["a", "z", "z"]), 1).is_err());
+        assert!(Dictionary::from_pools(vec![], vec![], s(&["b", "a"]), 0).is_ok());
     }
 
     #[test]

@@ -16,6 +16,9 @@ pub enum ModelError {
     /// A storage page could not be read (after retries). Carries the page
     /// number and the underlying I/O message.
     PageRead { page: u64, msg: String },
+    /// Dumped dictionary pools that cannot be a dictionary (an entry with
+    /// two indexes, an unsorted frozen string run).
+    BadDictionary(String),
 }
 
 impl fmt::Display for ModelError {
@@ -28,6 +31,7 @@ impl fmt::Display for ModelError {
             ModelError::PageRead { page, msg } => {
                 write!(f, "page {page} read failed: {msg}")
             }
+            ModelError::BadDictionary(msg) => write!(f, "malformed dictionary pools: {msg}"),
         }
     }
 }

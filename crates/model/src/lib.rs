@@ -28,7 +28,7 @@ pub mod oid;
 pub mod term;
 pub mod triple;
 
-pub use dict::{DictMemory, Dictionary};
+pub use dict::{DictMemory, DictPool, Dictionary};
 pub use error::ModelError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use oid::{Oid, TypeTag};

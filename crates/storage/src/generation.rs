@@ -38,7 +38,10 @@ pub struct StoreGeneration {
     /// internal pool locks, `&self`); replaced wholesale — never renumbered
     /// in place — by a generation swap.
     pub dict: Arc<Dictionary>,
-    /// Base triples (parse order), encoded under `dict`'s numbering.
+    /// Base triples, encoded under `dict`'s numbering. In load order while
+    /// staging; **SPO-sorted once any layout is built** (every builder sorts
+    /// them anyway, and publishing that order lets a delete batch find its
+    /// base-resident triples by binary search — [`Self::base_contains`]).
     pub triples: Arc<Vec<Triple>>,
     /// Exhaustive permutation indexes (ParseOrder scheme), if built.
     pub baseline: Option<Arc<BaselineStore>>,
@@ -102,26 +105,38 @@ impl StoreGeneration {
         DictPin::new(Arc::clone(&self.dict))
     }
 
+    /// Is `t` among the base triples? O(log n) on a built generation, whose
+    /// triples are SPO-sorted (see [`Self::triples`]); only meaningful there.
+    pub fn base_contains(&self, t: Triple) -> bool {
+        self.triples.binary_search(&t).is_ok()
+    }
+
     /// Materialize the logical triple set this generation + `view` describe:
     /// a clone of the dictionary and the base triples with the view's
-    /// tombstones filtered out and its visible inserts appended. This is
+    /// tombstones filtered out and its visible inserts merged in. This is
     /// the input a background rebuild works from — fully owned, so the
-    /// rebuild touches no shared state while it runs.
+    /// rebuild touches no shared state while it runs. On a built generation
+    /// the result is SPO-sorted: the base already is, so folding is one
+    /// merge with the (small, sorted here) inserts, not a sort of the whole.
     pub fn fold_into_triple_set(&self, view: Option<&DeltaView>) -> TripleSet {
         let dict = self.dict.as_ref().clone();
         let triples = match view {
             None => self.triples.as_ref().clone(),
             Some(v) => {
-                let mut t: Vec<Triple> = if v.n_tombstones() == 0 {
-                    self.triples.as_ref().clone()
-                } else {
-                    self.triples
-                        .iter()
-                        .filter(|t| !v.is_deleted(**t))
-                        .copied()
-                        .collect()
-                };
-                t.extend_from_slice(v.inserts());
+                let mut inserts = v.inserts().to_vec();
+                inserts.sort_unstable();
+                let mut inserts = inserts.into_iter().peekable();
+                let mut t = Vec::with_capacity(self.triples.len() + inserts.len());
+                for &b in self.triples.iter() {
+                    if v.is_deleted(b) {
+                        continue;
+                    }
+                    while let Some(i) = inserts.next_if(|&i| i < b) {
+                        t.push(i);
+                    }
+                    t.push(b);
+                }
+                t.extend(inserts);
                 t
             }
         };
@@ -130,9 +145,14 @@ impl StoreGeneration {
 
     /// Check this generation's cross-structure invariants; panics (via
     /// `assert!`) on violation. Debug/stress builds call this after every
-    /// build and swap — it is deliberately cheap enough (no per-triple work
-    /// beyond one count) to run there unconditionally.
+    /// build and swap — it is deliberately cheap enough (one ordered pass
+    /// over the base triples, nothing per-page) to run there unconditionally.
     pub fn debug_validate(&self) {
+        assert!(
+            !self.any_built() || self.triples.windows(2).all(|w| w[0] <= w[1]),
+            "a built generation's base triples must be SPO-sorted — delete \
+             resolution binary-searches them"
+        );
         assert!(
             self.strings_sorted_len <= self.dict.n_strings(),
             "strings_sorted_len {} exceeds string pool size {} — the sort \
@@ -259,6 +279,10 @@ mod tests {
         let folded = gen.fold_into_triple_set(delta.current_view());
         assert_eq!(folded.triples.len(), 4, "one deleted, one inserted");
         assert!(folded.triples.contains(&extra));
+        assert!(
+            folded.triples.windows(2).all(|w| w[0] <= w[1]),
+            "a sorted base folds into a sorted set"
+        );
         // No view: a plain clone.
         assert_eq!(gen.fold_into_triple_set(None).triples.len(), 4);
     }

@@ -42,8 +42,8 @@ pub use clustered::{
 };
 pub use delta::{DeltaStore, DeltaView, DeltaWrite, Snapshot};
 pub use generation::{DictPin, GenerationHandle, StoreGeneration};
-pub use manifest::{LayoutFlags, Manifest, StoreSnapshot};
+pub use manifest::{LayoutFlags, Manifest, SnapshotHeader, StoreSnapshot};
 pub use perm::{Order, PermIndex};
 pub use reorg::{reorganize, ClusterSpec, ReorgReport};
 pub use triple_set::{encode_term_skolemized, encode_triple_skolemized, TripleSet};
-pub use wal::{SyncPolicy, WalFormat, WalRecord, WalWriter};
+pub use wal::{Crc32, SyncPolicy, WalFormat, WalKind, WalRecord, WalWriter};

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! <dir>/MANIFEST    which snapshot + WAL are live (atomically replaced)
-//! <dir>/snap.<N>    checkpoint: the base generation as a logical dump
+//! <dir>/snap.<N>    checkpoint: the dictionary and the visible triples as OIDs
 //! <dir>/wal.<N>     write-ahead log of batches since that checkpoint
 //! <dir>/data.db     page file — a *derived cache*, rebuilt on recovery
 //! ```
@@ -16,23 +16,63 @@
 //! a crash after it leaves the new pair live — there is no intermediate
 //! state. Stale `snap.*`/`wal.*` files are deleted only after the rename.
 //!
-//! Snapshots are **logical**: the decoded base triples in N-Triples text,
-//! plus which layouts were built and the schema configuration, checksummed
-//! as one frame. Recovery reloads the triples and rebuilds the layouts
-//! deterministically — OID numbering may differ from the pre-crash store
-//! (exactly as it would after a reorganization), logical content does not.
+//! ## Snapshot format
+//!
+//! A snapshot is the store's own integer form, not its text: the
+//! dictionary's three pools dumped in index order and the visible triples
+//! as raw OID triples under that numbering. Reading one back rebuilds the
+//! dictionary pool by pool — entry `i` gets index `i` again, so every OID
+//! means what it meant — and installs the triples verbatim; no term is
+//! parsed or re-encoded. Which layouts were built and the schema
+//! configuration ride in the header, and recovery rebuilds those layouts
+//! over the loaded triples (pages are a derived cache).
+//!
+//! ```text
+//! [magic "SORDFSNP"][version u32 LE = 2]
+//! frame*: [section u8][len u32 LE][crc32 u32 LE][payload: len bytes]
+//!
+//! section 1 header : base_seq u64, layout flags u8, schema config,
+//!                    length of the sorted string run u64     (one frame)
+//! section 2 IRIs   : (varint len, UTF-8 bytes)*              (frames of whole
+//! section 3 blanks : (varint len, UTF-8 bytes)*               entries, cut at
+//! section 4 strings: (varint len, UTF-8 bytes)*               about 1 MiB)
+//! section 5 triples: (s u64 LE, p u64 LE, o u64 LE)*
+//! section 6 end    : entry count of sections 2–5, u64 each   (one frame)
+//! ```
+//!
+//! The CRC covers section byte, length and payload. Both sides stream: the
+//! writer fills one frame buffer from `(&Dictionary, impl Iterator<Item =
+//! Triple>)`, checksums it and writes it out; the reader verifies a frame
+//! before it parses a byte of it, and bounds every frame length by what is
+//! left of the file before allocating. Neither ever holds a second copy of
+//! the data. Sections appear in order, the end frame's counts must match
+//! what was read and nothing may follow it, so a truncated, extended or
+//! bit-flipped file is an error, never a different store.
 
 use sordf_columnar::{crash_point, ColumnEncoding};
-use sordf_model::{ntriples, TermTriple};
+use sordf_model::{DictPool, Dictionary, Oid, Triple, TypeTag};
 use sordf_schema::SchemaConfig;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::wal::crc32;
+use crate::wal::{crc32, read_varint, write_varint, Crc32};
 
 const SNAP_MAGIC: &[u8; 8] = b"SORDFSNP";
-const SNAP_VERSION: u32 = 1;
+const SNAP_VERSION: u32 = 2;
+/// A frame is written out once its payload reaches this size.
+const FRAME_TARGET: usize = 1 << 20;
+/// Bytes of one frame header: section, length, checksum.
+const FRAME_HEADER: usize = 9;
+/// Bytes of one triple in section 5.
+const TRIPLE_BYTES: usize = 24;
+
+const SEC_HEADER: u8 = 1;
+const SEC_IRIS: u8 = 2;
+const SEC_BLANKS: u8 = 3;
+const SEC_STRINGS: u8 = 4;
+const SEC_TRIPLES: u8 = 5;
+const SEC_END: u8 = 6;
 
 /// The manifest file name inside a durable directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -224,44 +264,142 @@ impl LayoutFlags {
     }
 }
 
-/// A checkpoint: the logical content of the base generation plus everything
-/// needed to rebuild its physical layouts deterministically.
+/// What a snapshot records besides the data itself.
 #[derive(Debug, Clone)]
-pub struct StoreSnapshot {
+pub struct SnapshotHeader {
     /// Delta sequence number this snapshot folds up to.
     pub base_seq: u64,
     /// Layouts to rebuild on recovery.
     pub flags: LayoutFlags,
     /// Schema-discovery configuration the layouts were built with.
     pub schema_cfg: SchemaConfig,
-    /// The base triples, decoded to terms.
-    pub triples: Vec<TermTriple>,
+}
+
+/// A checkpoint read back: the dictionary, the visible triples encoded
+/// under it, and everything needed to rebuild the physical layouts
+/// deterministically. See the [module docs](self) for the file format.
+#[derive(Debug)]
+pub struct StoreSnapshot {
+    pub header: SnapshotHeader,
+    /// The dictionary as dumped: same entries, same indexes.
+    pub dict: Dictionary,
+    /// The visible triples, in the order they were written.
+    pub triples: Vec<Triple>,
+}
+
+/// The writer's one buffer: the payload of the frame being filled.
+struct FrameWriter {
+    file: File,
+    section: u8,
+    payload: Vec<u8>,
+}
+
+impl FrameWriter {
+    /// Start `section`, writing out what the previous one left buffered.
+    fn begin(&mut self, section: u8) -> io::Result<()> {
+        self.flush()?;
+        self.section = section;
+        Ok(())
+    }
+
+    /// Frames hold whole entries: cut before the entry that would overflow
+    /// the target, never inside one.
+    fn room_for(&mut self, entry_len: usize) -> io::Result<()> {
+        if !self.payload.is_empty() && self.payload.len() + entry_len > FRAME_TARGET {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn put_str(&mut self, s: &str) -> io::Result<()> {
+        self.room_for(s.len() + 10)?;
+        write_varint(&mut self.payload, s.len() as u64);
+        self.payload.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+
+    fn put_triple(&mut self, t: Triple) -> io::Result<()> {
+        self.room_for(TRIPLE_BYTES)?;
+        for oid in [t.s, t.p, t.o] {
+            self.payload.extend_from_slice(&oid.raw().to_le_bytes());
+        }
+        Ok(())
+    }
+
+    /// Write the buffered payload as one checksummed frame.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.payload.is_empty() {
+            return Ok(());
+        }
+        let len = u32::try_from(self.payload.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "snapshot entry too large"))?;
+        let mut head = [0u8; FRAME_HEADER];
+        head[0] = self.section;
+        head[1..5].copy_from_slice(&len.to_le_bytes());
+        let mut crc = Crc32::new();
+        crc.update(&head[..5]);
+        crc.update(&self.payload);
+        head[5..].copy_from_slice(&crc.finish().to_le_bytes());
+        self.file.write_all(&head)?;
+        self.file.write_all(&self.payload)?;
+        self.payload.clear();
+        Ok(())
+    }
 }
 
 impl StoreSnapshot {
-    /// Write the snapshot to `path` and fsync it. Layout: magic + version,
-    /// then one CRC-framed body (config, flags, base_seq, N-Triples text).
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.base_seq.to_le_bytes());
-        body.push(self.flags.to_byte());
-        encode_schema_cfg(&self.schema_cfg, &mut body);
-        let mut text = Vec::new();
-        ntriples::write_document(&mut text, &self.triples)?;
-        body.extend_from_slice(&(text.len() as u64).to_le_bytes());
-        body.extend_from_slice(&text);
-        let mut f = OpenOptions::new()
+    /// Stream a snapshot to `path` and fsync it: `dict`'s pools in index
+    /// order, then `triples` as they come. Nothing is materialized beyond
+    /// one frame buffer.
+    pub fn write_to(
+        path: &Path,
+        header: &SnapshotHeader,
+        dict: &Dictionary,
+        triples: impl Iterator<Item = Triple>,
+    ) -> io::Result<()> {
+        let mut file = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        f.write_all(SNAP_MAGIC)?;
-        f.write_all(&SNAP_VERSION.to_le_bytes())?;
-        f.write_all(&(body.len() as u64).to_le_bytes())?;
-        f.write_all(&crc32(&body).to_le_bytes())?;
-        f.write_all(&body)?;
+        file.write_all(SNAP_MAGIC)?;
+        file.write_all(&SNAP_VERSION.to_le_bytes())?;
+        let mut w = FrameWriter {
+            file,
+            section: SEC_HEADER,
+            payload: Vec::with_capacity(FRAME_TARGET + TRIPLE_BYTES),
+        };
+        w.payload.extend_from_slice(&header.base_seq.to_le_bytes());
+        w.payload.push(header.flags.to_byte());
+        encode_schema_cfg(&header.schema_cfg, &mut w.payload);
+        w.payload
+            .extend_from_slice(&(dict.n_strings_frozen() as u64).to_le_bytes());
+        // The end frame records what was actually written, entry by entry.
+        let mut counts = [0u64; 4];
+        let pools = [
+            (SEC_IRIS, DictPool::Iris),
+            (SEC_BLANKS, DictPool::Blanks),
+            (SEC_STRINGS, DictPool::Strings),
+        ];
+        for ((section, pool), n) in pools.into_iter().zip(&mut counts) {
+            w.begin(section)?;
+            dict.try_for_each_entry(pool, |s| {
+                *n += 1;
+                w.put_str(s)
+            })?;
+        }
+        w.begin(SEC_TRIPLES)?;
+        for t in triples {
+            w.put_triple(t)?;
+            counts[3] += 1;
+        }
+        w.begin(SEC_END)?;
+        for n in counts {
+            w.payload.extend_from_slice(&n.to_le_bytes());
+        }
+        w.flush()?;
         crash_point!("snap.pre_sync");
-        f.sync_data()?;
+        w.file.sync_data()?;
         crash_point!("snap.post_sync");
         Ok(())
     }
@@ -272,51 +410,163 @@ impl StoreSnapshot {
     pub fn read_from(path: &Path) -> io::Result<StoreSnapshot> {
         let corrupt =
             |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {msg}"));
+        let truncated = |e: io::Error| match e.kind() {
+            io::ErrorKind::UnexpectedEof => corrupt("truncated"),
+            _ => e,
+        };
         let mut f = File::open(path)?;
-        let mut header = [0u8; 24];
-        f.read_exact(&mut header)?;
-        if &header[..8] != SNAP_MAGIC {
+        let mut left = f.metadata()?.len();
+        let mut preamble = [0u8; 12];
+        f.read_exact(&mut preamble).map_err(truncated)?;
+        left = left.saturating_sub(preamble.len() as u64);
+        if &preamble[..8] != SNAP_MAGIC {
             return Err(corrupt("bad magic"));
         }
-        if u32::from_le_bytes([header[8], header[9], header[10], header[11]]) != SNAP_VERSION {
+        if preamble[8..] != SNAP_VERSION.to_le_bytes() {
             return Err(corrupt("unsupported version"));
         }
-        let body_len = u64::from_le_bytes([
-            header[12], header[13], header[14], header[15], header[16], header[17], header[18],
-            header[19],
-        ]);
-        let want_crc = u32::from_le_bytes([header[20], header[21], header[22], header[23]]);
-        let mut body = Vec::new();
-        f.read_to_end(&mut body)?;
-        if body.len() as u64 != body_len {
-            return Err(corrupt("length mismatch"));
+        let mut header: Option<(SnapshotHeader, usize)> = None;
+        let mut pools: [Vec<String>; 3] = Default::default();
+        let mut triples: Vec<Triple> = Vec::new();
+        let mut payload = Vec::new();
+        let mut last_section = 0u8;
+        loop {
+            let mut head = [0u8; FRAME_HEADER];
+            f.read_exact(&mut head).map_err(truncated)?;
+            left = left.saturating_sub(head.len() as u64);
+            let section = head[0];
+            let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]);
+            let want_crc = u32::from_le_bytes([head[5], head[6], head[7], head[8]]);
+            // Bounded before allocation: a frame cannot be longer than what
+            // is left of the file.
+            if u64::from(len) > left {
+                return Err(corrupt("frame longer than the file"));
+            }
+            payload.resize(len as usize, 0);
+            f.read_exact(&mut payload).map_err(truncated)?;
+            left -= u64::from(len); // len <= left, checked above
+            let mut crc = Crc32::new();
+            crc.update(&head[..5]);
+            crc.update(&payload);
+            if crc.finish() != want_crc {
+                return Err(corrupt("checksum mismatch"));
+            }
+            // One header frame first, then sections in ascending order.
+            if section < last_section.max(SEC_HEADER) || (section == SEC_HEADER) != header.is_none()
+            {
+                return Err(corrupt("frame out of order"));
+            }
+            last_section = section;
+            match section {
+                SEC_HEADER => {
+                    header = Some(decode_header(&payload).ok_or_else(|| corrupt("bad header"))?)
+                }
+                SEC_IRIS | SEC_BLANKS | SEC_STRINGS => {
+                    decode_entries(&payload, &mut pools[(section - SEC_IRIS) as usize])
+                        .ok_or_else(|| corrupt("bad dictionary entry"))?;
+                }
+                SEC_TRIPLES => {
+                    let mut off = 0usize;
+                    while off < payload.len() {
+                        let mut oid = || read_u64(&payload, &mut off).map(Oid::from_raw);
+                        let (Some(s), Some(p), Some(o)) = (oid(), oid(), oid()) else {
+                            return Err(corrupt("ragged triple frame"));
+                        };
+                        triples.push(Triple::new(s, p, o));
+                    }
+                }
+                SEC_END => break,
+                _ => return Err(corrupt("unknown section")),
+            }
         }
-        if crc32(&body) != want_crc {
-            return Err(corrupt("checksum mismatch"));
+        if left != 0 {
+            return Err(corrupt("bytes after the end frame"));
         }
+        let counts = [
+            pools[0].len(),
+            pools[1].len(),
+            pools[2].len(),
+            triples.len(),
+        ];
         let mut off = 0usize;
-        let base_seq = read_u64(&body, &mut off).ok_or_else(|| corrupt("truncated"))?;
-        let flags = LayoutFlags::from_byte(*body.get(off).ok_or_else(|| corrupt("truncated"))?);
-        off += 1;
-        let schema_cfg = decode_schema_cfg(&body, &mut off).ok_or_else(|| corrupt("bad config"))?;
-        let text_len = read_u64(&body, &mut off).ok_or_else(|| corrupt("truncated"))? as usize;
-        let text = body
-            .get(off..off + text_len)
-            .ok_or_else(|| corrupt("truncated"))?;
-        let text = std::str::from_utf8(text).map_err(|_| corrupt("not UTF-8"))?;
-        let triples = ntriples::parse_document(text)
-            .map_err(|e| corrupt(&format!("unparseable triples: {e}")))?;
+        for n in counts {
+            if read_u64(&payload, &mut off) != Some(n as u64) {
+                return Err(corrupt("entry counts disagree with the end frame"));
+            }
+        }
+        if off != payload.len() {
+            return Err(corrupt("bad end frame"));
+        }
+        // sordf-lint: allow(L3) — the loop above only leaves past a header frame.
+        let (header, strings_frozen) = header.expect("header frame precedes the end frame");
+        // Every OID must resolve under the dumped dictionary, and subjects
+        // and predicates must be IRIs — what every builder assumes.
+        let resolves = |oid: Oid, iri_only: bool| {
+            let Some(tag) = TypeTag::from_u8((oid.raw() >> sordf_model::oid::PAYLOAD_BITS) as u8)
+            else {
+                return false;
+            };
+            match tag {
+                TypeTag::Iri => oid.payload() < counts[0] as u64,
+                _ if iri_only => false,
+                TypeTag::Blank => oid.payload() < counts[1] as u64,
+                TypeTag::Str => oid.payload() < counts[2] as u64,
+                _ => true,
+            }
+        };
+        if !triples
+            .iter()
+            .all(|t| resolves(t.s, true) && resolves(t.p, true) && resolves(t.o, false))
+        {
+            return Err(corrupt("triple references no dictionary entry"));
+        }
+        let [iris, blanks, strings] = pools;
+        let dict = Dictionary::from_pools(iris, blanks, strings, strings_frozen)
+            .map_err(|e| corrupt(&e.to_string()))?;
         Ok(StoreSnapshot {
-            base_seq,
-            flags,
-            schema_cfg,
+            header,
+            dict,
             triples,
         })
     }
 }
 
+/// The header frame: `(header, length of the sorted string run)`.
+fn decode_header(payload: &[u8]) -> Option<(SnapshotHeader, usize)> {
+    let mut off = 0usize;
+    let base_seq = read_u64(payload, &mut off)?;
+    let flags = LayoutFlags::from_byte(*payload.get(off)?);
+    off += 1;
+    let schema_cfg = decode_schema_cfg(payload, &mut off)?;
+    let strings_frozen = usize::try_from(read_u64(payload, &mut off)?).ok()?;
+    (off == payload.len()).then_some((
+        SnapshotHeader {
+            base_seq,
+            flags,
+            schema_cfg,
+        },
+        strings_frozen,
+    ))
+}
+
+/// One frame of `(varint len, UTF-8 bytes)` dictionary entries.
+fn decode_entries(payload: &[u8], out: &mut Vec<String>) -> Option<()> {
+    let mut pos = 0usize;
+    while pos < payload.len() {
+        let len = usize::try_from(read_varint(payload, &mut pos)?).ok()?;
+        let end = pos.checked_add(len)?;
+        out.push(
+            std::str::from_utf8(payload.get(pos..end)?)
+                .ok()?
+                .to_string(),
+        );
+        pos = end;
+    }
+    Some(())
+}
+
 fn read_u64(body: &[u8], off: &mut usize) -> Option<u64> {
-    let bytes = body.get(*off..*off + 8)?;
+    let bytes = body.get(*off..off.checked_add(8)?)?;
     *off += 8;
     Some(u64::from_le_bytes([
         bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
@@ -367,7 +617,7 @@ fn decode_schema_cfg(body: &[u8], off: &mut usize) -> Option<SchemaConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sordf_model::Term;
+    use sordf_model::{Term, Value};
 
     fn temp_dir(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -448,20 +698,29 @@ mod tests {
         assert!(Manifest::wal_path(&dir, 2).exists());
     }
 
-    #[test]
-    fn snapshot_roundtrip() {
-        let dir = temp_dir("snap");
-        let _c = Cleanup(dir.clone());
-        let triples: Vec<TermTriple> = (0..5)
-            .map(|i| {
-                TermTriple::new(
-                    Term::iri(format!("http://e/s{i}")),
-                    Term::iri("http://e/p"),
-                    Term::int(i),
-                )
-            })
-            .collect();
-        let snap = StoreSnapshot {
+    /// A small store exercising every section: a sorted string run plus a
+    /// tail string, a blank-pool entry, all OID kinds.
+    fn sample_store() -> (Dictionary, Vec<Triple>) {
+        let mut dict = Dictionary::new();
+        for s in ["pear", "apple", "fig"] {
+            dict.encode_value(&Value::str(s)).unwrap();
+        }
+        dict.sort_strings();
+        dict.encode_blank("b0");
+        let p = dict.encode_iri("http://e/p");
+        let mut triples = Vec::new();
+        for i in 0..5i64 {
+            let s = dict.encode_iri(&format!("http://e/s{i}"));
+            triples.push(Triple::new(s, p, Oid::from_int(i).unwrap()));
+        }
+        let late = dict.encode_value(&Value::str("late")).unwrap();
+        triples.push(Triple::new(triples[0].s, p, late));
+        triples.push(Triple::new(triples[0].s, p, triples[1].s));
+        (dict, triples)
+    }
+
+    fn sample_header() -> SnapshotHeader {
+        SnapshotHeader {
             base_seq: 9,
             flags: LayoutFlags {
                 baseline: true,
@@ -474,37 +733,247 @@ mod tests {
                 min_support: 5,
                 ..SchemaConfig::default()
             },
-            triples: triples.clone(),
-        };
-        let path = Manifest::snap_path(&dir, 0);
-        snap.write_to(&path).unwrap();
-        let back = StoreSnapshot::read_from(&path).unwrap();
-        assert_eq!(back.base_seq, 9);
-        assert_eq!(back.flags, snap.flags);
-        assert_eq!(back.schema_cfg.min_support, 5);
-        assert_eq!(back.triples, triples);
+        }
+    }
+
+    fn decoded(snap: &StoreSnapshot) -> Vec<[Term; 3]> {
+        snap.triples
+            .iter()
+            .map(|t| [t.s, t.p, t.o].map(|o| snap.dict.decode(o).unwrap()))
+            .collect()
     }
 
     #[test]
-    fn corrupt_snapshot_is_rejected() {
-        let dir = temp_dir("snapbad");
+    fn snapshot_roundtrip_preserves_numbering() {
+        let dir = temp_dir("snap");
         let _c = Cleanup(dir.clone());
-        let snap = StoreSnapshot {
+        let (dict, triples) = sample_store();
+        let path = Manifest::snap_path(&dir, 0);
+        StoreSnapshot::write_to(&path, &sample_header(), &dict, triples.iter().copied()).unwrap();
+        let back = StoreSnapshot::read_from(&path).unwrap();
+        assert_eq!(back.header.base_seq, 9);
+        assert_eq!(back.header.flags, sample_header().flags);
+        assert_eq!(back.header.schema_cfg.min_support, 5);
+        // Verbatim OIDs that decode to the same terms, and lookups that
+        // find the same OIDs: the numbering survived.
+        assert_eq!(back.triples, triples);
+        for t in &triples {
+            for oid in [t.s, t.p, t.o] {
+                let term = dict.decode(oid).unwrap();
+                assert_eq!(back.dict.decode(oid).unwrap(), term);
+                assert_eq!(back.dict.term_oid(&term), Some(oid));
+            }
+        }
+        assert_eq!(back.dict.n_strings_frozen(), dict.n_strings_frozen());
+        assert_eq!(back.dict.n_blanks(), 1);
+    }
+
+    #[test]
+    fn frames_are_cut_at_entry_boundaries() {
+        // Enough triples and strings for several frames of each, plus one
+        // string larger than a frame.
+        let dir = temp_dir("frames");
+        let _c = Cleanup(dir.clone());
+        let dict = Dictionary::new();
+        let p = dict.encode_iri("http://e/p");
+        let s = dict.encode_iri("http://e/s");
+        let big = "x".repeat(FRAME_TARGET + 17);
+        let mut triples = vec![Triple::new(
+            s,
+            p,
+            dict.encode_value(&Value::str(&*big)).unwrap(),
+        )];
+        for i in 0..40_000 {
+            let o = dict.encode_value(&Value::str(format!("{i:060}"))).unwrap();
+            triples.push(Triple::new(s, p, o));
+        }
+        triples.extend((0..60_000).map(|i| Triple::new(s, p, Oid::from_int(i).unwrap())));
+        let path = Manifest::snap_path(&dir, 0);
+        StoreSnapshot::write_to(&path, &sample_header(), &dict, triples.iter().copied()).unwrap();
+        let len = fs::metadata(&path).unwrap().len() as usize;
+        assert!(len > 3 * FRAME_TARGET, "several frames ({len} bytes)");
+        let back = StoreSnapshot::read_from(&path).unwrap();
+        assert_eq!(back.triples, triples);
+        assert_eq!(back.dict.decode(triples[0].o).unwrap(), Term::str(big));
+    }
+
+    /// ROADMAP item 4, on-disk readers: no damaged snapshot may panic the
+    /// reader or come back as a different store.
+    #[test]
+    fn every_bit_flip_and_truncation_is_an_error() {
+        let dir = temp_dir("snapfuzz");
+        let _c = Cleanup(dir.clone());
+        let path = Manifest::snap_path(&dir, 0);
+        let (dict, triples) = sample_store();
+        StoreSnapshot::write_to(&path, &sample_header(), &dict, triples.iter().copied()).unwrap();
+        let good = fs::read(&path).unwrap();
+        let want = decoded(&StoreSnapshot::read_from(&path).unwrap());
+        let damaged = path.with_extension("damaged");
+        for len in 0..good.len() {
+            fs::write(&damaged, &good[..len]).unwrap();
+            assert!(
+                StoreSnapshot::read_from(&damaged).is_err(),
+                "truncation to {len} of {} bytes was accepted",
+                good.len()
+            );
+        }
+        for bit in 0..good.len() * 8 {
+            let mut bytes = good.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&damaged, &bytes).unwrap();
+            assert!(
+                StoreSnapshot::read_from(&damaged).is_err(),
+                "flip of bit {bit} was accepted"
+            );
+        }
+        let mut longer = good.clone();
+        longer.push(0);
+        fs::write(&damaged, &longer).unwrap();
+        assert!(StoreSnapshot::read_from(&damaged).is_err(), "trailing byte");
+        // The reference itself still reads back (the loop damaged copies).
+        assert_eq!(decoded(&StoreSnapshot::read_from(&path).unwrap()), want);
+    }
+
+    #[test]
+    fn empty_snapshot_roundtrips_and_rejects_damage() {
+        // What `init_durable` commits before the first write.
+        let dir = temp_dir("snapempty");
+        let _c = Cleanup(dir.clone());
+        let path = Manifest::snap_path(&dir, 0);
+        let header = SnapshotHeader {
             base_seq: 0,
             flags: LayoutFlags::default(),
             schema_cfg: SchemaConfig::default(),
-            triples: vec![TermTriple::new(
-                Term::iri("http://e/s"),
-                Term::iri("http://e/p"),
-                Term::int(1),
-            )],
         };
+        StoreSnapshot::write_to(&path, &header, &Dictionary::new(), std::iter::empty()).unwrap();
+        let back = StoreSnapshot::read_from(&path).unwrap();
+        assert!(back.triples.is_empty());
+        assert_eq!(back.dict.n_iris() + back.dict.n_strings(), 0);
+        let good = fs::read(&path).unwrap();
+        for len in 0..good.len() {
+            fs::write(&path, &good[..len]).unwrap();
+            assert!(StoreSnapshot::read_from(&path).is_err(), "truncation {len}");
+        }
+        for bit in 0..good.len() * 8 {
+            let mut bytes = good.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &bytes).unwrap();
+            assert!(StoreSnapshot::read_from(&path).is_err(), "bit {bit}");
+        }
+    }
+
+    /// Re-frame `payload` with a valid checksum, so only the structural
+    /// checks behind the CRC can reject it.
+    fn frame(section: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![section];
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let mut crc = Crc32::new();
+        crc.update(&out);
+        crc.update(payload);
+        out.extend_from_slice(&crc.finish().to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn well_checksummed_nonsense_is_rejected() {
+        let dir = temp_dir("snapcraft");
+        let _c = Cleanup(dir.clone());
         let path = Manifest::snap_path(&dir, 0);
-        snap.write_to(&path).unwrap();
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        assert!(StoreSnapshot::read_from(&path).is_err());
+        let (dict, triples) = sample_store();
+        StoreSnapshot::write_to(&path, &sample_header(), &dict, triples.iter().copied()).unwrap();
+        let good = fs::read(&path).unwrap();
+        let preamble = &good[..12];
+        // Split the reference into its frames.
+        let mut frames: Vec<(u8, Vec<u8>)> = Vec::new();
+        let mut pos = 12;
+        while pos < good.len() {
+            let len = u32::from_le_bytes(good[pos + 1..pos + 5].try_into().unwrap()) as usize;
+            frames.push((good[pos], good[pos + 9..pos + 9 + len].to_vec()));
+            pos += 9 + len;
+        }
+        let assemble = |frames: &[(u8, Vec<u8>)]| {
+            let mut out = preamble.to_vec();
+            for (section, payload) in frames {
+                out.extend(frame(*section, payload));
+            }
+            out
+        };
+        let rejects = |bytes: Vec<u8>, why: &str| {
+            fs::write(&path, bytes).unwrap();
+            let err = StoreSnapshot::read_from(&path).expect_err(why);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
+        };
+        assert_eq!(assemble(&frames), good, "the splitter is faithful");
+        let section = |sec: u8| frames.iter().position(|f| f.0 == sec).unwrap();
+
+        // A length that claims more than the file holds: refused before any
+        // allocation of that size (u32::MAX would be 4 GiB).
+        let mut huge = good.clone();
+        huge[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+        rejects(huge, "oversized frame length");
+
+        let mut f = frames.clone();
+        f.swap(section(SEC_IRIS), section(SEC_STRINGS));
+        rejects(assemble(&f), "sections out of order");
+
+        let mut f = frames.clone();
+        f.remove(section(SEC_HEADER));
+        rejects(assemble(&f), "no header frame");
+
+        let mut f = frames.clone();
+        f.insert(1, frames[0].clone());
+        rejects(assemble(&f), "two header frames");
+
+        let mut f = frames.clone();
+        f.remove(section(SEC_BLANKS));
+        rejects(assemble(&f), "a pool short of the end frame's count");
+
+        let mut f = frames.clone();
+        let t = section(SEC_TRIPLES);
+        f[t].1.truncate(TRIPLE_BYTES + 1);
+        rejects(assemble(&f), "ragged triple frame");
+
+        // An object OID past the string pool, then one with an unassigned tag.
+        for raw in [Oid::string(99).raw(), 0xB000_0000_0000_0001u64] {
+            let mut f = frames.clone();
+            f[t].1[16..24].copy_from_slice(&raw.to_le_bytes());
+            rejects(assemble(&f), "dangling object OID");
+        }
+        // A literal in subject position.
+        let mut f = frames.clone();
+        f[t].1[..8].copy_from_slice(&Oid::from_int(1).unwrap().raw().to_le_bytes());
+        rejects(assemble(&f), "non-IRI subject");
+
+        // A duplicated IRI (two indexes for one term).
+        let mut f = frames.clone();
+        let i = section(SEC_IRIS);
+        let dup = f[i].1.clone();
+        f[i].1.extend(dup);
+        rejects(assemble(&f), "duplicate dictionary entry");
+
+        // The sorted run claimed longer than it is sorted.
+        let mut f = frames.clone();
+        let h = section(SEC_HEADER);
+        let at = f[h].1.len() - 8;
+        f[h].1[at..].copy_from_slice(&4u64.to_le_bytes());
+        rejects(assemble(&f), "unsorted frozen string run");
+    }
+
+    #[test]
+    fn v1_snapshot_is_an_unsupported_version() {
+        let dir = temp_dir("snapv1");
+        let _c = Cleanup(dir.clone());
+        let path = Manifest::snap_path(&dir, 0);
+        // The v1 layout: magic, version 1, body length, body CRC, body.
+        let body = [0u8; 90];
+        let mut bytes = SNAP_MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        fs::write(&path, bytes).unwrap();
+        let err = StoreSnapshot::read_from(&path).unwrap_err();
+        assert!(err.to_string().contains("unsupported version"), "{err}");
     }
 }

@@ -11,9 +11,16 @@
 //! occupy one dense OID range (sub-ordered by an optional per-class sort-key
 //! property), sorts the string-literal pool lexicographically, rewrites all
 //! triples, and updates the schema's subject assignment in place.
+//!
+//! Since every IRI and string is renumbered here anyway, this is also where
+//! the dictionary sheds entries no triple references any more (terms of
+//! deleted triples): they get no new number. Checkpoints dump the
+//! dictionary as it is and recovery reloads it entry for entry, so without
+//! this a long-lived store would carry — in memory and on disk — every term
+//! it ever saw.
 
 use crate::triple_set::TripleSet;
-use sordf_model::{FxHashMap, Oid, TypeTag};
+use sordf_model::{Dictionary, FxHashMap, Oid, TypeTag};
 use sordf_schema::{ClassId, EmergentSchema};
 
 /// Physical clustering choices. Sort keys are identified by **column
@@ -83,7 +90,8 @@ impl ClusterSpec {
 pub struct ReorgReport {
     /// Subjects placed into dense class ranges.
     pub n_subjects_clustered: u64,
-    /// Total IRIs in the dictionary (subjects + predicates + other objects).
+    /// IRIs in the renumbered dictionary (subjects + predicates + other
+    /// objects; unreferenced entries are gone).
     pub n_iris: u64,
     /// String literals re-numbered into lexicographic order.
     pub n_strings_sorted: u64,
@@ -96,13 +104,25 @@ pub struct ReorgReport {
 /// Afterwards: class `c`'s subjects are exactly the IRI OIDs
 /// `[report.class_bases[c], report.class_bases[c] + n_subjects(c))`;
 /// string-literal OID order equals lexicographic order; `ts.triples` are
-/// rewritten (parse order preserved); `schema.assignment` keys are remapped.
+/// rewritten (their order preserved); `schema.assignment` keys are
+/// remapped; IRIs and strings no triple references have left the dictionary.
 pub fn reorganize(
     ts: &mut TripleSet,
     schema: &mut EmergentSchema,
     spec: &ClusterSpec,
 ) -> ReorgReport {
-    let n_iris = ts.dict.n_iris() as u64;
+    // Which pool entries some triple still references.
+    let mut live_iri = vec![false; ts.dict.n_iris()];
+    let mut live_str = vec![false; ts.dict.n_strings()];
+    for t in &ts.triples {
+        for o in [t.s, t.p, t.o].into_iter().filter(|o| !o.is_null()) {
+            match o.tag() {
+                TypeTag::Iri => live_iri[o.payload() as usize] = true,
+                TypeTag::Str => live_str[o.payload() as usize] = true,
+                _ => {}
+            }
+        }
+    }
 
     // 1. Collect sort-key values (smallest matching-type object per subject).
     let mut key_of: FxHashMap<Oid, u64> = FxHashMap::default();
@@ -146,8 +166,9 @@ pub fn reorganize(
         list.sort_unstable();
     }
 
-    // 3. Dense new numbering: class ranges first, all other IRIs after.
-    let mut new_of_old = vec![u64::MAX; n_iris as usize];
+    // 3. Dense new numbering: class ranges first, every other referenced
+    //    IRI after; the unreferenced stay `DROPPED`.
+    let mut new_of_old = vec![Dictionary::DROPPED; live_iri.len()];
     let mut next = 0u64;
     let mut class_bases = Vec::with_capacity(n_classes);
     let mut n_subjects_clustered = 0u64;
@@ -159,16 +180,17 @@ pub fn reorganize(
             n_subjects_clustered += 1;
         }
     }
-    for slot in new_of_old.iter_mut() {
-        if *slot == u64::MAX {
+    for (slot, &live) in new_of_old.iter_mut().zip(&live_iri) {
+        if live && *slot == Dictionary::DROPPED {
             *slot = next;
             next += 1;
         }
     }
+    let n_iris = next;
 
     // 4. Permute the dictionary pools.
     ts.dict.apply_iri_permutation(&new_of_old);
-    let str_map = ts.dict.sort_strings();
+    let str_map = ts.dict.sort_live_strings(&live_str);
 
     // 5. Rewrite every triple.
     let remap = |o: Oid| -> Oid {
@@ -195,7 +217,12 @@ pub fn reorganize(
         .into_iter()
         .map(|(s, c)| (remap(s), c))
         .collect();
-    schema.type_pred = schema.type_pred.map(remap);
+    // `rdf:type` is looked up in the dictionary, not in the data: it may be
+    // an entry no triple uses any more.
+    schema.type_pred = schema
+        .type_pred
+        .filter(|p| live_iri[p.payload() as usize])
+        .map(remap);
     for class in schema.classes.iter_mut() {
         for col in class.columns.iter_mut() {
             col.pred = remap(col.pred);
@@ -217,7 +244,7 @@ pub fn reorganize(
     ReorgReport {
         n_subjects_clustered,
         n_iris,
-        n_strings_sorted: str_map.len() as u64,
+        n_strings_sorted: ts.dict.n_strings() as u64,
         class_bases,
     }
 }
@@ -311,6 +338,30 @@ mod tests {
         reorganize(&mut ts, &mut schema, &ClusterSpec::none());
         let after = decode_all(&ts);
         assert_eq!(before, after, "reorganization must be a bijective renaming");
+    }
+
+    #[test]
+    fn unreferenced_terms_leave_the_dictionary() {
+        let mut ts = make_ts();
+        // Terms of triples that are gone: interned, referenced by nothing.
+        ts.dict.encode_iri("http://e/retired-subject");
+        ts.dict
+            .encode_value(&sordf_model::Value::str("retired label"))
+            .unwrap();
+        let (n_iris, n_strings) = (ts.dict.n_iris(), ts.dict.n_strings());
+        let mut schema = discover(&ts);
+        let report = reorganize(&mut ts, &mut schema, &ClusterSpec::none());
+        assert_eq!(ts.dict.n_iris(), n_iris - 1);
+        assert_eq!(ts.dict.n_strings(), n_strings - 1);
+        assert_eq!(report.n_iris, ts.dict.n_iris() as u64);
+        assert_eq!(ts.dict.iri_oid("http://e/retired-subject"), None);
+        assert_eq!(ts.dict.string_oid("retired label"), None);
+        // Everything still referenced decodes.
+        for t in &ts.triples {
+            for o in [t.s, t.p, t.o] {
+                ts.dict.decode(o).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -61,33 +61,94 @@ const HEADER_LEN: u64 = 16;
 /// Sanity bound on one frame's payload (a batch of N-Triples text).
 const MAX_FRAME_LEN: u32 = 1 << 30;
 
-/// IEEE 802.3 CRC-32, table-driven; the table is built at compile time so
-/// the crate stays dependency-free.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables for the IEEE 802.3 CRC-32, built at compile
+/// time so the crate stays dependency-free. `CRC_TABLES[0]` is the classic
+/// one-byte table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, which lets [`Crc32::update`] fold eight input bytes per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
             i += 1;
         }
-        table
-    };
-    let mut c = !0u32;
-    for &b in data {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        t += 1;
     }
-    !c
+    tables
+};
+
+/// A streaming IEEE 802.3 CRC-32 (same polynomial as gzip): feed the input
+/// in any number of pieces, the result equals [`crc32`] of their
+/// concatenation. The snapshot writer rolls one over each frame as it
+/// streams it out.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32::new()
+    }
+}
+
+impl Crc32 {
+    pub fn new() -> Crc32 {
+        Crc32 { state: !0 }
+    }
+
+    /// Fold `data` into the checksum, eight bytes per table step.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut c = self.state;
+        let mut chunks = data.chunks_exact(8);
+        for ch in &mut chunks {
+            let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
+            let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
+}
+
+/// IEEE 802.3 CRC-32 of `data` in one call.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = Crc32::new();
+    c.update(data);
+    c.finish()
 }
 
 /// When WAL appends reach stable storage. See the [module docs](self).
@@ -122,7 +183,7 @@ pub enum WalFormat {
 //   4 Int / 5 Decimal / 6 Date / 7 DateTime: zigzag varint
 //   8 Bool:                        one byte
 
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8 & 0x7f) | 0x80);
         v >>= 7;
@@ -131,7 +192,7 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Bounds- and width-checked varint read; `None` on truncation or overflow.
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -334,12 +395,22 @@ pub enum WalRecord {
     Load(Vec<TermTriple>),
 }
 
+/// What a logged batch does on replay — the low bits of a frame's kind
+/// byte. The live write paths log a borrowed batch under its kind
+/// ([`WalWriter::append_batch`]); recovery hands back owned [`WalRecord`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalKind {
+    Insert = 0,
+    Delete = 1,
+    Load = 2,
+}
+
 impl WalRecord {
-    fn kind(&self) -> u8 {
+    fn kind(&self) -> WalKind {
         match self {
-            WalRecord::Insert(_) => 0,
-            WalRecord::Delete(_) => 1,
-            WalRecord::Load(_) => 2,
+            WalRecord::Insert(_) => WalKind::Insert,
+            WalRecord::Delete(_) => WalKind::Delete,
+            WalRecord::Load(_) => WalKind::Load,
         }
     }
 
@@ -545,26 +616,40 @@ impl WalWriter {
     /// [`WalWriter::sync`] (or let [`WalWriter::maybe_sync`] decide) to
     /// make it crash-durable.
     pub fn append(&mut self, seq: u64, record: &WalRecord) -> io::Result<u64> {
-        let mut payload = Vec::with_capacity(64 * record.triples().len() + 9);
-        payload.extend_from_slice(&seq.to_le_bytes());
+        self.append_batch(seq, record.kind(), record.triples())
+    }
+
+    /// [`WalWriter::append`] of a borrowed batch: the write paths log the
+    /// caller's slice as it is, without first cloning it into a record.
+    pub fn append_batch(
+        &mut self,
+        seq: u64,
+        kind: WalKind,
+        triples: &[TermTriple],
+    ) -> io::Result<u64> {
+        // The frame is assembled in place — header placeholder, payload,
+        // then the length and checksum patched in — so the batch is
+        // serialized exactly once.
+        let mut frame = Vec::with_capacity(64 * triples.len() + 17);
+        frame.extend_from_slice(&[0u8; 8]);
+        frame.extend_from_slice(&seq.to_le_bytes());
         match self.format {
             WalFormat::Text => {
-                payload.push(record.kind());
-                ntriples::write_document(&mut payload, record.triples())?;
+                frame.push(kind as u8);
+                ntriples::write_document(&mut frame, triples)?;
             }
             WalFormat::Binary => {
-                payload.push(record.kind() | BINARY_KIND);
-                encode_binary(&mut payload, record.triples());
+                frame.push(kind as u8 | BINARY_KIND);
+                encode_binary(&mut frame, triples);
             }
         }
-        let len = u32::try_from(payload.len())
+        let len = u32::try_from(frame.len() - 8)
             .ok()
             .filter(|&l| l <= MAX_FRAME_LEN)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "WAL batch too large"))?;
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let crc = crc32(&frame[8..]);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
         crash_point!("wal.pre_append");
         self.file.write_all(&frame)?;
         crash_point!("wal.post_append");
@@ -651,6 +736,42 @@ mod tests {
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The one-byte-per-step table loop the slicing-by-8 kernel replaced.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_loop() {
+        // One pseudo-random buffer; every length 0..=4096 at every start
+        // alignment within a word, in one call and fed in two pieces.
+        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
+        let buf: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (lcg >> 56) as u8
+            })
+            .collect();
+        for align in 0..8 {
+            for len in 0..=4096 {
+                let data = &buf[align..align + len];
+                let want = crc32_bytewise(data);
+                assert_eq!(crc32(data), want, "len {len} align {align}");
+                let mut rolling = Crc32::new();
+                let (a, b) = data.split_at(len / 3);
+                rolling.update(a);
+                rolling.update(b);
+                assert_eq!(rolling.finish(), want, "split len {len} align {align}");
+            }
+        }
     }
 
     #[test]

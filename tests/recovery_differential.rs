@@ -19,6 +19,15 @@
 //! * the triple count is exactly what that prefix implies (nothing torn,
 //!   nothing duplicated — replaying a `Load`/`Insert` record twice would
 //!   show up here).
+//!
+//! Every reopen here loads an OID-level snapshot (dictionary pools + raw
+//! triples) and rebuilds the layouts over it; the deterministic matrix
+//! aborts the writer not only at the first hit of each label (which, for
+//! the snapshot labels, is the *empty* snapshot of a fresh directory) but
+//! also at later hits — inside the first checkpoint that carries data,
+//! inside a rebuild's staged `snap.tmp`, inside a checkpoint taken with
+//! writes pending — so a kill between a snapshot's fsync and the manifest
+//! rename that would adopt it is covered for each kind of snapshot.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -109,6 +118,7 @@ fn verify_prefix(db: &Database, min_batches: i64) -> usize {
         base_data().len() + k * (1 + FILLERS),
         "triple count disagrees with a clean prefix of {k} batches"
     );
+    db.validate_invariants();
     k
 }
 
@@ -156,9 +166,10 @@ enum Event {
     Eof,
 }
 
+/// `crash_point` is `(label, n)`: abort at the `n`-th hit of `label`.
 fn spawn_child(
     dir: &Path,
-    crash_point: Option<&str>,
+    crash_point: Option<(&str, u32)>,
     format: Option<&str>,
 ) -> (Child, mpsc::Receiver<Event>) {
     let exe = std::env::current_exe().expect("current_exe");
@@ -174,9 +185,9 @@ fn spawn_child(
         None => cmd.env_remove(FORMAT_ENV),
     };
     match crash_point {
-        Some(label) => cmd
+        Some((label, hit)) => cmd
             .env("SORDF_CRASH_POINT", label)
-            .env("SORDF_CRASH_HITS", "1"),
+            .env("SORDF_CRASH_HITS", hit.to_string()),
         None => cmd
             .env_remove("SORDF_CRASH_POINT")
             .env_remove("SORDF_CRASH_HITS"),
@@ -298,20 +309,47 @@ fn crash_loop(tag: &str, format: Option<&str>) {
     );
 }
 
+/// Later hits of the snapshot-path labels. In the child's script the first
+/// `snap.*` / `manifest.*` hit is `init_durable` committing the empty
+/// snapshot; the second is the checkpoint `self_organize` commits (the
+/// first snapshot holding a dictionary and triples); the third is the
+/// staged `snap.tmp` of the first `reorganize_now` (adopted by the swap's
+/// manifest rename); the fourth an explicit checkpoint with inserts
+/// pending. `checkpoint.*` and `swap.*` count from their first data-bearing
+/// commit, so their second hit is a later round of the same protocol.
+#[cfg(feature = "crash_points")]
+const LATER_HITS: &[(&str, u32)] = &[
+    ("snap.pre_sync", 2),
+    ("snap.pre_sync", 3),
+    ("snap.pre_sync", 4),
+    ("snap.post_sync", 2),
+    ("snap.post_sync", 3),
+    ("snap.post_sync", 4),
+    ("manifest.pre_rename", 2),
+    ("manifest.pre_rename", 3),
+    ("checkpoint.pre_manifest", 2),
+    ("swap.pre_manifest", 2),
+];
+
 /// Deterministic fault coverage: abort the writer at every labeled crash
 /// point (WAL append/sync, snapshot sync, manifest rename, checkpoint and
-/// swap commit), then recover and verify, then let it run to completion.
-/// Needs the `crash_points` feature, which compiles the labels in.
+/// swap commit) — first hit of each, plus [`LATER_HITS`] — then recover and
+/// verify, then let it run to completion. Needs the `crash_points` feature,
+/// which compiles the labels in.
 #[cfg(feature = "crash_points")]
 #[test]
 fn every_crash_point_recovers() {
-    for (i, &label) in sordf::CRASH_POINTS.iter().enumerate() {
-        // Alternate WAL formats across the labels: both encodings meet
+    let cases = sordf::CRASH_POINTS
+        .iter()
+        .map(|&label| (label, 1))
+        .chain(LATER_HITS.iter().copied());
+    for (i, (label, hit)) in cases.enumerate() {
+        // Alternate WAL formats across the cases: both encodings meet
         // every fault boundary without doubling the run.
         let format = if i % 2 == 0 { None } else { Some("binary") };
-        let dir = temp_dir(&label.replace('.', "-"));
+        let dir = temp_dir(&format!("{}-{hit}", label.replace('.', "-")));
         let _c = Cleanup(dir.clone());
-        let (mut child, rx) = spawn_child(&dir, Some(label), format);
+        let (mut child, rx) = spawn_child(&dir, Some((label, hit)), format);
         let status = child.wait().expect("reap child");
         let mut max_ack: i64 = -1;
         while let Ok(ev) = rx.recv_timeout(Duration::from_secs(60)) {
@@ -322,25 +360,71 @@ fn every_crash_point_recovers() {
         }
         assert!(
             !status.success(),
-            "crash point {label} was never hit (writer exited cleanly)"
+            "hit {hit} of crash point {label} never came (writer exited cleanly)"
         );
         {
             let db = Database::open(&dir)
-                .unwrap_or_else(|e| panic!("recovery after abort at {label}: {e}"));
+                .unwrap_or_else(|e| panic!("recovery after abort at {label} hit {hit}: {e}"));
             verify_prefix(&db, max_ack);
         }
         // A clean rerun must finish the job from wherever the abort left it.
         let (mut child, rx) = spawn_child(&dir, None, format);
         let status = child.wait().expect("reap clean child");
-        assert!(status.success(), "clean rerun after {label} failed");
+        assert!(
+            status.success(),
+            "clean rerun after {label} hit {hit} failed"
+        );
         drop(rx);
         let db = Database::open(&dir).expect("final open");
         let k = verify_prefix(&db, max_ack);
         assert_eq!(
             k, N_BATCHES,
-            "clean rerun after {label} left batches missing"
+            "clean rerun after {label} hit {hit} left batches missing"
         );
     }
+}
+
+/// A checkpoint dumps the dictionary entry for entry and recovery reloads
+/// it the same way: on a store whose layouts keep load-order OIDs (nothing
+/// re-clusters on reopen) every term has the OID it had before the stop —
+/// including terms interned by batches that were deleted again, which a
+/// term-level snapshot would have forgotten and renumbered around.
+#[test]
+fn reopen_preserves_oid_numbering() {
+    let dir = temp_dir("numbering");
+    let _c = Cleanup(dir.clone());
+    let mut terms: Vec<Term> = Vec::new();
+    let before: Vec<_> = {
+        let db = Database::create_durable(&dir, SyncPolicy::Always).unwrap();
+        db.load_terms(&base_data()).unwrap();
+        db.build_baseline().unwrap();
+        for i in 0..4 {
+            db.insert_terms(&batch(i)).unwrap();
+        }
+        db.delete_triples(&batch(1)).unwrap();
+        db.checkpoint().unwrap();
+        db.insert_terms(&batch(4)).unwrap();
+        for t in base_data()
+            .iter()
+            .step_by(7)
+            .chain(&batch(1))
+            .chain(&batch(3))
+        {
+            terms.extend([t.s.clone(), t.p.clone(), t.o.clone()]);
+        }
+        let dict = db.dict();
+        terms.iter().map(|t| dict.term_oid(t)).collect()
+    };
+    assert!(before.iter().all(Option::is_some));
+    let db = Database::open(&dir).unwrap();
+    let dict = db.dict();
+    let after: Vec<_> = terms.iter().map(|t| dict.term_oid(t)).collect();
+    assert_eq!(after, before, "OIDs moved across the reopen");
+    assert_eq!(
+        db.n_triples(),
+        base_data().len() + 4 * (1 + FILLERS),
+        "batches 0, 2, 3 and 4 are live"
+    );
 }
 
 /// Generation GC: sustained write → reorganize cycles must not grow the
