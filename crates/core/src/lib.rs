@@ -331,8 +331,10 @@ struct WriteState {
     /// Delta-new subjects (not in the base assignment): the union of their
     /// inserted property sets, sorted + deduplicated.
     pending_props: FxHashMap<Oid, Vec<Oid>>,
-    /// Subjects the assigner routed to an existing class.
-    pending_class: FxHashMap<Oid, ClassId>,
+    /// Subjects the assigner routed to an existing class. Shared with the
+    /// SQL requests that pinned it: a reader clones the pointer, a writer
+    /// copies the table only while a reader still holds the old one.
+    pending_class: Arc<FxHashMap<Oid, ClassId>>,
     /// Pending delta triples per class (base-assigned or routed subjects).
     per_class_fill: Vec<u64>,
 }
@@ -536,13 +538,14 @@ impl DbInner {
         }
     }
 
-    /// [`pin`](Self::pin), plus a clone of the incremental assigner's
+    /// [`pin`](Self::pin), plus a share of the incremental assigner's
     /// routing table (delta-new subject → class). The SQL compiler uses it
     /// to widen each table's segment restriction so pending inserts stay
     /// visible; both are captured under one state-lock acquisition so the
-    /// routing is consistent with the pinned delta view.
+    /// routing is consistent with the pinned delta view, and the lock is
+    /// held for pointer clones only, however many subjects are routed.
     // lock-order: acquires(db_state, dict)
-    fn pin_with_routing(&self, snap: Option<Snapshot>) -> (Pin, FxHashMap<Oid, ClassId>) {
+    fn pin_with_routing(&self, snap: Option<Snapshot>) -> (Pin, Arc<FxHashMap<Oid, ClassId>>) {
         let (gen, delta, epoch, routed) = {
             let st = self.state.lock();
             let delta = match snap {
@@ -559,7 +562,7 @@ impl DbInner {
             let routed = st
                 .write
                 .as_ref()
-                .map(|w| w.pending_class.clone())
+                .map(|w| Arc::clone(&w.pending_class))
                 .unwrap_or_default();
             (Arc::clone(&st.gen), delta, st.epoch, routed)
         };
@@ -894,15 +897,14 @@ impl Database {
         match st.delta.current_view() {
             None => st.gen.triples.len(),
             Some(view) => {
-                let deleted_base = if view.n_tombstones() == 0 {
-                    0
-                } else {
-                    st.gen
-                        .triples
-                        .iter()
-                        .filter(|t| view.is_deleted(**t))
-                        .count()
-                };
+                // O(tombstones · log base): each tombstone hides its
+                // equal-range of the SPO-sorted base (none, for a tombstone
+                // that only ever killed delta inserts).
+                let deleted_base: usize = view
+                    .tombstones()
+                    .iter()
+                    .map(|&t| st.gen.base_occurrences(t))
+                    .sum();
                 st.gen.triples.len() - deleted_base + view.n_inserts()
             }
         }
@@ -997,7 +999,11 @@ impl Database {
     }
 
     /// Delete every visible triple matching the pattern (`None` = wildcard).
-    /// Returns the number of distinct triples deleted.
+    /// Returns the number of distinct triples deleted. With a bound subject
+    /// on a built generation the candidates are that subject's range of the
+    /// sorted base and of the pending inserts; a pattern with an unbound
+    /// subject (or one issued while still staging, where the base is in load
+    /// order) passes over the whole base and delta.
     // lock-order: acquires(db_state, dict)
     pub fn delete_matching(
         &self,
@@ -1029,17 +1035,19 @@ impl Database {
         };
         let mut targets: Vec<Triple> = {
             let view = st.delta.current_view();
-            let mut v: Vec<Triple> = st
-                .gen
-                .triples
-                .iter()
-                .filter(|t| matches(t) && view.map_or(true, |d| !d.is_deleted(**t)))
+            let by_subject = s.filter(|_| st.gen.any_built());
+            let base = by_subject.map_or(&st.gen.triples[..], |s| st.gen.base_of_subject(s));
+            let pending = match (view, by_subject) {
+                (None, _) => Vec::new(),
+                (Some(d), Some(s)) => d.inserts_of_subject(s),
+                (Some(d), None) => d.inserts().to_vec(),
+            };
+            base.iter()
+                .filter(|t| view.map_or(true, |d| !d.is_deleted(**t)))
+                .chain(&pending)
+                .filter(|t| matches(t))
                 .copied()
-                .collect();
-            if let Some(d) = view {
-                v.extend(d.inserts().iter().filter(|t| matches(t)));
-            }
-            v
+                .collect()
         };
         targets.sort_unstable();
         targets.dedup();
@@ -1564,13 +1572,9 @@ fn checkpoint_locked(st: &mut State) -> Result<(), Error> {
         flags,
         schema_cfg: st.schema_cfg.clone(),
     };
-    let view = st.delta.current_view();
     let visible = st
         .gen
-        .triples
-        .iter()
-        .copied()
-        .filter(|&t| !view.is_some_and(|v| v.is_deleted(t)))
+        .visible_base(st.delta.current_view())
         .chain(st.delta.visible_inserts());
     StoreSnapshot::write_to(
         &Manifest::snap_path(&d.dir, snap_n),
@@ -1616,14 +1620,13 @@ fn collapse_delta_into_base(st: &mut State) -> bool {
         return false;
     }
     let st = &mut *st;
-    let gen = Arc::make_mut(&mut st.gen);
-    let triples = Arc::make_mut(&mut gen.triples);
-    if let Some(view) = st.delta.current_view() {
-        if view.n_tombstones() > 0 {
-            triples.retain(|t| !view.is_deleted(*t));
-        }
+    let view = st.delta.current_view();
+    if view.is_some_and(|v| v.n_tombstones() > 0) {
+        let kept: Vec<Triple> = st.gen.visible_base(view).collect();
+        Arc::make_mut(&mut st.gen).triples = Arc::new(kept);
     }
-    triples.extend(st.delta.visible_inserts());
+    let gen = Arc::make_mut(&mut st.gen);
+    Arc::make_mut(&mut gen.triples).extend(st.delta.visible_inserts());
     st.delta = DeltaStore::new();
     st.write = None;
     st.epoch += 1; // base content changed: any pinned rebuild is stale
@@ -1711,7 +1714,37 @@ fn delete_encoded_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, 
     }
     let n = visible.len();
     let _ = st.delta.delete(&visible);
+    unroute_retired(&mut st.write, st.delta.current_view(), &visible);
     Ok(n)
+}
+
+/// Un-route the delta-new subjects of a delete batch whose last pending
+/// triple just went: with nothing of theirs left in the delta they are no
+/// longer drift ([`DriftStats`] counts the routing tables) and no longer
+/// belong in the table the SQL view widens its segment restrictions with.
+/// A subject that keeps some pending triple keeps its route.
+fn unroute_retired(write: &mut Option<WriteState>, view: Option<&DeltaView>, deleted: &[Triple]) {
+    let Some(w) = write else { return };
+    let mut prev = None;
+    for t in deleted {
+        // Batches arrive grouped by subject: one look per group.
+        if prev.replace(t.s) == Some(t.s) {
+            continue;
+        }
+        let Some(props) = w.pending_props.get(&t.s) else {
+            continue; // base-assigned subject: never routed
+        };
+        let s = t.s.raw();
+        if !props
+            .iter()
+            .any(|&p| view.is_some_and(|v| v.has_inserts_in(p, s, s)))
+        {
+            w.pending_props.remove(&t.s);
+            if w.pending_class.contains_key(&t.s) {
+                Arc::make_mut(&mut w.pending_class).remove(&t.s);
+            }
+        }
+    }
 }
 
 /// Staging mode (nothing built, base in load order): remove the targets
@@ -1744,7 +1777,7 @@ fn route_inserts(
     let w = write.get_or_insert_with(|| WriteState {
         assigner: IncrementalAssigner::new(schema),
         pending_props: FxHashMap::default(),
-        pending_class: FxHashMap::default(),
+        pending_class: Arc::default(),
         per_class_fill: vec![0; schema.classes.len()],
     });
     let mut by_subject: FxHashMap<Oid, (Vec<Oid>, u64)> = FxHashMap::default();
@@ -1776,11 +1809,15 @@ fn route_inserts(
         };
         match w.assigner.route(&merged, cfg) {
             Some(cid) => {
-                w.pending_class.insert(s, cid);
+                if w.pending_class.get(&s) != Some(&cid) {
+                    Arc::make_mut(&mut w.pending_class).insert(s, cid);
+                }
                 w.per_class_fill[cid.0 as usize] += n;
             }
             None => {
-                w.pending_class.remove(&s);
+                if w.pending_class.contains_key(&s) {
+                    Arc::make_mut(&mut w.pending_class).remove(&s);
+                }
             }
         }
     }
@@ -2178,7 +2215,9 @@ fn finish_rebuild(inner: &DbInner, pin: RebuildPin, built: BuiltGeneration) -> R
                     if durable_live {
                         catch_up_records.push(WalRecord::Delete(terms));
                     }
-                    new_delta.delete(&enc)
+                    let applied = new_delta.delete(&enc);
+                    unroute_retired(&mut new_write, new_delta.current_view(), &enc);
+                    applied
                 }
             };
             debug_assert_eq!(
@@ -2731,6 +2770,123 @@ mod tests {
         assert_eq!(
             drift.unmatched_subjects, 1,
             "new2's property set fits no class"
+        );
+    }
+
+    /// Deletes un-route: a delta-new subject leaves the routing tables (and
+    /// the drift counts, and the SQL view's widened restriction) when its
+    /// last pending triple is retired, and stays while any remains.
+    #[test]
+    fn retiring_a_subjects_last_pending_triple_unroutes_it() {
+        let db = sample_db();
+        db.self_organize().unwrap();
+        let new1 = [
+            TermTriple::new(
+                Term::iri("http://ex/new1"),
+                Term::iri("http://ex/qty"),
+                Term::int(3),
+            ),
+            TermTriple::new(
+                Term::iri("http://ex/new1"),
+                Term::iri("http://ex/sold"),
+                Term::date("1996-02-01"),
+            ),
+        ];
+        let new2 = [TermTriple::new(
+            Term::iri("http://ex/new2"),
+            Term::iri("http://ex/color"),
+            Term::iri("http://ex/red"),
+        )];
+        db.insert_terms(&new1).unwrap();
+        db.insert_terms(&new2).unwrap();
+        let routed = |db: &Database| {
+            let d = db.drift_stats();
+            (d.matched_subjects, d.unmatched_subjects)
+        };
+        assert_eq!(routed(&db), (1, 1));
+        let table = db.schema().unwrap().classes[0].name.clone();
+        let sql = format!("SELECT qty FROM {table} WHERE qty = 3");
+        let count = |db: &Database| db.sql(&sql).unwrap().len();
+        let with_new1 = count(&db);
+        assert_eq!(with_new1, 6, "five base rows + the routed new1");
+
+        // One of new1's two triples goes: still pending, still routed.
+        assert_eq!(db.delete_triples(&new1[..1]).unwrap(), 1);
+        assert_eq!(routed(&db), (1, 1));
+        // The last one goes: un-routed. new2 is untouched.
+        assert_eq!(db.delete_triples(&new1[1..]).unwrap(), 1);
+        assert_eq!(routed(&db), (0, 1));
+        assert_eq!(count(&db), 5, "the SQL view no longer admits new1");
+        // A pattern delete with a bound subject retires new2 the same way.
+        assert_eq!(
+            db.delete_matching(Some(&Term::iri("http://ex/new2")), None, None)
+                .unwrap(),
+            1
+        );
+        assert_eq!(routed(&db), (0, 0));
+        // Re-inserting routes again.
+        db.insert_terms(&new1).unwrap();
+        assert_eq!(routed(&db), (1, 0));
+        assert_eq!(count(&db), with_new1);
+    }
+
+    /// `n_triples` counts what tombstones hide by equal-range lookups in the
+    /// sorted base — duplicates included, delta-only tombstones excluded —
+    /// and a bound-subject `delete_matching` finds base and delta triples
+    /// without a pass over either.
+    #[test]
+    fn n_triples_and_bound_subject_deletes_use_the_sorted_base() {
+        let db = Database::in_temp_dir().unwrap();
+        let mut triples = sample_triples();
+        let dup = triples[0].clone();
+        triples.push(dup.clone()); // bulk loads keep duplicates
+        db.load_terms(&triples).unwrap();
+        db.self_organize().unwrap();
+        let n0 = db.n_triples();
+        assert_eq!(n0, triples.len());
+
+        // Tombstoning a duplicated base triple hides both occurrences.
+        assert_eq!(db.delete_triples(std::slice::from_ref(&dup)).unwrap(), 1);
+        assert_eq!(db.n_triples(), n0 - 2);
+        // A tombstone that only ever killed a delta insert hides no base row.
+        let fresh = TermTriple::new(
+            Term::iri("http://ex/fresh"),
+            Term::iri("http://ex/qty"),
+            Term::int(1),
+        );
+        db.insert_terms(std::slice::from_ref(&fresh)).unwrap();
+        assert_eq!(db.n_triples(), n0 - 1);
+        assert_eq!(db.delete_triples(std::slice::from_ref(&fresh)).unwrap(), 1);
+        assert_eq!(db.n_triples(), n0 - 2);
+
+        // Bound subject: every visible triple of item3 (base) plus one
+        // pending insert on it; other subjects untouched.
+        let item3 = Term::iri("http://ex/item3");
+        let base_of_item3 = triples.iter().filter(|t| t.s == item3).count();
+        assert!(base_of_item3 > 0 && dup.s != item3);
+        db.insert_terms(&[TermTriple::new(
+            item3.clone(),
+            Term::iri("http://ex/note"),
+            Term::str("pending"),
+        )])
+        .unwrap();
+        let before = db.n_triples();
+        assert_eq!(
+            db.delete_matching(Some(&item3), None, None).unwrap(),
+            base_of_item3 + 1
+        );
+        assert_eq!(db.n_triples(), before - base_of_item3 - 1);
+        // Subject and predicate bound, nothing left to match.
+        assert_eq!(
+            db.delete_matching(Some(&item3), Some(&Term::iri("http://ex/qty")), None)
+                .unwrap(),
+            0
+        );
+        assert_eq!(
+            db.query("SELECT ?p ?o WHERE { <http://ex/item3> ?p ?o }")
+                .map(|r| r.len())
+                .unwrap_or(0),
+            0
         );
     }
 

@@ -523,9 +523,10 @@ fn scan_class_star_rw(
                     continue;
                 }
                 let restrict = prop_restrict(cx, &star.props[pi], filters);
-                // Pending delta inserts for the predicate forbid narrowing
+                // Inserts pending on this segment's subjects forbid narrowing
                 // on base values (see `star::delta_blocks_pruning`).
-                if restrict.is_none() || crate::star::delta_blocks_pruning(cx, star.props[pi].pred)
+                if restrict.is_none()
+                    || crate::star::delta_blocks_pruning(cx, star.props[pi].pred, seg)
                 {
                     continue;
                 }
@@ -595,7 +596,7 @@ fn scan_class_star_rw(
                         .collect();
                     // Tombstoned column values behave exactly like NULLs.
                     if let Some(d) = cx.delta() {
-                        if d.has_tombstones_for(prop.pred) {
+                        if !d.tombstones_for(prop.pred, None).is_empty() {
                             for (ri, &row) in rows.iter().enumerate() {
                                 let v = vals[ri];
                                 if v != sordf_columnar::column::NULL_SENTINEL
@@ -689,6 +690,7 @@ fn scan_class_star_rw(
     }
 
     let mut value_lists: Vec<Vec<Oid>> = vec![Vec::new(); star.props.len()];
+    let (mut row_buf, mut counter) = (Vec::new(), Vec::new());
     'rows: for (ri, &row) in rows.iter().enumerate() {
         let s = subject_at_rw(seg, pool, row);
         for (pi, access) in accesses.iter().enumerate() {
@@ -718,7 +720,17 @@ fn scan_class_star_rw(
                 continue 'rows;
             }
         }
-        emit_combinations(cx, star, &star_filters, s, &value_lists, &mut out);
+        emit_combinations(
+            cx,
+            star,
+            &out_pos,
+            &star_filters,
+            s,
+            &value_lists,
+            &mut row_buf,
+            &mut counter,
+            &mut out,
+        );
     }
     ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
     out
@@ -740,9 +752,9 @@ fn prune_rows_zm_rw(
             continue;
         }
         let restrict = prop_restrict(cx, &star.props[pi], filters);
-        // Pending delta inserts for the predicate forbid pruning on base
+        // Inserts pending on this segment's subjects forbid pruning on base
         // values (see `star::delta_blocks_pruning`).
-        if restrict.is_none() || crate::star::delta_blocks_pruning(cx, star.props[pi].pred) {
+        if restrict.is_none() || crate::star::delta_blocks_pruning(cx, star.props[pi].pred, seg) {
             continue;
         }
         let (lo, hi) = restrict.bounds();

@@ -8,11 +8,13 @@
 //! segment sort order, or zone maps, depending on what is available.
 //!
 //! When the context carries a [`sordf_storage::DeltaView`] (pending writes),
-//! every property scan becomes a *merged source*: base-resident pairs are
-//! filtered against the view's tombstones and the view's visible insert
-//! runs are unioned in (`apply_delta_pairs`) before the stream is sorted —
-//! so downstream operators see one (s, o)-sorted stream regardless of how
-//! many physical sources contributed.
+//! every property scan becomes a *merged source*: the predicate's tombstones
+//! (a borrowed, (s, o)-sorted slice of the view) are subtracted from the
+//! base-resident pairs by a merge cursor and the view's visible insert runs
+//! are unioned in (`apply_delta_pairs`) before the stream is sorted — so
+//! downstream operators see one (s, o)-sorted stream regardless of how many
+//! physical sources contributed, and a predicate without tombstones pays
+//! two binary searches to learn that.
 
 use crate::context::{ExecContext, ExecStats, StorageRef};
 use sordf_model::{Oid, Triple};
@@ -141,14 +143,38 @@ pub(crate) fn apply_delta_pairs(
     out: &mut Vec<(Oid, Oid)>,
 ) {
     let Some(delta) = cx.delta() else { return };
-    if delta.has_tombstones_for(p) {
-        out.retain(|&(s, o)| !delta.is_deleted(Triple::new(s, p, o)));
-    }
+    subtract_tombstones(out, delta.tombstones_for(p, s_range));
     out.extend(
         delta
             .insert_pairs_for(p, s_range)
             .filter(|&(_, o)| restrict.accepts(o.raw())),
     );
+}
+
+/// Drop from `pairs` every pair listed in `tombs` (one predicate's
+/// tombstones, (s, o)-sorted and distinct). `pairs` is a concatenation of
+/// physical sources, each (s, o)-ascending except the (o, s)-ordered POS
+/// range path: a cursor into `tombs` advances with the pairs while they
+/// ascend — one merge pass per source — and is re-seated by binary search
+/// wherever the order breaks (a source boundary, or nearly every step of a
+/// POS range). No pair is hashed, and with no tombstones nothing is touched.
+fn subtract_tombstones(pairs: &mut Vec<(Oid, Oid)>, tombs: &[Triple]) {
+    if tombs.is_empty() {
+        return;
+    }
+    let mut at = 0usize; // invariant after each step: lower bound of the pair in `tombs`
+    let mut prev = (Oid::from_raw(0), Oid::from_raw(0));
+    pairs.retain(|&pair| {
+        if pair < prev {
+            at = tombs.partition_point(|t| (t.s, t.o) < pair);
+        } else {
+            while tombs.get(at).is_some_and(|t| (t.s, t.o) < pair) {
+                at += 1;
+            }
+        }
+        prev = pair;
+        !tombs.get(at).is_some_and(|t| (t.s, t.o) == pair)
+    });
 }
 
 /// Property scan against a permutation-indexed store.

@@ -7,6 +7,19 @@
 //! producing a star that stems from a single CS" — consulting the irregular
 //! store only for exceptions and uncovered properties. RDFjoin is RDFscan
 //! driven by a stream of candidate subjects (Fig. 4b, cf. Pivot Index Scan).
+//!
+//! Both kernels merge pending writes at row granularity. Resolving a star
+//! against a segment (`SegmentStar`) yields the segment's *dirty rows*:
+//! the rows an irregular exception, a delta insert or a tombstone touches.
+//! One loop evaluates the clean runs between them column-at-a-time — the
+//! positional pass that makes RDFscan "CPU efficient" — and only the dirty
+//! rows through per-row value lists, so reading a store with a pending delta
+//! costs what the delta touches, and with none it is one clean run per page.
+//! Pruning is scoped the same way: a page without dirty rows prunes on every
+//! restricted column, a page with one by the first-column rule of the
+//! rowwise oracle, and a pending insert blocks base-value narrowing only on
+//! the segments whose subject range it falls into
+//! (`delta_blocks_pruning`).
 
 use crate::context::{ExecContext, ExecStats};
 use crate::expr::{CmpOp, Expr};
@@ -14,7 +27,7 @@ use crate::parallel::ParallelConfig;
 use crate::query::{Query, VarOrOid};
 use crate::scan::{scan_property, ORestrict, SRange, Source};
 use crate::table::{Table, VarId};
-use sordf_model::{Oid, TypeTag};
+use sordf_model::{Oid, Triple, TypeTag};
 use sordf_storage::clustered::SubjectIds;
 use sordf_storage::ClassSegment;
 
@@ -186,13 +199,28 @@ pub(crate) fn prop_restrict(cx: &ExecContext, prop: &StarProp, filters: &[&Expr]
 }
 
 /// Do pending delta inserts forbid base-value narrowing/pruning (sort-key
-/// row ranges, zone-map page skips) for `pred`'s column? A pending insert
-/// may supply the matching value for a subject whose base column value is
-/// NULL or out of range; dropping that row on base evidence would drop the
-/// exception bindings with it. Shared by the vectorized and rowwise star
-/// paths — their byte-identity contract depends on pruning identically.
-pub(crate) fn delta_blocks_pruning(cx: &ExecContext, pred: Oid) -> bool {
-    cx.delta().is_some_and(|d| d.has_inserts_for(pred))
+/// row ranges, zone-map page skips) of `seg` on `pred`'s column? Only an
+/// insert that can attach to one of the segment's rows does: it may supply
+/// the matching value for a subject whose base column value is NULL or out
+/// of range, and dropping that row on base evidence would drop the
+/// exception bindings with it. So the rule is scoped to the segment — an
+/// insert for `pred` on a subject inside the segment's subject range
+/// (conservative for sparse segments, whose ranges interleave). Brand-new
+/// subjects, which is most of what ingest adds, lie past every segment and
+/// block nothing. The one definition shared by the vectorized and rowwise
+/// star paths — their byte-identity contract depends on pruning identically.
+pub(crate) fn delta_blocks_pruning(cx: &ExecContext, pred: Oid, seg: &ClassSegment) -> bool {
+    let Some(delta) = cx.delta() else {
+        return false;
+    };
+    if seg.n == 0 {
+        return false;
+    }
+    let (first, last) = (
+        seg.subject_at(cx.pool, 0).raw(),
+        seg.subject_at(cx.pool, seg.n - 1).raw(),
+    );
+    delta.has_inserts_in(pred, first, last)
 }
 
 /// Apply filters to a table (post-filtering; always sound).
@@ -435,7 +463,7 @@ impl ClassScanPrep<'_> {
 /// across worker counts because every run visits exactly these segments in
 /// exactly this order.
 pub(crate) fn prepare_star_scans<'a>(
-    cx: &ExecContext,
+    cx: &'a ExecContext,
     star: &'a Star,
     filters: &[&'a Expr],
     candidates: Option<&[Oid]>,
@@ -478,14 +506,16 @@ pub(crate) fn prepare_star_scans<'a>(
 /// sorted lists) are collected up front. Pending writes surface here too:
 /// delta inserts arrive through the exception lists (they are scanned with
 /// `Source::IrregularOnly`, which unions the delta runs), and `deleted`
-/// carries the tombstoned (s, o) pairs the kernels must filter out of the
-/// aligned column values.
-pub(crate) enum Access {
-    /// Aligned column + sorted exceptions + tombstoned pairs.
+/// borrows the view's tombstones for the predicate in the scan's subject
+/// range. Exceptions and tombstones are what make a row *dirty* (see
+/// [`DirtyRows`]); the kernels consult them on those rows only.
+pub(crate) enum Access<'a> {
+    /// Aligned column + sorted exceptions + tombstoned triples.
     Col {
         ci: usize,
         exceptions: Vec<(Oid, Oid)>,
-        deleted: Vec<(Oid, Oid)>,
+        /// One predicate's tombstones, (s, o)-sorted: a slice of the view.
+        deleted: &'a [Triple],
         restrict: ORestrict,
     },
     /// Multi table pairs in subject range (sorted by s) + exceptions.
@@ -497,22 +527,24 @@ pub(crate) enum Access {
     Irr { pairs: Vec<(Oid, Oid)> },
 }
 
-/// Is `(s, v)` in the sorted tombstoned-pair list?
+/// Is `(s, v)` among one predicate's (s, o)-sorted tombstones?
 #[inline]
-pub(crate) fn pair_deleted(deleted: &[(Oid, Oid)], s: Oid, v: u64) -> bool {
-    !deleted.is_empty() && deleted.binary_search(&(s, Oid::from_raw(v))).is_ok()
+fn pair_deleted(deleted: &[Triple], s: Oid, v: u64) -> bool {
+    deleted
+        .binary_search_by_key(&(s, Oid::from_raw(v)), |t| (t.s, t.o))
+        .is_ok()
 }
 
 /// Build the per-property accesses for subjects in `[s_lo, s_hi]`.
-fn build_accesses(
-    cx: &ExecContext,
+fn build_accesses<'a>(
+    cx: &'a ExecContext,
     star: &Star,
     filters: &[&Expr],
     seg: &ClassSegment,
     covered: &[Covered],
     s_lo: u64,
     s_hi: u64,
-) -> Vec<Access> {
+) -> Vec<Access<'a>> {
     let pool = cx.pool;
     star.props
         .iter()
@@ -528,26 +560,22 @@ fn build_accesses(
                     Source::IrregularOnly,
                 )
             };
-            // Tombstoned (s, o) pairs for this predicate in the subject
-            // range — the kernels filter these out of base column values.
-            let deleted = || match cx.delta() {
-                Some(d) if d.has_tombstones_for(prop.pred) => {
-                    d.deleted_pairs_for(prop.pred, s_lo, s_hi)
-                }
-                _ => Vec::new(),
-            };
+            // This predicate's tombstones in the subject range — the
+            // kernels filter them out of base column values.
+            let deleted: &[Triple] = cx
+                .delta()
+                .map_or(&[], |d| d.tombstones_for(prop.pred, Some((s_lo, s_hi))));
             match cov {
                 Covered::Col(ci) => Access::Col {
                     ci: *ci,
                     exceptions: irr(),
-                    deleted: deleted(),
+                    deleted,
                     restrict,
                 },
                 Covered::Multi(mi) => {
                     let table = &seg.multi[*mi];
                     let lo = table.s.lower_bound(pool, s_lo);
                     let hi = table.s.upper_bound(pool, s_hi);
-                    let del = deleted();
                     let mut pairs = Vec::new();
                     sordf_columnar::Column::for_each_chunk_pair(
                         &table.s,
@@ -561,7 +589,7 @@ fn build_accesses(
                                     .zip(oc.values())
                                     .filter(|&(&s, &o)| {
                                         restrict.accepts(o)
-                                            && !pair_deleted(&del, Oid::from_raw(s), o)
+                                            && !pair_deleted(deleted, Oid::from_raw(s), o)
                                     })
                                     .map(|(&s, &o)| (Oid::from_raw(s), Oid::from_raw(o))),
                             );
@@ -578,26 +606,318 @@ fn build_accesses(
         .collect()
 }
 
-/// Prepared state for a candidate-driven (RDFjoin) class scan: resolved row
-/// ids, their subjects, and the per-property accesses. [`scan_row_range`]
-/// executes any contiguous sub-range of `rows` independently — the RDFjoin
-/// morsel.
-pub(crate) struct RowScanPrep<'a> {
+/// The rows of a prepared scan that must take the per-row path
+/// ([`SegmentStar::emit_dirty_row`]); every other row is *clean* — its
+/// bindings are exactly its aligned column values — and is evaluated
+/// column-at-a-time in the runs between dirty rows ([`emit_clean_run`]).
+/// Positions are segment rows for a chunk scan and indices into the
+/// candidate row list for a row scan. With nothing pending and no irregular
+/// exceptions the list is empty and a scan is one clean run per page.
+enum DirtyRows {
+    /// Ascending positions of the rows an exception or a tombstone touches:
+    /// the cost of merging the delta is proportional to this list.
+    Rows(Vec<usize>),
+    /// Every row — the star has a multi-valued or uncovered property, or a
+    /// residual filter, none of which the column-at-a-time run evaluates.
+    All,
+}
+
+impl DirtyRows {
+    /// Cursor value for a scan starting at position `from`.
+    fn seek(&self, from: usize) -> usize {
+        match self {
+            DirtyRows::Rows(rows) => rows.partition_point(|&r| r < from),
+            DirtyRows::All => 0,
+        }
+    }
+
+    /// The first dirty position `>= from` (`usize::MAX` when there is none),
+    /// advancing `cursor` past everything before it. `from` must not
+    /// decrease between calls on one cursor.
+    #[inline]
+    fn next_from(&self, cursor: &mut usize, from: usize) -> usize {
+        match self {
+            DirtyRows::Rows(rows) => {
+                while rows.get(*cursor).is_some_and(|&r| r < from) {
+                    *cursor += 1;
+                }
+                rows.get(*cursor).copied().unwrap_or(usize::MAX)
+            }
+            DirtyRows::All => from,
+        }
+    }
+}
+
+/// Buffers the per-row path reuses across the rows of one morsel.
+struct RowScratch {
+    /// Per property: the values binding the current subject.
+    lists: Vec<Vec<Oid>>,
+    row: Vec<Oid>,
+    counter: Vec<usize>,
+}
+
+/// One star resolved against one class segment — what the page-at-a-time
+/// and the candidate-driven kernel share: the per-property accesses, the
+/// output layout, the residual filters and the dirty rows.
+struct SegmentStar<'a> {
     star: &'a Star,
     seg: &'a ClassSegment,
-    rows: Vec<usize>,
-    subjects: Vec<Oid>,
-    accesses: Vec<Access>,
+    accesses: Vec<Access<'a>>,
     out_vars: Vec<VarId>,
     out_pos: Vec<Option<usize>>,
+    /// Star-local filters the pushed restricts do not already enforce.
     star_filters: Vec<&'a Expr>,
-    pure_columns: bool,
+    dirty: DirtyRows,
+}
+
+impl<'a> SegmentStar<'a> {
+    /// Resolve `star` against `seg` for subjects in `[s_lo, s_hi]`.
+    /// `positions_of` maps the ascending, distinct subjects an exception or
+    /// a tombstone touches to the kernel's row positions (ascending).
+    #[allow(clippy::too_many_arguments)]
+    fn resolve(
+        cx: &'a ExecContext,
+        star: &'a Star,
+        filters: &[&'a Expr],
+        seg: &'a ClassSegment,
+        covered: &[Covered],
+        (s_lo, s_hi): (u64, u64),
+        positions_of: impl FnOnce(&[Oid]) -> Vec<usize>,
+    ) -> SegmentStar<'a> {
+        let accesses = build_accesses(cx, star, filters, seg, covered, s_lo, s_hi);
+        let out_vars = star.output_vars();
+        // Filters of the form `var CMP const` on this star's single-bound
+        // variables are already enforced by the pushed restricts (column
+        // checks, exception scans, s_range); only the rest needs per-row
+        // evaluation.
+        let star_filters = residual_filters(cx, star, filters);
+        let out_pos = out_positions(star, &out_vars);
+
+        // Clean rows exist only where every access is an aligned column and
+        // nothing is left to filter; there, the dirty rows are the subjects
+        // of the exceptions and tombstones.
+        let mut touched: Vec<Oid> = Vec::new();
+        let all_columns = accesses.iter().all(|a| match a {
+            Access::Col {
+                exceptions,
+                deleted,
+                ..
+            } => {
+                touched.extend(exceptions.iter().map(|&(s, _)| s));
+                touched.extend(deleted.iter().map(|t| t.s));
+                true
+            }
+            _ => false,
+        });
+        let dirty = if all_columns && star_filters.is_empty() {
+            touched.sort_unstable();
+            touched.dedup();
+            DirtyRows::Rows(positions_of(&touched))
+        } else {
+            DirtyRows::All
+        };
+        SegmentStar {
+            star,
+            seg,
+            accesses,
+            out_vars,
+            out_pos,
+            star_filters,
+            dirty,
+        }
+    }
+
+    fn scratch(&self) -> RowScratch {
+        RowScratch {
+            lists: vec![Vec::new(); self.accesses.len()],
+            row: Vec::new(),
+            counter: Vec::new(),
+        }
+    }
+
+    /// What [`emit_clean_run`] reads: per aligned column, its values (`vals`
+    /// yields one slice per access, in access order), restriction and output
+    /// position. Only consulted where clean rows exist, i.e. when every
+    /// access is an aligned column.
+    fn clean_run_columns<'v>(
+        &'v self,
+        vals: impl Iterator<Item = &'v [u64]>,
+    ) -> Vec<(&'v [u64], &'v ORestrict, Option<usize>)> {
+        self.accesses
+            .iter()
+            .zip(vals)
+            .zip(&self.out_pos)
+            .filter_map(|((a, vals), &pos)| match a {
+                Access::Col { restrict, .. } => Some((vals, restrict, pos)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The per-row path: collect each property's values for subject `s` —
+    /// the aligned column value (`col_value(property index)`) unless NULL,
+    /// rejected or tombstoned, then the subject's exception / side-table /
+    /// irregular pairs — and emit their combinations. This is what a dirty
+    /// row pays, and exactly what the rowwise oracle does for every row.
+    fn emit_dirty_row(
+        &self,
+        cx: &ExecContext,
+        s: Oid,
+        col_value: impl Fn(usize) -> u64,
+        scratch: &mut RowScratch,
+        out: &mut Table,
+    ) {
+        for (pi, access) in self.accesses.iter().enumerate() {
+            let list = &mut scratch.lists[pi];
+            list.clear();
+            match access {
+                Access::Col {
+                    exceptions,
+                    deleted,
+                    restrict,
+                    ..
+                } => {
+                    let v = col_value(pi);
+                    if v != sordf_columnar::column::NULL_SENTINEL
+                        && restrict.accepts(v)
+                        && !pair_deleted(deleted, s, v)
+                    {
+                        list.push(Oid::from_raw(v));
+                    }
+                    extend_from_sorted(list, exceptions, s);
+                }
+                Access::Multi { pairs, exceptions } => {
+                    extend_from_sorted(list, pairs, s);
+                    extend_from_sorted(list, exceptions, s);
+                }
+                Access::Irr { pairs } => {
+                    extend_from_sorted(list, pairs, s);
+                }
+            }
+            if list.is_empty() {
+                return; // pattern requires presence
+            }
+        }
+        emit_combinations(
+            cx,
+            self.star,
+            &self.out_pos,
+            &self.star_filters,
+            s,
+            &scratch.lists,
+            &mut scratch.row,
+            &mut scratch.counter,
+            out,
+        );
+    }
+
+    /// Evaluate positions `from .. from + len` of a scan (`from` in the
+    /// dirty rows' coordinates; values and subjects are addressed by the
+    /// offset `0..len`): clean runs column-at-a-time through `cols`, dirty
+    /// rows one by one through `col_value(property index, offset)`.
+    #[allow(clippy::too_many_arguments)]
+    fn emit_span(
+        &self,
+        cx: &ExecContext,
+        cursor: &mut usize,
+        (from, len): (usize, usize),
+        cols: &[(&[u64], &ORestrict, Option<usize>)],
+        col_value: impl Fn(usize, usize) -> u64,
+        subject_of: impl Fn(usize) -> Oid,
+        scratch: &mut RowScratch,
+        out: &mut Table,
+    ) {
+        let mut i = 0usize;
+        while i < len {
+            let d = self.dirty.next_from(cursor, from + i).min(from + len) - from;
+            emit_clean_run(cols, i..d, &subject_of, out);
+            if d < len {
+                self.emit_dirty_row(cx, subject_of(d), |pi| col_value(pi, d), scratch, out);
+            }
+            i = d + 1;
+        }
+    }
+}
+
+/// Resolve ascending `subjects` to the rows of `seg` inside `range`:
+/// `s − base` on a dense segment, one forward lower-bound walk over the
+/// subject column on a sparse one. Subjects the segment does not hold (an
+/// irregular subject, a delta-new one, a tombstone outside the narrowed
+/// range) resolve to nothing.
+fn rows_of_subjects(
+    cx: &ExecContext,
+    seg: &ClassSegment,
+    range: &std::ops::Range<usize>,
+    subjects: &[Oid],
+) -> Vec<usize> {
+    let mut rows = Vec::with_capacity(subjects.len());
+    match &seg.subjects {
+        SubjectIds::Dense { base } => {
+            let (lo, hi) = (base + range.start as u64, base + range.end as u64);
+            rows.extend(
+                subjects
+                    .iter()
+                    .filter(|s| s.is_iri() && (lo..hi).contains(&s.payload()))
+                    .map(|s| (s.payload() - base) as usize),
+            );
+        }
+        SubjectIds::Sparse { subjects: col } => {
+            let mut from = range.start;
+            for s in subjects {
+                from = col.lower_bound_in(cx.pool, from..range.end, s.raw());
+                if from >= range.end {
+                    break;
+                }
+                if col.value(cx.pool, from) == s.raw() {
+                    rows.push(from);
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// Column-at-a-time evaluation of clean rows: `cols` holds, per property,
+/// the values aligned with positions `rows` (a pinned page slice or a
+/// gathered batch), its restriction and its output column. A row binds iff
+/// every value is present and accepted.
+#[inline]
+fn emit_clean_run(
+    cols: &[(&[u64], &ORestrict, Option<usize>)],
+    rows: std::ops::Range<usize>,
+    subject_of: impl Fn(usize) -> Oid,
+    out: &mut Table,
+) {
+    'rows: for i in rows {
+        for &(vals, restrict, _) in cols {
+            let v = vals[i];
+            if v == sordf_columnar::column::NULL_SENTINEL || !restrict.accepts(v) {
+                continue 'rows;
+            }
+        }
+        out.cols[0].push(subject_of(i));
+        for &(vals, _, pos) in cols {
+            if let Some(pos) = pos {
+                out.cols[pos].push(Oid::from_raw(vals[i]));
+            }
+        }
+    }
+}
+
+/// Prepared state for a candidate-driven (RDFjoin) class scan: resolved row
+/// ids and their subjects; dirty positions are indices into `rows`.
+/// [`scan_row_range`] executes any contiguous sub-range of `rows`
+/// independently — the RDFjoin morsel.
+pub(crate) struct RowScanPrep<'a> {
+    on: SegmentStar<'a>,
+    rows: Vec<usize>,
+    subjects: Vec<Oid>,
 }
 
 /// Resolve candidates to segment rows and build the shared scan state.
 /// Returns `None` when no candidate falls into this segment.
 fn prepare_row_scan<'a>(
-    cx: &ExecContext,
+    cx: &'a ExecContext,
     star: &'a Star,
     filters: &[&'a Expr],
     cands: &[Oid],
@@ -624,145 +944,75 @@ fn prepare_row_scan<'a>(
     // segments — previously one pool request per row).
     let subjects = seg.subjects_at(pool, &rows);
     // sordf-lint: allow(L3) — `rows` is non-empty on this path, so `subjects` is too.
-    let (s_lo, s_hi) = (subjects[0].raw(), subjects.last().unwrap().raw());
-    let accesses = build_accesses(cx, star, filters, seg, covered, s_lo, s_hi);
-
-    let out_vars = star.output_vars();
-    let star_filters = residual_filters(cx, star, filters);
-    let out_pos = out_positions(star, &out_vars);
-    let pure_columns = star_filters.is_empty()
-        && accesses.iter().all(|a| match a {
-            Access::Col {
-                exceptions,
-                deleted,
-                ..
-            } => exceptions.is_empty() && deleted.is_empty(),
-            _ => false,
-        });
-    Some(RowScanPrep {
-        star,
-        seg,
-        rows,
-        subjects,
-        accesses,
-        out_vars,
-        out_pos,
-        star_filters,
-        pure_columns,
-    })
+    let s_bounds = (subjects[0].raw(), subjects.last().unwrap().raw());
+    // Candidates ascend with their rows, so the dirty ones fall out of one
+    // merge walk against the ascending touched subjects.
+    let on = SegmentStar::resolve(cx, star, filters, seg, covered, s_bounds, |touched| {
+        let mut at = 0usize;
+        let mut hits = Vec::new();
+        for (ri, s) in subjects.iter().enumerate() {
+            while touched.get(at).is_some_and(|t| t < s) {
+                at += 1;
+            }
+            if touched.get(at) == Some(s) {
+                hits.push(ri);
+            }
+        }
+        hits
+    });
+    Some(RowScanPrep { on, rows, subjects })
 }
 
 /// Evaluate the star for the candidate rows in `rr` (indices into the
 /// prepared row list). Column values are gathered batch-wise (one pin per
-/// touched page). Concatenating the outputs of consecutive ranges yields
-/// exactly the full-range table — the order-stability contract morsels
-/// rely on.
+/// touched page); clean candidates are evaluated column-at-a-time in the
+/// runs between dirty ones. Concatenating the outputs of consecutive ranges
+/// yields exactly the full-range table — the order-stability contract
+/// morsels rely on.
 fn scan_row_range(cx: &ExecContext, prep: &RowScanPrep, rr: std::ops::Range<usize>) -> Table {
-    let pool = cx.pool;
-    let star = prep.star;
-    let seg = prep.seg;
+    let on = &prep.on;
     let rows = &prep.rows[rr.clone()];
-    let subjects = &prep.subjects[rr];
-    let accesses = &prep.accesses;
-    let out_pos = &prep.out_pos;
-    let star_filters = &prep.star_filters;
-    let mut out = Table::empty(prep.out_vars.clone());
+    let subjects = &prep.subjects[rr.clone()];
+    let mut out = Table::empty(on.out_vars.clone());
     if rows.is_empty() {
         return out;
     }
     // Per-morsel cancellation poll (morsels bound this range's size).
     cx.check_cancelled();
     // Gather each column once, aligned with this range's `rows`.
-    let gathered: Vec<Option<Vec<u64>>> = accesses
+    let gathered: Vec<Vec<u64>> = on
+        .accesses
         .iter()
         .map(|a| match a {
-            Access::Col { ci, .. } => Some(seg.columns[*ci].gather(pool, rows)),
-            _ => None,
+            Access::Col { ci, .. } => on.seg.columns[*ci].gather(cx.pool, rows),
+            _ => Vec::new(),
         })
         .collect();
-
-    if prep.pure_columns {
-        let col_vals: Vec<(&Vec<u64>, &ORestrict, Option<usize>)> = accesses
-            .iter()
-            .zip(&gathered)
-            .zip(out_pos)
-            .map(|((a, g), &pos)| match a {
-                // sordf-lint: allow(L3) — gather always fills the slot of a Col access (same match arms).
-                Access::Col { restrict, .. } => (g.as_ref().unwrap(), restrict, pos),
-                _ => unreachable!(),
-            })
-            .collect();
-        'fast: for (ri, &s) in subjects.iter().enumerate() {
-            for &(vals, restrict, _) in &col_vals {
-                let v = vals[ri];
-                if v == sordf_columnar::column::NULL_SENTINEL || !restrict.accepts(v) {
-                    continue 'fast;
-                }
-            }
-            out.cols[0].push(s);
-            for &(vals, _, pos) in &col_vals {
-                if let Some(pos) = pos {
-                    out.cols[pos].push(Oid::from_raw(vals[ri]));
-                }
-            }
-        }
-        ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
-        return out;
-    }
-
-    let mut value_lists: Vec<Vec<Oid>> = vec![Vec::new(); star.props.len()];
-    'rows: for (ri, &s) in subjects.iter().enumerate() {
-        for (pi, access) in accesses.iter().enumerate() {
-            let list = &mut value_lists[pi];
-            list.clear();
-            match access {
-                Access::Col {
-                    exceptions,
-                    deleted,
-                    restrict,
-                    ..
-                } => {
-                    // sordf-lint: allow(L3) — gather always fills the slot of a Col access (same match arms).
-                    let v = gathered[pi].as_ref().unwrap()[ri];
-                    if v != sordf_columnar::column::NULL_SENTINEL
-                        && restrict.accepts(v)
-                        && !pair_deleted(deleted, s, v)
-                    {
-                        list.push(Oid::from_raw(v));
-                    }
-                    extend_from_sorted(list, exceptions, s);
-                }
-                Access::Multi { pairs, exceptions } => {
-                    extend_from_sorted(list, pairs, s);
-                    extend_from_sorted(list, exceptions, s);
-                }
-                Access::Irr { pairs } => {
-                    extend_from_sorted(list, pairs, s);
-                }
-            }
-            if list.is_empty() {
-                continue 'rows; // pattern requires presence
-            }
-        }
-        emit_combinations(cx, star, star_filters, s, &value_lists, &mut out);
-    }
+    let cols = on.clean_run_columns(gathered.iter().map(Vec::as_slice));
+    on.emit_span(
+        cx,
+        &mut on.dirty.seek(rr.start),
+        (rr.start, rows.len()),
+        &cols,
+        |pi, i| gathered[pi][i],
+        |i| subjects[i],
+        &mut on.scratch(),
+        &mut out,
+    );
     ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
     out
 }
 
 /// Prepared state for a page-at-a-time (RDFscan) class scan: the narrowed
-/// row range, per-property accesses, and zone-map pruning plan.
-/// [`scan_chunk_pages`] executes any page sub-range independently — the
-/// RDFscan morsel.
+/// row range (dirty positions are segment rows inside it) and the zone-map
+/// pruning plan. [`scan_chunk_pages`] executes any page sub-range
+/// independently — the RDFscan morsel.
 pub(crate) struct ChunkScanPrep<'a> {
-    star: &'a Star,
-    seg: &'a ClassSegment,
+    on: SegmentStar<'a>,
     range: std::ops::Range<usize>,
-    accesses: Vec<Access>,
-    out_vars: Vec<VarId>,
-    out_pos: Vec<Option<usize>>,
-    star_filters: Vec<&'a Expr>,
-    pure_columns: bool,
+    /// Every restricted aligned non-sort-key column this segment may prune
+    /// on, in property order: a page without dirty rows prunes on all of
+    /// them, a page with one on the first only.
     prune_cols: Vec<(usize, u64, u64)>,
     first_page: usize,
     last_page: usize,
@@ -771,7 +1021,7 @@ pub(crate) struct ChunkScanPrep<'a> {
 /// Narrow the row range and build the shared scan state for one segment.
 /// Returns `None` when the subject/sort-key restrictions leave no rows.
 fn prepare_chunk_scan<'a>(
-    cx: &ExecContext,
+    cx: &'a ExecContext,
     star: &'a Star,
     filters: &[&'a Expr],
     s_range: SRange,
@@ -802,19 +1052,20 @@ fn prepare_chunk_scan<'a>(
         }
     }
     // Sort-key narrowing: if the segment is sub-ordered by a column this
-    // star restricts, binary-search the row range. Unsound while the delta
-    // holds inserts for the predicate — a pending insert can supply the
-    // matching value for a row whose *base* value is NULL or out of range,
-    // and narrowing would drop that row's exception bindings — so those
-    // predicates scan the full range until a reorganization folds them in.
-    // (The rowwise reference applies the identical rule; byte-identity.)
+    // star restricts, binary-search the row range. Unsound while an insert
+    // for the predicate is pending on a subject of this segment — it can
+    // supply the matching value for a row whose *base* value is NULL or out
+    // of range, and narrowing would drop that row's exception bindings — so
+    // such a segment scans its full range until a reorganization folds the
+    // insert in. (The rowwise reference applies the identical rule through
+    // the same `delta_blocks_pruning`; byte-identity.)
     for (pi, cov) in covered.iter().enumerate() {
         let Covered::Col(ci) = cov else { continue };
         if seg.sorted_by != Some(*ci) {
             continue;
         }
         let restrict = prop_restrict(cx, &star.props[pi], filters);
-        if restrict.is_none() || delta_blocks_pruning(cx, star.props[pi].pred) {
+        if restrict.is_none() || delta_blocks_pruning(cx, star.props[pi].pred, seg) {
             continue;
         }
         let (lo, hi) = restrict.bounds();
@@ -826,78 +1077,44 @@ fn prepare_chunk_scan<'a>(
         return None;
     }
 
-    // ---- Accesses --------------------------------------------------------
-    let (s_lo, s_hi) = (
+    // ---- Accesses and dirty rows -------------------------------------------
+    let s_bounds = (
         seg.subject_at(pool, range.start).raw(),
         seg.subject_at(pool, range.end - 1).raw(),
     );
-    let accesses = build_accesses(cx, star, filters, seg, covered, s_lo, s_hi);
+    let on = SegmentStar::resolve(cx, star, filters, seg, covered, s_bounds, |touched| {
+        rows_of_subjects(cx, seg, &range, touched)
+    });
 
-    let out_vars = star.output_vars();
-    // Filters of the form `var CMP const` on this star's single-bound
-    // variables are already enforced by the pushed restricts (column checks,
-    // exception scans, s_range); only the rest needs per-row evaluation.
-    let star_filters = residual_filters(cx, star, filters);
-    let out_pos = out_positions(star, &out_vars);
-
-    // Fast path: pure aligned columns, no exceptions / side tables /
-    // uncovered props, no residual filters — the common case on regular
-    // data, and the code path that makes RDFscan "CPU efficient".
-    let pure_columns = star_filters.is_empty()
-        && accesses.iter().all(|a| match a {
-            Access::Col {
-                exceptions,
-                deleted,
-                ..
-            } => exceptions.is_empty() && deleted.is_empty(),
-            _ => false,
-        });
-
-    // Zone-map pruning setup. The pure path may prune on *every* restricted
-    // column (each row must pass every column check anyway); the general
-    // path must prune exactly like the value-at-a-time original — on the
-    // first restricted covered non-sort-key column only — because a pruned
-    // page also suppresses that page's exception/side-table bindings.
-    let zm_on = cx.config.zonemaps;
-    let prune_cols: Vec<(usize, u64, u64)> = if !zm_on {
+    // Zone-map pruning plan. A pruned page suppresses that page's exception
+    // bindings along with its rows, so a column with an insert pending on
+    // this segment must not prune (same rule as sort-key narrowing above;
+    // mirrored in the rowwise reference).
+    let prune_cols: Vec<(usize, u64, u64)> = if !cx.config.zonemaps {
         Vec::new()
     } else {
-        // A pruned page suppresses that page's exception bindings too, so a
-        // column whose predicate has pending delta inserts must not prune
-        // (same rule as sort-key narrowing above; mirrored in the rowwise
-        // reference).
-        let mut cols: Vec<(usize, u64, u64)> = accesses
+        on.accesses
             .iter()
             .enumerate()
             .filter_map(|(pi, a)| match a {
                 Access::Col { ci, restrict, .. }
                     if !restrict.is_none()
                         && seg.sorted_by != Some(*ci)
-                        && !delta_blocks_pruning(cx, star.props[pi].pred) =>
+                        && !delta_blocks_pruning(cx, star.props[pi].pred, seg) =>
                 {
                     let (lo, hi) = restrict.bounds();
                     Some((*ci, lo, hi))
                 }
                 _ => None,
             })
-            .collect();
-        if !pure_columns {
-            cols.truncate(1);
-        }
-        cols
+            .collect()
     };
 
     let first_page = range.start / VALS_PER_PAGE;
     let last_page = (range.end - 1) / VALS_PER_PAGE;
     Some(ChunkScanPrep {
-        star,
-        seg,
+        on,
         range,
-        accesses,
-        out_vars,
-        out_pos,
-        star_filters,
-        pure_columns,
         prune_cols,
         first_page,
         last_page,
@@ -907,9 +1124,20 @@ fn prepare_chunk_scan<'a>(
 /// RDFscan kernel: evaluate the star page-at-a-time over the pages in
 /// `pages` (clamped to the prepared range). Every covered column's page is
 /// pinned exactly once per touched page (subject pages of sparse segments in
-/// lockstep); zone-map pruning and the all-NULL fast path run *before* pages
-/// are pinned, so skipped pages cost no pool traffic; values are read from
+/// lockstep); zone-map pruning and the all-NULL skip run *before* pages are
+/// pinned, so skipped pages cost no pool traffic; values are read from
 /// contiguous slices, with no row-id or column materialization.
+///
+/// One loop serves every segment: the clean runs between dirty rows are
+/// evaluated column-at-a-time, the dirty rows one by one — so a merged scan
+/// costs what the delta touches, and with no dirty row a page is a single
+/// clean run. Pruning follows the rows: a page without dirty rows may prune
+/// on *every* restricted column and skip when a required column is all-NULL
+/// (each of its rows must pass every column check anyway); a page with one
+/// prunes exactly like the value-at-a-time original — on the first
+/// restricted column only — because pruning it also suppresses the dirty
+/// row's exception bindings, which is what the rowwise oracle does.
+///
 /// Concatenating the outputs of consecutive page ranges yields exactly the
 /// full-range table — the order-stability contract morsels rely on.
 fn scan_chunk_pages(
@@ -919,38 +1147,43 @@ fn scan_chunk_pages(
 ) -> Table {
     use sordf_columnar::VALS_PER_PAGE;
     let pool = cx.pool;
-    let star = prep.star;
-    let seg = prep.seg;
+    let on = &prep.on;
+    let seg = on.seg;
     let range = &prep.range;
-    let accesses = &prep.accesses;
-    let out_pos = &prep.out_pos;
-    let star_filters = &prep.star_filters;
-    let pure_columns = prep.pure_columns;
-    let prune_cols = &prep.prune_cols;
 
-    let mut out = Table::empty(prep.out_vars.clone());
+    let mut out = Table::empty(on.out_vars.clone());
     let first_page = pages.start.max(prep.first_page);
     let last_page = (pages.end.saturating_sub(1)).min(prep.last_page);
     if first_page > last_page {
         return out;
     }
     let mut rows_scanned = 0u64;
-    let mut value_lists: Vec<Vec<Oid>> = vec![Vec::new(); star.props.len()];
+    let mut scratch = on.scratch();
+    let mut cursor = on.dirty.seek(first_page * VALS_PER_PAGE);
 
     'pages: for p in first_page..=last_page {
         // Per-page cancellation poll — the bounded-work boundary of the
         // RDFscan kernel.
         cx.check_cancelled();
-        // Pre-pin pruning: zone-map misses and (on the pure path) pages
-        // where a required column is entirely NULL.
+        let chunk_start = range.start.max(p * VALS_PER_PAGE);
+        let chunk_end = range.end.min((p + 1) * VALS_PER_PAGE);
+        let clean_page = on.dirty.next_from(&mut cursor, chunk_start) >= chunk_end;
+
+        // Pre-pin pruning: zone-map misses and (on clean pages) pages where
+        // a required column is entirely NULL.
+        let prune_cols = if clean_page {
+            &prep.prune_cols[..]
+        } else {
+            &prep.prune_cols[..prep.prune_cols.len().min(1)]
+        };
         for &(ci, lo, hi) in prune_cols {
             if !seg.columns[ci].zonemap().page(p).overlaps(lo, hi) {
                 ExecStats::bump(&cx.stats.zonemap_pages_skipped, 1);
                 continue 'pages;
             }
         }
-        if pure_columns {
-            let all_present = accesses.iter().all(|a| match a {
+        if clean_page {
+            let all_present = on.accesses.iter().all(|a| match a {
                 Access::Col { ci, .. } => seg.columns[*ci].zonemap().page(p).n_nonnull > 0,
                 _ => true,
             });
@@ -963,7 +1196,8 @@ fn scan_chunk_pages(
 
         // Pin this page of every covered column (and the subject column of a
         // sparse segment) in lockstep.
-        let chunks: Vec<Option<sordf_columnar::Chunk>> = accesses
+        let chunks: Vec<Option<sordf_columnar::Chunk>> = on
+            .accesses
             .iter()
             .map(|a| match a {
                 Access::Col { ci, .. } => {
@@ -972,9 +1206,7 @@ fn scan_chunk_pages(
                 _ => None,
             })
             .collect();
-        let chunk_start = range.start.max(p * VALS_PER_PAGE);
-        let chunk_len = range.end.min((p + 1) * VALS_PER_PAGE) - chunk_start;
-        rows_scanned += chunk_len as u64;
+        rows_scanned += (chunk_end - chunk_start) as u64;
         ExecStats::bump(&cx.stats.pages_scanned, 1);
         let subj_chunk = match &seg.subjects {
             SubjectIds::Dense { .. } => None,
@@ -987,77 +1219,22 @@ fn scan_chunk_pages(
                 (SubjectIds::Sparse { .. }, None) => unreachable!(),
             }
         };
-
-        if pure_columns {
-            let col_slices: Vec<(&[u64], &ORestrict, Option<usize>)> = accesses
-                .iter()
-                .zip(&chunks)
-                .zip(out_pos)
-                .map(|((a, c), &pos)| match a {
-                    // sordf-lint: allow(L3) — a chunk is fetched for every Col access (same match arms).
-                    Access::Col { restrict, .. } => (c.as_ref().unwrap().values(), restrict, pos),
-                    _ => unreachable!(),
-                })
-                .collect();
-            'fast: for i in 0..chunk_len {
-                for &(vals, restrict, _) in &col_slices {
-                    let v = vals[i];
-                    if v == sordf_columnar::column::NULL_SENTINEL || !restrict.accepts(v) {
-                        continue 'fast;
-                    }
-                }
-                out.cols[0].push(subject_of(i));
-                for &(vals, _, pos) in &col_slices {
-                    if let Some(pos) = pos {
-                        out.cols[pos].push(Oid::from_raw(vals[i]));
-                    }
-                }
-            }
-            continue;
-        }
-
-        // General path: per-row value lists over the pinned slices (hoisted
-        // out of the row loop once per page).
-        let col_slices: Vec<Option<&[u64]>> = chunks
+        // Per access, this page's values (empty for non-column accesses).
+        let page_vals: Vec<&[u64]> = chunks
             .iter()
-            .map(|c| c.as_ref().map(|c| c.values()))
+            .map(|c| c.as_ref().map_or(&[][..], |c| c.values()))
             .collect();
-        'rows: for i in 0..chunk_len {
-            let s = subject_of(i);
-            for (pi, access) in accesses.iter().enumerate() {
-                let list = &mut value_lists[pi];
-                list.clear();
-                match access {
-                    Access::Col {
-                        exceptions,
-                        deleted,
-                        restrict,
-                        ..
-                    } => {
-                        // sordf-lint: allow(L3) — a slice is built for every Col access (same match arms).
-                        let v = col_slices[pi].unwrap()[i];
-                        if v != sordf_columnar::column::NULL_SENTINEL
-                            && restrict.accepts(v)
-                            && !pair_deleted(deleted, s, v)
-                        {
-                            list.push(Oid::from_raw(v));
-                        }
-                        extend_from_sorted(list, exceptions, s);
-                    }
-                    Access::Multi { pairs, exceptions } => {
-                        extend_from_sorted(list, pairs, s);
-                        extend_from_sorted(list, exceptions, s);
-                    }
-                    Access::Irr { pairs } => {
-                        extend_from_sorted(list, pairs, s);
-                    }
-                }
-                if list.is_empty() {
-                    continue 'rows; // pattern requires presence
-                }
-            }
-            emit_combinations(cx, star, star_filters, s, &value_lists, &mut out);
-        }
+        let cols = on.clean_run_columns(page_vals.iter().copied());
+        on.emit_span(
+            cx,
+            &mut cursor,
+            (chunk_start, chunk_end - chunk_start),
+            &cols,
+            |pi, i| page_vals[pi][i],
+            subject_of,
+            &mut scratch,
+            &mut out,
+        );
     }
     ExecStats::bump(&cx.stats.rows_scanned, rows_scanned);
     ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
@@ -1087,66 +1264,37 @@ pub(crate) fn extend_from_sorted(list: &mut Vec<Oid>, pairs: &[(Oid, Oid)], s: O
 }
 
 /// Emit the cross product of per-property value lists for one subject,
-/// filtered by the star-local filters.
+/// filtered by the star-local filters. `out_pos` is each property's output
+/// column (`None` for a constant object); `row` and `counter` are scratch
+/// buffers the caller reuses across subjects.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn emit_combinations(
     cx: &ExecContext,
     star: &Star,
+    out_pos: &[Option<usize>],
     filters: &[&Expr],
     s: Oid,
     lists: &[Vec<Oid>],
+    row: &mut Vec<Oid>,
+    counter: &mut Vec<usize>,
     out: &mut Table,
 ) {
-    // Common case: all singletons.
-    let mut row: Vec<Oid> = Vec::with_capacity(out.vars.len());
-    let mut idx = vec![0usize; lists.len()];
-    loop {
-        row.clear();
-        row.push(s);
-        for (pi, p) in star.props.iter().enumerate() {
-            let v = lists[pi][idx[pi]];
-            match p.o {
-                VarOrOid::Var(var) => {
-                    // Respect the canonical layout (vars may repeat... they
-                    // don't — stars_of rewrites duplicates).
-                    // sordf-lint: allow(L3) — stars_of rewrites duplicate vars, so the var appears in out.vars.
-                    let pos = out.vars.iter().position(|&x| x == var).unwrap();
-                    if pos == row.len() {
-                        row.push(v);
-                    } else if pos < row.len() {
-                        row[pos] = v;
-                    } else {
-                        while row.len() < pos {
-                            row.push(Oid::NULL);
-                        }
-                        row.push(v);
-                    }
-                }
-                VarOrOid::Const(c) => {
-                    if v != c {
-                        // restrict already filtered; defensive.
-                        row.clear();
-                        break;
-                    }
-                }
-            }
+    row.clear();
+    row.resize(out.vars.len(), Oid::NULL);
+    row[0] = s;
+    // Common case: every property has exactly one value — one row, no
+    // counter.
+    if lists.iter().all(|l| l.len() == 1) {
+        if bind_row(star, out_pos, |pi| lists[pi][0], row) {
+            push_if_passes(cx, filters, row, out);
         }
-        if !row.is_empty() {
-            while row.len() < out.vars.len() {
-                row.push(Oid::NULL);
-            }
-            let passes = filters.iter().all(|f| {
-                let lookup = |v: VarId| {
-                    out.vars
-                        .iter()
-                        .position(|&x| x == v)
-                        .map(|i| row[i])
-                        .unwrap_or(Oid::NULL)
-                };
-                f.eval(&lookup, cx.dict).as_bool()
-            });
-            if passes {
-                out.push_row(&row);
-            }
+        return;
+    }
+    counter.clear();
+    counter.resize(lists.len(), 0);
+    loop {
+        if bind_row(star, out_pos, |pi| lists[pi][counter[pi]], row) {
+            push_if_passes(cx, filters, row, out);
         }
         // Advance the mixed-radix counter.
         let mut k = lists.len();
@@ -1155,13 +1303,46 @@ pub(crate) fn emit_combinations(
                 return;
             }
             k -= 1;
-            idx[k] += 1;
-            if idx[k] < lists[k].len() {
+            counter[k] += 1;
+            if counter[k] < lists[k].len() {
                 break;
             }
-            idx[k] = 0;
+            counter[k] = 0;
         }
     }
+}
+
+/// Bind one combination (`pick(pi)` = the chosen value of property `pi`)
+/// into its output columns. False when a constant-object property picked
+/// another value — the pushed restrict already filtered those; defensive.
+#[inline]
+fn bind_row(
+    star: &Star,
+    out_pos: &[Option<usize>],
+    pick: impl Fn(usize) -> Oid,
+    row: &mut [Oid],
+) -> bool {
+    for (pi, (p, pos)) in star.props.iter().zip(out_pos).enumerate() {
+        let v = pick(pi);
+        match (pos, p.o) {
+            (Some(pos), _) => row[*pos] = v,
+            (None, VarOrOid::Const(c)) if v != c => return false,
+            (None, _) => {}
+        }
+    }
+    true
+}
+
+/// Append `row` unless a star-local filter rejects it.
+#[inline]
+fn push_if_passes(cx: &ExecContext, filters: &[&Expr], row: &[Oid], out: &mut Table) {
+    if !filters.is_empty() {
+        let lookup = |v: VarId| out.col_of(v).map_or(Oid::NULL, |i| row[i]);
+        if !filters.iter().all(|f| f.eval(&lookup, cx.dict).as_bool()) {
+            return;
+        }
+    }
+    out.push_row(row);
 }
 
 /// Star-local filters minus those fully enforced by pushed restricts:

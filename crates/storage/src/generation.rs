@@ -21,7 +21,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use sordf_columnar::ColumnEncoding;
-use sordf_model::{Dictionary, Triple};
+use sordf_model::{Dictionary, Oid, Triple};
 use sordf_schema::EmergentSchema;
 
 use crate::baseline::BaselineStore;
@@ -111,6 +111,42 @@ impl StoreGeneration {
         self.triples.binary_search(&t).is_ok()
     }
 
+    /// How many times the base holds `t` (bulk loads keep duplicates): one
+    /// equal-range of the SPO-sorted base, so only meaningful on a built
+    /// generation.
+    pub fn base_occurrences(&self, t: Triple) -> usize {
+        let lo = self.triples.partition_point(|x| *x < t);
+        self.triples[lo..].partition_point(|x| *x <= t)
+    }
+
+    /// Every base triple of subject `s` — the `[s, s]` range of the
+    /// SPO-sorted base; only meaningful on a built generation.
+    pub fn base_of_subject(&self, s: Oid) -> &[Triple] {
+        let lo = self.triples.partition_point(|x| x.s < s);
+        let hi = lo + self.triples[lo..].partition_point(|x| x.s <= s);
+        &self.triples[lo..hi]
+    }
+
+    /// The base triples `view` leaves visible, in base order. The view's
+    /// tombstones are put in SPO order once and subtracted by a merge
+    /// cursor — O(base + tombstones · log), no per-triple probe — which
+    /// relies on the base being SPO-sorted whenever a delta exists (writes
+    /// reach the delta store only on a built generation).
+    pub fn visible_base<'a>(
+        &'a self,
+        view: Option<&DeltaView>,
+    ) -> impl Iterator<Item = Triple> + 'a {
+        let mut dead: Vec<Triple> = view.map_or_else(Vec::new, |v| v.tombstones().to_vec());
+        dead.sort_unstable();
+        let mut at = 0usize;
+        self.triples.iter().copied().filter(move |b| {
+            while dead.get(at).is_some_and(|d| d < b) {
+                at += 1;
+            }
+            dead.get(at) != Some(b)
+        })
+    }
+
     /// Materialize the logical triple set this generation + `view` describe:
     /// a clone of the dictionary and the base triples with the view's
     /// tombstones filtered out and its visible inserts merged in. This is
@@ -127,10 +163,7 @@ impl StoreGeneration {
                 inserts.sort_unstable();
                 let mut inserts = inserts.into_iter().peekable();
                 let mut t = Vec::with_capacity(self.triples.len() + inserts.len());
-                for &b in self.triples.iter() {
-                    if v.is_deleted(b) {
-                        continue;
-                    }
+                for b in self.visible_base(view) {
                     while let Some(i) = inserts.next_if(|&i| i < b) {
                         t.push(i);
                     }
