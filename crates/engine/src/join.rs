@@ -3,7 +3,9 @@
 
 use crate::context::{ExecContext, ExecStats};
 use crate::table::{Table, VarId};
+use sordf_model::fxhash::FxHasher;
 use sordf_model::{FxHashMap, Oid};
+use std::hash::Hasher;
 
 /// Merge-join a table (sorted by column `jc`) with an (s, o)-sorted pair
 /// stream, appending the pair's object as a new column. Duplicate keys on
@@ -92,40 +94,7 @@ pub fn semi_join_pairs(pairs: &[(Oid, Oid)], candidates: &[Oid]) -> Vec<(Oid, Oi
 /// left's variables plus right's (minus right's join column, which would
 /// duplicate the left one). Builds on the smaller side.
 pub fn hash_join(cx: &ExecContext, left: &Table, lc: usize, right: &Table, rc: usize) -> Table {
-    ExecStats::bump(&cx.stats.hash_joins, 1);
-    // Normalize: build on the smaller input, probe the bigger.
-    let (build, bc, probe, pc, build_is_left) = if left.len() <= right.len() {
-        (left, lc, right, rc, true)
-    } else {
-        (right, rc, left, lc, false)
-    };
-    let mut index: FxHashMap<Oid, Vec<usize>> = FxHashMap::default();
-    for (i, &k) in build.cols[bc].iter().enumerate() {
-        index.entry(k).or_default().push(i);
-    }
-
-    // Output layout: left vars, then right vars except rc.
-    let right_keep: Vec<usize> = (0..right.cols.len()).filter(|&i| i != rc).collect();
-    let mut out_vars = left.vars.clone();
-    out_vars.extend(right_keep.iter().map(|&i| right.vars[i]));
-    let mut out = Table::empty(out_vars);
-
-    for (pi, &k) in probe.cols[pc].iter().enumerate() {
-        let Some(matches) = index.get(&k) else {
-            continue;
-        };
-        for &bi in matches {
-            let (li, ri) = if build_is_left { (bi, pi) } else { (pi, bi) };
-            for (oc, lcid) in out.cols.iter_mut().take(left.cols.len()).zip(0..) {
-                oc.push(left.cols[lcid][li]);
-            }
-            for (slot, &rcid) in right_keep.iter().enumerate() {
-                out.cols[left.cols.len() + slot].push(right.cols[rcid][ri]);
-            }
-        }
-    }
-    ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
-    out
+    join_on_cols(cx, left, &[lc], right, &[rc])
 }
 
 /// Hash-join two tables on equality of **every** variable in `keys` (each
@@ -135,34 +104,100 @@ pub fn hash_join(cx: &ExecContext, left: &Table, lc: usize, right: &Table, rc: u
 /// link — is what keeps stars that share several variables consistent.
 pub fn hash_join_on(cx: &ExecContext, left: &Table, right: &Table, keys: &[VarId]) -> Table {
     debug_assert!(!keys.is_empty(), "use cross_join for keyless joins");
-    if keys.len() == 1 {
-        // sordf-lint: allow(L3) — callers pass keys bound by both sides.
-        let lc = left.col_of(keys[0]).unwrap();
-        // sordf-lint: allow(L3) — callers pass keys bound by both sides.
-        let rc = right.col_of(keys[0]).unwrap();
-        return hash_join(cx, left, lc, right, rc);
+    let cols_of = |t: &Table| -> Vec<usize> {
+        keys.iter()
+            // sordf-lint: allow(L3) — callers pass keys bound by both sides.
+            .map(|&v| t.col_of(v).unwrap())
+            .collect()
+    };
+    join_on_cols(cx, left, &cols_of(left), right, &cols_of(right))
+}
+
+/// Row ids chained by the hash of their keys — the hash table of the hash
+/// join and of DISTINCT. No key is stored: rows with one hash form a chain
+/// through `link`, and the caller confirms each candidate with its own
+/// equality, so the two users share the index-chain code and nothing else.
+pub(crate) struct RowChains {
+    /// Per hash, the row inserted last.
+    head: FxHashMap<u64, usize>,
+    /// Per row, the row inserted before it under the same hash (`NONE`: it
+    /// was the first).
+    link: Vec<usize>,
+}
+
+impl RowChains {
+    const NONE: usize = usize::MAX;
+
+    /// Chains for row ids below `n_rows`.
+    pub(crate) fn new(n_rows: usize) -> RowChains {
+        let mut head = FxHashMap::default();
+        head.reserve(n_rows);
+        RowChains {
+            head,
+            link: vec![Self::NONE; n_rows],
+        }
     }
+
+    /// Chain `row` (not yet inserted) under `hash`, ahead of earlier rows.
+    pub(crate) fn insert(&mut self, hash: u64, row: usize) {
+        self.link[row] = self.head.insert(hash, row).unwrap_or(Self::NONE);
+    }
+
+    /// The rows inserted under `hash`, last inserted first.
+    pub(crate) fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.head.get(&hash).copied(), |&r| {
+            let before = self.link[r];
+            (before != Self::NONE).then_some(before)
+        })
+    }
+}
+
+/// The one hash join: equality on the paired key columns `lks` / `rks`.
+/// The build side is indexed by [`RowChains`] over the hash of its key (no
+/// key is materialized, whatever its width; a probe confirms candidates
+/// column by column), the probe collects `(left row, right row)` matches in
+/// probe order — build rows ascending within a probe row — and every output
+/// column is then gathered through those indices in one pass.
+fn join_on_cols(
+    cx: &ExecContext,
+    left: &Table,
+    lks: &[usize],
+    right: &Table,
+    rks: &[usize],
+) -> Table {
     ExecStats::bump(&cx.stats.hash_joins, 1);
-    let lks: Vec<usize> = keys
-        .iter()
-        // sordf-lint: allow(L3) — callers pass keys bound by both sides.
-        .map(|&v| left.col_of(v).unwrap())
-        .collect();
-    let rks: Vec<usize> = keys
-        .iter()
-        // sordf-lint: allow(L3) — callers pass keys bound by both sides.
-        .map(|&v| right.col_of(v).unwrap())
-        .collect();
     // Normalize: build on the smaller input, probe the bigger.
     let (build, bks, probe, pks, build_is_left) = if left.len() <= right.len() {
-        (left, &lks, right, &rks, true)
+        (left, lks, right, rks, true)
     } else {
-        (right, &rks, left, &lks, false)
+        (right, rks, left, lks, false)
     };
-    let mut index: FxHashMap<Vec<Oid>, Vec<usize>> = FxHashMap::default();
-    for i in 0..build.len() {
-        let key: Vec<Oid> = bks.iter().map(|&c| build.cols[c][i]).collect();
-        index.entry(key).or_default().push(i);
+    let key_hash = |t: &Table, ks: &[usize], row: usize| {
+        let mut h = FxHasher::default();
+        for &c in ks {
+            h.write_u64(t.cols[c][row].raw());
+        }
+        h.finish()
+    };
+    // Inserted back to front, so every chain ascends.
+    let mut chains = RowChains::new(build.len());
+    for bi in (0..build.len()).rev() {
+        chains.insert(key_hash(build, bks, bi), bi);
+    }
+
+    let (mut lidx, mut ridx): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+    for pi in 0..probe.len() {
+        for bi in chains.candidates(key_hash(probe, pks, pi)) {
+            let same_key = bks
+                .iter()
+                .zip(pks)
+                .all(|(&bc, &pc)| build.cols[bc][bi] == probe.cols[pc][pi]);
+            if same_key {
+                let (li, ri) = if build_is_left { (bi, pi) } else { (pi, bi) };
+                lidx.push(li);
+                ridx.push(ri);
+            }
+        }
     }
 
     // Output layout: left vars, then right vars except the key columns.
@@ -170,23 +205,13 @@ pub fn hash_join_on(cx: &ExecContext, left: &Table, right: &Table, keys: &[VarId
     let mut out_vars = left.vars.clone();
     out_vars.extend(right_keep.iter().map(|&i| right.vars[i]));
     let mut out = Table::empty(out_vars);
-
-    let mut probe_key = Vec::with_capacity(pks.len());
-    for pi in 0..probe.len() {
-        probe_key.clear();
-        probe_key.extend(pks.iter().map(|&c| probe.cols[c][pi]));
-        let Some(matches) = index.get(&probe_key) else {
-            continue;
-        };
-        for &bi in matches {
-            let (li, ri) = if build_is_left { (bi, pi) } else { (pi, bi) };
-            for (oc, lcid) in out.cols.iter_mut().take(left.cols.len()).zip(0..) {
-                oc.push(left.cols[lcid][li]);
-            }
-            for (slot, &rcid) in right_keep.iter().enumerate() {
-                out.cols[left.cols.len() + slot].push(right.cols[rcid][ri]);
-            }
-        }
+    let (left_out, right_out) = out.cols.split_at_mut(left.cols.len());
+    for (oc, col) in left_out.iter_mut().zip(&left.cols) {
+        oc.extend(lidx.iter().map(|&i| col[i]));
+    }
+    for (oc, &rc) in right_out.iter_mut().zip(&right_keep) {
+        let col = &right.cols[rc];
+        oc.extend(ridx.iter().map(|&i| col[i]));
     }
     ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
     out

@@ -17,7 +17,7 @@ use crate::optimizer::optimize;
 use crate::parallel::eval_star;
 use crate::plan::{prepare, JoinStrategy, LogicalPlan, PhysicalPlan, StarAccess};
 use crate::query::Query;
-use crate::star::{apply_filters, filters_bound_by};
+use crate::star::{apply_filters, tail_filters};
 use crate::table::Table;
 
 /// One step of an explained plan: the operator choices and the optimizer's
@@ -93,7 +93,7 @@ pub fn execute_physical(
 }
 
 /// Evaluate the plan's steps into the final binding table.
-fn run_steps(
+pub(crate) fn run_steps(
     cx: &ExecContext,
     lp: &LogicalPlan,
     pp: &PhysicalPlan,
@@ -190,9 +190,19 @@ fn run_steps(
     }
 
     let mut table = result.unwrap_or_default();
-    // Remaining (cross-star) filters.
-    let remaining = filters_bound_by(&lp.filters, &table.vars);
-    apply_filters(cx, &mut table, &remaining);
+    // Every star already enforced the filters it binds; only what no single
+    // star can decide is left (see `tail_filters`).
+    apply_filters(cx, &mut table, &tail_filters(&lp.stars, &lp.filters));
+    // The ownership rule, checked where assertions are on: re-applying
+    // *every* bound filter here must not remove a row.
+    debug_assert!(
+        {
+            let mut again = table.clone();
+            apply_filters(cx, &mut again, &filter_refs);
+            again.len() == table.len()
+        },
+        "a star left one of its filters unenforced"
+    );
     table
 }
 
@@ -341,6 +351,65 @@ mod tests {
             t.push_row(&[Oid::iri(i + 1)]);
         }
         t
+    }
+
+    /// The filter-ownership rule: the tail keeps exactly what no single star
+    /// binds; a star keeps residual what its pushed restricts do not decide
+    /// exactly.
+    #[test]
+    fn tail_keeps_only_cross_star_filters() {
+        use crate::expr::CmpOp;
+        use crate::query::{TriplePattern, VarOrOid};
+        use crate::star::residual_filters;
+        let mut q = Query::default();
+        let (s, a, t, b) = (q.var("s"), q.var("a"), q.var("t"), q.var("b"));
+        for (subj, pred, obj) in [(s, 1, a), (t, 2, b)] {
+            q.patterns.push(TriplePattern {
+                s: VarOrOid::Var(subj),
+                p: Oid::iri(pred),
+                o: VarOrOid::Var(obj),
+            });
+        }
+        let date = Oid::from_date_days(9_000).unwrap();
+        let int = Oid::from_int(5).unwrap();
+        let var = Expr::Var;
+        q.filters = vec![
+            Expr::cmp(var(a), CmpOp::Lt, var(b)), // spans both stars
+            Expr::cmp(var(a), CmpOp::Ge, Expr::Const(date)), // pushed, exact
+            Expr::cmp(var(b), CmpOp::Ge, Expr::Const(int)), // pushed as a raw range, confirmed
+            Expr::cmp(var(b), CmpOp::Ne, Expr::Const(int)), // never pushed
+            Expr::cmp(var(b), CmpOp::Eq, Expr::Const(int)), // pushed, exact
+            Expr::cmp(var(a), CmpOp::Lt, Expr::Num(24.0)), // not `var CMP const`
+            Expr::cmp(var(a), CmpOp::Eq, var(s)), // two variables, one star
+        ];
+        let (_, lp) = prepare(&q);
+        assert_eq!(tail_filters(&lp.stars, &lp.filters), vec![&q.filters[0]]);
+
+        let dm = Arc::new(DiskManager::temp().unwrap());
+        let store = sordf_storage::BaselineStore::build(&dm, &[]);
+        let pool = BufferPool::new(Arc::clone(&dm), 16);
+        let dict = Dictionary::new();
+        let cx = ExecContext::new(
+            &pool,
+            &dict,
+            StorageRef::Baseline(&store),
+            ExecConfig::default(),
+        );
+        let refs: Vec<&Expr> = lp.filters.iter().collect();
+        let star_of = |subject| {
+            lp.stars
+                .iter()
+                .find(|st| st.subject_var == subject)
+                .unwrap()
+        };
+        assert_eq!(
+            residual_filters(&cx, star_of(s), &refs),
+            vec![&q.filters[5], &q.filters[6]]
+        );
+        assert_eq!(
+            residual_filters(&cx, star_of(t), &refs),
+            vec![&q.filters[2], &q.filters[3]]
+        );
     }
 
     #[test]

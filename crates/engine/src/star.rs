@@ -20,9 +20,25 @@
 //! rowwise oracle, and a pending insert blocks base-value narrowing only on
 //! the segments whose subject range it falls into
 //! (`delta_blocks_pruning`).
+//!
+//! A clean run is a selection-vector kernel (`emit_clean_run`): each
+//! column's restriction, folded with the NULL check into one inclusive value
+//! range, is tested in a branch-free pass that narrows the vector of
+//! surviving offsets; the output columns are then appended in one sweep
+//! each — a slice copy when the whole run passed (no vector is built for
+//! it), a gather otherwise. The star's residual filters are evaluated by the
+//! batch evaluator ([`crate::expr::BatchEval`]) over the rows the run just
+//! emitted, so a residual filter costs a pass over a chunk, not the per-row
+//! path for every row.
+//!
+//! **Filters are enforced once, by the star that binds all their
+//! variables**: pushed into the scans as a restriction ([`ORestrict`], a
+//! subject range) or applied star-locally (`residual_filters`) on every
+//! access path. The tail of a plan applies only what no single star can
+//! decide (`tail_filters`).
 
 use crate::context::{ExecContext, ExecStats};
-use crate::expr::{CmpOp, Expr};
+use crate::expr::{batches, BatchEval, CmpOp, Expr};
 use crate::parallel::ParallelConfig;
 use crate::query::{Query, VarOrOid};
 use crate::scan::{scan_property, ORestrict, SRange, Source};
@@ -126,18 +142,6 @@ pub fn stars_of(query: &mut Query) -> (Vec<Star>, Vec<Expr>) {
     (stars, extra_filters)
 }
 
-/// Filters whose variables are all bound by `vars`.
-pub fn filters_bound_by<'f>(filters: &'f [Expr], vars: &[VarId]) -> Vec<&'f Expr> {
-    filters
-        .iter()
-        .filter(|f| {
-            let mut fv = Vec::new();
-            f.vars(&mut fv);
-            fv.iter().all(|v| vars.contains(v))
-        })
-        .collect()
-}
-
 /// Derive a pushable object restriction for `v` from the filters.
 pub fn restrict_for_var(filters: &[&Expr], v: VarId, strings_ordered: bool) -> ORestrict {
     let mut lo = 0u64;
@@ -223,7 +227,9 @@ pub(crate) fn delta_blocks_pruning(cx: &ExecContext, pred: Oid, seg: &ClassSegme
     delta.has_inserts_in(pred, first, last)
 }
 
-/// Apply filters to a table (post-filtering; always sound).
+/// Apply filters to a table (post-filtering; always sound), a chunk at a
+/// time through the batch evaluator; a table every row of which passes is
+/// not touched.
 pub fn apply_filters(cx: &ExecContext, table: &mut Table, filters: &[&Expr]) {
     if filters.is_empty() || table.is_empty() {
         return;
@@ -232,33 +238,68 @@ pub fn apply_filters(cx: &ExecContext, table: &mut Table, filters: &[&Expr]) {
     if applicable.is_empty() {
         return;
     }
-    let n = table.len();
-    let mut mask = vec![true; n];
-    for (i, keep) in mask.iter_mut().enumerate() {
-        let lookup = |v: VarId| {
-            table
-                .col_of(v)
-                .map(|c| table.cols[c][i])
-                .unwrap_or(Oid::NULL)
-        };
-        for f in &applicable {
-            if !f.eval(&lookup, cx.dict).as_bool() {
-                *keep = false;
-                break;
-            }
-        }
-    }
-    table.retain_rows(&mask);
+    let mut ev = BatchEval::new(cx, &table.vars);
+    retain_passing(&applicable, 0, &mut ev, &mut Vec::new(), table);
 }
 
+/// Drop the rows of `table` from `from` on that fail a filter, keeping
+/// order: the keep-mask of each chunk comes from the batch evaluator, and
+/// the passing rows are compacted in place.
+fn retain_passing(
+    filters: &[&Expr],
+    from: usize,
+    ev: &mut BatchEval,
+    mask: &mut Vec<bool>,
+    table: &mut Table,
+) {
+    let mut kept = from;
+    for chunk in batches(from..table.len()) {
+        ev.filter_mask(filters, &table.cols, chunk.clone(), mask);
+        if kept == chunk.start && !mask.contains(&false) {
+            kept = chunk.end;
+            continue;
+        }
+        // `kept <= chunk.start`: passing rows only ever move down.
+        for col in table.cols.iter_mut() {
+            let mut k = kept;
+            for (i, &keep) in chunk.clone().zip(mask.iter()) {
+                col[k] = col[i];
+                k += usize::from(keep);
+            }
+        }
+        kept += mask.iter().filter(|&&keep| keep).count();
+    }
+    for col in table.cols.iter_mut() {
+        col.truncate(kept);
+    }
+}
+
+/// The filters the tail of a plan still has to apply once every star is
+/// joined. **A filter is owned by the star that binds all its variables**:
+/// every access path enforces it there, as a pushed restrict or as a
+/// star-local residual ([`residual_filters`]), so it is enforced once and
+/// never re-evaluated over the joined table. What is left for the tail is
+/// what no single star can decide — a filter spanning stars (`?a < ?b`).
+pub(crate) fn tail_filters<'f>(stars: &[Star], filters: &'f [Expr]) -> Vec<&'f Expr> {
+    let star_vars: Vec<Vec<VarId>> = stars.iter().map(Star::bound_vars).collect();
+    filters
+        .iter()
+        .filter(|f| !star_vars.iter().any(|bound| binds_all(bound, f)))
+        .collect()
+}
+
+/// Are all of `f`'s variables among `vars`?
+fn binds_all(vars: &[VarId], f: &Expr) -> bool {
+    let mut fv = Vec::new();
+    f.vars(&mut fv);
+    fv.iter().all(|v| vars.contains(v))
+}
+
+/// Filters whose variables are all bound by `vars`.
 pub(crate) fn filters_bound_by_refs<'f>(filters: &[&'f Expr], vars: &[VarId]) -> Vec<&'f Expr> {
     filters
         .iter()
-        .filter(|f| {
-            let mut fv = Vec::new();
-            f.vars(&mut fv);
-            fv.iter().all(|v| vars.contains(v))
-        })
+        .filter(|f| binds_all(vars, f))
         .copied()
         .collect()
 }
@@ -617,8 +658,8 @@ enum DirtyRows {
     /// Ascending positions of the rows an exception or a tombstone touches:
     /// the cost of merging the delta is proportional to this list.
     Rows(Vec<usize>),
-    /// Every row — the star has a multi-valued or uncovered property, or a
-    /// residual filter, none of which the column-at-a-time run evaluates.
+    /// Every row — the star has a multi-valued or uncovered property, whose
+    /// bindings are not a column the column-at-a-time run can read.
     All,
 }
 
@@ -648,12 +689,17 @@ impl DirtyRows {
     }
 }
 
-/// Buffers the per-row path reuses across the rows of one morsel.
-struct RowScratch {
-    /// Per property: the values binding the current subject.
+/// Buffers a morsel reuses across its rows and runs.
+struct RowScratch<'d> {
+    /// Per property: the values binding the current subject (dirty rows).
     lists: Vec<Vec<Oid>>,
     row: Vec<Oid>,
     counter: Vec<usize>,
+    /// Clean runs: the selection vector (offsets of the rows still passing).
+    sel: Vec<u32>,
+    /// Clean runs: the residual filters' evaluator and keep-mask.
+    batch: BatchEval<'d>,
+    mask: Vec<bool>,
 }
 
 /// One star resolved against one class segment — what the page-at-a-time
@@ -693,9 +739,10 @@ impl<'a> SegmentStar<'a> {
         let star_filters = residual_filters(cx, star, filters);
         let out_pos = out_positions(star, &out_vars);
 
-        // Clean rows exist only where every access is an aligned column and
-        // nothing is left to filter; there, the dirty rows are the subjects
-        // of the exceptions and tombstones.
+        // Clean rows exist only where every access is an aligned column;
+        // there, the dirty rows are the subjects of the exceptions and
+        // tombstones. Residual filters do not make a row dirty: clean runs
+        // evaluate them in batch over the rows they emit.
         let mut touched: Vec<Oid> = Vec::new();
         let all_columns = accesses.iter().all(|a| match a {
             Access::Col {
@@ -709,7 +756,7 @@ impl<'a> SegmentStar<'a> {
             }
             _ => false,
         });
-        let dirty = if all_columns && star_filters.is_empty() {
+        let dirty = if all_columns {
             touched.sort_unstable();
             touched.dedup();
             DirtyRows::Rows(positions_of(&touched))
@@ -727,28 +774,31 @@ impl<'a> SegmentStar<'a> {
         }
     }
 
-    fn scratch(&self) -> RowScratch {
+    fn scratch<'d>(&self, cx: &ExecContext<'d>) -> RowScratch<'d> {
         RowScratch {
             lists: vec![Vec::new(); self.accesses.len()],
             row: Vec::new(),
             counter: Vec::new(),
+            sel: Vec::new(),
+            batch: BatchEval::new(cx, &self.out_vars),
+            mask: Vec::new(),
         }
     }
 
     /// What [`emit_clean_run`] reads: per aligned column, its values (`vals`
-    /// yields one slice per access, in access order), restriction and output
-    /// position. Only consulted where clean rows exist, i.e. when every
-    /// access is an aligned column.
-    fn clean_run_columns<'v>(
-        &'v self,
-        vals: impl Iterator<Item = &'v [u64]>,
-    ) -> Vec<(&'v [u64], &'v ORestrict, Option<usize>)> {
+    /// yields one slice per access, in access order), the restriction folded
+    /// into value bounds, and the output position. Only consulted where clean
+    /// rows exist, i.e. when every access is an aligned column.
+    fn clean_run_columns<'v>(&'v self, vals: impl Iterator<Item = &'v [u64]>) -> Vec<CleanCol<'v>> {
         self.accesses
             .iter()
             .zip(vals)
             .zip(&self.out_pos)
             .filter_map(|((a, vals), &pos)| match a {
-                Access::Col { restrict, .. } => Some((vals, restrict, pos)),
+                Access::Col { restrict, .. } => {
+                    let (lo, hi) = present_bounds(restrict);
+                    Some(CleanCol { vals, lo, hi, pos })
+                }
                 _ => None,
             })
             .collect()
@@ -814,25 +864,34 @@ impl<'a> SegmentStar<'a> {
     /// Evaluate positions `from .. from + len` of a scan (`from` in the
     /// dirty rows' coordinates; values and subjects are addressed by the
     /// offset `0..len`): clean runs column-at-a-time through `cols`, dirty
-    /// rows one by one through `col_value(property index, offset)`.
+    /// rows one by one through `col_value(property index, offset)`. Each row
+    /// meets the residual filters once — a dirty row inside
+    /// [`emit_combinations`], a clean run's rows in one batch after the run.
     #[allow(clippy::too_many_arguments)]
     fn emit_span(
         &self,
         cx: &ExecContext,
         cursor: &mut usize,
         (from, len): (usize, usize),
-        cols: &[(&[u64], &ORestrict, Option<usize>)],
+        cols: &[CleanCol],
         col_value: impl Fn(usize, usize) -> u64,
-        subject_of: impl Fn(usize) -> Oid,
+        subjects: Subjects,
         scratch: &mut RowScratch,
         out: &mut Table,
     ) {
         let mut i = 0usize;
         while i < len {
             let d = self.dirty.next_from(cursor, from + i).min(from + len) - from;
-            emit_clean_run(cols, i..d, &subject_of, out);
+            if d > i {
+                let before = out.len();
+                emit_clean_run(cols, i..d, subjects, &mut scratch.sel, out);
+                if !self.star_filters.is_empty() {
+                    let RowScratch { batch, mask, .. } = scratch;
+                    retain_passing(&self.star_filters, before, batch, mask, out);
+                }
+            }
             if d < len {
-                self.emit_dirty_row(cx, subject_of(d), |pi| col_value(pi, d), scratch, out);
+                self.emit_dirty_row(cx, subjects.at(d), |pi| col_value(pi, d), scratch, out);
             }
             i = d + 1;
         }
@@ -877,28 +936,133 @@ fn rows_of_subjects(
     rows
 }
 
-/// Column-at-a-time evaluation of clean rows: `cols` holds, per property,
-/// the values aligned with positions `rows` (a pinned page slice or a
-/// gathered batch), its restriction and its output column. A row binds iff
-/// every value is present and accepted.
-#[inline]
+/// The subjects of the positions a span addresses by offset.
+#[derive(Clone, Copy)]
+enum Subjects<'a> {
+    /// A dense segment: offset `i` is the IRI with payload `first + i`.
+    Dense { first: u64 },
+    /// A pinned page of a sparse segment's subject column.
+    Raw(&'a [u64]),
+    /// The materialized subjects of an RDFjoin candidate range.
+    Oids(&'a [Oid]),
+}
+
+impl Subjects<'_> {
+    #[inline]
+    fn at(&self, i: usize) -> Oid {
+        match self {
+            Subjects::Dense { first } => Oid::iri(first + i as u64),
+            Subjects::Raw(vals) => Oid::from_raw(vals[i]),
+            Subjects::Oids(oids) => oids[i],
+        }
+    }
+
+    /// Append the subjects of `offsets` (ascending, in range) to `out`.
+    fn extend(&self, out: &mut Vec<Oid>, offsets: impl Iterator<Item = usize>) {
+        match self {
+            Subjects::Dense { first } => out.extend(offsets.map(|i| Oid::iri(first + i as u64))),
+            Subjects::Raw(vals) => out.extend(offsets.map(|i| Oid::from_raw(vals[i]))),
+            Subjects::Oids(oids) => out.extend(offsets.map(|i| oids[i])),
+        }
+    }
+}
+
+/// One aligned column of a clean run: the values aligned with the span's
+/// offsets (a pinned page slice or a gathered batch), the inclusive bounds a
+/// binding value lies in, and the output column (`None`: constant object).
+struct CleanCol<'v> {
+    vals: &'v [u64],
+    lo: u64,
+    hi: u64,
+    pos: Option<usize>,
+}
+
+/// A restriction as one inclusive `[lo, hi]` over *present* values: the
+/// equality and the range intersected, NULL (the largest raw value) cut off.
+/// `lo > hi` when nothing can pass.
+fn present_bounds(restrict: &ORestrict) -> (u64, u64) {
+    let (mut lo, mut hi) = restrict.range.unwrap_or((0, u64::MAX));
+    if let Some(eq) = restrict.eq {
+        lo = lo.max(eq.raw());
+        hi = hi.min(eq.raw());
+    }
+    (lo, hi.min(sordf_columnar::column::NULL_SENTINEL - 1))
+}
+
+/// Column-at-a-time evaluation of a clean run, offsets `rows` of `cols`. A
+/// row binds iff every column's value is present and within its bounds.
+/// The run is tested column by column — each test a branch-free pass that
+/// narrows the selection vector `sel` of surviving offsets — and then every
+/// output column is appended in one sweep: a slice copy when the whole run
+/// passed (no selection vector is ever built for it: the usual fate of an
+/// unrestricted page), a gather through `sel` otherwise. Output order is
+/// offset order. Runs of any length take this one path, down to the single
+/// row between two dirty ones: one counting pass and one `extend` per column.
 fn emit_clean_run(
-    cols: &[(&[u64], &ORestrict, Option<usize>)],
+    cols: &[CleanCol],
     rows: std::ops::Range<usize>,
-    subject_of: impl Fn(usize) -> Oid,
+    subjects: Subjects,
+    sel: &mut Vec<u32>,
     out: &mut Table,
 ) {
-    'rows: for i in rows {
-        for &(vals, restrict, _) in cols {
-            let v = vals[i];
-            if v == sordf_columnar::column::NULL_SENTINEL || !restrict.accepts(v) {
-                continue 'rows;
+    // `selected`: `sel` holds the surviving offsets (relative to
+    // `rows.start`, ascending); until a column rejects a row, all survive.
+    let n = rows.len();
+    let mut selected = false;
+    for c in cols {
+        if c.lo > c.hi {
+            return;
+        }
+        let vals = &c.vals[rows.clone()];
+        // `lo <= v <= hi` as one unsigned compare.
+        let (lo, width) = (c.lo, c.hi - c.lo);
+        let passes = |v: u64| v.wrapping_sub(lo) <= width;
+        if selected {
+            // Narrow in place; `k <= j`, so a slot is read before it is
+            // overwritten, and every offset in `sel` is `< n == vals.len()`.
+            let mut k = 0usize;
+            for j in 0..sel.len() {
+                let i = sel[j];
+                sel[k] = i;
+                k += usize::from(passes(vals[i as usize]));
+            }
+            sel.truncate(k);
+        } else {
+            let n_pass = vals.iter().filter(|&&v| passes(v)).count();
+            if n_pass == n {
+                continue;
+            }
+            // First rejection: build the vector. `k <= i < n`, so the store
+            // is in bounds; a failing row's slot is overwritten by the next.
+            sel.clear();
+            sel.resize(n, 0);
+            let mut k = 0usize;
+            for (i, &v) in vals.iter().enumerate() {
+                sel[k] = i as u32;
+                k += usize::from(passes(v));
+            }
+            sel.truncate(n_pass);
+            selected = true;
+        }
+        if selected && sel.is_empty() {
+            return;
+        }
+    }
+
+    let base = rows.start;
+    if selected {
+        subjects.extend(&mut out.cols[0], sel.iter().map(|&i| base + i as usize));
+        for c in cols {
+            if let Some(pos) = c.pos {
+                let vals = &c.vals[rows.clone()];
+                out.cols[pos].extend(sel.iter().map(|&i| Oid::from_raw(vals[i as usize])));
             }
         }
-        out.cols[0].push(subject_of(i));
-        for &(vals, _, pos) in cols {
-            if let Some(pos) = pos {
-                out.cols[pos].push(Oid::from_raw(vals[i]));
+    } else {
+        subjects.extend(&mut out.cols[0], rows.clone());
+        for c in cols {
+            if let Some(pos) = c.pos {
+                out.cols[pos].extend(c.vals[rows.clone()].iter().map(|&v| Oid::from_raw(v)));
             }
         }
     }
@@ -995,8 +1159,8 @@ fn scan_row_range(cx: &ExecContext, prep: &RowScanPrep, rr: std::ops::Range<usiz
         (rr.start, rows.len()),
         &cols,
         |pi, i| gathered[pi][i],
-        |i| subjects[i],
-        &mut on.scratch(),
+        Subjects::Oids(subjects),
+        &mut on.scratch(cx),
         &mut out,
     );
     ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
@@ -1158,7 +1322,7 @@ fn scan_chunk_pages(
         return out;
     }
     let mut rows_scanned = 0u64;
-    let mut scratch = on.scratch();
+    let mut scratch = on.scratch(cx);
     let mut cursor = on.dirty.seek(first_page * VALS_PER_PAGE);
 
     'pages: for p in first_page..=last_page {
@@ -1212,12 +1376,12 @@ fn scan_chunk_pages(
             SubjectIds::Dense { .. } => None,
             SubjectIds::Sparse { subjects } => Some(subjects.pin_page_in(pool, p, range.clone())),
         };
-        let subject_of = |i: usize| -> Oid {
-            match (&seg.subjects, &subj_chunk) {
-                (SubjectIds::Dense { base }, _) => Oid::iri(base + (chunk_start + i) as u64),
-                (SubjectIds::Sparse { .. }, Some(c)) => Oid::from_raw(c.values()[i]),
-                (SubjectIds::Sparse { .. }, None) => unreachable!(),
-            }
+        let subjects = match (&subj_chunk, &seg.subjects) {
+            (Some(c), _) => Subjects::Raw(c.values()),
+            (None, SubjectIds::Dense { base }) => Subjects::Dense {
+                first: base + chunk_start as u64,
+            },
+            (None, SubjectIds::Sparse { .. }) => unreachable!(),
         };
         // Per access, this page's values (empty for non-column accesses).
         let page_vals: Vec<&[u64]> = chunks
@@ -1231,7 +1395,7 @@ fn scan_chunk_pages(
             (chunk_start, chunk_end - chunk_start),
             &cols,
             |pi, i| page_vals[pi][i],
-            subject_of,
+            subjects,
             &mut scratch,
             &mut out,
         );
@@ -1346,9 +1510,14 @@ fn push_if_passes(cx: &ExecContext, filters: &[&Expr], row: &[Oid], out: &mut Ta
 }
 
 /// Star-local filters minus those fully enforced by pushed restricts:
-/// `var CMP const` (non-`!=`, and not an ordered comparison on unsorted
-/// string OIDs) on a variable bound by exactly one property — the scan layer
-/// already applied these via [`ORestrict`] / subject ranges.
+/// `var CMP const` on a variable bound by exactly one property, where the
+/// scan layer's [`ORestrict`] / subject range decides exactly what the
+/// comparison does. That is every such comparison except `!=` (never
+/// pushed), an ordered comparison on unsorted string OIDs (never pushed) and
+/// an ordered comparison with a numeric constant: its raw OID range agrees
+/// with the value comparison only on values of the constant's own numeric
+/// type (`2.5` against the integer `5`), so it is pushed *and* stays
+/// residual — the star confirms by value the rows the range let through.
 pub(crate) fn residual_filters<'f>(
     cx: &ExecContext,
     star: &Star,
@@ -1358,9 +1527,15 @@ pub(crate) fn residual_filters<'f>(
         .into_iter()
         .filter(|f| match f.as_var_cmp() {
             Some((v, op, c)) => {
-                let enforced_cmp = !(c.is_null()
-                    || (c.tag() == TypeTag::Str && !cx.strings_value_ordered() && op != CmpOp::Eq))
-                    && op != CmpOp::Ne;
+                let exact_pushdown = match op {
+                    CmpOp::Eq => !c.is_null(),
+                    CmpOp::Ne => false,
+                    _ => {
+                        let unsorted_string =
+                            c.tag() == TypeTag::Str && !cx.strings_value_ordered();
+                        !(c.is_null() || unsorted_string || c.numeric_f64().is_some())
+                    }
+                };
                 let single_binding = v == star.subject_var
                     || star
                         .props
@@ -1368,7 +1543,7 @@ pub(crate) fn residual_filters<'f>(
                         .filter(|p| p.o == VarOrOid::Var(v))
                         .count()
                         == 1;
-                !(enforced_cmp && single_binding)
+                !(exact_pushdown && single_binding)
             }
             None => true,
         })

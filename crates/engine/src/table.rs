@@ -140,11 +140,17 @@ impl Table {
         self.sorted_by = None;
     }
 
-    /// Concatenate another table with the same variable layout.
+    /// Concatenate another table with the same variable layout. Appending
+    /// to an empty table takes the other's columns over instead of copying
+    /// them (the single non-empty partial of a star scan).
     pub fn append(&mut self, other: Table) {
         assert_eq!(self.vars, other.vars, "appending incompatible tables");
-        for (c, oc) in self.cols.iter_mut().zip(other.cols) {
-            c.extend(oc);
+        if self.is_empty() {
+            self.cols = other.cols;
+        } else {
+            for (c, oc) in self.cols.iter_mut().zip(other.cols) {
+                c.extend(oc);
+            }
         }
         self.sorted_by = None;
     }
