@@ -1,6 +1,6 @@
 //! Fault injection: labeled crash points and a disk fault shim.
 //!
-//! Two orthogonal mechanisms validate the durability layer:
+//! Three orthogonal mechanisms validate the durability layer:
 //!
 //! * **Crash points** — `crash_point!("wal.pre_sync")` marks a spot where a
 //!   process death would be maximally inconvenient. The marker compiles to
@@ -10,6 +10,12 @@
 //!   `SORDF_CRASH_POINT=<label>` picks the point and the optional
 //!   `SORDF_CRASH_HITS=<n>` aborts on the n-th hit instead of the first.
 //!
+//! * **I/O failure points** — `io_fault!("wal.sync", path)` marks a write or
+//!   fsync that can be told to fail: [`arm_io_fault`] arms one failure for
+//!   the files under one directory, so a test can watch a write be rejected
+//!   when the disk is full or an fsync fails. Compiled in by the same
+//!   feature.
+//!
 //! * **[`DiskFault`]** — a shim the [`DiskManager`](crate::DiskManager)
 //!   consults on every page transfer while installed, able to fail reads
 //!   transiently, tear a write mid-page, or truncate single transfers to
@@ -17,7 +23,10 @@
 //!   runtime state), costs one relaxed atomic load when disarmed.
 
 use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use parking_lot::Mutex;
 
 use crate::disk::PageId;
 
@@ -51,6 +60,67 @@ macro_rules! crash_point {
     ($name:literal) => {
         #[cfg(feature = "crash_points")]
         $crate::fault::maybe_crash($name);
+    };
+}
+
+/// One armed I/O failure: the `nth` hit of `label` on a file under `under`.
+struct IoFault {
+    under: PathBuf,
+    label: String,
+    raw_os_error: i32,
+    nth: u32,
+}
+
+/// The armed failures. Each names the directory it applies to, so tests
+/// running in parallel — every one in a directory of its own — cannot trip
+/// each other's faults, while a fault still reaches whichever thread does
+/// the I/O (the rebuild streams its snapshot on a helper thread).
+static IO_FAULTS: Mutex<Vec<IoFault>> = Mutex::new(Vec::new());
+
+/// Arm one I/O failure: the `nth` (1-based) time an `io_fault!(label, path)`
+/// marker is passed with a `path` under the directory `under`, the marked
+/// operation fails with `raw_os_error` (`ENOSPC` is 28, `EIO` 5) instead of
+/// running — once; the fault then disarms itself. Effective only in builds
+/// with the `crash_points` feature, which compiles the markers in.
+pub fn arm_io_fault(under: &Path, label: &str, raw_os_error: i32, nth: u32) {
+    IO_FAULTS.lock().push(IoFault {
+        under: under.to_path_buf(),
+        label: label.to_string(),
+        raw_os_error,
+        nth: nth.max(1),
+    });
+}
+
+/// Fail if a fault armed for `name` covers `path` and this is the hit it
+/// chose. Called through [`io_fault!`](crate::io_fault), never directly.
+pub fn maybe_fail(name: &str, path: &Path) -> io::Result<()> {
+    let mut faults = IO_FAULTS.lock();
+    let Some(i) = faults
+        .iter()
+        .position(|f| f.label == name && path.starts_with(&f.under))
+    else {
+        return Ok(());
+    };
+    faults[i].nth -= 1;
+    if faults[i].nth > 0 {
+        return Ok(());
+    }
+    Err(io::Error::from_raw_os_error(faults.remove(i).raw_os_error))
+}
+
+/// Mark a labeled I/O failure point just before a write or fsync of the
+/// file at `path` on a durable path: expands to `maybe_fail(label, path)?`
+/// when the **using** crate enables its `crash_points` feature, to nothing
+/// otherwise. Where a crash point asks "what if the process died here",
+/// this asks "what if the disk said no" — `ENOSPC` on an append, `EIO` from
+/// an fsync.
+#[macro_export]
+macro_rules! io_fault {
+    ($name:literal, $path:expr) => {
+        #[cfg(feature = "crash_points")]
+        $crate::fault::maybe_fail($name, $path)?;
+        #[cfg(not(feature = "crash_points"))]
+        let _ = $path;
     };
 }
 

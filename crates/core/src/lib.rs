@@ -76,15 +76,20 @@
 //! in-memory structure sees it; [`Database::checkpoint`] snapshots the
 //! visible triples and rotates the log; the background swap rotates the
 //! snapshot/WAL pair along with the generation; and [`Database::open`]
-//! recovers the exact acknowledged prefix after a crash at any point —
-//! snapshot load, torn-frame-truncating WAL replay, layouts rebuilt as a
-//! derived cache. Snapshots are OID-level — the dictionary's pools plus
-//! the visible triples as integers, streamed out and read back with the
-//! same numbering — while the log stays term-level, so it survives the
-//! renumbering a swap performs; rebuilding a clustered layout re-clusters,
-//! so OIDs may still move across a reopen exactly as they do across a
-//! background swap, while decoded results are identical. The labeled
-//! [`CRASH_POINTS`] and the `crash_points` cargo feature arm the
+//! recovers the exact acknowledged prefix after a crash at any point.
+//! Snapshot and log are both OID-level — the dictionary's pools plus
+//! triples as integers; a log record carries the dictionary entries its
+//! batch interned and the batch as raw OIDs — under one invariant: **the
+//! committed pair (snapshot, log) is in one numbering, and whoever
+//! renumbers commits a new pair.** Recovery is therefore a rebuild whose
+//! pin is the disk: the snapshot's dictionary extended by the log's
+//! appends, the log's batches folded into the snapshot's triples, the
+//! recorded layouts built once over the result, and — because rebuilding a
+//! clustered layout re-clusters, i.e. renumbers — a fresh pair committed
+//! before the handle accepts a write. A reopened store is organized, its
+//! delta is empty, and decoded results are identical. The labeled
+//! [`CRASH_POINTS`] (and the I/O failure points of
+//! `sordf_columnar::fault`) and the `crash_points` cargo feature arm the
 //! fault-injection harness behind `tests/recovery_differential.rs`.
 
 use std::fs;
@@ -109,11 +114,12 @@ use sordf_model::{
 use sordf_schema::{ClassId, IncrementalAssigner};
 pub use sordf_schema::{DriftStats, EmergentSchema, SchemaConfig};
 use sordf_storage::{
-    build_clustered_with, encode_triple_skolemized, reorganize, BaselineStore, ClusterSpec,
-    ClusteredStore, DeltaStore, DeltaView, DeltaWrite, GenerationHandle, LayoutFlags, Manifest,
-    ReorgReport, SnapshotHeader, StoreSnapshot, TripleSet, WalKind, WalRecord, WalWriter,
+    build_clustered_with, fold_delta, reorganize_from, term_oid_skolemized, visible_base,
+    BaselineStore, BatchResolver, ClusterSpec, ClusteredStore, DeltaStore, DeltaView, DeltaWrite,
+    GenerationHandle, LayoutFlags, LogRecord, Manifest, PoolCounts, ReorgReport, SnapshotHeader,
+    StoreSnapshot, WalKind, WalWriter,
 };
-pub use sordf_storage::{DictPin, Snapshot, StoreGeneration, SyncPolicy, WalFormat};
+pub use sordf_storage::{DictPin, Snapshot, StoreGeneration, SyncPolicy};
 
 mod query;
 use query::PlanCache;
@@ -359,6 +365,10 @@ struct DurableState {
     /// the store is organized — the generation swap relies on that to
     /// rotate the WAL down to exactly the catch-up suffix.
     seq: u64,
+    /// The logged watermark: how many entries of each dictionary pool the
+    /// committed pair (snapshot + log so far) holds. The next record
+    /// appends everything interned past it.
+    logged: PoolCounts,
 }
 
 /// The mutable core the state lock protects. Everything a query needs is
@@ -386,8 +396,8 @@ struct State {
     /// most one rebuild runs at a time.
     rebuild: Option<u64>,
     /// WAL + manifest when the database is durable; `None` for in-memory /
-    /// cache-only databases (and during recovery replay, so replaying
-    /// logged writes does not re-log them).
+    /// cache-only databases (and while recovery rebuilds the layouts: it
+    /// commits the recovered state once, as a fresh pair, at the end).
     durable: Option<DurableState>,
     /// Page-encoding scheme for the *next* build/reorganization (already
     /// built generations keep the scheme recorded on them).
@@ -638,9 +648,10 @@ impl Database {
     /// policy, [`SyncPolicy::Always`]: every write batch is fsync'd to the
     /// write-ahead log before the call returns, so an acknowledged write
     /// survives any crash. An existing directory is recovered: the live
-    /// checkpoint snapshot is reloaded, its layouts are rebuilt, and every
-    /// intact WAL record after the checkpoint is replayed (the log is
-    /// truncated at the first torn or corrupt frame).
+    /// snapshot is reloaded, every intact log record behind it is folded in
+    /// (the log is cut at the first torn frame), the recorded layouts are
+    /// built once over the result and a fresh snapshot + log pair is
+    /// committed — the returned store is organized and its delta is empty.
     pub fn open(dir: &Path) -> Result<Database, Error> {
         Database::open_with_policy(dir, SyncPolicy::Always)
     }
@@ -677,7 +688,7 @@ impl Database {
             flags: LayoutFlags::default(),
             schema_cfg: SchemaConfig::default(),
         };
-        StoreSnapshot::write_to(
+        let logged = StoreSnapshot::write_to(
             &Manifest::snap_path(dir, 0),
             &header,
             &Dictionary::new(),
@@ -700,33 +711,41 @@ impl Database {
             snap_file: 0,
             wal_file: 0,
             seq: 0,
+            logged,
         });
         Ok(db)
     }
 
-    /// Recovery: reload the live checkpoint — its dictionary entry for
-    /// entry and its triples verbatim, as the staging generation — rebuild
-    /// its layouts in the deterministic order `self_organize` →
-    /// `build_cs_tables` → `build_baseline`, then replay the WAL suffix
-    /// through the public write paths. The durable handle is installed only
-    /// *after* the replay, so replayed writes are not logged a second time.
+    /// Recovery is a rebuild whose pin is the disk: the snapshot's
+    /// dictionary (entry for entry) extended by the log's appends, the
+    /// log's batches folded into the snapshot's triples at OID level
+    /// ([`fold_log`]), the recorded layouts built once over the folded set in
+    /// the deterministic order `self_organize` → `build_cs_tables` →
+    /// `build_baseline` — and, since building a clustered layout renumbers,
+    /// a fresh pair committed through [`checkpoint_locked`] before the
+    /// handle is returned. The durable state is installed only for that
+    /// commit, so a crash (or a failed write) anywhere in here leaves the
+    /// old pair as it was found: the next open starts over from it.
     // lock-order: acquires(db_state)
     fn recover(dir: &Path, m: Manifest, policy: SyncPolicy) -> Result<Database, Error> {
         let snap = StoreSnapshot::read_from(&Manifest::snap_path(dir, m.snap_file))?;
-        let (wal, records) = WalWriter::open_recover(&Manifest::wal_path(dir, m.wal_file))?;
+        let (wal, records) = WalWriter::open_recover(
+            &Manifest::wal_path(dir, m.wal_file),
+            snap.dict.pool_counts(),
+        )?;
         // The page file is a derived cache: recovery rebuilds every column
-        // from the snapshot's triples, so it starts from scratch.
+        // from the folded triples, so it starts from scratch.
         let db = Database::with_disk(Arc::new(DiskManager::create(&dir.join("data.db"))?));
-        let SnapshotHeader {
-            flags, schema_cfg, ..
-        } = snap.header;
+        let schema_cfg = snap.header.schema_cfg.clone();
+        let seq = m.base_seq + records.len() as u64;
+        let (triples, flags) = fold_log(&snap.dict, snap.triples, snap.header.flags, &m, records)?;
         {
             let mut st = db.inner.state.lock();
             // Restore the recorded scheme before any rebuild below.
             st.encoding = flags.encoding();
             st.gen = Arc::new(StoreGeneration::staging_with(
                 snap.dict,
-                snap.triples,
+                triples,
                 st.encoding,
             ));
             st.schema_cfg = schema_cfg.clone();
@@ -744,32 +763,20 @@ impl Database {
         if flags.schema && !flags.clustered && !flags.cs_parse_order {
             db.discover_schema(&schema_cfg)?;
         }
-        let mut last_seq = m.base_seq;
-        for (_lsn, seq, record) in records {
-            if seq <= m.base_seq {
-                continue; // already folded into the snapshot
-            }
-            match &record {
-                WalRecord::Insert(t) => {
-                    db.insert_terms(t)?;
-                }
-                WalRecord::Delete(t) => {
-                    db.delete_triples(t)?;
-                }
-                WalRecord::Load(t) => {
-                    db.load_terms(t)?;
-                }
-            }
-            last_seq = seq;
-        }
-        db.inner.state.lock().durable = Some(DurableState {
+        let mut st = db.inner.state.lock();
+        st.durable = Some(DurableState {
             dir: dir.to_path_buf(),
             wal,
             policy,
             snap_file: m.snap_file,
             wal_file: m.wal_file,
-            seq: last_seq,
+            seq,
+            // Set by the commit below: the fresh snapshot's counts.
+            logged: PoolCounts::default(),
         });
+        // On failure nothing was committed: the old pair is still live.
+        checkpoint_locked(&mut st)?;
+        drop(st);
         Ok(db)
     }
 
@@ -788,30 +795,6 @@ impl Database {
     // lock-order: acquires(db_state)
     pub fn encoding(&self) -> ColumnEncoding {
         self.inner.state.lock().gen.encoding
-    }
-
-    /// Set the WAL record encoding for subsequent write batches (N-Triples
-    /// text by default). Takes effect immediately and survives WAL
-    /// rotations (checkpoints, generation swaps); already-written records
-    /// keep their encoding — recovery auto-detects per record, so a log may
-    /// mix both. No-op on a non-durable database.
-    // lock-order: acquires(db_state)
-    pub fn set_wal_format(&self, format: WalFormat) {
-        if let Some(d) = self.inner.state.lock().durable.as_mut() {
-            d.wal.set_format(format);
-        }
-    }
-
-    /// The WAL record encoding of subsequent appends; `None` when not
-    /// durable.
-    // lock-order: acquires(db_state)
-    pub fn wal_format(&self) -> Option<WalFormat> {
-        self.inner
-            .state
-            .lock()
-            .durable
-            .as_ref()
-            .map(|d| d.wal.format())
     }
 
     /// Is this database durable (opened via [`Database::open`] /
@@ -949,16 +932,15 @@ impl Database {
             return load_terms_locked(&mut st, triples);
         }
         let st = &mut *st;
-        let (encoded, strings_appended) = intern_batch(st, |dict| {
-            let mut encoded = Vec::with_capacity(triples.len());
-            for t in triples {
-                encoded.push(encode_triple_skolemized(dict, t)?);
-            }
-            Ok(encoded)
-        })?;
+        let mut encoded = encode_batch(&st.gen.dict, triples)?;
         // Write-ahead: the batch reaches the log (and, under Always, the
         // disk) before any in-memory structure sees it.
-        log_write(st, WalKind::Insert, triples)?;
+        log_write(st, WalKind::Insert, &encoded)?;
+        // SPO order groups the batch by subject for the router, and is the
+        // order the delta run is kept in anyway.
+        encoded.sort_unstable();
+        let strings_appended =
+            st.gen.clustered.is_some() && st.gen.dict.n_strings() > st.gen.strings_sorted_len;
         route_inserts(
             &mut st.write,
             st.gen.schema.as_deref(),
@@ -979,20 +961,9 @@ impl Database {
     // lock-order: acquires(db_state, dict)
     pub fn delete_triples(&self, triples: &[TermTriple]) -> Result<usize, Error> {
         let mut st = self.inner.state.lock();
-        let mut targets = Vec::with_capacity(triples.len());
-        {
-            let dict = st.gen.dict.as_ref();
-            for t in triples {
-                let (Some(s), Some(p), Some(o)) = (
-                    term_oid_skolemized(dict, &t.s),
-                    term_oid_skolemized(dict, &t.p),
-                    term_oid_skolemized(dict, &t.o),
-                ) else {
-                    continue;
-                };
-                targets.push(Triple::new(s, p, o));
-            }
-        }
+        // A triple with an unknown term matches nothing stored.
+        let mut resolver = BatchResolver::new(&st.gen.dict);
+        let mut targets: Vec<Triple> = triples.iter().filter_map(|t| resolver.lookup(t)).collect();
         targets.sort_unstable();
         targets.dedup();
         delete_encoded_locked(&mut st, targets)
@@ -1494,45 +1465,39 @@ fn drift_stats_locked(st: &State) -> DriftStats {
     }
 }
 
-/// Decode one encoded triple back to terms.
-fn decode_triple(dict: &Dictionary, t: Triple) -> Result<TermTriple, Error> {
-    Ok(TermTriple::new(
-        dict.decode(t.s)?,
-        dict.decode(t.p)?,
-        dict.decode(t.o)?,
-    ))
+/// Encode one write batch under `dict`, interning unseen terms. The
+/// dictionary interns through `&self` (append-only pools behind short
+/// internal writer locks, lock-free reads), so a pin held anywhere — even
+/// on the writing thread itself — can never block or deadlock a writer:
+/// the pools grow in place and pinned readers simply observe the appended
+/// entries, while every OID they already resolved stays put.
+fn encode_batch(dict: &Dictionary, triples: &[TermTriple]) -> Result<Vec<Triple>, Error> {
+    let mut resolver = BatchResolver::new(dict);
+    let mut encoded = Vec::with_capacity(triples.len());
+    for t in triples {
+        encoded.push(resolver.encode(t)?);
+    }
+    Ok(encoded)
 }
 
-/// Decode encoded triples back to terms for WAL logging; `None` when the
-/// database is not durable (skips the decode entirely).
-fn decode_for_log(st: &State, triples: &[Triple]) -> Result<Option<Vec<TermTriple>>, Error> {
-    if st.durable.is_none() {
-        return Ok(None);
-    }
-    let dict = st.gen.dict.as_ref();
-    let mut out = Vec::with_capacity(triples.len());
-    for &t in triples {
-        out.push(decode_triple(dict, t)?);
-    }
-    Ok(Some(out))
-}
-
-/// Append one write batch to the WAL *before* it is applied in-memory,
-/// honoring the sync policy (under [`SyncPolicy::Always`] the return IS the
-/// durability acknowledgment). No-op on non-durable databases. On failure
-/// the write is rejected and durability is disabled for the rest of the
-/// process: the record may or may not have reached the log, so continuing
-/// to log around it could silently diverge the log from the applied state —
-/// the caller sees the error, the in-memory store stays usable, and the
-/// on-disk state remains a consistent (possibly stale) prefix.
-fn log_write(st: &mut State, kind: WalKind, batch: &[TermTriple]) -> Result<(), Error> {
+/// Append one write batch to the WAL *before* it is applied in-memory — the
+/// OIDs the caller already resolved, preceded by whatever the dictionary
+/// interned since the last logged watermark — honoring the sync policy
+/// (under [`SyncPolicy::Always`] the return IS the durability
+/// acknowledgment). No-op on non-durable databases. On failure the write is
+/// rejected and durability is disabled for the rest of the process: the
+/// record may or may not have reached the log, so continuing to log around
+/// it could silently diverge the log from the applied state — the caller
+/// sees the error, the in-memory store stays usable, and the on-disk state
+/// remains a consistent (possibly stale) prefix.
+fn log_write(st: &mut State, kind: WalKind, batch: &[Triple]) -> Result<(), Error> {
     let Some(d) = st.durable.as_mut() else {
         return Ok(());
     };
     let seq = d.seq + 1;
     match d
         .wal
-        .append_batch(seq, kind, batch)
+        .append_batch(seq, kind, &st.gen.dict, &mut d.logged, batch)
         .and_then(|_| d.wal.maybe_sync(d.policy))
     {
         Ok(()) => {
@@ -1544,6 +1509,77 @@ fn log_write(st: &mut State, kind: WalKind, batch: &[TermTriple]) -> Result<(), 
             Err(Error::Io(e))
         }
     }
+}
+
+/// Fold a log into the snapshot it follows, at OID level: extend `dict`
+/// with every record's appends (each entry must land on exactly the index
+/// the record names) and apply the batches to `triples` the way the live
+/// calls did — inserts and deletes of a built store through a
+/// [`DeltaStore`], folded out by [`fold_delta`]; a load into the base behind
+/// whatever was pending (the staging store gets the order the live one had),
+/// clearing the layout flags as the live call invalidated the layouts; a
+/// staged delete out of the base. Returns the triples the log leaves visible
+/// (SPO-sorted while layouts are recorded) and the layouts to build over
+/// them. Nothing is parsed, encoded or routed.
+fn fold_log(
+    dict: &Dictionary,
+    mut triples: Vec<Triple>,
+    mut flags: LayoutFlags,
+    m: &Manifest,
+    records: Vec<LogRecord>,
+) -> Result<(Vec<Triple>, LayoutFlags), Error> {
+    if records.first().is_some_and(|r| r.seq != m.base_seq + 1) {
+        return Err(Error::State(format!(
+            "wal.{} does not continue snap.{}: it starts at sequence {}, the snapshot covers {}",
+            m.wal_file, m.snap_file, records[0].seq, m.base_seq
+        )));
+    }
+    let built = |f: &LayoutFlags| f.baseline || f.cs_parse_order || f.clustered;
+    // A checkpoint taken with inserts pending streams them behind the
+    // sorted base; the fold (like every builder) wants one sorted list.
+    if built(&flags) && !triples.windows(2).all(|w| w[0] <= w[1]) {
+        triples.sort_unstable();
+    }
+    let mut delta = DeltaStore::new();
+    for rec in records {
+        rec.append_to(dict)?;
+        match rec.kind {
+            WalKind::Insert if built(&flags) => {
+                let _ = delta.insert_run(rec.triples);
+            }
+            WalKind::Delete if built(&flags) => {
+                let _ = delta.delete(&rec.triples);
+            }
+            WalKind::Delete => {
+                let gone: FxHashSet<Triple> = rec.triples.into_iter().collect();
+                triples.retain(|t| !gone.contains(t));
+            }
+            // An insert into a store with nothing built is a load (the
+            // live call logs it as one).
+            WalKind::Insert | WalKind::Load => {
+                // What `collapse_delta_into_base` left the live store with:
+                // the visible base, the pending inserts behind it in run
+                // order, then the batch.
+                if !delta.is_empty() {
+                    let mut kept: Vec<Triple> =
+                        visible_base(&triples, delta.current_view()).collect();
+                    kept.extend(delta.visible_inserts());
+                    triples = kept;
+                    delta = DeltaStore::new();
+                }
+                triples.extend(rec.triples);
+                flags = LayoutFlags {
+                    plain_encoding: flags.plain_encoding,
+                    ..LayoutFlags::default()
+                };
+            }
+        }
+    }
+    // Writes still pending over recorded layouts merge into the sorted base.
+    if !delta.is_empty() {
+        triples = fold_delta(&triples, delta.current_view());
+    }
+    Ok((triples, flags))
 }
 
 /// Write a full checkpoint of the current state (see
@@ -1572,17 +1608,15 @@ fn checkpoint_locked(st: &mut State) -> Result<(), Error> {
         flags,
         schema_cfg: st.schema_cfg.clone(),
     };
-    let visible = st
-        .gen
-        .visible_base(st.delta.current_view())
-        .chain(st.delta.visible_inserts());
-    StoreSnapshot::write_to(
+    let visible =
+        visible_base(&st.gen.triples, st.delta.current_view()).chain(st.delta.visible_inserts());
+    let logged = StoreSnapshot::write_to(
         &Manifest::snap_path(&d.dir, snap_n),
         &header,
         &st.gen.dict,
         visible,
     )?;
-    let wal = WalWriter::create_with(&Manifest::wal_path(&d.dir, wal_n), d.wal.format())?;
+    let wal = WalWriter::create(&Manifest::wal_path(&d.dir, wal_n))?;
     crash_point!("checkpoint.pre_manifest");
     let m = Manifest {
         snap_file: snap_n,
@@ -1594,6 +1628,7 @@ fn checkpoint_locked(st: &mut State) -> Result<(), Error> {
     d.wal = wal;
     d.snap_file = snap_n;
     d.wal_file = wal_n;
+    d.logged = logged;
     m.remove_orphans(&d.dir)?;
     Ok(())
 }
@@ -1622,7 +1657,7 @@ fn collapse_delta_into_base(st: &mut State) -> bool {
     let st = &mut *st;
     let view = st.delta.current_view();
     if view.is_some_and(|v| v.n_tombstones() > 0) {
-        let kept: Vec<Triple> = st.gen.visible_base(view).collect();
+        let kept: Vec<Triple> = visible_base(&st.gen.triples, view).collect();
         Arc::make_mut(&mut st.gen).triples = Arc::new(kept);
     }
     let gen = Arc::make_mut(&mut st.gen);
@@ -1633,39 +1668,15 @@ fn collapse_delta_into_base(st: &mut State) -> bool {
     true
 }
 
-/// Intern a write batch into the current generation's dictionary. The
-/// dictionary interns through `&self` (append-only pools behind short
-/// internal writer locks, lock-free reads), so a pin held anywhere — even
-/// on the writing thread itself — can never block or deadlock a writer:
-/// the pools grow in place and pinned readers simply observe the appended
-/// entries, while every OID they already resolved stays put. Returns the
-/// closure's output plus whether string literals now extend past the
-/// sorted prefix (the pushdown-disabling watermark check).
-fn intern_batch<T>(
-    st: &mut State,
-    f: impl FnOnce(&Dictionary) -> Result<T, Error>,
-) -> Result<(T, bool), Error> {
-    let dict = st.gen.dict.as_ref();
-    let out = f(dict)?;
-    let sa = st.gen.clustered.is_some() && dict.n_strings() > st.gen.strings_sorted_len;
-    Ok((out, sa))
-}
-
 /// Stage `triples` into the base set: collapse pending writes, append, and
 /// invalidate built stores (the next build sees everything).
 fn load_terms_locked(st: &mut State, triples: &[TermTriple]) -> Result<usize, Error> {
     collapse_delta_into_base(st);
-    let (encoded, _) = intern_batch(st, |dict| {
-        let mut enc = Vec::with_capacity(triples.len());
-        for t in triples {
-            enc.push(encode_triple_skolemized(dict, t)?);
-        }
-        Ok(enc)
-    })?;
+    let encoded = encode_batch(&st.gen.dict, triples)?;
     // Log after the encode proves the batch well-formed (so recovery can
     // never trip over a record the live path rejected) but before any
     // visible mutation. The collapse above is logically invisible.
-    log_write(st, WalKind::Load, triples)?;
+    log_write(st, WalKind::Load, &encoded)?;
     let gen = Arc::make_mut(&mut st.gen);
     Arc::make_mut(&mut gen.triples).extend(encoded);
     gen.baseline = None;
@@ -1705,13 +1716,11 @@ fn delete_encoded_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, 
     if visible.is_empty() {
         return Ok(0);
     }
-    // Log the *resolved* visible triples: replay from the same state
-    // re-resolves to exactly this set, and zero-match deletes (skipped
-    // above) never consume a log sequence — keeping the log and the delta
-    // advancing in lockstep.
-    if let Some(terms) = decode_for_log(st, &visible)? {
-        log_write(st, WalKind::Delete, &terms)?;
-    }
+    // Log the *resolved* visible triples, as they are: recovery tombstones
+    // exactly this set, and zero-match deletes (skipped above) never
+    // consume a log sequence — keeping the log and the delta advancing in
+    // lockstep.
+    log_write(st, WalKind::Delete, &visible)?;
     let n = visible.len();
     let _ = st.delta.delete(&visible);
     unroute_retired(&mut st.write, st.delta.current_view(), &visible);
@@ -1750,9 +1759,7 @@ fn unroute_retired(write: &mut Option<WriteState>, view: Option<&DeltaView>, del
 /// Staging mode (nothing built, base in load order): remove the targets
 /// from the base set directly.
 fn delete_staged_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, Error> {
-    if let Some(terms) = decode_for_log(st, &targets)? {
-        log_write(st, WalKind::Delete, &terms)?;
-    }
+    log_write(st, WalKind::Delete, &targets)?;
     let set: FxHashSet<Triple> = targets.into_iter().collect();
     let gen = Arc::make_mut(&mut st.gen);
     let triples = Arc::make_mut(&mut gen.triples);
@@ -1764,9 +1771,9 @@ fn delete_staged_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, E
 
 /// Route one insert batch's subjects through the incremental assigner
 /// (drift bookkeeping only — queries read delta triples through the merged
-/// scans regardless of routing). Shared by the live write path and the
-/// catch-up fold of a generation swap (which replays against the *new*
-/// schema).
+/// scans regardless of routing). `encoded` is SPO-sorted, so each subject
+/// is one run of it. Shared by the live write path and the catch-up fold of
+/// a generation swap (which replays against the *new* schema).
 fn route_inserts(
     write: &mut Option<WriteState>,
     schema: Option<&EmergentSchema>,
@@ -1780,21 +1787,20 @@ fn route_inserts(
         pending_class: Arc::default(),
         per_class_fill: vec![0; schema.classes.len()],
     });
-    let mut by_subject: FxHashMap<Oid, (Vec<Oid>, u64)> = FxHashMap::default();
-    for t in encoded {
-        let e = by_subject.entry(t.s).or_default();
-        e.0.push(t.p);
-        e.1 += 1;
-    }
-    for (s, (mut props, n)) in by_subject {
+    debug_assert!(encoded.windows(2).all(|w| w[0] <= w[1]));
+    let mut rest = encoded;
+    while let Some(first) = rest.first() {
+        let run;
+        (run, rest) = rest.split_at(rest.partition_point(|t| t.s == first.s));
+        let (s, n) = (first.s, run.len() as u64);
         if let Some(cid) = schema.class_of(s) {
             // Known subject: its delta triples will cluster back into
             // its class at the next reorganization.
             w.per_class_fill[cid.0 as usize] += n;
             continue;
         }
-        props.sort_unstable();
-        props.dedup();
+        let mut props: Vec<Oid> = run.iter().map(|t| t.p).collect();
+        props.dedup(); // sorted within the run
         let merged: Vec<Oid> = match w.pending_props.get_mut(&s) {
             Some(prev) => {
                 prev.extend(props);
@@ -1883,28 +1889,26 @@ fn self_organize_locked(
     }
     // sordf-lint: allow(L3) — ensured Some by the discover_schema_locked call above.
     let spec = spec.unwrap_or_else(|| ClusterSpec::auto(st.gen.schema.as_deref().unwrap()));
-    // Build a *fresh* generation: clone the dictionary + triples, cluster
-    // the clone, and install it. In-flight queries pinned to the old
-    // generation keep a consistent (dict, store) pair — the old dictionary
-    // is never renumbered in place.
-    let mut ts = TripleSet {
-        dict: st.gen.dict.as_ref().clone(),
-        triples: st.gen.triples.as_ref().clone(),
-    };
+    // Build a *fresh* generation: a renumbered dictionary built from the
+    // current one and a clustered copy of the triples. In-flight queries
+    // pinned to the old generation keep a consistent (dict, store) pair —
+    // the old dictionary is never renumbered in place.
+    let mut triples = st.gen.triples.as_ref().clone();
     // sordf-lint: allow(L3) — ensured Some by the discover_schema_locked call above.
     let mut schema = st.gen.schema.as_deref().unwrap().clone();
-    let report = reorganize(&mut ts, &mut schema, &spec);
+    let (dict, report) = reorganize_from(&st.gen.dict, &mut triples, &mut schema, &spec);
     // Clustering renumbered every subject: re-sort under the new numbering.
     // The sorted list feeds the builder and is what the generation publishes.
-    ts.triples.sort_unstable();
-    let store = build_clustered_with(dm, &ts.triples, &mut schema, &spec, true, st.encoding);
+    // (Run-adaptive: recovery re-clusters an already clustered snapshot.)
+    triples.sort();
+    let store = build_clustered_with(dm, &triples, &mut schema, &spec, true, st.encoding);
     // The string pool was just sorted: OID order equals value order for
     // everything interned so far.
-    let strings_sorted_len = ts.dict.n_strings();
+    let strings_sorted_len = dict.n_strings();
     let schema = Arc::new(schema);
     st.gen = Arc::new(StoreGeneration {
-        dict: Arc::new(ts.dict),
-        triples: Arc::new(ts.triples),
+        dict: Arc::new(dict),
+        triples: Arc::new(triples),
         // Parse-order generations hold stale OIDs now.
         baseline: None,
         cs_parse_order: None,
@@ -1961,7 +1965,10 @@ const SNAP_TMP: &str = "snap.tmp";
 /// [`StoreGeneration`] (the dictionary stays unwrapped so the catch-up fold
 /// can intern into it without locking).
 struct BuiltGeneration {
-    ts: TripleSet,
+    dict: Dictionary,
+    /// SPO-sorted under `dict`'s numbering: what the swap publishes as the
+    /// base and what the staged snapshot holds.
+    triples: Vec<Triple>,
     baseline: Option<BaselineStore>,
     schema: Option<Arc<EmergentSchema>>,
     cs_parse_order: Option<(ClusteredStore, Arc<EmergentSchema>)>,
@@ -1970,6 +1977,10 @@ struct BuiltGeneration {
     report: Option<ReorgReport>,
     strings_sorted_len: usize,
     encoding: ColumnEncoding,
+    /// What the staged snapshot ([`SNAP_TMP`]) holds of each dictionary
+    /// pool — the watermark the rotated log appends from. `None` on a
+    /// non-durable database.
+    snapshot_pools: Option<PoolCounts>,
 }
 
 /// Claim the (single) rebuild slot and pin the rebuild's input.
@@ -2009,13 +2020,42 @@ fn release_rebuild_claim(inner: &DbInner, epoch: u64) {
 }
 
 /// The heavy lifting, entirely off-lock: fold the pinned delta into an
-/// owned triple set and rebuild every generation the pinned one had. This
+/// owned triple list and rebuild every generation the pinned one had. This
 /// is what runs for the full rebuild duration while readers and writers
-/// proceed against the live store.
-fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> BuiltGeneration {
-    let mut ts = pin.gen.fold_into_triple_set(pin.view.as_deref());
+/// proceed against the live store. Once the renumbered, sorted triples exist
+/// the snapshot (`snap.tmp`, durable stores only) streams out first: an
+/// error is the stream's, and it surfaces before any page is allocated.
+fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> Result<BuiltGeneration, Error> {
+    let mut triples = fold_delta(&pin.gen.triples, pin.view.as_deref());
+    // The folded set is SPO-sorted (sorted base merged with sorted inserts)
+    // and serves every builder as it is; clustering renumbers the OIDs, so
+    // it is the only step after which it must be sorted again.
+    debug_assert!(triples.windows(2).all(|w| w[0] <= w[1]));
+    let (dict, clustering) = if pin.gen.clustered.is_some() {
+        let mut schema = sordf_schema::discover(&triples, &pin.gen.dict, &pin.schema_cfg);
+        let spec = ClusterSpec::auto(&schema);
+        // The next dictionary is built from the pinned one, which is only
+        // read — no deep copy of pools the renumbering discards.
+        let (dict, report) = reorganize_from(&pin.gen.dict, &mut triples, &mut schema, &spec);
+        // The run-adaptive sort: subjects that were clustered before keep
+        // their relative order, so what was the base is one long sorted
+        // run and only the folded-in writes behind it are out of place
+        // (measured 9-11 ms where the pattern-defeating sort took 45-60).
+        triples.sort();
+        (dict, Some((schema, spec, report)))
+    } else {
+        (pin.gen.dict.as_ref().clone(), None)
+    };
+    // Dictionary and triples are final: what the swap publishes is what the
+    // snapshot holds.
+    let snapshot_pools = pin
+        .durable
+        .as_ref()
+        .map(|dp| write_rebuild_snapshot(dp, pin, &dict, &triples))
+        .transpose()?;
     let mut out = BuiltGeneration {
-        ts: TripleSet::new(),
+        dict,
+        triples,
         baseline: None,
         schema: None,
         cs_parse_order: None,
@@ -2024,118 +2064,113 @@ fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> BuiltGeneration 
         report: None,
         strings_sorted_len: pin.gen.strings_sorted_len,
         encoding: pin.encoding,
+        snapshot_pools,
     };
-    let mut frozen: Option<Arc<EmergentSchema>> = None;
-    // The folded set is SPO-sorted (sorted base merged with sorted inserts)
-    // and serves every builder as it is; clustering renumbers the OIDs, so
-    // it is the only step after which it must be sorted again. What is
-    // sorted here is what the swap publishes as the base.
-    debug_assert!(ts.triples.windows(2).all(|w| w[0] <= w[1]));
-    if pin.gen.clustered.is_some() {
-        let mut schema = sordf_schema::discover(&ts.triples, &ts.dict, &pin.schema_cfg);
-        let spec = ClusterSpec::auto(&schema);
-        let report = reorganize(&mut ts, &mut schema, &spec);
-        ts.triples.sort_unstable();
-        let store = build_clustered_with(dm, &ts.triples, &mut schema, &spec, true, pin.encoding);
-        out.strings_sorted_len = ts.dict.n_strings();
+    if let Some((mut schema, spec, report)) = clustering {
+        let store = build_clustered_with(dm, &out.triples, &mut schema, &spec, true, pin.encoding);
+        out.strings_sorted_len = out.dict.n_strings();
         out.clustered = Some(store);
         out.spec = spec;
         out.report = Some(report);
-        frozen = Some(Arc::new(schema));
+        out.schema = Some(Arc::new(schema));
     }
     if pin.gen.cs_parse_order.is_some() {
         // Under a frozen (fresh) schema when clustered, else re-discovered
         // from the merged data — mirrors `build_cs_tables` after the
         // clustering collapse.
-        let base = match &frozen {
+        let base = match &out.schema {
             Some(s) => Arc::clone(s),
             None => Arc::new(sordf_schema::discover(
-                &ts.triples,
-                &ts.dict,
+                &out.triples,
+                &out.dict,
                 &pin.schema_cfg,
             )),
         };
         let mut schema = (*base).clone();
         let spec = ClusterSpec::auto(&schema);
-        let store = build_clustered_with(dm, &ts.triples, &mut schema, &spec, false, pin.encoding);
+        let store = build_clustered_with(dm, &out.triples, &mut schema, &spec, false, pin.encoding);
         out.cs_parse_order = Some((store, Arc::new(schema)));
-        frozen.get_or_insert(base);
+        out.schema.get_or_insert(base);
     }
     if pin.gen.baseline.is_some() {
-        out.baseline = Some(BaselineStore::build_with(dm, &ts.triples, pin.encoding));
-    }
-    out.schema = frozen;
-    out.ts = ts;
-    out
-}
-
-/// Decode `triples` under a dictionary into term triples.
-fn decode_triples(dict: &Dictionary, triples: &[Triple]) -> Result<Vec<TermTriple>, Error> {
-    let mut out = Vec::with_capacity(triples.len());
-    for &t in triples {
-        out.push(decode_triple(dict, t)?);
+        out.baseline = Some(BaselineStore::build_with(dm, &out.triples, pin.encoding));
     }
     Ok(out)
 }
 
-/// Encode term triples under the new (renumbered) dictionary, interning
-/// terms first seen during the rebuild.
-fn encode_terms(new_dict: &Dictionary, terms: &[TermTriple]) -> Result<Vec<Triple>, Error> {
-    let mut out = Vec::with_capacity(terms.len());
-    for t in terms {
-        out.push(encode_triple_skolemized(new_dict, t)?);
+/// Carry a catch-up batch across a swap: decode it under the dictionary it
+/// was written in, encode it under the renumbered one (interning terms
+/// first seen during the rebuild).
+fn reencode(old: &Dictionary, new: &Dictionary, triples: &[Triple]) -> Result<Vec<Triple>, Error> {
+    let mut terms = Vec::with_capacity(triples.len());
+    for t in triples {
+        terms.push(TermTriple::new(
+            old.decode(t.s)?,
+            old.decode(t.p)?,
+            old.decode(t.o)?,
+        ));
     }
-    Ok(out)
+    encode_batch(new, &terms)
 }
 
-/// Stream the built generation out as the pre-swap checkpoint snapshot,
-/// off-lock, under the staging name [`SNAP_TMP`] (the swap renames it to
-/// its final number under the state lock, where the number is decided).
+/// Stream the rebuild's dictionary and triples out as the pre-swap
+/// checkpoint snapshot, off-lock, under the staging name [`SNAP_TMP`] (the
+/// swap renames it to its final number under the state lock, where the
+/// number is decided). The layouts it records are the pinned generation's:
+/// the rebuild builds exactly those again. Returns the pool counts dumped;
+/// a stream that fails takes its staging file with it.
 fn write_rebuild_snapshot(
     dp: &DurablePin,
     pin: &RebuildPin,
-    built: &BuiltGeneration,
-) -> Result<(), Error> {
+    dict: &Dictionary,
+    triples: &[Triple],
+) -> Result<PoolCounts, Error> {
+    let clustered = pin.gen.clustered.is_some();
+    let cs_parse_order = pin.gen.cs_parse_order.is_some();
     let mut flags = LayoutFlags {
-        baseline: built.baseline.is_some(),
-        cs_parse_order: built.cs_parse_order.is_some(),
-        clustered: built.clustered.is_some(),
-        schema: built.schema.is_some(),
+        baseline: pin.gen.baseline.is_some(),
+        cs_parse_order,
+        clustered,
+        schema: clustered || cs_parse_order,
         plain_encoding: false,
     };
-    flags.record_encoding(built.encoding);
+    flags.record_encoding(pin.encoding);
     let header = SnapshotHeader {
         base_seq: dp.pin_log_seq,
         flags,
         schema_cfg: pin.schema_cfg.clone(),
     };
-    StoreSnapshot::write_to(
-        &dp.dir.join(SNAP_TMP),
-        &header,
-        &built.ts.dict,
-        built.ts.triples.iter().copied(),
-    )?;
-    Ok(())
+    let path = dp.dir.join(SNAP_TMP);
+    StoreSnapshot::write_to(&path, &header, dict, triples.iter().copied()).map_err(|e| {
+        // Best-effort: a leftover is overwritten by the next rebuild and
+        // swept by the next commit's `remove_orphans`.
+        let _ = fs::remove_file(&path);
+        Error::Io(e)
+    })
 }
 
 /// The durable half of the swap, under the state lock: rename the
-/// pre-written snapshot to its final number, rotate the WAL down to
-/// exactly the catch-up records, and commit the manifest atomically. A
-/// failure at any step leaves the previous snapshot + WAL pair live and
-/// mutually consistent (the caller then abandons the swap).
+/// pre-written snapshot to its final number, write the catch-up batches —
+/// re-encoded under `new_dict`, each with what `new_dict` interned for it
+/// past the snapshot's pools — as the fresh log, and commit the manifest
+/// atomically: the new pair is in the new numbering. A failure at any step
+/// leaves the previous snapshot + WAL pair live and mutually consistent
+/// (the caller then abandons the swap).
 fn commit_swap_durable(
     dp: &DurablePin,
     d: &mut DurableState,
-    records: &[WalRecord],
+    new_dict: &Dictionary,
+    mut logged: PoolCounts,
+    catch_up: &[(WalKind, Vec<Triple>)],
 ) -> io::Result<()> {
     let snap_n = d.snap_file + 1;
     let wal_n = d.wal_file + 1;
     fs::rename(dp.dir.join(SNAP_TMP), Manifest::snap_path(&d.dir, snap_n))?;
-    let mut wal = WalWriter::create_with(&Manifest::wal_path(&d.dir, wal_n), d.wal.format())?;
+    let mut wal = WalWriter::create(&Manifest::wal_path(&d.dir, wal_n))?;
     let mut seq = dp.pin_log_seq;
-    for rec in records {
+    for (kind, triples) in catch_up {
         seq += 1;
-        wal.append(seq, rec)?;
+        wal.append_batch(seq, *kind, new_dict, &mut logged, triples)?;
     }
     wal.sync()?;
     crash_point!("swap.pre_manifest");
@@ -2154,6 +2189,7 @@ fn commit_swap_durable(
     d.snap_file = snap_n;
     d.wal_file = wal_n;
     d.seq = seq;
+    d.logged = logged;
     m.remove_orphans(&d.dir)?;
     Ok(())
 }
@@ -2165,102 +2201,116 @@ fn commit_swap_durable(
 /// load / explicit build invalidated the pinned epoch).
 // lock-order: acquires(db_state, dict)
 fn finish_rebuild(inner: &DbInner, pin: RebuildPin, built: BuiltGeneration) -> Result<bool, Error> {
-    let mut st = inner.state.lock();
-    if st.rebuild == Some(pin.epoch) {
-        st.rebuild = None;
-    }
-    if st.epoch != pin.epoch {
-        if let Some(dp) = &pin.durable {
-            // Best-effort: the orphaned staging snapshot is simply
-            // overwritten by the next rebuild.
-            let _ = fs::remove_file(dp.dir.join(SNAP_TMP));
-        }
-        return Ok(false);
-    }
-    let st = &mut *st;
-    let catch_up = st.delta.writes_since(pin.pin_seq);
-    let new_dict = built.ts.dict;
-    let mut new_delta = DeltaStore::with_base_seq(pin.pin_seq);
-    let mut new_write: Option<WriteState> = None;
-    // Re-serialize the catch-up writes (term-level) for the rotated WAL.
-    // Skipped when durability lapsed mid-rebuild (a failed log append
-    // disables it) — the disk then keeps its last consistent state.
-    let durable_live = pin.durable.is_some() && st.durable.is_some();
-    let mut catch_up_records: Vec<WalRecord> = Vec::new();
+    // What the swap supersedes — the old generation handle (base triples,
+    // dictionary, column handles), delta and routing state — is moved out
+    // under the lock and freed after it: releasing the last handle of a
+    // store-sized generation is milliseconds nobody should wait behind.
+    let superseded;
     {
-        // Decode under the *current* generation's dictionary — it is the
-        // same append-only dictionary the rebuild pinned (grown in place by
-        // concurrent interns) and is guaranteed to contain every term
-        // interned during the rebuild. No locking: decode is lock-free.
-        let old_dict = st.gen.dict.as_ref();
-        for (seq, w) in catch_up {
-            let applied = match w {
-                DeltaWrite::Insert(triples) => {
-                    let terms = decode_triples(old_dict, &triples)?;
-                    let enc = encode_terms(&new_dict, &terms)?;
-                    if durable_live {
-                        catch_up_records.push(WalRecord::Insert(terms));
-                    }
-                    route_inserts(
-                        &mut new_write,
-                        built.schema.as_deref(),
-                        &st.schema_cfg,
-                        &enc,
-                    );
-                    new_delta.insert_run(enc)
-                }
-                DeltaWrite::Delete(triples) => {
-                    let terms = decode_triples(old_dict, &triples)?;
-                    let enc = encode_terms(&new_dict, &terms)?;
-                    if durable_live {
-                        catch_up_records.push(WalRecord::Delete(terms));
-                    }
-                    let applied = new_delta.delete(&enc);
-                    unroute_retired(&mut new_write, new_delta.current_view(), &enc);
-                    applied
-                }
-            };
-            debug_assert_eq!(
-                applied.seq(),
-                seq,
-                "catch-up replay must preserve sequencing"
-            );
+        let mut st = inner.state.lock();
+        if st.rebuild == Some(pin.epoch) {
+            st.rebuild = None;
         }
+        if st.epoch != pin.epoch {
+            if let Some(dp) = &pin.durable {
+                // Best-effort: the orphaned staging snapshot is simply
+                // overwritten by the next rebuild.
+                let _ = fs::remove_file(dp.dir.join(SNAP_TMP));
+            }
+            return Ok(false);
+        }
+        let st = &mut *st;
+        let catch_up = st.delta.writes_since(pin.pin_seq);
+        let new_dict = built.dict;
+        let mut new_delta = DeltaStore::with_base_seq(pin.pin_seq);
+        let mut new_write: Option<WriteState> = None;
+        // The catch-up batches as the rotated WAL will hold them: OIDs under
+        // the new dictionary. Skipped when durability lapsed mid-rebuild (a
+        // failed log append disables it) — the disk then keeps its last
+        // consistent state.
+        let durable_live = pin.durable.is_some() && st.durable.is_some();
+        let mut catch_up_log: Vec<(WalKind, Vec<Triple>)> = Vec::new();
+        {
+            // Decode under the *current* generation's dictionary — it is
+            // the same append-only dictionary the rebuild pinned (grown in
+            // place by concurrent interns) and is guaranteed to contain
+            // every term interned during the rebuild. No locking: decode is
+            // lock-free.
+            let old_dict = st.gen.dict.as_ref();
+            for (seq, w) in catch_up {
+                let applied = match w {
+                    DeltaWrite::Insert(triples) => {
+                        let mut enc = reencode(old_dict, &new_dict, &triples)?;
+                        enc.sort_unstable();
+                        if durable_live {
+                            catch_up_log.push((WalKind::Insert, enc.clone()));
+                        }
+                        route_inserts(
+                            &mut new_write,
+                            built.schema.as_deref(),
+                            &st.schema_cfg,
+                            &enc,
+                        );
+                        new_delta.insert_run(enc)
+                    }
+                    DeltaWrite::Delete(triples) => {
+                        let enc = reencode(old_dict, &new_dict, &triples)?;
+                        let applied = new_delta.delete(&enc);
+                        unroute_retired(&mut new_write, new_delta.current_view(), &enc);
+                        if durable_live {
+                            catch_up_log.push((WalKind::Delete, enc));
+                        }
+                        applied
+                    }
+                };
+                debug_assert_eq!(
+                    applied.seq(),
+                    seq,
+                    "catch-up replay must preserve sequencing"
+                );
+            }
+        }
+        if built.clustered.is_some() && new_dict.n_strings() > built.strings_sorted_len {
+            // Catch-up inserts interned strings past the freshly sorted pool.
+            new_delta.set_strings_appended();
+        }
+        if let (true, Some(dp), Some(d), Some(pools)) = (
+            durable_live,
+            &pin.durable,
+            st.durable.as_mut(),
+            built.snapshot_pools,
+        ) {
+            // Durable commit before the in-memory install: on failure the
+            // swap is abandoned wholesale — old generation, old snapshot +
+            // WAL pair, everything stays live and mutually consistent.
+            commit_swap_durable(dp, d, &new_dict, pools, &catch_up_log)?;
+        }
+        let new_gen = Arc::new(StoreGeneration {
+            dict: Arc::new(new_dict),
+            triples: Arc::new(built.triples),
+            baseline: built.baseline.map(Arc::new),
+            schema: built.schema,
+            cs_parse_order: built.cs_parse_order.map(|(s, sc)| (Arc::new(s), sc)),
+            clustered: built.clustered.map(Arc::new),
+            spec: built.spec,
+            reorg_report: built.report,
+            strings_sorted_len: built.strings_sorted_len,
+            encoding: built.encoding,
+        });
+        superseded = (
+            std::mem::replace(&mut st.gen, new_gen),
+            std::mem::replace(&mut st.delta, new_delta),
+            std::mem::replace(&mut st.write, new_write),
+        );
+        #[cfg(debug_assertions)]
+        {
+            st.gen.debug_validate();
+            st.delta.debug_validate();
+        }
+        st.epoch += 1;
     }
-    if built.clustered.is_some() && new_dict.n_strings() > built.strings_sorted_len {
-        // Catch-up inserts interned strings past the freshly sorted pool.
-        new_delta.set_strings_appended();
-    }
-    if durable_live {
-        // Durable commit before the in-memory install: on failure the swap
-        // is abandoned wholesale — old generation, old snapshot + WAL pair,
-        // everything stays live and mutually consistent.
-        // sordf-lint: allow(L3) — durable_live checked both sides above.
-        let dp = pin.durable.as_ref().unwrap();
-        // sordf-lint: allow(L3) — durable_live checked both sides above.
-        let d = st.durable.as_mut().unwrap();
-        commit_swap_durable(dp, d, &catch_up_records)?;
-    }
-    st.gen = Arc::new(StoreGeneration {
-        dict: Arc::new(new_dict),
-        triples: Arc::new(built.ts.triples),
-        baseline: built.baseline.map(Arc::new),
-        schema: built.schema,
-        cs_parse_order: built.cs_parse_order.map(|(s, sc)| (Arc::new(s), sc)),
-        clustered: built.clustered.map(Arc::new),
-        spec: built.spec,
-        reorg_report: built.report,
-        strings_sorted_len: built.strings_sorted_len,
-        encoding: built.encoding,
-    });
-    st.delta = new_delta;
-    st.write = new_write;
-    #[cfg(debug_assertions)]
-    {
-        st.gen.debug_validate();
-        st.delta.debug_validate();
-    }
-    st.epoch += 1;
+    drop(pin);
+    drop(superseded);
     Ok(true)
 }
 
@@ -2272,23 +2322,21 @@ fn run_rebuild(
     reason: Option<String>,
     drift_before: DriftStats,
 ) -> Result<ReorgOutcome, Error> {
+    // The build — the staged snapshot included, so the swap itself stays
+    // O(catch-up), never O(data) — runs off-lock.
     let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         build_generation(&inner.dm, &pin)
     })) {
-        Ok(b) => b,
+        Ok(Ok(b)) => b,
+        Ok(Err(e)) => {
+            release_rebuild_claim(inner, pin.epoch);
+            return Err(e);
+        }
         Err(payload) => {
             release_rebuild_claim(inner, pin.epoch);
             return Err(Error::Exec(panic_message(payload)));
         }
     };
-    // Serialize the pre-swap checkpoint while still off-lock, so the swap
-    // itself stays O(catch-up) — never O(data).
-    if let Some(dp) = &pin.durable {
-        if let Err(e) = write_rebuild_snapshot(dp, &pin, &built) {
-            release_rebuild_claim(inner, pin.epoch);
-            return Err(e);
-        }
-    }
     let irregular_ratio_after = built
         .clustered
         .as_ref()
@@ -2366,15 +2414,6 @@ struct AutoReorg {
     thread: thread::JoinHandle<()>,
 }
 
-/// Encode a term for lookup without interning, skolemizing blank nodes the
-/// way `TripleSet::add` does (shared scheme: [`Term::skolem_blank_iri`]).
-fn term_oid_skolemized(dict: &Dictionary, t: &Term) -> Option<Oid> {
-    match t {
-        Term::Blank(label) => dict.iri_oid(&Term::skolem_blank_iri(label)),
-        other => dict.term_oid(other),
-    }
-}
-
 /// Render a panic payload as a message (best effort).
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -2402,7 +2441,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::query::plan_cache_key;
-    use sordf_model::Term;
+    use sordf_model::{DictPool, Term};
 
     fn sample_triples() -> Vec<TermTriple> {
         let mut triples = Vec::new();
@@ -3098,8 +3137,12 @@ mod tests {
         .unwrap();
         let before = db.query(q).unwrap().canonical(&db.dict());
         let handle = db.reorganize_async().unwrap();
-        // Queries keep answering while the rebuild runs (pinned generation).
-        assert_eq!(db.query(q).unwrap().canonical(&db.dict()), before);
+        // Queries keep answering while the rebuild runs (pinned generation);
+        // the swap may land right behind this one, so it is decoded under
+        // the dictionary it ran against, not one taken afterwards.
+        let during = db.execute(&QueryRequest::sparql(q)).unwrap();
+        assert_eq!(during.results.canonical(&during.pin), before);
+        drop(during);
         let outcome = handle.wait().unwrap();
         assert!(outcome.fired && outcome.swapped);
         assert_eq!(outcome.irregular_ratio_after, Some(0.0));
@@ -3157,7 +3200,7 @@ mod tests {
 
         // Pin and build — but do not swap yet.
         let pin = begin_rebuild(&db.inner).unwrap();
-        let built = build_generation(&db.inner.dm, &pin);
+        let built = build_generation(&db.inner.dm, &pin).unwrap();
 
         // Writes that arrive *during* the rebuild: an insert with a fresh
         // string literal (interned only in the old dictionary), a
@@ -3299,7 +3342,7 @@ mod tests {
         let db = sample_db();
         db.self_organize().unwrap();
         let pin = begin_rebuild(&db.inner).unwrap();
-        let built = build_generation(&db.inner.dm, &pin);
+        let built = build_generation(&db.inner.dm, &pin).unwrap();
         // A bulk load invalidates the pinned epoch: the swap must refuse.
         db.load_ntriples(
             r#"<http://ex/late> <http://ex/qty> "3"^^<http://www.w3.org/2001/XMLSchema#integer> ."#,
@@ -3369,7 +3412,7 @@ mod tests {
         assert!(db.reorg_in_flight());
         assert!(matches!(db.reorganize_async(), Err(Error::State(_))));
         assert!(matches!(db.reorganize_now(), Err(Error::State(_))));
-        let built = build_generation(&db.inner.dm, &pin);
+        let built = build_generation(&db.inner.dm, &pin).unwrap();
         assert!(finish_rebuild(&db.inner, pin, built).unwrap());
         assert!(!db.reorg_in_flight());
         db.reorganize_now().unwrap();
@@ -3521,6 +3564,181 @@ mod tests {
             db.clustered_store().is_some(),
             "recovery rebuilt the organized layout"
         );
+    }
+
+    #[test]
+    fn a_load_over_pending_writes_recovers_in_the_live_staging_order() {
+        let dir = durable_dir("staging-order");
+        let _c = Cleanup(dir.clone());
+        let live = {
+            let db = Database::create_durable(&dir, SyncPolicy::Always).unwrap();
+            db.load_terms(&sample_triples()).unwrap();
+            db.self_organize().unwrap();
+            // Two runs on subjects inside the base, the second sorting
+            // before the first, and a delete out of the base: all pending
+            // when the load collapses them.
+            for s in ["item5", "item1"] {
+                db.insert_ntriples(&format!(
+                    r#"<http://ex/{s}> <http://ex/qty> "99"^^<http://www.w3.org/2001/XMLSchema#integer> ."#
+                ))
+                .unwrap();
+            }
+            db.delete_matching(Some(&Term::iri("http://ex/item3")), None, None)
+                .unwrap();
+            db.load_terms(&[TermTriple::new(
+                Term::iri("http://ex/loaded"),
+                Term::iri("http://ex/qty"),
+                Term::int(7),
+            )])
+            .unwrap();
+            let st = db.inner.state.lock();
+            Arc::clone(&st.gen.triples)
+        };
+        let db = Database::open(&dir).unwrap();
+        let st = db.inner.state.lock();
+        assert!(!st.gen.any_built(), "the load cleared the layouts");
+        assert_eq!(st.gen.triples, live, "same numbering, same order");
+    }
+
+    /// A durable, organized store with every layout built, two classes (one
+    /// with sorted strings) and a pending delta of inserts, new strings and
+    /// deletes — prepared identically on every call.
+    fn store_to_rebuild(dir: &Path) -> Database {
+        let db = Database::create_durable(dir, SyncPolicy::Never).unwrap();
+        let mut data = sample_triples();
+        for (i, label) in ["pear", "apple", "cherry", "banana"].iter().enumerate() {
+            let s = format!("http://ex/thing{i}");
+            data.push(TermTriple::new(
+                Term::iri(s.clone()),
+                Term::iri("http://ex/label"),
+                Term::str(*label),
+            ));
+            data.push(TermTriple::new(
+                Term::iri(s),
+                Term::iri("http://ex/rank"),
+                Term::int(i as i64),
+            ));
+        }
+        db.load_terms(&data).unwrap();
+        db.build_baseline().unwrap();
+        db.build_cs_tables().unwrap();
+        db.self_organize().unwrap();
+        db.build_cs_tables().unwrap();
+        db.build_baseline().unwrap();
+        for i in 0..12 {
+            db.insert_ntriples(&format!(
+                r#"<http://ex/late{i}> <http://ex/qty> "{}"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://ex/late{i}> <http://ex/sold> "1996-03-{:02}"^^<http://www.w3.org/2001/XMLSchema#date> .
+<http://ex/thing{}> <http://ex/label> "late label {}" ."#,
+                i % 10,
+                i + 1,
+                i + 10,
+                11 - i
+            ))
+            .unwrap();
+        }
+        db.delete_matching(Some(&Term::iri("http://ex/item7")), None, None)
+            .unwrap();
+        db.delete_matching(Some(&Term::iri("http://ex/late3")), None, None)
+            .unwrap();
+        db
+    }
+
+    /// Everything a rebuild produces, rendered: dictionary pools, triples,
+    /// schema (names, statistics, coverage), layouts (page ids, encodings,
+    /// zone maps), every page of the page file, and the staged snapshot.
+    fn built_image(db: &Database, dir: &Path, built: &BuiltGeneration) -> Vec<String> {
+        let mut image = Vec::new();
+        for pool in DictPool::ALL {
+            let mut entries = Vec::new();
+            built
+                .dict
+                .try_for_each_entry(pool, |s| {
+                    entries.push(s.to_string());
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+            image.push(format!("{pool:?} {entries:?}"));
+        }
+        image.push(format!("frozen {}", built.dict.n_strings_frozen()));
+        image.push(format!("{:?}", built.triples));
+        image.push(format!("{:?}", built.schema));
+        image.push(format!("{:?}", built.clustered));
+        image.push(format!("{:?}", built.cs_parse_order));
+        image.push(format!("{:?}", built.baseline));
+        image.push(format!("{:?} {:?}", built.report, built.snapshot_pools));
+        db.inner.dm.flush().unwrap();
+        image.push(format!("{:?}", fs::read(dir.join("data.db")).unwrap()));
+        image.push(format!("{:?}", fs::read(dir.join(SNAP_TMP)).unwrap()));
+        image
+    }
+
+    #[test]
+    fn a_rebuild_is_deterministic_to_the_byte() {
+        let queries = [
+            "SELECT ?s ?q WHERE { ?s <http://ex/qty> ?q . ?s <http://ex/sold> ?d . }",
+            r#"SELECT ?s ?l WHERE { ?s <http://ex/label> ?l . FILTER(?l < "cherry") }"#,
+        ];
+        let mut images = Vec::new();
+        for run in 0..2 {
+            let dir = durable_dir(&format!("determinism-{run}"));
+            let _c = Cleanup(dir.clone());
+            let db = store_to_rebuild(&dir);
+            let pin = begin_rebuild(&db.inner).unwrap();
+            let built = build_generation(&db.inner.dm, &pin).unwrap();
+            let mut image = built_image(&db, &dir, &built);
+            assert!(finish_rebuild(&db.inner, pin, built).unwrap());
+            // What the swap committed and what the store answers.
+            let m = Manifest::read(&dir).unwrap().unwrap();
+            image.push(format!("{m:?}"));
+            image.push(format!(
+                "{:?}",
+                fs::read(Manifest::snap_path(&dir, m.snap_file)).unwrap()
+            ));
+            for q in queries {
+                image.push(format!("{:?}", db.query(q).unwrap().canonical(&db.dict())));
+            }
+            images.push(image);
+        }
+        let (first, second) = (&images[0], &images[1]);
+        assert_eq!(first.len(), second.len());
+        for (i, (a, b)) in first.iter().zip(second).enumerate() {
+            assert!(
+                a == b,
+                "part {i} differs between two rebuilds of one history"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_snapshot_stream_abandons_the_rebuild_cleanly() {
+        let dir = durable_dir("snapfail");
+        let _c = Cleanup(dir.clone());
+        let db = store_to_rebuild(&dir);
+        let q = "SELECT ?s ?q WHERE { ?s <http://ex/qty> ?q . }";
+        let want = db.query(q).unwrap().canonical(&db.dict());
+        let before = Manifest::read(&dir).unwrap().unwrap();
+        // The staging name is taken by a directory: the stream cannot even
+        // open its file.
+        fs::create_dir(dir.join(SNAP_TMP)).unwrap();
+        let pin = begin_rebuild(&db.inner).unwrap();
+        assert!(matches!(
+            build_generation(&db.inner.dm, &pin),
+            Err(Error::Io(_))
+        ));
+        release_rebuild_claim(&db.inner, pin.epoch);
+        // Through the public entry point: the error surfaces, the claim is
+        // released, the old generation and the old pair stay live.
+        assert!(db.reorganize_now().is_err());
+        assert!(!db.reorg_in_flight(), "the rebuild claim is released");
+        assert_eq!(Manifest::read(&dir).unwrap().unwrap(), before);
+        assert_eq!(db.query(q).unwrap().canonical(&db.dict()), want);
+        db.validate_invariants();
+        // With the obstacle gone the next rebuild goes through.
+        fs::remove_dir(dir.join(SNAP_TMP)).unwrap();
+        db.reorganize_now().unwrap();
+        assert!(!dir.join(SNAP_TMP).exists());
+        assert_eq!(db.query(q).unwrap().canonical(&db.dict()), want);
     }
 
     #[test]

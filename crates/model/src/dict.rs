@@ -6,8 +6,8 @@
 //! "ParseOrder" OID assignment the paper starts from. Subject clustering
 //! later *remaps* IRI indices (grouping subjects by characteristic set) and
 //! sorts the string pool so that string OID order equals lexicographic
-//! order; [`Dictionary::apply_iri_permutation`] and
-//! [`Dictionary::sort_strings`] implement those reorganizations.
+//! order; [`Dictionary::renumbered`] builds the dictionary of such a
+//! reorganization ([`Dictionary::sort_strings`] is the string half alone).
 //!
 //! # Physical layout
 //!
@@ -126,13 +126,6 @@ impl FrontCoded {
         self.len
     }
 
-    /// The group leader, borrowed straight from the arena (stored verbatim).
-    fn leader(&self, g: usize) -> &str {
-        let (len, pos) = read_varint(&self.arena, self.groups[g] as usize);
-        std::str::from_utf8(&self.arena[pos..pos + len as usize])
-            .expect("front-coded leader is the original UTF-8 string")
-    }
-
     /// Positional decode: walk the group up to entry `i`.
     fn get(&self, i: usize) -> Option<Cow<'_, str>> {
         if i >= self.len {
@@ -186,54 +179,65 @@ impl FrontCoded {
         Ok(())
     }
 
-    /// Binary search the sorted run: group leaders first, then a linear
-    /// delta walk inside the one candidate group.
+    /// The group leader's bytes, borrowed straight from the arena.
+    fn leader_bytes(&self, g: usize) -> &[u8] {
+        let (len, pos) = read_varint(&self.arena, self.groups[g] as usize);
+        &self.arena[pos..pos + len as usize]
+    }
+
+    /// Binary search the sorted run: group leaders first, then a delta walk
+    /// inside the one candidate group. Nothing is decoded or allocated: the
+    /// walk tracks `lcp`, how many leading bytes the key shares with the
+    /// entry before (which sorts below the key). A follower that shares
+    /// more than `lcp` bytes with that entry differs from the key exactly
+    /// where it did, so it sorts below the key too; one that shares fewer
+    /// already sorts above it; only one that shares exactly `lcp` bytes has
+    /// to be compared, and only from byte `lcp` on.
     fn search(&self, key: &str) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        // First group whose leader is > key; the candidate group precedes it.
-        let g = self.groups.len()
-            - (0..self.groups.len())
-                .rev()
-                .take_while(|&g| self.leader(g) > key)
-                .count();
-        // (partition_point over an index range — spelled out because the
-        // leaders are decoded, not stored in a sliceable array)
-        let mut lo = 0usize;
-        let mut hi = g;
+        let key = key.as_bytes();
+        // The candidate group is the last whose leader is <= key.
+        let (mut lo, mut hi) = (0usize, self.groups.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.leader(mid) <= key {
+            if self.leader_bytes(mid) <= key {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        if lo == 0 {
-            return None;
-        }
-        let g = lo - 1;
-        let (len, mut pos) = read_varint(&self.arena, self.groups[g] as usize);
-        let leader = &self.arena[pos..pos + len as usize];
-        pos += len as usize;
-        if leader == key.as_bytes() {
+        let g = lo.checked_sub(1)?;
+        let common = |a: &[u8], b: &[u8]| a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        let (len, start) = read_varint(&self.arena, self.groups[g] as usize);
+        let mut pos = start + len as usize;
+        let leader = &self.arena[start..pos];
+        if leader == key {
             return Some((g * FC_GROUP) as u64);
         }
+        let mut lcp = common(leader, key);
         let in_group = (self.len - g * FC_GROUP).min(FC_GROUP);
-        let mut cur = leader.to_vec();
         for r in 1..in_group {
             let (shared, p) = read_varint(&self.arena, pos);
             let (slen, p) = read_varint(&self.arena, p);
-            cur.truncate(shared as usize);
-            cur.extend_from_slice(&self.arena[p..p + slen as usize]);
+            let suffix = &self.arena[p..p + slen as usize];
             pos = p + slen as usize;
-            // The run is sorted: stop as soon as we pass the key.
-            match cur.as_slice().cmp(key.as_bytes()) {
-                std::cmp::Ordering::Equal => return Some((g * FC_GROUP + r) as u64),
-                std::cmp::Ordering::Greater => return None,
-                std::cmp::Ordering::Less => {}
+            match (shared as usize).cmp(&lcp) {
+                std::cmp::Ordering::Greater => continue,
+                std::cmp::Ordering::Less => return None,
+                std::cmp::Ordering::Equal => {}
             }
+            let rest = &key[lcp..];
+            let c = common(suffix, rest);
+            if c == suffix.len() && c == rest.len() {
+                return Some((g * FC_GROUP + r) as u64);
+            }
+            // Below the key when it ends first (a proper prefix of the key)
+            // or has the smaller byte where they part; the run is sorted,
+            // so the first entry above the key ends the search.
+            let below = c == suffix.len() || (c < rest.len() && suffix[c] < rest[c]);
+            if !below {
+                return None;
+            }
+            lcp += c;
         }
         None
     }
@@ -436,13 +440,16 @@ impl Pool {
         self.frozen.len() + self.tail.len() as usize
     }
 
-    /// Reorder entries so entry `old` moves to position `new_of_old[old]`,
-    /// folding the tail into a fresh frozen prefix. Entries mapped to
-    /// [`Dictionary::DROPPED`] are discarded; the surviving targets must be
-    /// exactly `0..survivors`.
-    fn permute(&mut self, new_of_old: &[u64]) {
-        let n = self.len();
-        assert_eq!(new_of_old.len(), n, "permutation size mismatch");
+    /// A pool holding this one's entries renumbered: entry `old` sits at
+    /// position `new_of_old[old]`, everything frozen. Entries mapped to
+    /// [`Dictionary::DROPPED`] are left out; the surviving targets must be
+    /// exactly `0..survivors`. Reads this pool in place — entries are copied
+    /// straight to their new slots, the old hash index is never touched —
+    /// and covers its first `new_of_old.len()` entries: what a shared pool
+    /// gained since the caller sized the map is not part of the result.
+    fn permuted(&self, new_of_old: &[u64]) -> Pool {
+        let n = new_of_old.len();
+        assert!(n <= self.len(), "permutation larger than the pool");
         let kept = new_of_old
             .iter()
             .filter(|&&new| new != Dictionary::DROPPED)
@@ -456,7 +463,7 @@ impl Pool {
             let s = self.get(old as u64).expect("entry below len").to_string();
             reordered[new_of_old[old] as usize] = s;
         }
-        *self = Pool::from_frozen(reordered).expect("a permutation introduces no duplicates");
+        Pool::from_frozen(reordered).expect("a permutation introduces no duplicates")
     }
 
     /// A pool whose entries are exactly `entries`, in that index order, all
@@ -476,10 +483,15 @@ impl Pool {
         })
     }
 
-    /// Visit every entry in index order (those published when the walk
-    /// starts: the pool may be interned into meanwhile).
-    fn try_for_each<E>(&self, mut f: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
-        for i in 0..self.len() as u64 {
+    /// Visit the entries from index `from` on, in index order (those
+    /// published when the walk starts: the pool may be interned into
+    /// meanwhile).
+    fn try_for_each_from<E>(
+        &self,
+        from: u64,
+        mut f: impl FnMut(&str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for i in from..self.len() as u64 {
             // sordf-lint: allow(L3) — i < len, so the entry exists.
             f(self.get(i).expect("entry below len"))?;
         }
@@ -567,17 +579,23 @@ impl StrPool {
         self.frozen.len() + self.tail.len() as usize
     }
 
-    /// Sort the entries `live` keeps lexicographically and rebuild the
-    /// frozen prefix front-coded, discarding the rest; returns `new_of_old`
-    /// ([`Dictionary::DROPPED`] for a discarded entry).
-    fn rebuild_sorted(&mut self, live: impl Fn(usize) -> bool) -> Vec<u64> {
-        let n = self.len();
+    /// A pool holding the entries `live` marks, sorted lexicographically and
+    /// front-coded, plus `new_of_old` ([`Dictionary::DROPPED`] for an entry
+    /// left out). Reads this pool in place and covers its first `live.len()`
+    /// entries (see [`Pool::permuted`]).
+    fn sorted(&self, live: &[bool]) -> (StrPool, Vec<u64>) {
+        let n = live.len();
+        assert!(n <= self.len(), "live mask larger than the pool");
         let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            // sordf-lint: allow(L3) — i < len, so the entry exists.
-            entries.push(self.get(i as u64).expect("entry below len").into_owned());
-        }
-        let mut order: Vec<u64> = (0..n as u64).filter(|&i| live(i as usize)).collect();
+        // One sequential decode of the front-coded run (positional `get`
+        // would re-walk a group per follower), then the tail.
+        self.try_for_each_from(0, |s| {
+            entries.push(s.to_string());
+            Ok(())
+        })
+        .unwrap_or_else(|never: std::convert::Infallible| match never {});
+        entries.truncate(n);
+        let mut order: Vec<u64> = (0..n as u64).filter(|&i| live[i as usize]).collect();
         order.sort_unstable_by(|&a, &b| entries[a as usize].cmp(&entries[b as usize]));
         let mut new_of_old = vec![Dictionary::DROPPED; n];
         for (new, &old) in order.iter().enumerate() {
@@ -587,10 +605,11 @@ impl StrPool {
             .iter()
             .map(|&old| std::mem::take(&mut entries[old as usize]))
             .collect();
-        self.frozen = FrontCoded::build(&sorted);
-        self.tail = AppendTail::default();
-        *self.index.get_mut() = FxHashMap::default();
-        new_of_old
+        let pool = StrPool {
+            frozen: FrontCoded::build(&sorted),
+            ..StrPool::default()
+        };
+        (pool, new_of_old)
     }
 
     /// A pool whose entries are exactly `entries` in that index order: the
@@ -614,11 +633,28 @@ impl StrPool {
         Some(pool)
     }
 
-    /// Visit every entry in index order (those published when the tail
-    /// walk starts: the pool may be interned into meanwhile).
-    fn try_for_each<E>(&self, mut f: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
-        self.frozen.try_for_each(&mut f)?;
-        for t in 0..self.tail.len() {
+    /// Visit the entries from index `from` on, in index order (those
+    /// published when the tail walk starts: the pool may be interned into
+    /// meanwhile).
+    fn try_for_each_from<E>(
+        &self,
+        from: u64,
+        mut f: impl FnMut(&str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let frozen = self.frozen.len() as u64;
+        if from < frozen {
+            // The run decodes front to back only; skip what precedes `from`.
+            let mut i = 0u64;
+            self.frozen.try_for_each(|s| {
+                i += 1;
+                if i > from {
+                    f(s)
+                } else {
+                    Ok(())
+                }
+            })?;
+        }
+        for t in from.saturating_sub(frozen)..self.tail.len() {
             // sordf-lint: allow(L3) — t < tail len, so the entry exists.
             f(self.tail.get(t).expect("entry below len"))?;
         }
@@ -639,10 +675,10 @@ impl StrPool {
 /// A language-tagged string literal as stored in the string pool.
 /// The pool key encodes the language tag (if any) after a `\u{0}` separator,
 /// which cannot occur in either component.
-fn str_key(lexical: &str, lang: Option<&str>) -> String {
+fn str_key<'a>(lexical: &'a str, lang: Option<&str>) -> Cow<'a, str> {
     match lang {
-        None => lexical.to_string(),
-        Some(l) => format!("{lexical}\u{0}{l}"),
+        None => Cow::Borrowed(lexical),
+        Some(l) => Cow::Owned(format!("{lexical}\u{0}{l}")),
     }
 }
 
@@ -690,9 +726,14 @@ pub enum DictPool {
     Strings,
 }
 
+impl DictPool {
+    /// The three pools, in the order snapshots and log records list them.
+    pub const ALL: [DictPool; 3] = [DictPool::Iris, DictPool::Blanks, DictPool::Strings];
+}
+
 impl Dictionary {
     /// The `new_of_old` value of an entry a renumbering discards (see
-    /// [`Dictionary::apply_iri_permutation`], [`Dictionary::sort_live_strings`]).
+    /// [`Dictionary::renumbered`]).
     pub const DROPPED: u64 = u64::MAX;
 
     pub fn new() -> Dictionary {
@@ -730,11 +771,56 @@ impl Dictionary {
         pool: DictPool,
         f: impl FnMut(&str) -> Result<(), E>,
     ) -> Result<(), E> {
+        self.try_for_each_entry_from(pool, 0, f)
+    }
+
+    /// [`Dictionary::try_for_each_entry`] starting at index `from` — the
+    /// entries a log record appends when the committed snapshot + log
+    /// already hold the first `from`.
+    pub fn try_for_each_entry_from<E>(
+        &self,
+        pool: DictPool,
+        from: u64,
+        f: impl FnMut(&str) -> Result<(), E>,
+    ) -> Result<(), E> {
         match pool {
-            DictPool::Iris => self.iris.try_for_each(f),
-            DictPool::Blanks => self.blanks.try_for_each(f),
-            DictPool::Strings => self.strings.try_for_each(f),
+            DictPool::Iris => self.iris.try_for_each_from(from, f),
+            DictPool::Blanks => self.blanks.try_for_each_from(from, f),
+            DictPool::Strings => self.strings.try_for_each_from(from, f),
         }
+    }
+
+    /// Append `entry` to `pool` as exactly index `index` — how recovery
+    /// extends a snapshot's dictionary with a log record's appends. Errors
+    /// when the pool is not `index` entries long or already holds the entry
+    /// (it would then have two indexes): a log this crate wrote does neither.
+    pub fn append_entry(&self, pool: DictPool, index: u64, entry: &str) -> Result<(), ModelError> {
+        let bad = |what: &str| {
+            ModelError::BadDictionary(format!("appended {pool:?} entry {index}: {what}"))
+        };
+        if self.pool_counts()[pool as usize] != index {
+            return Err(bad("not the pool's next index"));
+        }
+        let got = match pool {
+            DictPool::Iris => self.iris.intern(entry),
+            DictPool::Blanks => self.blanks.intern(entry),
+            DictPool::Strings => self.strings.intern(entry),
+        };
+        if got == index {
+            Ok(())
+        } else {
+            Err(bad("the pool already holds it"))
+        }
+    }
+
+    /// Entry counts of the three pools in [`DictPool`] order (IRIs, blank
+    /// nodes, strings).
+    pub fn pool_counts(&self) -> [u64; 3] {
+        [
+            self.iris.len() as u64,
+            self.blanks.len() as u64,
+            self.strings.len() as u64,
+        ]
     }
 
     /// Length of the sorted, front-coded string run (0 before the first
@@ -796,8 +882,8 @@ impl Dictionary {
                     .strings
                     .lookup(&str_key(lexical, lang.as_deref()))
                     .map(Oid::string),
-                // Inline values encode without dictionary state.
-                other => Dictionary::new().encode_value(other).ok(),
+                // Inline values encode without touching the pools.
+                other => self.encode_value(other).ok(),
             },
         }
     }
@@ -881,14 +967,28 @@ impl Dictionary {
         )
     }
 
-    /// Apply a subject-clustering permutation to the IRI pool:
-    /// `new_of_old[old_index] = new_index`. Every existing IRI OID `Oid::iri(i)`
-    /// must afterwards be rewritten to `Oid::iri(new_of_old[i])` by the caller
-    /// (the storage layer rewrites all triples). An entry mapped to
+    /// The dictionary a reorganization publishes, built **from** this one
+    /// without touching it. The IRI pool is renumbered by a
+    /// subject-clustering permutation, `iri_new_of_old[old_index] =
+    /// new_index`: the caller rewrites every stored `Oid::iri(i)` to
+    /// `Oid::iri(iri_new_of_old[i])`; an entry mapped to
     /// [`Dictionary::DROPPED`] leaves the pool — the caller vouches that no
-    /// stored OID references it; the remaining targets must be dense.
-    pub fn apply_iri_permutation(&mut self, new_of_old: &[u64]) {
-        self.iris.permute(new_of_old);
+    /// stored OID references it — and the remaining targets must be dense.
+    /// The strings `live_str` keeps are sorted and front-coded (as
+    /// [`Dictionary::sort_strings`]); the rest map to `DROPPED`. Returns the
+    /// new dictionary and the string pool's `new_of_old`. A shared, pinned
+    /// dictionary can be renumbered this way without first deep-cloning hash
+    /// indexes and tail strings the renumbering discards; the maps' lengths
+    /// say how much of each pool the renumbering covers, so entries a
+    /// concurrent writer interns meanwhile stay out of it.
+    pub fn renumbered(&self, iri_new_of_old: &[u64], live_str: &[bool]) -> (Dictionary, Vec<u64>) {
+        let (strings, str_map) = self.strings.sorted(live_str);
+        let dict = Dictionary {
+            iris: self.iris.permuted(iri_new_of_old),
+            blanks: self.blanks.clone(),
+            strings,
+        };
+        (dict, str_map)
     }
 
     /// Sort the string-literal pool lexicographically so that string OID
@@ -896,15 +996,9 @@ impl Dictionary {
     /// rebuilding it front-coded. Returns `new_of_old` for the caller to
     /// rewrite stored OIDs.
     pub fn sort_strings(&mut self) -> Vec<u64> {
-        self.strings.rebuild_sorted(|_| true)
-    }
-
-    /// [`Dictionary::sort_strings`] keeping only the entries `live[i]`
-    /// marks: the rest leave the pool and map to [`Dictionary::DROPPED`] —
-    /// the caller vouches that no stored OID references them.
-    pub fn sort_live_strings(&mut self, live: &[bool]) -> Vec<u64> {
-        assert_eq!(live.len(), self.strings.len(), "live mask size mismatch");
-        self.strings.rebuild_sorted(|i| live[i])
+        let (strings, new_of_old) = self.strings.sorted(&vec![true; self.strings.len()]);
+        self.strings = strings;
+        new_of_old
     }
 }
 
@@ -983,11 +1077,11 @@ mod tests {
 
     #[test]
     fn iri_permutation_reorders_pool() {
-        let mut d = Dictionary::new();
+        let d = Dictionary::new();
         let x = d.encode_iri("x");
         let y = d.encode_iri("y");
         assert_eq!((x.payload(), y.payload()), (0, 1));
-        d.apply_iri_permutation(&[1, 0]); // swap
+        let (d, _) = d.renumbered(&[1, 0], &[]); // swap
         assert_eq!(d.iri_str(Oid::iri(1)).unwrap(), "x");
         assert_eq!(d.iri_str(Oid::iri(0)).unwrap(), "y");
         assert_eq!(d.iri_oid("x"), Some(Oid::iri(1)));
@@ -995,19 +1089,18 @@ mod tests {
 
     #[test]
     fn dropped_entries_leave_the_pools() {
-        let mut d = Dictionary::new();
+        let d = Dictionary::new();
         for iri in ["a", "dead", "b"] {
             d.encode_iri(iri);
         }
-        d.apply_iri_permutation(&[1, Dictionary::DROPPED, 0]);
+        for s in ["pear", "gone", "apple"] {
+            d.encode_value(&Value::str(s)).unwrap();
+        }
+        let (d, map) = d.renumbered(&[1, Dictionary::DROPPED, 0], &[true, false, true]);
         assert_eq!(d.n_iris(), 2);
         assert_eq!(d.iri_oid("a"), Some(Oid::iri(1)));
         assert_eq!(d.iri_oid("b"), Some(Oid::iri(0)));
         assert_eq!(d.iri_oid("dead"), None);
-        for s in ["pear", "gone", "apple"] {
-            d.encode_value(&Value::str(s)).unwrap();
-        }
-        let map = d.sort_live_strings(&[true, false, true]);
         assert_eq!(map, vec![1, Dictionary::DROPPED, 0]);
         assert_eq!(d.n_strings(), 2);
         assert_eq!(d.string_oid("gone"), None);
@@ -1028,15 +1121,15 @@ mod tests {
     fn pools_roundtrip_with_identical_oids() {
         // A frozen sorted run spanning several front-coded groups plus a
         // tail interned after the sort, in all three pools.
-        let mut d = Dictionary::new();
+        let d = Dictionary::new();
         for i in 0..FC_GROUP * 2 + 3 {
             d.encode_value(&Value::str(format!("sorted-{i:04}")))
                 .unwrap();
             d.encode_iri(&format!("http://e/{i}"));
         }
         d.encode_blank("b0");
-        d.sort_strings();
-        d.apply_iri_permutation(&(0..d.n_iris() as u64).rev().collect::<Vec<_>>());
+        let reversed: Vec<u64> = (0..d.n_iris() as u64).rev().collect();
+        let (d, _) = d.renumbered(&reversed, &vec![true; d.n_strings()]);
         let late = [
             d.encode_value(&Value::str("aaa-late")).unwrap(),
             d.encode_iri("http://e/late"),
@@ -1062,10 +1155,92 @@ mod tests {
         }
         // The same physical shape as a freshly renumbered dictionary
         // holding the same entries: nothing extra becomes resident.
-        let mut fresh = d.clone();
-        fresh.apply_iri_permutation(&(0..d.n_iris() as u64).collect::<Vec<_>>());
+        let (fresh, _) = d.renumbered(&(0..d.n_iris() as u64).collect::<Vec<_>>(), &[]);
         assert_eq!(back.approx_bytes().iris, fresh.approx_bytes().iris);
         assert_eq!(back.approx_bytes().strings, d.approx_bytes().strings);
+    }
+
+    #[test]
+    fn renumbered_covers_what_its_maps_cover() {
+        let d = Dictionary::new();
+        for i in 0..40 {
+            d.encode_iri(&format!("http://e/{i}"));
+            d.encode_value(&Value::str(format!("s-{:03}", (i * 7) % 40)))
+                .unwrap();
+        }
+        d.encode_blank("b0");
+        // Reverse the IRIs, dropping every fifth; keep two strings in three.
+        let mut want_iris = Vec::new();
+        let iri_map: Vec<u64> = (0..40)
+            .rev()
+            .map(|i| {
+                if i % 5 == 0 {
+                    Dictionary::DROPPED
+                } else {
+                    want_iris.push(format!("http://e/{}", 39 - i));
+                    want_iris.len() as u64 - 1
+                }
+            })
+            .collect();
+        let live: Vec<bool> = (0..40).map(|i| i % 3 != 0).collect();
+        let mut want_strings: Vec<String> = (0..40)
+            .filter(|i| live[*i])
+            .map(|i| format!("s-{:03}", (i * 7) % 40))
+            .collect();
+        want_strings.sort();
+        // A writer interns into the shared dictionary after the maps were
+        // sized: the renumbering covers exactly what the maps cover.
+        d.encode_iri("http://e/late");
+        d.encode_value(&Value::str("late")).unwrap();
+        let (got, str_map) = d.renumbered(&iri_map, &live);
+        assert_eq!(dump(&got, DictPool::Iris), want_iris);
+        assert_eq!(dump(&got, DictPool::Blanks), ["b0"]);
+        assert_eq!(dump(&got, DictPool::Strings), want_strings);
+        for (old, &new) in str_map.iter().enumerate() {
+            match live[old] {
+                true => assert_eq!(
+                    want_strings[new as usize],
+                    format!("s-{:03}", (old * 7) % 40)
+                ),
+                false => assert_eq!(new, Dictionary::DROPPED),
+            }
+        }
+        assert_eq!(got.n_strings_frozen(), want_strings.len());
+        assert_eq!(got.iri_oid("http://e/late"), None);
+        assert_eq!(got.iri_oid("http://e/1"), Some(Oid::iri(iri_map[1])));
+        assert_eq!(d.n_iris(), 41, "the source dictionary is untouched");
+    }
+
+    #[test]
+    fn appended_entries_must_be_contiguous_and_new() {
+        let mut d = Dictionary::new();
+        for s in ["b", "a"] {
+            d.encode_value(&Value::str(s)).unwrap();
+        }
+        d.sort_strings();
+        d.encode_value(&Value::str("tail")).unwrap();
+        assert_eq!(d.pool_counts(), [0, 0, 3]);
+        // The entries from an index on: across the frozen run and the tail.
+        let from = |i| {
+            let mut out = Vec::new();
+            d.try_for_each_entry_from(DictPool::Strings, i, |s| {
+                out.push(s.to_string());
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            out
+        };
+        assert_eq!(from(0), ["a", "b", "tail"]);
+        assert_eq!(from(1), ["b", "tail"]);
+        assert_eq!(from(2), ["tail"]);
+        assert!(from(3).is_empty());
+        d.append_entry(DictPool::Strings, 3, "next").unwrap();
+        d.append_entry(DictPool::Iris, 0, "http://e/x").unwrap();
+        // A gap, a repeat of the same index, and an entry the pool holds.
+        assert!(d.append_entry(DictPool::Iris, 2, "http://e/y").is_err());
+        assert!(d.append_entry(DictPool::Iris, 0, "http://e/z").is_err());
+        assert!(d.append_entry(DictPool::Strings, 4, "a").is_err());
+        assert!(d.append_entry(DictPool::Blanks, 0, "b0").is_ok());
     }
 
     #[test]
@@ -1119,6 +1294,34 @@ mod tests {
         assert!(fc.get(sorted.len()).is_none());
         // Shared prefixes compress: the encoded image is smaller than plain.
         assert!(fc.encoded_bytes() < fc.plain_bytes);
+    }
+
+    #[test]
+    fn front_coded_search_equals_a_plain_sorted_search() {
+        // Short alphabets make prefixes of each other, shared prefixes of
+        // every length and near misses on both sides of every entry.
+        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut word = |max: u64| {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let len = (lcg >> 60) % max;
+            (0..len)
+                .map(|i| [b'a', b'b', b'\xc3'][((lcg >> (i * 2)) % 3) as usize] as char)
+                .collect::<String>()
+        };
+        let mut sorted: Vec<String> = (0..400).map(|_| word(9)).collect();
+        sorted.sort();
+        sorted.dedup();
+        let fc = FrontCoded::build(&sorted);
+        for (i, e) in sorted.iter().enumerate() {
+            assert_eq!(fc.search(e), Some(i as u64), "present {e:?}");
+        }
+        for _ in 0..4000 {
+            let probe = word(11);
+            let want = sorted.binary_search(&probe).ok().map(|i| i as u64);
+            assert_eq!(fc.search(&probe), want, "probe {probe:?}");
+        }
     }
 
     #[test]

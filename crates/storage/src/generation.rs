@@ -28,7 +28,6 @@ use crate::baseline::BaselineStore;
 use crate::clustered::ClusteredStore;
 use crate::delta::DeltaView;
 use crate::reorg::{ClusterSpec, ReorgReport};
-use crate::triple_set::TripleSet;
 
 /// One physical generation of the store. See the [module docs](self).
 #[derive(Debug, Clone)]
@@ -127,55 +126,6 @@ impl StoreGeneration {
         &self.triples[lo..hi]
     }
 
-    /// The base triples `view` leaves visible, in base order. The view's
-    /// tombstones are put in SPO order once and subtracted by a merge
-    /// cursor — O(base + tombstones · log), no per-triple probe — which
-    /// relies on the base being SPO-sorted whenever a delta exists (writes
-    /// reach the delta store only on a built generation).
-    pub fn visible_base<'a>(
-        &'a self,
-        view: Option<&DeltaView>,
-    ) -> impl Iterator<Item = Triple> + 'a {
-        let mut dead: Vec<Triple> = view.map_or_else(Vec::new, |v| v.tombstones().to_vec());
-        dead.sort_unstable();
-        let mut at = 0usize;
-        self.triples.iter().copied().filter(move |b| {
-            while dead.get(at).is_some_and(|d| d < b) {
-                at += 1;
-            }
-            dead.get(at) != Some(b)
-        })
-    }
-
-    /// Materialize the logical triple set this generation + `view` describe:
-    /// a clone of the dictionary and the base triples with the view's
-    /// tombstones filtered out and its visible inserts merged in. This is
-    /// the input a background rebuild works from — fully owned, so the
-    /// rebuild touches no shared state while it runs. On a built generation
-    /// the result is SPO-sorted: the base already is, so folding is one
-    /// merge with the (small, sorted here) inserts, not a sort of the whole.
-    pub fn fold_into_triple_set(&self, view: Option<&DeltaView>) -> TripleSet {
-        let dict = self.dict.as_ref().clone();
-        let triples = match view {
-            None => self.triples.as_ref().clone(),
-            Some(v) => {
-                let mut inserts = v.inserts().to_vec();
-                inserts.sort_unstable();
-                let mut inserts = inserts.into_iter().peekable();
-                let mut t = Vec::with_capacity(self.triples.len() + inserts.len());
-                for b in self.visible_base(view) {
-                    while let Some(i) = inserts.next_if(|&i| i < b) {
-                        t.push(i);
-                    }
-                    t.push(b);
-                }
-                t.extend(inserts);
-                t
-            }
-        };
-        TripleSet { dict, triples }
-    }
-
     /// Check this generation's cross-structure invariants; panics (via
     /// `assert!`) on violation. Debug/stress builds call this after every
     /// build and swap — it is deliberately cheap enough (one ordered pass
@@ -228,6 +178,52 @@ impl StoreGeneration {
     }
 }
 
+/// The triples of the SPO-sorted `base` that `view` leaves visible, in base
+/// order. The view's tombstones are put in SPO order once and subtracted by
+/// a merge cursor — O(base + tombstones · log), no per-triple probe — which
+/// relies on the base being SPO-sorted whenever a delta exists (writes reach
+/// a delta store only over a built generation).
+pub fn visible_base<'a>(
+    base: &'a [Triple],
+    view: Option<&DeltaView>,
+) -> impl Iterator<Item = Triple> + 'a {
+    let mut dead: Vec<Triple> = view.map_or_else(Vec::new, |v| v.tombstones().to_vec());
+    dead.sort_unstable();
+    let mut at = 0usize;
+    base.iter().copied().filter(move |b| {
+        while dead.get(at).is_some_and(|d| d < b) {
+            at += 1;
+        }
+        dead.get(at) != Some(b)
+    })
+}
+
+/// Fold `view` into `base`: the base with the view's tombstones filtered
+/// out and its visible inserts merged in, under the base's numbering. This
+/// is what a rebuild works from — in the background over a pinned
+/// generation's triples (the dictionary is not copied: a renumbering builds
+/// the next one from the pinned one, `Dictionary::renumbered`), or
+/// recovery's over a snapshot and the log behind it. Over an SPO-sorted base (any built
+/// generation's) the result is SPO-sorted: folding is one merge with the
+/// (small, sorted here) inserts, not a sort of the whole.
+pub fn fold_delta(base: &[Triple], view: Option<&DeltaView>) -> Vec<Triple> {
+    let Some(v) = view else {
+        return base.to_vec();
+    };
+    let mut inserts = v.inserts().to_vec();
+    inserts.sort_unstable();
+    let mut inserts = inserts.into_iter().peekable();
+    let mut t = Vec::with_capacity(base.len() + inserts.len());
+    for b in visible_base(base, view) {
+        while let Some(i) = inserts.next_if(|&i| i < b) {
+            t.push(i);
+        }
+        t.push(b);
+    }
+    t.extend(inserts);
+    t
+}
+
 /// An owned pin on a generation's dictionary: an `Arc` clone that keeps
 /// the dictionary alive for the pin's lifetime, so a query can carry one
 /// pinned `&Dictionary` through parsing and execution without borrowing
@@ -263,6 +259,7 @@ impl std::fmt::Debug for DictPin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::triple_set::TripleSet;
     use sordf_model::{Oid, Term, TermTriple};
 
     fn sample_generation() -> StoreGeneration {
@@ -309,14 +306,14 @@ mod tests {
         let extra = Triple::new(s0, p, Oid::from_int(99).unwrap());
         let _ = delta.insert_run(vec![extra]);
         let _ = delta.delete(&[Triple::new(s0, p, Oid::from_int(0).unwrap())]);
-        let folded = gen.fold_into_triple_set(delta.current_view());
-        assert_eq!(folded.triples.len(), 4, "one deleted, one inserted");
-        assert!(folded.triples.contains(&extra));
+        let folded = fold_delta(&gen.triples, delta.current_view());
+        assert_eq!(folded.len(), 4, "one deleted, one inserted");
+        assert!(folded.contains(&extra));
         assert!(
-            folded.triples.windows(2).all(|w| w[0] <= w[1]),
+            folded.windows(2).all(|w| w[0] <= w[1]),
             "a sorted base folds into a sorted set"
         );
         // No view: a plain clone.
-        assert_eq!(gen.fold_into_triple_set(None).triples.len(), 4);
+        assert_eq!(fold_delta(&gen.triples, None).len(), 4);
     }
 }

@@ -41,9 +41,11 @@ pub use clustered::{
     build_clustered, build_clustered_with, ClassSegment, ClusteredStore, MultiTable,
 };
 pub use delta::{DeltaStore, DeltaView, DeltaWrite, Snapshot};
-pub use generation::{DictPin, GenerationHandle, StoreGeneration};
+pub use generation::{fold_delta, visible_base, DictPin, GenerationHandle, StoreGeneration};
 pub use manifest::{LayoutFlags, Manifest, SnapshotHeader, StoreSnapshot};
 pub use perm::{Order, PermIndex};
-pub use reorg::{reorganize, ClusterSpec, ReorgReport};
-pub use triple_set::{encode_term_skolemized, encode_triple_skolemized, TripleSet};
-pub use wal::{Crc32, SyncPolicy, WalFormat, WalKind, WalRecord, WalWriter};
+pub use reorg::{reorganize, reorganize_from, ClusterSpec, ReorgReport};
+pub use triple_set::{
+    encode_term_skolemized, encode_triple_skolemized, term_oid_skolemized, BatchResolver, TripleSet,
+};
+pub use wal::{Crc32, LogRecord, PoolCounts, SyncPolicy, WalKind, WalRecord, WalWriter};

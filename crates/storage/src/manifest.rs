@@ -49,14 +49,14 @@
 //! what was read and nothing may follow it, so a truncated, extended or
 //! bit-flipped file is an error, never a different store.
 
-use sordf_columnar::{crash_point, ColumnEncoding};
-use sordf_model::{DictPool, Dictionary, Oid, Triple, TypeTag};
+use sordf_columnar::{crash_point, io_fault, ColumnEncoding};
+use sordf_model::{DictPool, Dictionary, Oid, Triple};
 use sordf_schema::SchemaConfig;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::wal::{crc32, read_varint, write_varint, Crc32};
+use crate::wal::{crc32, oid_resolves, read_u64, read_varint, write_varint, Crc32, PoolCounts};
 
 const SNAP_MAGIC: &[u8; 8] = b"SORDFSNP";
 const SNAP_VERSION: u32 = 2;
@@ -288,13 +288,15 @@ pub struct StoreSnapshot {
 }
 
 /// The writer's one buffer: the payload of the frame being filled.
-struct FrameWriter {
+struct FrameWriter<'p> {
     file: File,
+    /// Where `file` lives (what an armed I/O fault is matched against).
+    path: &'p Path,
     section: u8,
     payload: Vec<u8>,
 }
 
-impl FrameWriter {
+impl FrameWriter<'_> {
     /// Start `section`, writing out what the previous one left buffered.
     fn begin(&mut self, section: u8) -> io::Result<()> {
         self.flush()?;
@@ -340,6 +342,7 @@ impl FrameWriter {
         crc.update(&head[..5]);
         crc.update(&self.payload);
         head[5..].copy_from_slice(&crc.finish().to_le_bytes());
+        io_fault!("snap.write", self.path);
         self.file.write_all(&head)?;
         self.file.write_all(&self.payload)?;
         self.payload.clear();
@@ -350,13 +353,14 @@ impl FrameWriter {
 impl StoreSnapshot {
     /// Stream a snapshot to `path` and fsync it: `dict`'s pools in index
     /// order, then `triples` as they come. Nothing is materialized beyond
-    /// one frame buffer.
+    /// one frame buffer. Returns how many entries of each pool were dumped —
+    /// the watermark the log behind this snapshot appends from.
     pub fn write_to(
         path: &Path,
         header: &SnapshotHeader,
         dict: &Dictionary,
         triples: impl Iterator<Item = Triple>,
-    ) -> io::Result<()> {
+    ) -> io::Result<PoolCounts> {
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -366,6 +370,7 @@ impl StoreSnapshot {
         file.write_all(&SNAP_VERSION.to_le_bytes())?;
         let mut w = FrameWriter {
             file,
+            path,
             section: SEC_HEADER,
             payload: Vec::with_capacity(FRAME_TARGET + TRIPLE_BYTES),
         };
@@ -399,9 +404,10 @@ impl StoreSnapshot {
         }
         w.flush()?;
         crash_point!("snap.pre_sync");
+        io_fault!("snap.sync", w.path);
         w.file.sync_data()?;
         crash_point!("snap.post_sync");
-        Ok(())
+        Ok([counts[0], counts[1], counts[2]])
     }
 
     /// Read and verify a snapshot. Any damage is an error: a snapshot is
@@ -483,14 +489,14 @@ impl StoreSnapshot {
             return Err(corrupt("bytes after the end frame"));
         }
         let counts = [
-            pools[0].len(),
-            pools[1].len(),
-            pools[2].len(),
-            triples.len(),
+            pools[0].len() as u64,
+            pools[1].len() as u64,
+            pools[2].len() as u64,
+            triples.len() as u64,
         ];
         let mut off = 0usize;
         for n in counts {
-            if read_u64(&payload, &mut off) != Some(n as u64) {
+            if read_u64(&payload, &mut off) != Some(n) {
                 return Err(corrupt("entry counts disagree with the end frame"));
             }
         }
@@ -501,23 +507,12 @@ impl StoreSnapshot {
         let (header, strings_frozen) = header.expect("header frame precedes the end frame");
         // Every OID must resolve under the dumped dictionary, and subjects
         // and predicates must be IRIs — what every builder assumes.
-        let resolves = |oid: Oid, iri_only: bool| {
-            let Some(tag) = TypeTag::from_u8((oid.raw() >> sordf_model::oid::PAYLOAD_BITS) as u8)
-            else {
-                return false;
-            };
-            match tag {
-                TypeTag::Iri => oid.payload() < counts[0] as u64,
-                _ if iri_only => false,
-                TypeTag::Blank => oid.payload() < counts[1] as u64,
-                TypeTag::Str => oid.payload() < counts[2] as u64,
-                _ => true,
-            }
-        };
-        if !triples
-            .iter()
-            .all(|t| resolves(t.s, true) && resolves(t.p, true) && resolves(t.o, false))
-        {
+        let pool_counts: PoolCounts = [counts[0], counts[1], counts[2]];
+        if !triples.iter().all(|t| {
+            oid_resolves(t.s, &pool_counts, true)
+                && oid_resolves(t.p, &pool_counts, true)
+                && oid_resolves(t.o, &pool_counts, false)
+        }) {
             return Err(corrupt("triple references no dictionary entry"));
         }
         let [iris, blanks, strings] = pools;
@@ -563,14 +558,6 @@ fn decode_entries(payload: &[u8], out: &mut Vec<String>) -> Option<()> {
         pos = end;
     }
     Some(())
-}
-
-fn read_u64(body: &[u8], off: &mut usize) -> Option<u64> {
-    let bytes = body.get(*off..off.checked_add(8)?)?;
-    *off += 8;
-    Some(u64::from_le_bytes([
-        bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-    ]))
 }
 
 /// Serialize every `SchemaConfig` field in a fixed order; floats as raw

@@ -20,7 +20,7 @@
 //! it ever saw.
 
 use crate::triple_set::TripleSet;
-use sordf_model::{Dictionary, FxHashMap, Oid, TypeTag};
+use sordf_model::{Dictionary, FxHashMap, Oid, Triple, TypeTag};
 use sordf_schema::{ClassId, EmergentSchema};
 
 /// Physical clustering choices. Sort keys are identified by **column
@@ -99,22 +99,39 @@ pub struct ReorgReport {
     pub class_bases: Vec<u64>,
 }
 
-/// Perform subject clustering and literal re-numbering in place.
-///
-/// Afterwards: class `c`'s subjects are exactly the IRI OIDs
-/// `[report.class_bases[c], report.class_bases[c] + n_subjects(c))`;
-/// string-literal OID order equals lexicographic order; `ts.triples` are
-/// rewritten (their order preserved); `schema.assignment` keys are
-/// remapped; IRIs and strings no triple references have left the dictionary.
+/// Perform subject clustering and literal re-numbering on an owned set, in
+/// place: [`reorganize_from`] with the set's own dictionary as the source.
 pub fn reorganize(
     ts: &mut TripleSet,
     schema: &mut EmergentSchema,
     spec: &ClusterSpec,
 ) -> ReorgReport {
-    // Which pool entries some triple still references.
-    let mut live_iri = vec![false; ts.dict.n_iris()];
-    let mut live_str = vec![false; ts.dict.n_strings()];
-    for t in &ts.triples {
+    let (dict, report) = reorganize_from(&ts.dict, &mut ts.triples, schema, spec);
+    ts.dict = dict;
+    report
+}
+
+/// Subject clustering and literal re-numbering: build the renumbered
+/// dictionary **from** `dict` — which may be shared and pinned; it is only
+/// read — and rewrite `triples` and `schema` to it.
+///
+/// Afterwards: class `c`'s subjects are exactly the IRI OIDs
+/// `[report.class_bases[c], report.class_bases[c] + n_subjects(c))`;
+/// string-literal OID order equals lexicographic order; `triples` are
+/// rewritten (their order preserved); `schema.assignment` keys are
+/// remapped; IRIs and strings no triple references are not in the returned
+/// dictionary.
+pub fn reorganize_from(
+    dict: &Dictionary,
+    triples: &mut [Triple],
+    schema: &mut EmergentSchema,
+    spec: &ClusterSpec,
+) -> (Dictionary, ReorgReport) {
+    // Which pool entries some triple still references. Sized once: what a
+    // shared dictionary gains from here on is not part of the renumbering.
+    let mut live_iri = vec![false; dict.n_iris()];
+    let mut live_str = vec![false; dict.n_strings()];
+    for t in triples.iter() {
         for o in [t.s, t.p, t.o].into_iter().filter(|o| !o.is_null()) {
             match o.tag() {
                 TypeTag::Iri => live_iri[o.payload() as usize] = true,
@@ -135,8 +152,19 @@ pub fn reorganize(
                 keyed.insert((class, c.pred), c.ty);
             }
         }
-        for t in &ts.triples {
-            let Some(class) = schema.class_of(t.s) else {
+        // One class lookup per subject where the triples come grouped by
+        // subject (every caller but the parse-order test rigs).
+        let mut current: Option<(Oid, Option<ClassId>)> = None;
+        for t in triples.iter() {
+            let class = match current {
+                Some((s, class)) if s == t.s => class,
+                _ => {
+                    let class = schema.class_of(t.s);
+                    current = Some((t.s, class));
+                    class
+                }
+            };
+            let Some(class) = class else {
                 continue;
             };
             let Some(&ty) = keyed.get(&(class, t.p)) else {
@@ -188,9 +216,8 @@ pub fn reorganize(
     }
     let n_iris = next;
 
-    // 4. Permute the dictionary pools.
-    ts.dict.apply_iri_permutation(&new_of_old);
-    let str_map = ts.dict.sort_live_strings(&live_str);
+    // 4. Build the renumbered pools.
+    let (new_dict, str_map) = dict.renumbered(&new_of_old, &live_str);
 
     // 5. Rewrite every triple.
     let remap = |o: Oid| -> Oid {
@@ -203,7 +230,7 @@ pub fn reorganize(
             _ => o,
         }
     };
-    for t in ts.triples.iter_mut() {
+    for t in triples.iter_mut() {
         t.s = remap(t.s);
         t.p = remap(t.p);
         t.o = remap(t.o);
@@ -241,12 +268,13 @@ pub fn reorganize(
         class.reindex();
     }
 
-    ReorgReport {
+    let report = ReorgReport {
         n_subjects_clustered,
         n_iris,
-        n_strings_sorted: ts.dict.n_strings() as u64,
+        n_strings_sorted: new_dict.n_strings() as u64,
         class_bases,
-    }
+    };
+    (new_dict, report)
 }
 
 #[cfg(test)]

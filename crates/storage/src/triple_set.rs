@@ -1,6 +1,6 @@
 //! The in-memory staging area: parsed, dictionary-encoded triples.
 
-use sordf_model::{ntriples, Dictionary, ModelError, Term, TermTriple, Triple};
+use sordf_model::{ntriples, Dictionary, FxHashMap, ModelError, Oid, Term, TermTriple, Triple};
 
 /// A dictionary plus the encoded triples, in parse order. This is the input
 /// to both store builders and to schema discovery.
@@ -82,7 +82,7 @@ impl TripleSet {
 /// IRIs the same way [`TripleSet::add`] does — the write path of a live
 /// generation interns against the generation's dictionary directly, without
 /// owning a `TripleSet`.
-pub fn encode_term_skolemized(dict: &Dictionary, t: &Term) -> Result<sordf_model::Oid, ModelError> {
+pub fn encode_term_skolemized(dict: &Dictionary, t: &Term) -> Result<Oid, ModelError> {
     match t {
         Term::Blank(label) => Ok(dict.encode_iri(&Term::skolem_blank_iri(label))),
         other => dict.encode_term(other),
@@ -98,10 +98,125 @@ pub fn encode_triple_skolemized(dict: &Dictionary, t: &TermTriple) -> Result<Tri
     Ok(Triple::new(s, p, o))
 }
 
+/// Look one term up without interning, skolemizing blank nodes the way the
+/// encode path does (shared scheme: [`Term::skolem_blank_iri`]).
+pub fn term_oid_skolemized(dict: &Dictionary, t: &Term) -> Option<Oid> {
+    match t {
+        Term::Blank(label) => dict.iri_oid(&Term::skolem_blank_iri(label)),
+        other => dict.term_oid(other),
+    }
+}
+
+/// Distinct predicates a [`BatchResolver`] remembers. Real batches use a
+/// handful; the bound only keeps a hostile batch of all-different
+/// predicates from growing a second dictionary.
+const PRED_CACHE: usize = 256;
+
+/// Resolves the terms of **one write batch** to OIDs. A batch arrives
+/// grouped by subject over a handful of predicates, and on a store-sized
+/// dictionary every pool lookup is a cache miss: so the previous triple's
+/// subject is compared before it is looked up again, and predicates resolve
+/// through a small per-batch table. Objects go to the dictionary as they
+/// are. Shared by every write path — insert, bulk load, delete.
+#[must_use = "a resolver caches across the batch; resolve triples through one instance"]
+pub struct BatchResolver<'d, 't> {
+    dict: &'d Dictionary,
+    subject: Option<(&'t Term, Oid)>,
+    preds: FxHashMap<&'t str, Oid>,
+}
+
+impl<'d, 't> BatchResolver<'d, 't> {
+    pub fn new(dict: &'d Dictionary) -> BatchResolver<'d, 't> {
+        BatchResolver {
+            dict,
+            subject: None,
+            preds: FxHashMap::default(),
+        }
+    }
+
+    /// Encode one triple of the batch, interning unseen terms (blank nodes
+    /// skolemized, see [`encode_term_skolemized`]).
+    pub fn encode(&mut self, t: &'t TermTriple) -> Result<Triple, ModelError> {
+        self.resolve(t, encode_term_skolemized)
+    }
+
+    /// Look one triple of the batch up without interning; `None` when one
+    /// of its terms is unknown (it then matches nothing stored).
+    pub fn lookup(&mut self, t: &'t TermTriple) -> Option<Triple> {
+        self.resolve(t, |dict, term| term_oid_skolemized(dict, term).ok_or(()))
+            .ok()
+    }
+
+    fn resolve<E>(
+        &mut self,
+        t: &'t TermTriple,
+        term: impl Fn(&Dictionary, &Term) -> Result<Oid, E>,
+    ) -> Result<Triple, E> {
+        let s = match self.subject {
+            Some((prev, oid)) if *prev == t.s => oid,
+            _ => {
+                let oid = term(self.dict, &t.s)?;
+                self.subject = Some((&t.s, oid));
+                oid
+            }
+        };
+        let p = match &t.p {
+            Term::Iri(iri) => match self.preds.get(iri.as_str()) {
+                Some(&oid) => oid,
+                None => {
+                    let oid = term(self.dict, &t.p)?;
+                    if self.preds.len() < PRED_CACHE {
+                        self.preds.insert(iri, oid);
+                    }
+                    oid
+                }
+            },
+            other => term(self.dict, other)?,
+        };
+        Ok(Triple::new(s, p, term(self.dict, &t.o)?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sordf_model::Oid;
+
+    #[test]
+    fn batch_resolver_equals_term_by_term_resolution() {
+        let parsed = ntriples::parse_document(
+            r#"<http://e/s1> <http://e/p> <http://e/o> .
+<http://e/s1> <http://e/q> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://e/s1> <http://e/p> "plain" .
+_:b <http://e/p> <http://e/s1> .
+_:b <http://e/q> "chat"@fr .
+<http://e/s1> <http://e/q> _:b ."#,
+        )
+        .unwrap();
+        let (by_term, batched) = (Dictionary::new(), Dictionary::new());
+        let mut resolver = BatchResolver::new(&batched);
+        for t in &parsed {
+            let want = encode_triple_skolemized(&by_term, t).unwrap();
+            assert_eq!(resolver.encode(t).unwrap(), want);
+        }
+        assert_eq!(batched.pool_counts(), by_term.pool_counts());
+        // Lookups: known triples resolve to the same OIDs, nothing interns.
+        let mut resolver = BatchResolver::new(&batched);
+        for t in &parsed {
+            let want = encode_triple_skolemized(&by_term, t).unwrap();
+            assert_eq!(resolver.lookup(t), Some(want));
+        }
+        let unknown = TermTriple::new(
+            Term::iri("http://e/s1"),
+            Term::iri("http://e/never"),
+            Term::str("plain"),
+        );
+        assert_eq!(resolver.lookup(&unknown), None);
+        assert_eq!(
+            resolver.lookup(&parsed[0]).map(|t| t.s),
+            batched.iri_oid("http://e/s1")
+        );
+        assert_eq!(batched.pool_counts(), by_term.pool_counts());
+    }
 
     #[test]
     fn load_and_encode() {

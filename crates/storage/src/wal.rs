@@ -2,41 +2,52 @@
 //!
 //! Every `insert`/`delete`/`load` batch appends one length+checksum-framed
 //! record *before* it is applied to the in-memory
-//! [`DeltaStore`](crate::DeltaStore); recovery replays intact records in
-//! order and
-//! truncates the log at the first torn or corrupt frame. Records carry the
-//! batch's delta **sequence number** and the triples in N-Triples text —
-//! term-level, not OID-level, because a generation swap renumbers the
-//! dictionary and OIDs in a log would go stale.
+//! [`DeltaStore`](crate::DeltaStore); recovery folds the intact records, in
+//! order, into the snapshot they follow. A record is shaped like that
+//! snapshot ([`crate::manifest`]): integers over a dictionary — the batch as
+//! raw OID triples, preceded by the dictionary entries the committed pair
+//! (snapshot + log so far) does not hold yet.
+//!
+//! ## The numbering invariant
+//!
+//! OIDs in a log are only meaningful next to the dictionary they index, so
+//! the log leans on one rule, which the store keeps everywhere: **the
+//! committed pair (snapshot, log) is in one numbering, and whoever renumbers
+//! commits a new pair.** A snapshot dumps the dictionary entry for entry;
+//! each record carries, per pool, the entries interned since the last logged
+//! watermark, starting at exactly the index where the pair's copy of that
+//! pool ends. Snapshot pools + the log's appends, read in order, therefore
+//! *are* the live dictionary, and every logged OID resolves under them. A
+//! reorganization renumbers subjects and strings — and commits a fresh
+//! snapshot in the new numbering together with a fresh log (the writes that
+//! arrived meanwhile, re-encoded) in one manifest rename; recovery
+//! re-clusters too, and commits a fresh pair before it accepts a write. No
+//! log ever outlives the numbering it was written in.
 //!
 //! ## File format
 //!
 //! ```text
-//! [magic "SORDFWAL"][version u32 LE][reserved u32]
+//! [magic "SORDFWAL"][version u32 LE = 2][reserved u32]
 //! frame*: [len u32 LE][crc32 u32 LE][payload: len bytes]
-//! payload: [seq u64 LE][kind u8][body]
+//! payload: [seq u64 LE][kind u8: 0 insert, 1 delete, 2 load]
+//!          3 × pool (IRIs, blank nodes, strings):
+//!              [first index u64 LE][n u32 LE] n × (varint len, UTF-8 bytes)
+//!          triples to the end of the payload: (s u64 LE, p u64 LE, o u64 LE)*
 //! ```
 //!
-//! The record body comes in two self-describing encodings, selected per
-//! record by the kind byte's high bit ([`WalFormat`]):
-//!
-//! * **Text** (high bit clear): the batch as N-Triples UTF-8 text — the v1
-//!   format, trivially inspectable with a pager.
-//! * **Binary** (high bit set): a varint-framed per-record term table
-//!   (each distinct term once, tagged by type) followed by the triples as
-//!   varint indexes into it. Repetitive batches shrink several-fold and
-//!   replay skips text parsing entirely.
-//!
-//! Recovery auto-detects the encoding record by record, so one log may
-//! freely mix both (e.g. after [`WalWriter::set_format`] mid-run).
-//!
-//! The CRC (IEEE 802.3, same polynomial as gzip) covers the payload only;
-//! `len` is sanity-bounded before allocation so a corrupt length can't ask
-//! for gigabytes. A *torn* frame — short header, short payload, CRC
-//! mismatch, or unparseable text — ends recovery: everything before it is
-//! replayed, the file is truncated back to the last intact frame, and new
-//! appends continue from there. An fsync'd (acknowledged) record is never
-//! behind a torn one, so acknowledged writes are never dropped.
+//! The CRC (IEEE 802.3, same polynomial as gzip) covers the payload only.
+//! A *torn* frame — short header, a length the rest of the file cannot
+//! hold, short payload, CRC mismatch — ends recovery: everything before it
+//! is returned and the file is truncated back to the last intact frame. An
+//! fsync'd (acknowledged) record is never behind a torn one, so acknowledged
+//! writes are never dropped. Everything else is an **error**, never an empty
+//! or shorter log: a missing file or a damaged header on the log the
+//! manifest names (a v1 header included — v1 logs were term-level and are
+//! refused the way v1 snapshots are), and a frame whose checksum holds but
+//! whose content does not — sequence numbers that skip, appends that do not
+//! start where the pool ends, an OID beyond the pools, a subject or
+//! predicate that is not an IRI, a count or length larger than the rest of
+//! the frame (checked before anything is allocated for it).
 //!
 //! ## Durability policy
 //!
@@ -45,21 +56,36 @@
 //! `IntervalMs(n)` fsyncs at most every `n` ms (bounded loss window),
 //! `Never` leaves it to the OS (crash loses the tail; recovery still gets
 //! a consistent prefix).
+//!
+//! ## The term-level writer
+//!
+//! [`WalWriter::append`] of a [`WalRecord`] frames a batch as N-Triples
+//! text. The frozen benchmark's `storage.wal_append_us_per_batch` probe
+//! times it and nothing else calls it: `Database` never writes such a frame
+//! and [`WalWriter::open_recover`] refuses a log that holds one. It goes
+//! when the next `[benchmark]` PR retargets that probe.
 
-use sordf_columnar::crash_point;
-use sordf_model::{ntriples, FxHashMap, Literal, Term, TermTriple, Value};
+use sordf_columnar::{crash_point, io_fault};
+use sordf_model::{ntriples, DictPool, Dictionary, ModelError, Oid, TermTriple, Triple, TypeTag};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const MAGIC: &[u8; 8] = b"SORDFWAL";
-/// High bit of the kind byte: the record body is [`WalFormat::Binary`].
-const BINARY_KIND: u8 = 0x80;
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const HEADER_LEN: u64 = 16;
-/// Sanity bound on one frame's payload (a batch of N-Triples text).
+/// Sanity bound on one frame's payload.
 const MAX_FRAME_LEN: u32 = 1 << 30;
+/// Bytes of one logged triple.
+const TRIPLE_BYTES: usize = 24;
+/// Kind byte of the one term-level frame ([`WalWriter::append`]).
+const TERM_INSERT: u8 = 0x80;
+
+/// Entry counts of the dictionary's three pools (IRIs, blank nodes,
+/// strings): how much of a dictionary a snapshot, or a snapshot plus the log
+/// behind it, holds — the *logged watermark* the next record appends from.
+pub type PoolCounts = [u64; 3];
 
 /// Slicing-by-8 lookup tables for the IEEE 802.3 CRC-32, built at compile
 /// time so the crate stays dependency-free. `CRC_TABLES[0]` is the classic
@@ -163,26 +189,6 @@ pub enum SyncPolicy {
     Never,
 }
 
-/// On-disk encoding of a WAL record's body. See the [module docs](self).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalFormat {
-    /// N-Triples text: human-readable, the v1 format.
-    #[default]
-    Text,
-    /// Varint-framed binary: a per-record distinct-term table plus the
-    /// triples as varint indexes into it — smaller and faster to replay.
-    Binary,
-}
-
-// ---- the binary record body ------------------------------------------------
-//
-// [n_terms varint] term* [n_triples varint] (s p o varint-index)*
-// term: [tag u8][body]
-//   0 Iri / 1 Blank / 2 Str:       varint len + UTF-8 bytes
-//   3 Str with lang:               varint len + bytes, varint len + bytes
-//   4 Int / 5 Decimal / 6 Date / 7 DateTime: zigzag varint
-//   8 Bool:                        one byte
-
 pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8 & 0x7f) | 0x80);
@@ -212,230 +218,85 @@ pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
+pub(crate) fn read_u64(body: &[u8], off: &mut usize) -> Option<u64> {
+    let bytes = body.get(*off..off.checked_add(8)?)?;
+    *off += 8;
+    Some(u64::from_le_bytes([
+        bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
+    ]))
 }
 
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
+fn read_u32(body: &[u8], off: &mut usize) -> Option<u32> {
+    let bytes = body.get(*off..off.checked_add(4)?)?;
+    *off += 4;
+    Some(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
 }
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    write_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    let len = read_varint(bytes, pos)? as usize;
-    let end = pos.checked_add(len)?;
-    let s = bytes.get(*pos..end)?;
-    *pos = end;
-    String::from_utf8(s.to_vec()).ok()
-}
-
-fn write_term(out: &mut Vec<u8>, t: &Term) {
-    match t {
-        Term::Iri(iri) => {
-            out.push(0);
-            write_str(out, iri);
-        }
-        Term::Blank(label) => {
-            out.push(1);
-            write_str(out, label);
-        }
-        Term::Literal(Literal { value }) => match value {
-            Value::Str {
-                lexical,
-                lang: None,
-            } => {
-                out.push(2);
-                write_str(out, lexical);
-            }
-            Value::Str {
-                lexical,
-                lang: Some(lang),
-            } => {
-                out.push(3);
-                write_str(out, lexical);
-                write_str(out, lang);
-            }
-            Value::Int(v) => {
-                out.push(4);
-                write_varint(out, zigzag(*v));
-            }
-            Value::Decimal(v) => {
-                out.push(5);
-                write_varint(out, zigzag(*v));
-            }
-            Value::Date(v) => {
-                out.push(6);
-                write_varint(out, zigzag(*v));
-            }
-            Value::DateTime(v) => {
-                out.push(7);
-                write_varint(out, zigzag(*v));
-            }
-            Value::Bool(b) => {
-                out.push(8);
-                out.push(u8::from(*b));
-            }
-        },
+/// Does `oid` resolve under a dictionary whose pools hold `counts` entries?
+/// Inline values always do; with `iri_only` (subjects, predicates) nothing
+/// but an IRI does. What both on-disk readers check of every stored OID.
+pub(crate) fn oid_resolves(oid: Oid, counts: &PoolCounts, iri_only: bool) -> bool {
+    let Some(tag) = TypeTag::from_u8((oid.raw() >> sordf_model::oid::PAYLOAD_BITS) as u8) else {
+        return false;
+    };
+    match tag {
+        TypeTag::Iri => oid.payload() < counts[0],
+        _ if iri_only => false,
+        TypeTag::Blank => oid.payload() < counts[1],
+        TypeTag::Str => oid.payload() < counts[2],
+        _ => true,
     }
 }
 
-fn read_term(bytes: &[u8], pos: &mut usize) -> Option<Term> {
-    let &tag = bytes.get(*pos)?;
-    *pos += 1;
-    Some(match tag {
-        0 => Term::Iri(read_str(bytes, pos)?),
-        1 => Term::Blank(read_str(bytes, pos)?),
-        2 => Term::Literal(Literal::new(Value::Str {
-            lexical: read_str(bytes, pos)?,
-            lang: None,
-        })),
-        3 => Term::Literal(Literal::new(Value::Str {
-            lexical: read_str(bytes, pos)?,
-            lang: Some(read_str(bytes, pos)?),
-        })),
-        4 => Term::Literal(Literal::new(Value::Int(unzigzag(read_varint(bytes, pos)?)))),
-        5 => Term::Literal(Literal::new(Value::Decimal(unzigzag(read_varint(
-            bytes, pos,
-        )?)))),
-        6 => Term::Literal(Literal::new(Value::Date(unzigzag(read_varint(
-            bytes, pos,
-        )?)))),
-        7 => Term::Literal(Literal::new(Value::DateTime(unzigzag(read_varint(
-            bytes, pos,
-        )?)))),
-        8 => {
-            let &b = bytes.get(*pos)?;
-            *pos += 1;
-            if b > 1 {
-                return None;
-            }
-            Term::Literal(Literal::new(Value::Bool(b == 1)))
-        }
-        _ => return None,
-    })
-}
-
-/// Serialize a batch as the binary record body.
-fn encode_binary(out: &mut Vec<u8>, triples: &[TermTriple]) {
-    let mut index: FxHashMap<&Term, u64> = FxHashMap::default();
-    let mut table: Vec<&Term> = Vec::new();
-    let mut ids = Vec::with_capacity(triples.len() * 3);
-    for t in triples {
-        for term in [&t.s, &t.p, &t.o] {
-            let next = table.len() as u64;
-            let id = *index.entry(term).or_insert_with(|| {
-                table.push(term);
-                next
-            });
-            ids.push(id);
-        }
-    }
-    write_varint(out, table.len() as u64);
-    for term in table {
-        write_term(out, term);
-    }
-    write_varint(out, triples.len() as u64);
-    for id in ids {
-        write_varint(out, id);
-    }
-}
-
-/// Parse a binary record body; `None` on any malformation (the caller
-/// treats it as a torn frame).
-fn decode_binary(bytes: &[u8]) -> Option<Vec<TermTriple>> {
-    let mut pos = 0usize;
-    let n_terms = read_varint(bytes, &mut pos)? as usize;
-    // Each term takes at least 2 bytes: the table can't outnumber the body.
-    if n_terms > bytes.len() {
-        return None;
-    }
-    let mut table = Vec::with_capacity(n_terms);
-    for _ in 0..n_terms {
-        table.push(read_term(bytes, &mut pos)?);
-    }
-    let n_triples = read_varint(bytes, &mut pos)? as usize;
-    if n_triples > bytes.len() {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n_triples);
-    for _ in 0..n_triples {
-        let mut spo = [0usize; 3];
-        for slot in &mut spo {
-            let id = read_varint(bytes, &mut pos)? as usize;
-            if id >= table.len() {
-                return None;
-            }
-            *slot = id;
-        }
-        out.push(TermTriple::new(
-            table[spo[0]].clone(),
-            table[spo[1]].clone(),
-            table[spo[2]].clone(),
-        ));
-    }
-    if pos != bytes.len() {
-        return None; // trailing garbage: not a frame we wrote
-    }
-    Some(out)
-}
-
-/// One logged write batch, in term (not OID) space.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
-    /// An `insert_terms` batch.
-    Insert(Vec<TermTriple>),
-    /// A `delete_triples`/`delete_matching` batch (the resolved triples).
-    Delete(Vec<TermTriple>),
-    /// A `load_terms` batch (pre-organization staging writes: collapses
-    /// into the base instead of the delta on replay, like the original).
-    Load(Vec<TermTriple>),
-}
-
-/// What a logged batch does on replay — the low bits of a frame's kind
-/// byte. The live write paths log a borrowed batch under its kind
-/// ([`WalWriter::append_batch`]); recovery hands back owned [`WalRecord`]s.
+/// What a logged batch does when recovery folds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalKind {
+    /// An `insert_terms` batch.
     Insert = 0,
+    /// A `delete_triples`/`delete_matching` batch (the resolved triples).
     Delete = 1,
+    /// A `load_terms` batch (staging write: lands in the base, not the
+    /// delta, and invalidates every built layout, like the original).
     Load = 2,
 }
 
-impl WalRecord {
-    fn kind(&self) -> WalKind {
-        match self {
-            WalRecord::Insert(_) => WalKind::Insert,
-            WalRecord::Delete(_) => WalKind::Delete,
-            WalRecord::Load(_) => WalKind::Load,
-        }
-    }
+/// One record read back from the log.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogRecord {
+    /// The batch's log sequence number.
+    pub seq: u64,
+    pub kind: WalKind,
+    /// Per pool ([`DictPool`] order): the index of the first appended entry
+    /// — exactly where the pair's copy of the pool ended — and the entries.
+    pub appends: [(u64, Vec<String>); 3],
+    /// The batch, encoded under the dictionary as extended by `appends`.
+    pub triples: Vec<Triple>,
+}
 
-    fn triples(&self) -> &[TermTriple] {
-        match self {
-            WalRecord::Insert(t) | WalRecord::Delete(t) | WalRecord::Load(t) => t,
+impl LogRecord {
+    /// Extend `dict` — the pair's dictionary so far — with this record's
+    /// appends. Each entry must land on exactly the index the record names:
+    /// contiguity is checked entry by entry, and an entry the dictionary
+    /// already holds (it would get two indexes) is an error too.
+    pub fn append_to(&self, dict: &Dictionary) -> Result<(), ModelError> {
+        for (pool, (first, entries)) in DictPool::ALL.into_iter().zip(&self.appends) {
+            for (i, entry) in entries.iter().enumerate() {
+                dict.append_entry(pool, first + i as u64, entry)?;
+            }
         }
-    }
-
-    fn from_kind(kind: u8, triples: Vec<TermTriple>) -> Option<WalRecord> {
-        match kind {
-            0 => Some(WalRecord::Insert(triples)),
-            1 => Some(WalRecord::Delete(triples)),
-            2 => Some(WalRecord::Load(triples)),
-            _ => None,
-        }
+        Ok(())
     }
 }
 
-/// One record recovered from the log: `(lsn, seq, record)`, `lsn` being
-/// the file offset just *after* the record's frame.
-pub type RecoveredRecord = (u64, u64, WalRecord);
+/// The term-level batch of [`WalWriter::append`] — see "The term-level
+/// writer" in the [module docs](self). Not a database log record.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WalRecord {
+    Insert(Vec<TermTriple>),
+}
 
 /// Append side of the log. Construct via [`WalWriter::create`] (fresh log)
-/// or [`WalWriter::open_recover`] (replay + truncate-at-first-tear).
+/// or [`WalWriter::open_recover`] (read + truncate-at-first-tear).
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
@@ -445,20 +306,16 @@ pub struct WalWriter {
     /// Unsynced appends are pending.
     dirty: bool,
     last_sync: Instant,
-    /// Body encoding for *subsequent* appends (recovery auto-detects per
-    /// record, so a log may mix formats).
-    format: WalFormat,
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 impl WalWriter {
     /// Create (truncate) a fresh log at `path` and fsync its header, so a
     /// crash right after creation recovers an empty log, not a missing one.
     pub fn create(path: &Path) -> io::Result<WalWriter> {
-        WalWriter::create_with(path, WalFormat::default())
-    }
-
-    /// [`WalWriter::create`] with an explicit body encoding for appends.
-    pub fn create_with(path: &Path, format: WalFormat) -> io::Result<WalWriter> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -477,46 +334,44 @@ impl WalWriter {
             end: HEADER_LEN,
             dirty: false,
             last_sync: Instant::now(),
-            format,
         })
     }
 
-    /// Open an existing log (or create one if missing), replaying every
-    /// intact record and truncating the file back to the last intact frame.
-    /// Returns the writer positioned to append, plus the recovered records
-    /// as `(lsn, seq, record)` — `lsn` being the offset *after* the frame.
-    pub fn open_recover(path: &Path) -> io::Result<(WalWriter, Vec<RecoveredRecord>)> {
-        if !path.exists() {
-            return Ok((WalWriter::create(path)?, Vec::new()));
-        }
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        let header_ok = {
-            let mut read = 0usize;
-            loop {
-                match file.read(&mut header[read..]) {
-                    Ok(0) => break read == header.len(),
-                    Ok(n) => {
-                        read += n;
-                        if read == header.len() {
-                            break true;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
+    /// Open the log the manifest names and read every intact record,
+    /// truncating the file back to the last intact frame. `pools` is what
+    /// the snapshot this log follows holds of each dictionary pool: appends
+    /// must continue from there, and every logged OID must resolve under
+    /// the pools as the records extend them. Returns the writer positioned
+    /// to append plus the records. A missing file, a damaged or v1 header
+    /// and a checksummed frame with invalid content are errors (see the
+    /// [module docs](self)); only a torn tail is cut.
+    pub fn open_recover(
+        path: &Path,
+        mut pools: PoolCounts,
+    ) -> io::Result<(WalWriter, Vec<LogRecord>)> {
+        let mut file = match OpenOptions::new().read(true).write(true).open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("wal: missing ({})", path.display()),
+                ))
             }
+            Err(e) => return Err(e),
         };
-        if !header_ok
-            || &header[..8] != MAGIC
-            || u32::from_le_bytes([header[8], header[9], header[10], header[11]]) != VERSION
-        {
-            // The header itself is damaged: nothing in the file can be
-            // trusted, start over with an empty log.
-            drop(file);
-            return Ok((WalWriter::create(path)?, Vec::new()));
+        let mut left = file.metadata()?.len();
+        let mut header = [0u8; HEADER_LEN as usize];
+        if !read_exact_or_eof(&mut file, &mut header)? || &header[..8] != MAGIC {
+            return Err(invalid("wal: bad header".into()));
         }
-        let mut records = Vec::new();
+        let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+        if version != VERSION {
+            return Err(invalid(format!(
+                "wal: bad header (version {version}, this build reads {VERSION})"
+            )));
+        }
+        left -= HEADER_LEN; // the header was read in full
+        let mut records: Vec<LogRecord> = Vec::new();
         let mut good_end = HEADER_LEN;
         let mut buf = Vec::new();
         loop {
@@ -524,55 +379,41 @@ impl WalWriter {
             if !read_exact_or_eof(&mut file, &mut frame_header)? {
                 break;
             }
-            let len = u32::from_le_bytes([
-                frame_header[0],
-                frame_header[1],
-                frame_header[2],
-                frame_header[3],
-            ]);
-            let crc = u32::from_le_bytes([
-                frame_header[4],
-                frame_header[5],
-                frame_header[6],
-                frame_header[7],
-            ]);
-            if !(9..=MAX_FRAME_LEN).contains(&len) {
+            let mut at = 0;
+            let (Some(len), Some(crc)) = (
+                read_u32(&frame_header, &mut at),
+                read_u32(&frame_header, &mut at),
+            ) else {
+                break;
+            };
+            // Bounded before allocation: a frame cannot be longer than
+            // what is left of the file behind its header.
+            if !(9..=MAX_FRAME_LEN).contains(&len) || u64::from(len) > left.saturating_sub(8) {
                 break;
             }
             buf.clear();
             buf.resize(len as usize, 0);
-            if !read_exact_or_eof(&mut file, &mut buf)? {
+            if !read_exact_or_eof(&mut file, &mut buf)? || crc32(&buf) != crc {
                 break;
             }
-            if crc32(&buf) != crc {
-                break;
+            // The checksum holds, so this is what was written: content
+            // that does not parse is damage or a bug, not a torn write.
+            let record = parse_record(&buf, &mut pools)
+                .map_err(|what| invalid(format!("wal: frame at offset {good_end}: {what}")))?;
+            if let Some(prev) = records.last() {
+                if record.seq != prev.seq + 1 {
+                    return Err(invalid(format!(
+                        "wal: frame at offset {good_end}: sequence {} follows {}",
+                        record.seq, prev.seq
+                    )));
+                }
             }
-            let seq = u64::from_le_bytes([
-                buf[0], buf[1], buf[2], buf[3], buf[4], buf[5], buf[6], buf[7],
-            ]);
-            let kind = buf[8];
-            let triples = if kind & BINARY_KIND != 0 {
-                match decode_binary(&buf[9..]) {
-                    Some(t) => t,
-                    None => break,
-                }
-            } else {
-                let Ok(text) = std::str::from_utf8(&buf[9..]) else {
-                    break;
-                };
-                match ntriples::parse_document(text) {
-                    Ok(t) => t,
-                    Err(_) => break,
-                }
-            };
-            let Some(record) = WalRecord::from_kind(kind & !BINARY_KIND, triples) else {
-                break;
-            };
-            good_end += 8 + len as u64;
-            records.push((good_end, seq, record));
+            good_end += 8 + u64::from(len);
+            left -= 8 + u64::from(len);
+            records.push(record);
         }
-        // Truncate the torn/corrupt tail so appends continue from the last
-        // intact frame (and a later recovery never re-reads the tear).
+        // Truncate the torn tail so appends continue from the last intact
+        // frame (and a later recovery never re-reads the tear).
         file.set_len(good_end)?;
         file.sync_data()?;
         file.seek(SeekFrom::Start(good_end))?;
@@ -583,22 +424,9 @@ impl WalWriter {
                 end: good_end,
                 dirty: false,
                 last_sync: Instant::now(),
-                format: WalFormat::default(),
             },
             records,
         ))
-    }
-
-    /// The body encoding of subsequent appends.
-    pub fn format(&self) -> WalFormat {
-        self.format
-    }
-
-    /// Switch the body encoding for subsequent appends. Takes effect
-    /// immediately; already-written records are untouched (recovery
-    /// auto-detects per record).
-    pub fn set_format(&mut self, format: WalFormat) {
-        self.format = format;
     }
 
     /// The log's path.
@@ -611,46 +439,81 @@ impl WalWriter {
         self.end
     }
 
-    /// Append one record; returns its LSN (offset after the frame). The
-    /// record is in the OS page cache after this returns — call
-    /// [`WalWriter::sync`] (or let [`WalWriter::maybe_sync`] decide) to
-    /// make it crash-durable.
-    pub fn append(&mut self, seq: u64, record: &WalRecord) -> io::Result<u64> {
-        self.append_batch(seq, record.kind(), record.triples())
-    }
-
-    /// [`WalWriter::append`] of a borrowed batch: the write paths log the
-    /// caller's slice as it is, without first cloning it into a record.
+    /// Append one batch: the entries `dict` holds beyond the `logged`
+    /// watermark, then `triples` as they are. On success `logged` advances
+    /// to cover what was appended and the record's LSN (offset after the
+    /// frame) is returned. The record is in the OS page cache after this
+    /// returns — call [`WalWriter::sync`] (or let [`WalWriter::maybe_sync`]
+    /// decide) to make it crash-durable.
     pub fn append_batch(
         &mut self,
         seq: u64,
         kind: WalKind,
-        triples: &[TermTriple],
+        dict: &Dictionary,
+        logged: &mut PoolCounts,
+        triples: &[Triple],
     ) -> io::Result<u64> {
-        // The frame is assembled in place — header placeholder, payload,
-        // then the length and checksum patched in — so the batch is
-        // serialized exactly once.
-        let mut frame = Vec::with_capacity(64 * triples.len() + 17);
-        frame.extend_from_slice(&[0u8; 8]);
-        frame.extend_from_slice(&seq.to_le_bytes());
-        match self.format {
-            WalFormat::Text => {
-                frame.push(kind as u8);
-                ntriples::write_document(&mut frame, triples)?;
-            }
-            WalFormat::Binary => {
-                frame.push(kind as u8 | BINARY_KIND);
-                encode_binary(&mut frame, triples);
+        let mut frame = self.begin_frame(seq, kind as u8, TRIPLE_BYTES * triples.len() + 64);
+        let mut covered = *logged;
+        for (pool, count) in DictPool::ALL.into_iter().zip(&mut covered) {
+            frame.extend_from_slice(&count.to_le_bytes());
+            let n_at = frame.len();
+            frame.extend_from_slice(&[0u8; 4]);
+            let mut n = 0u32;
+            // Counted as visited: a pool interned into meanwhile is dumped
+            // up to some point of its growth, and the watermark follows.
+            let visited: Result<(), io::Error> = dict.try_for_each_entry_from(pool, *count, |s| {
+                n = n.checked_add(1).ok_or_else(too_large)?;
+                write_varint(&mut frame, s.len() as u64);
+                frame.extend_from_slice(s.as_bytes());
+                Ok(())
+            });
+            visited?;
+            frame[n_at..n_at + 4].copy_from_slice(&n.to_le_bytes());
+            *count += u64::from(n);
+        }
+        for t in triples {
+            for oid in [t.s, t.p, t.o] {
+                frame.extend_from_slice(&oid.raw().to_le_bytes());
             }
         }
+        let lsn = self.write_frame(frame)?;
+        *logged = covered;
+        Ok(lsn)
+    }
+
+    /// The term-level append the frozen benchmark's probe times: the batch
+    /// as N-Triples text in a frame of its own kind. `Database` never calls
+    /// this and [`WalWriter::open_recover`] refuses the frame — see "The
+    /// term-level writer" in the [module docs](self).
+    pub fn append(&mut self, seq: u64, record: &WalRecord) -> io::Result<u64> {
+        let WalRecord::Insert(triples) = record;
+        let mut frame = self.begin_frame(seq, TERM_INSERT, 64 * triples.len());
+        ntriples::write_document(&mut frame, triples)?;
+        self.write_frame(frame)
+    }
+
+    /// A frame under assembly: header placeholder, sequence, kind. The
+    /// payload is serialized exactly once, in place; [`Self::write_frame`]
+    /// patches length and checksum in.
+    fn begin_frame(&self, seq: u64, kind: u8, payload_hint: usize) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(17 + payload_hint);
+        frame.extend_from_slice(&[0u8; 8]);
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.push(kind);
+        frame
+    }
+
+    fn write_frame(&mut self, mut frame: Vec<u8>) -> io::Result<u64> {
         let len = u32::try_from(frame.len() - 8)
             .ok()
             .filter(|&l| l <= MAX_FRAME_LEN)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "WAL batch too large"))?;
+            .ok_or_else(too_large)?;
         let crc = crc32(&frame[8..]);
         frame[..4].copy_from_slice(&len.to_le_bytes());
         frame[4..8].copy_from_slice(&crc.to_le_bytes());
         crash_point!("wal.pre_append");
+        io_fault!("wal.append", &self.path);
         self.file.write_all(&frame)?;
         crash_point!("wal.post_append");
         self.end += frame.len() as u64;
@@ -665,6 +528,7 @@ impl WalWriter {
             return Ok(());
         }
         crash_point!("wal.pre_sync");
+        io_fault!("wal.sync", &self.path);
         self.file.sync_data()?;
         crash_point!("wal.post_sync");
         self.dirty = false;
@@ -688,6 +552,81 @@ impl WalWriter {
     }
 }
 
+fn too_large() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, "WAL batch too large")
+}
+
+/// Parse one checksummed payload against the pool counts the pair holds so
+/// far, advancing them by the record's appends. Every count and length is
+/// bounded by the bytes left in the payload before anything is allocated.
+fn parse_record(payload: &[u8], pools: &mut PoolCounts) -> Result<LogRecord, String> {
+    let short = || "payload ends inside a field".to_string();
+    let mut at = 0usize;
+    let seq = read_u64(payload, &mut at).ok_or_else(short)?;
+    let kind = match *payload.get(at).ok_or_else(short)? {
+        0 => WalKind::Insert,
+        1 => WalKind::Delete,
+        2 => WalKind::Load,
+        TERM_INSERT => return Err("a term-level frame: not a database log".into()),
+        k => return Err(format!("unknown record kind {k}")),
+    };
+    at += 1;
+    let mut appends: [(u64, Vec<String>); 3] = Default::default();
+    for ((first, entries), count) in appends.iter_mut().zip(pools.iter_mut()) {
+        *first = read_u64(payload, &mut at).ok_or_else(short)?;
+        if *first != *count {
+            return Err(format!(
+                "dictionary appends start at {first}, the pool ends at {count}"
+            ));
+        }
+        let n = read_u32(payload, &mut at).ok_or_else(short)? as usize;
+        // An entry takes at least its length byte.
+        if n > payload.len() - at {
+            return Err(format!("{n} appended entries cannot fit the frame"));
+        }
+        entries.reserve_exact(n);
+        for _ in 0..n {
+            let len = read_varint(payload, &mut at)
+                .and_then(|l| usize::try_from(l).ok())
+                .ok_or_else(short)?;
+            let end = at.checked_add(len).filter(|&e| e <= payload.len());
+            let bytes = &payload[at..end.ok_or("an entry runs past the frame")?];
+            entries.push(
+                std::str::from_utf8(bytes)
+                    .map_err(|_| "an entry is not UTF-8")?
+                    .to_string(),
+            );
+            at += len;
+        }
+        *count += n as u64;
+    }
+    let body = &payload[at..];
+    if body.len() % TRIPLE_BYTES != 0 {
+        return Err("ragged triple section".into());
+    }
+    let mut triples = Vec::with_capacity(body.len() / TRIPLE_BYTES);
+    let mut off = 0usize;
+    while off < body.len() {
+        let mut oid = || read_u64(body, &mut off).map(Oid::from_raw);
+        let (Some(s), Some(p), Some(o)) = (oid(), oid(), oid()) else {
+            return Err(short());
+        };
+        let resolves = oid_resolves(s, pools, true)
+            && oid_resolves(p, pools, true)
+            && oid_resolves(o, pools, false);
+        if !resolves {
+            return Err("a triple references no dictionary entry".into());
+        }
+        triples.push(Triple::new(s, p, o));
+    }
+    Ok(LogRecord {
+        seq,
+        kind,
+        appends,
+        triples,
+    })
+}
+
 /// Read exactly `buf.len()` bytes from the current position; `Ok(false)` on
 /// a clean or mid-buffer EOF (a torn tail), `Err` on real I/O failure.
 fn read_exact_or_eof(file: &mut File, buf: &mut [u8]) -> io::Result<bool> {
@@ -706,15 +645,7 @@ fn read_exact_or_eof(file: &mut File, buf: &mut [u8]) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sordf_model::Term;
-
-    fn tt(i: u64) -> TermTriple {
-        TermTriple::new(
-            Term::iri(format!("http://e/s{i}")),
-            Term::iri("http://e/p"),
-            Term::int(i as i64),
-        )
-    }
+    use sordf_model::{Term, Value};
 
     fn temp_path(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -774,241 +705,336 @@ mod tests {
         }
     }
 
+    /// Intern subject `i` with a predicate and two objects into `dict`: one
+    /// new IRI, one new string and an inline value per call.
+    fn batch(dict: &Dictionary, i: u64) -> Vec<Triple> {
+        let s = dict.encode_iri(&format!("http://e/s{i}"));
+        let p = dict.encode_iri("http://e/p");
+        let label = dict
+            .encode_value(&Value::str(format!("label {i}")))
+            .unwrap();
+        vec![
+            Triple::new(s, p, Oid::from_int(i as i64).unwrap()),
+            Triple::new(s, p, label),
+        ]
+    }
+
+    /// A three-record log over a dictionary that starts empty, plus the
+    /// records as the reader must return them.
+    fn sample_log(path: &Path) -> (Dictionary, Vec<LogRecord>, Vec<u64>) {
+        let dict = Dictionary::new();
+        let mut logged = PoolCounts::default();
+        let mut wal = WalWriter::create(path).unwrap();
+        let (mut want, mut ends) = (Vec::new(), Vec::new());
+        for (i, kind) in [WalKind::Load, WalKind::Insert, WalKind::Delete]
+            .into_iter()
+            .enumerate()
+        {
+            let first = logged;
+            let triples = batch(&dict, i as u64 % 2);
+            ends.push(
+                wal.append_batch(i as u64 + 1, kind, &dict, &mut logged, &triples)
+                    .unwrap(),
+            );
+            let mut appends: [(u64, Vec<String>); 3] = Default::default();
+            for ((slot, pool), from) in appends.iter_mut().zip(DictPool::ALL).zip(first) {
+                slot.0 = from;
+                dict.try_for_each_entry_from(pool, from, |s| {
+                    slot.1.push(s.to_string());
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+            }
+            want.push(LogRecord {
+                seq: i as u64 + 1,
+                kind,
+                appends,
+                triples,
+            });
+        }
+        wal.sync().unwrap();
+        assert_eq!(logged, dict.pool_counts());
+        (dict, want, ends)
+    }
+
     #[test]
     fn append_recover_roundtrip() {
         let path = temp_path("roundtrip");
         let _c = Cleanup(path.clone());
-        let mut wal = WalWriter::create(&path).unwrap();
-        wal.append(1, &WalRecord::Insert(vec![tt(0), tt(1)]))
-            .unwrap();
-        wal.append(2, &WalRecord::Delete(vec![tt(0)])).unwrap();
-        wal.append(3, &WalRecord::Load(vec![tt(2)])).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let (wal, records) = WalWriter::open_recover(&path).unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[0].1, 1);
-        assert_eq!(records[0].2, WalRecord::Insert(vec![tt(0), tt(1)]));
-        assert_eq!(records[1].2, WalRecord::Delete(vec![tt(0)]));
-        assert_eq!(records[2].2, WalRecord::Load(vec![tt(2)]));
-        assert_eq!(records[2].0, wal.lsn(), "last record's lsn is the log end");
+        let (_, want, ends) = sample_log(&path);
+        let (wal, records) = WalWriter::open_recover(&path, PoolCounts::default()).unwrap();
+        assert_eq!(records, want);
+        // Record 1 appends the predicate, a subject and a string; record 2
+        // only what is new to the pair; record 3 (the same terms) nothing.
+        assert_eq!(
+            records[0].appends[0],
+            (0, vec!["http://e/s0".into(), "http://e/p".into()])
+        );
+        assert_eq!(records[1].appends[0], (2, vec!["http://e/s1".into()]));
+        assert_eq!(records[1].appends[2], (1, vec!["label 1".into()]));
+        assert!(records[2].appends.iter().all(|(_, e)| e.is_empty()));
+        assert_eq!(
+            *ends.last().unwrap(),
+            wal.lsn(),
+            "last record's lsn is the log end"
+        );
     }
 
     #[test]
     fn torn_tail_is_truncated() {
         let path = temp_path("torn");
         let _c = Cleanup(path.clone());
-        let mut wal = WalWriter::create(&path).unwrap();
-        wal.append(1, &WalRecord::Insert(vec![tt(0)])).unwrap();
-        let good_end = wal.append(2, &WalRecord::Insert(vec![tt(1)])).unwrap();
-        wal.append(3, &WalRecord::Insert(vec![tt(2)])).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
+        let (_, want, ends) = sample_log(&path);
         // Tear the last frame: chop 3 bytes off the file.
         let full = std::fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(full - 3).unwrap();
         drop(f);
-        let (wal, records) = WalWriter::open_recover(&path).unwrap();
-        assert_eq!(records.len(), 2, "the torn record is dropped");
-        assert_eq!(records.last().unwrap().1, 2);
+        let (wal, records) = WalWriter::open_recover(&path, PoolCounts::default()).unwrap();
+        assert_eq!(records, want[..2], "the torn record is dropped");
         assert_eq!(
             wal.lsn(),
-            good_end,
+            ends[1],
             "file truncated to the last intact frame"
         );
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), good_end);
-    }
-
-    #[test]
-    fn corrupt_frame_is_rejected_and_later_frames_dropped() {
-        let path = temp_path("corrupt");
-        let _c = Cleanup(path.clone());
-        let mut wal = WalWriter::create(&path).unwrap();
-        let end1 = wal.append(1, &WalRecord::Insert(vec![tt(0)])).unwrap();
-        wal.append(2, &WalRecord::Insert(vec![tt(1)])).unwrap();
-        wal.append(3, &WalRecord::Insert(vec![tt(2)])).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        // Flip one payload byte of the second record: its CRC must reject
-        // it, and record 3 (though intact on disk) must not be replayed —
-        // the log is only trustworthy up to the first tear.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let idx = end1 as usize + 8 + 9; // second frame's first text byte
-        bytes[idx] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let (wal, records) = WalWriter::open_recover(&path).unwrap();
-        assert_eq!(records.len(), 1, "only the prefix before the tear");
-        assert_eq!(wal.lsn(), end1);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[1]);
     }
 
     #[test]
     fn appends_continue_after_recovery() {
         let path = temp_path("continue");
         let _c = Cleanup(path.clone());
-        let mut wal = WalWriter::create(&path).unwrap();
-        wal.append(1, &WalRecord::Insert(vec![tt(0)])).unwrap();
+        let (dict, want, _) = sample_log(&path);
+        let (mut wal, _) = WalWriter::open_recover(&path, PoolCounts::default()).unwrap();
+        let mut logged = dict.pool_counts();
+        let more = batch(&dict, 7);
+        wal.append_batch(4, WalKind::Insert, &dict, &mut logged, &more)
+            .unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (mut wal, _) = WalWriter::open_recover(&path).unwrap();
-        wal.append(2, &WalRecord::Insert(vec![tt(1)])).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let (_, records) = WalWriter::open_recover(&path).unwrap();
-        assert_eq!(records.iter().map(|r| r.1).collect::<Vec<_>>(), vec![1, 2]);
+        let (_, records) = WalWriter::open_recover(&path, PoolCounts::default()).unwrap();
+        assert_eq!(records[..3], want[..]);
+        assert_eq!(records[3].triples, more);
+        assert_eq!(records[3].appends[0], (3, vec!["http://e/s7".into()]));
     }
 
     #[test]
-    fn damaged_header_restarts_the_log() {
+    fn a_missing_or_damaged_header_is_an_error_not_an_empty_log() {
         let path = temp_path("header");
         let _c = Cleanup(path.clone());
-        let mut wal = WalWriter::create(&path).unwrap();
-        wal.append(1, &WalRecord::Insert(vec![tt(0)])).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[0] = b'X';
-        std::fs::write(&path, &bytes).unwrap();
-        let (mut wal, records) = WalWriter::open_recover(&path).unwrap();
-        assert!(records.is_empty(), "an untrusted header empties the log");
-        assert_eq!(wal.lsn(), HEADER_LEN);
-        wal.append(1, &WalRecord::Insert(vec![tt(9)])).unwrap();
-        wal.sync().unwrap();
-    }
-
-    #[test]
-    fn binary_roundtrip_all_term_types() {
-        let path = temp_path("binary");
-        let _c = Cleanup(path.clone());
-        let exotic = vec![
-            TermTriple::new(
-                Term::iri("http://e/s"),
-                Term::iri("http://e/p"),
-                Term::Literal(Literal::new(Value::Str {
-                    lexical: "bonjour \"le\" monde\n".into(),
-                    lang: Some("fr".into()),
-                })),
-            ),
-            TermTriple::new(
-                Term::blank("b0"),
-                Term::iri("http://e/p"),
-                Term::str("plain"),
-            ),
-            TermTriple::new(
-                Term::iri("http://e/s"),
-                Term::iri("http://e/q"),
-                Term::int(-42),
-            ),
-            TermTriple::new(
-                Term::iri("http://e/s"),
-                Term::iri("http://e/q"),
-                Term::literal(Value::Decimal(-13_370_000)),
-            ),
-            TermTriple::new(
-                Term::iri("http://e/s"),
-                Term::iri("http://e/q"),
-                Term::literal(Value::Date(-719_162)),
-            ),
-            TermTriple::new(
-                Term::iri("http://e/s"),
-                Term::iri("http://e/q"),
-                Term::literal(Value::DateTime(1_234_567_890)),
-            ),
-            TermTriple::new(
-                Term::iri("http://e/s"),
-                Term::iri("http://e/q"),
-                Term::literal(Value::Bool(true)),
-            ),
-        ];
-        let mut wal = WalWriter::create_with(&path, WalFormat::Binary).unwrap();
-        assert_eq!(wal.format(), WalFormat::Binary);
-        wal.append(1, &WalRecord::Insert(exotic.clone())).unwrap();
-        wal.append(2, &WalRecord::Delete(vec![exotic[0].clone()]))
-            .unwrap();
-        wal.append(3, &WalRecord::Load(vec![exotic[1].clone()]))
-            .unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let (_, records) = WalWriter::open_recover(&path).unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[0].2, WalRecord::Insert(exotic.clone()));
-        assert_eq!(records[1].2, WalRecord::Delete(vec![exotic[0].clone()]));
-        assert_eq!(records[2].2, WalRecord::Load(vec![exotic[1].clone()]));
-    }
-
-    #[test]
-    fn mixed_format_log_recovers() {
-        let path = temp_path("mixed");
-        let _c = Cleanup(path.clone());
-        let mut wal = WalWriter::create(&path).unwrap();
-        wal.append(1, &WalRecord::Insert(vec![tt(0)])).unwrap();
-        wal.set_format(WalFormat::Binary);
-        wal.append(2, &WalRecord::Insert(vec![tt(1)])).unwrap();
-        wal.set_format(WalFormat::Text);
-        wal.append(3, &WalRecord::Insert(vec![tt(2)])).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let (_, records) = WalWriter::open_recover(&path).unwrap();
-        assert_eq!(records.len(), 3, "formats interleave freely");
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(r.2, WalRecord::Insert(vec![tt(i as u64)]));
+        let open = |path: &Path| {
+            WalWriter::open_recover(path, PoolCounts::default())
+                .map(|(_, r)| r.len())
+                .map_err(|e| e.to_string())
+        };
+        let err = open(&path).unwrap_err();
+        assert!(err.starts_with("wal: missing"), "{err}");
+        assert!(!path.exists(), "a missing log is not created");
+        sample_log(&path);
+        let good = std::fs::read(&path).unwrap();
+        assert_eq!(open(&path), Ok(3));
+        // Garbled magic, a short header, an empty file, a v1 header.
+        let mut bad = good.clone();
+        bad[0] = b'X';
+        let mut v1 = good.clone();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        for image in [&bad[..], &good[..10], &good[..0], &v1[..]] {
+            std::fs::write(&path, image).unwrap();
+            let err = open(&path).unwrap_err();
+            assert!(err.starts_with("wal: bad header"), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), image, "left as found");
         }
     }
 
     #[test]
-    fn binary_is_smaller_for_repetitive_batches() {
-        // The term table pays off whenever subjects/predicates repeat —
-        // the shape of every real batch.
-        let batch: Vec<TermTriple> = (0..64).map(tt).collect();
-        let text_path = temp_path("size-text");
-        let bin_path = temp_path("size-bin");
-        let _c1 = Cleanup(text_path.clone());
-        let _c2 = Cleanup(bin_path.clone());
-        let mut text = WalWriter::create(&text_path).unwrap();
-        let mut bin = WalWriter::create_with(&bin_path, WalFormat::Binary).unwrap();
-        let text_end = text.append(1, &WalRecord::Insert(batch.clone())).unwrap();
-        let bin_end = bin.append(1, &WalRecord::Insert(batch)).unwrap();
-        assert!(
-            bin_end * 2 < text_end,
-            "binary ({bin_end}) should be well under half of text ({text_end})"
-        );
+    fn the_term_level_frame_is_written_and_refused() {
+        let path = temp_path("term");
+        let _c = Cleanup(path.clone());
+        let mut wal = WalWriter::create(&path).unwrap();
+        let batch = vec![TermTriple::new(
+            Term::iri("http://e/s"),
+            Term::iri("http://e/p"),
+            Term::int(1),
+        )];
+        let end = wal.append(1, &WalRecord::Insert(batch)).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), end);
+        let err = WalWriter::open_recover(&path, PoolCounts::default()).unwrap_err();
+        assert!(err.to_string().contains("term-level"), "{err}");
+    }
+
+    /// Rewrite frame `k`'s payload through `edit` and fix its checksum up,
+    /// so only the record parser can object.
+    fn edit_frame(path: &Path, ends: &[u64], k: usize, edit: impl FnOnce(&mut Vec<u8>)) {
+        let bytes = std::fs::read(path).unwrap();
+        let start = if k == 0 { HEADER_LEN } else { ends[k - 1] } as usize;
+        let end = ends[k] as usize;
+        let mut payload = bytes[start + 8..end].to_vec();
+        edit(&mut payload);
+        let mut out = bytes[..start].to_vec();
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&bytes[end..]);
+        std::fs::write(path, out).unwrap();
     }
 
     #[test]
-    fn corrupt_binary_body_is_a_tear() {
-        let path = temp_path("binary-corrupt");
+    fn checksummed_frames_with_invalid_content_are_errors() {
+        let path = temp_path("content");
         let _c = Cleanup(path.clone());
-        let mut wal = WalWriter::create_with(&path, WalFormat::Binary).unwrap();
-        let end1 = wal.append(1, &WalRecord::Insert(vec![tt(0)])).unwrap();
-        wal.append(2, &WalRecord::Insert(vec![tt(1)])).unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        // Corrupt the second record's body *and* fix up its CRC, so only
-        // the binary parser can reject it (a bad term-table index).
-        let mut bytes = std::fs::read(&path).unwrap();
-        let frame = end1 as usize;
-        let len = u32::from_le_bytes(bytes[frame..frame + 4].try_into().unwrap()) as usize;
-        bytes[frame + 8 + len - 1] = 0x7F; // last varint index -> out of range
-        let crc = crc32(&bytes[frame + 8..frame + 8 + len]);
-        bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let (wal, records) = WalWriter::open_recover(&path).unwrap();
-        assert_eq!(records.len(), 1, "malformed binary body ends recovery");
-        assert_eq!(wal.lsn(), end1);
+        // Offsets inside record 2's payload: seq 0, kind 8, IRI section 9
+        // (first 9..17, n 17..21, one entry), then blanks, then strings.
+        type Edit = Box<dyn FnOnce(&mut Vec<u8>)>;
+        let set_u64 = |at: usize, v: u64| -> Edit {
+            Box::new(move |p| p[at..at + 8].copy_from_slice(&v.to_le_bytes()))
+        };
+        let set_u32 = |at: usize, v: u32| -> Edit {
+            Box::new(move |p| p[at..at + 4].copy_from_slice(&v.to_le_bytes()))
+        };
+        let last_oid = |v: u64| -> Edit {
+            Box::new(move |p| {
+                let at = p.len() - 8;
+                p[at..].copy_from_slice(&v.to_le_bytes())
+            })
+        };
+        let subject = |v: u64| -> Edit {
+            Box::new(move |p| {
+                let at = p.len() - 2 * TRIPLE_BYTES;
+                p[at..at + 8].copy_from_slice(&v.to_le_bytes())
+            })
+        };
+        let cases: Vec<(&str, Edit, &str)> = vec![
+            ("sequence skips", set_u64(0, 9), "sequence 9 follows 1"),
+            (
+                "unknown kind",
+                Box::new(|p| p[8] = 7),
+                "unknown record kind",
+            ),
+            (
+                "appends start late",
+                set_u64(9, 3),
+                "appends start at 3, the pool ends at 2",
+            ),
+            (
+                "appends start early",
+                set_u64(9, 1),
+                "appends start at 1, the pool ends at 2",
+            ),
+            (
+                "entry count beyond the frame",
+                set_u32(17, u32::MAX),
+                "cannot fit the frame",
+            ),
+            (
+                "entry longer than the frame",
+                Box::new(|p| p[21] = 0x7f),
+                "runs past the frame",
+            ),
+            (
+                "entry is not UTF-8",
+                Box::new(|p| p[22] = 0xff),
+                "not UTF-8",
+            ),
+            (
+                "string beyond the pool",
+                last_oid(Oid::string(2).raw()),
+                "no dictionary entry",
+            ),
+            (
+                "IRI beyond the pool",
+                subject(Oid::iri(3).raw()),
+                "no dictionary entry",
+            ),
+            (
+                "subject is a literal",
+                subject(Oid::from_int(1).unwrap().raw()),
+                "no dictionary entry",
+            ),
+            (
+                "no such type tag",
+                last_oid(u64::MAX),
+                "no dictionary entry",
+            ),
+            (
+                "ragged triples",
+                Box::new(|p| p.truncate(p.len() - 5)),
+                "ragged",
+            ),
+            (
+                "payload ends in a field",
+                Box::new(|p| p.truncate(15)),
+                "ends inside a field",
+            ),
+        ];
+        for (what, edit, want) in cases {
+            let (_, _, ends) = sample_log(&path);
+            edit_frame(&path, &ends, 1, edit);
+            let err = WalWriter::open_recover(&path, PoolCounts::default())
+                .expect_err(what)
+                .to_string();
+            assert!(
+                err.starts_with("wal: frame at offset") && err.contains(want),
+                "{what}: {err}"
+            );
+        }
+        // The pools the snapshot holds are where appends must start.
+        sample_log(&path);
+        let err = WalWriter::open_recover(&path, [1, 0, 0]).unwrap_err();
+        assert!(err.to_string().contains("the pool ends at 1"), "{err}");
+    }
+
+    /// The PR 14 snapshot standard, for the log: whatever one flipped bit or
+    /// a cut does to the file, the reader returns an error or a prefix of
+    /// the records that were written — never a different record.
+    #[test]
+    fn every_bit_flip_and_truncation_is_an_error_or_a_prefix() {
+        let path = temp_path("fuzz");
+        let _c = Cleanup(path.clone());
+        let (_, want, _) = sample_log(&path);
+        let good = std::fs::read(&path).unwrap();
+        let check = |image: &[u8], what: String| {
+            std::fs::write(&path, image).unwrap();
+            if let Ok((_, records)) = WalWriter::open_recover(&path, PoolCounts::default()) {
+                assert!(records.len() <= want.len(), "{what}");
+                assert_eq!(records[..], want[..records.len()], "{what}");
+            }
+        };
+        for cut in 0..good.len() {
+            check(&good[..cut], format!("cut at {cut}"));
+        }
+        for byte in 0..good.len() {
+            for bit in 0..8 {
+                let mut image = good.clone();
+                image[byte] ^= 1 << bit;
+                check(&image, format!("bit {bit} of byte {byte}"));
+            }
+        }
+        // Garbage behind the last frame is a torn tail.
+        let mut image = good.clone();
+        image.extend_from_slice(&[0xAB; 11]);
+        std::fs::write(&path, &image).unwrap();
+        let (wal, records) = WalWriter::open_recover(&path, PoolCounts::default()).unwrap();
+        assert_eq!((records.len(), wal.lsn()), (3, good.len() as u64));
     }
 
     #[test]
     fn interval_policy_bounds_sync_frequency() {
         let path = temp_path("interval");
         let _c = Cleanup(path.clone());
+        let dict = Dictionary::new();
+        let mut logged = PoolCounts::default();
         let mut wal = WalWriter::create(&path).unwrap();
-        wal.append(1, &WalRecord::Insert(vec![tt(0)])).unwrap();
+        let b = batch(&dict, 0);
+        wal.append_batch(1, WalKind::Insert, &dict, &mut logged, &b)
+            .unwrap();
         // A huge interval: maybe_sync leaves the record unsynced...
         wal.maybe_sync(SyncPolicy::IntervalMs(3_600_000)).unwrap();
         // ...while Always forces it out.
         wal.maybe_sync(SyncPolicy::Always).unwrap();
         // A zero interval syncs immediately on the next append.
-        wal.append(2, &WalRecord::Insert(vec![tt(1)])).unwrap();
+        wal.append_batch(2, WalKind::Insert, &dict, &mut logged, &b)
+            .unwrap();
         wal.maybe_sync(SyncPolicy::IntervalMs(0)).unwrap();
     }
 }

@@ -20,14 +20,21 @@
 //!   nothing duplicated — replaying a `Load`/`Insert` record twice would
 //!   show up here).
 //!
-//! Every reopen here loads an OID-level snapshot (dictionary pools + raw
-//! triples) and rebuilds the layouts over it; the deterministic matrix
-//! aborts the writer not only at the first hit of each label (which, for
-//! the snapshot labels, is the *empty* snapshot of a fresh directory) but
-//! also at later hits — inside the first checkpoint that carries data,
-//! inside a rebuild's staged `snap.tmp`, inside a checkpoint taken with
-//! writes pending — so a kill between a snapshot's fsync and the manifest
-//! rename that would adopt it is covered for each kind of snapshot.
+//! Every reopen here is a rebuild from disk: an OID-level snapshot
+//! (dictionary pools + raw triples) extended and folded with the OID-level
+//! log behind it, the layouts built once over the result, and a fresh pair
+//! committed before the handle is returned. The deterministic matrix aborts
+//! the writer not only at the first hit of each label (which, for the
+//! snapshot labels, is the *empty* snapshot of a fresh directory) but also
+//! at later hits — inside the first checkpoint that carries data, inside a
+//! rebuild's staged `snap.tmp`, inside a checkpoint taken with writes
+//! pending — so a kill between a snapshot's fsync and the manifest rename
+//! that would adopt it is covered for each kind of snapshot; and at every
+//! label inside **recovery's own checkpoint**, where a kill must leave the
+//! pair it was recovering from (or, past the rename, the fresh one)
+//! recoverable. The same feature arms I/O failure points: an append that
+//! meets `ENOSPC`, an fsync that fails, a recovery checkpoint that cannot
+//! be written.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -35,7 +42,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use sordf::{Database, SyncPolicy, WalFormat};
+use sordf::{Database, SyncPolicy};
 use sordf_model::{Term, TermTriple};
 
 const MARKER: &str = "http://ex/recovery/marker";
@@ -43,9 +50,6 @@ const N_BATCHES: usize = 60;
 /// Triples per batch besides the marker.
 const FILLERS: usize = 5;
 const CHILD_ENV: &str = "SORDF_RECOVERY_CHILD";
-/// Set to `binary` to make the child write [`WalFormat::Binary`] records;
-/// recovery itself is format-agnostic (it auto-detects per record).
-const FORMAT_ENV: &str = "SORDF_WAL_FORMAT";
 
 fn base_data() -> Vec<TermTriple> {
     let mut triples = Vec::new();
@@ -131,10 +135,6 @@ fn child_writer_process() {
     };
     let dir = PathBuf::from(dir);
     let db = Database::open(&dir).expect("child open");
-    if std::env::var(FORMAT_ENV).as_deref() == Ok("binary") {
-        db.set_wal_format(WalFormat::Binary);
-        assert_eq!(db.wal_format(), Some(WalFormat::Binary));
-    }
     if db.schema().is_none() {
         if db.n_triples() == 0 {
             db.load_terms(&base_data()).expect("child base load");
@@ -167,11 +167,7 @@ enum Event {
 }
 
 /// `crash_point` is `(label, n)`: abort at the `n`-th hit of `label`.
-fn spawn_child(
-    dir: &Path,
-    crash_point: Option<(&str, u32)>,
-    format: Option<&str>,
-) -> (Child, mpsc::Receiver<Event>) {
+fn spawn_child(dir: &Path, crash_point: Option<(&str, u32)>) -> (Child, mpsc::Receiver<Event>) {
     let exe = std::env::current_exe().expect("current_exe");
     let mut cmd = Command::new(exe);
     cmd.arg("child_writer_process")
@@ -180,10 +176,6 @@ fn spawn_child(
         .env(CHILD_ENV, dir)
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    match format {
-        Some(f) => cmd.env(FORMAT_ENV, f),
-        None => cmd.env_remove(FORMAT_ENV),
-    };
     match crash_point {
         Some((label, hit)) => cmd
             .env("SORDF_CRASH_POINT", label)
@@ -235,20 +227,7 @@ impl Drop for Cleanup {
 /// completion (and thus termination) is guaranteed.
 #[test]
 fn crash_loop_loses_no_acknowledged_write() {
-    crash_loop("loop", None);
-}
-
-/// The same crash loop with the child writing [`WalFormat::Binary`]
-/// records — the varint term-table framing must uphold the identical
-/// durability contract (and mixed-format logs arise naturally here, since
-/// recovery-created WALs start in text until the child switches back).
-#[test]
-fn crash_loop_loses_no_acknowledged_write_binary_wal() {
-    crash_loop("loop-bin", Some("binary"));
-}
-
-fn crash_loop(tag: &str, format: Option<&str>) {
-    let dir = temp_dir(tag);
+    let dir = temp_dir("loop");
     let _c = Cleanup(dir.clone());
     let mut max_ack: i64 = -1;
     let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -268,7 +247,7 @@ fn crash_loop(tag: &str, format: Option<&str>) {
         if kills >= 5 && completions >= 1 {
             break;
         }
-        let (mut child, rx) = spawn_child(&dir, None, format);
+        let (mut child, rx) = spawn_child(&dir, None);
         lcg = lcg
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
@@ -343,13 +322,10 @@ fn every_crash_point_recovers() {
         .iter()
         .map(|&label| (label, 1))
         .chain(LATER_HITS.iter().copied());
-    for (i, (label, hit)) in cases.enumerate() {
-        // Alternate WAL formats across the cases: both encodings meet
-        // every fault boundary without doubling the run.
-        let format = if i % 2 == 0 { None } else { Some("binary") };
+    for (label, hit) in cases {
         let dir = temp_dir(&format!("{}-{hit}", label.replace('.', "-")));
         let _c = Cleanup(dir.clone());
-        let (mut child, rx) = spawn_child(&dir, Some((label, hit)), format);
+        let (mut child, rx) = spawn_child(&dir, Some((label, hit)));
         let status = child.wait().expect("reap child");
         let mut max_ack: i64 = -1;
         while let Ok(ev) = rx.recv_timeout(Duration::from_secs(60)) {
@@ -367,20 +343,150 @@ fn every_crash_point_recovers() {
                 .unwrap_or_else(|e| panic!("recovery after abort at {label} hit {hit}: {e}"));
             verify_prefix(&db, max_ack);
         }
-        // A clean rerun must finish the job from wherever the abort left it.
-        let (mut child, rx) = spawn_child(&dir, None, format);
-        let status = child.wait().expect("reap clean child");
+        finish_cleanly(&dir, max_ack, &format!("{label} hit {hit}"));
+    }
+}
+
+/// A clean rerun of the writer must finish the job from wherever an abort
+/// left it.
+#[cfg(feature = "crash_points")]
+fn finish_cleanly(dir: &Path, max_ack: i64, after: &str) {
+    let (mut child, rx) = spawn_child(dir, None);
+    let status = child.wait().expect("reap clean child");
+    assert!(status.success(), "clean rerun after {after} failed");
+    drop(rx);
+    let db = Database::open(dir).expect("final open");
+    let k = verify_prefix(&db, max_ack);
+    assert_eq!(
+        k, N_BATCHES,
+        "clean rerun after {after} left batches missing"
+    );
+}
+
+/// An organized durable store holding `n` acknowledged batches, all of them
+/// in the log behind the `self_organize` checkpoint, stopped without a
+/// checkpoint: what the next open has to recover.
+#[cfg(feature = "crash_points")]
+fn stopped_store(dir: &Path, n: usize) {
+    let db = Database::create_durable(dir, SyncPolicy::Always).unwrap();
+    db.load_terms(&base_data()).unwrap();
+    db.self_organize().unwrap();
+    for i in 0..n {
+        db.insert_terms(&batch(i)).unwrap();
+    }
+}
+
+/// Recovery commits a fresh pair before it returns, so it has crash points
+/// of its own: every label its checkpoint passes. A reopening process
+/// killed there must leave a directory the next open recovers in full —
+/// from the *old* pair (untouched: recovery only reads it) up to the
+/// manifest rename, from the fresh pair after it.
+#[cfg(feature = "crash_points")]
+#[test]
+fn a_crash_inside_recoverys_checkpoint_leaves_a_recoverable_pair() {
+    use sordf_storage::Manifest;
+    const ACKED: usize = 7;
+    // (label, does the fresh pair's manifest survive the kill?)
+    let cases = [
+        ("snap.pre_sync", false),
+        ("snap.post_sync", false),
+        ("checkpoint.pre_manifest", false),
+        ("manifest.pre_rename", false),
+        ("manifest.post_rename", true),
+        ("checkpoint.post_manifest", true),
+    ];
+    for (label, committed) in cases {
+        let dir = temp_dir(&format!("recovery-{}", label.replace('.', "-")));
+        let _c = Cleanup(dir.clone());
+        stopped_store(&dir, ACKED);
+        let old = Manifest::read(&dir).unwrap().unwrap();
+        // The child's first act is `Database::open`: in an existing
+        // directory the first hit of each label is recovery's checkpoint.
+        let (mut child, rx) = spawn_child(&dir, Some((label, 1)));
+        let status = child.wait().expect("reap child");
+        assert!(!status.success(), "{label} never came inside recovery");
         assert!(
-            status.success(),
-            "clean rerun after {label} hit {hit} failed"
+            !matches!(rx.recv_timeout(Duration::from_secs(10)), Ok(Event::Ack(_))),
+            "{label}: the child wrote before recovery's checkpoint"
         );
-        drop(rx);
-        let db = Database::open(&dir).expect("final open");
-        let k = verify_prefix(&db, max_ack);
-        assert_eq!(
-            k, N_BATCHES,
-            "clean rerun after {label} hit {hit} left batches missing"
-        );
+        let now = Manifest::read(&dir).unwrap().unwrap();
+        if committed {
+            assert_eq!(now.snap_file, old.snap_file + 1, "{label}: fresh pair");
+        } else {
+            assert_eq!(now, old, "{label}: the old pair is still the live one");
+        }
+        {
+            let db = Database::open(&dir)
+                .unwrap_or_else(|e| panic!("reopen after abort at {label} in recovery: {e}"));
+            assert_eq!(verify_prefix(&db, ACKED as i64 - 1), ACKED, "{label}");
+        }
+        finish_cleanly(&dir, ACKED as i64 - 1, &format!("{label} inside recovery"));
+    }
+}
+
+/// `ENOSPC` on a log append and a failing log fsync: the write is rejected,
+/// durability is disabled (the store stays usable in memory), and the
+/// directory recovers to a prefix that covers every acknowledged batch.
+#[cfg(feature = "crash_points")]
+#[test]
+fn a_failed_append_or_sync_rejects_the_write_and_disables_durability() {
+    use sordf_columnar::fault::arm_io_fault;
+    const ENOSPC: i32 = 28;
+    const EIO: i32 = 5;
+    for (label, errno) in [("wal.append", ENOSPC), ("wal.sync", EIO)] {
+        let dir = temp_dir(&format!("iofault-{}", label.replace('.', "-")));
+        let _c = Cleanup(dir.clone());
+        stopped_store(&dir, 0);
+        let markers = |db: &Database| {
+            db.query(&format!("SELECT ?s WHERE {{ ?s <{MARKER}> ?i . }}"))
+                .unwrap()
+                .len()
+        };
+        {
+            let db = Database::open(&dir).unwrap();
+            db.insert_terms(&batch(0)).unwrap();
+            db.insert_terms(&batch(1)).unwrap();
+            arm_io_fault(&dir, label, errno, 1);
+            let err = db.insert_terms(&batch(2)).expect_err(label);
+            assert!(matches!(err, sordf::Error::Io(_)), "{label}: {err}");
+            assert_eq!(markers(&db), 2, "{label}: a rejected write is not applied");
+            assert!(!db.is_durable(), "{label}: durability is disabled");
+            // The store stays usable; what it accepts now is not logged.
+            db.insert_terms(&batch(2)).unwrap();
+            assert_eq!(markers(&db), 3);
+        }
+        // Batches 0 and 1 were acknowledged by a durable store. The
+        // rejected record never reached the file (`wal.append`) or reached
+        // it unacknowledged (`wal.sync`): either way a prefix.
+        let db = Database::open(&dir).unwrap();
+        let k = verify_prefix(&db, 1);
+        assert!(k <= 3, "{label}: {k} batches recovered");
+        if label == "wal.append" {
+            assert_eq!(k, 2, "nothing of the failed append is in the log");
+        }
+    }
+}
+
+/// The same failures inside recovery's checkpoint fail that `open` and
+/// nothing else: the pair it was recovering from is still the live one,
+/// and the next open recovers every acknowledged write from it.
+#[cfg(feature = "crash_points")]
+#[test]
+fn a_failed_recovery_checkpoint_fails_the_open_and_keeps_the_old_pair() {
+    use sordf_columnar::fault::arm_io_fault;
+    use sordf_storage::Manifest;
+    for (label, errno) in [("snap.write", 28), ("snap.sync", 5)] {
+        let dir = temp_dir(&format!("iofault-{}", label.replace('.', "-")));
+        let _c = Cleanup(dir.clone());
+        stopped_store(&dir, 4);
+        let old = Manifest::read(&dir).unwrap().unwrap();
+        arm_io_fault(&dir, label, errno, 1);
+        let err = Database::open(&dir).err().expect(label);
+        assert!(matches!(err, sordf::Error::Io(_)), "{label}: {err}");
+        assert_eq!(Manifest::read(&dir).unwrap().unwrap(), old, "{label}");
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(verify_prefix(&db, 3), 4, "{label}");
+        assert!(db.is_durable());
     }
 }
 
@@ -425,6 +531,108 @@ fn reopen_preserves_oid_numbering() {
         base_data().len() + 4 * (1 + FILLERS),
         "batches 0, 2, 3 and 4 are live"
     );
+}
+
+/// A rebuild whose staged snapshot dies mid-way (the third frame meets
+/// `ENOSPC` while the columns are being built beside it): the error
+/// surfaces, the claim is released, `snap.tmp` is gone, the old generation
+/// and the old pair stay live, and the next rebuild goes through.
+#[cfg(feature = "crash_points")]
+#[test]
+fn a_snapshot_stream_that_fails_midway_abandons_the_rebuild() {
+    use sordf_columnar::fault::arm_io_fault;
+    use sordf_storage::Manifest;
+    let dir = temp_dir("iofault-rebuild");
+    let _c = Cleanup(dir.clone());
+    stopped_store(&dir, 0);
+    let db = Database::open(&dir).unwrap();
+    for i in 0..3 {
+        db.insert_terms(&batch(i)).unwrap();
+    }
+    let before = Manifest::read(&dir).unwrap().unwrap();
+    arm_io_fault(&dir, "snap.write", 28, 3);
+    let err = db
+        .reorganize_now()
+        .expect_err("the stream was told to fail");
+    assert!(matches!(err, sordf::Error::Io(_)), "{err}");
+    assert!(!db.reorg_in_flight(), "claim released");
+    assert!(!dir.join("snap.tmp").exists(), "staging file removed");
+    assert_eq!(Manifest::read(&dir).unwrap().unwrap(), before);
+    assert!(db.is_durable(), "a failed rebuild does not cost durability");
+    assert_eq!(verify_prefix(&db, 2), 3);
+    db.reorganize_now().unwrap();
+    db.insert_terms(&batch(3)).unwrap();
+    drop(db);
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(verify_prefix(&db, 3), 4);
+}
+
+/// The clustered twin. Reopening a clustered store re-clusters, so OIDs may
+/// move — what must hold instead is the numbering invariant: the pair a
+/// reopened store *commits* is in the numbering its handle hands out, and
+/// the next log is written in that numbering. A second reopen (which folds
+/// that log into that snapshot, OID for OID) would scramble the answers
+/// otherwise.
+#[test]
+fn a_reopened_clustered_store_commits_the_numbering_it_logs_in() {
+    use sordf_storage::{Manifest, StoreSnapshot};
+    let dir = temp_dir("numbering-clustered");
+    let _c = Cleanup(dir.clone());
+    {
+        let db = Database::create_durable(&dir, SyncPolicy::Always).unwrap();
+        db.load_terms(&base_data()).unwrap();
+        db.self_organize().unwrap();
+        for i in 0..3 {
+            db.insert_terms(&batch(i)).unwrap();
+        }
+        db.delete_triples(&batch(1)).unwrap();
+    }
+    // Every visible triple, decoded, predicate by predicate.
+    let rows = |db: &Database| {
+        let mut preds = vec!["http://ex/qty".to_string(), "http://ex/sold".into()];
+        preds.push(MARKER.into());
+        preds.extend((0..FILLERS).map(|j| format!("http://ex/recovery/p{j}")));
+        let mut rows = Vec::new();
+        for p in preds {
+            let rs = db
+                .query(&format!("SELECT ?s ?o WHERE {{ ?s <{p}> ?o . }}"))
+                .expect("dump");
+            rows.extend(
+                rs.canonical(&db.dict())
+                    .into_iter()
+                    .map(|r| format!("{p} {r}")),
+            );
+        }
+        rows.sort();
+        rows
+    };
+    let want = {
+        let db = Database::open(&dir).unwrap();
+        // The committed snapshot is the handle's dictionary, entry for
+        // entry: same terms under the same OIDs.
+        let m = Manifest::read(&dir).unwrap().unwrap();
+        let snap = StoreSnapshot::read_from(&Manifest::snap_path(&dir, m.snap_file)).unwrap();
+        let live = db.dict();
+        assert_eq!(snap.dict.pool_counts(), live.pool_counts());
+        for t in base_data().iter().chain(&batch(0)).chain(&batch(2)) {
+            for term in [&t.s, &t.p, &t.o] {
+                assert_eq!(snap.dict.term_oid(term), live.term_oid(term), "{term:?}");
+            }
+        }
+        assert_eq!(
+            db.drift_stats().n_delta_inserts,
+            0,
+            "recovered with an empty delta"
+        );
+        // Writes after the reopen are logged in that numbering...
+        db.insert_terms(&batch(3)).unwrap();
+        db.delete_triples(&batch(0)).unwrap();
+        rows(&db)
+    };
+    // ...so a second reopen, folding them into that snapshot, agrees.
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(rows(&db), want);
+    assert_eq!(db.n_triples(), base_data().len() + 2 * (1 + FILLERS));
 }
 
 /// Generation GC: sustained write → reorganize cycles must not grow the
