@@ -421,6 +421,9 @@ struct DbInner {
     /// is executable against any snapshot), merely possibly stale-optimal
     /// until the next swap re-plans with drift-adjusted statistics.
     plans: Mutex<PlanCache>,
+    /// Operator counters summed over every query executed through this
+    /// handle's store ([`Database::scan_stats`]).
+    scans: sordf_engine::ExecStats,
 }
 
 /// Per-component resident-byte accounting (see [`Database::memory_stats`]).
@@ -626,6 +629,7 @@ impl Database {
                 dm,
                 pool,
                 plans: Mutex::new(PlanCache::default()),
+                scans: sordf_engine::ExecStats::default(),
                 state: Mutex::new(State {
                     gen: Arc::new(StoreGeneration::staging(Dictionary::new(), Vec::new())),
                     delta: DeltaStore::new(),
@@ -1359,6 +1363,15 @@ impl Database {
     /// Buffer pool statistics.
     pub fn pool_stats(&self) -> PoolStats {
         self.inner.pool.stats()
+    }
+
+    /// Operator counters summed over every query executed since this store
+    /// was opened: rows and row-pages the scans *covered* (`rows_scanned`,
+    /// `pages_scanned`), pages and column pages their zone maps spared
+    /// (`zonemap_pages_skipped`, `column_pages_skipped`), joins by kind.
+    /// What `GET /status` reports under `"scans"`.
+    pub fn scan_stats(&self) -> sordf_engine::context::StatsSnapshot {
+        self.inner.scans.snapshot()
     }
 
     /// Page-file occupancy as `(high-water page count, free-listed pages)`.

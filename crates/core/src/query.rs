@@ -394,7 +394,9 @@ impl Database {
             sordf_engine::execute_physical(&cx, &q, &lp, &pp, None)
         }))
         .map_err(interrupt_or_exec)?;
-        let stats = req.trace.then(|| cx.stats.snapshot());
+        let counted = cx.stats.snapshot();
+        self.inner.scans.absorb(&counted);
+        let stats = req.trace.then_some(counted);
         let pool = req
             .trace
             .then(|| self.inner.pool.stats().since(&pool_before));

@@ -2,33 +2,44 @@
 //! ORDER BY, LIMIT — and the typed result set handed to frontends.
 //!
 //! Everything here runs column-at-a-time over chunks of
-//! [`crate::expr::BATCH_ROWS`] rows of the binding table, through the one batch
-//! evaluator ([`Expr::eval_batch`]). There is **one aggregation path**:
-//! each chunk's rows get dense group ids (the GROUP BY key looked up as a
-//! borrowed slice, ids in first-seen order; no GROUP BY is the empty key, so
-//! a whole-table aggregate is the one-group case of the same code), each
-//! aggregate's argument is evaluated once per chunk into a typed column, and
-//! a tight loop folds that column into `accumulators[group id]` in row
-//! order — the values and the order a row-at-a-time loop would feed each
-//! group, so SUM/AVG are bit-identical to it at one worker. Several workers
-//! aggregate row spans independently and the partials merge in span order
-//! (exact for COUNT/MIN/MAX, within one ulp for SUM/AVG through the
-//! compensated accumulator), grouped or not. Group keys are kept as columns,
-//! so the grouped output is projected by the same chunked code as a plain
-//! SELECT.
+//! [`crate::expr::BATCH_ROWS`] rows of binding columns, through the one batch
+//! evaluator ([`Expr::eval_batch`]). The select list of a request
+//! (`Finalize`) is *folded* over the bindings (`Fold`), and **there is
+//! one accumulate path with two drivers**: `Fold::consume` takes rows of a
+//! binding table — either the page-sized buffer a streamed star scan emits
+//! into and flushes after every page (the last step of a single-star plan:
+//! Q1, Q6, the star joins never materialize their 60 K-row bindings), or
+//! spans of a materialized table (a joined plan's final join; [`finalize`]).
+//! Per chunk, an aggregating select list gives the rows dense group ids (the
+//! GROUP BY key; ids in first-seen order; no GROUP BY is the empty key, so a
+//! whole-table aggregate is the one-group case of the same code — a handful
+//! of groups is matched column-at-a-time, without a data-dependent branch),
+//! evaluates each aggregate's argument once into a typed column, and folds
+//! that column into `accumulators[group id]` in row order — the values and
+//! the order a row-at-a-time loop would feed each group, so SUM/AVG are
+//! bit-identical to it at one worker, where one fold takes every page in
+//! order. Several workers fold morsels (or spans) independently and the
+//! folds merge in morsel order (exact for COUNT/MIN/MAX, within one ulp for
+//! SUM/AVG through the compensated accumulator), grouped or not. A plain
+//! select list projects each chunk straight into the result rows. Group keys
+//! are kept as columns, so the grouped output is projected by the same
+//! chunked code as a plain SELECT.
 //!
 //! The row-at-a-time formulation this replaced lives on as the
 //! `#[cfg(test)]` oracle at the bottom of this file; the `reference`
-//! tests compare the two cell by cell.
+//! tests compare the two cell by cell, over materialized tables and over
+//! plans as they execute.
 
 use crate::context::ExecContext;
 use crate::expr::{batches, AggFunc, BatchEval, Col, EvalValue, Expr, TermOrder};
 use crate::join::RowChains;
 use crate::parallel::{run_tasks, split_range};
 use crate::query::{Query, SelectItem};
+use crate::star::StarSink;
 use crate::table::{Table, VarId};
 use sordf_model::fxhash::FxHasher;
 use sordf_model::{Dictionary, FxHashMap, Oid, TypeTag};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hash::Hasher;
 use std::ops::Range;
@@ -355,6 +366,8 @@ struct Groups {
     keys: Vec<Vec<Oid>>,
     n: usize,
     aggs: Vec<AggVec>,
+    /// Scratch of [`assign`](Self::assign): which rows match one group.
+    hit: Vec<bool>,
 }
 
 impl Groups {
@@ -364,6 +377,7 @@ impl Groups {
             keys: vec![Vec::new(); n_keys],
             n: 0,
             aggs: funcs.map(AggVec::new).collect(),
+            hit: Vec::new(),
         }
     }
 
@@ -383,10 +397,25 @@ impl Groups {
         g
     }
 
+    /// While there are at most this many groups, a chunk's rows are matched
+    /// against the group keys column-at-a-time ([`match_group`](Self::match_group)).
+    const MATCHED_GROUPS: usize = 8;
+
     /// Group ids of rows `rows` into `gids`. `key_cols` are the binding
     /// table's GROUP BY columns (`None`: the table does not bind the
-    /// variable, its key component is NULL). A row keyed like the one before
-    /// it — sorted or clustered input — skips the hash lookup.
+    /// variable, its key component is NULL).
+    ///
+    /// A handful of groups — Q1 has four, and changes key on every other
+    /// row — is matched without a data-dependent branch: every group is
+    /// matched once against the rows not yet assigned when it became known,
+    /// one compare pass per key column and one select pass; the first row
+    /// left without an id is a new group (ids stay first-seen), matched in
+    /// turn against the rows after it. (The row-by-row loop cost Q1 0.5 ms
+    /// per 59 K rows, nearly all of it mispredicted "same key as the row
+    /// before?" branches — a linear probe of the keys instead of the hash
+    /// made it 0.8.) Past [`MATCHED_GROUPS`](Self::MATCHED_GROUPS) the rest
+    /// of the chunk goes row by row: a row keyed like the one before it —
+    /// sorted or clustered input — takes its id, another one a hash lookup.
     fn assign(
         &mut self,
         key_cols: &[Option<&[Oid]>],
@@ -394,25 +423,72 @@ impl Groups {
         key: &mut Vec<Oid>,
         gids: &mut Vec<u32>,
     ) {
+        const UNKNOWN: u32 = u32::MAX;
         gids.clear();
         if key_cols.is_empty() {
             let g = self.gid_of(&[]);
             gids.resize(rows.len(), g);
             return;
         }
+        gids.resize(rows.len(), UNKNOWN);
         let at = |c: &Option<&[Oid]>, i: usize| c.map_or(Oid::NULL, |c| c[i]);
-        let mut prev: Option<u32> = None;
-        for i in rows {
-            let g = match prev {
-                Some(g) if key_cols.iter().all(|c| at(c, i) == at(c, i - 1)) => g,
-                _ => {
-                    key.clear();
-                    key.extend(key_cols.iter().map(|c| at(c, i)));
-                    self.gid_of(key)
-                }
+        let mut key_of = |groups: &mut Groups, i: usize| {
+            key.clear();
+            key.extend(key_cols.iter().map(|c| at(c, i)));
+            groups.gid_of(key)
+        };
+        // Offsets below `from` have their id; groups below `matched` have
+        // been matched against every offset from `from` on.
+        let (mut from, mut matched) = (0, 0);
+        while self.n <= Self::MATCHED_GROUPS {
+            for g in matched..self.n {
+                self.match_group(g, key_cols, rows.start + from..rows.end, &mut gids[from..]);
+            }
+            matched = self.n;
+            let Some(first) = gids[from..].iter().position(|&g| g == UNKNOWN) else {
+                return;
             };
-            gids.push(g);
-            prev = Some(g);
+            from += first;
+            gids[from] = key_of(self, rows.start + from);
+            from += 1;
+        }
+        for off in from..rows.len() {
+            if gids[off] == UNKNOWN {
+                let i = rows.start + off;
+                gids[off] = if off > 0 && key_cols.iter().all(|c| at(c, i) == at(c, i - 1)) {
+                    gids[off - 1]
+                } else {
+                    key_of(self, i)
+                };
+            }
+        }
+    }
+
+    /// Give the rows of `rows` keyed like group `g` its id (`gids` is
+    /// aligned with `rows`; other rows keep what they have).
+    fn match_group(
+        &mut self,
+        g: usize,
+        key_cols: &[Option<&[Oid]>],
+        rows: Range<usize>,
+        gids: &mut [u32],
+    ) {
+        let hit = &mut self.hit;
+        hit.clear();
+        hit.resize(rows.len(), true);
+        for (col, group_keys) in key_cols.iter().zip(&self.keys) {
+            let k = group_keys[g];
+            match col {
+                Some(col) => hit
+                    .iter_mut()
+                    .zip(&col[rows.clone()])
+                    .for_each(|(h, &v)| *h &= v == k),
+                None if k.is_null() => {}
+                None => hit.fill(false),
+            }
+        }
+        for (gid, &h) in gids.iter_mut().zip(hit.iter()) {
+            *gid = if h { g as u32 } else { *gid };
         }
     }
 
@@ -432,75 +508,227 @@ impl Groups {
     }
 }
 
-/// Effective select list: all pattern vars when empty.
-fn effective_select(query: &Query) -> Vec<SelectItem> {
-    if query.select.is_empty() {
-        query
-            .pattern_vars()
-            .into_iter()
-            .map(SelectItem::Var)
-            .collect()
-    } else {
-        query.select.clone()
-    }
+/// The select list of a query, resolved once per request — what the last
+/// step of a plan folds its rows into ([`fold`](Self::fold)), and what turns
+/// the folded state into the result ([`finish`](Self::finish)).
+pub(crate) struct Finalize<'q> {
+    query: &'q Query,
+    /// Effective select list: all pattern vars when the query's is empty.
+    select: Cow<'q, [SelectItem]>,
 }
 
-/// Group and aggregate rows `rows` of the binding table: one pass of
-/// [`crate::expr::BATCH_ROWS`]-row chunks, each assigned group ids once and folded into
-/// every aggregate.
-fn aggregate_span(
-    cx: &ExecContext,
-    query: &Query,
-    aggs: &[(AggFunc, &Expr)],
-    table: &Table,
-    rows: Range<usize>,
-) -> Groups {
-    let mut groups = Groups::new(query.group_by.len(), aggs.iter().map(|&(f, _)| f));
-    let mut ev = BatchEval::new(cx, &table.vars);
-    let order = ev.order();
-    let key_cols: Vec<Option<&[Oid]>> = query
-        .group_by
-        .iter()
-        .map(|&v| ev.col_of(v).map(|c| table.cols[c].as_slice()))
-        .collect();
-    let (mut key, mut gids) = (Vec::new(), Vec::new());
-    for chunk in batches(rows) {
-        groups.assign(&key_cols, chunk.clone(), &mut key, &mut gids);
-        for (agg, (_, arg)) in groups.aggs.iter_mut().zip(aggs) {
-            let col = arg.eval_batch(&mut ev, &table.cols, chunk.clone());
-            agg.accumulate(&gids, &col, order);
-            ev.recycle(col);
+/// The aggregates of a select list, in order.
+fn aggregates(select: &[SelectItem]) -> impl Iterator<Item = (AggFunc, &Expr)> {
+    select.iter().filter_map(|s| match s {
+        SelectItem::Agg { func, expr, .. } => Some((*func, expr)),
+        _ => None,
+    })
+}
+
+impl<'q> Finalize<'q> {
+    pub(crate) fn new(query: &'q Query) -> Finalize<'q> {
+        let select = if query.select.is_empty() {
+            Cow::Owned(
+                query
+                    .pattern_vars()
+                    .into_iter()
+                    .map(SelectItem::Var)
+                    .collect(),
+            )
+        } else {
+            Cow::Borrowed(&query.select[..])
+        };
+        Finalize { query, select }
+    }
+
+    /// The variables the select list and GROUP BY read off the bindings.
+    pub(crate) fn reads(&self) -> Vec<VarId> {
+        let mut out = self.query.group_by.clone();
+        for item in self.select.iter() {
+            match item {
+                SelectItem::Var(v) if out.contains(v) => {}
+                SelectItem::Var(v) => out.push(*v),
+                SelectItem::Expr { expr, .. } | SelectItem::Agg { expr, .. } => expr.vars(&mut out),
+            }
+        }
+        out
+    }
+
+    /// An empty fold over binding rows laid out as `vars`.
+    pub(crate) fn fold<'f, 'd>(&'f self, cx: &ExecContext<'d>, vars: &[VarId]) -> Fold<'f, 'd> {
+        let state = if self.query.has_aggregates() {
+            let funcs = aggregates(&self.select).map(|(f, _)| f);
+            FoldState::Groups(Groups::new(self.query.group_by.len(), funcs))
+        } else {
+            FoldState::Rows(ResultSet::default())
+        };
+        Fold {
+            chunk: Table::empty(vars.to_vec()),
+            rows: 0,
+            over: FoldOver {
+                select: &self.select,
+                group_by: &self.query.group_by,
+                ev: BatchEval::new(cx, vars),
+                state,
+                key: Vec::new(),
+                gids: Vec::new(),
+            },
         }
     }
-    groups
+
+    /// Fold a materialized binding table: one span per worker (one for a
+    /// small table), the spans' folds merged in span order.
+    pub(crate) fn fold_table<'f, 'd>(
+        &'f self,
+        cx: &ExecContext<'d>,
+        table: &Table,
+    ) -> Fold<'f, 'd> {
+        let par = &cx.parallel;
+        let spans = split_range(0..table.len(), par.workers, par.min_morsel_rows);
+        let mut folds = run_tasks(cx.cancel_token(), par.workers, spans.len(), |i| {
+            let mut fold = self.fold(cx, &table.vars);
+            fold.consume(table, spans[i].clone());
+            fold
+        })
+        .into_iter();
+        // An empty table has no span and folds to nothing: no groups — also
+        // without GROUP BY — and no rows.
+        let mut fold = folds.next().unwrap_or_else(|| self.fold(cx, &table.vars));
+        folds.for_each(|later| fold.absorb(later));
+        fold
+    }
+
+    /// The result of a finished fold: groups become rows (keys and finished
+    /// aggregates, projected by the same chunked code as plain bindings),
+    /// then DISTINCT / ORDER BY / LIMIT.
+    pub(crate) fn finish(&self, cx: &ExecContext, fold: Fold) -> ResultSet {
+        let columns: Vec<String> = self
+            .select
+            .iter()
+            .map(|s| s.name(&self.query.vars).to_string())
+            .collect();
+        let mut rs = match fold.over.state {
+            FoldState::Rows(rs) => ResultSet { columns, ..rs },
+            FoldState::Groups(groups) => {
+                let mut rs = ResultSet::new(columns);
+                let mut ev = BatchEval::new(cx, &self.query.group_by);
+                let (keys, aggs) = (&groups.keys[..], Some(&groups.aggs[..]));
+                project_rows(&mut ev, &self.select, keys, 0..groups.n, aggs, &mut rs);
+                rs
+            }
+        };
+        apply_modifiers(cx, self.query, &mut rs);
+        rs
+    }
 }
 
-/// The aggregated form of the binding table: its groups in first-seen order.
-/// One worker (or a small table) aggregates one span; otherwise per-span
-/// partials merge in span order. An empty table has no groups — also without
-/// GROUP BY.
-fn aggregate(cx: &ExecContext, query: &Query, select: &[SelectItem], table: &Table) -> Groups {
-    let aggs: Vec<(AggFunc, &Expr)> = select
-        .iter()
-        .filter_map(|s| match s {
-            SelectItem::Agg { func, expr, .. } => Some((*func, expr)),
-            _ => None,
-        })
-        .collect();
-    let par = &cx.parallel;
-    let spans = split_range(0..table.len(), par.workers, par.min_morsel_rows);
-    let mut partials = run_tasks(cx.cancel_token(), par.workers, spans.len(), |i| {
-        aggregate_span(cx, query, &aggs, table, spans[i].clone())
-    })
-    .into_iter();
-    let Some(mut groups) = partials.next() else {
-        return Groups::new(query.group_by.len(), aggs.iter().map(|&(f, _)| f));
-    };
-    let order = TermOrder::of(cx);
-    for partial in partials {
-        groups.merge(&partial, order);
+/// The select list folded over binding rows, a chunk at a time: the state one
+/// morsel (or one span of a materialized table) accumulates. **There is one
+/// accumulate path** — [`consume`](Self::consume) — and two drivers of it: a
+/// streamed star scan, which emits each page's rows into this fold's reused
+/// page-sized buffer and flushes ([`StarSink`]), and
+/// [`Finalize::fold_table`] over a materialized table.
+pub(crate) struct Fold<'q, 'd> {
+    /// The buffer a streamed scan emits into; empty between pages.
+    chunk: Table,
+    /// Rows consumed so far.
+    rows: u64,
+    over: FoldOver<'q, 'd>,
+}
+
+/// What a [`Fold`] folds into (apart from the streaming buffer, so that the
+/// buffer can be read while this is written).
+struct FoldOver<'q, 'd> {
+    select: &'q [SelectItem],
+    group_by: &'q [VarId],
+    ev: BatchEval<'d>,
+    state: FoldState,
+    key: Vec<Oid>,
+    gids: Vec<u32>,
+}
+
+enum FoldState {
+    /// An aggregating select list: the groups seen so far.
+    Groups(Groups),
+    /// A plain one: the projected rows so far (header filled in at the end).
+    Rows(ResultSet),
+}
+
+impl FoldOver<'_, '_> {
+    /// Fold rows `rows` of `cols` in: per chunk of [`crate::expr::BATCH_ROWS`]
+    /// rows, either group ids once and every aggregate's argument folded
+    /// into its accumulators, or the select list projected.
+    fn consume(&mut self, cols: &[Vec<Oid>], rows: Range<usize>) {
+        let FoldOver {
+            select,
+            group_by,
+            ev,
+            state,
+            key,
+            gids,
+        } = self;
+        match state {
+            FoldState::Rows(rs) => project_rows(ev, select, cols, rows, None, rs),
+            FoldState::Groups(groups) => {
+                let order = ev.order();
+                let key_cols: Vec<Option<&[Oid]>> = group_by
+                    .iter()
+                    .map(|&v| ev.col_of(v).map(|c| cols[c].as_slice()))
+                    .collect();
+                for chunk in batches(rows) {
+                    groups.assign(&key_cols, chunk.clone(), key, gids);
+                    for (agg, (_, arg)) in groups.aggs.iter_mut().zip(aggregates(select)) {
+                        let col = arg.eval_batch(ev, cols, chunk.clone());
+                        agg.accumulate(gids, &col, order);
+                        ev.recycle(col);
+                    }
+                }
+            }
+        }
     }
-    groups
+}
+
+impl Fold<'_, '_> {
+    /// Fold rows `rows` of `table` (laid out as this fold's variables) in.
+    pub(crate) fn consume(&mut self, table: &Table, rows: Range<usize>) {
+        self.rows += rows.len() as u64;
+        self.over.consume(&table.cols, rows);
+    }
+
+    /// Rows consumed so far (this fold's and the ones it absorbed).
+    pub(crate) fn rows(&self) -> u64 {
+        self.rows
+    }
+}
+
+impl StarSink for Fold<'_, '_> {
+    fn buffer(&mut self) -> &mut Table {
+        &mut self.chunk
+    }
+
+    fn flush(&mut self, _: &ExecContext) {
+        self.rows += self.chunk.len() as u64;
+        self.over.consume(&self.chunk.cols, 0..self.chunk.len());
+        self.chunk.clear();
+    }
+
+    /// Fold in the rows after this fold's: groups keep first-seen order and
+    /// merge exactly for COUNT/MIN/MAX, within one ulp for SUM/AVG; plain
+    /// rows concatenate.
+    fn absorb(&mut self, later: Self) {
+        self.rows += later.rows;
+        match (&mut self.over.state, later.over.state) {
+            (FoldState::Groups(groups), FoldState::Groups(other)) => {
+                groups.merge(&other, self.over.ev.order());
+            }
+            (FoldState::Rows(rs), FoldState::Rows(mut other)) => {
+                rs.vals.append(&mut other.vals);
+                rs.n_rows += other.n_rows;
+            }
+            // Folds of one select list are of one kind.
+            _ => debug_assert!(false, "absorbing a fold of another kind"),
+        }
+    }
 }
 
 /// The output form of one evaluated value.
@@ -513,25 +741,28 @@ fn out_of(v: EvalValue) -> OutVal {
     }
 }
 
-/// Project `n_rows` rows of a binding table (`vars` / `cols`: the query's
-/// bindings, or the group keys of an aggregated query, whose row `g` also
-/// takes the finished aggregates of group `g`) through the select list into
-/// `rs`, a chunk of rows at a time and within a chunk item by item — a
-/// column sweep or one batch evaluation per item, no per-row variable lookup.
-fn project(
-    cx: &ExecContext,
+/// Append rows `rows` of a binding table (`cols`, laid out as `ev`'s
+/// variables: the query's bindings, or the group keys of an aggregated
+/// query, whose row `g` also takes the finished aggregates of group `g`)
+/// to `rs`, projected through the select list a chunk of rows at a time and
+/// within a chunk item by item — a column sweep or one batch evaluation per
+/// item, no per-row variable lookup.
+fn project_rows(
+    ev: &mut BatchEval,
     select: &[SelectItem],
-    (vars, cols, n_rows): (&[VarId], &[Vec<Oid>], usize),
+    cols: &[Vec<Oid>],
+    rows: Range<usize>,
     aggs: Option<&[AggVec]>,
     rs: &mut ResultSet,
 ) {
     let nc = select.len();
-    let mut ev = BatchEval::new(cx, vars);
-    rs.vals.resize(n_rows * nc, OutVal::Null);
-    rs.n_rows = n_rows;
-    for chunk in batches(0..n_rows) {
+    let base = rs.n_rows;
+    rs.vals.resize((base + rows.len()) * nc, OutVal::Null);
+    rs.n_rows += rows.len();
+    for chunk in batches(rows.clone()) {
         // Row-major cells of this chunk; item `c` writes every `nc`-th.
-        let cells = &mut rs.vals[chunk.start * nc..chunk.end * nc];
+        let at = base + (chunk.start - rows.start);
+        let cells = &mut rs.vals[at * nc..(at + chunk.len()) * nc];
         let mut finished = aggs.map(|a| a.iter());
         for (c, item) in select.iter().enumerate() {
             let column = cells.iter_mut().skip(c).step_by(nc);
@@ -557,7 +788,7 @@ fn project(
                 }
                 (SelectItem::Expr { expr, .. } | SelectItem::Agg { expr, .. }, _) => expr,
             };
-            let col = expr.eval_batch(&mut ev, cols, chunk.clone());
+            let col = expr.eval_batch(ev, cols, chunk.clone());
             match &col {
                 Col::Oid(s) => column
                     .zip(s.iter())
@@ -576,25 +807,11 @@ fn project(
     }
 }
 
-/// Apply SELECT / GROUP BY / DISTINCT / ORDER BY / LIMIT to the raw binding
-/// table.
+/// Apply SELECT / GROUP BY / DISTINCT / ORDER BY / LIMIT to a materialized
+/// binding table.
 pub fn finalize(cx: &ExecContext, query: &Query, table: &Table) -> ResultSet {
-    let select = effective_select(query);
-    let columns: Vec<String> = select
-        .iter()
-        .map(|s| s.name(&query.vars).to_string())
-        .collect();
-    let mut rs = ResultSet::new(columns);
-    if query.has_aggregates() {
-        let groups = aggregate(cx, query, &select, table);
-        let keys = (&query.group_by[..], &groups.keys[..], groups.n);
-        project(cx, &select, keys, Some(&groups.aggs), &mut rs);
-    } else {
-        let bindings = (&table.vars[..], &table.cols[..], table.len());
-        project(cx, &select, bindings, None, &mut rs);
-    }
-    apply_modifiers(cx, query, &mut rs);
-    rs
+    let select = Finalize::new(query);
+    select.finish(cx, select.fold_table(cx, table))
 }
 
 /// The DISTINCT / ORDER BY / LIMIT tail of [`finalize`].
@@ -860,7 +1077,7 @@ mod reference {
     /// [`finalize`](super::finalize) as it was before the batch evaluator: one
     /// pass, one row at a time, one tree walk per aggregate and row.
     pub(super) fn finalize_reference(cx: &ExecContext, query: &Query, table: &Table) -> ResultSet {
-        let select = effective_select(query);
+        let select = Finalize::new(query).select.into_owned();
         let columns: Vec<String> = select
             .iter()
             .map(|s| s.name(&query.vars).to_string())
@@ -1441,7 +1658,11 @@ mod tests {
     /// RDF-H at sf 0.001, self-organized the way `Database::self_organize`
     /// does it: discover, renumber, build the dense clustered store.
     fn rdfh_rig() -> Rig {
-        let data = sordf_rdfh::generate(&sordf_rdfh::RdfhConfig::new(0.001));
+        rdfh_rig_at(0.001)
+    }
+
+    fn rdfh_rig_at(sf: f64) -> Rig {
+        let data = sordf_rdfh::generate(&sordf_rdfh::RdfhConfig::new(sf));
         let mut ts = TripleSet::new();
         ts.extend_terms(&data.triples).unwrap();
         let mut schema = sordf_schema::discover(
@@ -1760,6 +1981,24 @@ mod tests {
                 "cust_names",
                 new().bgp("?c customer_name ?n").select_var("n").q,
             ),
+            // A star nothing reads a column of: rows without bindings.
+            (
+                "count_only",
+                new()
+                    .bgp(&lineitem_star(&six))
+                    .select_agg(AggFunc::Count, |_| Expr::Num(1.0))
+                    .q,
+            ),
+            // The subject read, a range pushed exactly: the restricted
+            // column is decided by its zone maps wherever a page lies inside.
+            (
+                "shipped_since",
+                new()
+                    .bgp("?li lineitem_shipdate ?d\n?li lineitem_quantity ?quantity")
+                    .date_filter("d", CmpOp::Ge, "1995-01-01")
+                    .select_var("li")
+                    .q,
+            ),
         ]
     }
 
@@ -1781,11 +2020,87 @@ mod tests {
         );
         for (name, query) in catalog(&rig) {
             let (q, lp) = prepare(&query);
-            let table = crate::planner::run_steps(&cx, &lp, &optimize(&cx, &lp), None);
+            let pp = optimize(&cx, &lp);
+            let reads = crate::plan::step_reads(&Finalize::new(&q).reads(), &lp, &pp);
+            let table = crate::planner::run_steps(&cx, &lp, &pp, &reads, None);
             let rs = check(name, &cx, &q, &table);
+            // The plan as it executes — a single star streams its pages into
+            // the fold, never holding `table` — answers the same: by bits at
+            // one worker, within one ulp when three workers' folds merge.
+            let streamed = crate::planner::execute_physical(&cx, &q, &lp, &pp, None);
+            assert_same(&format!("{name} (executed)"), &streamed, &rs, 0);
+            let cx3 = ExecContext::new(
+                &rig.pool,
+                &rig.dict,
+                StorageRef::Clustered {
+                    store: &rig.store,
+                    schema: &rig.schema,
+                },
+                ExecConfig::default(),
+            )
+            .with_parallel(three_workers());
+            let streamed3 = crate::planner::execute_physical(&cx3, &q, &lp, &pp, None);
+            assert_same(&format!("{name} (executed, 3 workers)"), &streamed3, &rs, 1);
             // Every shape but the promo type (absent at this scale) answers.
             assert_eq!(rs.is_empty(), table.is_empty(), "{name}");
             assert!(!table.is_empty() || name == "Q14", "{name} binds rows");
         }
+    }
+
+    /// The streamed last step still polls the token per page: a sink that
+    /// cancels the query when it is handed its first page stops the scan
+    /// before a second page is pinned.
+    #[test]
+    fn streamed_scan_stops_within_a_page_of_cancellation() {
+        use crate::cancel::{interrupted, CancellationToken, StopReason};
+        use crate::parallel::eval_star_into;
+        use crate::plan::StarAccess;
+        use crate::star::StarCall;
+
+        struct CancelAtFirstPage(Table, CancellationToken);
+        impl StarSink for CancelAtFirstPage {
+            fn buffer(&mut self) -> &mut Table {
+                &mut self.0
+            }
+            fn flush(&mut self, _: &ExecContext) {
+                self.1.cancel();
+            }
+            fn absorb(&mut self, _: Self) {}
+        }
+
+        // Three pages of lineitems.
+        let rig = rdfh_rig_at(0.003);
+        let token = CancellationToken::new();
+        let cx = ExecContext::new(
+            &rig.pool,
+            &rig.dict,
+            StorageRef::Clustered {
+                store: &rig.store,
+                schema: &rig.schema,
+            },
+            ExecConfig::default(),
+        )
+        .with_cancel(Some(token.clone()));
+        let query = Build {
+            rig: &rig,
+            q: Query::default(),
+        }
+        .bgp("?li lineitem_quantity ?quantity\n?li lineitem_discount ?discount")
+        .q;
+        let (_, lp) = prepare(&query);
+        let call = StarCall::new(&cx, &lp.stars[0], &[], Some(&[]));
+        let stopped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eval_star_into(&cx, &call, StarAccess::RdfScan, None, None, || {
+                CancelAtFirstPage(Table::empty(Vec::new()), token.clone())
+            });
+        }))
+        .unwrap_err();
+        assert_eq!(interrupted(stopped.as_ref()), Some(StopReason::Cancelled));
+        let stats = cx.stats.snapshot();
+        assert_eq!(stats.pages_scanned, 1, "one page was covered");
+        assert_eq!(
+            stats.column_pages_skipped, 2,
+            "and neither column of it read"
+        );
     }
 }

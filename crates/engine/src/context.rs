@@ -88,11 +88,17 @@ pub struct ExecStats {
     pub rows_scanned: AtomicU64,
     pub rows_emitted: AtomicU64,
     pub zonemap_pages_skipped: AtomicU64,
-    /// Pages actually scanned (pinned) by the chunked scan kernels — the
-    /// complement of `zonemap_pages_skipped`, and the work measure the
-    /// cancellation differential tests bound: a cancelled query's page count
-    /// must stop growing within one poll interval.
+    /// Row-pages the chunked scan kernels covered — the complement of
+    /// `zonemap_pages_skipped`, and the work measure the cancellation
+    /// differential tests bound: a cancelled query's page count must stop
+    /// growing within one poll interval. A covered page is evaluated, but
+    /// not every column of it is read: see `column_pages_skipped`.
     pub pages_scanned: AtomicU64,
+    /// Column pages of covered row-pages that were neither pinned nor
+    /// decoded, because the page's zone map already decided that every row
+    /// passes the column and nothing reads its values (for RDFjoin: column
+    /// gathers skipped on the same evidence, per batch of candidates).
+    pub column_pages_skipped: AtomicU64,
 }
 
 impl ExecStats {
@@ -127,6 +133,27 @@ impl ExecStats {
         self.rows_emitted.store(0, Ordering::Relaxed);
         self.zonemap_pages_skipped.store(0, Ordering::Relaxed);
         self.pages_scanned.store(0, Ordering::Relaxed);
+        self.column_pages_skipped.store(0, Ordering::Relaxed);
+    }
+
+    /// Add a finished query's counts to these (the facade's running totals
+    /// behind `/status`).
+    // ordering: Relaxed — see the impl-top note.
+    pub fn absorb(&self, q: &StatsSnapshot) {
+        for (total, n) in [
+            (&self.merge_joins, q.merge_joins),
+            (&self.hash_joins, q.hash_joins),
+            (&self.rdf_scans, q.rdf_scans),
+            (&self.rdf_joins, q.rdf_joins),
+            (&self.property_scans, q.property_scans),
+            (&self.rows_scanned, q.rows_scanned),
+            (&self.rows_emitted, q.rows_emitted),
+            (&self.zonemap_pages_skipped, q.zonemap_pages_skipped),
+            (&self.pages_scanned, q.pages_scanned),
+            (&self.column_pages_skipped, q.column_pages_skipped),
+        ] {
+            total.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// A plain-old-data copy of the counters.
@@ -143,6 +170,7 @@ impl ExecStats {
             rows_emitted: self.rows_emitted.load(Ordering::Relaxed),
             zonemap_pages_skipped: self.zonemap_pages_skipped.load(Ordering::Relaxed),
             pages_scanned: self.pages_scanned.load(Ordering::Relaxed),
+            column_pages_skipped: self.column_pages_skipped.load(Ordering::Relaxed),
         }
     }
 }
@@ -159,6 +187,7 @@ pub struct StatsSnapshot {
     pub rows_emitted: u64,
     pub zonemap_pages_skipped: u64,
     pub pages_scanned: u64,
+    pub column_pages_skipped: u64,
 }
 
 impl StatsSnapshot {

@@ -62,6 +62,7 @@ pub fn merge_join_pairs(
                         out.cols[last].extend(run.iter().map(|&(_, pv)| pv));
                     }
                 }
+                out.grow((i_end - i) * run.len());
                 i = i_end;
                 j = j_end;
             }
@@ -94,15 +95,24 @@ pub fn semi_join_pairs(pairs: &[(Oid, Oid)], candidates: &[Oid]) -> Vec<(Oid, Oi
 /// left's variables plus right's (minus right's join column, which would
 /// duplicate the left one). Builds on the smaller side.
 pub fn hash_join(cx: &ExecContext, left: &Table, lc: usize, right: &Table, rc: usize) -> Table {
-    join_on_cols(cx, left, &[lc], right, &[rc])
+    join_on_cols(cx, left, &[lc], right, &[rc], None)
 }
 
 /// Hash-join two tables on equality of **every** variable in `keys` (each
-/// must be bound by both sides). Output binds all of left's variables plus
-/// right's minus the key columns (which would duplicate left's). Builds on
-/// the smaller side. Joining on all shared variables — not just a primary
-/// link — is what keeps stars that share several variables consistent.
-pub fn hash_join_on(cx: &ExecContext, left: &Table, right: &Table, keys: &[VarId]) -> Table {
+/// must be bound by both sides). Output binds left's variables plus
+/// right's minus the key columns (which would duplicate left's) — of those,
+/// only the ones in `keep` when it is given: a plan passes what something
+/// after this join still reads, so no column is carried past its last
+/// reader (the join keys included). Builds on the smaller side. Joining on
+/// all shared variables — not just a primary link — is what keeps stars
+/// that share several variables consistent.
+pub fn hash_join_on(
+    cx: &ExecContext,
+    left: &Table,
+    right: &Table,
+    keys: &[VarId],
+    keep: Option<&[VarId]>,
+) -> Table {
     debug_assert!(!keys.is_empty(), "use cross_join for keyless joins");
     let cols_of = |t: &Table| -> Vec<usize> {
         keys.iter()
@@ -110,7 +120,36 @@ pub fn hash_join_on(cx: &ExecContext, left: &Table, right: &Table, keys: &[VarId
             .map(|&v| t.col_of(v).unwrap())
             .collect()
     };
-    join_on_cols(cx, left, &cols_of(left), right, &cols_of(right))
+    join_on_cols(cx, left, &cols_of(left), right, &cols_of(right), keep)
+}
+
+/// The output of joining `left` and `right` through the paired row indices
+/// `lidx` / `ridx`: left's columns, then right's except `right_keys`, each
+/// gathered in one pass — of those, only the variables in `keep` when given.
+fn gather_joined(
+    left: &Table,
+    lidx: &[usize],
+    right: &Table,
+    ridx: &[usize],
+    right_keys: &[usize],
+    keep: Option<&[VarId]>,
+) -> Table {
+    let kept = |v: &VarId| keep.map_or(true, |k| k.contains(v));
+    let mut vars = Vec::new();
+    let mut cols: Vec<Vec<Oid>> = Vec::new();
+    for (v, col) in left.vars.iter().zip(&left.cols) {
+        if kept(v) {
+            vars.push(*v);
+            cols.push(lidx.iter().map(|&i| col[i]).collect());
+        }
+    }
+    for (rc, (v, col)) in right.vars.iter().zip(&right.cols).enumerate() {
+        if !right_keys.contains(&rc) && kept(v) {
+            vars.push(*v);
+            cols.push(ridx.iter().map(|&i| col[i]).collect());
+        }
+    }
+    Table::from_cols(vars, cols, lidx.len())
 }
 
 /// Row ids chained by the hash of their keys — the hash table of the hash
@@ -157,13 +196,15 @@ impl RowChains {
 /// key is materialized, whatever its width; a probe confirms candidates
 /// column by column), the probe collects `(left row, right row)` matches in
 /// probe order — build rows ascending within a probe row — and every output
-/// column is then gathered through those indices in one pass.
+/// column is then gathered through those indices in one pass
+/// ([`gather_joined`]).
 fn join_on_cols(
     cx: &ExecContext,
     left: &Table,
     lks: &[usize],
     right: &Table,
     rks: &[usize],
+    keep: Option<&[VarId]>,
 ) -> Table {
     ExecStats::bump(&cx.stats.hash_joins, 1);
     // Normalize: build on the smaller input, probe the bigger.
@@ -200,19 +241,7 @@ fn join_on_cols(
         }
     }
 
-    // Output layout: left vars, then right vars except the key columns.
-    let right_keep: Vec<usize> = (0..right.cols.len()).filter(|i| !rks.contains(i)).collect();
-    let mut out_vars = left.vars.clone();
-    out_vars.extend(right_keep.iter().map(|&i| right.vars[i]));
-    let mut out = Table::empty(out_vars);
-    let (left_out, right_out) = out.cols.split_at_mut(left.cols.len());
-    for (oc, col) in left_out.iter_mut().zip(&left.cols) {
-        oc.extend(lidx.iter().map(|&i| col[i]));
-    }
-    for (oc, &rc) in right_out.iter_mut().zip(&right_keep) {
-        let col = &right.cols[rc];
-        oc.extend(ridx.iter().map(|&i| col[i]));
-    }
+    let out = gather_joined(left, &lidx, right, &ridx, rks, keep);
     ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
     out
 }
@@ -334,7 +363,7 @@ mod tests {
         // accept rows that disagree on var 2.
         let left = table(&[0, 1, 2], &[&[1, 10, 5], &[2, 20, 6], &[3, 30, 7]]);
         let right = table(&[0, 2, 3], &[&[1, 5, 100], &[2, 9, 200], &[3, 7, 300]]);
-        let out = hash_join_on(&cx, &left, &right, &[VarId(0), VarId(2)]);
+        let out = hash_join_on(&cx, &left, &right, &[VarId(0), VarId(2)], None);
         assert_eq!(out.vars, vec![VarId(0), VarId(1), VarId(2), VarId(3)]);
         let mut rows: Vec<Vec<Oid>> = (0..out.len()).map(|i| out.row(i)).collect();
         rows.sort();

@@ -12,12 +12,13 @@
 //!
 //! Correctness contract: results are **byte-identical** for every worker
 //! count. Each morsel covers a contiguous slice of a class segment (or of
-//! the candidate list), morsels are enumerated in segment order, and partial
-//! tables are concatenated in that enumeration order — never in completion
-//! order. Whole-table aggregates merge per-span partials through the
-//! Neumaier-compensated accumulator, which keeps SUM/AVG order-insensitive
-//! to within one ulp (the same property the cross-generation differential
-//! tests already rely on).
+//! the candidate list), morsels are enumerated in segment order, and what
+//! they produce — each morsel's `StarSink`: a partial table, or a partial
+//! fold of the select list when the star is the last step of its plan — is
+//! put together in that enumeration order, never in completion order.
+//! Aggregates merge per-morsel partials through the Neumaier-compensated
+//! accumulator, which keeps SUM/AVG order-insensitive to within one ulp (the
+//! same property the cross-generation differential tests already rely on).
 //!
 //! Sharing model: one [`ExecContext`] is shared by all workers of a query —
 //! it is `Sync` (storage handles are immutable, the buffer pool is
@@ -30,9 +31,9 @@ use crate::plan::StarAccess;
 use crate::scan::{SRange, Source};
 use crate::star::{
     default_scan_range, intersect_ranges, join_star_streams, prepare_star_scans, scan_star_prop,
-    subject_filter_range, uncovered_rows, Star,
+    subject_filter_range, uncovered_rows, Star, StarCall, StarSink,
 };
-use crate::table::Table;
+use crate::table::{Table, VarId};
 use parking_lot::Mutex;
 use sordf_model::Oid;
 use std::ops::Range;
@@ -180,9 +181,10 @@ pub(crate) fn run_tasks<T: Send>(
 /// Evaluate one star with the plan's chosen access path (not the scheme —
 /// the optimizer already folded the scheme and the storage layout into that
 /// choice), optionally driven by candidate subjects (RDFjoin) and restricted
-/// to a subject range. The one star evaluator every plan step goes through;
-/// [`crate::context::ExecConfig::rowwise`] swaps in the value-at-a-time
-/// reference operators the differential tests compare against.
+/// to a subject range, into a table binding **every** variable of the star.
+/// Plan steps go through `eval_star_into`, which binds only what is read;
+/// this is its all-variables, materializing form, and what the
+/// differential tests compare the rowwise oracle against.
 pub fn eval_star(
     cx: &ExecContext,
     star: &Star,
@@ -191,23 +193,67 @@ pub fn eval_star(
     candidates: Option<&[Oid]>,
     s_range: SRange,
 ) -> Table {
-    if cx.config.rowwise {
-        return crate::rowwise::eval_star_rowwise(cx, star, access, filters, candidates, s_range);
-    }
-    match (access, &cx.storage) {
-        (StarAccess::RdfScan, StorageRef::Clustered { store, schema }) => {
-            eval_rdfscan(cx, star, filters, candidates, s_range, store, schema)
+    eval_star_reading(cx, star, access, filters, candidates, s_range, None)
+}
+
+/// [`eval_star`] binding only the variables in `needed` (plus those of the
+/// star's own residual filters; `None`: all of them) — the materialized form
+/// of what a plan step evaluates, row for row what [`eval_star`] returns with
+/// the other columns dropped.
+pub fn eval_star_reading(
+    cx: &ExecContext,
+    star: &Star,
+    access: StarAccess,
+    filters: &[&Expr],
+    candidates: Option<&[Oid]>,
+    s_range: SRange,
+    needed: Option<&[VarId]>,
+) -> Table {
+    let call = StarCall::new(cx, star, filters, needed);
+    eval_star_into(cx, &call, access, candidates, s_range, || {
+        Table::empty(call.emit.vars.clone())
+    })
+}
+
+/// The one star evaluator every plan step goes through: the call's star,
+/// binding the call's variables, its rows delivered to sinks made by `make`
+/// — one per morsel, folded together in morsel order, or a single one taking
+/// every morsel in that order when there is one worker (so a streamed
+/// aggregate at one worker accumulates exactly as over the materialized
+/// table). [`crate::context::ExecConfig::rowwise`] swaps in the
+/// value-at-a-time reference operators the differential tests compare
+/// against; they and IdxScan+MergeJoin produce the star's whole table, which
+/// the sink takes as one chunk.
+pub(crate) fn eval_star_into<S: StarSink>(
+    cx: &ExecContext,
+    call: &StarCall,
+    access: StarAccess,
+    candidates: Option<&[Oid]>,
+    s_range: SRange,
+    make: impl Fn() -> S + Sync,
+) -> S {
+    let (star, filters) = (call.star, call.filters);
+    let table = if cx.config.rowwise {
+        crate::rowwise::eval_star_rowwise(cx, star, access, filters, candidates, s_range)
+    } else {
+        match (access, &cx.storage) {
+            (StarAccess::RdfScan, StorageRef::Clustered { store, schema }) => {
+                return eval_rdfscan(cx, call, candidates, s_range, store, schema, make);
+            }
+            _ => eval_prop_merge(
+                cx,
+                star,
+                filters,
+                candidates,
+                s_range,
+                Source::Full,
+                cx.parallel.workers,
+            ),
         }
-        _ => eval_prop_merge(
-            cx,
-            star,
-            filters,
-            candidates,
-            s_range,
-            Source::Full,
-            cx.parallel.workers,
-        ),
-    }
+    };
+    let mut sink = make();
+    sink.take(cx, table.project(&call.emit.vars));
+    sink
 }
 
 /// IdxScan+MergeJoin: the per-property scans of a star are independent —
@@ -267,58 +313,68 @@ fn morselize(
 
 /// RDFscan / RDFjoin: per-class preparation (class selection, row-range
 /// narrowing, access resolution) happens once via [`prepare_star_scans`],
-/// then the page/row span of each class is cut into morsels, and partial
-/// tables are concatenated in (class, span) order with the irregular branch
-/// last.
-fn eval_rdfscan(
+/// then the page/row span of each class is cut into morsels, and the
+/// morsels' sinks are folded together in (class, span) order with the
+/// irregular branch last.
+fn eval_rdfscan<S: StarSink>(
     cx: &ExecContext,
-    star: &Star,
-    filters: &[&Expr],
+    call: &StarCall,
     candidates: Option<&[Oid]>,
     s_range: SRange,
     store: &sordf_storage::ClusteredStore,
     schema: &sordf_schema::EmergentSchema,
-) -> Table {
+    make: impl Fn() -> S + Sync,
+) -> S {
     let par = &cx.parallel;
+    let (star, filters) = (call.star, call.filters);
     let s_range = intersect_ranges(subject_filter_range(star, filters), s_range);
-    let out_vars = star.output_vars();
 
     let (covering_classes, preps) =
-        prepare_star_scans(cx, star, filters, candidates, s_range, store, schema);
+        prepare_star_scans(cx, call, candidates, s_range, store, schema);
     let morsels = morselize(preps.iter().map(|p| p.span(par)), par.workers);
-
-    let mut partials = run_tasks(cx.cancel_token(), par.workers, morsels.len(), |i| {
-        match &morsels[i] {
-            Morsel::Class { prep, span } => preps[*prep].scan(cx, span.clone()),
-            // Subjects in no covering class, the star fully answered from
-            // the irregular store — inline: this already is one task.
-            Morsel::Irregular => uncovered_rows(
-                eval_prop_merge(
-                    cx,
-                    star,
-                    filters,
-                    candidates,
-                    s_range,
-                    Source::IrregularOnly,
-                    1,
-                ),
+    let run = |morsel: &Morsel, sink: &mut S| match morsel {
+        Morsel::Class { prep, span } => preps[*prep].scan(cx, span.clone(), sink),
+        // Subjects in no covering class, the star fully answered from
+        // the irregular store — inline: this already is one task.
+        Morsel::Irregular => {
+            let irr = eval_prop_merge(
+                cx,
                 star,
-                schema,
-                &covering_classes,
-                &out_vars,
-            ),
+                filters,
+                candidates,
+                s_range,
+                Source::IrregularOnly,
+                1,
+            );
+            let rows = uncovered_rows(irr, star, schema, &covering_classes, &call.emit.vars);
+            sink.take(cx, rows);
         }
+    };
+
+    if par.workers <= 1 {
+        // One sink takes the morsels in result order: classes, then the
+        // irregular branch.
+        let mut sink = make();
+        for morsel in morsels[1..].iter().chain(&morsels[..1]) {
+            cx.check_cancelled();
+            run(morsel, &mut sink);
+        }
+        return sink;
+    }
+    let mut sinks = run_tasks(cx.cancel_token(), par.workers, morsels.len(), |i| {
+        let mut sink = make();
+        run(&morsels[i], &mut sink);
+        sink
     })
     .into_iter();
     // sordf-lint: allow(L3) — morsels[0] is Morsel::Irregular by
     // construction and run_tasks returns one result per task.
-    let irregular = partials.next().expect("irregular task present");
-
-    let mut result = Table::empty(out_vars.clone());
-    for t in partials.chain(std::iter::once(irregular)) {
-        if !t.is_empty() {
-            result.append(t);
-        }
+    let irregular = sinks.next().expect("irregular task present");
+    let mut sinks = sinks.chain(std::iter::once(irregular));
+    // sordf-lint: allow(L3) — the chain ends with the irregular sink.
+    let mut result = sinks.next().expect("irregular sink present");
+    for later in sinks {
+        result.absorb(later);
     }
     result
 }

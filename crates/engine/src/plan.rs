@@ -21,7 +21,7 @@
 use crate::context::PlanScheme;
 use crate::expr::Expr;
 use crate::query::Query;
-use crate::star::{stars_of, Star};
+use crate::star::{stars_of, tail_filters, Star};
 use crate::table::VarId;
 
 /// A logical operator. The join of a multi-star BGP is represented as an
@@ -207,6 +207,51 @@ pub struct PhysicalPlan {
     pub steps: Vec<PhysicalStep>,
     /// Sum of the step costs (the quantity the optimizer minimized).
     pub total_cost: f64,
+}
+
+/// What each step of a plan has to bind, derived per request from the plan
+/// and the select list (the plan cache stores neither: both cost a few
+/// small vectors, once per request): **a variable is bound by a step and
+/// carried by its join only while something later reads it** — the select
+/// list, GROUP BY, the cross-star filters of the tail, and the link / join
+/// variables of this and later steps. A star's own residual filters add
+/// their variables when the star is evaluated
+/// ([`crate::star::StarCall`]); they depend on the constants.
+#[derive(Debug)]
+pub(crate) struct StepReads<'p> {
+    /// Per step: the variables of its star this step's join or anything
+    /// after it reads.
+    pub(crate) star: Vec<Vec<VarId>>,
+    /// Per step: the variables still read after this step's join — what the
+    /// joined table keeps.
+    pub(crate) keep: Vec<Vec<VarId>>,
+    /// The filters no single star can decide ([`tail_filters`]).
+    pub(crate) tail: Vec<&'p Expr>,
+}
+
+/// The [`StepReads`] of `pp` when its final table feeds a consumer reading
+/// `output`.
+pub(crate) fn step_reads<'p>(
+    output: &[VarId],
+    lp: &'p LogicalPlan,
+    pp: &PhysicalPlan,
+) -> StepReads<'p> {
+    let tail = tail_filters(&lp.stars, &lp.filters);
+    let mut read = output.to_vec();
+    tail.iter().for_each(|f| f.vars(&mut read));
+    let n = pp.steps.len();
+    let (mut star, mut keep) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+    for (i, step) in pp.steps.iter().enumerate().rev() {
+        keep[i] = read.clone();
+        for &v in step.join_vars.iter().chain(step.join.var().iter()) {
+            if !read.contains(&v) {
+                read.push(v);
+            }
+        }
+        star[i] = lp.stars[step.star].bound_vars();
+        star[i].retain(|v| read.contains(v));
+    }
+    StepReads { star, keep, tail }
 }
 
 impl PhysicalPlan {

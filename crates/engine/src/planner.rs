@@ -7,18 +7,32 @@
 //! lowers it to a [`PhysicalPlan`] (star order, access path and join
 //! strategy per step), and [`execute_physical`] interprets the steps —
 //! every star through the one morsel evaluator
-//! ([`crate::parallel::eval_star`]), with the worker count taken from the
-//! [`ExecContext`].
+//! (`eval_star_into`), with the worker count taken from
+//! the [`ExecContext`].
+//!
+//! **What a step emits.** Each step binds only the variables of its star
+//! that something after it reads (`step_reads`, once per
+//! request): the select list and GROUP BY, the cross-star filters of the
+//! tail, the link and join variables of this and later steps — plus, added
+//! when the star is evaluated, the variables of its own residual filters. A
+//! join keeps a column only while a later step or the select list reads it.
+//! The last step feeds the select list's fold (`Fold`): a
+//! single-star plan streams its scan into it a page at a time and never
+//! holds its bindings; a joined plan folds the table of its final join
+//! through the same code.
 
-use crate::agg::{finalize, ResultSet};
-use crate::context::ExecContext;
-use crate::expr::Expr;
+use crate::agg::{Finalize, ResultSet};
+use crate::context::{ExecContext, StatsSnapshot};
+use crate::expr::{CmpOp, Expr};
+use crate::join::hash_join_on;
 use crate::optimizer::optimize;
-use crate::parallel::eval_star;
-use crate::plan::{prepare, JoinStrategy, LogicalPlan, PhysicalPlan, StarAccess};
+use crate::parallel::eval_star_into;
+use crate::plan::{
+    prepare, step_reads, JoinStrategy, LogicalPlan, PhysicalPlan, StarAccess, StepReads,
+};
 use crate::query::Query;
-use crate::star::{apply_filters, tail_filters};
-use crate::table::Table;
+use crate::star::{apply_filters, StarCall};
+use crate::table::{Table, VarId};
 
 /// One step of an explained plan: the operator choices and the optimizer's
 /// expectations, plus (after EXPLAIN ANALYZE) what actually happened.
@@ -64,6 +78,9 @@ pub struct PlanInfo {
     pub steps: Vec<StepInfo>,
     /// Total cost of the chosen plan (the quantity the optimizer minimized).
     pub total_cost: f64,
+    /// What the execution covered and what its zone maps spared it (EXPLAIN
+    /// ANALYZE only): the context's operator counters after the run.
+    pub scans: Option<StatsSnapshot>,
     /// Human-readable plan text.
     pub text: String,
 }
@@ -76,11 +93,17 @@ pub fn execute(cx: &ExecContext, query: &Query) -> ResultSet {
 }
 
 /// Execute an already-optimized physical plan of the normalized query `q`
-/// (the plan-cache fast path skips prepare's optimizer half) and finalize.
-/// For a fixed plan the result is identical for every worker count of `cx`
-/// (SUM/AVG to within one ulp — see [`crate::parallel`]). `actuals`, when
-/// given, receives the bound row count after every step (EXPLAIN ANALYZE);
-/// steps short-circuited by an empty prefix record 0.
+/// (the plan-cache fast path skips prepare's optimizer half) into its
+/// result. For a fixed plan the result is identical for every worker count
+/// of `cx` (SUM/AVG to within one ulp — see [`crate::parallel`]). `actuals`,
+/// when given, receives the bound row count after every step (EXPLAIN
+/// ANALYZE); steps short-circuited by an empty prefix record 0.
+///
+/// Every step binds only what is read after it (`step_reads`), and **the
+/// last step streams into the select list**: a single-star plan never
+/// materializes its bindings — the scan folds each page's rows into the
+/// aggregates or the projected rows (`Fold`) — and a joined
+/// plan folds its final join's table through the same code.
 pub fn execute_physical(
     cx: &ExecContext,
     q: &Query,
@@ -88,90 +111,102 @@ pub fn execute_physical(
     pp: &PhysicalPlan,
     actuals: Option<&mut Vec<u64>>,
 ) -> ResultSet {
-    let table = run_steps(cx, lp, pp, actuals);
-    finalize(cx, q, &table)
+    let select = Finalize::new(q);
+    let reads = step_reads(&select.reads(), lp, pp);
+    let fold = match &pp.steps[..] {
+        // One star. (Its filters are its own: the tail has nothing to apply
+        // when there is nothing to join.)
+        [step] => {
+            cx.check_cancelled();
+            let filters: Vec<&Expr> = lp.filters.iter().collect();
+            let call = StarCall::new(cx, &lp.stars[step.star], &filters, Some(&reads.star[0]));
+            let fold = eval_star_into(cx, &call, step.access, None, None, || {
+                select.fold(cx, &call.emit.vars)
+            });
+            if let Some(a) = actuals {
+                a.push(fold.rows());
+            }
+            fold
+        }
+        _ => select.fold_table(cx, &run_steps(cx, lp, pp, &reads, actuals)),
+    };
+    select.finish(cx, fold)
 }
 
-/// Evaluate the plan's steps into the final binding table.
+/// Evaluate the plan's steps into the final binding table, which binds (at
+/// least) the variables `reads` says are read after the last join.
 pub(crate) fn run_steps(
     cx: &ExecContext,
     lp: &LogicalPlan,
     pp: &PhysicalPlan,
+    reads: &StepReads,
     mut actuals: Option<&mut Vec<u64>>,
 ) -> Table {
     let filter_refs: Vec<&Expr> = lp.filters.iter().collect();
     let mut result: Option<Table> = None;
 
-    for step in &pp.steps {
+    for (i, step) in pp.steps.iter().enumerate() {
         // Per-step cancellation poll: joins between stars can dominate a
         // query even when every scan underneath already polls per page.
         cx.check_cancelled();
         let star = &lp.stars[step.star];
-        let star_table = match (&result, &step.join) {
-            (None, _) => eval_star(cx, star, step.access, &filter_refs, None, None),
-            (Some(res), JoinStrategy::Candidates { var }) => {
-                // RDFjoin: the prefix's distinct link values drive the
-                // star's evaluation directly.
-                // sordf-lint: allow(L3) — the optimizer only picks a link var bound by the prefix.
-                let lc = res.col_of(*var).unwrap();
-                let link_vals = res.distinct_col(lc);
-                eval_star(cx, star, step.access, &filter_refs, Some(&link_vals), None)
+        // What the prefix passes into this star's evaluation: the distinct
+        // values of the link variable, as candidates or as a range.
+        let link_vals = match (&result, &step.join) {
+            (
+                Some(res),
+                JoinStrategy::Candidates { var }
+                | JoinStrategy::SubjectRange { var }
+                | JoinStrategy::ObjectRange { var },
+            ) => {
+                // sordf-lint: allow(L3) — the optimizer only picks a link var bound by the prefix, and `reads` keeps it.
+                res.distinct_col(res.col_of(*var).unwrap())
             }
-            (Some(res), JoinStrategy::SubjectRange { var }) => {
-                // Zone-map pushdown: restrict the probed star's scans to
-                // the candidate OID range.
-                // sordf-lint: allow(L3) — the optimizer only picks a link var bound by the prefix.
-                let lc = res.col_of(*var).unwrap();
-                let link_vals = res.distinct_col(lc);
-                let s_range = if link_vals.is_empty() {
-                    None
-                } else {
-                    Some((
-                        // sordf-lint: allow(L3) — guarded by !link_vals.is_empty() above.
-                        link_vals.first().unwrap().raw(),
-                        // sordf-lint: allow(L3) — guarded by !link_vals.is_empty() above.
-                        link_vals.last().unwrap().raw(),
-                    ))
-                };
-                eval_star(cx, star, step.access, &filter_refs, None, s_range)
-            }
-            (Some(res), JoinStrategy::ObjectRange { var }) => {
-                // Zone-map sideways information passing (§II-D): the link
-                // variable is an object column of this star (typically an
-                // FK). Restrict it to the [min, max] of the already-bound
-                // values; the scan layer turns this into POS ranges /
-                // zone-map page skipping — e.g. a shipdate restriction on
-                // LINEITEM reaching ORDERS through l_orderkey's zone maps.
-                // sordf-lint: allow(L3) — the optimizer only picks a link var bound by the prefix.
-                let lc = res.col_of(*var).unwrap();
-                let vals = res.distinct_col(lc);
-                if vals.is_empty() {
-                    eval_star(cx, star, step.access, &filter_refs, None, None)
-                } else {
-                    // sordf-lint: allow(L3) — guarded by !vals.is_empty() above.
-                    let lo = *vals.first().unwrap();
-                    // sordf-lint: allow(L3) — guarded by !vals.is_empty() above.
-                    let hi = *vals.last().unwrap();
-                    let ge = Expr::cmp(Expr::Var(*var), crate::expr::CmpOp::Ge, Expr::Const(lo));
-                    let le = Expr::cmp(Expr::Var(*var), crate::expr::CmpOp::Le, Expr::Const(hi));
-                    let mut narrowed: Vec<&Expr> = filter_refs.clone();
-                    narrowed.push(&ge);
-                    narrowed.push(&le);
-                    eval_star(cx, star, step.access, &narrowed, None, None)
-                }
-            }
-            (Some(_), _) => eval_star(cx, star, step.access, &filter_refs, None, None),
+            _ => Vec::new(),
         };
+        let bounds = link_vals.first().zip(link_vals.last());
+        let (mut filters, mut candidates, mut s_range) = (&filter_refs[..], None, None);
+        let (ge, le, narrowed);
+        match (&step.join, bounds) {
+            // RDFjoin: the prefix's distinct link values drive the star's
+            // evaluation directly.
+            (JoinStrategy::Candidates { .. }, _) if result.is_some() => {
+                candidates = Some(&link_vals[..]);
+            }
+            // Zone-map pushdown: restrict the probed star's scans to the
+            // candidate OID range.
+            (JoinStrategy::SubjectRange { .. }, Some((lo, hi))) => {
+                s_range = Some((lo.raw(), hi.raw()));
+            }
+            // Zone-map sideways information passing (§II-D): the link
+            // variable is an object column of this star (typically an FK).
+            // Restrict it to the [min, max] of the already-bound values;
+            // the scan layer turns this into POS ranges / zone-map page
+            // skipping — e.g. a shipdate restriction on LINEITEM reaching
+            // ORDERS through l_orderkey's zone maps.
+            (JoinStrategy::ObjectRange { var }, Some((lo, hi))) => {
+                ge = Expr::cmp(Expr::Var(*var), CmpOp::Ge, Expr::Const(*lo));
+                le = Expr::cmp(Expr::Var(*var), CmpOp::Le, Expr::Const(*hi));
+                narrowed = [&filter_refs[..], &[&ge, &le]].concat();
+                filters = &narrowed[..];
+            }
+            _ => {}
+        }
+        let call = StarCall::new(cx, star, filters, Some(&reads.star[i]));
+        let star_table = eval_star_into(cx, &call, step.access, candidates, s_range, || {
+            Table::empty(call.emit.vars.clone())
+        });
 
+        let keep = &reads.keep[i];
         result = Some(match result {
             None => star_table,
             Some(res) => {
                 if step.join_vars.is_empty() {
-                    cross_join(cx, &res, &star_table)
+                    cross_join(cx, &res, &star_table, keep)
                 } else {
                     // Join on *all* shared variables — stars sharing both
                     // subject and object variables must agree on every one.
-                    crate::join::hash_join_on(cx, &res, &star_table, &step.join_vars)
+                    hash_join_on(cx, &res, &star_table, &step.join_vars, Some(keep))
                 }
             }
         });
@@ -191,26 +226,20 @@ pub(crate) fn run_steps(
 
     let mut table = result.unwrap_or_default();
     // Every star already enforced the filters it binds; only what no single
-    // star can decide is left (see `tail_filters`).
-    apply_filters(cx, &mut table, &tail_filters(&lp.stars, &lp.filters));
-    // The ownership rule, checked where assertions are on: re-applying
-    // *every* bound filter here must not remove a row.
-    debug_assert!(
-        {
-            let mut again = table.clone();
-            apply_filters(cx, &mut again, &filter_refs);
-            again.len() == table.len()
-        },
-        "a star left one of its filters unenforced"
-    );
+    // star can decide is left (see `tail_filters`; the rule itself is held
+    // by the `filters_are_enforced_once` tests over the differential
+    // catalogs, which re-apply every filter to the unpruned star tables).
+    apply_filters(cx, &mut table, &reads.tail);
     table
 }
 
 /// Cartesian product for disconnected BGPs, guarded by
 /// [`crate::context::ExecConfig::cross_join_budget`]: a disconnected BGP
 /// multiplies result sizes, so an oversized product fails the query instead
-/// of silently going O(n·m).
-fn cross_join(cx: &ExecContext, left: &Table, right: &Table) -> Table {
+/// of silently going O(n·m). Built column-wise — a left value repeated once
+/// per right row, a right column tiled once per left row — over the
+/// variables in `keep`.
+fn cross_join(cx: &ExecContext, left: &Table, right: &Table, keep: &[VarId]) -> Table {
     let pairs = left.len() as u128 * right.len() as u128;
     if pairs > cx.config.cross_join_budget as u128 {
         // sordf-lint: allow(L3) — deliberate query-boundary failure; the
@@ -223,22 +252,34 @@ fn cross_join(cx: &ExecContext, left: &Table, right: &Table) -> Table {
             cx.config.cross_join_budget
         );
     }
-    let mut vars = left.vars.clone();
-    vars.extend(&right.vars);
-    let mut out = Table::empty(vars);
-    for i in 0..left.len() {
-        for j in 0..right.len() {
-            let mut row = left.row(i);
-            row.extend(right.row(j));
-            out.push_row(&row);
+    let (n, m) = (left.len(), right.len());
+    let (mut vars, mut cols) = (Vec::new(), Vec::new());
+    for (v, col) in left.vars.iter().zip(&left.cols) {
+        if keep.contains(v) {
+            vars.push(*v);
+            let mut out = Vec::with_capacity(n * m);
+            col.iter().for_each(|&x| out.resize(out.len() + m, x));
+            cols.push(out);
         }
     }
-    out
+    for (v, col) in right.vars.iter().zip(&right.cols) {
+        if keep.contains(v) {
+            vars.push(*v);
+            cols.push(col.repeat(n));
+        }
+    }
+    Table::from_cols(vars, cols, n * m)
 }
 
 /// Build the EXPLAIN description of an optimized plan. `actuals`, when
 /// given, carries the per-step bound row counts of an actual execution.
-fn plan_info(q: &Query, lp: &LogicalPlan, pp: &PhysicalPlan, actuals: Option<&[u64]>) -> PlanInfo {
+fn plan_info(
+    q: &Query,
+    lp: &LogicalPlan,
+    pp: &PhysicalPlan,
+    actuals: Option<&[u64]>,
+    scans: Option<StatsSnapshot>,
+) -> PlanInfo {
     let var_name = |v: crate::table::VarId| {
         q.vars
             .get(v.0 as usize)
@@ -305,6 +346,14 @@ fn plan_info(q: &Query, lp: &LogicalPlan, pp: &PhysicalPlan, actuals: Option<&[u
             }
         }
     }
+    if let Some(s) = &scans {
+        let _ = writeln!(
+            text,
+            "  scans: {} rows on {} pages covered, {} pages skipped by zone maps, \
+             {} column pages decided without a pin",
+            s.rows_scanned, s.pages_scanned, s.zonemap_pages_skipped, s.column_pages_skipped,
+        );
+    }
 
     PlanInfo {
         scheme: pp.scheme,
@@ -315,6 +364,7 @@ fn plan_info(q: &Query, lp: &LogicalPlan, pp: &PhysicalPlan, actuals: Option<&[u
         estimates: steps.iter().map(|s| s.est_star_rows).collect(),
         steps,
         total_cost: pp.total_cost,
+        scans,
         text,
     }
 }
@@ -323,7 +373,7 @@ fn plan_info(q: &Query, lp: &LogicalPlan, pp: &PhysicalPlan, actuals: Option<&[u
 pub fn explain(cx: &ExecContext, query: &Query) -> PlanInfo {
     let (q, lp) = prepare(query);
     let pp = optimize(cx, &lp);
-    plan_info(&q, &lp, &pp, None)
+    plan_info(&q, &lp, &pp, None, None)
 }
 
 /// Execute the chosen plan and describe it with per-step actual
@@ -333,7 +383,8 @@ pub fn explain_analyze(cx: &ExecContext, query: &Query) -> (PlanInfo, ResultSet)
     let pp = optimize(cx, &lp);
     let mut actuals = Vec::with_capacity(pp.steps.len());
     let rs = execute_physical(cx, &q, &lp, &pp, Some(&mut actuals));
-    (plan_info(&q, &lp, &pp, Some(&actuals)), rs)
+    let scans = Some(cx.stats.snapshot());
+    (plan_info(&q, &lp, &pp, Some(&actuals), scans), rs)
 }
 
 #[cfg(test)]
@@ -360,7 +411,7 @@ mod tests {
     fn tail_keeps_only_cross_star_filters() {
         use crate::expr::CmpOp;
         use crate::query::{TriplePattern, VarOrOid};
-        use crate::star::residual_filters;
+        use crate::star::{residual_filters, tail_filters};
         let mut q = Query::default();
         let (s, a, t, b) = (q.var("s"), q.var("a"), q.var("t"), q.var("b"));
         for (subj, pred, obj) in [(s, 1, a), (t, 2, b)] {
@@ -430,14 +481,23 @@ mod tests {
         let left = small_table(0, 3);
         let right = small_table(1, 4);
         // 3 x 4 = 12 pairs: exactly at the budget — allowed.
-        let out = cross_join(&cx, &left, &right);
+        let both = [VarId(0), VarId(1)];
+        let out = cross_join(&cx, &left, &right, &both);
         assert_eq!(out.len(), 12);
-        assert_eq!(out.vars, vec![VarId(0), VarId(1)]);
+        assert_eq!(out.vars, both);
+        // Left values repeat per right row, right values tile.
+        assert_eq!(out.row(0), vec![Oid::iri(1), Oid::iri(1)]);
+        assert_eq!(out.row(1), vec![Oid::iri(1), Oid::iri(2)]);
+        assert_eq!(out.row(4), vec![Oid::iri(2), Oid::iri(1)]);
+        assert_eq!(out.row(11), vec![Oid::iri(3), Oid::iri(4)]);
+        // Nothing read after the join: the product keeps its rows, no column.
+        let counted = cross_join(&cx, &left, &right, &[]);
+        assert_eq!((counted.len(), counted.vars.len()), (12, 0));
 
         // 3 x 5 = 15 pairs: over budget — fails loudly instead of running.
         let right5 = small_table(1, 5);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cross_join(&cx, &left, &right5)
+            cross_join(&cx, &left, &right5, &both)
         }));
         assert!(err.is_err(), "over-budget cross join must not run");
         let msg = err

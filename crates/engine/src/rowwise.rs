@@ -21,7 +21,7 @@ use crate::expr::Expr;
 use crate::scan::{ORestrict, SRange, Source};
 use crate::star::{
     effective_subject_range, emit_combinations, extend_from_sorted, intersect_ranges,
-    prop_restrict, residual_filters, subject_filter_range, Covered, Star,
+    prop_restrict, residual_filters, subject_filter_range, Covered, Emit, Star,
 };
 use crate::table::Table;
 use sordf_columnar::{BufferPool, Column, VALS_PER_PAGE};
@@ -348,7 +348,7 @@ pub fn eval_star_default_rowwise(
         .collect();
     streams.sort_by_key(|(_, s)| s.len());
     if streams[0].1.is_empty() {
-        return Table::empty(star.output_vars());
+        return Table::empty(star.bound_vars());
     }
 
     let mut vars = vec![star.subject_var];
@@ -389,7 +389,7 @@ pub fn eval_star_default_rowwise(
     }
     let residual = residual_filters(cx, star, filters);
     crate::star::apply_filters(cx, &mut table, &residual);
-    table
+    crate::star::canonical_layout(star, table)
 }
 
 /// Value-at-a-time RDFscan / RDFjoin star.
@@ -405,7 +405,7 @@ pub fn eval_star_rdfscan_rowwise(
     };
     let s_range = intersect_ranges(subject_filter_range(star, filters), s_range);
 
-    let out_vars = star.output_vars();
+    let out_vars = star.bound_vars();
     let mut result = Table::empty(out_vars.clone());
 
     let mut covering_classes: Vec<bool> = vec![false; schema.classes.len()];
@@ -506,7 +506,7 @@ fn scan_class_star_rw(
                         let lo_p = Oid::from_raw(lo).payload().max(*base);
                         let hi_p = Oid::from_raw(hi).payload().min(base + seg.n as u64 - 1);
                         if lo_p > hi_p {
-                            return Table::empty(star.output_vars());
+                            return Table::empty(star.bound_vars());
                         }
                         range = (lo_p - base) as usize..(hi_p - base + 1) as usize;
                     }
@@ -537,7 +537,7 @@ fn scan_class_star_rw(
                 range = range.start.max(r.start)..range.end.min(r.end);
             }
             if range.start >= range.end {
-                return Table::empty(star.output_vars());
+                return Table::empty(star.bound_vars());
             }
             if cx.config.zonemaps {
                 prune_rows_zm_rw(cx, star, filters, seg, covered, range)
@@ -547,7 +547,7 @@ fn scan_class_star_rw(
         }
     };
     if rows.is_empty() {
-        return Table::empty(star.output_vars());
+        return Table::empty(star.bound_vars());
     }
     ExecStats::bump(&cx.stats.rows_scanned, rows.len() as u64);
 
@@ -645,17 +645,10 @@ fn scan_class_star_rw(
         })
         .collect();
 
-    let out_vars = star.output_vars();
-    let mut out = Table::empty(out_vars.clone());
+    // The oracle binds every variable of the star.
+    let emit = Emit::all(star);
+    let mut out = Table::empty(emit.vars.clone());
     let star_filters = residual_filters(cx, star, filters);
-    let out_pos: Vec<Option<usize>> = star
-        .props
-        .iter()
-        .map(|p| match p.o {
-            crate::query::VarOrOid::Var(v) => out_vars.iter().position(|&x| x == v),
-            crate::query::VarOrOid::Const(_) => None,
-        })
-        .collect();
 
     let pure_columns = star_filters.is_empty()
         && accesses.iter().all(|a| match a {
@@ -665,7 +658,7 @@ fn scan_class_star_rw(
     if pure_columns {
         let col_vals: Vec<(&Vec<u64>, &ORestrict, Option<usize>)> = accesses
             .iter()
-            .zip(&out_pos)
+            .zip(&emit.props)
             .map(|(a, &pos)| match a {
                 Access::Col { vals, restrict, .. } => (vals, restrict, pos),
                 _ => unreachable!(),
@@ -684,6 +677,7 @@ fn scan_class_star_rw(
                     out.cols[pos].push(Oid::from_raw(vals[ri]));
                 }
             }
+            out.grow(1);
         }
         ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
         return out;
@@ -723,7 +717,7 @@ fn scan_class_star_rw(
         emit_combinations(
             cx,
             star,
-            &out_pos,
+            &emit,
             &star_filters,
             s,
             &value_lists,

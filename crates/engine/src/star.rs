@@ -21,15 +21,35 @@
 //! the segments whose subject range it falls into
 //! (`delta_blocks_pruning`).
 //!
+//! **A scan binds what is read, and reads what it must.** One evaluation of a
+//! star (`StarCall`) emits only the variables something after it reads —
+//! the select list, a later join, a cross-star filter — plus those of its
+//! own residual filters (`Emit`; the subject too is just a variable: a
+//! star nothing reads a column of emits rows and no column). A property the
+//! query only *mentions* still has to hold for a row to bind, but on a page
+//! without dirty rows **its zone map usually decides that before the page is
+//! pinned** (`page_passes_whole`): all rows present and inside the
+//! restriction means the column passes whole, and a column that passes
+//! whole and is not read is neither pinned nor decoded — it costs its
+//! summary, not its values (`column_pages_skipped`). A page with a dirty row
+//! pins every column as before: the exception / tombstone rows need the
+//! base values. Bag semantics are untouched: a dirty row still enumerates
+//! every combination of a multi-valued property, only the binding is
+//! dropped. The rows go to a `StarSink`, a page at a time: a table that
+//! accumulates them (a step that is joined later), or the select list's
+//! fold, which consumes and clears them (the last step of a single-star
+//! plan never materializes its bindings).
+//!
 //! A clean run is a selection-vector kernel (`emit_clean_run`): each
 //! column's restriction, folded with the NULL check into one inclusive value
 //! range, is tested in a branch-free pass that narrows the vector of
-//! surviving offsets; the output columns are then appended in one sweep
-//! each — a slice copy when the whole run passed (no vector is built for
-//! it), a gather otherwise. The star's residual filters are evaluated by the
-//! batch evaluator ([`crate::expr::BatchEval`]) over the rows the run just
-//! emitted, so a residual filter costs a pass over a chunk, not the per-row
-//! path for every row.
+//! surviving offsets (a column its zone map decided is not tested); the
+//! emitted columns are then appended in one sweep each — a slice copy when
+//! the whole run passed (no vector is built for it), a gather otherwise. The
+//! star's residual filters are evaluated by the batch evaluator
+//! ([`crate::expr::BatchEval`]) over the rows the run just emitted, so a
+//! residual filter costs a pass over a chunk, not the per-row path for every
+//! row.
 //!
 //! **Filters are enforced once, by the star that binds all their
 //! variables**: pushed into the scans as a restriction ([`ORestrict`], a
@@ -66,7 +86,8 @@ pub struct Star {
 }
 
 impl Star {
-    /// Variables this star binds (subject + object variables).
+    /// The variables this star binds, in its canonical output layout: the
+    /// subject first, then one per variable-object property in pattern order.
     pub fn bound_vars(&self) -> Vec<VarId> {
         let mut out = vec![self.subject_var];
         for p in &self.props {
@@ -78,19 +99,115 @@ impl Star {
         }
         out
     }
+}
 
-    /// Canonical output layout: subject column first, then one column per
-    /// variable-object property in pattern order.
-    pub fn output_vars(&self) -> Vec<VarId> {
-        let mut out = vec![self.subject_var];
-        for p in &self.props {
-            if let VarOrOid::Var(v) = p.o {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
+/// What one evaluation of a star binds: the subset of
+/// [`Star::bound_vars`] something reads, in canonical order, and where the
+/// subject and each property's object land in it (`None`: not bound — a
+/// constant object, or a variable nothing reads).
+#[derive(Debug)]
+pub(crate) struct Emit {
+    pub(crate) vars: Vec<VarId>,
+    pub(crate) subject: Option<usize>,
+    pub(crate) props: Vec<Option<usize>>,
+}
+
+impl Emit {
+    /// The layout binding the star variables `wanted` holds for.
+    fn of(star: &Star, wanted: impl Fn(VarId) -> bool) -> Emit {
+        let mut vars = star.bound_vars();
+        vars.retain(|&v| wanted(v));
+        let pos = |v: VarId| vars.iter().position(|&x| x == v);
+        Emit {
+            subject: pos(star.subject_var),
+            props: star
+                .props
+                .iter()
+                .map(|p| p.o.as_var().and_then(pos))
+                .collect(),
+            vars,
         }
-        out
+    }
+
+    /// Every variable of the star (the rowwise oracle's layout).
+    pub(crate) fn all(star: &Star) -> Emit {
+        Emit::of(star, |_| true)
+    }
+}
+
+/// One evaluation of one star — what every segment scan of it shares. The
+/// emitted variables are the ones the plan reads after this step (`needed`;
+/// `None`: all of them) **plus the variables of the star's own residual
+/// filters**, resolved here and not in the plan because which filters stay
+/// residual depends on the query's constants (a date bound is pushed
+/// exactly, a bare number is confirmed by value), and one cached plan serves
+/// every constant.
+pub(crate) struct StarCall<'a> {
+    pub(crate) star: &'a Star,
+    /// Every filter conjunct of the query: the pushed restrictions derive
+    /// from the ones on this star's variables.
+    pub(crate) filters: &'a [&'a Expr],
+    /// Star-local filters the pushed restricts do not already enforce.
+    pub(crate) residual: Vec<&'a Expr>,
+    pub(crate) emit: Emit,
+}
+
+impl<'a> StarCall<'a> {
+    pub(crate) fn new(
+        cx: &ExecContext,
+        star: &'a Star,
+        filters: &'a [&'a Expr],
+        needed: Option<&[VarId]>,
+    ) -> StarCall<'a> {
+        let residual = residual_filters(cx, star, filters);
+        let emit = match needed {
+            None => Emit::all(star),
+            Some(needed) => {
+                let mut read = needed.to_vec();
+                residual.iter().for_each(|f| f.vars(&mut read));
+                Emit::of(star, |v| read.contains(&v))
+            }
+        };
+        StarCall {
+            star,
+            filters,
+            residual,
+            emit,
+        }
+    }
+}
+
+/// Where a star evaluation's rows go. The kernels emit a page's rows into
+/// [`buffer`](Self::buffer) and then [`flush`](Self::flush): a materializing
+/// sink (a [`Table`]) lets them accumulate, a streaming one
+/// ([`crate::agg::Fold`]) folds them into the select list and clears the
+/// buffer, so the last step of a plan never holds more than a page of
+/// bindings.
+pub(crate) trait StarSink: Send + Sized {
+    /// The table rows are emitted into, laid out as the call's [`Emit`].
+    fn buffer(&mut self) -> &mut Table;
+    /// The buffer holds a page's worth of new rows.
+    fn flush(&mut self, cx: &ExecContext);
+    /// Take a whole table of rows (laid out like the buffer) as one chunk.
+    fn take(&mut self, cx: &ExecContext, rows: Table) {
+        self.buffer().append(rows);
+        self.flush(cx);
+    }
+    /// Fold in the sink of the morsel after this one's.
+    fn absorb(&mut self, later: Self);
+}
+
+impl StarSink for Table {
+    fn buffer(&mut self) -> &mut Table {
+        self
+    }
+
+    fn flush(&mut self, _: &ExecContext) {}
+
+    fn absorb(&mut self, later: Table) {
+        if !later.is_empty() {
+            self.append(later);
+        }
     }
 }
 
@@ -269,9 +386,7 @@ fn retain_passing(
         }
         kept += mask.iter().filter(|&&keep| keep).count();
     }
-    for col in table.cols.iter_mut() {
-        col.truncate(kept);
-    }
+    table.truncate(kept);
 }
 
 /// The filters the tail of a plan still has to apply once every star is
@@ -338,8 +453,9 @@ pub(crate) fn scan_star_prop(
 }
 
 /// Join per-property streams into the star's binding table (the self-join
-/// pipeline of the Default scheme) and apply residual filters. Streams must
-/// be `(property index, (s, o)-sorted pairs)` in pattern order.
+/// pipeline of the Default scheme), apply residual filters and lay the
+/// columns out canonically. Streams must be `(property index, (s, o)-sorted
+/// pairs)` in pattern order.
 pub(crate) fn join_star_streams(
     cx: &ExecContext,
     star: &Star,
@@ -350,29 +466,18 @@ pub(crate) fn join_star_streams(
     streams.sort_by_key(|(_, s)| s.len());
     if streams[0].1.is_empty() {
         // Nothing can match; skip the join pipeline entirely.
-        let mut vars = vec![star.subject_var];
-        for p in &star.props {
-            if let VarOrOid::Var(v) = p.o {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        }
-        return Table::empty(vars);
+        return Table::empty(star.bound_vars());
     }
 
     // Seed table from the first stream, built column-at-a-time.
-    let mut vars = vec![star.subject_var];
     let (first_idx, first) = &streams[0];
-    let first_is_var = matches!(star.props[*first_idx].o, VarOrOid::Var(_));
+    let mut vars = vec![star.subject_var];
+    let mut cols = vec![first.iter().map(|&(s, _)| s).collect()];
     if let VarOrOid::Var(v) = star.props[*first_idx].o {
         vars.push(v);
+        cols.push(first.iter().map(|&(_, o)| o).collect());
     }
-    let mut table = Table::empty(vars);
-    table.cols[0] = first.iter().map(|&(s, _)| s).collect();
-    if first_is_var {
-        table.cols[1] = first.iter().map(|&(_, o)| o).collect();
-    }
+    let mut table = Table::from_cols(vars, cols, first.len());
     table.sorted_by = Some(0);
 
     for (idx, pairs) in streams.iter().skip(1) {
@@ -404,7 +509,18 @@ pub(crate) fn join_star_streams(
     // Skip re-evaluating filters the pushed restricts already enforced.
     let residual = residual_filters(cx, star, filters);
     apply_filters(cx, &mut table, &residual);
-    table
+    canonical_layout(star, table)
+}
+
+/// A star's joined streams in the star's canonical layout: the pipeline
+/// adds columns in join order, and stops early — short of some — when the
+/// table runs empty.
+pub(crate) fn canonical_layout(star: &Star, table: Table) -> Table {
+    let vars = star.bound_vars();
+    if table.is_empty() {
+        return Table::empty(vars);
+    }
+    table.project(&vars)
 }
 
 /// How a star property maps onto one class.
@@ -461,9 +577,6 @@ pub(crate) fn uncovered_rows(
         })
         .collect();
     irr.retain_rows(&mask);
-    if irr.is_empty() {
-        return Table::empty(out_vars.to_vec());
-    }
     irr.project(out_vars)
 }
 
@@ -486,13 +599,18 @@ impl ClassScanPrep<'_> {
         }
     }
 
-    /// Execute any sub-range of [`span`](Self::span). Concatenating the
-    /// outputs of consecutive sub-ranges yields exactly the whole-span
-    /// table — the order-stability contract morsels rely on.
-    pub(crate) fn scan(&self, cx: &ExecContext, span: std::ops::Range<usize>) -> Table {
+    /// Execute any sub-range of [`span`](Self::span) into `sink`. The rows
+    /// of consecutive sub-ranges, in order, are exactly the whole span's —
+    /// the order-stability contract morsels rely on.
+    pub(crate) fn scan(
+        &self,
+        cx: &ExecContext,
+        span: std::ops::Range<usize>,
+        sink: &mut impl StarSink,
+    ) {
         match self {
-            ClassScanPrep::Chunks(p) => scan_chunk_pages(cx, p, span),
-            ClassScanPrep::Rows(p) => scan_row_range(cx, p, span),
+            ClassScanPrep::Chunks(p) => scan_chunk_pages(cx, p, span, sink),
+            ClassScanPrep::Rows(p) => scan_row_range(cx, p, span, sink),
         }
     }
 }
@@ -505,8 +623,7 @@ impl ClassScanPrep<'_> {
 /// exactly this order.
 pub(crate) fn prepare_star_scans<'a>(
     cx: &'a ExecContext,
-    star: &'a Star,
-    filters: &[&'a Expr],
+    call: &'a StarCall<'a>,
     candidates: Option<&[Oid]>,
     s_range: SRange,
     store: &'a sordf_storage::ClusteredStore,
@@ -515,7 +632,7 @@ pub(crate) fn prepare_star_scans<'a>(
     let mut covering_classes: Vec<bool> = vec![false; schema.classes.len()];
     let mut preps: Vec<ClassScanPrep<'a>> = Vec::new();
     for class in &schema.classes {
-        let (covered, n_covered) = class_coverage(class, star);
+        let (covered, n_covered) = class_coverage(class, call.star);
         if n_covered == 0 {
             continue;
         }
@@ -526,13 +643,12 @@ pub(crate) fn prepare_star_scans<'a>(
         }
         match candidates {
             Some(cands) => {
-                if let Some(p) = prepare_row_scan(cx, star, filters, cands, s_range, seg, &covered)
-                {
+                if let Some(p) = prepare_row_scan(cx, call, cands, s_range, seg, &covered) {
                     preps.push(ClassScanPrep::Rows(p));
                 }
             }
             None => {
-                if let Some(p) = prepare_chunk_scan(cx, star, filters, s_range, seg, &covered) {
+                if let Some(p) = prepare_chunk_scan(cx, call, s_range, seg, &covered) {
                     preps.push(ClassScanPrep::Chunks(p));
                 }
             }
@@ -558,6 +674,8 @@ pub(crate) enum Access<'a> {
         /// One predicate's tombstones, (s, o)-sorted: a slice of the view.
         deleted: &'a [Triple],
         restrict: ORestrict,
+        /// `restrict` over present values ([`present_bounds`]).
+        bounds: (u64, u64),
     },
     /// Multi table pairs in subject range (sorted by s) + exceptions.
     Multi {
@@ -611,6 +729,7 @@ fn build_accesses<'a>(
                     ci: *ci,
                     exceptions: irr(),
                     deleted,
+                    bounds: present_bounds(&restrict),
                     restrict,
                 },
                 Covered::Multi(mi) => {
@@ -704,40 +823,27 @@ struct RowScratch<'d> {
 
 /// One star resolved against one class segment — what the page-at-a-time
 /// and the candidate-driven kernel share: the per-property accesses, the
-/// output layout, the residual filters and the dirty rows.
+/// call (output layout, residual filters) and the dirty rows.
 struct SegmentStar<'a> {
-    star: &'a Star,
+    call: &'a StarCall<'a>,
     seg: &'a ClassSegment,
     accesses: Vec<Access<'a>>,
-    out_vars: Vec<VarId>,
-    out_pos: Vec<Option<usize>>,
-    /// Star-local filters the pushed restricts do not already enforce.
-    star_filters: Vec<&'a Expr>,
     dirty: DirtyRows,
 }
 
 impl<'a> SegmentStar<'a> {
-    /// Resolve `star` against `seg` for subjects in `[s_lo, s_hi]`.
+    /// Resolve the call's star against `seg` for subjects in `[s_lo, s_hi]`.
     /// `positions_of` maps the ascending, distinct subjects an exception or
     /// a tombstone touches to the kernel's row positions (ascending).
-    #[allow(clippy::too_many_arguments)]
     fn resolve(
         cx: &'a ExecContext,
-        star: &'a Star,
-        filters: &[&'a Expr],
+        call: &'a StarCall<'a>,
         seg: &'a ClassSegment,
         covered: &[Covered],
         (s_lo, s_hi): (u64, u64),
         positions_of: impl FnOnce(&[Oid]) -> Vec<usize>,
     ) -> SegmentStar<'a> {
-        let accesses = build_accesses(cx, star, filters, seg, covered, s_lo, s_hi);
-        let out_vars = star.output_vars();
-        // Filters of the form `var CMP const` on this star's single-bound
-        // variables are already enforced by the pushed restricts (column
-        // checks, exception scans, s_range); only the rest needs per-row
-        // evaluation.
-        let star_filters = residual_filters(cx, star, filters);
-        let out_pos = out_positions(star, &out_vars);
+        let accesses = build_accesses(cx, call.star, call.filters, seg, covered, s_lo, s_hi);
 
         // Clean rows exist only where every access is an aligned column;
         // there, the dirty rows are the subjects of the exceptions and
@@ -764,12 +870,9 @@ impl<'a> SegmentStar<'a> {
             DirtyRows::All
         };
         SegmentStar {
-            star,
+            call,
             seg,
             accesses,
-            out_vars,
-            out_pos,
-            star_filters,
             dirty,
         }
     }
@@ -780,25 +883,36 @@ impl<'a> SegmentStar<'a> {
             row: Vec::new(),
             counter: Vec::new(),
             sel: Vec::new(),
-            batch: BatchEval::new(cx, &self.out_vars),
+            batch: BatchEval::new(cx, &self.call.emit.vars),
             mask: Vec::new(),
         }
     }
 
-    /// What [`emit_clean_run`] reads: per aligned column, its values (`vals`
-    /// yields one slice per access, in access order), the restriction folded
-    /// into value bounds, and the output position. Only consulted where clean
-    /// rows exist, i.e. when every access is an aligned column.
-    fn clean_run_columns<'v>(&'v self, vals: impl Iterator<Item = &'v [u64]>) -> Vec<CleanCol<'v>> {
+    /// What [`emit_clean_run`] reads: per aligned column its values (`vals`
+    /// yields, in access order, one slice per access and whether its zone
+    /// map already decided that every value passes), the restriction folded
+    /// into value bounds, and the output position. A column that is decided
+    /// and not emitted has nothing left to contribute and is left out — its
+    /// slice may be empty, the page was never pinned. Only consulted where
+    /// clean rows exist, i.e. when every access is an aligned column.
+    fn clean_run_columns<'v>(
+        &'v self,
+        vals: impl Iterator<Item = (&'v [u64], bool)>,
+    ) -> Vec<CleanCol<'v>> {
         self.accesses
             .iter()
             .zip(vals)
-            .zip(&self.out_pos)
-            .filter_map(|((a, vals), &pos)| match a {
-                Access::Col { restrict, .. } => {
-                    let (lo, hi) = present_bounds(restrict);
-                    Some(CleanCol { vals, lo, hi, pos })
-                }
+            .zip(&self.call.emit.props)
+            .filter_map(|((a, (vals, whole)), &pos)| match a {
+                Access::Col {
+                    bounds: (lo, hi), ..
+                } if !(whole && pos.is_none()) => Some(CleanCol {
+                    vals,
+                    lo: *lo,
+                    hi: *hi,
+                    whole,
+                    pos,
+                }),
                 _ => None,
             })
             .collect()
@@ -850,9 +964,9 @@ impl<'a> SegmentStar<'a> {
         }
         emit_combinations(
             cx,
-            self.star,
-            &self.out_pos,
-            &self.star_filters,
+            self.call.star,
+            &self.call.emit,
+            &self.call.residual,
             s,
             &scratch.lists,
             &mut scratch.row,
@@ -879,15 +993,16 @@ impl<'a> SegmentStar<'a> {
         scratch: &mut RowScratch,
         out: &mut Table,
     ) {
+        let subject_pos = self.call.emit.subject;
         let mut i = 0usize;
         while i < len {
             let d = self.dirty.next_from(cursor, from + i).min(from + len) - from;
             if d > i {
                 let before = out.len();
-                emit_clean_run(cols, i..d, subjects, &mut scratch.sel, out);
-                if !self.star_filters.is_empty() {
+                emit_clean_run(cols, i..d, subjects, subject_pos, &mut scratch.sel, out);
+                if !self.call.residual.is_empty() {
                     let RowScratch { batch, mask, .. } = scratch;
-                    retain_passing(&self.star_filters, before, batch, mask, out);
+                    retain_passing(&self.call.residual, before, batch, mask, out);
                 }
             }
             if d < len {
@@ -969,11 +1084,14 @@ impl Subjects<'_> {
 
 /// One aligned column of a clean run: the values aligned with the span's
 /// offsets (a pinned page slice or a gathered batch), the inclusive bounds a
-/// binding value lies in, and the output column (`None`: constant object).
+/// binding value lies in, whether a zone map already decided that every
+/// value does (`whole`: no test pass is needed), and the output column
+/// (`None`: a constant object, or a variable nothing reads).
 struct CleanCol<'v> {
     vals: &'v [u64],
     lo: u64,
     hi: u64,
+    whole: bool,
     pos: Option<usize>,
 }
 
@@ -989,19 +1107,42 @@ fn present_bounds(restrict: &ORestrict) -> (u64, u64) {
     (lo, hi.min(sordf_columnar::column::NULL_SENTINEL - 1))
 }
 
+/// Does the zone map of `col`'s page `p` decide that **every** row of the
+/// page binds — no NULL among them and every value inside `[lo, hi]`
+/// ([`present_bounds`])? Then the column passes any run of the page whole:
+/// a column nothing reads need not even be pinned, one that is read skips
+/// its test pass. The statistics cover the whole page, so they hold for any
+/// part of it (a partial last page, a sort-key-narrowed range).
+fn page_passes_whole(col: &sordf_columnar::Column, p: usize, (lo, hi): (u64, u64)) -> bool {
+    let stats = col.zonemap().page(p);
+    stats.n_nonnull as usize == col.page_rows(p).len() && stats.min >= lo && stats.max <= hi
+}
+
+/// [`page_passes_whole`] for every page at once: a column without a NULL
+/// whose value range lies inside the bounds.
+fn column_passes_whole(col: &sordf_columnar::Column, (lo, hi): (u64, u64)) -> bool {
+    let zm = col.zonemap();
+    col.n_nulls() == 0
+        && zm.global_min().is_some_and(|min| min >= lo)
+        && zm.global_max().is_some_and(|max| max <= hi)
+}
+
 /// Column-at-a-time evaluation of a clean run, offsets `rows` of `cols`. A
 /// row binds iff every column's value is present and within its bounds.
 /// The run is tested column by column — each test a branch-free pass that
-/// narrows the selection vector `sel` of surviving offsets — and then every
-/// output column is appended in one sweep: a slice copy when the whole run
-/// passed (no selection vector is ever built for it: the usual fate of an
-/// unrestricted page), a gather through `sel` otherwise. Output order is
-/// offset order. Runs of any length take this one path, down to the single
-/// row between two dirty ones: one counting pass and one `extend` per column.
+/// narrows the selection vector `sel` of surviving offsets; a column its
+/// zone map decided (`whole`) is not tested at all — and then every emitted
+/// column is appended in one sweep: a slice copy when the whole run passed
+/// (no selection vector is ever built for it: the usual fate of an
+/// unrestricted page), a gather through `sel` otherwise. The subject goes to
+/// column `subject_pos`, if anything reads it. Output order is offset order.
+/// Runs of any length take this one path, down to the single row between two
+/// dirty ones: one counting pass and one `extend` per column.
 fn emit_clean_run(
     cols: &[CleanCol],
     rows: std::ops::Range<usize>,
     subjects: Subjects,
+    subject_pos: Option<usize>,
     sel: &mut Vec<u32>,
     out: &mut Table,
 ) {
@@ -1012,6 +1153,9 @@ fn emit_clean_run(
     for c in cols {
         if c.lo > c.hi {
             return;
+        }
+        if c.whole {
+            continue;
         }
         let vals = &c.vals[rows.clone()];
         // `lo <= v <= hi` as one unsigned compare.
@@ -1051,20 +1195,26 @@ fn emit_clean_run(
 
     let base = rows.start;
     if selected {
-        subjects.extend(&mut out.cols[0], sel.iter().map(|&i| base + i as usize));
+        if let Some(pos) = subject_pos {
+            subjects.extend(&mut out.cols[pos], sel.iter().map(|&i| base + i as usize));
+        }
         for c in cols {
             if let Some(pos) = c.pos {
                 let vals = &c.vals[rows.clone()];
                 out.cols[pos].extend(sel.iter().map(|&i| Oid::from_raw(vals[i as usize])));
             }
         }
+        out.grow(sel.len());
     } else {
-        subjects.extend(&mut out.cols[0], rows.clone());
+        if let Some(pos) = subject_pos {
+            subjects.extend(&mut out.cols[pos], rows.clone());
+        }
         for c in cols {
             if let Some(pos) = c.pos {
                 out.cols[pos].extend(c.vals[rows.clone()].iter().map(|&v| Oid::from_raw(v)));
             }
         }
+        out.grow(n);
     }
 }
 
@@ -1076,14 +1226,39 @@ pub(crate) struct RowScanPrep<'a> {
     on: SegmentStar<'a>,
     rows: Vec<usize>,
     subjects: Vec<Oid>,
+    /// Per access: does its column pass whole ([`column_passes_whole`])?
+    whole: Vec<bool>,
+}
+
+/// Per access of `on`, whether `decide` says its aligned column passes
+/// whole; never for the other kinds of access, and with zone maps switched
+/// off only presence — the NULL count, no min/max — may decide.
+fn whole_columns(
+    cx: &ExecContext,
+    on: &SegmentStar,
+    decide: impl Fn(&sordf_columnar::Column, (u64, u64)) -> bool,
+) -> Vec<bool> {
+    on.accesses
+        .iter()
+        .map(|a| match a {
+            Access::Col {
+                ci,
+                restrict,
+                bounds,
+                ..
+            } => {
+                (cx.config.zonemaps || restrict.is_none()) && decide(&on.seg.columns[*ci], *bounds)
+            }
+            _ => false,
+        })
+        .collect()
 }
 
 /// Resolve candidates to segment rows and build the shared scan state.
 /// Returns `None` when no candidate falls into this segment.
 fn prepare_row_scan<'a>(
     cx: &'a ExecContext,
-    star: &'a Star,
-    filters: &[&'a Expr],
+    call: &'a StarCall<'a>,
     cands: &[Oid],
     s_range: SRange,
     seg: &'a ClassSegment,
@@ -1111,7 +1286,7 @@ fn prepare_row_scan<'a>(
     let s_bounds = (subjects[0].raw(), subjects.last().unwrap().raw());
     // Candidates ascend with their rows, so the dirty ones fall out of one
     // merge walk against the ascending touched subjects.
-    let on = SegmentStar::resolve(cx, star, filters, seg, covered, s_bounds, |touched| {
+    let on = SegmentStar::resolve(cx, call, seg, covered, s_bounds, |touched| {
         let mut at = 0usize;
         let mut hits = Vec::new();
         for (ri, s) in subjects.iter().enumerate() {
@@ -1124,47 +1299,79 @@ fn prepare_row_scan<'a>(
         }
         hits
     });
-    Some(RowScanPrep { on, rows, subjects })
+    let whole = whole_columns(cx, &on, column_passes_whole);
+    Some(RowScanPrep {
+        on,
+        rows,
+        subjects,
+        whole,
+    })
 }
 
 /// Evaluate the star for the candidate rows in `rr` (indices into the
-/// prepared row list). Column values are gathered batch-wise (one pin per
-/// touched page); clean candidates are evaluated column-at-a-time in the
-/// runs between dirty ones. Concatenating the outputs of consecutive ranges
-/// yields exactly the full-range table — the order-stability contract
-/// morsels rely on.
-fn scan_row_range(cx: &ExecContext, prep: &RowScanPrep, rr: std::ops::Range<usize>) -> Table {
+/// prepared row list), a page's worth of candidates at a time: column
+/// values are gathered batch-wise (one pin per touched page) — except a
+/// column that passes whole, nothing reads and no dirty candidate of the
+/// batch needs — clean candidates are evaluated column-at-a-time in the runs
+/// between dirty ones, and the batch's rows are flushed to the sink. The
+/// rows of consecutive ranges, in order, are exactly the full range's — the
+/// order-stability contract morsels rely on.
+fn scan_row_range(
+    cx: &ExecContext,
+    prep: &RowScanPrep,
+    rr: std::ops::Range<usize>,
+    sink: &mut impl StarSink,
+) {
     let on = &prep.on;
-    let rows = &prep.rows[rr.clone()];
-    let subjects = &prep.subjects[rr.clone()];
-    let mut out = Table::empty(on.out_vars.clone());
-    if rows.is_empty() {
-        return out;
+    let mut scratch = on.scratch(cx);
+    let mut cursor = on.dirty.seek(rr.start);
+    let mut emitted = 0u64;
+    let mut at = rr.start;
+    while at < rr.end {
+        // Per-batch cancellation poll — the bounded-work boundary of the
+        // RDFjoin kernel.
+        cx.check_cancelled();
+        let batch = at..rr.end.min(at + sordf_columnar::VALS_PER_PAGE);
+        let rows = &prep.rows[batch.clone()];
+        let clean_batch = on.dirty.next_from(&mut cursor, batch.start) >= batch.end;
+        // Gather each column once, aligned with this batch's `rows`.
+        let gathered: Vec<Vec<u64>> = on
+            .accesses
+            .iter()
+            .zip(&prep.whole)
+            .zip(&on.call.emit.props)
+            .map(|((a, &whole), pos)| match a {
+                Access::Col { .. } if clean_batch && whole && pos.is_none() => {
+                    ExecStats::bump(&cx.stats.column_pages_skipped, 1);
+                    Vec::new()
+                }
+                Access::Col { ci, .. } => on.seg.columns[*ci].gather(cx.pool, rows),
+                _ => Vec::new(),
+            })
+            .collect();
+        let cols = on.clean_run_columns(
+            gathered
+                .iter()
+                .map(Vec::as_slice)
+                .zip(prep.whole.iter().copied()),
+        );
+        let out = sink.buffer();
+        let before = out.len();
+        on.emit_span(
+            cx,
+            &mut cursor,
+            (batch.start, rows.len()),
+            &cols,
+            |pi, i| gathered[pi][i],
+            Subjects::Oids(&prep.subjects[batch.clone()]),
+            &mut scratch,
+            out,
+        );
+        emitted += (out.len() - before) as u64;
+        sink.flush(cx);
+        at = batch.end;
     }
-    // Per-morsel cancellation poll (morsels bound this range's size).
-    cx.check_cancelled();
-    // Gather each column once, aligned with this range's `rows`.
-    let gathered: Vec<Vec<u64>> = on
-        .accesses
-        .iter()
-        .map(|a| match a {
-            Access::Col { ci, .. } => on.seg.columns[*ci].gather(cx.pool, rows),
-            _ => Vec::new(),
-        })
-        .collect();
-    let cols = on.clean_run_columns(gathered.iter().map(Vec::as_slice));
-    on.emit_span(
-        cx,
-        &mut on.dirty.seek(rr.start),
-        (rr.start, rows.len()),
-        &cols,
-        |pi, i| gathered[pi][i],
-        Subjects::Oids(subjects),
-        &mut on.scratch(cx),
-        &mut out,
-    );
-    ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
-    out
+    ExecStats::bump(&cx.stats.rows_emitted, emitted);
 }
 
 /// Prepared state for a page-at-a-time (RDFscan) class scan: the narrowed
@@ -1178,6 +1385,9 @@ pub(crate) struct ChunkScanPrep<'a> {
     /// on, in property order: a page without dirty rows prunes on all of
     /// them, a page with one on the first only.
     prune_cols: Vec<(usize, u64, u64)>,
+    /// Per access: may a zone map decide its column for a page
+    /// ([`page_passes_whole`])?
+    decidable: Vec<bool>,
     first_page: usize,
     last_page: usize,
 }
@@ -1186,14 +1396,14 @@ pub(crate) struct ChunkScanPrep<'a> {
 /// Returns `None` when the subject/sort-key restrictions leave no rows.
 fn prepare_chunk_scan<'a>(
     cx: &'a ExecContext,
-    star: &'a Star,
-    filters: &[&'a Expr],
+    call: &'a StarCall<'a>,
     s_range: SRange,
     seg: &'a ClassSegment,
     covered: &[Covered],
 ) -> Option<ChunkScanPrep<'a>> {
     use sordf_columnar::VALS_PER_PAGE;
     let pool = cx.pool;
+    let (star, filters) = (call.star, call.filters);
     ExecStats::bump(&cx.stats.rdf_scans, 1);
 
     // ---- Row range -------------------------------------------------------
@@ -1246,7 +1456,7 @@ fn prepare_chunk_scan<'a>(
         seg.subject_at(pool, range.start).raw(),
         seg.subject_at(pool, range.end - 1).raw(),
     );
-    let on = SegmentStar::resolve(cx, star, filters, seg, covered, s_bounds, |touched| {
+    let on = SegmentStar::resolve(cx, call, seg, covered, s_bounds, |touched| {
         rows_of_subjects(cx, seg, &range, touched)
     });
 
@@ -1273,6 +1483,7 @@ fn prepare_chunk_scan<'a>(
             })
             .collect()
     };
+    let decidable = whole_columns(cx, &on, |_, _| true);
 
     let first_page = range.start / VALS_PER_PAGE;
     let last_page = (range.end - 1) / VALS_PER_PAGE;
@@ -1280,17 +1491,31 @@ fn prepare_chunk_scan<'a>(
         on,
         range,
         prune_cols,
+        decidable,
         first_page,
         last_page,
     })
 }
 
 /// RDFscan kernel: evaluate the star page-at-a-time over the pages in
-/// `pages` (clamped to the prepared range). Every covered column's page is
-/// pinned exactly once per touched page (subject pages of sparse segments in
-/// lockstep); zone-map pruning and the all-NULL skip run *before* pages are
+/// `pages` (clamped to the prepared range), flushing each page's rows to the
+/// sink. Zone-map pruning and the all-NULL skip run *before* pages are
 /// pinned, so skipped pages cost no pool traffic; values are read from
 /// contiguous slices, with no row-id or column materialization.
+///
+/// **A column is decided per page from its zone map before it is pinned**
+/// ([`page_passes_whole`]): when the page statistics say every row is
+/// present and inside the restriction, the column passes whole. If nothing
+/// reads it either — a property the query only mentions — its page is
+/// neither pinned nor decoded (`column_pages_skipped`); if something does,
+/// it is pinned for its values but skips its test pass. That holds on pages
+/// without dirty rows; a page with one pins every column exactly as before,
+/// because its exception / tombstone rows need the base values — which is
+/// also why pending inserts need no new rule here: a decided page has no
+/// dirty row, so nothing pending can bind on it. Otherwise every covered
+/// column's page is pinned exactly once per touched page (the subject page
+/// of a sparse segment in lockstep, when the subject is read or a row is
+/// dirty).
 ///
 /// One loop serves every segment: the clean runs between dirty rows are
 /// evaluated column-at-a-time, the dirty rows one by one — so a merged scan
@@ -1302,26 +1527,27 @@ fn prepare_chunk_scan<'a>(
 /// restricted column only — because pruning it also suppresses the dirty
 /// row's exception bindings, which is what the rowwise oracle does.
 ///
-/// Concatenating the outputs of consecutive page ranges yields exactly the
-/// full-range table — the order-stability contract morsels rely on.
+/// The rows of consecutive page ranges, in order, are exactly the full
+/// range's — the order-stability contract morsels rely on.
 fn scan_chunk_pages(
     cx: &ExecContext,
     prep: &ChunkScanPrep,
     pages: std::ops::Range<usize>,
-) -> Table {
+    sink: &mut impl StarSink,
+) {
     use sordf_columnar::VALS_PER_PAGE;
     let pool = cx.pool;
     let on = &prep.on;
     let seg = on.seg;
     let range = &prep.range;
+    let emit = &on.call.emit;
 
-    let mut out = Table::empty(on.out_vars.clone());
     let first_page = pages.start.max(prep.first_page);
     let last_page = (pages.end.saturating_sub(1)).min(prep.last_page);
     if first_page > last_page {
-        return out;
+        return;
     }
-    let mut rows_scanned = 0u64;
+    let (mut rows_scanned, mut rows_emitted) = (0u64, 0u64);
     let mut scratch = on.scratch(cx);
     let mut cursor = on.dirty.seek(first_page * VALS_PER_PAGE);
 
@@ -1358,37 +1584,57 @@ fn scan_chunk_pages(
             }
         }
 
-        // Pin this page of every covered column (and the subject column of a
-        // sparse segment) in lockstep.
-        let chunks: Vec<Option<sordf_columnar::Chunk>> = on
+        // Decide what the zone maps can, then pin this page of every column
+        // still needed (and the subject column of a sparse segment) in
+        // lockstep.
+        let chunks: Vec<(Option<sordf_columnar::Chunk>, bool)> = on
             .accesses
             .iter()
-            .map(|a| match a {
-                Access::Col { ci, .. } => {
-                    Some(seg.columns[*ci].pin_page_in(pool, p, range.clone()))
+            .zip(&prep.decidable)
+            .zip(&emit.props)
+            .map(|((a, &decidable), pos)| match a {
+                Access::Col { ci, bounds, .. } => {
+                    let col = &seg.columns[*ci];
+                    let whole = decidable && page_passes_whole(col, p, *bounds);
+                    if whole && clean_page && pos.is_none() {
+                        ExecStats::bump(&cx.stats.column_pages_skipped, 1);
+                        (None, true)
+                    } else {
+                        (Some(col.pin_page_in(pool, p, range.clone())), whole)
+                    }
                 }
-                _ => None,
+                _ => (None, false),
             })
             .collect();
         rows_scanned += (chunk_end - chunk_start) as u64;
         ExecStats::bump(&cx.stats.pages_scanned, 1);
         let subj_chunk = match &seg.subjects {
-            SubjectIds::Dense { .. } => None,
-            SubjectIds::Sparse { subjects } => Some(subjects.pin_page_in(pool, p, range.clone())),
+            SubjectIds::Sparse { subjects } if emit.subject.is_some() || !clean_page => {
+                Some(subjects.pin_page_in(pool, p, range.clone()))
+            }
+            _ => None,
         };
         let subjects = match (&subj_chunk, &seg.subjects) {
             (Some(c), _) => Subjects::Raw(c.values()),
             (None, SubjectIds::Dense { base }) => Subjects::Dense {
                 first: base + chunk_start as u64,
             },
-            (None, SubjectIds::Sparse { .. }) => unreachable!(),
+            // Nothing reads the subject and no row of the page is dirty.
+            (None, SubjectIds::Sparse { .. }) => Subjects::Raw(&[]),
         };
-        // Per access, this page's values (empty for non-column accesses).
+        // Per access, this page's values (empty where nothing was pinned).
         let page_vals: Vec<&[u64]> = chunks
             .iter()
-            .map(|c| c.as_ref().map_or(&[][..], |c| c.values()))
+            .map(|(c, _)| c.as_ref().map_or(&[][..], |c| c.values()))
             .collect();
-        let cols = on.clean_run_columns(page_vals.iter().copied());
+        let cols = on.clean_run_columns(
+            page_vals
+                .iter()
+                .copied()
+                .zip(chunks.iter().map(|&(_, whole)| whole)),
+        );
+        let out = sink.buffer();
+        let before = out.len();
         on.emit_span(
             cx,
             &mut cursor,
@@ -1397,23 +1643,13 @@ fn scan_chunk_pages(
             |pi, i| page_vals[pi][i],
             subjects,
             &mut scratch,
-            &mut out,
+            out,
         );
+        rows_emitted += (out.len() - before) as u64;
+        sink.flush(cx);
     }
     ExecStats::bump(&cx.stats.rows_scanned, rows_scanned);
-    ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
-    out
-}
-
-/// Position of each property's output column (subject is column 0).
-fn out_positions(star: &Star, out_vars: &[VarId]) -> Vec<Option<usize>> {
-    star.props
-        .iter()
-        .map(|p| match p.o {
-            VarOrOid::Var(v) => out_vars.iter().position(|&x| x == v),
-            VarOrOid::Const(_) => None,
-        })
-        .collect()
+    ExecStats::bump(&cx.stats.rows_emitted, rows_emitted);
 }
 
 /// Append the objects of all pairs with subject `s` (pairs sorted by s).
@@ -1428,14 +1664,15 @@ pub(crate) fn extend_from_sorted(list: &mut Vec<Oid>, pairs: &[(Oid, Oid)], s: O
 }
 
 /// Emit the cross product of per-property value lists for one subject,
-/// filtered by the star-local filters. `out_pos` is each property's output
-/// column (`None` for a constant object); `row` and `counter` are scratch
-/// buffers the caller reuses across subjects.
+/// filtered by the star-local filters, into the columns `emit` lays out —
+/// every combination is a row whether or not anything reads its bindings
+/// (bag semantics). `row` and `counter` are scratch buffers the caller
+/// reuses across subjects.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn emit_combinations(
     cx: &ExecContext,
     star: &Star,
-    out_pos: &[Option<usize>],
+    emit: &Emit,
     filters: &[&Expr],
     s: Oid,
     lists: &[Vec<Oid>],
@@ -1445,11 +1682,13 @@ pub(crate) fn emit_combinations(
 ) {
     row.clear();
     row.resize(out.vars.len(), Oid::NULL);
-    row[0] = s;
+    if let Some(pos) = emit.subject {
+        row[pos] = s;
+    }
     // Common case: every property has exactly one value — one row, no
     // counter.
     if lists.iter().all(|l| l.len() == 1) {
-        if bind_row(star, out_pos, |pi| lists[pi][0], row) {
+        if bind_row(star, &emit.props, |pi| lists[pi][0], row) {
             push_if_passes(cx, filters, row, out);
         }
         return;
@@ -1457,7 +1696,7 @@ pub(crate) fn emit_combinations(
     counter.clear();
     counter.resize(lists.len(), 0);
     loop {
-        if bind_row(star, out_pos, |pi| lists[pi][counter[pi]], row) {
+        if bind_row(star, &emit.props, |pi| lists[pi][counter[pi]], row) {
             push_if_passes(cx, filters, row, out);
         }
         // Advance the mixed-radix counter.
@@ -1518,11 +1757,7 @@ fn push_if_passes(cx: &ExecContext, filters: &[&Expr], row: &[Oid], out: &mut Ta
 /// with the value comparison only on values of the constant's own numeric
 /// type (`2.5` against the integer `5`), so it is pushed *and* stays
 /// residual — the star confirms by value the rows the range let through.
-pub(crate) fn residual_filters<'f>(
-    cx: &ExecContext,
-    star: &Star,
-    filters: &[&'f Expr],
-) -> Vec<&'f Expr> {
+pub fn residual_filters<'f>(cx: &ExecContext, star: &Star, filters: &[&'f Expr]) -> Vec<&'f Expr> {
     filters_bound_by_refs(filters, &star.bound_vars())
         .into_iter()
         .filter(|f| match f.as_var_cmp() {
@@ -1574,5 +1809,122 @@ pub(crate) fn intersect_ranges(a: SRange, b: SRange) -> SRange {
     match (a, b) {
         (None, x) | (x, None) => x,
         (Some((al, ah)), Some((bl, bh))) => Some((al.max(bl), ah.min(bh))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sordf_columnar::column::NULL_SENTINEL;
+    use sordf_columnar::{Column, ColumnEncoding, DiskManager, PageEnc, VALS_PER_PAGE};
+
+    /// Bounds of an unrestricted column: any present value.
+    const ANY: (u64, u64) = (0, NULL_SENTINEL - 1);
+
+    /// The per-page decision the RDFscan kernel takes before it pins a
+    /// column: partial last page, one NULL, a restriction straddling the
+    /// page's range, constant and all-NULL pages.
+    #[test]
+    fn zone_map_decides_a_column_page() {
+        let dm = DiskManager::temp().unwrap();
+        // Page 0: 100..=139 cycling, all present. Page 1: the same with one
+        // NULL. Page 2 (partial, 300 rows): 500..=509, all present.
+        let mut vals: Vec<u64> = (0..VALS_PER_PAGE as u64).map(|i| 100 + i % 40).collect();
+        vals.extend((0..VALS_PER_PAGE as u64).map(|i| 100 + i % 40));
+        vals[VALS_PER_PAGE + 17] = NULL_SENTINEL;
+        vals.extend((0..300u64).map(|i| 500 + i % 10));
+        for encoding in [ColumnEncoding::Plain, ColumnEncoding::Compressed] {
+            let col = Column::from_slice_with(&dm, &vals, encoding);
+            assert_eq!(col.n_pages(), 3);
+            // All present and inside: decided, whatever part of the page a
+            // sort-key-narrowed range then reads.
+            assert!(page_passes_whole(&col, 0, ANY));
+            assert!(page_passes_whole(&col, 0, (100, 139)));
+            assert!(page_passes_whole(&col, 0, (0, 139)));
+            // The restriction straddles the page's minimum / maximum.
+            assert!(!page_passes_whole(&col, 0, (101, 139)));
+            assert!(!page_passes_whole(&col, 0, (100, 138)));
+            assert!(!page_passes_whole(&col, 0, (200, 300)));
+            // Nothing can pass (`lo > hi`).
+            assert!(!page_passes_whole(&col, 0, (1, 0)));
+            // One NULL among 8192 rows: not decided, even unrestricted.
+            assert!(!page_passes_whole(&col, 1, ANY));
+            // The partial last page counts its own rows, not a full page's.
+            assert_eq!(col.page_rows(2).len(), 300);
+            assert!(page_passes_whole(&col, 2, ANY));
+            assert!(page_passes_whole(&col, 2, (500, 509)));
+            assert!(!page_passes_whole(&col, 2, (500, 508)));
+            // A column with a NULL anywhere is never decided as a whole.
+            assert!(!column_passes_whole(&col, ANY));
+        }
+
+        // A constant page is served from metadata; its zone map decides it
+        // like any other. An all-NULL page binds no row at all.
+        let mut vals = vec![7u64; VALS_PER_PAGE];
+        vals.extend(vec![NULL_SENTINEL; VALS_PER_PAGE]);
+        let col = Column::from_slice_with(&dm, &vals, ColumnEncoding::Compressed);
+        assert_eq!(col.page_enc(0), PageEnc::Const { value: 7 });
+        assert!(page_passes_whole(&col, 0, ANY));
+        assert!(page_passes_whole(&col, 0, (7, 7)));
+        assert!(!page_passes_whole(&col, 0, (8, 9)));
+        assert!(!page_passes_whole(&col, 1, ANY));
+
+        // Column level (RDFjoin): no NULL and the global range inside.
+        let col = Column::from_slice_with(&dm, &[5, 9, 7, 6], ColumnEncoding::Compressed);
+        assert!(column_passes_whole(&col, ANY));
+        assert!(column_passes_whole(&col, (5, 9)));
+        assert!(!column_passes_whole(&col, (6, 9)));
+        assert!(!column_passes_whole(&Column::empty(), ANY));
+    }
+
+    /// An equality and a range fold into one interval of present values.
+    #[test]
+    fn present_bounds_fold_restrictions() {
+        assert_eq!(present_bounds(&ORestrict::none()), ANY);
+        let eq = ORestrict::eq(Oid::from_int(5).unwrap());
+        let raw = Oid::from_int(5).unwrap().raw();
+        assert_eq!(present_bounds(&eq), (raw, raw));
+        let range = ORestrict {
+            eq: None,
+            range: Some((10, u64::MAX)),
+        };
+        assert_eq!(present_bounds(&range), (10, NULL_SENTINEL - 1));
+    }
+
+    /// An `Emit` lays out exactly the wanted variables, in canonical order.
+    #[test]
+    fn emit_binds_only_what_is_wanted() {
+        let star = Star {
+            subject_var: VarId(0),
+            subject_const: None,
+            props: vec![
+                StarProp {
+                    pred: Oid::iri(1),
+                    o: VarOrOid::Var(VarId(3)),
+                },
+                StarProp {
+                    pred: Oid::iri(2),
+                    o: VarOrOid::Const(Oid::iri(9)),
+                },
+                StarProp {
+                    pred: Oid::iri(3),
+                    o: VarOrOid::Var(VarId(1)),
+                },
+            ],
+        };
+        let all = Emit::all(&star);
+        assert_eq!(all.vars, vec![VarId(0), VarId(3), VarId(1)]);
+        assert_eq!(
+            (all.subject, &all.props[..]),
+            (Some(0), &[Some(1), None, Some(2)][..])
+        );
+        let some = Emit::of(&star, |v| v == VarId(1));
+        assert_eq!(some.vars, vec![VarId(1)]);
+        assert_eq!(
+            (some.subject, &some.props[..]),
+            (None, &[None, None, Some(0)][..])
+        );
+        let none = Emit::of(&star, |_| false);
+        assert!(none.vars.is_empty() && none.subject.is_none());
     }
 }

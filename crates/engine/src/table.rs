@@ -7,15 +7,22 @@ use sordf_model::Oid;
 pub struct VarId(pub u16);
 
 /// A materialized binding table: one column of OIDs per bound variable.
+///
+/// The row count is carried, not read off column 0: a plan step binds only
+/// the variables something later reads, and when nothing reads any of them
+/// (`SELECT (COUNT(*) AS ?n)`) the table has rows and no columns.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Which variable each column binds.
     pub vars: Vec<VarId>,
-    /// Column-major storage; all columns have equal length.
+    /// Column-major storage; every column holds [`len`](Self::len) values.
+    /// Code that appends to the columns directly reports the new rows
+    /// through [`grow`](Self::grow).
     pub cols: Vec<Vec<Oid>>,
     /// Index of a column the rows are sorted by, if known (enables merge
     /// joins without re-sorting).
     pub sorted_by: Option<usize>,
+    rows: usize,
 }
 
 impl Table {
@@ -26,12 +33,45 @@ impl Table {
             vars,
             cols,
             sorted_by: None,
+            rows: 0,
+        }
+    }
+
+    /// A table of `rows` rows over filled columns (one per variable).
+    pub fn from_cols(vars: Vec<VarId>, cols: Vec<Vec<Oid>>, rows: usize) -> Table {
+        debug_assert_eq!(vars.len(), cols.len());
+        debug_assert!(cols.iter().all(|c| c.len() == rows));
+        Table {
+            vars,
+            cols,
+            sorted_by: None,
+            rows,
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.cols.first().map(|c| c.len()).unwrap_or(0)
+        self.rows
+    }
+
+    /// `n` rows were appended to every column directly.
+    pub fn grow(&mut self, n: usize) {
+        self.rows += n;
+        debug_assert!(self.cols.iter().all(|c| c.len() == self.rows));
+    }
+
+    /// Keep the first `n` rows.
+    pub fn truncate(&mut self, n: usize) {
+        for c in self.cols.iter_mut() {
+            c.truncate(n);
+        }
+        self.rows = self.rows.min(n);
+    }
+
+    /// Drop every row, keeping the layout and the columns' capacity.
+    pub fn clear(&mut self) {
+        self.truncate(0);
+        self.sorted_by = None;
     }
 
     pub fn is_empty(&self) -> bool {
@@ -49,6 +89,7 @@ impl Table {
         for (c, &v) in self.cols.iter_mut().zip(row) {
             c.push(v);
         }
+        self.rows += 1;
     }
 
     /// One row as a Vec (for tests and small outputs).
@@ -76,6 +117,7 @@ impl Table {
             let reordered: Vec<Oid> = perm.iter().map(|&i| c[i]).collect();
             *c = reordered;
         }
+        self.rows = perm.len();
     }
 
     /// Keep only rows where `mask[i]` is true.
@@ -86,20 +128,21 @@ impl Table {
             // sordf-lint: allow(L3) — debug-asserted above: mask has one entry per row.
             c.retain(|_| *keep.next().unwrap());
         }
+        self.rows = mask.iter().filter(|&&keep| keep).count();
     }
 
-    /// Project to a subset of variables (must exist).
-    pub fn project(&self, vars: &[VarId]) -> Table {
-        let idx: Vec<usize> = vars
+    /// Project to a subset of variables (distinct, each must exist), taking
+    /// the columns over instead of copying them.
+    pub fn project(mut self, vars: &[VarId]) -> Table {
+        let cols = vars
             .iter()
-            // sordf-lint: allow(L3) — the documented contract: projection vars must exist in the table.
-            .map(|&v| self.col_of(v).expect("projection var missing"))
+            .map(|&v| {
+                // sordf-lint: allow(L3) — the documented contract: projection vars must exist in the table.
+                let i = self.col_of(v).expect("projection var missing");
+                std::mem::take(&mut self.cols[i])
+            })
             .collect();
-        Table {
-            vars: vars.to_vec(),
-            cols: idx.iter().map(|&i| self.cols[i].clone()).collect(),
-            sorted_by: None,
-        }
+        Table::from_cols(vars.to_vec(), cols, self.rows)
     }
 
     /// Sorted, deduplicated values of one column.
@@ -152,6 +195,7 @@ impl Table {
                 c.extend(oc);
             }
         }
+        self.rows += other.rows;
         self.sorted_by = None;
     }
 }

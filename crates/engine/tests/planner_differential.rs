@@ -9,9 +9,10 @@
 use proptest::prelude::*;
 use sordf_columnar::{BufferPool, DiskManager};
 use sordf_engine::parallel::ParallelConfig;
+use sordf_engine::star::apply_filters;
 use sordf_engine::{
-    execute_physical, optimize, optimize_with_order, prepare, CmpOp, ExecConfig, ExecContext, Expr,
-    PlanScheme, Query, StorageRef, TriplePattern, VarOrOid,
+    eval_star, execute_physical, optimize, optimize_with_order, prepare, CmpOp, ExecConfig,
+    ExecContext, Expr, PlanScheme, Query, StorageRef, TriplePattern, VarOrOid,
 };
 use sordf_model::{Oid, Term, TermTriple, Triple};
 use sordf_schema::SchemaConfig;
@@ -281,6 +282,24 @@ proptest! {
             // The optimizer's pick: one worker, the rowwise reference
             // operators, and three workers — all on the same plan.
             let pp = optimize(&cx, &lp);
+
+            // The filter-ownership rule, on the unpruned form: every star
+            // enforces the filters it binds — pushed or residual, on either
+            // access path, pending writes or not — so applying all of them
+            // again to its all-variables table removes no row. (This is
+            // what lets the tail of a plan apply cross-star filters only.)
+            let filters: Vec<&Expr> = lp.filters.iter().collect();
+            for step in &pp.steps {
+                let star = &lp.stars[step.star];
+                let mut table = eval_star(&cx, star, step.access, &filters, None, None);
+                let bound = table.len();
+                apply_filters(&cx, &mut table, &filters);
+                prop_assert_eq!(
+                    table.len(), bound,
+                    "star {} left a filter unenforced on {} ({:?}, zm={}, delta={})",
+                    step.star, name, scheme, zonemaps, with_delta
+                );
+            }
             let chosen = execute_physical(&cx, &q, &lp, &pp, None).canonical(dict);
             cx.config.rowwise = true;
             let row = execute_physical(&cx, &q, &lp, &pp, None);

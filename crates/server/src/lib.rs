@@ -516,6 +516,7 @@ fn handle_status(sh: &Shared) -> Response {
     let drift = sh.db.drift_stats();
     let plans = sh.db.plan_cache_stats();
     let mem = sh.db.memory_stats();
+    let scans = sh.db.scan_stats();
     let body = Obj::new()
         .raw(
             "drift",
@@ -547,6 +548,15 @@ fn handle_status(sh: &Shared) -> Response {
                 .num("delta_bytes", mem.delta_bytes)
                 .num("n_triples", mem.n_triples)
                 .num("bytes_per_triple", mem.bytes_per_triple())
+                .build(),
+        )
+        .raw(
+            "scans",
+            &Obj::new()
+                .num("rows_scanned", scans.rows_scanned)
+                .num("pages_scanned", scans.pages_scanned)
+                .num("zonemap_pages_skipped", scans.zonemap_pages_skipped)
+                .num("column_pages_skipped", scans.column_pages_skipped)
                 .build(),
         )
         .raw(
@@ -602,6 +612,7 @@ fn render_json(resp: &QueryResponse, trace: bool) -> Response {
                 &Obj::new()
                     .num("rows_scanned", stats.rows_scanned)
                     .num("pages_scanned", stats.pages_scanned)
+                    .num("column_pages_skipped", stats.column_pages_skipped)
                     .num("merge_joins", stats.merge_joins)
                     .num("hash_joins", stats.hash_joins)
                     .num("rdf_scans", stats.rdf_scans)

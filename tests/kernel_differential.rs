@@ -16,9 +16,11 @@
 //! order included**, between the kernels at one worker, at three workers,
 //! and the value-at-a-time rowwise oracle.
 //!
-//! Run it unoptimized too (CI's "Debug-assertion differentials"): only there
-//! does the tail of a plan assert that re-applying every star-bound filter
-//! removes no row.
+//! The filter-ownership rule — re-applying every filter to a star's unpruned
+//! table removes no row — is checked here over the same catalog
+//! (`filters_are_enforced_once`), and so is what a scan covers without
+//! reading: which column pages a zone map decides without a pin
+//! (`zone_map_decisions`).
 
 use sordf::{Database, ExecConfig, Generation, ParallelConfig, QueryRequest};
 use sordf_model::{Term, TermTriple};
@@ -60,18 +62,21 @@ fn row(i: usize, p: &str, o: Term) -> TermTriple {
     TermTriple::new(iri(&format!("row{i:05}")), iri(p), o)
 }
 
-fn row_triples(i: usize) -> Vec<TermTriple> {
-    // `day` ascends strictly with `i` (twelve months of 28 days): the dense
-    // layout's sort key keeps rows in `i` order, as parse order does for the
-    // sparse one.
-    let date = format!(
+/// `day` of row `i`: ascends strictly with `i` (twelve months of 28 days),
+/// so the dense layout's sort key keeps rows in `i` order, as parse order
+/// does for the sparse one.
+fn day_of(i: usize) -> String {
+    format!(
         "{}-{:02}-{:02}",
         1900 + i / 336,
         i / 28 % 12 + 1,
         i % 28 + 1
-    );
+    )
+}
+
+fn row_triples(i: usize) -> Vec<TermTriple> {
     let mut t = vec![
-        row(i, "day", Term::date(&date)),
+        row(i, "day", Term::date(&day_of(i))),
         row(i, "b", Term::int(b_of(i))),
         // Mostly integers, every 50th a decimal: `?m >= 5` pushed as a raw
         // OID range lets every decimal through; the value says otherwise.
@@ -265,6 +270,166 @@ fn answer(db: &Database, generation: Generation, what: &str, text: &str) -> Vec<
     one
 }
 
+/// **A filter is enforced once, by the star that binds all its variables**
+/// — the rule that lets the tail of a plan apply cross-star filters only.
+/// Checked on the unpruned form over the catalog: a star evaluated with all
+/// its variables loses no row when every filter is applied to it again.
+/// (The executor itself binds only what is read, so it cannot re-check: a
+/// pruned filter variable would read NULL.) Reads the clustered generation
+/// through the facade's storage handles, which carry no pending delta —
+/// `planner_differential` holds the rule with one.
+fn filters_are_enforced_once(db: &Database) {
+    use sordf_engine::{ExecContext, Expr, StorageRef};
+    let (store, schema, dict) = (
+        db.clustered_store().unwrap(),
+        db.schema().unwrap(),
+        db.dict(),
+    );
+    let cx = ExecContext::new(
+        db.buffer_pool(),
+        &dict,
+        StorageRef::Clustered {
+            store: &store,
+            schema: &schema,
+        },
+        ExecConfig::default(),
+    );
+    for (name, text) in catalog() {
+        let query = sordf_sparql::parse_sparql(&text, &dict).unwrap();
+        let (_, lp) = sordf_engine::prepare(&query);
+        let filters: Vec<&Expr> = lp.filters.iter().collect();
+        for step in &sordf_engine::optimize(&cx, &lp).steps {
+            let star = &lp.stars[step.star];
+            let mut table = sordf_engine::eval_star(&cx, star, step.access, &filters, None, None);
+            let bound = table.len();
+            sordf_engine::star::apply_filters(&cx, &mut table, &filters);
+            assert_eq!(
+                table.len(),
+                bound,
+                "{name}: star {} left one of its filters unenforced",
+                step.star
+            );
+        }
+    }
+}
+
+/// What one traced run of `text` covered: result rows, row-pages scanned,
+/// column pages a zone map decided without a pin, buffer-pool requests.
+fn covered(
+    db: &Database,
+    generation: Generation,
+    zonemaps: bool,
+    text: &str,
+) -> (usize, u64, u64, u64) {
+    let config = ExecConfig {
+        zonemaps,
+        ..Default::default()
+    };
+    let resp = db
+        .execute(
+            &QueryRequest::sparql(format!("{PREFIX}{text}"))
+                .generation(generation)
+                .config(config)
+                .traced(true),
+        )
+        .unwrap_or_else(|e| panic!("{text}: {e}"));
+    let (stats, pool) = (resp.stats.unwrap(), resp.pool.unwrap());
+    (
+        resp.results.len(),
+        stats.pages_scanned,
+        stats.column_pages_skipped,
+        pool.hits + pool.misses,
+    )
+}
+
+/// **A column is decided per page from its zone map before it is pinned**:
+/// a page without a dirty row whose statistics say "all present, all inside
+/// the restriction" is neither pinned nor decoded for a column nothing
+/// reads. `dirty`: the scenario's tombstones and inserts are pending (`b`
+/// on page 0, `a` on pages 1 and 2).
+fn zone_map_decisions(db: &Database, generation: Generation, layout: Layout, dirty: bool) {
+    let what = |q: &str| format!("{layout:?} dirty={dirty} {q}");
+    let run = |q: &str| covered(db, generation, true, q);
+    // `b` and `day` hold a value on every row: three pages, two columns,
+    // nothing to read but the subject — unless a row of the page is dirty,
+    // whose tombstone / exception needs the base values.
+    let unread = "SELECT ?s WHERE { ?s e:b ?b . ?s e:day ?d }";
+    let read = "SELECT ?s ?b ?d WHERE { ?s e:b ?b . ?s e:day ?d }";
+    let (rows, pages, skipped, requests) = run(unread);
+    assert_eq!((rows, pages), (N_ROW, 3), "{}", what(unread));
+    assert_eq!(skipped, if dirty { 4 } else { 6 }, "{}", what(unread));
+    // Every column page decided is a pool request not made.
+    let (_, _, read_skipped, read_requests) = run(read);
+    assert_eq!(read_skipped, 0, "{}", what(read));
+    assert_eq!(read_requests - requests, skipped, "{}", what(unread));
+    // No column read at all: the rows are still counted.
+    let counted = "SELECT (COUNT(*) AS ?n) WHERE { ?s e:b ?b . ?s e:day ?d }";
+    let (_, pages, count_skipped, _) = run(counted);
+    assert_eq!((pages, count_skipped), (3, skipped), "{}", what(counted));
+
+    // `a` lacks a value on the first and last row of every page: a page
+    // with one NULL must be pinned. `b` beside it is decided where clean.
+    let nulls = "SELECT ?s WHERE { ?s e:a ?a . ?s e:b ?b }";
+    let (_, pages, skipped, _) = run(nulls);
+    assert_eq!(pages, 3, "{}", what(nulls));
+    assert_eq!(skipped, if dirty { 0 } else { 3 }, "{}", what(nulls));
+
+    // A restriction from the middle of page 1 on: page 0 is not scanned
+    // (sort-key narrowing on the dense layout, a zone-map skip on the
+    // sparse one), page 1 straddles the bound and is pinned for `day`, page
+    // 2 lies inside it and is decided — the restriction is a date, pushed
+    // exactly, so nothing reads `?d` afterwards. `b` is decided on both.
+    let from = PAGE + 100;
+    let bounded = format!(
+        r#"SELECT ?s WHERE {{ ?s e:b ?b . ?s e:day ?d . FILTER(?d >= "{}"^^xsd:date) }}"#,
+        day_of(from)
+    );
+    let (rows, pages, skipped, _) = run(&bounded);
+    assert_eq!(
+        (rows, pages, skipped),
+        (N_ROW - from, 2, 3),
+        "{}",
+        what(&bounded)
+    );
+    // With zone maps switched off only a NULL count may decide: `day` is
+    // pinned wherever it is scanned — the sparse layout, without a sort key
+    // to narrow by, scans page 0 too — and `b` still is not, except on the
+    // page with dirty rows.
+    let (rows, pages, skipped, _) = covered(db, generation, false, &bounded);
+    let (scanned, decided) = match (layout, dirty) {
+        (Layout::Dense, _) => (2, 2),
+        (Layout::Sparse, false) => (3, 3),
+        (Layout::Sparse, true) => (3, 2),
+    };
+    assert_eq!(
+        (rows, pages, skipped),
+        (N_ROW - from, scanned, decided),
+        "{} zonemaps off",
+        what(&bounded)
+    );
+
+    // A sort-key-narrowed range inside one page (rows 1000..=1100 of page
+    // 0): the page statistics cover more than the range, so `day` straddles
+    // and is pinned, while `b` passes whole for any part of the page.
+    let inside = format!(
+        r#"SELECT ?s WHERE {{ ?s e:b ?b . ?s e:day ?d .
+           FILTER(?d >= "{}"^^xsd:date && ?d <= "{}"^^xsd:date) }}"#,
+        day_of(1000),
+        day_of(1100)
+    );
+    let (rows, pages, skipped, _) = run(&inside);
+    assert_eq!((rows, pages), (101, 1), "{}", what(&inside));
+    // Dense: the scan is narrowed to rows 1000..=1100, which are clean even
+    // when page 0 has dirty rows elsewhere. Sparse: the whole page is
+    // scanned, dirty rows included.
+    let decided = if dirty && layout == Layout::Sparse {
+        0
+    } else {
+        1
+    };
+    assert_eq!(skipped, decided, "{}", what(&inside));
+}
+
 fn index_of(rendered: &str) -> usize {
     let digits: String = rendered.chars().filter(char::is_ascii_digit).collect();
     digits
@@ -283,6 +448,9 @@ fn assert_in_row_order(layout: Layout, order: &[usize]) {
 
 fn scenario(layout: Layout) {
     let (db, generation) = build(layout);
+    if layout == Layout::Dense {
+        filters_are_enforced_once(&db);
+    }
     let cat = catalog();
     let run = |when: &str| -> Vec<Vec<Vec<String>>> {
         cat.iter()
@@ -337,6 +505,8 @@ fn scenario(layout: Layout) {
         );
     }
 
+    zone_map_decisions(&db, generation, layout, false);
+
     // The join shapes are candidate-driven: RDFjoin gathers the row star's
     // columns for the refs' targets.
     for name in ["join_rows", "join_rows_residual"] {
@@ -365,6 +535,7 @@ fn scenario(layout: Layout) {
     db.insert_terms(&inserts).unwrap();
     db.validate_invariants();
     let dirty = run("dirty");
+    zone_map_decisions(&db, generation, layout, true);
     let order: Vec<usize> = by_name(&dirty, "all_pass")
         .iter()
         .map(|r| index_of(&r[0]))

@@ -256,7 +256,56 @@ fn timeout_returns_408_and_server_survives() {
     let status = http_get(&addr, "/status", None);
     assert_eq!(status.status, 200);
     assert!(json_num(&status.body, "timeouts") >= 1);
+    // The completed run's scans are in the running totals: rows and
+    // row-pages covered, and the `lineitem_discount` pages of star `?a`
+    // nobody reads, decided by their zone maps without a pin.
+    assert!(
+        json_num(&status.body, "rows_scanned") > 0,
+        "{}",
+        status.body
+    );
+    assert!(
+        json_num(&status.body, "pages_scanned") >= 2,
+        "{}",
+        status.body
+    );
+    assert!(
+        json_num(&status.body, "column_pages_skipped") >= 2,
+        "{}",
+        status.body
+    );
     server.shutdown();
+}
+
+/// EXPLAIN ANALYZE reports, next to the per-step actual rows, what the run
+/// covered and what its zone maps spared it.
+#[test]
+fn explain_analyze_reports_scans() {
+    let db = served_db();
+    let (info, rs) = db
+        .explain_analyze(&format!(
+            "PREFIX rdfh: <{NS}>\nSELECT (COUNT(*) AS ?n) WHERE {{ \
+             ?li rdfh:lineitem_quantity ?q . ?li rdfh:lineitem_discount ?d }}"
+        ))
+        .unwrap();
+    assert_eq!(rs.len(), 1);
+    let scans = info.scans.expect("analyzed");
+    // Two pages of lineitems, two columns, neither read.
+    assert_eq!((scans.pages_scanned, scans.column_pages_skipped), (2, 4));
+    assert_eq!(info.steps[0].actual_rows, Some(scans.rows_scanned));
+    assert!(
+        info.text
+            .contains("2 pages covered, 0 pages skipped by zone maps, 4 column pages decided"),
+        "{}",
+        info.text
+    );
+    // A plain EXPLAIN executed nothing.
+    let planned = db
+        .explain(&format!(
+            "PREFIX rdfh: <{NS}>\nSELECT ?q WHERE {{ ?li rdfh:lineitem_quantity ?q }}"
+        ))
+        .unwrap();
+    assert!(planned.scans.is_none() && !planned.text.contains("covered"));
 }
 
 #[test]
