@@ -21,24 +21,11 @@ pub const NULL_SENTINEL: u64 = u64::MAX;
 /// served from here without a buffer-pool request.
 static NULL_PAGE: [u64; VALS_PER_PAGE] = [NULL_SENTINEL; VALS_PER_PAGE];
 
-/// Column-level encoding scheme: whether the builder may compress pages.
-/// The per-page choice (FOR vs constant vs plain) stays with the size
-/// heuristic in [`crate::compress`]; this knob only disables it wholesale —
-/// for the plain arm of differential tests and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ColumnEncoding {
-    /// Raw 64-bit values on every page (the pre-compression layout).
-    Plain,
-    /// Per-page size heuristic: FOR/const where they shrink the page,
-    /// plain otherwise.
-    #[default]
-    Compressed,
-}
-
 /// Append-only builder; call [`ColumnBuilder::finish`] to seal the column.
+/// Each page is encoded as the size heuristic of [`crate::compress`] picks:
+/// FOR or constant where they shrink it, plain otherwise.
 pub struct ColumnBuilder<'a> {
     disk: &'a DiskManager,
-    encoding: ColumnEncoding,
     buf: Vec<u64>,
     pages: Vec<PageId>,
     stats: Vec<PageStats>,
@@ -51,14 +38,8 @@ pub struct ColumnBuilder<'a> {
 
 impl<'a> ColumnBuilder<'a> {
     pub fn new(disk: &'a DiskManager) -> ColumnBuilder<'a> {
-        ColumnBuilder::new_with(disk, ColumnEncoding::default())
-    }
-
-    /// A builder with an explicit encoding scheme.
-    pub fn new_with(disk: &'a DiskManager, encoding: ColumnEncoding) -> ColumnBuilder<'a> {
         ColumnBuilder {
             disk,
-            encoding,
             buf: Vec::with_capacity(VALS_PER_PAGE),
             pages: Vec::new(),
             stats: Vec::new(),
@@ -95,10 +76,7 @@ impl<'a> ColumnBuilder<'a> {
     fn flush_page(&mut self) {
         // Per-page encoding choice: the size heuristic picks the layout,
         // and the encoded image (when one exists) is what hits the disk.
-        let (enc, image) = match self.encoding {
-            ColumnEncoding::Plain => (PageEnc::Plain, None),
-            ColumnEncoding::Compressed => compress::choose(&self.buf),
-        };
+        let (enc, image) = compress::choose(&self.buf);
         self.used_words += enc.used_words(self.buf.len());
         let id = self.disk.alloc_page();
         self.disk
@@ -229,12 +207,7 @@ impl Chunk {
 impl Column {
     /// Build a column directly from a slice (convenience for loading).
     pub fn from_slice(disk: &DiskManager, vals: &[u64]) -> Column {
-        Column::from_slice_with(disk, vals, ColumnEncoding::default())
-    }
-
-    /// [`Column::from_slice`] with an explicit encoding scheme.
-    pub fn from_slice_with(disk: &DiskManager, vals: &[u64], encoding: ColumnEncoding) -> Column {
-        let mut b = ColumnBuilder::new_with(disk, encoding);
+        let mut b = ColumnBuilder::new(disk);
         b.extend_from_slice(vals);
         b.finish()
     }
@@ -959,17 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_encoding_knob_disables_compression() {
-        let dm = Arc::new(DiskManager::temp().unwrap());
-        let vals: Vec<u64> = (0..2 * VALS_PER_PAGE as u64).collect();
-        let col = Column::from_slice_with(&dm, &vals, ColumnEncoding::Plain);
-        assert_eq!(col.encoding_counts(), (col.n_pages(), 0, 0));
-        assert_eq!(col.used_bytes(), col.plain_bytes());
-        let pool = BufferPool::new(Arc::clone(&dm), 64);
-        assert_eq!(col.to_vec(&pool, 0..vals.len()), vals);
-    }
-
-    #[test]
     fn constant_pages_skip_the_pool() {
         // A full page of one repeated value is served from metadata.
         let vals = vec![99u64; VALS_PER_PAGE + 10];
@@ -986,7 +948,8 @@ mod tests {
 
     #[test]
     fn compressed_matches_plain_on_mixed_content() {
-        // NULL-ridden, unsorted, with wide outliers: every page class at once.
+        // NULL-ridden, unsorted, with wide outliers: every page class at
+        // once, read back equal to the plain values it was built from.
         let mut vals = Vec::new();
         for i in 0..(2 * VALS_PER_PAGE + 700) as u64 {
             vals.push(match i % 7 {
@@ -996,19 +959,14 @@ mod tests {
                 _ => 1_000 + (i % 50),
             });
         }
-        let dm = Arc::new(DiskManager::temp().unwrap());
-        let pool = BufferPool::new(Arc::clone(&dm), 64);
-        let plain = Column::from_slice_with(&dm, &vals, ColumnEncoding::Plain);
-        let comp = Column::from_slice_with(&dm, &vals, ColumnEncoding::Compressed);
-        assert_eq!(
-            comp.to_vec(&pool, 0..vals.len()),
-            plain.to_vec(&pool, 0..vals.len())
-        );
-        assert_eq!(comp.n_nulls(), plain.n_nulls());
+        let (_dm, pool, col) = setup(&vals);
+        assert_eq!(col.to_vec(&pool, 0..vals.len()), vals);
+        assert_eq!(col.n_nulls(), vals.len().div_ceil(7));
         let rows: Vec<usize> = (0..vals.len()).step_by(97).collect();
-        assert_eq!(comp.gather(&pool, &rows), plain.gather(&pool, &rows));
+        let want: Vec<u64> = rows.iter().map(|&r| vals[r]).collect();
+        assert_eq!(col.gather(&pool, &rows), want);
         for idx in [0, 1, VALS_PER_PAGE, 2 * VALS_PER_PAGE + 699] {
-            assert_eq!(comp.value(&pool, idx), plain.value(&pool, idx));
+            assert_eq!(col.value(&pool, idx), vals[idx]);
         }
     }
 

@@ -16,7 +16,7 @@
 //! page's own header word (so pages are self-describing on disk):
 //!
 //! ```text
-//! Plain:  [v0][v1]...[v8191]                      (no header; the legacy layout)
+//! Plain:  [v0][v1]...[v8191]                      (no header)
 //! FOR:    [header][base][packed deltas...]        (header tag = 1)
 //! Const:  [header][value]                         (header tag = 2)
 //! ```
@@ -51,7 +51,8 @@ const FOR_PREFIX_WORDS: usize = 2;
 /// per page) so readers know the layout before touching the page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageEnc {
-    /// Raw u64 values, no header — the legacy layout.
+    /// Raw u64 values, no header — for pages that neither FOR nor a
+    /// constant would shrink.
     Plain,
     /// Frame-of-reference: `base` + `width`-bit deltas, NULL in-band as the
     /// all-ones delta code.
@@ -63,8 +64,8 @@ pub enum PageEnc {
 
 impl PageEnc {
     /// Words of the 64 KiB page this encoding actually uses for `count`
-    /// values — the "bytes a scan must touch" metric reported by
-    /// `bench_memory`.
+    /// values — the "bytes a scan must touch" behind
+    /// `Column::used_bytes` and the store's compression ratio.
     pub fn used_words(&self, count: usize) -> usize {
         match self {
             PageEnc::Plain => count,

@@ -6,8 +6,8 @@
 //! * [`DiskManager`] — page-granular file I/O (64 KiB pages of 8192 u64s).
 //! * [`BufferPool`] — an LRU page cache with `Arc` handout and
 //!   hit/miss/read statistics. "Cold" runs in the paper's Table I are
-//!   reproduced by [`BufferPool::clear`]; optional synthetic per-read latency
-//!   models a spinning disk deterministically.
+//!   reproduced by [`BufferPool::clear`]: every page the next run touches is
+//!   a file read.
 //! * [`Column`] / [`ColumnBuilder`] — immutable u64 columns stored across
 //!   pages, with per-page [`ZoneMap`]s (min/max/null-count) built at write
 //!   time, chunked access for vectorized operators, and binary search over
@@ -28,7 +28,7 @@ pub mod zonemap;
 
 pub use bitmap::Bitmap;
 pub use column::Chunk;
-pub use column::{Column, ColumnBuilder, ColumnEncoding};
+pub use column::{Column, ColumnBuilder};
 pub use compress::PageEnc;
 pub use disk::{DiskManager, PageId, PageLease, PAGE_BYTES, VALS_PER_PAGE};
 pub use fault::{CountingFault, DiskFault, WriteFault};

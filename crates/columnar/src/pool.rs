@@ -2,10 +2,9 @@
 //!
 //! The pool is the only path from operators to stored pages, which makes the
 //! paper's cold/hot distinction reproducible: a *cold* run calls
-//! [`BufferPool::clear`] first (every page fault goes to the file, optionally
-//! with synthetic latency), a *hot* run reuses the warm cache. The stats
-//! counters double as the locality metric ("pages touched") reported by the
-//! benchmark harnesses.
+//! [`BufferPool::clear`] first (every page fault goes to the file), a *hot*
+//! run reuses the warm cache. The stats counters double as the locality
+//! metric ("pages touched") reported by the benchmark harnesses.
 //!
 //! # Threading model
 //!
@@ -132,8 +131,6 @@ struct PoolInner {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Synthetic extra latency per page read, in nanoseconds (0 = off).
-    read_latency_ns: AtomicU64,
 }
 
 /// The sharded LRU page cache. See the [module docs](self). Cheap to pass
@@ -173,7 +170,6 @@ impl BufferPool {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            read_latency_ns: AtomicU64::new(0),
         });
         // Freed (recyclable) pages must leave the cache before their ids are
         // reused; the Weak lets a dropped pool prune itself from the hook list.
@@ -191,13 +187,6 @@ impl BufferPool {
     /// The disk manager this pool reads from.
     pub fn disk(&self) -> &Arc<DiskManager> {
         &self.inner.disk
-    }
-
-    /// Configure synthetic per-miss latency (models a disk for cold runs).
-    pub fn set_read_latency_ns(&self, ns: u64) {
-        // ordering: Relaxed — a standalone config knob; readers only need to
-        // see *some* recent value, nothing else is published through it.
-        self.inner.read_latency_ns.store(ns, Ordering::Relaxed);
     }
 
     /// Pin a page for slice access. One pin per page is the contract of
@@ -372,10 +361,6 @@ impl PoolInner {
         // serialized on I/O (double reads of the same page are possible and
         // resolved below).
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let latency = self.read_latency_ns.load(Ordering::Relaxed);
-        if latency > 0 {
-            spin_wait_ns(latency);
-        }
         let data = Arc::new(self.read_page_retrying(id)?);
         let mut inner = shard.inner.lock();
         let tick = inner.tick + 1;
@@ -461,16 +446,6 @@ impl PoolInner {
                 inner.lru.remove(&(frame.last_used, id));
             }
         }
-    }
-}
-
-/// Busy-wait for sub-millisecond synthetic latencies (thread::sleep is far
-/// too coarse at this scale and would distort cold timings).
-fn spin_wait_ns(ns: u64) {
-    let start = std::time::Instant::now();
-    let target = std::time::Duration::from_nanos(ns);
-    while start.elapsed() < target {
-        std::hint::spin_loop();
     }
 }
 

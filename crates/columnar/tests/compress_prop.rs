@@ -1,24 +1,27 @@
-//! Property-based differential tests for the page-compression layer.
-//!
-//! Two layers of properties, both differential against the plain layout:
+//! Property-based differential tests for the page-compression layer, both
+//! against the raw input values:
 //!
 //! * **Page level** — for arbitrary value runs, [`compress::choose`] must
 //!   produce an image that decodes byte-identically back through
 //!   [`compress::for_get`] / [`compress::for_decode_range`], and
 //!   [`compress::for_partition_point`] must agree with the slice
 //!   `partition_point` on sorted runs.
-//! * **Column level** — a [`Column`] built with `ColumnEncoding::Compressed`
-//!   must agree with its `ColumnEncoding::Plain` twin on every accessor the
-//!   engine uses: point access, `gather`, range decode, and binary search.
+//! * **Column level** — a [`Column`] built from a slice must return that
+//!   slice through every accessor the engine and the store layouts call on
+//!   a column: `len`, `n_nulls`, `n_pages`, `page_rows`, `zonemap`,
+//!   `to_vec`, `for_each_chunk`, `for_each_chunk_pruned`,
+//!   `for_each_chunk_pair`, `pin_page_in`, `gather`, `value`, and the
+//!   binary searches `lower_bound`, `upper_bound`, `lower_bound_in`,
+//!   `upper_bound_in`.
 //!
 //! Deterministic edge-case tests cover the shapes the generator is unlikely
 //! to hit: empty columns, all-NULL pages, single-value pages, and ranges too
-//! wide for any packed width.
+//! wide for any packed width — each at both levels, page and column.
 
 use proptest::prelude::*;
 use sordf_columnar::column::NULL_SENTINEL;
 use sordf_columnar::compress::{self, PageEnc};
-use sordf_columnar::{BufferPool, Column, ColumnEncoding, DiskManager, VALS_PER_PAGE};
+use sordf_columnar::{BufferPool, Column, DiskManager, VALS_PER_PAGE};
 use std::sync::Arc;
 
 /// Round-trip one logical page through `choose` and the FOR decoders,
@@ -59,62 +62,106 @@ fn assert_page_roundtrip(vals: &[u64]) -> PageEnc {
     enc
 }
 
-/// Build the same values under both encodings and assert every accessor
-/// the engine uses agrees. `probes` drive the binary-search comparison
-/// (only meaningful when `vals` is sorted; pass `sorted = true` then).
+/// Build a column from `vals` and assert every accessor the engine uses
+/// returns them. `probes` drive the binary-search comparison (only
+/// meaningful when `vals` is sorted; pass `sorted = true` then).
 fn assert_column_differential(vals: &[u64], probes: &[u64], sorted: bool) {
     let dm = Arc::new(DiskManager::temp().unwrap());
-    let plain = Column::from_slice_with(&dm, vals, ColumnEncoding::Plain);
-    let comp = Column::from_slice_with(&dm, vals, ColumnEncoding::Compressed);
+    let col = Column::from_slice(&dm, vals);
     let pool = BufferPool::new(Arc::clone(&dm), 64);
 
-    assert_eq!(plain.len(), comp.len());
-    assert_eq!(plain.n_nulls(), comp.n_nulls());
+    assert_eq!(col.len(), vals.len());
+    let nulls = vals.iter().filter(|&&v| v == NULL_SENTINEL).count();
+    assert_eq!(col.n_nulls(), nulls);
+    assert_eq!(col.n_pages(), vals.len().div_ceil(VALS_PER_PAGE));
+    assert_eq!(col.plain_bytes(), vals.len() * 8);
     // Compression never grows the column beyond the 2-word Const/FOR page
     // prefix a 1-value tail page pays (plain stores 1 word there).
     assert!(
-        comp.used_bytes() <= plain.used_bytes().max(16),
+        col.used_bytes() <= col.plain_bytes().max(16),
         "compression grew the column: {} > {}",
-        comp.used_bytes(),
-        plain.used_bytes()
+        col.used_bytes(),
+        col.plain_bytes()
     );
 
-    // Full materialization and point access.
-    assert_eq!(
-        plain.to_vec(&pool, 0..vals.len()),
-        comp.to_vec(&pool, 0..vals.len()),
-        "to_vec differs"
+    // Full materialization (the chunk iterator every scan drives), then each
+    // chunked entry point over an interior range that cuts pages, and the
+    // page geometry and statistics the kernels read before pinning.
+    assert_eq!(col.to_vec(&pool, 0..vals.len()), vals, "to_vec vs input");
+    let mid = vals.len() / 7..vals.len() - vals.len() / 9;
+    let want_mid = &vals[mid.clone()];
+    let mut got = Vec::new();
+    col.for_each_chunk(&pool, mid.clone(), |c| got.extend_from_slice(c.values()));
+    assert_eq!(got, want_mid, "for_each_chunk");
+    got.clear();
+    col.for_each_chunk_pruned(
+        &pool,
+        mid.clone(),
+        |_, _| true,
+        |c| got.extend_from_slice(c.values()),
     );
-    assert_eq!(plain.to_vec(&pool, 0..vals.len()), vals, "to_vec vs input");
-    // Gather across page boundaries (first/last of each page plus strides).
+    assert_eq!(got, want_mid, "for_each_chunk_pruned");
+    got.clear();
+    Column::for_each_chunk_pair(&col, &col, &pool, mid.clone(), |a, b| {
+        assert_eq!(a.values(), b.values());
+        got.extend_from_slice(a.values());
+    });
+    assert_eq!(got, want_mid, "for_each_chunk_pair");
+    got.clear();
+    if !mid.is_empty() {
+        for p in mid.start / VALS_PER_PAGE..=(mid.end - 1) / VALS_PER_PAGE {
+            got.extend_from_slice(col.pin_page_in(&pool, p, mid.clone()).values());
+        }
+    }
+    assert_eq!(got, want_mid, "pin_page_in");
+    for p in 0..col.n_pages() {
+        let page = &vals[col.page_rows(p)];
+        let present: Vec<u64> = page
+            .iter()
+            .copied()
+            .filter(|&v| v != NULL_SENTINEL)
+            .collect();
+        let st = col.zonemap().page(p);
+        assert_eq!(st.n_nonnull as usize, present.len(), "page {p} count");
+        if let (Some(&min), Some(&max)) = (present.iter().min(), present.iter().max()) {
+            assert_eq!((st.min, st.max), (min, max), "page {p} bounds");
+        }
+    }
+    // Gather and point access across page boundaries (first/last of each
+    // page plus strides).
     let mut rows: Vec<usize> = (0..vals.len()).step_by(vals.len() / 13 + 1).collect();
-    for p in 0..plain.n_pages() {
-        let r = plain.page_rows(p);
+    for p in 0..col.n_pages() {
+        let r = col.page_rows(p);
         rows.push(r.start);
         rows.push(r.end - 1);
     }
-    assert_eq!(plain.gather(&pool, &rows), comp.gather(&pool, &rows));
+    rows.sort_unstable();
+    let want: Vec<u64> = rows.iter().map(|&i| vals[i]).collect();
+    assert_eq!(col.gather(&pool, &rows), want, "gather");
     for &i in rows.iter() {
-        assert_eq!(plain.value(&pool, i), comp.value(&pool, i), "value({i})");
+        assert_eq!(col.value(&pool, i), vals[i], "value({i})");
     }
 
     // Sorted binary search is only contractual for NULL-free columns (the
     // clustered index columns): zone-map page maxima ignore NULLs, so a
     // mixed value+NULL page is outside the search contract.
-    if sorted && plain.n_nulls() == 0 {
+    if sorted && nulls == 0 {
         for &probe in probes {
             let expect_lo = vals.partition_point(|&x| x < probe);
             let expect_hi = vals.partition_point(|&x| x <= probe);
-            assert_eq!(plain.lower_bound(&pool, probe), expect_lo);
-            assert_eq!(comp.lower_bound(&pool, probe), expect_lo, "lb({probe})");
-            assert_eq!(plain.upper_bound(&pool, probe), expect_hi);
-            assert_eq!(comp.upper_bound(&pool, probe), expect_hi, "ub({probe})");
+            assert_eq!(col.lower_bound(&pool, probe), expect_lo, "lb({probe})");
+            assert_eq!(col.upper_bound(&pool, probe), expect_hi, "ub({probe})");
             // Sub-range search (run-local secondary keys).
             let (lo, hi) = (vals.len() / 5, vals.len() - vals.len() / 5);
             assert_eq!(
-                plain.lower_bound_in(&pool, lo..hi, probe),
-                comp.lower_bound_in(&pool, lo..hi, probe),
+                col.lower_bound_in(&pool, lo..hi, probe),
+                lo + vals[lo..hi].partition_point(|&x| x < probe),
                 "lb_in({probe})"
+            );
+            assert_eq!(
+                col.upper_bound_in(&pool, lo..hi, probe),
+                lo + vals[lo..hi].partition_point(|&x| x <= probe),
+                "ub_in({probe})"
             );
         }
     }
@@ -238,7 +285,7 @@ proptest! {
 fn empty_column_both_encodings() {
     assert_column_differential(&[], &[], true);
     let dm = Arc::new(DiskManager::temp().unwrap());
-    let c = Column::from_slice_with(&dm, &[], ColumnEncoding::Compressed);
+    let c = Column::from_slice(&dm, &[]);
     assert_eq!(c.len(), 0);
     assert_eq!(c.n_pages(), 0);
     assert_eq!(c.used_bytes(), 0);

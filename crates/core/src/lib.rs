@@ -55,18 +55,17 @@
 //! Reorganization happens **off the write path**: every query *pins* the
 //! current [`StoreGeneration`] (an `Arc` of dictionary + base triples +
 //! built stores) plus a delta view at query start and never re-reads shared
-//! state. [`Database::reorganize_async`] (and the policy-gated
-//! [`Database::maybe_reorganize_async`], or a [`Database::start_auto_reorg`]
-//! thread) builds the next generation on a worker thread against that
-//! pinned snapshot while reads *and writes* continue, then swaps the handle
-//! in atomically — folding every write that arrived during the rebuild into
-//! the fresh generation's delta store (decoded under the old dictionary,
-//! re-encoded under the renumbered one, replayed in sequence order so
-//! snapshots taken at or after the rebuild pin survive the swap). Readers
-//! never block on a rebuild; writers stall only for the short swap +
-//! catch-up fold, never for the rebuild itself. Synchronous
-//! [`Database::reorganize_now`] / [`Database::maybe_reorganize`] run the
-//! same pin → build → swap protocol inline on the calling thread.
+//! state. [`Database::reorganize_async`] builds the next generation on a
+//! worker thread against that pinned snapshot while reads *and writes*
+//! continue, then swaps the handle in atomically — folding every write that
+//! arrived during the rebuild into the fresh generation's delta store
+//! (decoded under the old dictionary, re-encoded under the renumbered one,
+//! replayed in sequence order so snapshots taken at or after the rebuild pin
+//! survive the swap). Readers never block on a rebuild; writers stall only
+//! for the short swap + catch-up fold, never for the rebuild itself.
+//! Synchronous [`Database::reorganize_now`] / [`Database::maybe_reorganize`]
+//! run the same pin → build → swap protocol inline on the calling thread.
+//! These three are the only ways to reorganize: nothing rebuilds on its own.
 //!
 //! ## Durability
 //!
@@ -95,16 +94,11 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-// sordf-lint: allow(L4) — the auto-reorg stop handshake needs a Condvar,
-// which the vendored shim does not provide; this std Mutex+Condvar pair
-// guards only the stop flag and handles poisoning inline.
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use sordf_columnar::crash_point;
-pub use sordf_columnar::ColumnEncoding;
 use sordf_columnar::{BufferPool, DiskManager, PoolStats};
 pub use sordf_engine::planner::{PlanInfo, StepInfo};
 pub use sordf_engine::{CancellationToken, ExecConfig, ParallelConfig, PlanScheme, StopReason};
@@ -114,8 +108,8 @@ use sordf_model::{
 use sordf_schema::{ClassId, IncrementalAssigner};
 pub use sordf_schema::{DriftStats, EmergentSchema, SchemaConfig};
 use sordf_storage::{
-    build_clustered_with, fold_delta, reorganize_from, term_oid_skolemized, visible_base,
-    BaselineStore, BatchResolver, ClusterSpec, ClusteredStore, DeltaStore, DeltaView, DeltaWrite,
+    build_clustered, fold_delta, reorganize_from, term_oid_skolemized, visible_base, BaselineStore,
+    BatchResolver, ClusterSpec, ClusteredStore, DeltaStore, DeltaView, DeltaWrite,
     GenerationHandle, LayoutFlags, LogRecord, Manifest, PoolCounts, ReorgReport, SnapshotHeader,
     StoreSnapshot, WalKind, WalWriter,
 };
@@ -399,14 +393,10 @@ struct State {
     /// cache-only databases (and while recovery rebuilds the layouts: it
     /// commits the recovered state once, as a fresh pair, at the end).
     durable: Option<DurableState>,
-    /// Page-encoding scheme for the *next* build/reorganization (already
-    /// built generations keep the scheme recorded on them).
-    encoding: ColumnEncoding,
 }
 
 /// Shared interior of [`Database`]: everything queries, writers and the
-/// background rebuild worker touch. `Database` itself adds only per-handle
-/// defaults (exec config) and the auto-reorg thread handle.
+/// background rebuild worker touch.
 struct DbInner {
     dm: Arc<DiskManager>,
     pool: BufferPool,
@@ -601,14 +591,9 @@ impl DbInner {
 ///
 /// Thread-safe with interior mutability: queries take `&self` and *pin*
 /// the generation they run against; writes also take `&self` and serialize
-/// on an internal state lock. `&mut self` remains only where a second
-/// handle must not exist (starting/stopping the auto-reorg thread).
+/// on an internal state lock.
 pub struct Database {
     inner: Arc<DbInner>,
-    /// Default engine configuration used by [`Database::query`].
-    config: ExecConfig,
-    /// The auto-reorganization thread, if started.
-    auto: Option<AutoReorg>,
 }
 
 impl Database {
@@ -638,11 +623,8 @@ impl Database {
                     epoch: 0,
                     rebuild: None,
                     durable: None,
-                    encoding: ColumnEncoding::default(),
                 }),
             }),
-            config: ExecConfig::default(),
-            auto: None,
         }
     }
 
@@ -657,15 +639,10 @@ impl Database {
     /// built once over the result and a fresh snapshot + log pair is
     /// committed — the returned store is organized and its delta is empty.
     pub fn open(dir: &Path) -> Result<Database, Error> {
-        Database::open_with_policy(dir, SyncPolicy::Always)
-    }
-
-    /// [`Database::open`] with an explicit durability policy.
-    pub fn open_with_policy(dir: &Path, policy: SyncPolicy) -> Result<Database, Error> {
         fs::create_dir_all(dir)?;
         match Manifest::read(dir)? {
-            None => Database::init_durable(dir, policy),
-            Some(m) => Database::recover(dir, m, policy),
+            None => Database::init_durable(dir, SyncPolicy::Always),
+            Some(m) => Database::recover(dir, m),
         }
     }
 
@@ -731,7 +708,7 @@ impl Database {
     /// commit, so a crash (or a failed write) anywhere in here leaves the
     /// old pair as it was found: the next open starts over from it.
     // lock-order: acquires(db_state)
-    fn recover(dir: &Path, m: Manifest, policy: SyncPolicy) -> Result<Database, Error> {
+    fn recover(dir: &Path, m: Manifest) -> Result<Database, Error> {
         let snap = StoreSnapshot::read_from(&Manifest::snap_path(dir, m.snap_file))?;
         let (wal, records) = WalWriter::open_recover(
             &Manifest::wal_path(dir, m.wal_file),
@@ -740,19 +717,12 @@ impl Database {
         // The page file is a derived cache: recovery rebuilds every column
         // from the folded triples, so it starts from scratch.
         let db = Database::with_disk(Arc::new(DiskManager::create(&dir.join("data.db"))?));
-        let schema_cfg = snap.header.schema_cfg.clone();
         let seq = m.base_seq + records.len() as u64;
         let (triples, flags) = fold_log(&snap.dict, snap.triples, snap.header.flags, &m, records)?;
         {
             let mut st = db.inner.state.lock();
-            // Restore the recorded scheme before any rebuild below.
-            st.encoding = flags.encoding();
-            st.gen = Arc::new(StoreGeneration::staging_with(
-                snap.dict,
-                triples,
-                st.encoding,
-            ));
-            st.schema_cfg = schema_cfg.clone();
+            st.gen = Arc::new(StoreGeneration::staging(snap.dict, triples));
+            st.schema_cfg = snap.header.schema_cfg;
             st.epoch += 1;
         }
         if flags.clustered {
@@ -764,14 +734,11 @@ impl Database {
         if flags.baseline {
             db.build_baseline()?;
         }
-        if flags.schema && !flags.clustered && !flags.cs_parse_order {
-            db.discover_schema(&schema_cfg)?;
-        }
         let mut st = db.inner.state.lock();
         st.durable = Some(DurableState {
             dir: dir.to_path_buf(),
             wal,
-            policy,
+            policy: SyncPolicy::Always,
             snap_file: m.snap_file,
             wal_file: m.wal_file,
             seq,
@@ -782,23 +749,6 @@ impl Database {
         checkpoint_locked(&mut st)?;
         drop(st);
         Ok(db)
-    }
-
-    /// Set the page-encoding scheme for **subsequently built** generations
-    /// (compressed frame-of-reference pages by default). Already-built
-    /// layouts keep their scheme until the next build or reorganization
-    /// rebuilds them; call [`Database::reorganize_now`] to re-encode in
-    /// place. The scheme is persisted in the manifest and restored by
-    /// recovery.
-    // lock-order: acquires(db_state)
-    pub fn set_encoding(&self, encoding: ColumnEncoding) {
-        self.inner.state.lock().encoding = encoding;
-    }
-
-    /// The page-encoding scheme of the current generation's layouts.
-    // lock-order: acquires(db_state)
-    pub fn encoding(&self) -> ColumnEncoding {
-        self.inner.state.lock().gen.encoding
     }
 
     /// Is this database durable (opened via [`Database::open`] /
@@ -831,24 +781,6 @@ impl Database {
             return Err(Error::State("not a durable database".into()));
         }
         checkpoint_locked(&mut st)
-    }
-
-    /// Merge the delta store's insert runs into one, physically dropping
-    /// run triples already killed by tombstones (which are kept — they
-    /// still filter the base). Off the write path: run it from a
-    /// maintenance thread when [`Database::delta_runs`] grows. Historical
-    /// snapshots below the current sequence are clamped up to it afterwards
-    /// (exactly like a reorganization folds history into the base).
-    /// Returns `false` (without compacting) while a rebuild is in flight —
-    /// the swap's catch-up fold needs the original per-batch runs.
-    // lock-order: acquires(db_state)
-    pub fn compact_delta(&self) -> Result<bool, Error> {
-        let mut st = self.inner.state.lock();
-        if st.rebuild.is_some() || st.delta.n_runs() <= 1 {
-            return Ok(false);
-        }
-        st.delta.compact_runs();
-        Ok(true)
     }
 
     /// Number of insert runs currently in the delta store.
@@ -1101,7 +1033,7 @@ impl Database {
     /// queries keep executing against their pinned generation throughout,
     /// and writes that land mid-rebuild are folded into the fresh delta at
     /// the swap. For the non-blocking variant see
-    /// [`Database::maybe_reorganize_async`].
+    /// [`Database::reorganize_async`].
     pub fn maybe_reorganize(&self, policy: &ReorgPolicy) -> Result<ReorgOutcome, Error> {
         let drift = self.inner.drift_stats();
         let Some(reason) = policy.trigger_reason(&drift) else {
@@ -1149,95 +1081,10 @@ impl Database {
         Ok(spawn_rebuild(&self.inner, pin, None, drift))
     }
 
-    /// The policy-gated variant of [`Database::reorganize_async`]: `None`
-    /// when `policy` does not fire on the current drift.
-    pub fn maybe_reorganize_async(
-        &self,
-        policy: &ReorgPolicy,
-    ) -> Result<Option<BackgroundReorg>, Error> {
-        let drift = self.inner.drift_stats();
-        let Some(reason) = policy.trigger_reason(&drift) else {
-            return Ok(None);
-        };
-        let pin = begin_rebuild(&self.inner)?;
-        Ok(Some(spawn_rebuild(&self.inner, pin, Some(reason), drift)))
-    }
-
     /// Is a (sync or async) rebuild currently in flight?
     // lock-order: acquires(db_state)
     pub fn reorg_in_flight(&self) -> bool {
         self.inner.state.lock().rebuild.is_some()
-    }
-
-    /// Start the auto-reorganization thread: every `interval` it evaluates
-    /// `policy` against the current drift and, when a threshold fires, runs
-    /// a full background rebuild + swap (the same protocol as
-    /// [`Database::reorganize_async`]). Stop it deterministically with
-    /// [`Database::stop_auto_reorg`]; dropping the database stops it too.
-    // lock-order: acquires(db_state) — the spawned tick closure's compaction
-    // branch takes the state lock.
-    pub fn start_auto_reorg(
-        &mut self,
-        policy: ReorgPolicy,
-        interval: Duration,
-    ) -> Result<(), Error> {
-        if self.auto.is_some() {
-            return Err(Error::State("auto-reorg thread already running".into()));
-        }
-        let stop = Arc::new((StdMutex::new(false), Condvar::new()));
-        let inner = Arc::clone(&self.inner);
-        let stop2 = Arc::clone(&stop);
-        let thread = thread::Builder::new()
-            .name("sordf-auto-reorg".into())
-            .spawn(move || {
-                let (lock, cv) = &*stop2;
-                loop {
-                    {
-                        let stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
-                        let (stopped, _) = cv
-                            .wait_timeout_while(stopped, interval, |s| !*s)
-                            .unwrap_or_else(|e| e.into_inner());
-                        if *stopped {
-                            return;
-                        }
-                    }
-                    let drift = inner.drift_stats();
-                    if let Some(reason) = policy.trigger_reason(&drift) {
-                        // Skip the tick when another rebuild is in flight;
-                        // build errors surface on the next explicit reorg.
-                        if let Ok(pin) = begin_rebuild(&inner) {
-                            let _ = run_rebuild(&inner, pin, Some(reason), drift);
-                        }
-                    } else {
-                        // Below the reorg thresholds: keep the delta lean by
-                        // merging accumulated small insert runs off the
-                        // write path (never mid-rebuild — the swap's
-                        // catch-up fold needs the per-batch runs).
-                        let mut st = inner.state.lock();
-                        if st.rebuild.is_none() && st.delta.n_runs() >= COMPACT_RUNS_THRESHOLD {
-                            st.delta.compact_runs();
-                        }
-                    }
-                }
-            })
-            .map_err(Error::Io)?;
-        self.auto = Some(AutoReorg { stop, thread });
-        Ok(())
-    }
-
-    /// Stop the auto-reorganization thread and join it (any rebuild it is
-    /// mid-way through completes first). No-op when not running.
-    pub fn stop_auto_reorg(&mut self) {
-        if let Some(auto) = self.auto.take() {
-            *auto.stop.0.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            auto.stop.1.notify_all();
-            let _ = auto.thread.join();
-        }
-    }
-
-    /// Is the auto-reorganization thread running?
-    pub fn auto_reorg_running(&self) -> bool {
-        self.auto.is_some()
     }
 
     // ---- building generations ----------------------------------------------
@@ -1251,26 +1098,11 @@ impl Database {
         }
         ensure_no_pending_writes(&st, "build_baseline()")?;
         sort_base(&mut st);
-        let store = BaselineStore::build_with(&self.inner.dm, &st.gen.triples, st.encoding);
-        let encoding = st.encoding;
-        let gen = Arc::make_mut(&mut st.gen);
-        gen.baseline = Some(Arc::new(store));
-        gen.encoding = encoding;
+        let store = BaselineStore::build(&self.inner.dm, &st.gen.triples);
+        Arc::make_mut(&mut st.gen).baseline = Some(Arc::new(store));
         st.epoch += 1;
         checkpoint_locked(&mut st)?;
         Ok(())
-    }
-
-    /// Run schema discovery (idempotent). Returns coverage.
-    // lock-order: acquires(db_state)
-    pub fn discover_schema(&self, cfg: &SchemaConfig) -> Result<f64, Error> {
-        let mut st = self.inner.state.lock();
-        let epoch = st.epoch;
-        let coverage = discover_schema_locked(&mut st, cfg)?;
-        if st.epoch != epoch {
-            checkpoint_locked(&mut st)?;
-        }
-        Ok(coverage)
     }
 
     /// Build CS tables *without* renumbering OIDs (sparse segments) — the
@@ -1287,26 +1119,13 @@ impl Database {
     }
 
     /// Self-organize: discover the schema (if not yet done), cluster subject
-    /// OIDs, sort literal OIDs, and rebuild storage as dense CS segments.
-    /// Uses [`ClusterSpec::auto`] unless a spec was set via
-    /// [`Database::self_organize_with`].
+    /// OIDs, sort literal OIDs, and rebuild storage as dense CS segments,
+    /// clustered by [`ClusterSpec::auto`].
     // lock-order: acquires(db_state)
     pub fn self_organize(&self) -> Result<Arc<EmergentSchema>, Error> {
         let mut st = self.inner.state.lock();
         let epoch = st.epoch;
-        let schema = self_organize_locked(&mut st, &self.inner.dm, None)?;
-        if st.epoch != epoch {
-            checkpoint_locked(&mut st)?;
-        }
-        Ok(schema)
-    }
-
-    /// Self-organize with an explicit clustering spec.
-    // lock-order: acquires(db_state)
-    pub fn self_organize_with(&self, spec: ClusterSpec) -> Result<Arc<EmergentSchema>, Error> {
-        let mut st = self.inner.state.lock();
-        let epoch = st.epoch;
-        let schema = self_organize_locked(&mut st, &self.inner.dm, Some(spec))?;
+        let schema = self_organize_locked(&mut st, &self.inner.dm)?;
         if st.epoch != epoch {
             checkpoint_locked(&mut st)?;
         }
@@ -1344,20 +1163,9 @@ impl Database {
 
     // ---- querying ----------------------------------------------------------
 
-    /// Default engine configuration used by [`Database::query`].
-    pub fn set_config(&mut self, config: ExecConfig) {
-        self.config = config;
-    }
-
     /// Drop the page cache: the next query runs *cold*.
     pub fn drop_cache(&self) {
         self.inner.pool.clear();
-    }
-
-    /// Configure synthetic per-page-read latency (models disk I/O in the
-    /// cold-run experiments).
-    pub fn set_read_latency_ns(&self, ns: u64) {
-        self.inner.pool.set_read_latency_ns(ns);
     }
 
     /// Buffer pool statistics.
@@ -1401,22 +1209,11 @@ impl Database {
         st.gen.debug_validate();
         st.delta.debug_validate();
     }
-
-    /// The newest generation that has been built.
-    // lock-order: acquires(db_state)
-    pub fn default_generation(&self) -> Result<Generation, Error> {
-        newest_generation(&self.inner.state.lock().gen)
-    }
 }
-
-/// Insert-run count at which the auto-reorg thread compacts the delta
-/// between reorganizations (see [`Database::compact_delta`]).
-const COMPACT_RUNS_THRESHOLD: usize = 32;
 
 impl Drop for Database {
     // lock-order: acquires(db_state)
     fn drop(&mut self) {
-        self.stop_auto_reorg();
         // A clean shutdown flushes any policy-deferred WAL tail; a failure
         // here only widens the loss window back to what the policy already
         // allowed, so it is not surfaced from Drop.
@@ -1581,10 +1378,7 @@ fn fold_log(
                     delta = DeltaStore::new();
                 }
                 triples.extend(rec.triples);
-                flags = LayoutFlags {
-                    plain_encoding: flags.plain_encoding,
-                    ..LayoutFlags::default()
-                };
+                flags = LayoutFlags::default();
             }
         }
     }
@@ -1608,14 +1402,11 @@ fn checkpoint_locked(st: &mut State) -> Result<(), Error> {
     };
     let snap_n = d.snap_file + 1;
     let wal_n = d.wal_file + 1;
-    let mut flags = LayoutFlags {
+    let flags = LayoutFlags {
         baseline: st.gen.baseline.is_some(),
         cs_parse_order: st.gen.cs_parse_order.is_some(),
         clustered: st.gen.clustered.is_some(),
-        schema: st.gen.schema.is_some(),
-        plain_encoding: false,
     };
-    flags.record_encoding(st.gen.encoding);
     let header = SnapshotHeader {
         base_seq: d.seq,
         flags,
@@ -1848,7 +1639,7 @@ fn discover_schema_locked(st: &mut State, cfg: &SchemaConfig) -> Result<f64, Err
             "schema already frozen by self_organize()".into(),
         ));
     }
-    ensure_no_pending_writes(st, "discover_schema()")?;
+    ensure_no_pending_writes(st, "schema discovery")?;
     sort_base(st);
     let schema = sordf_schema::discover(&st.gen.triples, &st.gen.dict, cfg);
     let coverage = schema.coverage;
@@ -1871,10 +1662,8 @@ fn build_cs_tables_locked(st: &mut State, dm: &Arc<DiskManager>) -> Result<(), E
     let mut schema = st.gen.schema.as_deref().unwrap().clone();
     sort_base(st);
     let spec = ClusterSpec::auto(&schema);
-    let store = build_clustered_with(dm, &st.gen.triples, &mut schema, &spec, false, st.encoding);
-    let gen = Arc::make_mut(&mut st.gen);
-    gen.cs_parse_order = Some((Arc::new(store), Arc::new(schema)));
-    gen.encoding = st.encoding;
+    let store = build_clustered(dm, &st.gen.triples, &mut schema, &spec, false);
+    Arc::make_mut(&mut st.gen).cs_parse_order = Some((Arc::new(store), Arc::new(schema)));
     st.epoch += 1;
     Ok(())
 }
@@ -1882,7 +1671,6 @@ fn build_cs_tables_locked(st: &mut State, dm: &Arc<DiskManager>) -> Result<(), E
 fn self_organize_locked(
     st: &mut State,
     dm: &Arc<DiskManager>,
-    spec: Option<ClusterSpec>,
 ) -> Result<Arc<EmergentSchema>, Error> {
     if st.gen.clustered.is_some() {
         // sordf-lint: allow(L3) — a clustered generation always carries the schema it was built from.
@@ -1901,7 +1689,7 @@ fn self_organize_locked(
         discover_schema_locked(st, &cfg)?;
     }
     // sordf-lint: allow(L3) — ensured Some by the discover_schema_locked call above.
-    let spec = spec.unwrap_or_else(|| ClusterSpec::auto(st.gen.schema.as_deref().unwrap()));
+    let spec = ClusterSpec::auto(st.gen.schema.as_deref().unwrap());
     // Build a *fresh* generation: a renumbered dictionary built from the
     // current one and a clustered copy of the triples. In-flight queries
     // pinned to the old generation keep a consistent (dict, store) pair —
@@ -1914,7 +1702,7 @@ fn self_organize_locked(
     // The sorted list feeds the builder and is what the generation publishes.
     // (Run-adaptive: recovery re-clusters an already clustered snapshot.)
     triples.sort();
-    let store = build_clustered_with(dm, &triples, &mut schema, &spec, true, st.encoding);
+    let store = build_clustered(dm, &triples, &mut schema, &spec, true);
     // The string pool was just sorted: OID order equals value order for
     // everything interned so far.
     let strings_sorted_len = dict.n_strings();
@@ -1930,7 +1718,6 @@ fn self_organize_locked(
         spec,
         reorg_report: Some(report),
         strings_sorted_len,
-        encoding: st.encoding,
     });
     #[cfg(debug_assertions)]
     st.gen.debug_validate();
@@ -1956,9 +1743,6 @@ struct RebuildPin {
     /// (to `snap.tmp` — the final numbered name is only known at swap
     /// time) so the swap itself stays O(catch-up).
     durable: Option<DurablePin>,
-    /// The scheme the rebuild's layouts are encoded with ([`State::encoding`]
-    /// at pin time — so a `set_encoding` + reorg re-encodes the store).
-    encoding: ColumnEncoding,
 }
 
 /// See [`RebuildPin::durable`].
@@ -1989,7 +1773,6 @@ struct BuiltGeneration {
     spec: ClusterSpec,
     report: Option<ReorgReport>,
     strings_sorted_len: usize,
-    encoding: ColumnEncoding,
     /// What the staged snapshot ([`SNAP_TMP`]) holds of each dictionary
     /// pool — the watermark the rotated log appends from. `None` on a
     /// non-durable database.
@@ -2019,7 +1802,6 @@ fn begin_rebuild(inner: &DbInner) -> Result<RebuildPin, Error> {
             dir: d.dir.clone(),
             pin_log_seq: d.seq,
         }),
-        encoding: st.encoding,
     })
 }
 
@@ -2076,11 +1858,10 @@ fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> Result<BuiltGene
         spec: ClusterSpec::none(),
         report: None,
         strings_sorted_len: pin.gen.strings_sorted_len,
-        encoding: pin.encoding,
         snapshot_pools,
     };
     if let Some((mut schema, spec, report)) = clustering {
-        let store = build_clustered_with(dm, &out.triples, &mut schema, &spec, true, pin.encoding);
+        let store = build_clustered(dm, &out.triples, &mut schema, &spec, true);
         out.strings_sorted_len = out.dict.n_strings();
         out.clustered = Some(store);
         out.spec = spec;
@@ -2101,12 +1882,12 @@ fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> Result<BuiltGene
         };
         let mut schema = (*base).clone();
         let spec = ClusterSpec::auto(&schema);
-        let store = build_clustered_with(dm, &out.triples, &mut schema, &spec, false, pin.encoding);
+        let store = build_clustered(dm, &out.triples, &mut schema, &spec, false);
         out.cs_parse_order = Some((store, Arc::new(schema)));
         out.schema.get_or_insert(base);
     }
     if pin.gen.baseline.is_some() {
-        out.baseline = Some(BaselineStore::build_with(dm, &out.triples, pin.encoding));
+        out.baseline = Some(BaselineStore::build(dm, &out.triples));
     }
     Ok(out)
 }
@@ -2138,16 +1919,11 @@ fn write_rebuild_snapshot(
     dict: &Dictionary,
     triples: &[Triple],
 ) -> Result<PoolCounts, Error> {
-    let clustered = pin.gen.clustered.is_some();
-    let cs_parse_order = pin.gen.cs_parse_order.is_some();
-    let mut flags = LayoutFlags {
+    let flags = LayoutFlags {
         baseline: pin.gen.baseline.is_some(),
-        cs_parse_order,
-        clustered,
-        schema: clustered || cs_parse_order,
-        plain_encoding: false,
+        cs_parse_order: pin.gen.cs_parse_order.is_some(),
+        clustered: pin.gen.clustered.is_some(),
     };
-    flags.record_encoding(pin.encoding);
     let header = SnapshotHeader {
         base_seq: dp.pin_log_seq,
         flags,
@@ -2308,7 +2084,6 @@ fn finish_rebuild(inner: &DbInner, pin: RebuildPin, built: BuiltGeneration) -> R
             spec: built.spec,
             reorg_report: built.report,
             strings_sorted_len: built.strings_sorted_len,
-            encoding: built.encoding,
         });
         superseded = (
             std::mem::replace(&mut st.gen, new_gen),
@@ -2420,13 +2195,6 @@ impl BackgroundReorg {
     }
 }
 
-/// The auto-reorganization thread: a stop flag + condvar (so stops are
-/// immediate, not sleep-bounded) and the join handle.
-struct AutoReorg {
-    stop: Arc<(StdMutex<bool>, Condvar)>,
-    thread: thread::JoinHandle<()>,
-}
-
 /// Render a panic payload as a message (best effort).
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -2453,8 +2221,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::plan_cache_key;
     use sordf_model::{DictPool, Term};
+    use std::time::Duration;
 
     fn sample_triples() -> Vec<TermTriple> {
         let mut triples = Vec::new();
@@ -2650,56 +2418,6 @@ mod tests {
             "the swap dropped the SQL plan too"
         );
         assert_eq!(s5.invalidations, s4.invalidations);
-    }
-
-    #[test]
-    fn plan_cache_key_includes_encoding() {
-        let db = sample_db();
-        db.self_organize().unwrap();
-        assert_eq!(
-            db.encoding(),
-            ColumnEncoding::Compressed,
-            "compression is the default build scheme"
-        );
-
-        // The key itself must differ by scheme. A generation swap already
-        // clears the cache through the epoch; keying on the encoding is the
-        // belt-and-braces guarantee that a plan costed against one page
-        // encoding is never served to a store built under another.
-        let q = "SELECT ?s ?q WHERE { ?s <http://ex/qty> ?q }";
-        let dict = db.dict();
-        let query = sordf_sparql::parse_sparql(q, &dict).unwrap();
-        let compressed = plan_cache_key(
-            &query,
-            Generation::Clustered,
-            ExecConfig::default(),
-            ColumnEncoding::Compressed,
-        );
-        let plain = plan_cache_key(
-            &query,
-            Generation::Clustered,
-            ExecConfig::default(),
-            ColumnEncoding::Plain,
-        );
-        assert_ne!(compressed, plain, "encoding is part of the plan identity");
-        drop(dict);
-
-        // End to end: rebuilding under the plain scheme re-optimizes the
-        // same query shape instead of reusing the compressed-era plan.
-        db.query(q).unwrap();
-        db.query(q).unwrap();
-        let s1 = db.plan_cache_stats();
-        db.set_encoding(ColumnEncoding::Plain);
-        db.reorganize_now().unwrap();
-        assert_eq!(
-            db.encoding(),
-            ColumnEncoding::Plain,
-            "rebuild adopts the scheme"
-        );
-        let rows = db.query(q).unwrap().len();
-        let s2 = db.plan_cache_stats();
-        assert_eq!(s2.misses, s1.misses + 1, "plain rebuild re-optimizes");
-        assert_eq!(db.query(q).unwrap().len(), rows, "cached plan agrees");
     }
 
     #[test]
@@ -3058,7 +2776,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            db.discover_schema(&SchemaConfig::default()),
+            discover_schema_locked(&mut db.inner.state.lock(), &SchemaConfig::default()),
             Err(Error::State(_))
         ));
         assert!(matches!(db.build_cs_tables(), Err(Error::State(_))));
@@ -3166,11 +2884,8 @@ mod tests {
         );
         assert_eq!(db.query(q).unwrap().canonical(&db.dict()), before);
         assert!(!db.reorg_in_flight());
-        // Policy-gated async: nothing pending, nothing to do.
-        assert!(db
-            .maybe_reorganize_async(&ReorgPolicy::eager())
-            .unwrap()
-            .is_none());
+        // Nothing pending: the eager policy has nothing to do.
+        assert!(!db.maybe_reorganize(&ReorgPolicy::eager()).unwrap().fired);
     }
 
     /// The heart of the swap protocol, deterministically: pin + build, let
@@ -3429,39 +3144,6 @@ mod tests {
         assert!(finish_rebuild(&db.inner, pin, built).unwrap());
         assert!(!db.reorg_in_flight());
         db.reorganize_now().unwrap();
-    }
-
-    #[test]
-    fn auto_reorg_thread_starts_fires_and_stops() {
-        let mut db = sample_db();
-        db.self_organize().unwrap();
-        db.insert_ntriples(
-            r#"<http://ex/new1> <http://ex/qty> "3"^^<http://www.w3.org/2001/XMLSchema#integer> .
-<http://ex/new1> <http://ex/sold> "1996-02-04"^^<http://www.w3.org/2001/XMLSchema#date> ."#,
-        )
-        .unwrap();
-        let q = "SELECT ?s ?q WHERE { ?s <http://ex/qty> ?q . FILTER(?q = 3) }";
-        let want = db.query(q).unwrap().canonical(&db.dict());
-        db.start_auto_reorg(ReorgPolicy::eager(), Duration::from_millis(1))
-            .unwrap();
-        assert!(db.auto_reorg_running());
-        assert!(matches!(
-            db.start_auto_reorg(ReorgPolicy::eager(), Duration::from_millis(1)),
-            Err(Error::State(_))
-        ));
-        // The eager policy must fire and fold the delta within the timeout.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while db.drift_stats().n_delta_inserts > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "auto reorg never fired"
-            );
-            thread::sleep(Duration::from_millis(2));
-        }
-        db.stop_auto_reorg();
-        assert!(!db.auto_reorg_running());
-        db.stop_auto_reorg(); // idempotent
-        assert_eq!(db.query(q).unwrap().canonical(&db.dict()), want);
     }
 
     // ---- durability ---------------------------------------------------------
@@ -3765,26 +3447,5 @@ mod tests {
         ));
         // But open recovers it fine.
         Database::open(&dir).unwrap();
-    }
-
-    #[test]
-    fn compact_delta_merges_runs_and_preserves_answers() {
-        let db = sample_db();
-        db.self_organize().unwrap();
-        for i in 0..3 {
-            db.insert_ntriples(&format!(
-                r#"<http://ex/extra{i}> <http://ex/qty> "3"^^<http://www.w3.org/2001/XMLSchema#integer> ."#
-            ))
-            .unwrap();
-        }
-        db.delete_matching(Some(&Term::iri("http://ex/extra1")), None, None)
-            .unwrap();
-        assert_eq!(db.delta_runs(), 3);
-        let before = db.query(DQ).unwrap().canonical(&db.dict());
-        assert!(db.compact_delta().unwrap());
-        assert_eq!(db.delta_runs(), 1, "runs merged");
-        assert_eq!(db.query(DQ).unwrap().canonical(&db.dict()), before);
-        // Idempotent: a single run with no pending work compacts to nothing.
-        assert!(!db.compact_delta().unwrap());
     }
 }

@@ -17,9 +17,7 @@ use sordf_engine::{
 };
 use sordf_storage::{DictPin, Snapshot, StoreGeneration};
 
-use crate::{
-    newest_generation, panic_message, ColumnEncoding, Database, DbInner, Error, Generation, Pin,
-};
+use crate::{newest_generation, panic_message, Database, DbInner, Error, Generation, Pin};
 
 /// The query language of a [`QueryRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,8 +86,8 @@ impl QueryRequest {
     }
 
     /// A SPARQL request with every option defaulted: newest generation,
-    /// database-default [`ExecConfig`], one worker, current data, no
-    /// deadline, no trace.
+    /// the default [`ExecConfig`], one worker, current data, no deadline, no
+    /// trace.
     pub fn sparql(text: impl Into<String>) -> QueryRequest {
         QueryRequest::new(text, QueryLang::Sparql)
     }
@@ -109,7 +107,7 @@ impl QueryRequest {
         self
     }
 
-    /// Override the database's default engine configuration.
+    /// Override the default engine configuration.
     pub fn config(mut self, config: ExecConfig) -> QueryRequest {
         self.config = Some(config);
         self
@@ -374,13 +372,13 @@ impl Database {
         query: &sordf_engine::Query,
         cancel: Option<CancellationToken>,
     ) -> Result<QueryResponse, Error> {
-        let config = req.config.unwrap_or(self.config);
+        let config = req.config.unwrap_or_default();
         let mut cx = self.context(&pin, generation, config)?.with_cancel(cancel);
         if let Some(par) = req.parallel {
             cx = cx.with_parallel(par);
         }
         let pool_before = self.inner.pool.stats();
-        let key = plan_cache_key(query, generation, config, pin.gen.encoding);
+        let key = plan_cache_key(query, generation, config);
         // Query-boundary fault isolation: an engine panic (e.g. a page read
         // that keeps failing after the pool's retries) fails this query, not
         // the process — the next query sees intact immutable storage. A
@@ -439,7 +437,12 @@ impl Database {
     /// so it shows what the optimizer would pick *now*.
     pub fn explain(&self, sparql: &str) -> Result<PlanInfo, Error> {
         let pin = self.inner.pin(None);
-        self.explain_pinned(&pin, sparql, newest_generation(&pin.gen)?, self.config)
+        self.explain_pinned(
+            &pin,
+            sparql,
+            newest_generation(&pin.gen)?,
+            ExecConfig::default(),
+        )
     }
 
     /// [`Database::explain`] against an explicit generation and exec config.
@@ -470,36 +473,11 @@ impl Database {
     pub fn explain_analyze(&self, sparql: &str) -> Result<(PlanInfo, ResultSet), Error> {
         let pin = self.inner.pin(None);
         let query = sordf_sparql::parse_sparql(sparql, &pin.dict)?;
-        let cx = self.context(&pin, newest_generation(&pin.gen)?, self.config)?;
+        let cx = self.context(&pin, newest_generation(&pin.gen)?, ExecConfig::default())?;
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sordf_engine::explain_analyze(&cx, &query)
         }))
         .map_err(|payload| Error::Exec(panic_message(payload)))
-    }
-
-    /// Cost every star-order permutation of a query: `(order, total cost)`,
-    /// with the per-edge operator choices re-optimized inside each forced
-    /// order. Diagnostics for the optimizer itself (is the chosen order
-    /// near the best one?); factorial in the star count, so refused beyond
-    /// 8 stars.
-    pub fn explain_orders(&self, sparql: &str) -> Result<Vec<(Vec<usize>, f64)>, Error> {
-        let pin = self.inner.pin(None);
-        let query = sordf_sparql::parse_sparql(sparql, &pin.dict)?;
-        let cx = self.context(&pin, newest_generation(&pin.gen)?, self.config)?;
-        let (_q, lp) = sordf_engine::prepare(&query);
-        let n = lp.stars.len();
-        if n > 8 {
-            return Err(Error::State(format!(
-                "explain_orders is factorial; {n} stars exceeds the 8-star limit"
-            )));
-        }
-        let mut out = Vec::new();
-        let mut order: Vec<usize> = (0..n).collect();
-        permutations(&mut order, 0, &mut |perm| {
-            let pp = sordf_engine::optimize_with_order(&cx, &lp, perm);
-            out.push((perm.to_vec(), pp.total_cost));
-        });
-        Ok(out)
     }
 
     /// Plan-cache counters: entries, hits, misses, and epoch invalidations.
@@ -514,31 +492,16 @@ impl Database {
     }
 }
 
-/// Visit every permutation of `items` (recursive Heap-style enumeration;
-/// callers bound the length).
-fn permutations(items: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
-    if k == items.len() {
-        visit(items);
-        return;
-    }
-    for i in k..items.len() {
-        items.swap(k, i);
-        permutations(items, k + 1, visit);
-        items.swap(k, i);
-    }
-}
-
 /// The plan-cache key: generation + engine config + the structural shape of
 /// the parsed query. Variables keep their ids (plan steps reference them,
 /// and ids depend on the full parse order — so the *whole* query shape is
 /// serialized, not just the BGP); predicates keep their OIDs (they decide
 /// the plan); object and filter constants are abstracted to `C`/`N` so one
 /// cached plan serves a query family differing only in literals.
-pub(crate) fn plan_cache_key(
+fn plan_cache_key(
     query: &sordf_engine::Query,
     generation: Generation,
     config: ExecConfig,
-    encoding: ColumnEncoding,
 ) -> String {
     use sordf_engine::{Expr, SelectItem, VarOrOid};
     use std::fmt::Write;
@@ -599,7 +562,7 @@ pub(crate) fn plan_cache_key(
         VarOrOid::Const(_) => out.push('C'),
     };
     let mut out = format!(
-        "{generation:?}|{encoding:?}|{:?}|zm{}|v{}|",
+        "{generation:?}|{:?}|zm{}|v{}|",
         config.scheme,
         config.zonemaps,
         query.vars.len()

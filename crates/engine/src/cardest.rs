@@ -136,26 +136,12 @@ pub fn estimate_star(cx: &ExecContext, star: &Star, filters: &[&Expr]) -> f64 {
 /// counts of the query's delta view (drift adjustment — pending writes
 /// inflate the estimates).
 pub fn stats_view<'a>(cx: &'a ExecContext) -> StatsView<'a> {
-    let encoding = match &cx.storage {
-        StorageRef::Baseline(store) => store.encoding(),
-        StorageRef::Clustered { store, .. } => store.encoding(),
-    };
-    let factor = match encoding {
-        sordf_columnar::ColumnEncoding::Plain => 1.0,
-        sordf_columnar::ColumnEncoding::Compressed => COMPRESSED_SCAN_CPU,
-    };
-    let sv = StatsView::new(cx.storage.schema()).with_scan_cpu_factor(factor);
+    let sv = StatsView::new(cx.storage.schema());
     match cx.delta() {
         Some(d) => sv.with_pending(d.insert_counts_by_pred()),
         None => sv,
     }
 }
-
-/// Per-row CPU surcharge for scanning frame-of-reference-encoded pages:
-/// positional decode is a shift+mask per value, a modest constant on top of
-/// a plain load. The cost model charges it so a compressed scan only wins
-/// plans where the bandwidth saving (fewer bytes touched) is in play.
-const COMPRESSED_SCAN_CPU: f64 = 1.1;
 
 /// Triples carrying `pred` visible to this query: base storage (clustered
 /// class columns + irregular remainder, or the baseline PSO index) plus the

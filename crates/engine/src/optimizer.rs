@@ -24,7 +24,8 @@
 //!   `sel + 0.1`, floor 0.1, when a restricted property is one of its
 //!   columns) plus the irregular/pending remainder of every property.
 //! * **IdxScan+MergeJoin**: the summed per-property cardinalities — every
-//!   property stream is scanned and merged.
+//!   property stream is scanned and merged. Both scans charge every row a
+//!   decode surcharge (`SCAN_DECODE_CPU`).
 //! * **RDFjoin (candidate-driven)**: one probe per candidate
 //!   (`C_PROBE` ≈ binary search + row fetch) plus the matching fraction
 //!   `d_link / d_star` of the scan.
@@ -64,6 +65,10 @@ const C_PROBE: f64 = 8.0;
 /// Residual fraction a zone-map range pushdown cannot skip: pruning is
 /// page-granular and candidate ranges are rarely perfectly clustered.
 const ZM_RESIDUAL: f64 = 0.1;
+
+/// Per-row CPU surcharge of a scan over frame-of-reference pages: positional
+/// decode is a shift+mask per value on top of the load.
+const SCAN_DECODE_CPU: f64 = 1.1;
 
 /// Precomputed per-star quantities the cost model reuses across the
 /// exponential enumeration.
@@ -272,18 +277,15 @@ fn star_stats(cx: &ExecContext, sv: &StatsView, star: &Star, filters: &[&Expr]) 
     let rows = estimate_star_with(cx, sv, star, filters).max(0.0);
     let strings_ordered = cx.strings_value_ordered();
 
-    // IdxScan+MergeJoin: every property stream is scanned end to end. Scans
-    // over compressed pages charge a per-row decode surcharge
-    // ([`StatsView::scan_cpu_factor`]) — they touch fewer bytes but spend
-    // CPU unpacking them.
-    let cpu = sv.scan_cpu_factor();
+    // IdxScan+MergeJoin: every property stream is scanned end to end. Every
+    // scanned row pays the decode surcharge of its page.
     let scan_prop: f64 = star
         .props
         .iter()
         .map(|p| pred_cardinality(cx, sv, p.pred))
         .sum::<f64>()
         .max(1.0)
-        * cpu;
+        * SCAN_DECODE_CPU;
 
     // RDFscan: covered segment rows (zone-map-narrowed) + the irregular and
     // pending remainders of every property.
@@ -328,7 +330,7 @@ fn star_stats(cx: &ExecContext, sv: &StatsView, star: &Star, filters: &[&Expr]) 
                     .len() as f64
                     + sv.pending_for(p.pred) as f64;
             }
-            Some(cost.max(1.0) * cpu)
+            Some(cost.max(1.0) * SCAN_DECODE_CPU)
         }
     };
 

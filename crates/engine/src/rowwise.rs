@@ -3,14 +3,11 @@
 //! This module preserves the pre-vectorization execution strategy — every
 //! stored value is fetched through [`Column::value`] (one buffer-pool
 //! request per value) and binary searches probe the pool per comparison. It
-//! exists for two reasons:
-//!
-//! * **Differential testing** — the vectorized operators in [`crate::scan`]
-//!   and [`crate::star`] must return byte-identical tables to these
-//!   originals on arbitrary data (see the engine's proptest suite).
-//! * **Benchmarking** — `bench_vectorized` measures this path against the
-//!   pinned-slice path to quantify the page-at-a-time win and to show the
-//!   per-value `pool.get` traffic disappearing from the counters.
+//! is the differential oracle: the vectorized operators in [`crate::scan`]
+//! and [`crate::star`] must return byte-identical tables to these originals
+//! on arbitrary data (see the engine's proptest suite). It never consults a
+//! zone map — a sound prune cannot change an answer, so the oracle reads
+//! every row and the kernels' pruning is checked against it.
 //!
 //! The executor reaches this module only through
 //! [`crate::context::ExecConfig::rowwise`]; it is reference code, kept
@@ -24,7 +21,7 @@ use crate::star::{
     prop_restrict, residual_filters, subject_filter_range, Covered, Emit, Star,
 };
 use crate::table::Table;
-use sordf_columnar::{BufferPool, Column, VALS_PER_PAGE};
+use sordf_columnar::{BufferPool, Column};
 use sordf_model::{Oid, Triple};
 use sordf_storage::clustered::SubjectIds;
 use sordf_storage::{BaselineStore, ClassSegment, Order, PermIndex};
@@ -251,23 +248,11 @@ fn scan_segment_column_rw(
             ..upper_bound_rw(col, pool, 0..col.len(), ohi);
         rows = rows.start.max(r.start)..rows.end.min(r.end);
     }
-    if rows.start >= rows.end {
-        return;
-    }
-    let use_zonemaps = cx.config.zonemaps && !restrict.is_none();
-    let mut row = rows.start;
-    while row < rows.end {
-        let page = row / VALS_PER_PAGE;
-        if use_zonemaps && !col.zonemap().page(page).overlaps(olo, ohi) {
-            ExecStats::bump(&cx.stats.zonemap_pages_skipped, 1);
-            row = ((page + 1) * VALS_PER_PAGE).min(rows.end);
-            continue;
-        }
+    for row in rows {
         let v = col.value(pool, row);
         if v != sordf_columnar::column::NULL_SENTINEL && restrict.accepts(v) {
             out.push((subject_at_rw(seg, pool, row), Oid::from_raw(v)));
         }
-        row += 1;
     }
 }
 
@@ -539,11 +524,7 @@ fn scan_class_star_rw(
             if range.start >= range.end {
                 return Table::empty(star.bound_vars());
             }
-            if cx.config.zonemaps {
-                prune_rows_zm_rw(cx, star, filters, seg, covered, range)
-            } else {
-                range.collect()
-            }
+            range.collect()
         }
     };
     if rows.is_empty() {
@@ -728,45 +709,4 @@ fn scan_class_star_rw(
     }
     ExecStats::bump(&cx.stats.rows_emitted, out.len() as u64);
     out
-}
-
-/// Pre-vectorization zone-map pruning: first restricted covered column only,
-/// rows materialized as indices.
-fn prune_rows_zm_rw(
-    cx: &ExecContext,
-    star: &Star,
-    filters: &[&Expr],
-    seg: &ClassSegment,
-    covered: &[Covered],
-    range: Range<usize>,
-) -> Vec<usize> {
-    for (pi, cov) in covered.iter().enumerate() {
-        let Covered::Col(ci) = cov else { continue };
-        if seg.sorted_by == Some(*ci) {
-            continue;
-        }
-        let restrict = prop_restrict(cx, &star.props[pi], filters);
-        // Inserts pending on this segment's subjects forbid pruning on base
-        // values (see `star::delta_blocks_pruning`).
-        if restrict.is_none() || crate::star::delta_blocks_pruning(cx, star.props[pi].pred, seg) {
-            continue;
-        }
-        let (lo, hi) = restrict.bounds();
-        let zm = seg.columns[*ci].zonemap();
-        let mut rows = Vec::new();
-        let first_page = range.start / VALS_PER_PAGE;
-        let last_page = (range.end - 1) / VALS_PER_PAGE;
-        for page in first_page..=last_page {
-            let st = zm.page(page);
-            if !st.overlaps(lo, hi) {
-                ExecStats::bump(&cx.stats.zonemap_pages_skipped, 1);
-                continue;
-            }
-            let pstart = (page * VALS_PER_PAGE).max(range.start);
-            let pend = ((page + 1) * VALS_PER_PAGE).min(range.end);
-            rows.extend(pstart..pend);
-        }
-        return rows;
-    }
-    range.collect()
 }

@@ -15,10 +15,10 @@
 //! positional pass that makes RDFscan "CPU efficient" — and only the dirty
 //! rows through per-row value lists, so reading a store with a pending delta
 //! costs what the delta touches, and with none it is one clean run per page.
-//! Pruning is scoped the same way: a page without dirty rows prunes on every
-//! restricted column, a page with one by the first-column rule of the
-//! rowwise oracle, and a pending insert blocks base-value narrowing only on
-//! the segments whose subject range it falls into
+//! Pruning is scoped the same way: a column rules a page out only when no
+//! exception of that column binds a row of the page (none does on a page
+//! without dirty rows), and a pending insert blocks base-value narrowing
+//! only on the segments whose subject range it falls into
 //! (`delta_blocks_pruning`).
 //!
 //! **A scan binds what is read, and reads what it must.** One evaluation of a
@@ -328,8 +328,8 @@ pub(crate) fn prop_restrict(cx: &ExecContext, prop: &StarProp, filters: &[&Expr]
 /// insert for `pred` on a subject inside the segment's subject range
 /// (conservative for sparse segments, whose ranges interleave). Brand-new
 /// subjects, which is most of what ingest adds, lie past every segment and
-/// block nothing. The one definition shared by the vectorized and rowwise
-/// star paths — their byte-identity contract depends on pruning identically.
+/// block nothing. The one definition the vectorized and rowwise star paths
+/// narrow by.
 pub(crate) fn delta_blocks_pruning(cx: &ExecContext, pred: Oid, seg: &ClassSegment) -> bool {
     let Some(delta) = cx.delta() else {
         return false;
@@ -1381,15 +1381,33 @@ fn scan_row_range(
 pub(crate) struct ChunkScanPrep<'a> {
     on: SegmentStar<'a>,
     range: std::ops::Range<usize>,
-    /// Every restricted aligned non-sort-key column this segment may prune
-    /// on, in property order: a page without dirty rows prunes on all of
-    /// them, a page with one on the first only.
-    prune_cols: Vec<(usize, u64, u64)>,
+    /// Per access: how its column may rule a page out before the page is
+    /// pinned ([`PageRule`]); `None` for an access that never does.
+    rules: Vec<Option<PageRule>>,
     /// Per access: may a zone map decide its column for a page
     /// ([`page_passes_whole`])?
     decidable: Vec<bool>,
     first_page: usize,
     last_page: usize,
+}
+
+/// How one aligned column may rule a page out: when its page is all-NULL,
+/// or (`zone`: a restricted column that is not the sort key, zone maps on)
+/// when the page's zone map misses the restriction. A column with an insert
+/// pending on this segment has no rule ([`delta_blocks_pruning`]).
+struct PageRule {
+    ci: usize,
+    zone: Option<(u64, u64)>,
+}
+
+/// Does an exception of `access` bind a subject in `[lo, hi]` (raw)? Binary
+/// search over the subject-sorted exception list.
+fn has_exception_in(access: &Access, (lo, hi): (u64, u64)) -> bool {
+    let Access::Col { exceptions, .. } = access else {
+        return false;
+    };
+    let i = exceptions.partition_point(|&(s, _)| s.raw() < lo);
+    exceptions.get(i).is_some_and(|&(s, _)| s.raw() <= hi)
 }
 
 /// Narrow the row range and build the shared scan state for one segment.
@@ -1460,29 +1478,27 @@ fn prepare_chunk_scan<'a>(
         rows_of_subjects(cx, seg, &range, touched)
     });
 
-    // Zone-map pruning plan. A pruned page suppresses that page's exception
-    // bindings along with its rows, so a column with an insert pending on
-    // this segment must not prune (same rule as sort-key narrowing above;
-    // mirrored in the rowwise reference).
-    let prune_cols: Vec<(usize, u64, u64)> = if !cx.config.zonemaps {
-        Vec::new()
-    } else {
-        on.accesses
-            .iter()
-            .enumerate()
-            .filter_map(|(pi, a)| match a {
-                Access::Col { ci, restrict, .. }
-                    if !restrict.is_none()
-                        && seg.sorted_by != Some(*ci)
-                        && !delta_blocks_pruning(cx, star.props[pi].pred, seg) =>
-                {
-                    let (lo, hi) = restrict.bounds();
-                    Some((*ci, lo, hi))
-                }
-                _ => None,
-            })
-            .collect()
-    };
+    // Page rules. A ruled-out page suppresses the exception bindings of its
+    // rows along with them, so a column with an insert pending on this
+    // segment gets none (the rule of sort-key narrowing above), and the
+    // kernel checks the column's exceptions per page.
+    let rules = on
+        .accesses
+        .iter()
+        .enumerate()
+        .map(|(pi, a)| match a {
+            Access::Col { ci, restrict, .. }
+                if !delta_blocks_pruning(cx, star.props[pi].pred, seg) =>
+            {
+                let zoned = cx.config.zonemaps && !restrict.is_none();
+                Some(PageRule {
+                    ci: *ci,
+                    zone: (zoned && seg.sorted_by != Some(*ci)).then(|| restrict.bounds()),
+                })
+            }
+            _ => None,
+        })
+        .collect();
     let decidable = whole_columns(cx, &on, |_, _| true);
 
     let first_page = range.start / VALS_PER_PAGE;
@@ -1490,7 +1506,7 @@ fn prepare_chunk_scan<'a>(
     Some(ChunkScanPrep {
         on,
         range,
-        prune_cols,
+        rules,
         decidable,
         first_page,
         last_page,
@@ -1520,12 +1536,12 @@ fn prepare_chunk_scan<'a>(
 /// One loop serves every segment: the clean runs between dirty rows are
 /// evaluated column-at-a-time, the dirty rows one by one — so a merged scan
 /// costs what the delta touches, and with no dirty row a page is a single
-/// clean run. Pruning follows the rows: a page without dirty rows may prune
-/// on *every* restricted column and skip when a required column is all-NULL
-/// (each of its rows must pass every column check anyway); a page with one
-/// prunes exactly like the value-at-a-time original — on the first
-/// restricted column only — because pruning it also suppresses the dirty
-/// row's exception bindings, which is what the rowwise oracle does.
+/// clean run. **A page is ruled out only when no row of it can bind**: a
+/// column whose zone map misses its restriction, or whose page is all-NULL,
+/// rules the page out unless an exception of that column binds one of its
+/// rows — none does on a clean page, and on a dirty page a binary search of
+/// the column's exceptions for the page's subject range decides. Every
+/// column with a [`PageRule`] applies it on every page.
 ///
 /// The rows of consecutive page ranges, in order, are exactly the full
 /// range's — the order-stability contract morsels rely on.
@@ -1559,29 +1575,42 @@ fn scan_chunk_pages(
         let chunk_end = range.end.min((p + 1) * VALS_PER_PAGE);
         let clean_page = on.dirty.next_from(&mut cursor, chunk_start) >= chunk_end;
 
-        // Pre-pin pruning: zone-map misses and (on clean pages) pages where
-        // a required column is entirely NULL.
-        let prune_cols = if clean_page {
-            &prep.prune_cols[..]
-        } else {
-            &prep.prune_cols[..prep.prune_cols.len().min(1)]
+        // Pre-pin pruning: zone-map misses, then pages where a required
+        // column is entirely NULL — each only where no exception of the
+        // column binds a row of the page.
+        let page_subjects = match &seg.subjects {
+            SubjectIds::Dense { base } => (
+                Oid::iri(base + chunk_start as u64).raw(),
+                Oid::iri(base + chunk_end as u64 - 1).raw(),
+            ),
+            SubjectIds::Sparse { subjects } => {
+                let st = subjects.zonemap().page(p);
+                (st.min, st.max)
+            }
         };
-        for &(ci, lo, hi) in prune_cols {
-            if !seg.columns[ci].zonemap().page(p).overlaps(lo, hi) {
+        let may_rule_out =
+            |pi: usize| clean_page || !has_exception_in(&on.accesses[pi], page_subjects);
+        for (pi, rule) in prep.rules.iter().enumerate() {
+            let Some(PageRule {
+                ci,
+                zone: Some((lo, hi)),
+            }) = *rule
+            else {
+                continue;
+            };
+            if !seg.columns[ci].zonemap().page(p).overlaps(lo, hi) && may_rule_out(pi) {
                 ExecStats::bump(&cx.stats.zonemap_pages_skipped, 1);
                 continue 'pages;
             }
         }
-        if clean_page {
-            let all_present = on.accesses.iter().all(|a| match a {
-                Access::Col { ci, .. } => seg.columns[*ci].zonemap().page(p).n_nonnull > 0,
-                _ => true,
-            });
-            if !all_present {
-                // A required column is all-NULL on this page: no row can
-                // match, and the page is skipped without being pinned.
-                continue;
-            }
+        let all_null = prep.rules.iter().enumerate().any(|(pi, rule)| {
+            rule.as_ref()
+                .is_some_and(|r| seg.columns[r.ci].zonemap().page(p).n_nonnull == 0)
+                && may_rule_out(pi)
+        });
+        if all_null {
+            // No row can match: the page is skipped without being pinned.
+            continue;
         }
 
         // Decide what the zone maps can, then pin this page of every column
@@ -1816,7 +1845,7 @@ pub(crate) fn intersect_ranges(a: SRange, b: SRange) -> SRange {
 mod tests {
     use super::*;
     use sordf_columnar::column::NULL_SENTINEL;
-    use sordf_columnar::{Column, ColumnEncoding, DiskManager, PageEnc, VALS_PER_PAGE};
+    use sordf_columnar::{Column, DiskManager, PageEnc, VALS_PER_PAGE};
 
     /// Bounds of an unrestricted column: any present value.
     const ANY: (u64, u64) = (0, NULL_SENTINEL - 1);
@@ -1833,36 +1862,34 @@ mod tests {
         vals.extend((0..VALS_PER_PAGE as u64).map(|i| 100 + i % 40));
         vals[VALS_PER_PAGE + 17] = NULL_SENTINEL;
         vals.extend((0..300u64).map(|i| 500 + i % 10));
-        for encoding in [ColumnEncoding::Plain, ColumnEncoding::Compressed] {
-            let col = Column::from_slice_with(&dm, &vals, encoding);
-            assert_eq!(col.n_pages(), 3);
-            // All present and inside: decided, whatever part of the page a
-            // sort-key-narrowed range then reads.
-            assert!(page_passes_whole(&col, 0, ANY));
-            assert!(page_passes_whole(&col, 0, (100, 139)));
-            assert!(page_passes_whole(&col, 0, (0, 139)));
-            // The restriction straddles the page's minimum / maximum.
-            assert!(!page_passes_whole(&col, 0, (101, 139)));
-            assert!(!page_passes_whole(&col, 0, (100, 138)));
-            assert!(!page_passes_whole(&col, 0, (200, 300)));
-            // Nothing can pass (`lo > hi`).
-            assert!(!page_passes_whole(&col, 0, (1, 0)));
-            // One NULL among 8192 rows: not decided, even unrestricted.
-            assert!(!page_passes_whole(&col, 1, ANY));
-            // The partial last page counts its own rows, not a full page's.
-            assert_eq!(col.page_rows(2).len(), 300);
-            assert!(page_passes_whole(&col, 2, ANY));
-            assert!(page_passes_whole(&col, 2, (500, 509)));
-            assert!(!page_passes_whole(&col, 2, (500, 508)));
-            // A column with a NULL anywhere is never decided as a whole.
-            assert!(!column_passes_whole(&col, ANY));
-        }
+        let col = Column::from_slice(&dm, &vals);
+        assert_eq!(col.n_pages(), 3);
+        // All present and inside: decided, whatever part of the page a
+        // sort-key-narrowed range then reads.
+        assert!(page_passes_whole(&col, 0, ANY));
+        assert!(page_passes_whole(&col, 0, (100, 139)));
+        assert!(page_passes_whole(&col, 0, (0, 139)));
+        // The restriction straddles the page's minimum / maximum.
+        assert!(!page_passes_whole(&col, 0, (101, 139)));
+        assert!(!page_passes_whole(&col, 0, (100, 138)));
+        assert!(!page_passes_whole(&col, 0, (200, 300)));
+        // Nothing can pass (`lo > hi`).
+        assert!(!page_passes_whole(&col, 0, (1, 0)));
+        // One NULL among 8192 rows: not decided, even unrestricted.
+        assert!(!page_passes_whole(&col, 1, ANY));
+        // The partial last page counts its own rows, not a full page's.
+        assert_eq!(col.page_rows(2).len(), 300);
+        assert!(page_passes_whole(&col, 2, ANY));
+        assert!(page_passes_whole(&col, 2, (500, 509)));
+        assert!(!page_passes_whole(&col, 2, (500, 508)));
+        // A column with a NULL anywhere is never decided as a whole.
+        assert!(!column_passes_whole(&col, ANY));
 
         // A constant page is served from metadata; its zone map decides it
         // like any other. An all-NULL page binds no row at all.
         let mut vals = vec![7u64; VALS_PER_PAGE];
         vals.extend(vec![NULL_SENTINEL; VALS_PER_PAGE]);
-        let col = Column::from_slice_with(&dm, &vals, ColumnEncoding::Compressed);
+        let col = Column::from_slice(&dm, &vals);
         assert_eq!(col.page_enc(0), PageEnc::Const { value: 7 });
         assert!(page_passes_whole(&col, 0, ANY));
         assert!(page_passes_whole(&col, 0, (7, 7)));
@@ -1870,7 +1897,7 @@ mod tests {
         assert!(!page_passes_whole(&col, 1, ANY));
 
         // Column level (RDFjoin): no NULL and the global range inside.
-        let col = Column::from_slice_with(&dm, &[5, 9, 7, 6], ColumnEncoding::Compressed);
+        let col = Column::from_slice(&dm, &[5, 9, 7, 6]);
         assert!(column_passes_whole(&col, ANY));
         assert!(column_passes_whole(&col, (5, 9)));
         assert!(!column_passes_whole(&col, (6, 9)));

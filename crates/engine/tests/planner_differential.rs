@@ -4,7 +4,8 @@
 //! one-worker, multi-worker, and value-at-a-time execution, both plan
 //! schemes, every storage generation, and with or without pending delta
 //! writes. Cost-based planning is a pure choice among equivalent plans —
-//! never a semantic change.
+//! never a semantic change. Over a family of chained RDF-H stars the pick
+//! must also stay within 1.5× the cheapest order's cost.
 
 use proptest::prelude::*;
 use sordf_columnar::{BufferPool, DiskManager};
@@ -233,6 +234,144 @@ fn make_query(dict: &sordf_model::Dictionary, width: usize, link: bool, lo: i64)
         Expr::Const(Oid::from_int(lo).unwrap()),
     ));
     Some(q)
+}
+
+/// `?s pred ?o` over an RDF-H predicate: (subject variable, local name,
+/// object variable).
+type Pattern = (&'static str, &'static str, &'static str);
+
+/// A BGP over RDF-H predicates, optionally filtered to lineitems shipped on
+/// or after a date. Every variable is selected.
+fn rdfh_query(dict: &sordf_model::Dictionary, bgp: &[Pattern], since: &str) -> Query {
+    let mut q = Query::default();
+    for &(s, p, o) in bgp {
+        let (s, o) = (q.var(s), q.var(o));
+        let p = dict
+            .iri_oid(&format!("{}{p}", sordf_rdfh::gen::NS))
+            .unwrap_or_else(|| panic!("no predicate {p}"));
+        q.patterns.push(TriplePattern {
+            s: VarOrOid::Var(s),
+            p,
+            o: VarOrOid::Var(o),
+        });
+    }
+    if !since.is_empty() {
+        let sd = q.var("sd");
+        let day = dict.term_oid(&Term::date(since)).expect("inline date");
+        q.filters
+            .push(Expr::cmp(Expr::Var(sd), CmpOp::Ge, Expr::Const(day)));
+    }
+    q
+}
+
+/// The chained-star family over RDF-H — walks up lineitem → order →
+/// customer → nation, the same walk through fresh variables (what `/`
+/// sequence paths desugar to), a date-filtered chain and a chain of wide
+/// stars. The optimizer's pick must cost at most 1.5× the cheapest forced
+/// star order on at least 90 % of the family, and every forced order must
+/// return the pick's answer.
+#[test]
+fn chosen_plans_stay_near_the_best_order_on_the_rdfh_chain_family() {
+    let data = sordf_rdfh::generate(&sordf_rdfh::RdfhConfig::new(0.001));
+    let g = build(&data.triples);
+    let family: [(&str, &[Pattern], &str); 6] = [
+        (
+            "chain2",
+            &[
+                ("li", "lineitem_orderkey", "o"),
+                ("li", "lineitem_quantity", "q"),
+                ("o", "order_orderdate", "od"),
+            ],
+            "",
+        ),
+        (
+            "chain3",
+            &[
+                ("li", "lineitem_orderkey", "o"),
+                ("li", "lineitem_extendedprice", "p"),
+                ("o", "order_custkey", "c"),
+                ("c", "customer_mktsegment", "seg"),
+            ],
+            "",
+        ),
+        (
+            "chain4",
+            &[
+                ("li", "lineitem_orderkey", "o"),
+                ("li", "lineitem_quantity", "q"),
+                ("o", "order_custkey", "c"),
+                ("c", "customer_nationkey", "n"),
+                ("n", "nation_name", "nname"),
+            ],
+            "",
+        ),
+        (
+            "path4",
+            &[
+                ("li", "lineitem_orderkey", "_p1"),
+                ("_p1", "order_custkey", "_p2"),
+                ("_p2", "customer_nationkey", "n"),
+                ("n", "nation_name", "nname"),
+            ],
+            "",
+        ),
+        (
+            "chain3_filter",
+            &[
+                ("li", "lineitem_orderkey", "o"),
+                ("li", "lineitem_quantity", "q"),
+                ("li", "lineitem_shipdate", "sd"),
+                ("o", "order_orderdate", "od"),
+            ],
+            "1995-01-01",
+        ),
+        (
+            "wide_star",
+            &[
+                ("li", "lineitem_orderkey", "o"),
+                ("li", "lineitem_quantity", "q"),
+                ("li", "lineitem_extendedprice", "p"),
+                ("li", "lineitem_discount", "d"),
+                ("o", "order_custkey", "c"),
+                ("o", "order_orderdate", "od"),
+                ("c", "customer_nationkey", "n"),
+            ],
+            "",
+        ),
+    ];
+    // The two CS layouts, where the order decides between RDFscan, RDFjoin
+    // and pushdown per edge.
+    for (ctx, cx, dict) in contexts(&g, PlanScheme::RdfScanJoin, true) {
+        if ctx == "baseline" {
+            continue;
+        }
+        let mut within = 0;
+        for (name, bgp, since) in family {
+            let (q, lp) = prepare(&rdfh_query(dict, bgp, since));
+            let pp = optimize(&cx, &lp);
+            let chosen = execute_physical(&cx, &q, &lp, &pp, None).canonical(dict);
+            assert!(!chosen.is_empty(), "{name} on {ctx} found nothing");
+            let mut best = f64::INFINITY;
+            for perm in permutations(lp.stars.len()) {
+                let forced = optimize_with_order(&cx, &lp, &perm);
+                best = best.min(forced.total_cost);
+                let rs = execute_physical(&cx, &q, &lp, &forced, None);
+                assert_eq!(
+                    rs.canonical(dict),
+                    chosen,
+                    "{name} on {ctx}: forced order {perm:?} diverged"
+                );
+            }
+            if pp.total_cost <= best * 1.5 {
+                within += 1;
+            }
+        }
+        assert!(
+            within * 10 >= family.len() * 9,
+            "{ctx}: the pick is within 1.5x the best order on only {within}/{} queries",
+            family.len()
+        );
+    }
 }
 
 fn permutations(n: usize) -> Vec<Vec<usize>> {

@@ -155,7 +155,7 @@ const BANNED_STD_SYNC: [&str; 7] = [
 /// `Database` write entry points a held `DictPin` must not straddle: even
 /// though copy-on-write interning keeps them deadlock-free, a pin held
 /// across them forces a full dictionary clone per batch.
-const WRITE_METHODS: [&str; 9] = [
+const WRITE_METHODS: [&str; 8] = [
     "insert_terms",
     "insert_ntriples",
     "load_terms",
@@ -163,7 +163,6 @@ const WRITE_METHODS: [&str; 9] = [
     "delete_triples",
     "delete_matching",
     "self_organize",
-    "self_organize_with",
     "reorganize_now",
 ];
 /// Guard-suffix rule plus known handle types that don't follow the naming

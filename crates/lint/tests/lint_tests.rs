@@ -142,10 +142,14 @@ fn classify_scopes_rules_by_tree_location() {
     // it gets the lock-graph, panic-path, and blocking-I/O rules.
     let server = classify("crates/server/src/lib.rs").expect("server is in scope");
     assert!(server.l2 && server.l3 && server.l9);
-    assert!(!classify("crates/bench/src/bin/bench_server.rs").unwrap().l9);
+    assert!(
+        !classify("crates/bench/src/bin/paper_figures.rs")
+            .unwrap()
+            .l9
+    );
     // Bench binaries keep the API-hygiene rules but not the panic/lock-graph
     // rules reserved for the concurrent store itself.
-    let bench = classify("crates/bench/src/bin/bench_parallel.rs").expect("bench is in scope");
+    let bench = classify("crates/bench/src/bin/paper_figures.rs").expect("bench is in scope");
     assert!(bench.l1 && bench.l4 && bench.l5 && bench.l6);
     assert!(!bench.l2 && !bench.l3);
     // Page-layout confinement holds everywhere except the codec itself, the

@@ -24,11 +24,6 @@ pub struct StatsView<'a> {
     schema: Option<&'a EmergentSchema>,
     /// `(predicate, visible pending inserts)`, sorted by predicate.
     pending: Vec<(Oid, u64)>,
-    /// Relative CPU cost of touching one row during a scan, `1.0` for plain
-    /// storage. Compressed page encodings trade CPU (decode work) for
-    /// bandwidth, so scans over them charge slightly more per row while the
-    /// cardinalities themselves are unchanged.
-    scan_cpu_factor: f64,
 }
 
 impl Default for StatsView<'_> {
@@ -43,7 +38,6 @@ impl<'a> StatsView<'a> {
         StatsView {
             schema,
             pending: Vec::new(),
-            scan_cpu_factor: 1.0,
         }
     }
 
@@ -53,19 +47,6 @@ impl<'a> StatsView<'a> {
         debug_assert!(pending.windows(2).all(|w| w[0].0 <= w[1].0));
         self.pending = pending;
         self
-    }
-
-    /// Set the per-row scan CPU factor (see the field docs). The engine
-    /// derives it from the storage generation's page-encoding scheme.
-    pub fn with_scan_cpu_factor(mut self, factor: f64) -> StatsView<'a> {
-        debug_assert!(factor >= 1.0);
-        self.scan_cpu_factor = factor;
-        self
-    }
-
-    /// Relative CPU cost of touching one row during a scan (`>= 1.0`).
-    pub fn scan_cpu_factor(&self) -> f64 {
-        self.scan_cpu_factor
     }
 
     /// Is a discovered schema backing this view?
@@ -167,7 +148,5 @@ mod tests {
         assert_eq!(sv.n_pending(), 8);
         assert_eq!(sv.regular_pred_cardinality(Oid::iri(3)), 0);
         assert!(sv.merged_col_stats(Oid::iri(3)).is_none());
-        assert_eq!(sv.scan_cpu_factor(), 1.0);
-        assert_eq!(sv.with_scan_cpu_factor(1.25).scan_cpu_factor(), 1.25);
     }
 }

@@ -1,7 +1,7 @@
 //! The exhaustive-indexing baseline store (MonetDB+HSP / RDF-3X layout).
 
 use crate::perm::{Order, PermIndex};
-use sordf_columnar::{BufferPool, ColumnEncoding, DiskManager, PageLease};
+use sordf_columnar::{BufferPool, DiskManager, PageLease};
 use sordf_model::{Oid, Triple};
 use std::sync::Arc;
 
@@ -16,7 +16,6 @@ use std::sync::Arc;
 pub struct BaselineStore {
     perms: Vec<PermIndex>,
     n_triples: usize,
-    encoding: ColumnEncoding,
     /// Leases this store's pages from the disk manager: when the last clone
     /// (i.e. the last generation pin referencing this store) drops, the
     /// pages return to the free list. Shared across clones so the extent is
@@ -27,18 +26,9 @@ pub struct BaselineStore {
 impl BaselineStore {
     /// Build all six projections.
     pub fn build(disk: &Arc<DiskManager>, triples: &[Triple]) -> BaselineStore {
-        BaselineStore::build_with(disk, triples, ColumnEncoding::default())
-    }
-
-    /// [`BaselineStore::build`] with an explicit page-encoding scheme.
-    pub fn build_with(
-        disk: &Arc<DiskManager>,
-        triples: &[Triple],
-        encoding: ColumnEncoding,
-    ) -> BaselineStore {
         let perms: Vec<PermIndex> = Order::ALL
             .iter()
-            .map(|&o| PermIndex::build_with(disk, triples, o, encoding))
+            .map(|&o| PermIndex::build(disk, triples, o))
             .collect();
         let mut pages = Vec::new();
         for perm in &perms {
@@ -49,14 +39,8 @@ impl BaselineStore {
         BaselineStore {
             perms,
             n_triples: triples.len(),
-            encoding,
             _lease: Arc::new(PageLease::new(Arc::clone(disk), pages)),
         }
-    }
-
-    /// The page-encoding scheme this store was built with.
-    pub fn encoding(&self) -> ColumnEncoding {
-        self.encoding
     }
 
     /// Bytes a scan of all six projections must touch (encoded size).

@@ -18,7 +18,7 @@
 
 use crate::baseline::BaselineStore;
 use crate::reorg::ClusterSpec;
-use sordf_columnar::{BufferPool, Column, ColumnEncoding, DiskManager};
+use sordf_columnar::{BufferPool, Column, DiskManager};
 use sordf_model::{Oid, Triple};
 use sordf_schema::{ClassId, EmergentSchema, TripleHome};
 
@@ -137,8 +137,6 @@ pub struct ClusteredStore {
     pub irregular: BaselineStore,
     /// Triples stored in segments (columns + side tables).
     pub n_regular: usize,
-    /// The page-encoding scheme the segments were built with.
-    encoding: ColumnEncoding,
     /// Leases the *segment* pages (the irregular store leases its own):
     /// freed when the last clone drops. Shared across clones so the extent
     /// is freed exactly once.
@@ -163,11 +161,6 @@ impl ClusteredStore {
     /// Total triples stored (regular + irregular).
     pub fn n_triples(&self) -> usize {
         self.n_regular + self.irregular.len()
-    }
-
-    /// The page-encoding scheme this store was built with.
-    pub fn encoding(&self) -> ColumnEncoding {
-        self.encoding
     }
 
     /// Bytes a scan of the segment columns must touch (encoded size),
@@ -221,25 +214,6 @@ pub fn build_clustered(
     schema: &mut EmergentSchema,
     spec: &ClusterSpec,
     dense: bool,
-) -> ClusteredStore {
-    build_clustered_with(
-        disk,
-        triples_spo,
-        schema,
-        spec,
-        dense,
-        ColumnEncoding::default(),
-    )
-}
-
-/// [`build_clustered`] with an explicit page-encoding scheme.
-pub fn build_clustered_with(
-    disk: &std::sync::Arc<DiskManager>,
-    triples_spo: &[Triple],
-    schema: &mut EmergentSchema,
-    spec: &ClusterSpec,
-    dense: bool,
-    encoding: ColumnEncoding,
 ) -> ClusteredStore {
     debug_assert!(
         triples_spo
@@ -333,12 +307,12 @@ pub fn build_clustered_with(
             SubjectIds::Dense { base }
         } else {
             SubjectIds::Sparse {
-                subjects: Column::from_slice_with(disk, subs, encoding),
+                subjects: Column::from_slice(disk, subs),
             }
         };
         let mut columns = Vec::with_capacity(class.columns.len());
         for (coli, data) in col_data[ci].iter().enumerate() {
-            let col = Column::from_slice_with(disk, data, encoding);
+            let col = Column::from_slice(disk, data);
             // Refresh schema stats from the physical column.
             let stats = &mut class.columns[coli].stats;
             stats.n_nonnull = (col.len() - col.n_nulls()) as u64;
@@ -349,16 +323,10 @@ pub fn build_clustered_with(
         let mut multi = Vec::with_capacity(class.multi_props.len());
         for (mi, pairs) in multi_data[ci].iter_mut().enumerate() {
             pairs.sort_unstable();
-            let s_col = Column::from_slice_with(
-                disk,
-                &pairs.iter().map(|&(s, _)| s).collect::<Vec<_>>(),
-                encoding,
-            );
-            let o_col = Column::from_slice_with(
-                disk,
-                &pairs.iter().map(|&(_, o)| o).collect::<Vec<_>>(),
-                encoding,
-            );
+            let s_col =
+                Column::from_slice(disk, &pairs.iter().map(|&(s, _)| s).collect::<Vec<_>>());
+            let o_col =
+                Column::from_slice(disk, &pairs.iter().map(|&(_, o)| o).collect::<Vec<_>>());
             let stats = &mut class.multi_props[mi].stats;
             stats.n_nonnull = pairs.len() as u64;
             stats.min = o_col.zonemap().global_min();
@@ -383,7 +351,7 @@ pub fn build_clustered_with(
         });
     }
 
-    let irregular_store = BaselineStore::build_with(disk, &irregular, encoding);
+    let irregular_store = BaselineStore::build(disk, &irregular);
     let mut pages = Vec::new();
     for seg in &segments {
         if let SubjectIds::Sparse { subjects } = &seg.subjects {
@@ -401,7 +369,6 @@ pub fn build_clustered_with(
         segments,
         irregular: irregular_store,
         n_regular,
-        encoding,
         _lease: std::sync::Arc::new(sordf_columnar::PageLease::new(
             std::sync::Arc::clone(disk),
             pages,

@@ -320,12 +320,6 @@ pub struct DeltaStore {
     /// the pre-swap numbering so snapshots taken at or after the rebuild
     /// pin stay meaningful across the swap.
     base_seq: u64,
-    /// Sequence through which insert runs have been compacted (0 = never).
-    /// History strictly below the floor can no longer be reconstructed:
-    /// compaction physically drops run triples killed by tombstones up to
-    /// the floor, so [`DeltaStore::view_at`] clamps up to it (exactly like
-    /// `base_seq` clamps history folded into the base generation).
-    floor: u64,
     /// Set by the owner when inserts interned new string literals (see
     /// [`DeltaView::strings_appended`]).
     strings_appended: bool,
@@ -380,16 +374,10 @@ impl DeltaStore {
         self.tombstones.len()
     }
 
-    /// Number of insert runs currently held. Every insert batch adds one;
-    /// [`DeltaStore::compact_runs`] merges them back down to at most one.
+    /// Number of insert runs currently held: one per insert batch since the
+    /// last reorganization.
     pub fn n_runs(&self) -> usize {
         self.runs.len()
-    }
-
-    /// The compaction floor: the oldest sequence whose view is still
-    /// reconstructible (see [`DeltaStore::view_at`]).
-    pub fn history_floor(&self) -> u64 {
-        self.floor.max(self.base_seq)
     }
 
     /// Approximate resident bytes of the pending writes: run triples plus
@@ -398,53 +386,6 @@ impl DeltaStore {
         let triple = std::mem::size_of::<Triple>() as u64;
         self.n_inserted() as u64 * triple
             + self.tombstones.len() as u64 * (triple + std::mem::size_of::<u64>() as u64)
-    }
-
-    /// Merge all insert runs into one SPO-sorted run carrying the current
-    /// sequence, physically dropping triples already killed by a later
-    /// tombstone (tombstone seq in `(run_seq, current]`). Tombstones are
-    /// *kept* — they still filter base-resident occurrences — and the
-    /// visible set at the current sequence is unchanged, so the cached
-    /// current view stays valid. History below the current sequence is
-    /// given up: the floor rises to it.
-    ///
-    /// Callers must not hold pins below the current sequence — in
-    /// particular a generation rebuild's `writes_since(pin)` needs the
-    /// original per-batch runs, so the owner only compacts while no
-    /// rebuild is in flight.
-    pub fn compact_runs(&mut self) {
-        if self.runs.len() <= 1 && self.tombstones.is_empty() {
-            return;
-        }
-        let merged_seq = self.seq;
-        // Latest tombstone per triple. The merged run carries the current
-        // sequence, so no tombstone postdates it: every kill the
-        // tombstones imply on delta inserts is applied physically here,
-        // and what survives carries a seq no tombstone exceeds.
-        let mut tomb_seqs: FxHashMap<Triple, u64> = FxHashMap::default();
-        for &(tseq, t) in &self.tombstones {
-            let e = tomb_seqs.entry(t).or_insert(tseq);
-            *e = (*e).max(tseq);
-        }
-        let mut merged: Vec<Triple> = Vec::with_capacity(self.n_inserted());
-        for run in &self.runs {
-            for &t in &run.triples {
-                if tomb_seqs.get(&t).map_or(true, |&ts| ts <= run.seq) {
-                    merged.push(t);
-                }
-            }
-        }
-        merged.sort_unstable_by_key(|t| t.key_spo());
-        self.runs.clear();
-        if !merged.is_empty() {
-            self.runs.push(DeltaRun {
-                seq: merged_seq,
-                triples: merged,
-            });
-        }
-        self.floor = self.floor.max(merged_seq);
-        #[cfg(debug_assertions)]
-        self.debug_validate();
     }
 
     /// Record that inserts interned new string literals; propagated into
@@ -519,12 +460,6 @@ impl DeltaStore {
             "sequence {} ran behind base_seq {}",
             self.seq,
             self.base_seq
-        );
-        assert!(
-            self.floor <= self.seq,
-            "compaction floor {} ran ahead of sequence {}",
-            self.floor,
-            self.seq
         );
         let mut prev_seq = self.base_seq;
         for run in &self.runs {
@@ -612,16 +547,11 @@ impl DeltaStore {
 
     /// Build the view of an arbitrary snapshot (clamped to this store's
     /// sequence range — history at or before `base_seq` has been folded
-    /// into the base generation, and history below the compaction floor
-    /// was physically merged away; neither can be subtracted back out).
+    /// into the base generation and cannot be subtracted back out).
     /// O(delta size); the current sequence is served from the cache by
     /// [`DeltaStore::current_view`].
     pub fn view_at(&self, snap: Snapshot) -> DeltaView {
-        let seq = snap
-            .seq()
-            .min(self.seq)
-            .max(self.base_seq)
-            .max(self.floor.min(self.seq));
+        let seq = snap.seq().min(self.seq).max(self.base_seq);
         // Per triple: ascending tombstone sequences (within the snapshot).
         let mut tomb_seqs: FxHashMap<Triple, Vec<u64>> = FxHashMap::default();
         for &(tseq, t) in &self.tombstones {
@@ -960,81 +890,6 @@ mod tests {
         );
         // History at or before the base is clamped up to the base.
         assert_eq!(replay.view_at(Snapshot(0)).seq(), 1);
-    }
-
-    #[test]
-    fn compaction_merges_runs_and_preserves_the_visible_set() {
-        let mut d = DeltaStore::new();
-        let _ = d.insert_run(vec![t(3, 10, 1), t(1, 11, 2)]); // seq 1
-        let _ = d.delete(&[t(1, 11, 2), t(9, 9, 9)]); // seq 2: one kill, one base-only
-        let _ = d.insert_run(vec![t(1, 11, 2), t(1, 10, 5)]); // seq 3: re-insert + new
-        let _ = d.insert_run(vec![t(2, 10, 9)]); // seq 4
-        assert_eq!(d.n_runs(), 3);
-        let before = d.view_at(d.snapshot());
-
-        d.compact_runs();
-        assert_eq!(d.n_runs(), 1);
-        assert_eq!(d.history_floor(), 4);
-        // Physically dropped: the seq-1 insert of t(1,11,2) killed at seq 2.
-        assert_eq!(d.n_inserted(), 4);
-        // Tombstones are kept: base occurrences stay filtered.
-        assert_eq!(d.n_tombstones(), 2);
-
-        let after = d.view_at(d.snapshot());
-        assert_eq!(after.seq(), before.seq());
-        assert_eq!(after.inserts_pso, before.inserts_pso);
-        assert_eq!(after.tombs_pso, before.tombs_pso);
-        // Cached view stays valid too.
-        let cached = d.current_view().unwrap();
-        assert_eq!(cached.inserts_pso, before.inserts_pso);
-        assert!(after.is_deleted(t(9, 9, 9)));
-        assert_eq!(d.visible_inserts().len(), 4);
-    }
-
-    #[test]
-    fn compaction_raises_the_history_floor() {
-        let mut d = DeltaStore::new();
-        let s1 = d.insert_run(vec![t(1, 10, 2)]); // seq 1
-        let _ = d.insert_run(vec![t(2, 10, 3)]); // seq 2
-        assert_eq!(d.view_at(s1).n_inserts(), 1);
-        d.compact_runs();
-        // History below the floor is clamped up to it.
-        let v = d.view_at(s1);
-        assert_eq!(v.seq(), 2);
-        assert_eq!(v.n_inserts(), 2);
-    }
-
-    #[test]
-    fn tombstone_after_compaction_still_kills_merged_inserts() {
-        let mut d = DeltaStore::new();
-        let _ = d.insert_run(vec![t(1, 10, 2)]); // seq 1
-        let _ = d.insert_run(vec![t(2, 10, 3)]); // seq 2
-        d.compact_runs();
-        let _ = d.delete(&[t(1, 10, 2)]); // seq 3, after the merge
-        let v = d.current_view().unwrap();
-        assert_eq!(v.n_inserts(), 1);
-        assert!(v.is_deleted(t(1, 10, 2)));
-        assert_eq!(d.visible_inserts(), vec![t(2, 10, 3)]);
-        // And the from-scratch view agrees.
-        let rebuilt = d.view_at(d.snapshot());
-        assert_eq!(rebuilt.inserts_pso, v.inserts_pso);
-    }
-
-    #[test]
-    fn compacting_fully_deleted_runs_leaves_no_runs() {
-        let mut d = DeltaStore::new();
-        let _ = d.insert_run(vec![t(1, 10, 2)]); // seq 1
-        let _ = d.insert_run(vec![t(2, 10, 3)]); // seq 2
-        let _ = d.delete(&[t(1, 10, 2), t(2, 10, 3)]); // seq 3
-        let _ = d.insert_run(vec![t(4, 10, 4)]); // seq 4
-        let _ = d.delete(&[t(4, 10, 4)]); // seq 5
-        d.compact_runs();
-        assert_eq!(d.n_runs(), 0);
-        assert_eq!(d.n_inserted(), 0);
-        assert!(d.visible_inserts().is_empty());
-        // Idempotent on an already-compacted store.
-        d.compact_runs();
-        assert_eq!(d.n_runs(), 0);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use sordf_columnar::ColumnEncoding;
 use sordf_model::{Dictionary, Oid, Triple};
 use sordf_schema::EmergentSchema;
 
@@ -57,9 +56,6 @@ pub struct StoreGeneration {
     /// String-pool size at the last string sort: interning past this
     /// watermark breaks string-OID value order until the next swap.
     pub strings_sorted_len: usize,
-    /// Page-encoding scheme every layout of this generation is built with;
-    /// part of the physical identity a plan cache must key on.
-    pub encoding: ColumnEncoding,
 }
 
 /// The shared handle queries clone at query start and a swap replaces
@@ -69,15 +65,6 @@ pub type GenerationHandle = Arc<StoreGeneration>;
 impl StoreGeneration {
     /// A staging generation: dictionary + triples, nothing built yet.
     pub fn staging(dict: Dictionary, triples: Vec<Triple>) -> StoreGeneration {
-        StoreGeneration::staging_with(dict, triples, ColumnEncoding::default())
-    }
-
-    /// [`StoreGeneration::staging`] with an explicit page-encoding scheme.
-    pub fn staging_with(
-        dict: Dictionary,
-        triples: Vec<Triple>,
-        encoding: ColumnEncoding,
-    ) -> StoreGeneration {
         StoreGeneration {
             dict: Arc::new(dict),
             triples: Arc::new(triples),
@@ -88,7 +75,6 @@ impl StoreGeneration {
             spec: ClusterSpec::none(),
             reorg_report: None,
             strings_sorted_len: 0,
-            encoding,
         }
     }
 

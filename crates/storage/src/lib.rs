@@ -37,9 +37,7 @@ pub mod triple_set;
 pub mod wal;
 
 pub use baseline::BaselineStore;
-pub use clustered::{
-    build_clustered, build_clustered_with, ClassSegment, ClusteredStore, MultiTable,
-};
+pub use clustered::{build_clustered, ClassSegment, ClusteredStore, MultiTable};
 pub use delta::{DeltaStore, DeltaView, DeltaWrite, Snapshot};
 pub use generation::{fold_delta, visible_base, DictPin, GenerationHandle, StoreGeneration};
 pub use manifest::{LayoutFlags, Manifest, SnapshotHeader, StoreSnapshot};

@@ -49,7 +49,7 @@
 //! what was read and nothing may follow it, so a truncated, extended or
 //! bit-flipped file is an error, never a different store.
 
-use sordf_columnar::{crash_point, io_fault, ColumnEncoding};
+use sordf_columnar::{crash_point, io_fault};
 use sordf_model::{DictPool, Dictionary, Oid, Triple};
 use sordf_schema::SchemaConfig;
 use std::fs::{self, File, OpenOptions};
@@ -218,49 +218,30 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 
 /// Which store layouts a snapshot's generation had built (recovery rebuilds
 /// the same set, in the deterministic order `self_organize` →
-/// `build_cs_tables` → `build_baseline`).
+/// `build_cs_tables` → `build_baseline`). Bits 0–2 of the header's flag
+/// byte; whether a schema was discovered is not recorded, because exactly
+/// the two table layouts carry one. Bit 3 (a discovered schema) and bit 4
+/// (plain page encoding) are retired: a snapshot that sets any bit above 2
+/// is refused, never read as something else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayoutFlags {
     pub baseline: bool,
     pub cs_parse_order: bool,
     pub clustered: bool,
-    pub schema: bool,
-    /// Bit 4: the layouts were built with [`ColumnEncoding::Plain`] (unset =
-    /// the compressed default, so pre-existing snapshots recover compressed).
-    pub plain_encoding: bool,
 }
 
 impl LayoutFlags {
     fn to_byte(self) -> u8 {
-        (self.baseline as u8)
-            | (self.cs_parse_order as u8) << 1
-            | (self.clustered as u8) << 2
-            | (self.schema as u8) << 3
-            | (self.plain_encoding as u8) << 4
+        (self.baseline as u8) | (self.cs_parse_order as u8) << 1 | (self.clustered as u8) << 2
     }
 
-    fn from_byte(b: u8) -> LayoutFlags {
-        LayoutFlags {
+    /// `None` when a bit above 2 is set.
+    fn from_byte(b: u8) -> Option<LayoutFlags> {
+        (b < 8).then_some(LayoutFlags {
             baseline: b & 1 != 0,
             cs_parse_order: b & 2 != 0,
             clustered: b & 4 != 0,
-            schema: b & 8 != 0,
-            plain_encoding: b & 16 != 0,
-        }
-    }
-
-    /// The page-encoding scheme recorded in these flags.
-    pub fn encoding(self) -> ColumnEncoding {
-        if self.plain_encoding {
-            ColumnEncoding::Plain
-        } else {
-            ColumnEncoding::Compressed
-        }
-    }
-
-    /// Record a page-encoding scheme in these flags.
-    pub fn record_encoding(&mut self, encoding: ColumnEncoding) {
-        self.plain_encoding = encoding == ColumnEncoding::Plain;
+        })
     }
 }
 
@@ -530,7 +511,7 @@ impl StoreSnapshot {
 fn decode_header(payload: &[u8]) -> Option<(SnapshotHeader, usize)> {
     let mut off = 0usize;
     let base_seq = read_u64(payload, &mut off)?;
-    let flags = LayoutFlags::from_byte(*payload.get(off)?);
+    let flags = LayoutFlags::from_byte(*payload.get(off)?)?;
     off += 1;
     let schema_cfg = decode_schema_cfg(payload, &mut off)?;
     let strings_frozen = usize::try_from(read_u64(payload, &mut off)?).ok()?;
@@ -713,8 +694,6 @@ mod tests {
                 baseline: true,
                 cs_parse_order: false,
                 clustered: true,
-                schema: true,
-                plain_encoding: true,
             },
             schema_cfg: SchemaConfig {
                 min_support: 5,
@@ -962,5 +941,32 @@ mod tests {
         fs::write(&path, bytes).unwrap();
         let err = StoreSnapshot::read_from(&path).unwrap_err();
         assert!(err.to_string().contains("unsupported version"), "{err}");
+    }
+
+    /// A snapshot written when bits 3 (schema) and 4 (plain pages) of the
+    /// layout flags still meant something is refused, well checksummed or
+    /// not: the reader never guesses what a retired bit meant.
+    #[test]
+    fn retired_layout_bits_are_refused() {
+        let dir = temp_dir("snapbits");
+        let _c = Cleanup(dir.clone());
+        let path = Manifest::snap_path(&dir, 0);
+        let (dict, triples) = sample_store();
+        StoreSnapshot::write_to(&path, &sample_header(), &dict, triples.iter().copied()).unwrap();
+        let good = fs::read(&path).unwrap();
+        // The header frame follows the 12-byte preamble; its payload is
+        // base_seq (8 bytes), then the flag byte.
+        let len = u32::from_le_bytes(good[13..17].try_into().unwrap()) as usize;
+        let (start, end) = (12 + FRAME_HEADER, 12 + FRAME_HEADER + len);
+        for bit in 3..8 {
+            let mut payload = good[start..end].to_vec();
+            payload[8] |= 1 << bit;
+            let mut bytes = good[..12].to_vec();
+            bytes.extend(frame(SEC_HEADER, &payload));
+            bytes.extend_from_slice(&good[end..]);
+            fs::write(&path, bytes).unwrap();
+            let err = StoreSnapshot::read_from(&path).expect_err("retired layout bit");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit}: {err}");
+        }
     }
 }

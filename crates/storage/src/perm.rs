@@ -7,7 +7,7 @@
 //! `range2_between` supports range predicates on the second key — the
 //! access pattern of a `POS` scan with an object range restriction.
 
-use sordf_columnar::{BufferPool, Column, ColumnEncoding, DiskManager};
+use sordf_columnar::{BufferPool, Column, ColumnBuilder, DiskManager};
 use sordf_model::{Oid, Triple};
 use std::ops::Range;
 
@@ -71,22 +71,12 @@ pub struct PermIndex {
 impl PermIndex {
     /// Build from triples; sorts a scratch copy internally.
     pub fn build(disk: &DiskManager, triples: &[Triple], order: Order) -> PermIndex {
-        PermIndex::build_with(disk, triples, order, ColumnEncoding::default())
-    }
-
-    /// [`PermIndex::build`] with an explicit page-encoding scheme.
-    pub fn build_with(
-        disk: &DiskManager,
-        triples: &[Triple],
-        order: Order,
-        encoding: ColumnEncoding,
-    ) -> PermIndex {
         let mut keys: Vec<(Oid, Oid, Oid)> = triples.iter().map(|t| order.key(t)).collect();
         keys.sort_unstable();
         let mut builders = [
-            sordf_columnar::ColumnBuilder::new_with(disk, encoding),
-            sordf_columnar::ColumnBuilder::new_with(disk, encoding),
-            sordf_columnar::ColumnBuilder::new_with(disk, encoding),
+            ColumnBuilder::new(disk),
+            ColumnBuilder::new(disk),
+            ColumnBuilder::new(disk),
         ];
         for &(a, b, c) in &keys {
             builders[0].push(a.raw());

@@ -1,7 +1,7 @@
 //! The cached current [`DeltaView`](sordf_storage::DeltaView) is maintained
 //! by ordered splices — an insert run merges in, a delete batch closes up
 //! the equal-ranges it kills and opens gaps for the tombstones it adds. For
-//! arbitrary scripts of inserts, deletes and run compactions it must equal
+//! arbitrary scripts of inserts and deletes it must equal
 //! what `view_at(current)` rebuilds from the runs and tombstones from
 //! scratch, after every step, and every historical snapshot must keep
 //! answering what it answered when it was current.
@@ -14,7 +14,6 @@ use sordf_storage::{DeltaStore, DeltaView};
 enum Op {
     Insert(Vec<Triple>),
     Delete(Vec<Triple>),
-    Compact,
 }
 
 /// Triples from a small domain, so that scripts keep hitting the same
@@ -31,7 +30,6 @@ fn op() -> impl Strategy<Value = Op> {
         proptest::collection::vec(triple(), 1..8).prop_map(Op::Insert),
         proptest::collection::vec(triple(), 1..6).prop_map(Op::Delete),
         proptest::collection::vec(triple(), 1..6).prop_map(Op::Delete),
-        (0u8..1).prop_map(|_| Op::Compact),
     ]
 }
 
@@ -47,7 +45,7 @@ proptest! {
     #[test]
     fn incremental_view_equals_rebuild(script in proptest::collection::vec(op(), 1..24)) {
         let mut store = DeltaStore::new();
-        // (snapshot, the view that was current at it), while reconstructible.
+        // (snapshot, the view that was current at it).
         let mut history = Vec::new();
         for op in script {
             match op {
@@ -56,11 +54,6 @@ proptest! {
                 }
                 Op::Delete(batch) => {
                     let _ = store.delete(&batch);
-                }
-                Op::Compact => {
-                    store.compact_runs();
-                    // Compaction gives up history below the current sequence.
-                    history.clear();
                 }
             }
             store.debug_validate();

@@ -2,10 +2,10 @@
 //!
 //! A star scan over a class segment evaluates the clean runs between *dirty*
 //! rows (rows a tombstone or an exception touches) column-at-a-time and only
-//! the dirty rows one by one; pruning follows the rows (a page without dirty
-//! rows prunes on every restricted column, a page with one by the legacy
-//! first-column rule) and is blocked per segment, only where a pending
-//! insert can attach to one of the segment's rows. Every boundary of that
+//! the dirty rows one by one; pruning follows the rows (a column rules a page
+//! out only when no exception of that column binds one of the page's rows)
+//! and is blocked per segment, only where a pending insert can attach to one
+//! of the segment's rows. Every boundary of that
 //! scheme is exercised here over a two-class fixture with three pages per
 //! segment, on dense (clustered) and sparse (CS tables over parse-order
 //! OIDs) segments, and every cell is compared
@@ -13,7 +13,8 @@
 //! * byte for byte (row order included) between the vectorized kernels with
 //!   one worker, with three workers, and the value-at-a-time rowwise oracle
 //!   on the same live store, and
-//! * canonically against a fresh bulk load of the same logical triple set.
+//! * canonically against a fresh bulk load of the same logical triple set
+//!   (and, for the pruning regression, the exhaustive-index baseline).
 
 use sordf::{Database, ExecConfig, Generation, ParallelConfig, QueryRequest, Snapshot};
 use sordf_engine::context::StatsSnapshot;
@@ -113,13 +114,11 @@ fn part_triples(i: usize) -> Vec<TermTriple> {
 
 /// A part that carries a second `weight` value in the bulk load. A column
 /// holds one value per row, so the other is an irregular *exception* with no
-/// delta involved: its row is dirty from the start, and its page must prune
-/// by the first-column rule only (`part_exception_on_second_column`). It
-/// lives among the parts because no step below inserts a `size` or `weight`:
-/// the first-column rule picks the first restricted column *not blocked by a
-/// pending insert*, so a blocked first column would move the rule on to
-/// `weight`, whose zone map then drops the page, exception and all, in every
-/// executor alike — a gap of the legacy rule a fresh bulk load does not share.
+/// delta involved: its row is dirty from the start, and the `weight` zone map
+/// of its page excludes the exception's value, so `weight` must not rule the
+/// page out (`part_exception_on_second_column`). The scenario never inserts
+/// a `size` or `weight`; `a_blocked_first_column_keeps_a_base_exception_on_the_second`
+/// does, which blocks pruning on `size` and leaves `weight` to decide.
 const TWO_WEIGHTS: usize = PAGE + 100;
 
 /// The bulk load, the two classes interleaved so that their sparse segments
@@ -387,7 +386,7 @@ fn scenario(layout: Layout) {
     assert_eq!(
         no_delta[second_col].len(),
         1,
-        "{layout:?}: the base exception binds through the dirty-page pruning rule"
+        "{layout:?}: the base exception binds although its page's zone map misses it"
     );
     let items = row_order(&live, layout, text_of("item_all"), N_ITEM);
     let parts = row_order(
@@ -541,6 +540,47 @@ fn scenario(layout: Layout) {
             &got, want,
             "{layout:?} {name}: the step-1 snapshot differs from the step-1 bulk load"
         );
+    }
+}
+
+/// A pending `size` insert on a part subject blocks pruning on `size`, the
+/// first restricted column of `part_exception_on_second_column`; `weight`,
+/// whose zone map excludes the page of `TWO_WEIGHTS`, must still not rule
+/// that page out, because the base exception on `weight` binds one of its
+/// rows. Checked against a fresh bulk load and the exhaustive-index
+/// baseline, which no zone map prunes.
+#[test]
+fn a_blocked_first_column_keeps_a_base_exception_on_the_second() {
+    let name = "part_exception_on_second_column";
+    let cat = catalog();
+    let text = &cat
+        .iter()
+        .find(|(n, _)| *n == name)
+        .expect("catalog entry")
+        .1;
+    let pending = part(3, "size", Term::int(19));
+    let mut logical = base_triples();
+    logical.push(pending.clone());
+    let baseline = {
+        let db = Database::in_temp_dir().unwrap();
+        db.load_terms(&logical).unwrap();
+        db.build_baseline().unwrap();
+        let req = QueryRequest::sparql(text.as_str()).generation(Generation::Baseline);
+        db.execute(&req).unwrap().results.canonical(&db.dict())
+    };
+    assert_eq!(baseline.len(), 1, "the exception binds one row");
+    for layout in [Layout::Dense, Layout::Sparse] {
+        let live = build(&base_triples(), layout);
+        live.insert_terms(std::slice::from_ref(&pending)).unwrap();
+        let got = live_answer(&live, layout, name, text, None, "size pending");
+        let fresh = build(&logical, layout);
+        let want = fresh
+            .execute(&request(layout, text, None))
+            .unwrap()
+            .results
+            .canonical(&fresh.dict());
+        assert_eq!(got, want, "{layout:?}: differs from a fresh bulk load");
+        assert_eq!(got, baseline, "{layout:?}: differs from the baseline");
     }
 }
 

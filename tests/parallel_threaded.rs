@@ -3,7 +3,10 @@
 //! per-thread query contexts — and through the morsel-parallel operators,
 //! asserting results identical to the sequential reference across all three
 //! storage generations. This is the "many queries, many cores, one pool"
-//! serving scenario of the ROADMAP north star.
+//! serving scenario of the ROADMAP north star. Besides the catalog, the
+//! suite runs the shapes that stress the scan kernels: a six-property
+//! lineitem star (every column, no filter) and Q6's revenue sum over a
+//! three-month and a three-year shipdate window.
 
 use sordf::{Database, ExecConfig, Generation, ParallelConfig, PlanScheme, QueryRequest};
 use sordf_rdfh::{generate, query, RdfhConfig, ALL_QUERIES};
@@ -26,6 +29,30 @@ fn rig() -> Rig {
         parse_order,
         clustered,
     }
+}
+
+/// The RDF-H catalog plus the scan-heavy shapes: `(name, SPARQL)`.
+fn suite() -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = ALL_QUERIES
+        .iter()
+        .map(|&q| (q.name().to_string(), query(q).to_string()))
+        .collect();
+    let star6 = "PREFIX rdfh: <http://lod2.eu/schemas/rdfh#>
+SELECT ?s WHERE { ?s rdfh:lineitem_quantity ?a . ?s rdfh:lineitem_extendedprice ?b .
+  ?s rdfh:lineitem_discount ?c . ?s rdfh:lineitem_tax ?d .
+  ?s rdfh:lineitem_shipmode ?e . ?s rdfh:lineitem_returnflag ?f . }";
+    out.push(("starjoin6".into(), star6.into()));
+    for (name, end) in [("q6_3mo", "1994-04-01"), ("q6_36mo", "1997-01-01")] {
+        let q6 = format!(
+            r#"PREFIX rdfh: <http://lod2.eu/schemas/rdfh#>
+SELECT (SUM(?price * ?disc) AS ?rev) WHERE {{
+  ?li rdfh:lineitem_shipdate ?d . ?li rdfh:lineitem_extendedprice ?price .
+  ?li rdfh:lineitem_discount ?disc .
+  FILTER(?d >= "1994-01-01"^^xsd:date && ?d < "{end}"^^xsd:date) }}"#
+        );
+        out.push((name.into(), q6));
+    }
+    out
 }
 
 /// The three storage generations under their natural plan scheme.
@@ -68,16 +95,17 @@ fn configs(rig: &Rig) -> Vec<(&'static str, &Database, Generation, ExecConfig)> 
 fn star_join_suite_is_stable_under_4_threads_and_parallel_operators() {
     let rig = rig();
     let configs = configs(&rig);
+    let suite = suite();
 
     // Sequential reference canonicals, computed single-threaded up front.
     let reference: Vec<Vec<Vec<String>>> = configs
         .iter()
         .map(|(_, db, generation, exec)| {
-            ALL_QUERIES
+            suite
                 .iter()
-                .map(|&qid| {
+                .map(|(_, text)| {
                     db.execute(
-                        &QueryRequest::sparql(query(qid))
+                        &QueryRequest::sparql(text.as_str())
                             .generation(*generation)
                             .config(*exec),
                     )
@@ -96,25 +124,25 @@ fn star_join_suite_is_stable_under_4_threads_and_parallel_operators() {
         for thread in 0..4usize {
             let configs = &configs;
             let reference = &reference;
+            let suite = &suite;
             s.spawn(move || {
                 // Stagger starting offsets so threads collide on different
                 // pages of the shared pool.
-                for step in 0..ALL_QUERIES.len() {
-                    let qi = (thread + step) % ALL_QUERIES.len();
-                    let qid = ALL_QUERIES[qi];
+                for step in 0..suite.len() {
+                    let qi = (thread + step) % suite.len();
+                    let (qname, text) = &suite[qi];
                     for (ci, (name, db, generation, exec)) in configs.iter().enumerate() {
-                        let req = QueryRequest::sparql(query(qid))
+                        let req = QueryRequest::sparql(text.as_str())
                             .generation(*generation)
                             .config(*exec);
                         let seq = db
                             .execute(&req)
-                            .unwrap_or_else(|e| panic!("{name}/{}: {e}", qid.name()))
+                            .unwrap_or_else(|e| panic!("{name}/{qname}: {e}"))
                             .results;
                         assert_eq!(
                             seq.canonical(&db.dict()),
                             reference[ci][qi],
-                            "thread {thread}: sequential {} on {name} diverged",
-                            qid.name()
+                            "thread {thread}: sequential {qname} on {name} diverged"
                         );
                         for workers in [2usize, 4] {
                             let par = ParallelConfig {
@@ -124,13 +152,12 @@ fn star_join_suite_is_stable_under_4_threads_and_parallel_operators() {
                             };
                             let rs = db
                                 .execute(&req.clone().parallel(par))
-                                .unwrap_or_else(|e| panic!("{name}/{}: {e}", qid.name()))
+                                .unwrap_or_else(|e| panic!("{name}/{qname}: {e}"))
                                 .results;
                             assert_eq!(
                                 rs.canonical(&db.dict()),
                                 reference[ci][qi],
-                                "thread {thread}: parallel({workers}) {} on {name} diverged",
-                                qid.name()
+                                "thread {thread}: parallel({workers}) {qname} on {name} diverged"
                             );
                         }
                     }

@@ -10,8 +10,9 @@
 //!   {no delta, pending inserts, tombstones, both} × {RDFscan, RDFjoin,
 //!   IdxScan+MergeJoin} × workers {1, 3} on dense and sparse segments:
 //!   the pruned evaluation is the full one with the other columns dropped —
-//!   same rows, same order, same multiplicity — and the full one is the
-//!   rowwise oracle's table byte for byte;
+//!   same rows, same order, same multiplicity — the full one is the rowwise
+//!   oracle's table byte for byte, and the two access paths bind the same
+//!   bag of rows;
 //! * **plans** — two- and three-star RDF-H queries under every join strategy
 //!   the executor has, each forced in a hand-built plan: whatever subset of
 //!   the variables is selected (none at all for `COUNT(*)`), the answer is
@@ -282,6 +283,7 @@ proptest! {
         candidates.dedup();
         let candidates: Vec<Oid> = candidates.into_iter().step_by(2).collect();
 
+        let mut answers = Vec::new();
         for (access, cands) in [
             (StarAccess::RdfScan, None),
             (StarAccess::RdfScan, Some(&candidates[..])),
@@ -316,7 +318,14 @@ proptest! {
                 pruned3.vars == pruned.vars && pruned3.cols == pruned.cols && pruned3.len() == pruned.len(),
                 "{what}: three workers differ from one"
             );
+            let mut rows: Vec<Vec<Oid>> = (0..full.len()).map(|i| full.row(i)).collect();
+            rows.sort_unstable();
+            answers.push(rows);
         }
+        // The access path is a plan choice, never an answer: RDFscan and
+        // IdxScan+MergeJoin bind the same bag of rows, on dirty data too.
+        prop_assert!(answers[0] == answers[2], "{}: RDFscan and PropMerge differ", rig.name);
+        prop_assert!(answers[1] == answers[3], "{}: RDFjoin and PropMerge differ", rig.name);
     }
 }
 

@@ -96,6 +96,16 @@ fn all_catalog_queries_agree_across_configs() {
         let rows = reference.unwrap();
         assert!(!rows.is_empty(), "{} returned nothing", qid.name());
     }
+    // Every configuration read compressed pages: each built layout holds
+    // its columns in at most a third of their plain bytes.
+    for db in [&rig.parse_order, &rig.clustered] {
+        let m = db.memory_stats();
+        assert!(
+            m.column_compression_ratio() >= 3.0,
+            "column pages shrink only {:.2}x",
+            m.column_compression_ratio()
+        );
+    }
 }
 
 #[test]
