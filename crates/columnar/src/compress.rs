@@ -29,9 +29,22 @@
 //! sentinel) — it is served straight from column metadata, without a
 //! buffer-pool request.
 //!
+//! ## Packed runs
+//!
+//! The same choice also packs short runs held in memory, many to one word
+//! arena ([`pack_run`], read back through [`PackedRun`]) — the form of the
+//! SPO-sorted base triple list. A run image is the page image with its
+//! header word always present, so a run is self-describing where it lies:
+//!
+//! ```text
+//! Plain:  [header][v0][v1]...                     (header tag = 0)
+//! FOR:    [header][base][packed deltas...]        (header tag = 1)
+//! Const:  [header][value]                         (header tag = 2)
+//! ```
+//!
 //! All byte-level page layout knowledge lives in this module and
-//! `column.rs`; everything else goes through [`crate::Chunk`] and the
-//! column accessors (lint rule L8 enforces this).
+//! `column.rs`; everything else goes through [`crate::Chunk`], the column
+//! accessors and [`PackedRun`] (lint rule L8 enforces this).
 
 use crate::disk::VALS_PER_PAGE;
 
@@ -39,6 +52,8 @@ use crate::disk::VALS_PER_PAGE;
 /// to keep this module free of circular imports).
 const NULL: u64 = u64::MAX;
 
+/// Header tag of a plain packed run (a plain *page* has no header).
+pub const TAG_PLAIN: u64 = 0;
 /// Header tag of a frame-of-reference page.
 pub const TAG_FOR: u64 = 1;
 /// Header tag of a constant (run-length) page.
@@ -101,10 +116,19 @@ fn width_for(range: u64) -> Option<u8> {
 /// for plain — the caller writes the raw values).
 pub fn choose(vals: &[u64]) -> (PageEnc, Option<Vec<u64>>) {
     debug_assert!(!vals.is_empty() && vals.len() <= VALS_PER_PAGE);
+    let mut image = Vec::new();
+    let enc = encode_into(vals, vals.len(), &mut image);
+    (enc, (enc != PageEnc::Plain).then_some(image))
+}
+
+/// The size heuristic behind pages and runs alike: append to `out` the
+/// cheapest self-describing image of `vals` that is strictly smaller than
+/// `plain_words` (what storing them plain costs), or nothing for plain.
+fn encode_into(vals: &[u64], plain_words: usize, out: &mut Vec<u64>) -> PageEnc {
     let first = vals[0];
     if vals.iter().all(|&v| v == first) {
-        let enc = PageEnc::Const { value: first };
-        return (enc, Some(vec![header(TAG_CONST, 0, vals.len()), first]));
+        out.extend([header(TAG_CONST, 0, vals.len()), first]);
+        return PageEnc::Const { value: first };
     }
     // Frame of reference over the non-null values.
     let mut min = u64::MAX;
@@ -118,33 +142,141 @@ pub fn choose(vals: &[u64]) -> (PageEnc, Option<Vec<u64>>) {
     if min > max {
         // All NULL (but not uniform — unreachable given the Const check
         // above; kept for safety).
-        return (
-            PageEnc::Const { value: NULL },
-            Some(vec![header(TAG_CONST, 0, vals.len()), NULL]),
-        );
+        out.extend([header(TAG_CONST, 0, vals.len()), NULL]);
+        return PageEnc::Const { value: NULL };
     }
     let Some(width) = width_for(max - min) else {
-        return (PageEnc::Plain, None);
+        return PageEnc::Plain;
     };
     let enc = PageEnc::For { base: min, width };
-    if enc.used_words(vals.len()) >= vals.len() {
+    let used = enc.used_words(vals.len());
+    if used >= plain_words {
         // Packing would not shrink the page (short tails, wide ranges).
-        return (PageEnc::Plain, None);
+        return PageEnc::Plain;
     }
-    let mut out = vec![0u64; enc.used_words(vals.len())];
-    out[0] = header(TAG_FOR, width, vals.len());
-    out[1] = min;
+    out.reserve(used);
+    out.extend([header(TAG_FOR, width, vals.len()), min]);
+    // Word-at-a-time, the mirror of `for_decode_range`: `acc` holds the
+    // `filled` low bits of the word being packed.
+    let w = width as u32;
     let mask = (1u64 << width) - 1;
-    for (i, &v) in vals.iter().enumerate() {
+    let (mut acc, mut filled) = (0u64, 0u32);
+    for &v in vals {
         let delta = if v == NULL { mask } else { v - min };
-        let bit = i * width as usize;
-        let (word, shift) = (bit / 64, (bit % 64) as u32);
-        out[FOR_PREFIX_WORDS + word] |= delta << shift;
-        if shift as usize + width as usize > 64 {
-            out[FOR_PREFIX_WORDS + word + 1] |= delta >> (64 - shift);
+        acc |= delta << filled;
+        filled += w;
+        if filled >= 64 {
+            out.push(acc);
+            filled -= 64;
+            // The bits of `delta` that did not fit start the next word.
+            acc = if filled == 0 {
+                0
+            } else {
+                delta >> (w - filled)
+            };
         }
     }
-    (enc, Some(out))
+    if filled > 0 {
+        out.push(acc);
+    }
+    enc
+}
+
+/// Append `vals` to `arena` as one packed run (see the
+/// [module docs](self#packed-runs)): the page codec's own constant / FOR /
+/// plain choice, charging plain its header word. Runs hold at most a page
+/// of values.
+pub fn pack_run(vals: &[u64], arena: &mut Vec<u64>) {
+    debug_assert!(vals.len() <= VALS_PER_PAGE);
+    if vals.is_empty() || encode_into(vals, vals.len() + 1, arena) == PageEnc::Plain {
+        arena.push(header(TAG_PLAIN, 0, vals.len()));
+        arena.extend_from_slice(vals);
+    }
+}
+
+/// One packed run inside a word arena, read in place: point access, range
+/// decode and binary search on the packed words, as a column page is.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedRun<'a> {
+    enc: PageEnc,
+    len: usize,
+    /// The run's image, header word first.
+    words: &'a [u64],
+}
+
+impl<'a> PackedRun<'a> {
+    /// The run whose header word is `arena[at]`, and the arena position
+    /// just past its image (where the next run starts).
+    pub fn at(arena: &'a [u64], at: usize) -> (PackedRun<'a>, usize) {
+        let h = arena[at];
+        let (width, len) = ((h >> 8) as u8, (h >> 16) as usize);
+        let enc = match h & 0xff {
+            TAG_CONST => PageEnc::Const {
+                value: arena[at + 1],
+            },
+            TAG_FOR => PageEnc::For {
+                base: arena[at + 1],
+                width,
+            },
+            _ => PageEnc::Plain,
+        };
+        let n_words = match enc {
+            PageEnc::Plain => 1 + len,
+            enc => enc.used_words(len),
+        };
+        let words = &arena[at..at + n_words];
+        (PackedRun { enc, len, words }, at + n_words)
+    }
+
+    /// Values in the run.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Does the run hold no values?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Value `i`, decoded in O(1).
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        debug_assert!(i < self.len);
+        match self.enc {
+            PageEnc::Plain => self.words[1 + i],
+            PageEnc::For { base, width } => for_get(self.words, base, width, i),
+            PageEnc::Const { value } => value,
+        }
+    }
+
+    /// Append values `lo..hi` to `out`.
+    pub fn decode_range(&self, lo: usize, hi: usize, out: &mut Vec<u64>) {
+        debug_assert!(lo <= hi && hi <= self.len);
+        match self.enc {
+            PageEnc::Plain => out.extend_from_slice(&self.words[1 + lo..1 + hi]),
+            PageEnc::For { base, width } => for_decode_range(self.words, base, width, lo, hi, out),
+            PageEnc::Const { value } => out.resize(out.len() + hi - lo, value),
+        }
+    }
+
+    /// First position in `lo..hi` where `pred(value)` is false, given `pred`
+    /// is monotone over the run — a binary search on the packed words.
+    pub fn partition_point(&self, lo: usize, hi: usize, pred: impl Fn(u64) -> bool) -> usize {
+        debug_assert!(lo <= hi && hi <= self.len);
+        match self.enc {
+            PageEnc::Plain => lo + self.words[1 + lo..1 + hi].partition_point(|&v| pred(v)),
+            PageEnc::For { base, width } => {
+                for_partition_point(self.words, base, width, lo, hi, pred)
+            }
+            PageEnc::Const { value } => {
+                if lo < hi && pred(value) {
+                    hi
+                } else {
+                    lo
+                }
+            }
+        }
+    }
 }
 
 /// Decode position `i` of a FOR page in O(1). `words` is the full page
@@ -361,5 +493,44 @@ mod tests {
         // Sub-range searches (secondary sort keys are run-sorted).
         let got = for_partition_point(&page, base, width, 100, 200, |x| x < 500);
         assert_eq!(got, 150);
+    }
+
+    #[test]
+    fn packed_runs_share_one_arena() {
+        let runs: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![7],
+            vec![NULL; 5],
+            (10..1034).collect(),
+            vec![0, u64::MAX - 1, 3],
+            vec![u64::MAX - 2, NULL, u64::MAX - 1],
+            vec![1, 2],
+        ];
+        let mut arena = Vec::new();
+        for r in &runs {
+            pack_run(r, &mut arena);
+        }
+        let mut at = 0;
+        for r in &runs {
+            let (run, next) = PackedRun::at(&arena, at);
+            assert_eq!(run.len(), r.len());
+            assert!(next - at <= r.len() + 1, "never dearer than plain");
+            let mut all = Vec::new();
+            run.decode_range(0, run.len(), &mut all);
+            assert_eq!(&all, r);
+            for (i, &v) in r.iter().enumerate() {
+                assert_eq!(run.get(i), v);
+            }
+            if r.windows(2).all(|w| w[0] <= w[1]) {
+                for &probe in r.iter().chain(&[0, 9, 500, u64::MAX]) {
+                    let want = r.partition_point(|&x| x < probe);
+                    assert_eq!(run.partition_point(0, r.len(), |x| x < probe), want);
+                }
+            }
+            at = next;
+        }
+        assert_eq!(at, arena.len());
+        // A sequential run packs to its width, not to 64 bits a value.
+        assert!(arena.len() < 200, "{} words", arena.len());
     }
 }

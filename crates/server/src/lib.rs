@@ -544,6 +544,7 @@ fn handle_status(sh: &Shared) -> Response {
             &Obj::new()
                 .num("total_bytes", mem.total_bytes())
                 .num("dict_bytes", mem.dict_bytes)
+                .num("base_bytes", mem.base_triples_bytes)
                 .num("column_bytes", mem.column_bytes)
                 .num("delta_bytes", mem.delta_bytes)
                 .num("n_triples", mem.n_triples)

@@ -20,9 +20,10 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use sordf_model::{Dictionary, Oid, Triple};
+use sordf_model::{Dictionary, Triple};
 use sordf_schema::EmergentSchema;
 
+use crate::base::BaseTriples;
 use crate::baseline::BaselineStore;
 use crate::clustered::ClusteredStore;
 use crate::delta::DeltaView;
@@ -36,11 +37,12 @@ pub struct StoreGeneration {
     /// internal pool locks, `&self`); replaced wholesale — never renumbered
     /// in place — by a generation swap.
     pub dict: Arc<Dictionary>,
-    /// Base triples, encoded under `dict`'s numbering. In load order while
-    /// staging; **SPO-sorted once any layout is built** (every builder sorts
-    /// them anyway, and publishing that order lets a delete batch find its
-    /// base-resident triples by binary search — [`Self::base_contains`]).
-    pub triples: Arc<Vec<Triple>>,
+    /// Base triples, encoded under `dict`'s numbering: the load-order list
+    /// while staging, **SPO-sorted and packed on every built generation**
+    /// ([`BaseTriples`]; [`Self::debug_validate`] holds the two together).
+    /// Every builder reads it sorted, and the packed form lets a delete batch
+    /// find its base-resident triples by binary search.
+    pub triples: Arc<BaseTriples>,
     /// Exhaustive permutation indexes (ParseOrder scheme), if built.
     pub baseline: Option<Arc<BaselineStore>>,
     /// The frozen emergent schema, if discovered.
@@ -67,7 +69,7 @@ impl StoreGeneration {
     pub fn staging(dict: Dictionary, triples: Vec<Triple>) -> StoreGeneration {
         StoreGeneration {
             dict: Arc::new(dict),
-            triples: Arc::new(triples),
+            triples: Arc::new(BaseTriples::Staging(triples)),
             baseline: None,
             schema: None,
             cs_parse_order: None,
@@ -90,37 +92,16 @@ impl StoreGeneration {
         DictPin::new(Arc::clone(&self.dict))
     }
 
-    /// Is `t` among the base triples? O(log n) on a built generation, whose
-    /// triples are SPO-sorted (see [`Self::triples`]); only meaningful there.
-    pub fn base_contains(&self, t: Triple) -> bool {
-        self.triples.binary_search(&t).is_ok()
-    }
-
-    /// How many times the base holds `t` (bulk loads keep duplicates): one
-    /// equal-range of the SPO-sorted base, so only meaningful on a built
-    /// generation.
-    pub fn base_occurrences(&self, t: Triple) -> usize {
-        let lo = self.triples.partition_point(|x| *x < t);
-        self.triples[lo..].partition_point(|x| *x <= t)
-    }
-
-    /// Every base triple of subject `s` — the `[s, s]` range of the
-    /// SPO-sorted base; only meaningful on a built generation.
-    pub fn base_of_subject(&self, s: Oid) -> &[Triple] {
-        let lo = self.triples.partition_point(|x| x.s < s);
-        let hi = lo + self.triples[lo..].partition_point(|x| x.s <= s);
-        &self.triples[lo..hi]
-    }
-
     /// Check this generation's cross-structure invariants; panics (via
     /// `assert!`) on violation. Debug/stress builds call this after every
-    /// build and swap — it is deliberately cheap enough (one ordered pass
-    /// over the base triples, nothing per-page) to run there unconditionally.
+    /// build and swap — it is deliberately cheap enough (nothing per triple
+    /// or per page) to run there unconditionally.
     pub fn debug_validate(&self) {
-        assert!(
-            !self.any_built() || self.triples.windows(2).all(|w| w[0] <= w[1]),
-            "a built generation's base triples must be SPO-sorted — delete \
-             resolution binary-searches them"
+        assert_eq!(
+            self.any_built(),
+            matches!(*self.triples, BaseTriples::Packed(_)),
+            "a built generation's base is SPO-sorted and packed (delete \
+             resolution binary-searches it), a staging one is its load-order list"
         );
         assert!(
             self.strings_sorted_len <= self.dict.n_strings(),
@@ -168,15 +149,16 @@ impl StoreGeneration {
 /// order. The view's tombstones are put in SPO order once and subtracted by
 /// a merge cursor — O(base + tombstones · log), no per-triple probe — which
 /// relies on the base being SPO-sorted whenever a delta exists (writes reach
-/// a delta store only over a built generation).
-pub fn visible_base<'a>(
-    base: &'a [Triple],
+/// a delta store only over a built generation, whose base is packed and
+/// streams here one decoded block at a time).
+pub fn visible_base(
+    base: impl Iterator<Item = Triple>,
     view: Option<&DeltaView>,
-) -> impl Iterator<Item = Triple> + 'a {
+) -> impl Iterator<Item = Triple> {
     let mut dead: Vec<Triple> = view.map_or_else(Vec::new, |v| v.tombstones().to_vec());
     dead.sort_unstable();
     let mut at = 0usize;
-    base.iter().copied().filter(move |b| {
+    base.filter(move |b| {
         while dead.get(at).is_some_and(|d| d < b) {
             at += 1;
         }
@@ -192,9 +174,12 @@ pub fn visible_base<'a>(
 /// recovery's over a snapshot and the log behind it. Over an SPO-sorted base (any built
 /// generation's) the result is SPO-sorted: folding is one merge with the
 /// (small, sorted here) inserts, not a sort of the whole.
-pub fn fold_delta(base: &[Triple], view: Option<&DeltaView>) -> Vec<Triple> {
+pub fn fold_delta(
+    base: impl ExactSizeIterator<Item = Triple>,
+    view: Option<&DeltaView>,
+) -> Vec<Triple> {
     let Some(v) = view else {
-        return base.to_vec();
+        return base.collect();
     };
     let mut inserts = v.inserts().to_vec();
     inserts.sort_unstable();
@@ -292,7 +277,7 @@ mod tests {
         let extra = Triple::new(s0, p, Oid::from_int(99).unwrap());
         let _ = delta.insert_run(vec![extra]);
         let _ = delta.delete(&[Triple::new(s0, p, Oid::from_int(0).unwrap())]);
-        let folded = fold_delta(&gen.triples, delta.current_view());
+        let folded = fold_delta(gen.triples.iter(), delta.current_view());
         assert_eq!(folded.len(), 4, "one deleted, one inserted");
         assert!(folded.contains(&extra));
         assert!(
@@ -300,6 +285,6 @@ mod tests {
             "a sorted base folds into a sorted set"
         );
         // No view: a plain clone.
-        assert_eq!(fold_delta(&gen.triples, None).len(), 4);
+        assert_eq!(fold_delta(gen.triples.iter(), None).len(), 4);
     }
 }

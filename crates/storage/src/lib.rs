@@ -26,6 +26,7 @@
 //! snapshot reads. The engine unions delta runs with base scans and filters
 //! tombstones; a reorganization collapses the delta into a fresh base.
 
+pub mod base;
 pub mod baseline;
 pub mod clustered;
 pub mod delta;
@@ -36,6 +37,7 @@ pub mod reorg;
 pub mod triple_set;
 pub mod wal;
 
+pub use base::{BaseTriples, PackedTriples, SubjectRows};
 pub use baseline::BaselineStore;
 pub use clustered::{build_clustered, ClassSegment, ClusteredStore, MultiTable};
 pub use delta::{DeltaStore, DeltaView, DeltaWrite, Snapshot};

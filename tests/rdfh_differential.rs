@@ -106,6 +106,14 @@ fn all_catalog_queries_agree_across_configs() {
             m.column_compression_ratio()
         );
     }
+    // The base triple list of a built generation is packed: a few bytes a
+    // triple, not the 24 of three plain OIDs.
+    let m = rig.clustered.memory_stats();
+    let base_per_triple = m.base_triples_bytes as f64 / m.n_triples as f64;
+    assert!(
+        base_per_triple <= 6.0,
+        "the clustered generation's base takes {base_per_triple:.2} B a triple"
+    );
 }
 
 #[test]

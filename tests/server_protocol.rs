@@ -465,6 +465,19 @@ fn update_roundtrip_and_status() {
         "{}",
         status.body
     );
+    // The memory parts sum to the total, the packed base among them.
+    let parts = ["dict_bytes", "base_bytes", "column_bytes", "delta_bytes"];
+    assert!(
+        parts.iter().all(|p| json_num(&status.body, p) > 0),
+        "{}",
+        status.body
+    );
+    assert_eq!(
+        parts.iter().map(|p| json_num(&status.body, p)).sum::<u64>(),
+        json_num(&status.body, "total_bytes"),
+        "{}",
+        status.body
+    );
 
     // Delete one triple back out.
     let del_body = format!("<{NS}customer424242> <{NS}customer_mktsegment> \"BUILDING\" .\n");
