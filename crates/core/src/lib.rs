@@ -50,6 +50,22 @@
 //! merged data when a [`ReorgPolicy`] threshold fires — swapping a fresh
 //! generation in behind the same query API.
 //!
+//! ## Building a generation
+//!
+//! One builder serves every path that makes a generation (the `build`
+//! module): [`Database::self_organize`], [`Database::build_cs_tables`] and
+//! [`Database::build_baseline`] under the state lock, the reorganizations
+//! off it, and recovery. It builds the layouts asked for in the fixed order
+//! clustered → CS tables → baseline over one SPO-sorted triple list,
+//! renumbering only for a clustered layout, and on a durable store streams
+//! the result's snapshot out before any page is allocated. One publish step
+//! then **commits before it installs**: the snapshot becomes the live pair
+//! (with a fresh log holding the writes that arrived during the build), and
+//! only then does the generation replace the current one. A commit that
+//! fails abandons the build — the error is returned, and the previous
+//! generation and the previous pair stay live, so every write acknowledged
+//! afterwards is logged in the numbering the disk holds.
+//!
 //! ## Background reorganization
 //!
 //! Reorganization happens **off the write path**: every query *pins* the
@@ -57,24 +73,24 @@
 //! built stores) plus a delta view at query start and never re-reads shared
 //! state. [`Database::reorganize_async`] builds the next generation on a
 //! worker thread against that pinned snapshot while reads *and writes*
-//! continue, then swaps the handle in atomically — folding every write that
-//! arrived during the rebuild into the fresh generation's delta store
-//! (decoded under the old dictionary, re-encoded under the renumbered one,
-//! replayed in sequence order so snapshots taken at or after the rebuild pin
-//! survive the swap). Readers never block on a rebuild; writers stall only
-//! for the short swap + catch-up fold, never for the rebuild itself.
-//! Synchronous [`Database::reorganize_now`] / [`Database::maybe_reorganize`]
-//! run the same pin → build → swap protocol inline on the calling thread.
-//! These three are the only ways to reorganize: nothing rebuilds on its own.
+//! continue, then publishes it — folding every write that arrived during
+//! the rebuild into the fresh generation's delta store (decoded under the
+//! old dictionary, re-encoded under the new one, replayed in sequence order
+//! so snapshots taken at or after the rebuild pin survive the swap).
+//! Readers never block on a rebuild; writers stall only for the short swap
+//! and catch-up fold, never for the rebuild itself. Synchronous
+//! [`Database::reorganize_now`] / [`Database::maybe_reorganize`] run the
+//! same pin → build → swap protocol inline on the calling thread. These
+//! three are the only ways to reorganize: nothing rebuilds on its own.
 //!
 //! ## Durability
 //!
 //! [`Database::create_durable`] / [`Database::open`] put the whole
-//! lifecycle on disk: every acknowledged write batch is write-ahead
-//! logged (and, under [`SyncPolicy::Always`], fsynced) *before* any
-//! in-memory structure sees it; [`Database::checkpoint`] snapshots the
-//! visible triples and rotates the log; the background swap rotates the
-//! snapshot/WAL pair along with the generation; and [`Database::open`]
+//! lifecycle on disk (the `durability` module): every acknowledged write
+//! batch is write-ahead logged (and, under [`SyncPolicy::Always`], fsynced)
+//! *before* any in-memory structure sees it; [`Database::checkpoint`]
+//! snapshots the visible triples and rotates the log; every published
+//! generation rotates the snapshot/WAL pair; and [`Database::open`]
 //! recovers the exact acknowledged prefix after a crash at any point.
 //! Snapshot and log are both OID-level — the dictionary's pools plus
 //! triples as integers; a log record carries the dictionary entries its
@@ -82,23 +98,19 @@
 //! committed pair (snapshot, log) is in one numbering, and whoever
 //! renumbers commits a new pair.** Recovery is therefore a rebuild whose
 //! pin is the disk: the snapshot's dictionary extended by the log's
-//! appends, the log's batches folded into the snapshot's triples, the
-//! recorded layouts built once over the result, and — because rebuilding a
-//! clustered layout re-clusters, i.e. renumbers — a fresh pair committed
-//! before the handle accepts a write. A reopened store is organized, its
-//! delta is empty, and decoded results are identical. The labeled
-//! [`CRASH_POINTS`] (and the I/O failure points of
+//! appends, the log's batches folded into the snapshot's triples, and one
+//! build of the recorded layouts over the result, published like any other
+//! — its pair committed before the handle accepts a write. A reopened store
+//! is organized, its delta is empty, and decoded results are identical.
+//! The labeled [`CRASH_POINTS`] (and the I/O failure points of
 //! `sordf_columnar::fault`) and the `crash_points` cargo feature arm the
 //! fault-injection harness behind `tests/recovery_differential.rs`.
 
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-use std::thread;
 
 use parking_lot::Mutex;
-use sordf_columnar::crash_point;
 use sordf_columnar::{BufferPool, DiskManager, PoolStats};
 pub use sordf_engine::planner::{PlanInfo, StepInfo};
 pub use sordf_engine::{CancellationToken, ExecConfig, ParallelConfig, PlanScheme, StopReason};
@@ -108,14 +120,16 @@ use sordf_model::{
 use sordf_schema::{ClassId, IncrementalAssigner};
 pub use sordf_schema::{DriftStats, EmergentSchema, SchemaConfig};
 use sordf_storage::{
-    build_clustered, fold_delta, reorganize_from, term_oid_skolemized, visible_base, BaseTriples,
-    BaselineStore, BatchResolver, ClusterSpec, ClusteredStore, DeltaStore, DeltaView, DeltaWrite,
-    GenerationHandle, LayoutFlags, LogRecord, Manifest, PackedTriples, PoolCounts, ReorgReport,
-    SnapshotHeader, StoreSnapshot, SubjectRows, WalKind, WalWriter,
+    term_oid_skolemized, visible_base, BaseTriples, BatchResolver, ClusteredStore, DeltaStore,
+    DeltaView, GenerationHandle, ReorgReport, SubjectRows, WalKind,
 };
 pub use sordf_storage::{DictPin, Snapshot, StoreGeneration, SyncPolicy};
 
+mod build;
+mod durability;
 mod query;
+pub use build::BackgroundReorg;
+use durability::{log_write, DurableState};
 use query::PlanCache;
 pub use query::{PlanCacheStats, QueryLang, QueryRequest, QueryResponse};
 
@@ -337,32 +351,6 @@ struct WriteState {
     pending_class: Arc<FxHashMap<Oid, ClassId>>,
     /// Pending delta triples per class (base-assigned or routed subjects).
     per_class_fill: Vec<u64>,
-}
-
-/// The durable side of a database opened with [`Database::open`] /
-/// [`Database::create_durable`]: the live write-ahead log plus manifest
-/// bookkeeping. Lives inside the state lock, so logging an applied write
-/// and applying it are one atomic step with respect to other writers.
-struct DurableState {
-    /// The durable directory (MANIFEST, `snap.<N>`, `wal.<N>`, data.db).
-    dir: PathBuf,
-    /// The live log (`wal.<wal_file>`), positioned to append.
-    wal: WalWriter,
-    /// When appends are fsync'd (the acknowledgment barrier).
-    policy: SyncPolicy,
-    /// Number of the live snapshot file.
-    snap_file: u64,
-    /// Number of the live WAL file.
-    wal_file: u64,
-    /// Log sequence of the last appended record. Advances by exactly one
-    /// per applied write batch, in lockstep with the delta sequence while
-    /// the store is organized — the generation swap relies on that to
-    /// rotate the WAL down to exactly the catch-up suffix.
-    seq: u64,
-    /// The logged watermark: how many entries of each dictionary pool the
-    /// committed pair (snapshot + log so far) holds. The next record
-    /// appends everything interned past it.
-    logged: PoolCounts,
 }
 
 /// The mutable core the state lock protects. Everything a query needs is
@@ -630,161 +618,6 @@ impl Database {
         }
     }
 
-    // ---- durability --------------------------------------------------------
-
-    /// Open (or create) a **durable** database in `dir` with the strictest
-    /// policy, [`SyncPolicy::Always`]: every write batch is fsync'd to the
-    /// write-ahead log before the call returns, so an acknowledged write
-    /// survives any crash. An existing directory is recovered: the live
-    /// snapshot is reloaded, every intact log record behind it is folded in
-    /// (the log is cut at the first torn frame), the recorded layouts are
-    /// built once over the result and a fresh snapshot + log pair is
-    /// committed — the returned store is organized and its delta is empty.
-    pub fn open(dir: &Path) -> Result<Database, Error> {
-        fs::create_dir_all(dir)?;
-        match Manifest::read(dir)? {
-            None => Database::init_durable(dir, SyncPolicy::Always),
-            Some(m) => Database::recover(dir, m),
-        }
-    }
-
-    /// Create a **fresh** durable database in `dir` (which must not already
-    /// hold one). Use [`Database::open`] to recover an existing directory.
-    pub fn create_durable(dir: &Path, policy: SyncPolicy) -> Result<Database, Error> {
-        fs::create_dir_all(dir)?;
-        if Manifest::path(dir).exists() {
-            return Err(Error::State(format!(
-                "{} already holds a durable database; use Database::open",
-                dir.display()
-            )));
-        }
-        Database::init_durable(dir, policy)
-    }
-
-    /// Commit the empty initial checkpoint (`snap.0` + `wal.0` + MANIFEST)
-    /// so any later crash finds a committed state to recover to.
-    // lock-order: acquires(db_state)
-    fn init_durable(dir: &Path, policy: SyncPolicy) -> Result<Database, Error> {
-        let db = Database::with_disk(Arc::new(DiskManager::create(&dir.join("data.db"))?));
-        let header = SnapshotHeader {
-            base_seq: 0,
-            flags: LayoutFlags::default(),
-            schema_cfg: SchemaConfig::default(),
-        };
-        let logged = StoreSnapshot::write_to(
-            &Manifest::snap_path(dir, 0),
-            &header,
-            &Dictionary::new(),
-            std::iter::empty(),
-        )?;
-        let wal = WalWriter::create(&Manifest::wal_path(dir, 0))?;
-        let m = Manifest {
-            snap_file: 0,
-            wal_file: 0,
-            base_seq: 0,
-        };
-        m.commit(dir)?;
-        // A half-created directory may hold leftovers from a crash before
-        // the first commit.
-        m.remove_orphans(dir)?;
-        db.inner.state.lock().durable = Some(DurableState {
-            dir: dir.to_path_buf(),
-            wal,
-            policy,
-            snap_file: 0,
-            wal_file: 0,
-            seq: 0,
-            logged,
-        });
-        Ok(db)
-    }
-
-    /// Recovery is a rebuild whose pin is the disk: the snapshot's
-    /// dictionary (entry for entry) extended by the log's appends, the
-    /// log's batches folded into the snapshot's triples at OID level
-    /// ([`fold_log`]), the recorded layouts built once over the folded set in
-    /// the deterministic order `self_organize` → `build_cs_tables` →
-    /// `build_baseline` — and, since building a clustered layout renumbers,
-    /// a fresh pair committed through [`checkpoint_locked`] before the
-    /// handle is returned. The durable state is installed only for that
-    /// commit, so a crash (or a failed write) anywhere in here leaves the
-    /// old pair as it was found: the next open starts over from it.
-    // lock-order: acquires(db_state)
-    fn recover(dir: &Path, m: Manifest) -> Result<Database, Error> {
-        let snap = StoreSnapshot::read_from(&Manifest::snap_path(dir, m.snap_file))?;
-        let (wal, records) = WalWriter::open_recover(
-            &Manifest::wal_path(dir, m.wal_file),
-            snap.dict.pool_counts(),
-        )?;
-        // The page file is a derived cache: recovery rebuilds every column
-        // from the folded triples, so it starts from scratch.
-        let db = Database::with_disk(Arc::new(DiskManager::create(&dir.join("data.db"))?));
-        let seq = m.base_seq + records.len() as u64;
-        let (triples, flags) = fold_log(&snap.dict, snap.triples, snap.header.flags, &m, records)?;
-        {
-            let mut st = db.inner.state.lock();
-            st.gen = Arc::new(StoreGeneration::staging(snap.dict, triples));
-            st.schema_cfg = snap.header.schema_cfg;
-            st.epoch += 1;
-        }
-        if flags.clustered {
-            db.self_organize()?;
-        }
-        if flags.cs_parse_order {
-            db.build_cs_tables()?;
-        }
-        if flags.baseline {
-            db.build_baseline()?;
-        }
-        let mut st = db.inner.state.lock();
-        st.durable = Some(DurableState {
-            dir: dir.to_path_buf(),
-            wal,
-            policy: SyncPolicy::Always,
-            snap_file: m.snap_file,
-            wal_file: m.wal_file,
-            seq,
-            // Set by the commit below: the fresh snapshot's counts.
-            logged: PoolCounts::default(),
-        });
-        // On failure nothing was committed: the old pair is still live.
-        checkpoint_locked(&mut st)?;
-        drop(st);
-        Ok(db)
-    }
-
-    /// Is this database durable (opened via [`Database::open`] /
-    /// [`Database::create_durable`])?
-    // lock-order: acquires(db_state)
-    pub fn is_durable(&self) -> bool {
-        self.inner.state.lock().durable.is_some()
-    }
-
-    /// Force any policy-deferred WAL tail to stable storage (a no-op under
-    /// [`SyncPolicy::Always`], and on non-durable databases).
-    // lock-order: acquires(db_state)
-    pub fn flush_wal(&self) -> Result<(), Error> {
-        if let Some(d) = self.inner.state.lock().durable.as_mut() {
-            d.wal.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Write a full checkpoint: snapshot the current visible triples (base
-    /// merged with the delta), rotate to a fresh empty WAL and commit the
-    /// manifest, bounding both recovery replay time and log size. The
-    /// in-memory state is untouched — on recovery the checkpointed delta
-    /// simply starts out folded into the base, which is logically
-    /// equivalent. Errors on non-durable databases.
-    // lock-order: acquires(db_state, dict)
-    pub fn checkpoint(&self) -> Result<(), Error> {
-        let mut st = self.inner.state.lock();
-        if st.durable.is_none() {
-            return Err(Error::State("not a durable database".into()));
-        }
-        checkpoint_locked(&mut st)
-    }
-
     /// Number of insert runs currently in the delta store.
     // lock-order: acquires(db_state)
     pub fn delta_runs(&self) -> usize {
@@ -1026,116 +859,6 @@ impl Database {
         }
     }
 
-    // ---- reorganization ----------------------------------------------------
-
-    /// Adaptive reorganization: evaluate `policy` against the current
-    /// [`DriftStats`] and, when a threshold fires, rebuild every live
-    /// generation (schema re-discovery, subject re-clustering, fresh column
-    /// segments) over the merged base + delta and swap it in behind the
-    /// query API. Runs **synchronously** on the calling thread; concurrent
-    /// queries keep executing against their pinned generation throughout,
-    /// and writes that land mid-rebuild are folded into the fresh delta at
-    /// the swap. For the non-blocking variant see
-    /// [`Database::reorganize_async`].
-    pub fn maybe_reorganize(&self, policy: &ReorgPolicy) -> Result<ReorgOutcome, Error> {
-        let drift = self.inner.drift_stats();
-        let Some(reason) = policy.trigger_reason(&drift) else {
-            return Ok(ReorgOutcome {
-                fired: false,
-                swapped: false,
-                reason: None,
-                drift_before: drift,
-                irregular_ratio_after: None,
-                report: None,
-            });
-        };
-        let pin = begin_rebuild(&self.inner)?;
-        run_rebuild(&self.inner, pin, Some(reason), drift)
-    }
-
-    /// Unconditional synchronous reorganization: fold the pending delta into
-    /// the base set and rebuild whatever generations were built (a clustered
-    /// database re-runs discovery + clustering; a baseline/CS database
-    /// rebuilds its indexes over the merged data).
-    pub fn reorganize_now(&self) -> Result<(), Error> {
-        let drift = self.inner.drift_stats();
-        let pin = begin_rebuild(&self.inner)?;
-        let outcome = run_rebuild(&self.inner, pin, None, drift)?;
-        if outcome.swapped {
-            Ok(())
-        } else {
-            Err(Error::State(
-                "reorganization superseded by a concurrent bulk load".into(),
-            ))
-        }
-    }
-
-    /// Start an **asynchronous, unconditional** reorganization: pin the
-    /// current generation + write snapshot, build the next generation on a
-    /// worker thread, then swap it in (folding writes that arrived during
-    /// the rebuild into the fresh delta). Queries and writes proceed
-    /// throughout; the returned [`BackgroundReorg`] handle observes
-    /// completion. The swap happens even if the handle is dropped.
-    ///
-    /// Errors if nothing is built yet or another rebuild is in flight.
-    pub fn reorganize_async(&self) -> Result<BackgroundReorg, Error> {
-        let drift = self.inner.drift_stats();
-        let pin = begin_rebuild(&self.inner)?;
-        Ok(spawn_rebuild(&self.inner, pin, None, drift))
-    }
-
-    /// Is a (sync or async) rebuild currently in flight?
-    // lock-order: acquires(db_state)
-    pub fn reorg_in_flight(&self) -> bool {
-        self.inner.state.lock().rebuild.is_some()
-    }
-
-    // ---- building generations ----------------------------------------------
-
-    /// Build the exhaustive-index baseline (Table I's "ParseOrder" scheme).
-    // lock-order: acquires(db_state)
-    pub fn build_baseline(&self) -> Result<(), Error> {
-        let mut st = self.inner.state.lock();
-        if st.gen.baseline.is_some() {
-            return Ok(());
-        }
-        ensure_no_pending_writes(&st, "build_baseline()")?;
-        sort_base(&mut st);
-        let store = BaselineStore::build(&self.inner.dm, &st.gen.triples.as_slice());
-        Arc::make_mut(&mut st.gen).baseline = Some(Arc::new(store));
-        pack_base(&mut st);
-        st.epoch += 1;
-        checkpoint_locked(&mut st)?;
-        Ok(())
-    }
-
-    /// Build CS tables *without* renumbering OIDs (sparse segments) — the
-    /// "RDFscan on ParseOrder" configuration.
-    // lock-order: acquires(db_state)
-    pub fn build_cs_tables(&self) -> Result<(), Error> {
-        let mut st = self.inner.state.lock();
-        let epoch = st.epoch;
-        build_cs_tables_locked(&mut st, &self.inner.dm)?;
-        if st.epoch != epoch {
-            checkpoint_locked(&mut st)?;
-        }
-        Ok(())
-    }
-
-    /// Self-organize: discover the schema (if not yet done), cluster subject
-    /// OIDs, sort literal OIDs, and rebuild storage as dense CS segments,
-    /// clustered by [`ClusterSpec::auto`].
-    // lock-order: acquires(db_state)
-    pub fn self_organize(&self) -> Result<Arc<EmergentSchema>, Error> {
-        let mut st = self.inner.state.lock();
-        let epoch = st.epoch;
-        let schema = self_organize_locked(&mut st, &self.inner.dm)?;
-        if st.epoch != epoch {
-            checkpoint_locked(&mut st)?;
-        }
-        Ok(schema)
-    }
-
     /// The discovered schema, if any.
     // lock-order: acquires(db_state)
     pub fn schema(&self) -> Option<Arc<EmergentSchema>> {
@@ -1244,46 +967,6 @@ fn newest_generation(gen: &StoreGeneration) -> Result<Generation, Error> {
     }
 }
 
-/// Put a staging base in SPO order: the order schema discovery and the
-/// store builders consume. One ordered pass when it already is; a packed
-/// base always is.
-fn sort_base(st: &mut State) {
-    if let BaseTriples::Staging(v) = &*st.gen.triples {
-        if !v.windows(2).all(|w| w[0] <= w[1]) {
-            Arc::make_mut(&mut Arc::make_mut(&mut st.gen).triples)
-                .staging_mut()
-                .sort_unstable();
-        }
-    }
-}
-
-/// Publish the (sorted) base the way a built generation holds it: packed
-/// (see [`StoreGeneration::triples`]). A no-op on a packed base.
-fn pack_base(st: &mut State) {
-    if let BaseTriples::Staging(v) = &*st.gen.triples {
-        let packed = BaseTriples::Packed(PackedTriples::from_sorted(v));
-        Arc::make_mut(&mut st.gen).triples = Arc::new(packed);
-    }
-}
-
-/// Sort a renumbered triple list, choosing the sort by how sorted it
-/// already is (one pass counting descents). A first organization renumbers
-/// a load-order list — many short runs, where the pattern-defeating sort is
-/// the faster — while a rebuild or recovery renumbers what was clustered
-/// before: one long run with the folded-in writes behind it, which the
-/// run-adaptive sort merges in about a pass. Measured on RDF-H sf 0.01
-/// (0.82 M triples): a first organization has 31 K descents and sorts in
-/// 40 ms unstable against 52 ms stable; a rebuild has 0.7-0.9 K and sorts
-/// in 7-8 ms stable against 40 ms unstable.
-fn sort_renumbered(triples: &mut [Triple]) {
-    let descents = triples.windows(2).filter(|w| w[0] > w[1]).count();
-    if descents <= triples.len() / 64 {
-        triples.sort();
-    } else {
-        triples.sort_unstable();
-    }
-}
-
 fn drift_stats_locked(st: &State) -> DriftStats {
     let n_base_irregular = match (&st.gen.clustered, &st.gen.cs_parse_order) {
         (Some(store), _) => store.irregular.len() as u64,
@@ -1325,194 +1008,23 @@ fn encode_batch(dict: &Dictionary, triples: &[TermTriple]) -> Result<Vec<Triple>
     Ok(encoded)
 }
 
-/// Append one write batch to the WAL *before* it is applied in-memory — the
-/// OIDs the caller already resolved, preceded by whatever the dictionary
-/// interned since the last logged watermark — honoring the sync policy
-/// (under [`SyncPolicy::Always`] the return IS the durability
-/// acknowledgment). No-op on non-durable databases. On failure the write is
-/// rejected and durability is disabled for the rest of the process: the
-/// record may or may not have reached the log, so continuing to log around
-/// it could silently diverge the log from the applied state — the caller
-/// sees the error, the in-memory store stays usable, and the on-disk state
-/// remains a consistent (possibly stale) prefix.
-fn log_write(st: &mut State, kind: WalKind, batch: &[Triple]) -> Result<(), Error> {
-    let Some(d) = st.durable.as_mut() else {
-        return Ok(());
-    };
-    let seq = d.seq + 1;
-    match d
-        .wal
-        .append_batch(seq, kind, &st.gen.dict, &mut d.logged, batch)
-        .and_then(|_| d.wal.maybe_sync(d.policy))
-    {
-        Ok(()) => {
-            d.seq = seq;
-            Ok(())
-        }
-        Err(e) => {
-            st.durable = None;
-            Err(Error::Io(e))
-        }
-    }
-}
-
-/// Fold a log into the snapshot it follows, at OID level: extend `dict`
-/// with every record's appends (each entry must land on exactly the index
-/// the record names) and apply the batches to `triples` the way the live
-/// calls did — inserts and deletes of a built store through a
-/// [`DeltaStore`], folded out by [`fold_delta`]; a load into the base behind
-/// whatever was pending (the staging store gets the order the live one had),
-/// clearing the layout flags as the live call invalidated the layouts; a
-/// staged delete out of the base. Returns the triples the log leaves visible
-/// (SPO-sorted while layouts are recorded) and the layouts to build over
-/// them. Nothing is parsed, encoded or routed.
-fn fold_log(
-    dict: &Dictionary,
-    mut triples: Vec<Triple>,
-    mut flags: LayoutFlags,
-    m: &Manifest,
-    records: Vec<LogRecord>,
-) -> Result<(Vec<Triple>, LayoutFlags), Error> {
-    if records.first().is_some_and(|r| r.seq != m.base_seq + 1) {
-        return Err(Error::State(format!(
-            "wal.{} does not continue snap.{}: it starts at sequence {}, the snapshot covers {}",
-            m.wal_file, m.snap_file, records[0].seq, m.base_seq
-        )));
-    }
-    let built = |f: &LayoutFlags| f.baseline || f.cs_parse_order || f.clustered;
-    // A checkpoint taken with inserts pending streams them behind the
-    // sorted base; the fold (like every builder) wants one sorted list.
-    if built(&flags) && !triples.windows(2).all(|w| w[0] <= w[1]) {
-        triples.sort_unstable();
-    }
-    let mut delta = DeltaStore::new();
-    for rec in records {
-        rec.append_to(dict)?;
-        match rec.kind {
-            WalKind::Insert if built(&flags) => {
-                let _ = delta.insert_run(rec.triples);
-            }
-            WalKind::Delete if built(&flags) => {
-                let _ = delta.delete(&rec.triples);
-            }
-            WalKind::Delete => {
-                let gone: FxHashSet<Triple> = rec.triples.into_iter().collect();
-                triples.retain(|t| !gone.contains(t));
-            }
-            // An insert into a store with nothing built is a load (the
-            // live call logs it as one).
-            WalKind::Insert | WalKind::Load => {
-                // What `collapse_delta_into_base` left the live store with:
-                // the visible base, the pending inserts behind it in run
-                // order, then the batch.
-                if !delta.is_empty() {
-                    let mut kept: Vec<Triple> =
-                        visible_base(triples.into_iter(), delta.current_view()).collect();
-                    kept.extend(delta.visible_inserts());
-                    triples = kept;
-                    delta = DeltaStore::new();
-                }
-                triples.extend(rec.triples);
-                flags = LayoutFlags::default();
-            }
-        }
-    }
-    // Writes still pending over recorded layouts merge into the sorted base.
-    if !delta.is_empty() {
-        triples = fold_delta(triples.into_iter(), delta.current_view());
-    }
-    Ok((triples, flags))
-}
-
-/// Write a full checkpoint of the current state (see
-/// [`Database::checkpoint`]): snapshot = the dictionary plus the *visible*
-/// triples (base minus tombstones plus delta inserts) streamed out as OIDs,
-/// `base_seq` = the current log sequence; then a fresh WAL and an atomic
-/// manifest commit. A failure at any step leaves the previous snapshot +
-/// WAL pair live and consistent — the error is returned, durability stays
-/// enabled.
-fn checkpoint_locked(st: &mut State) -> Result<(), Error> {
-    let Some(d) = st.durable.as_mut() else {
-        return Ok(());
-    };
-    let snap_n = d.snap_file + 1;
-    let wal_n = d.wal_file + 1;
-    let flags = LayoutFlags {
-        baseline: st.gen.baseline.is_some(),
-        cs_parse_order: st.gen.cs_parse_order.is_some(),
-        clustered: st.gen.clustered.is_some(),
-    };
-    let header = SnapshotHeader {
-        base_seq: d.seq,
-        flags,
-        schema_cfg: st.schema_cfg.clone(),
-    };
-    let visible = visible_base(st.gen.triples.iter(), st.delta.current_view())
-        .chain(st.delta.visible_inserts());
-    let logged = StoreSnapshot::write_to(
-        &Manifest::snap_path(&d.dir, snap_n),
-        &header,
-        &st.gen.dict,
-        visible,
-    )?;
-    let wal = WalWriter::create(&Manifest::wal_path(&d.dir, wal_n))?;
-    crash_point!("checkpoint.pre_manifest");
-    let m = Manifest {
-        snap_file: snap_n,
-        wal_file: wal_n,
-        base_seq: d.seq,
-    };
-    m.commit(&d.dir)?;
-    crash_point!("checkpoint.post_manifest");
-    d.wal = wal;
-    d.snap_file = snap_n;
-    d.wal_file = wal_n;
-    d.logged = logged;
-    m.remove_orphans(&d.dir)?;
-    Ok(())
-}
-
-/// Pending delta writes make a *partial* rebuild unsound (the new store
-/// would disagree with the surviving ones about the visible data); the
-/// rebuild entry points refuse instead.
-fn ensure_no_pending_writes(st: &State, what: &str) -> Result<(), Error> {
-    if st.delta.is_empty() {
-        Ok(())
-    } else {
-        Err(Error::State(format!(
-            "{what} with pending writes: call reorganize_now() (or maybe_reorganize) first"
-        )))
-    }
-}
-
-/// Fold pending delta writes into the base triple set — the visible base,
-/// then the visible inserts in run order, as a staging list — and reset the
-/// write state. Callers must drop the built layouts. Returns whether
-/// anything changed.
-fn collapse_delta_into_base(st: &mut State) -> bool {
-    if st.delta.is_empty() {
-        st.write = None;
-        return false;
-    }
-    let st = &mut *st;
-    let mut kept: Vec<Triple> =
-        visible_base(st.gen.triples.iter(), st.delta.current_view()).collect();
-    kept.extend(st.delta.visible_inserts());
-    Arc::make_mut(&mut st.gen).triples = Arc::new(BaseTriples::Staging(kept));
-    st.delta = DeltaStore::new();
-    st.write = None;
-    st.epoch += 1; // base content changed: any pinned rebuild is stale
-    true
-}
-
-/// Stage `triples` into the base set: collapse pending writes, append, and
-/// invalidate built stores (the next build sees everything).
+/// Stage `triples` into the base set: fold pending writes into it — the
+/// visible base, then the visible inserts in run order, as a staging list —
+/// append, and invalidate built stores (the next build sees everything).
 fn load_terms_locked(st: &mut State, triples: &[TermTriple]) -> Result<usize, Error> {
-    collapse_delta_into_base(st);
+    if !st.delta.is_empty() {
+        let mut kept: Vec<Triple> =
+            visible_base(st.gen.triples.iter(), st.delta.current_view()).collect();
+        kept.extend(st.delta.visible_inserts());
+        Arc::make_mut(&mut st.gen).triples = Arc::new(BaseTriples::Staging(kept));
+        st.delta = DeltaStore::new();
+        st.write = None;
+        st.epoch += 1; // base content changed: any pinned rebuild is stale
+    }
     let encoded = encode_batch(&st.gen.dict, triples)?;
     // Log after the encode proves the batch well-formed (so recovery can
     // never trip over a record the live path rejected) but before any
-    // visible mutation. The collapse above is logically invisible.
+    // visible mutation. The fold above is logically invisible.
     log_write(st, WalKind::Load, &encoded)?;
     let gen = Arc::make_mut(&mut st.gen);
     Arc::make_mut(&mut gen.triples)
@@ -1670,564 +1182,6 @@ fn route_inserts(
     }
 }
 
-fn discover_schema_locked(st: &mut State, cfg: &SchemaConfig) -> Result<f64, Error> {
-    if st.gen.clustered.is_some() {
-        return Err(Error::State(
-            "schema already frozen by self_organize()".into(),
-        ));
-    }
-    ensure_no_pending_writes(st, "schema discovery")?;
-    sort_base(st);
-    let schema = sordf_schema::discover(&st.gen.triples.as_slice(), &st.gen.dict, cfg);
-    let coverage = schema.coverage;
-    Arc::make_mut(&mut st.gen).schema = Some(Arc::new(schema));
-    st.schema_cfg = cfg.clone();
-    st.epoch += 1;
-    Ok(coverage)
-}
-
-fn build_cs_tables_locked(st: &mut State, dm: &Arc<DiskManager>) -> Result<(), Error> {
-    if st.gen.cs_parse_order.is_some() {
-        return Ok(());
-    }
-    ensure_no_pending_writes(st, "build_cs_tables()")?;
-    if st.gen.schema.is_none() {
-        let cfg = st.schema_cfg.clone();
-        discover_schema_locked(st, &cfg)?;
-    }
-    // sordf-lint: allow(L3) — discover_schema_locked just populated the schema.
-    let mut schema = st.gen.schema.as_deref().unwrap().clone();
-    sort_base(st);
-    let spec = ClusterSpec::auto(&schema);
-    let store = build_clustered(dm, &st.gen.triples.as_slice(), &mut schema, &spec, false);
-    Arc::make_mut(&mut st.gen).cs_parse_order = Some((Arc::new(store), Arc::new(schema)));
-    pack_base(st);
-    st.epoch += 1;
-    Ok(())
-}
-
-fn self_organize_locked(
-    st: &mut State,
-    dm: &Arc<DiskManager>,
-) -> Result<Arc<EmergentSchema>, Error> {
-    if st.gen.clustered.is_some() {
-        // sordf-lint: allow(L3) — a clustered generation always carries the schema it was built from.
-        return Ok(st.gen.schema.clone().unwrap());
-    }
-    if collapse_delta_into_base(st) {
-        // Pending writes changed the dataset: schema/generations
-        // discovered before them are stale.
-        let gen = Arc::make_mut(&mut st.gen);
-        gen.baseline = None;
-        gen.cs_parse_order = None;
-        gen.schema = None;
-    }
-    if st.gen.schema.is_none() {
-        let cfg = st.schema_cfg.clone();
-        discover_schema_locked(st, &cfg)?;
-    }
-    // sordf-lint: allow(L3) — ensured Some by the discover_schema_locked call above.
-    let spec = ClusterSpec::auto(st.gen.schema.as_deref().unwrap());
-    // Build a *fresh* generation: a renumbered dictionary built from the
-    // current one and a clustered copy of the triples. In-flight queries
-    // pinned to the old generation keep a consistent (dict, store) pair —
-    // the old dictionary is never renumbered in place.
-    let mut triples = st.gen.triples.as_slice().into_owned();
-    // sordf-lint: allow(L3) — ensured Some by the discover_schema_locked call above.
-    let mut schema = st.gen.schema.as_deref().unwrap().clone();
-    let (dict, report) = reorganize_from(&st.gen.dict, &mut triples, &mut schema, &spec);
-    // Clustering renumbered every subject: re-sort under the new numbering.
-    // The sorted list feeds the builder; the generation publishes it packed.
-    sort_renumbered(&mut triples);
-    let store = build_clustered(dm, &triples, &mut schema, &spec, true);
-    let triples = PackedTriples::from_sorted(&triples);
-    // The string pool was just sorted: OID order equals value order for
-    // everything interned so far.
-    let strings_sorted_len = dict.n_strings();
-    let schema = Arc::new(schema);
-    st.gen = Arc::new(StoreGeneration {
-        dict: Arc::new(dict),
-        triples: Arc::new(BaseTriples::Packed(triples)),
-        // Parse-order generations hold stale OIDs now.
-        baseline: None,
-        cs_parse_order: None,
-        schema: Some(Arc::clone(&schema)),
-        clustered: Some(Arc::new(store)),
-        spec,
-        reorg_report: Some(report),
-        strings_sorted_len,
-    });
-    #[cfg(debug_assertions)]
-    st.gen.debug_validate();
-    st.epoch += 1;
-    Ok(schema)
-}
-
-// ---- the background rebuild + swap protocol --------------------------------
-
-/// Everything a rebuild works from, captured under one state lock: the
-/// pinned generation, the delta view at the pin, and the epoch that must
-/// still hold at swap time.
-#[must_use = "a RebuildPin claims the single rebuild slot; dropping it without finish/release leaks the claim"]
-struct RebuildPin {
-    gen: GenerationHandle,
-    view: Option<Arc<DeltaView>>,
-    pin_seq: u64,
-    epoch: u64,
-    schema_cfg: SchemaConfig,
-    /// Durable bookkeeping captured at the pin (`None` on non-durable
-    /// databases): the directory and the log sequence the pinned fold
-    /// covers. The rebuild serializes its output as a snapshot *off-lock*
-    /// (to `snap.tmp` — the final numbered name is only known at swap
-    /// time) so the swap itself stays O(catch-up).
-    durable: Option<DurablePin>,
-}
-
-/// See [`RebuildPin::durable`].
-#[must_use]
-struct DurablePin {
-    dir: PathBuf,
-    /// Log sequence at the pin: the pre-swap snapshot folds exactly the
-    /// writes up to it, and the rotated WAL carries exactly the records
-    /// after it.
-    pin_log_seq: u64,
-}
-
-/// The staging name a rebuild's pre-swap snapshot is written under.
-const SNAP_TMP: &str = "snap.tmp";
-
-/// The output of a rebuild, before the swap wraps it into a published
-/// [`StoreGeneration`] (the dictionary stays unwrapped so the catch-up fold
-/// can intern into it without locking).
-struct BuiltGeneration {
-    dict: Dictionary,
-    /// The base the swap publishes, packed from the rebuild's SPO-sorted
-    /// working set under `dict`'s numbering — what the staged snapshot holds.
-    triples: PackedTriples,
-    baseline: Option<BaselineStore>,
-    schema: Option<Arc<EmergentSchema>>,
-    cs_parse_order: Option<(ClusteredStore, Arc<EmergentSchema>)>,
-    clustered: Option<ClusteredStore>,
-    spec: ClusterSpec,
-    report: Option<ReorgReport>,
-    strings_sorted_len: usize,
-    /// What the staged snapshot ([`SNAP_TMP`]) holds of each dictionary
-    /// pool — the watermark the rotated log appends from. `None` on a
-    /// non-durable database.
-    snapshot_pools: Option<PoolCounts>,
-}
-
-/// Claim the (single) rebuild slot and pin the rebuild's input.
-// lock-order: acquires(db_state)
-fn begin_rebuild(inner: &DbInner) -> Result<RebuildPin, Error> {
-    let mut st = inner.state.lock();
-    if !st.gen.any_built() {
-        return Err(Error::State(
-            "no storage built; load data and call self_organize()".into(),
-        ));
-    }
-    if st.rebuild.is_some() {
-        return Err(Error::State("a reorganization is already in flight".into()));
-    }
-    st.rebuild = Some(st.epoch);
-    Ok(RebuildPin {
-        gen: Arc::clone(&st.gen),
-        view: st.delta.current_view_arc(),
-        pin_seq: st.delta.seq(),
-        epoch: st.epoch,
-        schema_cfg: st.schema_cfg.clone(),
-        durable: st.durable.as_ref().map(|d| DurablePin {
-            dir: d.dir.clone(),
-            pin_log_seq: d.seq,
-        }),
-    })
-}
-
-/// Release a rebuild claim without swapping (build error / panic path).
-// lock-order: acquires(db_state)
-fn release_rebuild_claim(inner: &DbInner, epoch: u64) {
-    let mut st = inner.state.lock();
-    if st.rebuild == Some(epoch) {
-        st.rebuild = None;
-    }
-}
-
-/// The heavy lifting, entirely off-lock: fold the pinned delta into an
-/// owned triple list and rebuild every generation the pinned one had. This
-/// is what runs for the full rebuild duration while readers and writers
-/// proceed against the live store. Once the renumbered, sorted triples exist
-/// the snapshot (`snap.tmp`, durable stores only) streams out first: an
-/// error is the stream's, and it surfaces before any page is allocated.
-fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> Result<BuiltGeneration, Error> {
-    let mut triples = fold_delta(pin.gen.triples.iter(), pin.view.as_deref());
-    // The folded set is SPO-sorted (sorted base merged with sorted inserts)
-    // and serves every builder as it is; clustering renumbers the OIDs, so
-    // it is the only step after which it must be sorted again.
-    debug_assert!(triples.windows(2).all(|w| w[0] <= w[1]));
-    let (dict, clustering) = if pin.gen.clustered.is_some() {
-        let mut schema = sordf_schema::discover(&triples, &pin.gen.dict, &pin.schema_cfg);
-        let spec = ClusterSpec::auto(&schema);
-        // The next dictionary is built from the pinned one, which is only
-        // read — no deep copy of pools the renumbering discards.
-        let (dict, report) = reorganize_from(&pin.gen.dict, &mut triples, &mut schema, &spec);
-        // Subjects that were clustered before keep their relative order:
-        // one long sorted run, the folded-in writes behind it.
-        sort_renumbered(&mut triples);
-        (dict, Some((schema, spec, report)))
-    } else {
-        (pin.gen.dict.as_ref().clone(), None)
-    };
-    // Dictionary and triples are final: what the swap publishes is what the
-    // snapshot holds.
-    let snapshot_pools = pin
-        .durable
-        .as_ref()
-        .map(|dp| write_rebuild_snapshot(dp, pin, &dict, &triples))
-        .transpose()?;
-    let mut out = BuiltGeneration {
-        dict,
-        triples: PackedTriples::default(),
-        baseline: None,
-        schema: None,
-        cs_parse_order: None,
-        clustered: None,
-        spec: ClusterSpec::none(),
-        report: None,
-        strings_sorted_len: pin.gen.strings_sorted_len,
-        snapshot_pools,
-    };
-    if let Some((mut schema, spec, report)) = clustering {
-        let store = build_clustered(dm, &triples, &mut schema, &spec, true);
-        out.strings_sorted_len = out.dict.n_strings();
-        out.clustered = Some(store);
-        out.spec = spec;
-        out.report = Some(report);
-        out.schema = Some(Arc::new(schema));
-    }
-    if pin.gen.cs_parse_order.is_some() {
-        // Under a frozen (fresh) schema when clustered, else re-discovered
-        // from the merged data — mirrors `build_cs_tables` after the
-        // clustering collapse.
-        let base = match &out.schema {
-            Some(s) => Arc::clone(s),
-            None => Arc::new(sordf_schema::discover(&triples, &out.dict, &pin.schema_cfg)),
-        };
-        let mut schema = (*base).clone();
-        let spec = ClusterSpec::auto(&schema);
-        let store = build_clustered(dm, &triples, &mut schema, &spec, false);
-        out.cs_parse_order = Some((store, Arc::new(schema)));
-        out.schema.get_or_insert(base);
-    }
-    if pin.gen.baseline.is_some() {
-        out.baseline = Some(BaselineStore::build(dm, &triples));
-    }
-    out.triples = PackedTriples::from_sorted(&triples);
-    Ok(out)
-}
-
-/// Carry a catch-up batch across a swap: decode it under the dictionary it
-/// was written in, encode it under the renumbered one (interning terms
-/// first seen during the rebuild).
-fn reencode(old: &Dictionary, new: &Dictionary, triples: &[Triple]) -> Result<Vec<Triple>, Error> {
-    let mut terms = Vec::with_capacity(triples.len());
-    for t in triples {
-        terms.push(TermTriple::new(
-            old.decode(t.s)?,
-            old.decode(t.p)?,
-            old.decode(t.o)?,
-        ));
-    }
-    encode_batch(new, &terms)
-}
-
-/// Stream the rebuild's dictionary and triples out as the pre-swap
-/// checkpoint snapshot, off-lock, under the staging name [`SNAP_TMP`] (the
-/// swap renames it to its final number under the state lock, where the
-/// number is decided). The layouts it records are the pinned generation's:
-/// the rebuild builds exactly those again. Returns the pool counts dumped;
-/// a stream that fails takes its staging file with it.
-fn write_rebuild_snapshot(
-    dp: &DurablePin,
-    pin: &RebuildPin,
-    dict: &Dictionary,
-    triples: &[Triple],
-) -> Result<PoolCounts, Error> {
-    let flags = LayoutFlags {
-        baseline: pin.gen.baseline.is_some(),
-        cs_parse_order: pin.gen.cs_parse_order.is_some(),
-        clustered: pin.gen.clustered.is_some(),
-    };
-    let header = SnapshotHeader {
-        base_seq: dp.pin_log_seq,
-        flags,
-        schema_cfg: pin.schema_cfg.clone(),
-    };
-    let path = dp.dir.join(SNAP_TMP);
-    StoreSnapshot::write_to(&path, &header, dict, triples.iter().copied()).map_err(|e| {
-        // Best-effort: a leftover is overwritten by the next rebuild and
-        // swept by the next commit's `remove_orphans`.
-        let _ = fs::remove_file(&path);
-        Error::Io(e)
-    })
-}
-
-/// The durable half of the swap, under the state lock: rename the
-/// pre-written snapshot to its final number, write the catch-up batches —
-/// re-encoded under `new_dict`, each with what `new_dict` interned for it
-/// past the snapshot's pools — as the fresh log, and commit the manifest
-/// atomically: the new pair is in the new numbering. A failure at any step
-/// leaves the previous snapshot + WAL pair live and mutually consistent
-/// (the caller then abandons the swap).
-fn commit_swap_durable(
-    dp: &DurablePin,
-    d: &mut DurableState,
-    new_dict: &Dictionary,
-    mut logged: PoolCounts,
-    catch_up: &[(WalKind, Vec<Triple>)],
-) -> io::Result<()> {
-    let snap_n = d.snap_file + 1;
-    let wal_n = d.wal_file + 1;
-    fs::rename(dp.dir.join(SNAP_TMP), Manifest::snap_path(&d.dir, snap_n))?;
-    let mut wal = WalWriter::create(&Manifest::wal_path(&d.dir, wal_n))?;
-    let mut seq = dp.pin_log_seq;
-    for (kind, triples) in catch_up {
-        seq += 1;
-        wal.append_batch(seq, *kind, new_dict, &mut logged, triples)?;
-    }
-    wal.sync()?;
-    crash_point!("swap.pre_manifest");
-    let m = Manifest {
-        snap_file: snap_n,
-        wal_file: wal_n,
-        base_seq: dp.pin_log_seq,
-    };
-    m.commit(&d.dir)?;
-    crash_point!("swap.post_manifest");
-    debug_assert_eq!(
-        d.seq, seq,
-        "catch-up records must cover every logged write since the pin"
-    );
-    d.wal = wal;
-    d.snap_file = snap_n;
-    d.wal_file = wal_n;
-    d.seq = seq;
-    d.logged = logged;
-    m.remove_orphans(&d.dir)?;
-    Ok(())
-}
-
-/// The swap: install the built generation, folding every write that
-/// arrived during the rebuild into the fresh delta store. This is the only
-/// moment writers wait on a reorganization — O(catch-up writes), not
-/// O(rebuild). Returns `false` when the rebuild was superseded (a bulk
-/// load / explicit build invalidated the pinned epoch).
-// lock-order: acquires(db_state, dict)
-fn finish_rebuild(inner: &DbInner, pin: RebuildPin, built: BuiltGeneration) -> Result<bool, Error> {
-    // What the swap supersedes — the old generation handle (base triples,
-    // dictionary, column handles), delta and routing state — is moved out
-    // under the lock and freed after it: releasing the last handle of a
-    // store-sized generation is milliseconds nobody should wait behind.
-    let superseded;
-    {
-        let mut st = inner.state.lock();
-        if st.rebuild == Some(pin.epoch) {
-            st.rebuild = None;
-        }
-        if st.epoch != pin.epoch {
-            if let Some(dp) = &pin.durable {
-                // Best-effort: the orphaned staging snapshot is simply
-                // overwritten by the next rebuild.
-                let _ = fs::remove_file(dp.dir.join(SNAP_TMP));
-            }
-            return Ok(false);
-        }
-        let st = &mut *st;
-        let catch_up = st.delta.writes_since(pin.pin_seq);
-        let new_dict = built.dict;
-        let mut new_delta = DeltaStore::with_base_seq(pin.pin_seq);
-        let mut new_write: Option<WriteState> = None;
-        // The catch-up batches as the rotated WAL will hold them: OIDs under
-        // the new dictionary. Skipped when durability lapsed mid-rebuild (a
-        // failed log append disables it) — the disk then keeps its last
-        // consistent state.
-        let durable_live = pin.durable.is_some() && st.durable.is_some();
-        let mut catch_up_log: Vec<(WalKind, Vec<Triple>)> = Vec::new();
-        {
-            // Decode under the *current* generation's dictionary — it is
-            // the same append-only dictionary the rebuild pinned (grown in
-            // place by concurrent interns) and is guaranteed to contain
-            // every term interned during the rebuild. No locking: decode is
-            // lock-free.
-            let old_dict = st.gen.dict.as_ref();
-            for (seq, w) in catch_up {
-                let applied = match w {
-                    DeltaWrite::Insert(triples) => {
-                        let mut enc = reencode(old_dict, &new_dict, &triples)?;
-                        enc.sort_unstable();
-                        if durable_live {
-                            catch_up_log.push((WalKind::Insert, enc.clone()));
-                        }
-                        route_inserts(
-                            &mut new_write,
-                            built.schema.as_deref(),
-                            &st.schema_cfg,
-                            &enc,
-                        );
-                        new_delta.insert_run(enc)
-                    }
-                    DeltaWrite::Delete(triples) => {
-                        let enc = reencode(old_dict, &new_dict, &triples)?;
-                        let applied = new_delta.delete(&enc);
-                        unroute_retired(&mut new_write, new_delta.current_view(), &enc);
-                        if durable_live {
-                            catch_up_log.push((WalKind::Delete, enc));
-                        }
-                        applied
-                    }
-                };
-                debug_assert_eq!(
-                    applied.seq(),
-                    seq,
-                    "catch-up replay must preserve sequencing"
-                );
-            }
-        }
-        if built.clustered.is_some() && new_dict.n_strings() > built.strings_sorted_len {
-            // Catch-up inserts interned strings past the freshly sorted pool.
-            new_delta.set_strings_appended();
-        }
-        if let (true, Some(dp), Some(d), Some(pools)) = (
-            durable_live,
-            &pin.durable,
-            st.durable.as_mut(),
-            built.snapshot_pools,
-        ) {
-            // Durable commit before the in-memory install: on failure the
-            // swap is abandoned wholesale — old generation, old snapshot +
-            // WAL pair, everything stays live and mutually consistent.
-            commit_swap_durable(dp, d, &new_dict, pools, &catch_up_log)?;
-        }
-        let new_gen = Arc::new(StoreGeneration {
-            dict: Arc::new(new_dict),
-            triples: Arc::new(BaseTriples::Packed(built.triples)),
-            baseline: built.baseline.map(Arc::new),
-            schema: built.schema,
-            cs_parse_order: built.cs_parse_order.map(|(s, sc)| (Arc::new(s), sc)),
-            clustered: built.clustered.map(Arc::new),
-            spec: built.spec,
-            reorg_report: built.report,
-            strings_sorted_len: built.strings_sorted_len,
-        });
-        superseded = (
-            std::mem::replace(&mut st.gen, new_gen),
-            std::mem::replace(&mut st.delta, new_delta),
-            std::mem::replace(&mut st.write, new_write),
-        );
-        #[cfg(debug_assertions)]
-        {
-            st.gen.debug_validate();
-            st.delta.debug_validate();
-        }
-        st.epoch += 1;
-    }
-    drop(pin);
-    drop(superseded);
-    Ok(true)
-}
-
-/// One full rebuild: build off-lock, then swap. Shared by the synchronous
-/// entry points (which run it inline) and the background worker.
-fn run_rebuild(
-    inner: &DbInner,
-    pin: RebuildPin,
-    reason: Option<String>,
-    drift_before: DriftStats,
-) -> Result<ReorgOutcome, Error> {
-    // The build — the staged snapshot included, so the swap itself stays
-    // O(catch-up), never O(data) — runs off-lock.
-    let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        build_generation(&inner.dm, &pin)
-    })) {
-        Ok(Ok(b)) => b,
-        Ok(Err(e)) => {
-            release_rebuild_claim(inner, pin.epoch);
-            return Err(e);
-        }
-        Err(payload) => {
-            release_rebuild_claim(inner, pin.epoch);
-            return Err(Error::Exec(panic_message(payload)));
-        }
-    };
-    let irregular_ratio_after = built
-        .clustered
-        .as_ref()
-        .map(|store| store.irregular.len() as f64 / store.n_triples().max(1) as f64);
-    let report = built.report.clone();
-    let epoch = pin.epoch;
-    match finish_rebuild(inner, pin, built) {
-        Ok(true) => Ok(ReorgOutcome {
-            fired: true,
-            swapped: true,
-            reason,
-            drift_before,
-            irregular_ratio_after,
-            report,
-        }),
-        Ok(false) => Ok(ReorgOutcome {
-            fired: true,
-            swapped: false,
-            reason,
-            drift_before,
-            irregular_ratio_after: None,
-            report: None,
-        }),
-        Err(e) => {
-            release_rebuild_claim(inner, epoch);
-            Err(e)
-        }
-    }
-}
-
-/// Spawn `run_rebuild` on a worker thread.
-fn spawn_rebuild(
-    inner: &Arc<DbInner>,
-    pin: RebuildPin,
-    reason: Option<String>,
-    drift_before: DriftStats,
-) -> BackgroundReorg {
-    let inner = Arc::clone(inner);
-    let thread = thread::Builder::new()
-        .name("sordf-reorg".into())
-        .spawn(move || run_rebuild(&inner, pin, reason, drift_before))
-        // sordf-lint: allow(L3) — thread spawn fails only on resource exhaustion; a reorg that cannot start is fatal by design.
-        .expect("spawn reorg thread");
-    BackgroundReorg { thread }
-}
-
-/// Handle on an in-flight background reorganization (see
-/// [`Database::reorganize_async`]). The swap completes whether or not the
-/// handle is waited on; the handle is how callers observe the outcome and
-/// sequence tests deterministically.
-#[must_use = "the swap completes regardless, but dropping the handle discards the outcome (including build errors)"]
-pub struct BackgroundReorg {
-    thread: thread::JoinHandle<Result<ReorgOutcome, Error>>,
-}
-
-impl BackgroundReorg {
-    /// Has the rebuild (including its swap) finished?
-    pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
-    }
-
-    /// Block until the rebuild + swap complete and return the outcome.
-    pub fn wait(self) -> Result<ReorgOutcome, Error> {
-        match self.thread.join() {
-            Ok(outcome) => outcome,
-            Err(payload) => Err(Error::Exec(panic_message(payload))),
-        }
-    }
-}
-
 /// Render a panic payload as a message (best effort).
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -2254,7 +1208,13 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::{
+        begin_rebuild, build_generation, finish_rebuild, release_rebuild_claim, Built, SNAP_TMP,
+    };
     use sordf_model::{DictPool, Term};
+    use sordf_storage::Manifest;
+    use std::fs;
+    use std::path::PathBuf;
     use std::time::Duration;
 
     fn sample_triples() -> Vec<TermTriple> {
@@ -2808,10 +1768,6 @@ mod tests {
             r#"<http://ex/new1> <http://ex/qty> "3"^^<http://www.w3.org/2001/XMLSchema#integer> ."#,
         )
         .unwrap();
-        assert!(matches!(
-            discover_schema_locked(&mut db.inner.state.lock(), &SchemaConfig::default()),
-            Err(Error::State(_))
-        ));
         assert!(matches!(db.build_cs_tables(), Err(Error::State(_))));
         // self_organize collapses the pending writes instead of refusing.
         db.self_organize().unwrap();
@@ -3375,12 +2331,12 @@ mod tests {
     /// Everything a rebuild produces, rendered: dictionary pools, the packed
     /// base, schema (names, statistics, coverage), layouts (page ids, encodings,
     /// zone maps), every page of the page file, and the staged snapshot.
-    fn built_image(db: &Database, dir: &Path, built: &BuiltGeneration) -> Vec<String> {
+    fn built_image(db: &Database, dir: &Path, built: &Built) -> Vec<String> {
+        let gen = &built.gen;
         let mut image = Vec::new();
         for pool in DictPool::ALL {
             let mut entries = Vec::new();
-            built
-                .dict
+            gen.dict
                 .try_for_each_entry(pool, |s| {
                     entries.push(s.to_string());
                     Ok::<(), ()>(())
@@ -3388,16 +2344,20 @@ mod tests {
                 .unwrap();
             image.push(format!("{pool:?} {entries:?}"));
         }
-        image.push(format!("frozen {}", built.dict.n_strings_frozen()));
+        image.push(format!("frozen {}", gen.dict.n_strings_frozen()));
         // The base, decoded and as its packed image (blocks, directory,
         // predicate table).
-        image.push(format!("{:?}", built.triples.iter().collect::<Vec<_>>()));
-        image.push(format!("{:?}", built.triples));
-        image.push(format!("{:?}", built.schema));
-        image.push(format!("{:?}", built.clustered));
-        image.push(format!("{:?}", built.cs_parse_order));
-        image.push(format!("{:?}", built.baseline));
-        image.push(format!("{:?} {:?}", built.report, built.snapshot_pools));
+        image.push(format!("{:?}", gen.triples.iter().collect::<Vec<_>>()));
+        let BaseTriples::Packed(packed) = &*gen.triples else {
+            panic!("a built base is packed");
+        };
+        image.push(format!("{packed:?}"));
+        image.push(format!("{:?}", gen.schema));
+        image.push(format!("{:?}", gen.clustered));
+        image.push(format!("{:?}", gen.cs_parse_order));
+        image.push(format!("{:?}", gen.baseline));
+        let pools = built.staged.as_ref().map(|s| s.pools);
+        image.push(format!("{:?} {:?}", gen.reorg_report, pools));
         db.inner.dm.flush().unwrap();
         image.push(format!("{:?}", fs::read(dir.join("data.db")).unwrap()));
         image.push(format!("{:?}", fs::read(dir.join(SNAP_TMP)).unwrap()));

@@ -18,7 +18,7 @@ use crate::expr::Expr;
 use crate::scan::{ORestrict, SRange, Source};
 use crate::star::{
     effective_subject_range, emit_combinations, extend_from_sorted, intersect_ranges,
-    prop_restrict, residual_filters, subject_filter_range, Covered, Emit, Star,
+    prop_restrict, residual_filters, sort_key_narrows, subject_filter_range, Covered, Emit, Star,
 };
 use crate::table::Table;
 use sordf_columnar::{BufferPool, Column};
@@ -508,11 +508,10 @@ fn scan_class_star_rw(
                     continue;
                 }
                 let restrict = prop_restrict(cx, &star.props[pi], filters);
-                // Inserts pending on this segment's subjects forbid narrowing
-                // on base values (see `star::delta_blocks_pruning`).
-                if restrict.is_none()
-                    || crate::star::delta_blocks_pruning(cx, star.props[pi].pred, seg)
-                {
+                // Pending inserts and base exceptions on this segment's
+                // subjects forbid narrowing on stored values (see
+                // `star::sort_key_narrows`).
+                if restrict.is_none() || !sort_key_narrows(cx, star.props[pi].pred, seg) {
                     continue;
                 }
                 let (lo, hi) = restrict.bounds();

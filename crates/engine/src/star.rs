@@ -57,7 +57,7 @@
 //! access path. The tail of a plan applies only what no single star can
 //! decide (`tail_filters`).
 
-use crate::context::{ExecContext, ExecStats};
+use crate::context::{ExecContext, ExecStats, StorageRef};
 use crate::expr::{batches, BatchEval, CmpOp, Expr};
 use crate::parallel::ParallelConfig;
 use crate::query::{Query, VarOrOid};
@@ -65,7 +65,7 @@ use crate::scan::{scan_property, ORestrict, SRange, Source};
 use crate::table::{Table, VarId};
 use sordf_model::{Oid, Triple, TypeTag};
 use sordf_storage::clustered::SubjectIds;
-use sordf_storage::ClassSegment;
+use sordf_storage::{ClassSegment, Order};
 
 /// One property of a star.
 #[derive(Debug, Clone, Copy)]
@@ -342,6 +342,36 @@ pub(crate) fn delta_blocks_pruning(cx: &ExecContext, pred: Oid, seg: &ClassSegme
         seg.subject_at(cx.pool, seg.n - 1).raw(),
     );
     delta.has_inserts_in(pred, first, last)
+}
+
+/// May a scan narrow `seg`'s rows by binary search on its sort-key column,
+/// which stores `pred`? Narrowing reads only the values the column stores,
+/// so it is sound only while no row can bind a value other than its stored
+/// one: no insert for `pred` is pending on the segment
+/// ([`delta_blocks_pruning`]), and no base exception of `pred` — a second
+/// value, or one of another type, which the build keeps in the irregular
+/// store — binds one of the segment's subjects. Either could match the
+/// restriction where the stored value misses it, and narrowing would drop
+/// the row with its exception. The check is a binary search of the
+/// irregular store's PSO index for `pred` over the segment's subject range
+/// (no page is pinned when the store is empty); the one rule the vectorized
+/// and rowwise star paths narrow by.
+pub(crate) fn sort_key_narrows(cx: &ExecContext, pred: Oid, seg: &ClassSegment) -> bool {
+    let StorageRef::Clustered { store, .. } = &cx.storage else {
+        return false;
+    };
+    if seg.n == 0 || delta_blocks_pruning(cx, pred, seg) {
+        return false;
+    }
+    let pool = cx.pool;
+    let (first, last) = (
+        seg.subject_at(pool, 0).raw(),
+        seg.subject_at(pool, seg.n - 1).raw(),
+    );
+    let pso = store.irregular.perm(Order::Pso);
+    let rows = pso.range1(pool, pred);
+    let subjects = pso.col(1);
+    subjects.lower_bound_in(pool, rows.clone(), first) == subjects.upper_bound_in(pool, rows, last)
 }
 
 /// Apply filters to a table (post-filtering; always sound), a chunk at a
@@ -1444,20 +1474,19 @@ fn prepare_chunk_scan<'a>(
         }
     }
     // Sort-key narrowing: if the segment is sub-ordered by a column this
-    // star restricts, binary-search the row range. Unsound while an insert
-    // for the predicate is pending on a subject of this segment — it can
-    // supply the matching value for a row whose *base* value is NULL or out
-    // of range, and narrowing would drop that row's exception bindings — so
-    // such a segment scans its full range until a reorganization folds the
-    // insert in. (The rowwise reference applies the identical rule through
-    // the same `delta_blocks_pruning`; byte-identity.)
+    // star restricts, binary-search the row range — unless a pending insert
+    // or a base exception of the predicate binds one of the segment's rows
+    // (`sort_key_narrows`): it can supply the matching value for a row whose
+    // stored value is NULL or out of range, and narrowing would drop the row
+    // with it, so such a segment scans its full range. (The rowwise
+    // reference applies the identical rule; byte-identity.)
     for (pi, cov) in covered.iter().enumerate() {
         let Covered::Col(ci) = cov else { continue };
         if seg.sorted_by != Some(*ci) {
             continue;
         }
         let restrict = prop_restrict(cx, &star.props[pi], filters);
-        if restrict.is_none() || delta_blocks_pruning(cx, star.props[pi].pred, seg) {
+        if restrict.is_none() || !sort_key_narrows(cx, star.props[pi].pred, seg) {
             continue;
         }
         let (lo, hi) = restrict.bounds();

@@ -217,8 +217,8 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 }
 
 /// Which store layouts a snapshot's generation had built (recovery rebuilds
-/// the same set, in the deterministic order `self_organize` →
-/// `build_cs_tables` → `build_baseline`). Bits 0–2 of the header's flag
+/// the same set, in the builder's fixed order clustered → CS tables →
+/// baseline). Bits 0–2 of the header's flag
 /// byte; whether a schema was discovered is not recorded, because exactly
 /// the two table layouts carry one. Bit 3 (a discovered schema) and bit 4
 /// (plain page encoding) are retired: a snapshot that sets any bit above 2

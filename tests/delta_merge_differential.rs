@@ -584,6 +584,45 @@ fn a_blocked_first_column_keeps_a_base_exception_on_the_second() {
     }
 }
 
+/// Sort-key narrowing binary-searches a dense segment's rows by the values
+/// its sort-key column stores. A subject with a second value of that
+/// predicate keeps the smaller one in the column and the other as an
+/// irregular exception, with no delta involved; a restriction can select
+/// the exception while the stored value misses it, so narrowing must not
+/// drop that row. Checked on both layouts against the exhaustive-index
+/// baseline.
+#[test]
+fn a_base_exception_on_the_sort_key_survives_narrowing() {
+    let mut triples: Vec<TermTriple> = (0..200)
+        .flat_map(|i| {
+            [
+                item(i, "qty", Term::int((i % 50) as i64)),
+                item(i, "sold", Term::date(&date_of(365 + i))),
+            ]
+        })
+        .collect();
+    triples.push(item(50, "sold", Term::date("1998-06-01")));
+    let name = "sort_key_exception";
+    let text = format!(
+        r#"{PREFIX}SELECT ?s ?d WHERE {{ ?s e:qty ?q . ?s e:sold ?d .
+             FILTER(?d >= "1998-01-01"^^xsd:date) }}"#
+    );
+    let baseline = {
+        let db = Database::in_temp_dir().unwrap();
+        db.load_terms(&triples).unwrap();
+        db.build_baseline().unwrap();
+        let req = QueryRequest::sparql(text.as_str()).generation(Generation::Baseline);
+        db.execute(&req).unwrap().results.canonical(&db.dict())
+    };
+    assert_eq!(baseline.len(), 1, "item50's second date binds");
+    assert!(baseline[0].contains("item50"), "{baseline:?}");
+    for layout in [Layout::Dense, Layout::Sparse] {
+        let live = build(&triples, layout);
+        let got = live_answer(&live, layout, name, &text, None, "no delta");
+        assert_eq!(got, baseline, "{layout:?}: differs from the baseline");
+    }
+}
+
 #[test]
 fn dense_segments_merge_row_granular() {
     scenario(Layout::Dense);

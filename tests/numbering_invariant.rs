@@ -1,7 +1,8 @@
 //! The numbering invariant of the durable pair, as a property: after any
 //! sequence of bulk loads, inserts, deletes, checkpoints, synchronous and
 //! background reorganizations (with writes landing mid-rebuild),
-//! self-organizations and reopens, **the committed snapshot's dictionary
+//! self-organizations, baseline and CS-table builds and reopens — every
+//! caller of the one builder — **the committed snapshot's dictionary
 //! pools followed by the log's dictionary appends are the live dictionary,
 //! entry for entry, and every logged OID resolves under them** — the pair on
 //! disk is always in the one numbering the live store hands out. Whoever
@@ -27,6 +28,8 @@ enum Op {
     /// `reorganize_async` with this batch inserted while it runs.
     ReorganizeAsync(Vec<TermTriple>),
     SelfOrganize,
+    BuildBaseline,
+    BuildCsTables,
     Reopen,
 }
 
@@ -64,6 +67,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u32..2).prop_map(|_| Op::ReorganizeNow),
         arb_batch().prop_map(Op::ReorganizeAsync),
         (0u32..2).prop_map(|_| Op::SelfOrganize),
+        (0u32..2).prop_map(|_| Op::BuildBaseline),
+        (0u32..2).prop_map(|_| Op::BuildCsTables),
         (0u32..2).prop_map(|_| Op::Reopen),
     ]
 }
@@ -153,6 +158,8 @@ fn run(ops: Vec<Op>) {
                 Err(e) => tolerate(Err(e)),
             },
             Op::SelfOrganize => tolerate(db.self_organize().map(|_| ())),
+            Op::BuildBaseline => tolerate(db.build_baseline()),
+            Op::BuildCsTables => tolerate(db.build_cs_tables()),
             Op::Reopen => {
                 drop(db);
                 db = Database::open(&dir).unwrap();
@@ -181,8 +188,9 @@ proptest! {
 }
 
 /// The shapes the generator reaches only by luck, spelled out: a swap with
-/// catch-up writes that intern new terms, a load on top of an organized
-/// store, recovery of each, twice over.
+/// catch-up writes that intern new terms — one that renumbers, one over
+/// parse-order layouts that does not — a load on top of an organized store,
+/// recovery of each, twice over.
 #[test]
 fn renumbering_paths_each_commit_their_own_pair() {
     let t = |s: u32, p: u32, o: Term| {
@@ -213,7 +221,10 @@ fn renumbering_paths_each_commit_their_own_pair() {
         Op::Reopen,
         Op::Reopen,
         Op::Load(fresh(3)),
+        Op::BuildCsTables,
+        Op::BuildBaseline,
         Op::Insert(fresh(4)),
+        Op::ReorganizeAsync(fresh(5)),
         Op::Reopen,
         Op::SelfOrganize,
         Op::ReorganizeNow,

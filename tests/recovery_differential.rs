@@ -34,7 +34,8 @@
 //! pair it was recovering from (or, past the rename, the fresh one)
 //! recoverable. The same feature arms I/O failure points: an append that
 //! meets `ENOSPC`, an fsync that fails, a recovery checkpoint that cannot
-//! be written.
+//! be written, a build whose snapshot cannot be committed (it must install
+//! nothing).
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -488,6 +489,78 @@ fn a_failed_recovery_checkpoint_fails_the_open_and_keeps_the_old_pair() {
         assert_eq!(verify_prefix(&db, 3), 4, "{label}");
         assert!(db.is_durable());
     }
+}
+
+/// A build publishes by committing its pair *before* it installs the
+/// generation. One whose snapshot cannot be written (`ENOSPC`) or synced
+/// (`EIO`) fails and installs nothing: the store stays unorganized, in the
+/// numbering of the pair on disk, so a write acknowledged after the failure
+/// is logged in that numbering and recovers as itself. (A store that
+/// installed first would log it renumbered into the old pair's log, and it
+/// would read back as some other triple.) A failing `build_baseline` builds
+/// no baseline.
+#[cfg(feature = "crash_points")]
+#[test]
+fn a_failed_publish_commit_installs_nothing() {
+    use sordf::{Generation, QueryRequest};
+    use sordf_columnar::fault::arm_io_fault;
+    use sordf_storage::Manifest;
+    let queries = [
+        "SELECT ?s ?q WHERE { ?s <http://ex/qty> ?q . }",
+        "SELECT ?s ?d WHERE { ?s <http://ex/sold> ?d . }",
+    ];
+    let answers = |db: &Database| queries.map(|q| db.query(q).unwrap().canonical(&db.dict()));
+    let late = TermTriple::new(
+        Term::iri("http://ex/new1"),
+        Term::iri("http://ex/qty"),
+        Term::int(99),
+    );
+    let want = {
+        let db = Database::in_temp_dir().unwrap();
+        db.load_terms(&base_data()).unwrap();
+        db.insert_terms(std::slice::from_ref(&late)).unwrap();
+        db.self_organize().unwrap();
+        answers(&db)
+    };
+    assert_eq!(want[0].len(), 41);
+    for (label, errno) in [("snap.write", 28), ("snap.sync", 5)] {
+        let dir = temp_dir(&format!("publish-{}", label.replace('.', "-")));
+        let _c = Cleanup(dir.clone());
+        {
+            let db = Database::create_durable(&dir, SyncPolicy::Always).unwrap();
+            db.load_terms(&base_data()).unwrap();
+            let before = Manifest::read(&dir).unwrap().unwrap();
+            arm_io_fault(&dir, label, errno, 1);
+            let err = db.self_organize().expect_err(label);
+            assert!(matches!(err, sordf::Error::Io(_)), "{label}: {err}");
+            assert!(db.schema().is_none(), "{label}: nothing was installed");
+            assert_eq!(Manifest::read(&dir).unwrap().unwrap(), before, "{label}");
+            assert!(
+                db.is_durable(),
+                "{label}: a failed publish keeps durability"
+            );
+            db.insert_terms(std::slice::from_ref(&late)).unwrap();
+        }
+        let db = Database::open(&dir).unwrap();
+        db.self_organize().unwrap();
+        assert_eq!(answers(&db), want, "{label}: not the acknowledged set");
+    }
+    let dir = temp_dir("publish-baseline");
+    let _c = Cleanup(dir.clone());
+    let db = Database::create_durable(&dir, SyncPolicy::Always).unwrap();
+    db.load_terms(&base_data()).unwrap();
+    arm_io_fault(&dir, "snap.write", 28, 1);
+    let err = db
+        .build_baseline()
+        .expect_err("the stream was told to fail");
+    assert!(matches!(err, sordf::Error::Io(_)), "{err}");
+    let baseline = QueryRequest::sparql(queries[0]).generation(Generation::Baseline);
+    assert!(
+        matches!(db.execute(&baseline), Err(sordf::Error::State(_))),
+        "a failed build_baseline left a baseline behind"
+    );
+    db.build_baseline().unwrap();
+    assert_eq!(db.execute(&baseline).unwrap().results.len(), 40);
 }
 
 /// A checkpoint dumps the dictionary entry for entry and recovery reloads
