@@ -185,8 +185,8 @@ pub(crate) fn publish(
         write: None,
         log: Vec::new(),
     });
-    if let (Some(d), Some(staged)) = (st.durable.as_mut(), built.staged) {
-        commit_pair(d, staged, &built.gen.dict, &log)?;
+    if let Some(staged) = built.staged {
+        commit_pair(&mut st.durable, staged, &built.gen.dict, &log)?;
     }
     let superseded = (
         std::mem::replace(&mut st.gen, Arc::new(built.gen)),

@@ -107,19 +107,26 @@ impl Stage {
     }
 }
 
-/// Commit `staged` as the live pair: move it to the next snapshot number
-/// (when it was staged under another name), write `catch_up` — batches
-/// under `dict`, each with what `dict` interned for it past the snapshot's
-/// pools — as the next log and sync it, then rename the manifest over.
-/// Until that rename the previous pair is the live one and `d` is
-/// untouched, so a failure anywhere before it leaves the previous pair live
-/// and consistent; after it, `d` follows the new pair.
+/// Commit `staged` as the live pair of `durable` (a no-op on a store that
+/// is not durable): move it to the next snapshot number (when it was staged
+/// under another name), write `catch_up` — batches under `dict`, each with
+/// what `dict` interned for it past the snapshot's pools — as the next log
+/// and sync it, then rename the manifest over. Until that rename the
+/// previous pair is the live one and `durable` is untouched, so a failure
+/// anywhere before it leaves the previous pair live and consistent; after
+/// it, `durable` follows the new pair. A directory fsync that fails after
+/// the rename leaves either pair live after a crash, so nothing can be
+/// logged safely any more: durability is disabled, as after a failed log
+/// append ([`log_write`]).
 pub(crate) fn commit_pair(
-    d: &mut DurableState,
+    durable: &mut Option<DurableState>,
     staged: Staged,
     dict: &Dictionary,
     catch_up: &[(WalKind, Vec<Triple>)],
 ) -> Result<(), Error> {
+    let Some(d) = durable.as_mut() else {
+        return Ok(());
+    };
     let snap_n = d.snap_file + 1;
     let wal_n = d.wal_file + 1;
     let snap_path = Manifest::snap_path(&d.dir, snap_n);
@@ -146,7 +153,10 @@ pub(crate) fn commit_pair(
         wal_file: wal_n,
         base_seq: staged.base_seq,
     };
-    m.commit(&d.dir)?;
+    if let Err(e) = m.commit(&d.dir)? {
+        *durable = None;
+        return Err(Error::Io(e));
+    }
     if swap {
         crash_point!("swap.post_manifest");
     } else {
@@ -317,7 +327,7 @@ impl Database {
             wal_file: 0,
             base_seq: 0,
         };
-        m.commit(dir)?;
+        m.commit(dir)??;
         // A half-created directory may hold leftovers from a crash before
         // the first commit.
         m.remove_orphans(dir)?;
@@ -404,13 +414,13 @@ impl Database {
     pub fn checkpoint(&self) -> Result<(), Error> {
         let mut st = self.inner.state.lock();
         let st = &mut *st;
-        let Some(d) = st.durable.as_mut() else {
+        let Some(d) = st.durable.as_ref() else {
             return Err(Error::State("not a durable database".into()));
         };
         let visible = visible_base(st.gen.triples.iter(), st.delta.current_view())
             .chain(st.delta.visible_inserts());
         let staged =
             Stage::in_place(d).write(layouts_of(&st.gen), &st.schema_cfg, &st.gen.dict, visible)?;
-        commit_pair(d, staged, &st.gen.dict, &[])
+        commit_pair(&mut st.durable, staged, &st.gen.dict, &[])
     }
 }

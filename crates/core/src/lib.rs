@@ -404,13 +404,15 @@ struct DbInner {
     scans: sordf_engine::ExecStats,
 }
 
-/// Per-component resident-byte accounting (see [`Database::memory_stats`]).
-/// Approximate by design: page bytes and pool contents are exact, hash-index
-/// and allocator overheads are estimated.
+/// Per-component resident-byte accounting (see [`Database::memory_stats`]):
+/// page bytes and the allocated capacity of every in-memory structure;
+/// allocator rounding and the internal slack of hash tables (buckets past
+/// what their `capacity()` reports) are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
-    /// Dictionary pools: IRIs, blank nodes and string literals, including
-    /// their hash indexes and the front-coded frozen string run.
+    /// Dictionary pools: IRIs, blank nodes and string literals — each a
+    /// front-coded frozen run (with its rank maps) plus an append tail and
+    /// the tail's hash index.
     pub dict_bytes: u64,
     /// The base triple set: the capacity of every buffer it holds — the
     /// load-order `Vec<Triple>` while staging, the packed blocks and their
@@ -432,7 +434,7 @@ pub struct MemoryStats {
     /// baseline permutations, CS-table segments, clustered segments, and
     /// the irregular remainders of both table stores.
     pub classes: [ClassBytes; 4],
-    /// Resident bytes of the front-coded frozen string run — the
+    /// Allocated bytes of the front-coded frozen string run — the
     /// dictionary-side analogue of `column_bytes` (0 before the first
     /// string sort).
     pub dict_string_bytes: u64,

@@ -11,23 +11,28 @@
 //!
 //! # Physical layout
 //!
-//! Each pool is split into a **frozen prefix** rebuilt at reorganization
-//! time and a **concurrent append-only tail** for everything interned after
-//! it:
+//! All three pools are one type, split into a **frozen run** rebuilt at
+//! reorganization time and a **concurrent append-only tail** for everything
+//! interned after it:
 //!
-//! * The IRI/blank frozen prefix is a plain shared `Vec<String>` (IRI order
-//!   is cluster order, not lexicographic — nothing to delta-encode against).
-//! * The string-literal frozen prefix is **front-coded** (`FrontCoded`):
-//!   the sorted run is chopped into groups of [`FC_GROUP`], each group
-//!   storing its leader in full and every follower as (shared-prefix-length,
-//!   suffix). Lookups binary-search the group leaders, so the sorted prefix
-//!   needs *no* hash index at all — the dominant dictionary structure after
-//!   a reorganization costs its compressed bytes and nothing else.
+//! * The frozen run holds its entries **lexicographically sorted and
+//!   front-coded** (`FrontCoded`): the run is chopped into groups of
+//!   [`FC_GROUP`], each group storing its leader in full and every follower
+//!   as (shared-prefix-length, suffix). Lookups binary-search the group
+//!   leaders, so the run needs *no* hash index and holds no second copy of
+//!   any entry — it costs its compressed bytes.
+//! * Where OID order is not sorted order (IRIs, numbered by cluster; blank
+//!   nodes, by first appearance) the run carries two `u32` maps, the rank
+//!   of each OID in the run and the OID of each rank: a lookup is a search
+//!   plus one map load, a decode one map load plus a walk inside one group.
+//!   The string pool is frozen sorted — string OID order *is* value order —
+//!   so it carries no maps.
 //! * The tail (`AppendTail`) is a chunked spine whose published entries
 //!   never move: readers resolve OIDs **without taking any lock**, and
 //!   interning appends behind a short per-pool writer lock. A reader
 //!   holding a pinned dictionary snapshot therefore never blocks an
-//!   interning writer and vice versa — the pool grows in place.
+//!   interning writer and vice versa — the pool grows in place. Only tail
+//!   entries are hash-indexed.
 //!
 //! Interning consequently takes `&self`: the dictionary is shared as a
 //! plain `Arc` and mutated through interior mutability, with the writer
@@ -89,37 +94,58 @@ struct FrontCoded {
     plain_bytes: u64,
 }
 
+/// Appends a sorted, duplicate-free run entry by entry into a
+/// [`FrontCoded`] image.
+#[derive(Default)]
+struct FrontCodedBuilder {
+    arena: Vec<u8>,
+    groups: Vec<u32>,
+    prev: Vec<u8>,
+    len: usize,
+    plain_bytes: u64,
+}
+
+impl FrontCodedBuilder {
+    fn push(&mut self, e: &[u8]) {
+        debug_assert!(self.len == 0 || self.prev.as_slice() < e, "sorted, unique");
+        if self.len % FC_GROUP == 0 {
+            let start = u32::try_from(self.arena.len()).expect("front-coded arena overflow");
+            self.groups.push(start);
+            write_varint(&mut self.arena, e.len() as u64);
+            self.arena.extend_from_slice(e);
+        } else {
+            let shared = self.prev.iter().zip(e).take_while(|(a, b)| a == b).count();
+            write_varint(&mut self.arena, shared as u64);
+            write_varint(&mut self.arena, (e.len() - shared) as u64);
+            self.arena.extend_from_slice(&e[shared..]);
+        }
+        self.prev.clear();
+        self.prev.extend_from_slice(e);
+        self.len += 1;
+        self.plain_bytes += e.len() as u64;
+    }
+
+    /// The image, at exactly its size: what it costs is what it holds.
+    fn finish(mut self) -> FrontCoded {
+        self.arena.shrink_to_fit();
+        self.groups.shrink_to_fit();
+        FrontCoded {
+            arena: Arc::new(self.arena),
+            groups: Arc::new(self.groups),
+            len: self.len,
+            plain_bytes: self.plain_bytes,
+        }
+    }
+}
+
 impl FrontCoded {
     /// Build from a lexicographically sorted, duplicate-free run.
-    fn build(entries: &[String]) -> FrontCoded {
-        debug_assert!(entries.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
-        let mut arena = Vec::new();
-        let mut groups = Vec::with_capacity(entries.len().div_ceil(FC_GROUP));
-        for chunk in entries.chunks(FC_GROUP) {
-            assert!(
-                arena.len() <= u32::MAX as usize,
-                "front-coded arena overflow"
-            );
-            groups.push(arena.len() as u32);
-            let leader = chunk[0].as_bytes();
-            write_varint(&mut arena, leader.len() as u64);
-            arena.extend_from_slice(leader);
-            let mut prev = leader;
-            for e in &chunk[1..] {
-                let e = e.as_bytes();
-                let shared = prev.iter().zip(e).take_while(|(a, b)| a == b).count();
-                write_varint(&mut arena, shared as u64);
-                write_varint(&mut arena, (e.len() - shared) as u64);
-                arena.extend_from_slice(&e[shared..]);
-                prev = e;
-            }
+    fn from_sorted<'a>(entries: impl IntoIterator<Item = &'a str>) -> FrontCoded {
+        let mut b = FrontCodedBuilder::default();
+        for e in entries {
+            b.push(e.as_bytes());
         }
-        FrontCoded {
-            arena: Arc::new(arena),
-            groups: Arc::new(groups),
-            len: entries.len(),
-            plain_bytes: entries.iter().map(|e| e.len() as u64).sum(),
-        }
+        b.finish()
     }
 
     fn len(&self) -> usize {
@@ -153,7 +179,7 @@ impl FrontCoded {
         Some(Cow::Owned(s))
     }
 
-    /// Visit every entry in index order: one sequential pass over the
+    /// Visit every entry in rank order: one sequential pass over the
     /// arena, each group decoded once (positional [`FrontCoded::get`] would
     /// re-walk a group per follower).
     fn try_for_each<E>(&self, mut f: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
@@ -185,15 +211,15 @@ impl FrontCoded {
         &self.arena[pos..pos + len as usize]
     }
 
-    /// Binary search the sorted run: group leaders first, then a delta walk
-    /// inside the one candidate group. Nothing is decoded or allocated: the
-    /// walk tracks `lcp`, how many leading bytes the key shares with the
-    /// entry before (which sorts below the key). A follower that shares
-    /// more than `lcp` bytes with that entry differs from the key exactly
-    /// where it did, so it sorts below the key too; one that shares fewer
-    /// already sorts above it; only one that shares exactly `lcp` bytes has
-    /// to be compared, and only from byte `lcp` on.
-    fn search(&self, key: &str) -> Option<u64> {
+    /// Binary search the sorted run for the rank of `key`: group leaders
+    /// first, then a delta walk inside the one candidate group. Nothing is
+    /// decoded or allocated. The walk tracks `lcp`, how many leading bytes
+    /// the key shares with the entry before (which sorts below the key). A
+    /// follower that shares more than `lcp` bytes with that entry differs
+    /// from the key exactly where it did, so it sorts below the key too; one
+    /// that shares fewer already sorts above it; only one that shares
+    /// exactly `lcp` bytes has to be compared, and only from byte `lcp` on.
+    fn search(&self, key: &str) -> Option<usize> {
         let key = key.as_bytes();
         // The candidate group is the last whose leader is <= key.
         let (mut lo, mut hi) = (0usize, self.groups.len());
@@ -211,7 +237,7 @@ impl FrontCoded {
         let mut pos = start + len as usize;
         let leader = &self.arena[start..pos];
         if leader == key {
-            return Some((g * FC_GROUP) as u64);
+            return Some(g * FC_GROUP);
         }
         let mut lcp = common(leader, key);
         let in_group = (self.len - g * FC_GROUP).min(FC_GROUP);
@@ -228,7 +254,7 @@ impl FrontCoded {
             let rest = &key[lcp..];
             let c = common(suffix, rest);
             if c == suffix.len() && c == rest.len() {
-                return Some((g * FC_GROUP + r) as u64);
+                return Some(g * FC_GROUP + r);
             }
             // Below the key when it ends first (a proper prefix of the key)
             // or has the smaller byte where they part; the run is sorted,
@@ -242,9 +268,9 @@ impl FrontCoded {
         None
     }
 
-    /// Resident bytes of the encoded image.
-    fn encoded_bytes(&self) -> u64 {
-        (self.arena.len() + self.groups.len() * std::mem::size_of::<u32>()) as u64
+    /// Allocated bytes of the encoded image.
+    fn heap_bytes(&self) -> u64 {
+        (self.arena.capacity() + self.groups.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -344,50 +370,81 @@ impl AppendTail {
         t
     }
 
-    /// Approximate resident bytes: entry content plus slot overhead of the
-    /// allocated chunks.
-    fn approx_bytes(&self) -> u64 {
-        let mut b = 0u64;
-        for t in 0..self.len() {
-            if let Some(s) = self.get(t) {
-                b += s.len() as u64;
+    /// Allocated bytes: the slots of every allocated chunk plus each
+    /// published entry's heap capacity.
+    fn heap_bytes(&self) -> u64 {
+        let mut b = 0usize;
+        for (k, chunk) in self.spine.iter().enumerate() {
+            if let Some(chunk) = chunk.get() {
+                b += (TAIL_FIRST << k) * std::mem::size_of::<OnceLock<String>>();
+                b += chunk
+                    .iter()
+                    .filter_map(OnceLock::get)
+                    .map(String::capacity)
+                    .sum::<usize>();
             }
         }
-        for (k, slot) in self.spine.iter().enumerate() {
-            if slot.get().is_some() {
-                b += ((TAIL_FIRST << k) * std::mem::size_of::<OnceLock<String>>()) as u64;
-            }
-        }
-        b
+        b as u64
     }
 }
 
-// ---- pools -----------------------------------------------------------------
+/// Allocated bytes of a tail's hash index, as far as the public API shows
+/// them: a `(key, value)` slot and one control byte for each entry the table
+/// can hold without growing (`capacity()`), and each key's heap capacity.
+/// The table's internal slack — buckets past its load factor, trailing
+/// control bytes — is not counted.
+fn index_heap_bytes(index: &FxHashMap<String, u64>) -> u64 {
+    let table = index.capacity() * (std::mem::size_of::<(String, u64)>() + 1);
+    let keys: usize = index.keys().map(String::capacity).sum();
+    (table + keys) as u64
+}
 
-/// Rough per-entry overhead of the hash index (key heap bytes are counted
-/// separately): hash + index + bucket slack.
-const INDEX_ENTRY_OVERHEAD: u64 = 24;
+// ---- the pool --------------------------------------------------------------
 
-/// An interning pool whose frozen prefix is a plain shared vector (IRIs,
-/// blank nodes — order is cluster order, so every lookup needs the hash
-/// index anyway).
+/// Where the OIDs of a frozen run sit in it, when OID order is not sorted
+/// order. Both maps are dense over `0..run.len()`.
 #[derive(Debug)]
+struct RankMaps {
+    rank_of_oid: Vec<u32>,
+    oid_of_rank: Vec<u32>,
+}
+
+impl RankMaps {
+    /// The maps of a run whose rank `r` holds OID `oid_of_rank[r]`; `None`
+    /// when that is the identity (OID order is sorted order). Panics unless
+    /// the OIDs are exactly `0..oid_of_rank.len()`.
+    fn new(oid_of_rank: Vec<u32>) -> Option<Arc<RankMaps>> {
+        if oid_of_rank
+            .iter()
+            .enumerate()
+            .all(|(r, &o)| r == o as usize)
+        {
+            return None;
+        }
+        let mut rank_of_oid = vec![u32::MAX; oid_of_rank.len()];
+        for (r, &oid) in oid_of_rank.iter().enumerate() {
+            let slot = &mut rank_of_oid[oid as usize];
+            assert_eq!(*slot, u32::MAX, "OID {oid} given two ranks");
+            *slot = r as u32;
+        }
+        Some(Arc::new(RankMaps {
+            rank_of_oid,
+            oid_of_rank,
+        }))
+    }
+}
+
+/// An interning pool: a frozen sorted front-coded run (with [`RankMaps`]
+/// where OID order differs) plus a concurrent, hash-indexed append tail.
+/// See the [module docs](self).
+#[derive(Debug, Default)]
 struct Pool {
-    frozen: Arc<Vec<String>>,
+    run: FrontCoded,
+    ranks: Option<Arc<RankMaps>>,
     tail: AppendTail,
-    /// `entry -> index` over frozen *and* tail entries. Writer lock for
+    /// `entry -> index` over *tail* entries only. Writer lock for
     /// interning; plain reads for lookups.
     index: RwLock<FxHashMap<String, u64>>,
-}
-
-impl Default for Pool {
-    fn default() -> Pool {
-        Pool {
-            frozen: Arc::new(Vec::new()),
-            tail: AppendTail::default(),
-            index: RwLock::new(FxHashMap::default()),
-        }
-    }
 }
 
 impl Clone for Pool {
@@ -397,7 +454,8 @@ impl Clone for Pool {
         // lock-order: acquires(pool_shard)
         let index = self.index.read();
         Pool {
-            frozen: Arc::clone(&self.frozen),
+            run: self.run.clone(),
+            ranks: self.ranks.clone(),
             tail: self.tail.clone(),
             index: RwLock::new(index.clone()),
         }
@@ -405,225 +463,162 @@ impl Clone for Pool {
 }
 
 impl Pool {
-    /// Intern with `&self`: the writer lock covers the map insert and the
-    /// tail publish; readers resolve published indices without any lock.
+    /// A pool whose only entries are `run`, rank `r` holding OID
+    /// `oid_of_rank[r]`.
+    fn frozen(run: FrontCoded, oid_of_rank: Vec<u32>) -> Pool {
+        Pool {
+            run,
+            ranks: RankMaps::new(oid_of_rank),
+            ..Pool::default()
+        }
+    }
+
+    fn oid_of_rank(&self, rank: usize) -> u64 {
+        self.ranks
+            .as_ref()
+            .map_or(rank as u64, |m| u64::from(m.oid_of_rank[rank]))
+    }
+
+    /// Intern with `&self`: the frozen run is searched without a lock; the
+    /// writer lock covers the tail's map insert and publish.
     // lock-order: acquires(pool_shard)
     fn intern(&self, s: &str) -> u64 {
-        if let Some(&i) = self.index.read().get(s) {
+        if let Some(i) = self.lookup(s) {
             return i;
         }
         let mut index = self.index.write();
         if let Some(&i) = index.get(s) {
             return i;
         }
-        let i = self.frozen.len() as u64 + self.tail.push(s.to_string());
+        let i = self.run.len() as u64 + self.tail.push(s.to_string());
         index.insert(s.to_string(), i);
         i
     }
 
     // lock-order: acquires(pool_shard)
     fn lookup(&self, s: &str) -> Option<u64> {
-        self.index.read().get(s).copied()
-    }
-
-    /// Lock-free decode.
-    fn get(&self, i: u64) -> Option<&str> {
-        let f = self.frozen.len() as u64;
-        if i < f {
-            Some(self.frozen[i as usize].as_str())
-        } else {
-            self.tail.get(i - f)
+        match self.run.search(s) {
+            Some(rank) => Some(self.oid_of_rank(rank)),
+            None => self.index.read().get(s).copied(),
         }
     }
 
-    fn len(&self) -> usize {
-        self.frozen.len() + self.tail.len() as usize
-    }
-
-    /// A pool holding this one's entries renumbered: entry `old` sits at
-    /// position `new_of_old[old]`, everything frozen. Entries mapped to
-    /// [`Dictionary::DROPPED`] are left out; the surviving targets must be
-    /// exactly `0..survivors`. Reads this pool in place — entries are copied
-    /// straight to their new slots, the old hash index is never touched —
-    /// and covers its first `new_of_old.len()` entries: what a shared pool
-    /// gained since the caller sized the map is not part of the result.
-    fn permuted(&self, new_of_old: &[u64]) -> Pool {
-        let n = new_of_old.len();
-        assert!(n <= self.len(), "permutation larger than the pool");
-        let kept = new_of_old
-            .iter()
-            .filter(|&&new| new != Dictionary::DROPPED)
-            .count();
-        let mut reordered = vec![String::new(); kept];
-        for old in 0..n {
-            if new_of_old[old] == Dictionary::DROPPED {
-                continue;
-            }
-            // sordf-lint: allow(L3) — old < len, so the entry exists.
-            let s = self.get(old as u64).expect("entry below len").to_string();
-            reordered[new_of_old[old] as usize] = s;
-        }
-        Pool::from_frozen(reordered).expect("a permutation introduces no duplicates")
-    }
-
-    /// A pool whose entries are exactly `entries`, in that index order, all
-    /// frozen; `None` when an entry repeats (two indexes for one term).
-    fn from_frozen(entries: Vec<String>) -> Option<Pool> {
-        let mut index = FxHashMap::default();
-        index.reserve(entries.len());
-        for (i, s) in entries.iter().enumerate() {
-            if index.insert(s.clone(), i as u64).is_some() {
-                return None;
-            }
-        }
-        Some(Pool {
-            frozen: Arc::new(entries),
-            tail: AppendTail::default(),
-            index: RwLock::new(index),
-        })
-    }
-
-    /// Visit the entries from index `from` on, in index order (those
-    /// published when the walk starts: the pool may be interned into
-    /// meanwhile).
-    fn try_for_each_from<E>(
-        &self,
-        from: u64,
-        mut f: impl FnMut(&str) -> Result<(), E>,
-    ) -> Result<(), E> {
-        for i in from..self.len() as u64 {
-            // sordf-lint: allow(L3) — i < len, so the entry exists.
-            f(self.get(i).expect("entry below len"))?;
-        }
-        Ok(())
-    }
-
-    /// Approximate resident bytes: entry content (counted twice — pool +
-    /// index key) plus vector and index overhead.
-    fn approx_bytes(&self) -> u64 {
-        let frozen: u64 = self
-            .frozen
-            .iter()
-            .map(|s| (s.len() + std::mem::size_of::<String>()) as u64)
-            .sum();
-        // lock-order: acquires(pool_shard)
-        let index = self.index.read();
-        let idx: u64 = index
-            .keys()
-            .map(|k| k.len() as u64 + INDEX_ENTRY_OVERHEAD)
-            .sum();
-        frozen + self.tail.approx_bytes() + idx
-    }
-}
-
-/// The string-literal pool: the frozen prefix is sorted and front-coded, so
-/// it is searched by binary search and carries **no** hash-index entries —
-/// only tail strings (interned since the last sort) are hash-indexed.
-#[derive(Debug, Default)]
-struct StrPool {
-    frozen: FrontCoded,
-    tail: AppendTail,
-    /// `entry -> index` over *tail* entries only.
-    index: RwLock<FxHashMap<String, u64>>,
-}
-
-impl Clone for StrPool {
-    fn clone(&self) -> StrPool {
-        // lock-order: acquires(pool_shard)
-        let index = self.index.read();
-        StrPool {
-            frozen: self.frozen.clone(),
-            tail: self.tail.clone(),
-            index: RwLock::new(index.clone()),
-        }
-    }
-}
-
-impl StrPool {
-    // lock-order: acquires(pool_shard)
-    fn intern(&self, s: &str) -> u64 {
-        if let Some(i) = self.frozen.search(s) {
-            return i;
-        }
-        if let Some(&i) = self.index.read().get(s) {
-            return i;
-        }
-        let mut index = self.index.write();
-        if let Some(&i) = index.get(s) {
-            return i;
-        }
-        let i = self.frozen.len() as u64 + self.tail.push(s.to_string());
-        index.insert(s.to_string(), i);
-        i
-    }
-
-    // lock-order: acquires(pool_shard)
-    fn lookup(&self, s: &str) -> Option<u64> {
-        self.frozen
-            .search(s)
-            .or_else(|| self.index.read().get(s).copied())
-    }
-
-    /// Lock-free decode. Front-coded followers reconstruct (allocate); group
-    /// leaders and tail entries borrow.
+    /// Lock-free decode. A frozen entry is one map load plus a walk inside
+    /// its group (a follower is rebuilt, so it allocates); group leaders and
+    /// tail entries borrow.
     fn get(&self, i: u64) -> Option<Cow<'_, str>> {
-        let f = self.frozen.len() as u64;
-        if i < f {
-            self.frozen.get(i as usize)
-        } else {
-            self.tail.get(i - f).map(Cow::Borrowed)
+        let f = self.run.len() as u64;
+        if i >= f {
+            return self.tail.get(i - f).map(Cow::Borrowed);
         }
+        let rank = self
+            .ranks
+            .as_ref()
+            .map_or(i as usize, |m| m.rank_of_oid[i as usize] as usize);
+        self.run.get(rank)
     }
 
     fn len(&self) -> usize {
-        self.frozen.len() + self.tail.len() as usize
+        self.run.len() + self.tail.len() as usize
     }
 
-    /// A pool holding the entries `live` marks, sorted lexicographically and
-    /// front-coded, plus `new_of_old` ([`Dictionary::DROPPED`] for an entry
-    /// left out). Reads this pool in place and covers its first `live.len()`
-    /// entries (see [`Pool::permuted`]).
-    fn sorted(&self, live: &[bool]) -> (StrPool, Vec<u64>) {
-        let n = live.len();
-        assert!(n <= self.len(), "live mask larger than the pool");
-        let mut entries = Vec::with_capacity(n);
-        // One sequential decode of the front-coded run (positional `get`
-        // would re-walk a group per follower), then the tail.
-        self.try_for_each_from(0, |s| {
-            entries.push(s.to_string());
-            Ok(())
-        })
-        .unwrap_or_else(|never: std::convert::Infallible| match never {});
-        entries.truncate(n);
-        let mut order: Vec<u64> = (0..n as u64).filter(|&i| live[i as usize]).collect();
-        order.sort_unstable_by(|&a, &b| entries[a as usize].cmp(&entries[b as usize]));
-        let mut new_of_old = vec![Dictionary::DROPPED; n];
-        for (new, &old) in order.iter().enumerate() {
-            new_of_old[old as usize] = new as u64;
-        }
-        let sorted: Vec<String> = order
-            .iter()
-            .map(|&old| std::mem::take(&mut entries[old as usize]))
+    /// The entries `old < n` that `keep` keeps, as one sorted front-coded
+    /// run, and the old OID of each of its ranks: the frozen run decoded in
+    /// one sequential pass, merged with the sorted kept tail. Reads this
+    /// pool in place and builds no `String` per entry; covers its first `n`
+    /// entries, so what a shared pool gained since the caller sized `n` is
+    /// not part of the result.
+    fn sorted_run(&self, n: usize, keep: impl Fn(usize) -> bool) -> (FrontCoded, Vec<u32>) {
+        assert!(n <= self.len(), "renumbering larger than the pool");
+        assert!(u32::try_from(n).is_ok(), "pool too large for u32 ranks");
+        let frozen = self.run.len();
+        let mut tail: Vec<(&str, u32)> = (frozen..n)
+            .filter(|&old| keep(old))
+            // sordf-lint: allow(L3) — old < n <= len, so the entry exists.
+            .map(|old| {
+                (
+                    self.tail
+                        .get((old - frozen) as u64)
+                        .expect("entry below len"),
+                    old as u32,
+                )
+            })
             .collect();
-        let pool = StrPool {
-            frozen: FrontCoded::build(&sorted),
-            ..StrPool::default()
+        tail.sort_unstable();
+        let mut tail = tail.into_iter().peekable();
+        let mut run = FrontCodedBuilder::default();
+        let mut old_of_rank = Vec::new();
+        let mut rank = 0;
+        self.run
+            .try_for_each(|s| {
+                let old = self.oid_of_rank(rank) as usize;
+                rank += 1;
+                if old < n && keep(old) {
+                    while let Some((t, t_old)) = tail.next_if(|&(t, _)| t < s) {
+                        run.push(t.as_bytes());
+                        old_of_rank.push(t_old);
+                    }
+                    run.push(s.as_bytes());
+                    old_of_rank.push(old as u32);
+                }
+                Ok(())
+            })
+            .unwrap_or_else(|never: std::convert::Infallible| match never {});
+        for (t, t_old) in tail {
+            run.push(t.as_bytes());
+            old_of_rank.push(t_old);
+        }
+        (run.finish(), old_of_rank)
+    }
+
+    /// A pool holding this one's first `new_of_old.len()` entries
+    /// renumbered, everything frozen: entry `old` gets OID `new_of_old[old]`,
+    /// or leaves the pool when that is [`Dictionary::DROPPED`]; the
+    /// surviving targets must be exactly `0..survivors`.
+    fn renumbered(&self, new_of_old: &[u64]) -> Pool {
+        let (run, old_of_rank) = self.sorted_run(new_of_old.len(), |old| {
+            new_of_old[old] != Dictionary::DROPPED
+        });
+        let oid_of_rank = old_of_rank
+            .iter()
+            .map(|&old| new_of_old[old as usize] as u32)
+            .collect();
+        Pool::frozen(run, oid_of_rank)
+    }
+
+    /// A pool holding the entries `live` marks, everything frozen, numbered
+    /// in sorted order, plus `new_of_old` ([`Dictionary::DROPPED`] for an
+    /// entry left out). Covers this pool's first `live.len()` entries.
+    fn sorted(&self, live: &[bool]) -> (Pool, Vec<u64>) {
+        let (run, old_of_rank) = self.sorted_run(live.len(), |old| live[old]);
+        let mut new_of_old = vec![Dictionary::DROPPED; live.len()];
+        for (rank, &old) in old_of_rank.iter().enumerate() {
+            new_of_old[old as usize] = rank as u64;
+        }
+        let pool = Pool {
+            run,
+            ..Pool::default()
         };
         (pool, new_of_old)
     }
 
     /// A pool whose entries are exactly `entries` in that index order: the
-    /// first `frozen` as the sorted front-coded run, the rest as the
-    /// hash-indexed tail. `None` when the run is not strictly sorted or an
-    /// entry repeats.
-    fn from_entries(entries: Vec<String>, frozen: usize) -> Option<StrPool> {
-        if frozen > entries.len() || !entries[..frozen].windows(2).all(|w| w[0] < w[1]) {
+    /// first `frozen` as the sorted run, the rest as the tail. `None` when an
+    /// entry repeats (two indexes for one term).
+    fn from_entries(entries: Vec<String>, frozen: usize) -> Option<Pool> {
+        if frozen > entries.len() || u32::try_from(frozen).is_err() {
             return None;
         }
-        let pool = StrPool {
-            frozen: FrontCoded::build(&entries[..frozen]),
-            ..StrPool::default()
-        };
+        let mut order: Vec<u32> = (0..frozen as u32).collect();
+        order.sort_unstable_by(|&a, &b| entries[a as usize].cmp(&entries[b as usize]));
+        if order
+            .windows(2)
+            .any(|w| entries[w[0] as usize] == entries[w[1] as usize])
+        {
+            return None;
+        }
+        let run = FrontCoded::from_sorted(order.iter().map(|&i| entries[i as usize].as_str()));
+        let pool = Pool::frozen(run, order);
         for s in entries.into_iter().skip(frozen) {
             let before = pool.len();
             if pool.intern(&s) != before as u64 {
@@ -641,34 +636,57 @@ impl StrPool {
         from: u64,
         mut f: impl FnMut(&str) -> Result<(), E>,
     ) -> Result<(), E> {
-        let frozen = self.frozen.len() as u64;
-        if from < frozen {
+        let frozen = self.run.len();
+        let from_frozen = (from as usize).min(frozen);
+        match &self.ranks {
             // The run decodes front to back only; skip what precedes `from`.
-            let mut i = 0u64;
-            self.frozen.try_for_each(|s| {
-                i += 1;
-                if i > from {
-                    f(s)
-                } else {
-                    Ok(())
+            None if from_frozen < frozen => {
+                let mut rank = 0;
+                self.run.try_for_each(|s| {
+                    rank += 1;
+                    if rank > from_frozen {
+                        f(s)
+                    } else {
+                        Ok(())
+                    }
+                })?;
+            }
+            // Index order is not rank order: decode the run once, then read
+            // it in index order.
+            Some(m) if from_frozen < frozen => {
+                let mut text = String::new();
+                let mut ends = Vec::with_capacity(frozen);
+                self.run
+                    .try_for_each(|s| {
+                        text.push_str(s);
+                        ends.push(text.len());
+                        Ok(())
+                    })
+                    .unwrap_or_else(|never: std::convert::Infallible| match never {});
+                for &rank in &m.rank_of_oid[from_frozen..] {
+                    let r = rank as usize;
+                    let start = if r == 0 { 0 } else { ends[r - 1] };
+                    f(&text[start..ends[r]])?;
                 }
-            })?;
+            }
+            _ => {}
         }
-        for t in from.saturating_sub(frozen)..self.tail.len() {
+        for t in (from.max(frozen as u64) - frozen as u64)..self.tail.len() {
             // sordf-lint: allow(L3) — t < tail len, so the entry exists.
             f(self.tail.get(t).expect("entry below len"))?;
         }
         Ok(())
     }
 
-    fn approx_bytes(&self) -> u64 {
+    /// Allocated bytes: the run's arena and group offsets, both maps, the
+    /// tail's chunks and entries, and the tail index.
+    fn heap_bytes(&self) -> u64 {
+        let maps = self.ranks.as_ref().map_or(0, |m| {
+            (m.rank_of_oid.capacity() + m.oid_of_rank.capacity()) * std::mem::size_of::<u32>()
+        });
         // lock-order: acquires(pool_shard)
         let index = self.index.read();
-        let idx: u64 = index
-            .keys()
-            .map(|k| k.len() as u64 + INDEX_ENTRY_OVERHEAD)
-            .sum();
-        self.frozen.encoded_bytes() + self.tail.approx_bytes() + idx
+        self.run.heap_bytes() + maps as u64 + self.tail.heap_bytes() + index_heap_bytes(&index)
     }
 }
 
@@ -689,8 +707,11 @@ fn split_str_key(key: &str) -> (&str, Option<&str>) {
     }
 }
 
-/// Per-pool resident-byte accounting (approximate: hash-index overhead is
-/// estimated, allocator slack is not counted).
+/// Per-pool heap bytes: the allocated capacity of everything a pool holds
+/// (front-coded arena, group offsets, rank maps, tail chunks and entries,
+/// the tail's hash table and keys). The hash table counts a slot and a
+/// control byte per entry of its `capacity()`, not its internal slack;
+/// allocator rounding is not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DictMemory {
     pub iris: u64,
@@ -714,7 +735,7 @@ impl DictMemory {
 pub struct Dictionary {
     iris: Pool,
     blanks: Pool,
-    strings: StrPool,
+    strings: Pool,
 }
 
 /// One of the dictionary's three interning pools, in the order a snapshot
@@ -742,10 +763,10 @@ impl Dictionary {
 
     /// Rebuild a dictionary from dumped pools: entry `i` of each vector gets
     /// index `i` again, so every OID encoded under the dumped dictionary
-    /// decodes identically under this one. The first `strings_frozen`
-    /// strings must be the strictly sorted front-coded run. Errors when a
-    /// pool repeats an entry or the run is unsorted — a dump this crate
-    /// wrote never does either.
+    /// decodes identically under this one. IRIs and blank nodes are frozen
+    /// whole; the first `strings_frozen` strings must be the strictly sorted
+    /// run. Errors when a pool repeats an entry or the run is unsorted — a
+    /// dump this crate wrote never does either.
     pub fn from_pools(
         iris: Vec<String>,
         blanks: Vec<String>,
@@ -753,10 +774,19 @@ impl Dictionary {
         strings_frozen: usize,
     ) -> Result<Dictionary, ModelError> {
         let bad = |what: &str| ModelError::BadDictionary(what.to_string());
+        let whole = |entries: Vec<String>| {
+            let n = entries.len();
+            Pool::from_entries(entries, n)
+        };
+        let sorted = strings
+            .get(..strings_frozen)
+            .is_some_and(|run| run.windows(2).all(|w| w[0] < w[1]));
         Ok(Dictionary {
-            iris: Pool::from_frozen(iris).ok_or_else(|| bad("duplicate IRI"))?,
-            blanks: Pool::from_frozen(blanks).ok_or_else(|| bad("duplicate blank node"))?,
-            strings: StrPool::from_entries(strings, strings_frozen)
+            iris: whole(iris).ok_or_else(|| bad("duplicate IRI"))?,
+            blanks: whole(blanks).ok_or_else(|| bad("duplicate blank node"))?,
+            strings: sorted
+                .then(|| Pool::from_entries(strings, strings_frozen))
+                .flatten()
                 .ok_or_else(|| bad("string pool unsorted or duplicated"))?,
         })
     }
@@ -783,10 +813,14 @@ impl Dictionary {
         from: u64,
         f: impl FnMut(&str) -> Result<(), E>,
     ) -> Result<(), E> {
+        self.pool(pool).try_for_each_from(from, f)
+    }
+
+    fn pool(&self, pool: DictPool) -> &Pool {
         match pool {
-            DictPool::Iris => self.iris.try_for_each_from(from, f),
-            DictPool::Blanks => self.blanks.try_for_each_from(from, f),
-            DictPool::Strings => self.strings.try_for_each_from(from, f),
+            DictPool::Iris => &self.iris,
+            DictPool::Blanks => &self.blanks,
+            DictPool::Strings => &self.strings,
         }
     }
 
@@ -801,12 +835,7 @@ impl Dictionary {
         if self.pool_counts()[pool as usize] != index {
             return Err(bad("not the pool's next index"));
         }
-        let got = match pool {
-            DictPool::Iris => self.iris.intern(entry),
-            DictPool::Blanks => self.blanks.intern(entry),
-            DictPool::Strings => self.strings.intern(entry),
-        };
-        if got == index {
+        if self.pool(pool).intern(entry) == index {
             Ok(())
         } else {
             Err(bad("the pool already holds it"))
@@ -816,17 +845,13 @@ impl Dictionary {
     /// Entry counts of the three pools in [`DictPool`] order (IRIs, blank
     /// nodes, strings).
     pub fn pool_counts(&self) -> [u64; 3] {
-        [
-            self.iris.len() as u64,
-            self.blanks.len() as u64,
-            self.strings.len() as u64,
-        ]
+        DictPool::ALL.map(|p| self.pool(p).len() as u64)
     }
 
     /// Length of the sorted, front-coded string run (0 before the first
     /// string sort): string OIDs below it compare like their values.
     pub fn n_strings_frozen(&self) -> usize {
-        self.strings.frozen.len()
+        self.strings.run.len()
     }
 
     /// Intern an IRI, returning its OID (ParseOrder assignment on first use).
@@ -888,8 +913,9 @@ impl Dictionary {
         }
     }
 
-    /// The IRI string behind an IRI OID.
-    pub fn iri_str(&self, oid: Oid) -> Result<&str, ModelError> {
+    /// The IRI string behind an IRI OID: borrowed for a group leader or a
+    /// tail entry, rebuilt for a front-coded follower.
+    pub fn iri_str(&self, oid: Oid) -> Result<Cow<'_, str>, ModelError> {
         debug_assert_eq!(oid.tag(), TypeTag::Iri);
         self.iris
             .get(oid.payload())
@@ -907,13 +933,13 @@ impl Dictionary {
                 self.iris
                     .get(oid.payload())
                     .ok_or_else(missing)?
-                    .to_string(),
+                    .into_owned(),
             ),
             TypeTag::Blank => Term::Blank(
                 self.blanks
                     .get(oid.payload())
                     .ok_or_else(missing)?
-                    .to_string(),
+                    .into_owned(),
             ),
             TypeTag::Str => {
                 let key = self.strings.get(oid.payload()).ok_or_else(missing)?;
@@ -948,23 +974,20 @@ impl Dictionary {
         self.strings.len()
     }
 
-    /// Approximate resident bytes per pool (see [`DictMemory`]).
+    /// Heap bytes per pool (see [`DictMemory`]).
     pub fn approx_bytes(&self) -> DictMemory {
         DictMemory {
-            iris: self.iris.approx_bytes(),
-            blanks: self.blanks.approx_bytes(),
-            strings: self.strings.approx_bytes(),
+            iris: self.iris.heap_bytes(),
+            blanks: self.blanks.heap_bytes(),
+            strings: self.strings.heap_bytes(),
         }
     }
 
-    /// `(encoded, plain)` resident bytes of the front-coded (frozen) string
-    /// run — the dictionary-side compression ratio the benches report.
-    /// `(0, 0)` before the first [`Dictionary::sort_strings`].
+    /// `(encoded, plain)` bytes of the front-coded (frozen) string run —
+    /// the dictionary-side compression ratio the benches report. `(0, 0)`
+    /// before the first [`Dictionary::sort_strings`].
     pub fn string_front_coding_bytes(&self) -> (u64, u64) {
-        (
-            self.strings.frozen.encoded_bytes(),
-            self.strings.frozen.plain_bytes,
-        )
+        (self.strings.run.heap_bytes(), self.strings.run.plain_bytes)
     }
 
     /// The dictionary a reorganization publishes, built **from** this one
@@ -984,7 +1007,7 @@ impl Dictionary {
     pub fn renumbered(&self, iri_new_of_old: &[u64], live_str: &[bool]) -> (Dictionary, Vec<u64>) {
         let (strings, str_map) = self.strings.sorted(live_str);
         let dict = Dictionary {
-            iris: self.iris.permuted(iri_new_of_old),
+            iris: self.iris.renumbered(iri_new_of_old),
             blanks: self.blanks.clone(),
             strings,
         };
@@ -1282,18 +1305,18 @@ mod tests {
             .collect();
         let mut sorted = entries.clone();
         sorted.sort();
-        let fc = FrontCoded::build(&sorted);
+        let fc = FrontCoded::from_sorted(sorted.iter().map(String::as_str));
         assert_eq!(fc.len(), sorted.len());
         for (i, e) in sorted.iter().enumerate() {
             assert_eq!(fc.get(i).unwrap().as_ref(), e, "decode {i}");
-            assert_eq!(fc.search(e), Some(i as u64), "search {e}");
+            assert_eq!(fc.search(e), Some(i), "search {e}");
         }
         assert_eq!(fc.search("http://example.org/aaa"), None);
         assert_eq!(fc.search("zzz"), None);
         assert_eq!(fc.search(""), None);
         assert!(fc.get(sorted.len()).is_none());
         // Shared prefixes compress: the encoded image is smaller than plain.
-        assert!(fc.encoded_bytes() < fc.plain_bytes);
+        assert!(fc.heap_bytes() < fc.plain_bytes);
     }
 
     #[test]
@@ -1313,13 +1336,13 @@ mod tests {
         let mut sorted: Vec<String> = (0..400).map(|_| word(9)).collect();
         sorted.sort();
         sorted.dedup();
-        let fc = FrontCoded::build(&sorted);
+        let fc = FrontCoded::from_sorted(sorted.iter().map(String::as_str));
         for (i, e) in sorted.iter().enumerate() {
-            assert_eq!(fc.search(e), Some(i as u64), "present {e:?}");
+            assert_eq!(fc.search(e), Some(i), "present {e:?}");
         }
         for _ in 0..4000 {
             let probe = word(11);
-            let want = sorted.binary_search(&probe).ok().map(|i| i as u64);
+            let want = sorted.binary_search(&probe).ok();
             assert_eq!(fc.search(&probe), want, "probe {probe:?}");
         }
     }
@@ -1384,6 +1407,58 @@ mod tests {
         }
         // 4 threads × 50 distinct + base.
         assert_eq!(d.n_iris(), 201);
+    }
+
+    #[test]
+    fn dict_memory_counts_allocated_capacities() {
+        let owned = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // A frozen run whose OID order is not sorted order. One group: the
+        // leader "a" (1 + 1 bytes), "ab" (shared 1, suffix "b": 3 bytes),
+        // "b" (shared 0, suffix "b": 3 bytes); one group offset; two maps
+        // of three u32 each.
+        let d = Dictionary::from_pools(owned(&["b", "a", "ab"]), vec![], vec![], 0).unwrap();
+        let frozen = 8 + 4 + 2 * 3 * 4;
+        assert_eq!(d.approx_bytes().iris, frozen);
+        // A sorted run carries no maps.
+        let d2 = Dictionary::from_pools(vec![], vec![], owned(&["a", "ab", "b"]), 3).unwrap();
+        assert_eq!(d2.approx_bytes().strings, 8 + 4);
+        // One tail entry: the first chunk's slots and the entry's heap
+        // bytes, then the hash index — a (String, u64) slot and a control
+        // byte for each entry it can hold — with its key's heap bytes.
+        d.encode_iri("http://");
+        let slots = (TAIL_FIRST * std::mem::size_of::<OnceLock<String>>()) as u64;
+        let cap = d.iris.index.read().capacity();
+        assert!(cap >= 1);
+        let table = (cap * (std::mem::size_of::<(String, u64)>() + 1)) as u64;
+        assert_eq!(d.approx_bytes().iris, frozen + slots + 7 + table + 7);
+        assert_eq!(d.approx_bytes().blanks, 0);
+    }
+
+    #[test]
+    fn a_renumbering_into_sorted_order_drops_the_maps() {
+        let d = Dictionary::new();
+        for i in 0..FC_GROUP * 2 + 5 {
+            d.encode_iri(&format!("http://e/{i}"));
+        }
+        let n = d.n_iris() as u64;
+        let reversed: Vec<u64> = (0..n).rev().collect();
+        let (a, _) = d.renumbered(&reversed, &[]);
+        assert!(a.iris.ranks.is_some());
+        let mut sorted: Vec<(String, u64)> = (0..n)
+            .map(|i| (a.iri_str(Oid::iri(i)).unwrap().into_owned(), i))
+            .collect();
+        sorted.sort();
+        let mut to_sorted = vec![0; n as usize];
+        for (rank, (_, oid)) in sorted.iter().enumerate() {
+            to_sorted[*oid as usize] = rank as u64;
+        }
+        let (b, _) = a.renumbered(&to_sorted, &[]);
+        assert!(b.iris.ranks.is_none());
+        assert_eq!(b.approx_bytes().iris, b.iris.run.heap_bytes());
+        for (rank, (iri, _)) in sorted.iter().enumerate() {
+            assert_eq!(b.iri_oid(iri), Some(Oid::iri(rank as u64)));
+            assert_eq!(b.iri_str(Oid::iri(rank as u64)).unwrap(), *iri);
+        }
     }
 
     #[test]

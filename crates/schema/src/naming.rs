@@ -79,7 +79,7 @@ pub fn assign_names(schema: &mut EmergentSchema, triples_spo: &[Triple], dict: &
             .iter()
             .max_by_key(|&(o, &n)| (n, u64::MAX - o.raw()))
             .and_then(|(&o, _)| dict.iri_str(o).ok())
-            .map(|iri| Term::local_name(iri).to_string());
+            .map(|iri| Term::local_name(&iri).to_string());
         // Fallback: most-present non-type property.
         let fallback = {
             let c = &schema.classes[ci];
@@ -90,7 +90,7 @@ pub fn assign_names(schema: &mut EmergentSchema, triples_spo: &[Triple], dict: &
                 .map(|col| col.pred)
                 .or_else(|| c.multi_props.first().map(|m| m.pred))
                 .and_then(|p| dict.iri_str(p).ok())
-                .map(|iri| format!("cs_{}", Term::local_name(iri)))
+                .map(|iri| format!("cs_{}", Term::local_name(&iri)))
         };
         let raw = from_type.or(fallback).unwrap_or_else(|| format!("cs{ci}"));
         schema.classes[ci].name = uniquify(sanitize_identifier(&raw), &mut used_tables);
@@ -104,7 +104,7 @@ pub fn assign_names(schema: &mut EmergentSchema, triples_spo: &[Triple], dict: &
                 "type".to_string()
             } else {
                 dict.iri_str(col.pred)
-                    .map(|iri| Term::local_name(iri).to_string())
+                    .map(|iri| Term::local_name(&iri).to_string())
                     .unwrap_or_default()
             };
             col.name = uniquify(sanitize_identifier(&raw), &mut used_cols);
@@ -112,7 +112,7 @@ pub fn assign_names(schema: &mut EmergentSchema, triples_spo: &[Triple], dict: &
         for mp in class.multi_props.iter_mut() {
             let raw = dict
                 .iri_str(mp.pred)
-                .map(|iri| Term::local_name(iri).to_string())
+                .map(|iri| Term::local_name(&iri).to_string())
                 .unwrap_or_default();
             mp.name = uniquify(sanitize_identifier(&raw), &mut used_cols);
         }

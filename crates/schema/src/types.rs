@@ -1,5 +1,7 @@
 //! Core data structures of the emergent schema.
 
+use std::borrow::Cow;
+
 use sordf_model::{FxHashMap, Oid, Triple, TypeTag};
 
 /// Identifier of a discovered class (a merged/typed characteristic set).
@@ -253,7 +255,7 @@ impl EmergentSchema {
                 } else {
                     ""
                 };
-                let pred = dict.iri_str(col.pred).unwrap_or("?");
+                let pred = dict.iri_str(col.pred).unwrap_or(Cow::Borrowed("?"));
                 let _ = writeln!(
                     out,
                     "  {} {}{}{}{} -- <{}> presence {:.0}%",

@@ -159,8 +159,11 @@ impl Manifest {
     }
 
     /// Atomically replace the manifest in `dir` with this one: tmp file +
-    /// fsync + rename + directory fsync.
-    pub fn commit(&self, dir: &Path) -> io::Result<()> {
+    /// fsync + rename + directory fsync. The outer error is a failure before
+    /// the rename: the previous manifest is still the live one. The inner
+    /// one is the directory fsync after it: this manifest is the live one in
+    /// the directory, but whether the rename survives a crash is unknown.
+    pub fn commit(&self, dir: &Path) -> io::Result<io::Result<()>> {
         let mut body = String::new();
         body.push_str("sordf-manifest v1\n");
         body.push_str(&format!("snap = {}\n", self.snap_file));
@@ -177,7 +180,7 @@ impl Manifest {
         crash_point!("manifest.pre_rename");
         fs::rename(&tmp, Manifest::path(dir))?;
         crash_point!("manifest.post_rename");
-        sync_dir(dir)
+        Ok(sync_dir(dir))
     }
 
     /// Delete every `snap.*`/`wal.*` in `dir` other than the live pair.
@@ -213,6 +216,7 @@ impl Manifest {
 
 /// Fsync a directory so a rename inside it is durable.
 fn sync_dir(dir: &Path) -> io::Result<()> {
+    io_fault!("manifest.dir_sync", dir);
     File::open(dir)?.sync_all()
 }
 
@@ -616,7 +620,7 @@ mod tests {
             wal_file: 7,
             base_seq: 42,
         };
-        m.commit(&dir).unwrap();
+        m.commit(&dir).unwrap().unwrap();
         assert_eq!(Manifest::read(&dir).unwrap(), Some(m));
         // Replace: the new manifest fully supersedes the old.
         let m2 = Manifest {
@@ -624,7 +628,7 @@ mod tests {
             wal_file: 8,
             base_seq: 50,
         };
-        m2.commit(&dir).unwrap();
+        m2.commit(&dir).unwrap().unwrap();
         assert_eq!(Manifest::read(&dir).unwrap(), Some(m2));
     }
 
@@ -637,7 +641,7 @@ mod tests {
             wal_file: 1,
             base_seq: 0,
         };
-        m.commit(&dir).unwrap();
+        m.commit(&dir).unwrap().unwrap();
         let path = Manifest::path(&dir);
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, text.replace("snap = 1", "snap = 2")).unwrap();

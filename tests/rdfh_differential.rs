@@ -2,6 +2,7 @@
 //! same answer under all six plan/storage configurations.
 
 use sordf::{Database, ExecConfig, Generation, PlanScheme, QueryRequest};
+use sordf_model::{DictPool, Dictionary};
 use sordf_rdfh::{generate, query, RdfhConfig, ALL_QUERIES};
 
 struct Rig {
@@ -113,6 +114,33 @@ fn all_catalog_queries_agree_across_configs() {
     assert!(
         base_per_triple <= 6.0,
         "the clustered generation's base takes {base_per_triple:.2} B a triple"
+    );
+}
+
+/// The IRI pool of a self-organized store is one sorted front-coded run
+/// plus its two rank maps, with an empty tail: at most 20 bytes an IRI, and
+/// exactly what a rebuild of its own dump, frozen whole, costs.
+#[test]
+fn the_iri_pool_of_an_organized_store_costs_what_it_holds() {
+    let data = generate(&RdfhConfig::new(0.001));
+    let db = Database::in_temp_dir().unwrap();
+    db.load_terms(&data.triples).unwrap();
+    db.self_organize().unwrap();
+    let dict = db.dict();
+    let bytes = dict.approx_bytes().iris;
+    let per_iri = bytes as f64 / dict.n_iris() as f64;
+    assert!(per_iri <= 20.0, "the IRI pool takes {per_iri:.2} B an IRI");
+    let mut iris = Vec::new();
+    dict.try_for_each_entry(DictPool::Iris, |s| {
+        iris.push(s.to_string());
+        Ok::<(), ()>(())
+    })
+    .unwrap();
+    let frozen = Dictionary::from_pools(iris, vec![], vec![], 0).unwrap();
+    assert_eq!(
+        frozen.approx_bytes().iris,
+        bytes,
+        "the organized IRI pool holds a tail"
     );
 }
 

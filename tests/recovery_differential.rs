@@ -468,6 +468,54 @@ fn a_failed_append_or_sync_rejects_the_write_and_disables_durability() {
     }
 }
 
+/// A `MANIFEST` rename that succeeded, followed by a directory fsync that
+/// failed (`EIO`): the new pair is live in the directory, but a crash may
+/// still bring the old one back, so the store can log into neither. The
+/// build fails and durability is disabled: the store stays usable in
+/// memory, and a write it acknowledges from then on is held in memory only
+/// — it is logged nowhere and is lost on reopen, as a write whose log
+/// append failed is. A reopen, from whichever pair the directory holds,
+/// answers like exactly the writes acknowledged before the failure.
+#[cfg(feature = "crash_points")]
+#[test]
+fn a_failed_directory_sync_after_the_manifest_rename_disables_durability() {
+    use sordf_columnar::fault::arm_io_fault;
+    use sordf_storage::Manifest;
+    const EIO: i32 = 5;
+    let dir = temp_dir("iofault-manifest-dir-sync");
+    let _c = Cleanup(dir.clone());
+    {
+        let db = Database::create_durable(&dir, SyncPolicy::Always).unwrap();
+        db.load_terms(&base_data()).unwrap();
+        for i in 0..3 {
+            db.insert_terms(&batch(i)).unwrap();
+        }
+        let before = Manifest::read(&dir).unwrap().unwrap();
+        arm_io_fault(&dir, "manifest.dir_sync", EIO, 1);
+        let err = db
+            .self_organize()
+            .expect_err("the directory fsync was told to fail");
+        assert!(matches!(err, sordf::Error::Io(_)), "{err}");
+        assert!(!db.is_durable(), "durability is disabled after the rename");
+        let after = Manifest::read(&dir).unwrap().unwrap();
+        assert_eq!(after.snap_file, before.snap_file + 1, "the rename happened");
+        // What the store accepts now is acknowledged but not logged, into
+        // either pair.
+        db.insert_terms(&batch(3)).unwrap();
+        assert_eq!(Manifest::read(&dir).unwrap().unwrap(), after);
+    }
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(verify_prefix(&db, 2), 3, "the batches acknowledged durably");
+    // Batch 2 was logged before the failure, batch 3 only held in memory.
+    for (i, rows) in [(2, 1), (3, 0)] {
+        for p in [MARKER, "http://ex/recovery/p0"] {
+            let q = format!("SELECT ?o WHERE {{ <http://ex/recovery/b{i:04}> <{p}> ?o . }}");
+            assert_eq!(db.query(&q).unwrap().len(), rows, "batch {i}, <{p}>");
+        }
+    }
+    assert!(db.is_durable());
+}
+
 /// The same failures inside recovery's checkpoint fail that `open` and
 /// nothing else: the pair it was recovering from is still the live one,
 /// and the next open recovers every acknowledged write from it.
