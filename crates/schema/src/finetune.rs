@@ -2,9 +2,8 @@
 //! split off into side tables (the paper's "schema fine-tuning").
 
 use crate::config::SchemaConfig;
-use crate::cs::walk_sp_groups;
 use crate::typing::TypedClass;
-use sordf_model::{FxHashMap, Oid, Triple, TypeTag};
+use sordf_model::{Oid, TypeTag};
 
 /// A property's final storage shape within a class.
 #[derive(Debug, Clone)]
@@ -23,7 +22,8 @@ pub struct ShapedProp {
 #[derive(Debug, Clone)]
 pub struct ShapedClass {
     pub props: Vec<ShapedProp>,
-    pub subjects: Vec<Oid>,
+    /// Member subjects (profile ordinals).
+    pub subjects: Vec<u32>,
 }
 
 impl ShapedClass {
@@ -33,78 +33,32 @@ impl ShapedClass {
 }
 
 /// Decide, for every (class, property), between a `0..1` column (extra
-/// values demoted to the irregular store) and a multi-value side table.
-pub fn shape_multiplicity(
-    triples_spo: &[Triple],
-    typed: Vec<TypedClass>,
-    cfg: &SchemaConfig,
-) -> Vec<ShapedClass> {
-    let mut assign: FxHashMap<Oid, u32> = FxHashMap::default();
-    for (ci, c) in typed.iter().enumerate() {
-        for &s in &c.subjects {
-            assign.insert(s, ci as u32);
-        }
-    }
-    let prop_idx: Vec<FxHashMap<Oid, usize>> = typed
-        .iter()
-        .map(|c| c.props.iter().enumerate().map(|(i, &p)| (p, i)).collect())
-        .collect();
-
-    #[derive(Default, Clone, Copy)]
-    struct MultStats {
-        n_with: u64,
-        n_multi: u64,
-        n_matching: u64,
-    }
-    let mut stats: Vec<Vec<MultStats>> = typed
-        .iter()
-        .map(|c| vec![MultStats::default(); c.props.len()])
-        .collect();
-
-    walk_sp_groups(triples_spo, |s, p, objects| {
-        let Some(&ci) = assign.get(&s) else { return };
-        let Some(&pi) = prop_idx[ci as usize].get(&p) else {
-            return;
-        };
-        let ty = typed[ci as usize].col_types[pi];
-        let matching = objects
-            .iter()
-            .filter(|o| !o.is_null() && o.tag() == ty)
-            .count() as u64;
-        if matching > 0 {
-            let st = &mut stats[ci as usize][pi];
-            st.n_with += 1;
-            st.n_matching += matching;
-            if matching > 1 {
-                st.n_multi += 1;
-            }
-        }
-    });
-
+/// values demoted to the irregular store) and a multi-value side table —
+/// arithmetic over the object counts the typing stage carries.
+pub fn shape_multiplicity(typed: Vec<TypedClass>, cfg: &SchemaConfig) -> Vec<ShapedClass> {
     typed
         .into_iter()
-        .enumerate()
-        .map(|(ci, c)| {
+        .map(|c| {
             let props = c
                 .props
                 .iter()
-                .enumerate()
-                .map(|(pi, &pred)| {
-                    let st = stats[ci][pi];
-                    let mean = if st.n_with == 0 {
-                        0.0
+                .zip(&c.col_types)
+                .zip(&c.counts)
+                .map(|((&pred, &ty), counts)| {
+                    let tag = ty as usize;
+                    let n_with = counts.groups_with[tag];
+                    let (mean, frac_multi) = if n_with == 0 {
+                        (0.0, 0.0)
                     } else {
-                        st.n_matching as f64 / st.n_with as f64
-                    };
-                    let frac_multi = if st.n_with == 0 {
-                        0.0
-                    } else {
-                        st.n_multi as f64 / st.n_with as f64
+                        (
+                            counts.objects[tag] as f64 / n_with as f64,
+                            counts.groups_multi[tag] as f64 / n_with as f64,
+                        )
                     };
                     ShapedProp {
                         pred,
-                        ty: c.col_types[pi],
-                        n_with: st.n_with,
+                        ty,
+                        n_with,
                         mean_mult: mean,
                         multi: frac_multi > cfg.multi_split_frac || mean > cfg.multi_split_mean,
                     }
@@ -121,16 +75,17 @@ pub fn shape_multiplicity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cs::extract;
+    use crate::cs::Profile;
     use crate::merge::generalize;
     use crate::typing::type_classes;
+    use sordf_model::Triple;
 
     fn run(triples: &mut [Triple], cfg: &SchemaConfig) -> Vec<ShapedClass> {
         triples.sort_by_key(|t| t.key_spo());
-        let (css, _) = extract(triples);
-        let merged = generalize(css, cfg);
-        let typed = type_classes(triples, merged, cfg);
-        shape_multiplicity(triples, typed, cfg)
+        let profile = Profile::new(triples);
+        let merged = generalize(&profile.css, cfg);
+        let typed = type_classes(&profile, merged, cfg);
+        shape_multiplicity(typed, cfg)
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! classes survive retention.
 
 use crate::config::SchemaConfig;
-use crate::cs::walk_sp_groups;
+use crate::cs::Profile;
 use crate::finetune::ShapedClass;
-use sordf_model::{FxHashMap, FxHashSet, Oid, Triple, TypeTag};
+use crate::types::{place_subject, ClassId, PredHome, TripleHome};
+use sordf_model::{FxHashMap, FxHashSet, Oid, TypeTag};
 
 /// Raw per-property reference statistics.
 #[derive(Debug, Clone, Default)]
@@ -32,35 +33,27 @@ pub struct FkEdge {
     pub one_to_one: bool,
 }
 
-/// Result of [`discover_fks`]: per-class per-prop optional FK edges, the
+/// Result of `discover_fks`: per-class per-prop optional FK edges, the
 /// per-class incoming-reference tally used for retention, and the raw
 /// per-class per-prop reference statistics.
 pub type FkDiscovery = (Vec<Vec<Option<FkEdge>>>, Vec<u64>, Vec<Vec<RefStats>>);
 
 /// Compute reference statistics and FK edges for every IRI-typed property.
 /// Returns per-class per-prop optional edges, plus the per-class incoming
-/// reference tally used for retention.
-pub fn discover_fks(
-    triples_spo: &[Triple],
+/// reference tally used for retention. Walks the subjects of the classes
+/// that have an IRI property, placing their triples by the storage rule.
+pub(crate) fn discover_fks(
+    profile: &Profile,
     classes: &[ShapedClass],
     cfg: &SchemaConfig,
 ) -> FkDiscovery {
-    let mut assign: FxHashMap<Oid, u32> = FxHashMap::default();
+    // Subject ordinal -> class index.
+    let mut class_of = vec![0u32; profile.n_subjects()];
     for (ci, c) in classes.iter().enumerate() {
-        for &s in &c.subjects {
-            assign.insert(s, ci as u32);
+        for &ord in &c.subjects {
+            class_of[ord as usize] = ci as u32;
         }
     }
-    let prop_idx: Vec<FxHashMap<Oid, usize>> = classes
-        .iter()
-        .map(|c| {
-            c.props
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.pred, i))
-                .collect()
-        })
-        .collect();
 
     let mut stats: Vec<Vec<RefStats>> = classes
         .iter()
@@ -71,35 +64,48 @@ pub fn discover_fks(
         .map(|c| vec![FxHashSet::default(); c.props.len()])
         .collect();
 
-    walk_sp_groups(triples_spo, |s, p, objects| {
-        let Some(&ci) = assign.get(&s) else { return };
-        let Some(&pi) = prop_idx[ci as usize].get(&p) else {
-            return;
-        };
-        let prop = &classes[ci as usize].props[pi];
-        if prop.ty != TypeTag::Iri {
-            return;
-        }
-        // Placement rule: single-valued -> first (smallest) matching object;
-        // multi-valued -> all matching objects.
-        let matching = objects
+    for (ci, class) in classes.iter().enumerate() {
+        // The IRI properties, as the placement rule stores them; every
+        // other triple is irregular here and ignored.
+        let class_id = ClassId(ci as u32);
+        let homes: Vec<PredHome> = class
+            .props
             .iter()
-            .copied()
-            .filter(|o| !o.is_null() && o.tag() == TypeTag::Iri);
-        let placed: Vec<Oid> = if prop.multi {
-            matching.collect()
-        } else {
-            matching.take(1).collect()
-        };
-        let st = &mut stats[ci as usize][pi];
-        for o in placed {
-            st.n_refs += 1;
-            if let Some(&target) = assign.get(&o) {
-                *st.per_target.entry(target).or_insert(0) += 1;
-            }
-            distinct[ci as usize][pi].insert(o);
+            .enumerate()
+            .filter(|(_, p)| p.ty == TypeTag::Iri)
+            .map(|(pi, p)| {
+                let home = if p.multi {
+                    TripleHome::Multi {
+                        class: class_id,
+                        mp: pi,
+                    }
+                } else {
+                    TripleHome::Column {
+                        class: class_id,
+                        col: pi,
+                    }
+                };
+                (p.pred, p.ty, home)
+            })
+            .collect();
+        if homes.is_empty() {
+            continue;
         }
-    });
+        for &ord in &class.subjects {
+            place_subject(&homes, profile.range(ord), &mut |t, home| {
+                let (TripleHome::Column { col: pi, .. } | TripleHome::Multi { mp: pi, .. }) = home
+                else {
+                    return;
+                };
+                let st = &mut stats[ci][pi];
+                st.n_refs += 1;
+                if let Some(ord) = profile.ordinal(t.o) {
+                    *st.per_target.entry(class_of[ord as usize]).or_insert(0) += 1;
+                }
+                distinct[ci][pi].insert(t.o);
+            });
+        }
+    }
 
     let mut incoming = vec![0u64; classes.len()];
     let mut edges: Vec<Vec<Option<FkEdge>>> =
@@ -145,21 +151,21 @@ pub fn discover_fks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cs::extract;
     use crate::finetune::shape_multiplicity;
     use crate::merge::generalize;
     use crate::typing::type_classes;
+    use sordf_model::Triple;
 
     fn pipeline(
         triples: &mut [Triple],
         cfg: &SchemaConfig,
     ) -> (Vec<ShapedClass>, Vec<Vec<Option<FkEdge>>>, Vec<u64>) {
         triples.sort_by_key(|t| t.key_spo());
-        let (css, _) = extract(triples);
-        let merged = generalize(css, cfg);
-        let typed = type_classes(triples, merged, cfg);
-        let shaped = shape_multiplicity(triples, typed, cfg);
-        let (edges, incoming, _) = discover_fks(triples, &shaped, cfg);
+        let profile = Profile::new(triples);
+        let merged = generalize(&profile.css, cfg);
+        let typed = type_classes(&profile, merged, cfg);
+        let shaped = shape_multiplicity(typed, cfg);
+        let (edges, incoming, _) = discover_fks(&profile, &shaped, cfg);
         (shaped, edges, incoming)
     }
 

@@ -23,7 +23,23 @@
 //! 6. **Naming** ([`naming`]) — human-readable SQL identifiers from
 //!    `rdf:type` objects and predicate local names.
 //! 7. **Statistics** ([`stats`]) — per-class / per-column counts, null
-//!    fractions and distinct sketches for the engine's cardinality estimator.
+//!    fractions and distinct sketches for the engine's cardinality
+//!    estimator, and the schema's coverage.
+//!
+//! **The passes it makes.** One pass over every triple, the *profile*
+//! (`cs::Profile`): each subject's exact CS, its triple range and an
+//! ordinal (a table by IRI payload finds a subject's ordinal; other
+//! subjects are found by binary search), and per (exact CS, property) the
+//! objects of each type tag and the (s, p) groups with one or more than one
+//! of them. A merged class is a union of whole CSs, so typing and
+//! multiplicity shaping are sums over its member CSs, with no triple read.
+//! After that, only subject ranges are walked: those of a class whose
+//! types conflict (twice: variant signatures, then per-variant counts),
+//! those of classes with an IRI property (FK targets, resolved through the
+//! ordinals), each subject's `rdf:type` group (naming), and one placement
+//! walk that fills the statistics and the coverage together. No stage
+//! builds a subject → class hash map; the one the schema returns
+//! ([`EmergentSchema::assignment`]) is filled once, at the end.
 //!
 //! The result, [`EmergentSchema`], tells the storage layer which triples are
 //! *regular* (stored in CS-clustered columns) and which remain *irregular*

@@ -20,8 +20,10 @@ pub struct MergedClass {
     pub props: Vec<Oid>,
     /// For each kept property: number of member subjects having it.
     pub presence: Vec<u64>,
-    /// All member subjects.
-    pub subjects: Vec<Oid>,
+    /// Member exact CSs (indices into the input), in merge order.
+    pub members: Vec<usize>,
+    /// All member subjects (profile ordinals), member by member.
+    pub subjects: Vec<u32>,
 }
 
 impl MergedClass {
@@ -34,14 +36,15 @@ struct Group {
     union: FxHashSet<Oid>,
     /// prop → number of subjects having it.
     counts: FxHashMap<Oid, u64>,
-    subjects: Vec<Oid>,
+    members: Vec<usize>,
+    subjects: Vec<u32>,
 }
 
-/// Merge exact CSs (must be sorted by descending support, as produced by
-/// [`crate::cs::extract`]) into generalized classes.
-pub fn generalize(css: Vec<ExactCs>, cfg: &SchemaConfig) -> Vec<MergedClass> {
+/// Merge exact CSs (must be sorted by descending support, as
+/// the profile holds them) into generalized classes.
+pub fn generalize(css: &[ExactCs], cfg: &SchemaConfig) -> Vec<MergedClass> {
     let mut groups: Vec<Group> = Vec::new();
-    for cs in css {
+    for (ci, cs) in css.iter().enumerate() {
         let mut best: Option<(usize, f64, u64)> = None; // (group, score, size)
         for (gi, g) in groups.iter().enumerate() {
             let inter = cs.props.iter().filter(|p| g.union.contains(p)).count();
@@ -75,6 +78,7 @@ pub fn generalize(css: Vec<ExactCs>, cfg: &SchemaConfig) -> Vec<MergedClass> {
                     g.union.insert(p);
                     *g.counts.entry(p).or_insert(0) += support;
                 }
+                g.members.push(ci);
                 g.subjects.extend_from_slice(&cs.subjects);
             }
             None => {
@@ -86,7 +90,8 @@ pub fn generalize(css: Vec<ExactCs>, cfg: &SchemaConfig) -> Vec<MergedClass> {
                 groups.push(Group {
                     union: cs.props.iter().copied().collect(),
                     counts,
-                    subjects: cs.subjects,
+                    members: vec![ci],
+                    subjects: cs.subjects.clone(),
                 });
             }
         }
@@ -105,6 +110,7 @@ pub fn generalize(css: Vec<ExactCs>, cfg: &SchemaConfig) -> Vec<MergedClass> {
             MergedClass {
                 props: kept.iter().map(|&(p, _)| p).collect(),
                 presence: kept.iter().map(|&(_, n)| n).collect(),
+                members: g.members,
                 subjects: g.subjects,
             }
         })
@@ -115,19 +121,18 @@ pub fn generalize(css: Vec<ExactCs>, cfg: &SchemaConfig) -> Vec<MergedClass> {
 mod tests {
     use super::*;
 
-    fn cs(props: &[u64], n_subjects: u64, first_subject: u64) -> ExactCs {
+    fn cs(props: &[u64], n_subjects: u32, first_subject: u32) -> ExactCs {
         ExactCs {
             props: props.iter().map(|&p| Oid::iri(p)).collect(),
-            subjects: (first_subject..first_subject + n_subjects)
-                .map(Oid::iri)
-                .collect(),
+            subjects: (first_subject..first_subject + n_subjects).collect(),
+            counts: vec![Default::default(); props.len()],
         }
     }
 
     #[test]
     fn subset_cs_merges_into_superset() {
         let css = vec![cs(&[1, 2, 3], 100, 0), cs(&[1, 2], 10, 100)];
-        let merged = generalize(css, &SchemaConfig::default());
+        let merged = generalize(&css, &SchemaConfig::default());
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].support(), 110);
         // prop 3 present in 100/110 subjects -> kept as nullable.
@@ -137,7 +142,7 @@ mod tests {
     #[test]
     fn disjoint_css_stay_separate() {
         let css = vec![cs(&[1, 2], 50, 0), cs(&[8, 9], 50, 100)];
-        let merged = generalize(css, &SchemaConfig::default());
+        let merged = generalize(&css, &SchemaConfig::default());
         assert_eq!(merged.len(), 2);
     }
 
@@ -145,7 +150,7 @@ mod tests {
     fn rare_extra_attribute_is_dropped() {
         // 1000 subjects {1,2}; 5 subjects {1,2,7}: prop 7 presence 5/1005 < 5%.
         let css = vec![cs(&[1, 2], 1000, 0), cs(&[1, 2, 7], 5, 2000)];
-        let merged = generalize(css, &SchemaConfig::default());
+        let merged = generalize(&css, &SchemaConfig::default());
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].props, vec![Oid::iri(1), Oid::iri(2)]);
         assert_eq!(merged[0].support(), 1005);
@@ -155,7 +160,7 @@ mod tests {
     fn significant_minority_attribute_is_kept_nullable() {
         // 100 subjects {1,2}; 30 subjects {1,2,7}: presence 30/130 ≈ 23%.
         let css = vec![cs(&[1, 2], 100, 0), cs(&[1, 2, 7], 30, 2000)];
-        let merged = generalize(css, &SchemaConfig::default());
+        let merged = generalize(&css, &SchemaConfig::default());
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].props, vec![Oid::iri(1), Oid::iri(2), Oid::iri(7)]);
         let idx7 = merged[0]
@@ -170,14 +175,14 @@ mod tests {
     fn below_overlap_threshold_does_not_merge() {
         // {1,2,3,4,5} vs {1,6,7,8,9}: overlap 1/5 = 0.2 < 0.8.
         let css = vec![cs(&[1, 2, 3, 4, 5], 100, 0), cs(&[1, 6, 7, 8, 9], 50, 500)];
-        let merged = generalize(css, &SchemaConfig::default());
+        let merged = generalize(&css, &SchemaConfig::default());
         assert_eq!(merged.len(), 2);
     }
 
     #[test]
     fn exact_cs_config_never_merges() {
         let css = vec![cs(&[1, 2, 3], 100, 0), cs(&[1, 2], 90, 500)];
-        let merged = generalize(css, &SchemaConfig::exact_cs());
+        let merged = generalize(&css, &SchemaConfig::exact_cs());
         assert_eq!(merged.len(), 2);
     }
 
@@ -193,7 +198,7 @@ mod tests {
             cs(&[5, 6, 7, 8], 100, 200),
             cs(&[1, 2, 3, 9], 10, 400),
         ];
-        let merged = generalize(css, &cfg);
+        let merged = generalize(&css, &cfg);
         assert_eq!(merged.len(), 2);
         let big = merged.iter().find(|m| m.support() == 110).unwrap();
         assert!(big.props.contains(&Oid::iri(1)));

@@ -7,8 +7,9 @@
 //! predicate's local name. Everything is sanitized into unique SQL
 //! identifiers so the schema can be exported to the SQL toolchain unmodified.
 
+use crate::cs::Profile;
 use crate::types::EmergentSchema;
-use sordf_model::{vocab, Dictionary, FxHashMap, FxHashSet, Oid, Term, Triple};
+use sordf_model::{vocab, Dictionary, FxHashMap, FxHashSet, Oid, Term};
 
 /// Turn an arbitrary string into a SQL-safe identifier (lowercase,
 /// `[a-z0-9_]`, starts with a letter, non-empty).
@@ -51,22 +52,33 @@ fn uniquify(name: String, used: &mut FxHashSet<String>) -> String {
     unreachable!()
 }
 
-/// Fill in class and column names. `triples_spo` must be SPO-sorted.
-pub fn assign_names(schema: &mut EmergentSchema, triples_spo: &[Triple], dict: &Dictionary) {
+/// Fill in class and column names. `class_of` holds each profiled
+/// subject's class index (`u32::MAX`: none).
+pub(crate) fn assign_names(
+    schema: &mut EmergentSchema,
+    profile: &Profile,
+    class_of: &[u32],
+    dict: &Dictionary,
+) {
     let type_pred = dict.iri_oid(vocab::RDF_TYPE);
     schema.type_pred = type_pred;
 
-    // Majority rdf:type object per class.
+    // Majority rdf:type object per class, from each subject's type group.
     let mut type_counts: Vec<FxHashMap<Oid, u64>> = schema
         .classes
         .iter()
         .map(|_| FxHashMap::default())
         .collect();
     if let Some(tp) = type_pred {
-        for t in triples_spo {
-            if t.p == tp && t.o.is_iri() {
-                if let Some(cid) = schema.class_of(t.s) {
-                    *type_counts[cid.0 as usize].entry(t.o).or_insert(0) += 1;
+        for (ord, &ci) in class_of.iter().enumerate() {
+            let Some(counts) = type_counts.get_mut(ci as usize) else {
+                continue;
+            };
+            let run = profile.range(ord as u32);
+            let types = &run[run.partition_point(|t| t.p < tp)..];
+            for t in types.iter().take_while(|t| t.p == tp) {
+                if t.o.is_iri() {
+                    *counts.entry(t.o).or_insert(0) += 1;
                 }
             }
         }

@@ -17,12 +17,13 @@ pub fn discover(triples_spo: &[Triple], dict: &Dictionary, cfg: &SchemaConfig) -
         "discover() requires SPO-sorted triples"
     );
 
-    // Stages 1-5.
-    let (css, _) = cs::extract(triples_spo);
-    let merged = merge::generalize(css, cfg);
-    let typed = typing::type_classes(triples_spo, merged, cfg);
-    let shaped = finetune::shape_multiplicity(triples_spo, typed, cfg);
-    let (edges, _, ref_stats) = fk::discover_fks(triples_spo, &shaped, cfg);
+    // Stages 1-5: one pass over every triple, then the member CSs'
+    // counts, and the subjects of conflicted and IRI-referencing classes.
+    let profile = cs::Profile::new(triples_spo);
+    let merged = merge::generalize(&profile.css, cfg);
+    let typed = typing::type_classes(&profile, merged, cfg);
+    let shaped = finetune::shape_multiplicity(typed, cfg);
+    let (edges, _, ref_stats) = fk::discover_fks(&profile, &shaped, cfg);
 
     // Stage 6: retention with indirect support. A class is kept if its own
     // support reaches the threshold, or if references *from kept classes*
@@ -58,10 +59,12 @@ pub fn discover(triples_spo: &[Triple], dict: &Dictionary, cfg: &SchemaConfig) -
             // Record the final tally for reporting.
             let mut schema_classes = build_classes(&shaped, &edges, &kept, &incoming, cfg);
             let mut assignment = FxHashMap::default();
+            let mut class_of = vec![u32::MAX; profile.n_subjects()];
             for (new_id, class) in schema_classes.iter().enumerate() {
                 let old = class.id.0 as usize; // temporarily holds the old index
-                for &s in &shaped[old].subjects {
-                    assignment.insert(s, ClassId(new_id as u32));
+                for &ord in &shaped[old].subjects {
+                    assignment.insert(profile.subject(ord), ClassId(new_id as u32));
+                    class_of[ord as usize] = new_id as u32;
                 }
             }
             for (new_id, class) in schema_classes.iter_mut().enumerate() {
@@ -74,9 +77,8 @@ pub fn discover(triples_spo: &[Triple], dict: &Dictionary, cfg: &SchemaConfig) -
                 coverage: 0.0,
                 n_triples: triples_spo.len() as u64,
             };
-            naming::assign_names(&mut schema, triples_spo, dict);
-            stats::compute_stats(&mut schema, triples_spo);
-            schema.coverage = stats::coverage(&schema, triples_spo);
+            naming::assign_names(&mut schema, &profile, &class_of, dict);
+            stats::compute_stats(&mut schema, &profile, &class_of);
             return schema;
         }
     }

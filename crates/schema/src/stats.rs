@@ -4,9 +4,9 @@
 //! "being unaware of structural correlations … makes it difficult to
 //! estimate the join hit ratio between triple patterns").
 
-use crate::cs::walk_sp_groups;
-use crate::types::{EmergentSchema, TripleHome};
-use sordf_model::{Oid, Triple};
+use crate::cs::Profile;
+use crate::types::{place_subject, EmergentSchema, TripleHome};
+use sordf_model::{FxHashSet, Oid};
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 
@@ -18,7 +18,7 @@ pub struct KmvSketch {
     /// Max-heap of the k smallest hashes seen.
     heap: BinaryHeap<u64>,
     n_inserted: u64,
-    exact: std::collections::BTreeSet<u64>,
+    exact: FxHashSet<u64>,
 }
 
 impl KmvSketch {
@@ -67,9 +67,10 @@ impl KmvSketch {
     }
 }
 
-/// Fill `stats` on every column and side table of the schema.
-/// `triples_spo` must be SPO-sorted.
-pub fn compute_stats(schema: &mut EmergentSchema, triples_spo: &[Triple]) {
+/// Fill `stats` on every column and side table of the schema, and its
+/// coverage, from one placement walk. `class_of` holds each profiled
+/// subject's class index (`u32::MAX`: none).
+pub(crate) fn compute_stats(schema: &mut EmergentSchema, profile: &Profile, class_of: &[u32]) {
     const K: usize = 256;
     struct Acc {
         n: u64,
@@ -113,11 +114,24 @@ pub fn compute_stats(schema: &mut EmergentSchema, triples_spo: &[Triple]) {
         .map(|c| c.multi_props.iter().map(|_| Acc::new()).collect())
         .collect();
 
-    schema.place_triples(triples_spo, |t, home| match home {
-        TripleHome::Column { class, col } => col_acc[class.0 as usize][col].add(t.o),
-        TripleHome::Multi { class, mp } => multi_acc[class.0 as usize][mp].add(t.o),
-        TripleHome::Irregular => {}
-    });
+    let homes = schema.homes();
+    let mut regular = 0u64;
+    for (ord, &ci) in class_of.iter().enumerate() {
+        let class_homes = homes.get(ci as usize).map_or(&[][..], |h| &h[..]);
+        place_subject(class_homes, profile.range(ord as u32), &mut |t, home| {
+            match home {
+                TripleHome::Column { class, col } => col_acc[class.0 as usize][col].add(t.o),
+                TripleHome::Multi { class, mp } => multi_acc[class.0 as usize][mp].add(t.o),
+                TripleHome::Irregular => return,
+            }
+            regular += 1;
+        });
+    }
+    schema.coverage = if schema.n_triples == 0 {
+        1.0
+    } else {
+        regular as f64 / schema.n_triples as f64
+    };
 
     for (ci, accs) in col_acc.into_iter().enumerate() {
         for (coli, acc) in accs.into_iter().enumerate() {
@@ -129,27 +143,6 @@ pub fn compute_stats(schema: &mut EmergentSchema, triples_spo: &[Triple]) {
             schema.classes[ci].multi_props[mi].stats = acc.finish();
         }
     }
-}
-
-/// Count regular vs. total triples (the schema *coverage* metric).
-pub fn coverage(schema: &EmergentSchema, triples_spo: &[Triple]) -> f64 {
-    if triples_spo.is_empty() {
-        return 1.0;
-    }
-    let mut regular = 0u64;
-    schema.place_triples(triples_spo, |_, home| {
-        if home != TripleHome::Irregular {
-            regular += 1;
-        }
-    });
-    regular as f64 / triples_spo.len() as f64
-}
-
-/// (Used in tests and the estimator) count subject-property groups.
-pub fn n_subject_prop_groups(triples_spo: &[Triple]) -> u64 {
-    let mut n = 0;
-    walk_sp_groups(triples_spo, |_, _, _| n += 1);
-    n
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 
+use crate::cs::runs_by;
 use sordf_model::{FxHashMap, Oid, Triple, TypeTag};
 
 /// Identifier of a discovered class (a merged/typed characteristic set).
@@ -176,57 +177,71 @@ impl EmergentSchema {
     /// Decide where each triple lives. `triples_spo` must be sorted by
     /// (s, p, o). For a single-valued column, the *smallest* matching-type
     /// object is the stored value; further values and type mismatches are
-    /// irregular. Used by both the storage loader and coverage accounting,
-    /// so the two can never disagree.
+    /// irregular. Used by the storage loader and by discovery's statistics
+    /// and coverage, so they can never disagree.
     pub fn place_triples(&self, triples_spo: &[Triple], mut f: impl FnMut(Triple, TripleHome)) {
-        let mut i = 0;
-        while i < triples_spo.len() {
-            let s = triples_spo[i].s;
-            let class = self.class_of(s);
-            // Per (s, p) group.
-            while i < triples_spo.len() && triples_spo[i].s == s {
-                let p = triples_spo[i].p;
-                let group_start = i;
-                while i < triples_spo.len() && triples_spo[i].s == s && triples_spo[i].p == p {
-                    i += 1;
-                }
-                let group = &triples_spo[group_start..i];
-                let Some(cid) = class else {
-                    for &t in group {
-                        f(t, TripleHome::Irregular);
-                    }
-                    continue;
-                };
-                let cdef = self.class(cid);
-                if let Some(col) = cdef.column_of(p) {
-                    let ty = cdef.columns[col].ty;
-                    // Objects are sorted ascending within the group; the first
-                    // matching-type one is the stored value.
-                    let mut stored = false;
-                    for &t in group {
-                        if !stored && !t.o.is_null() && t.o.tag() == ty {
-                            f(t, TripleHome::Column { class: cid, col });
-                            stored = true;
-                        } else {
-                            f(t, TripleHome::Irregular);
-                        }
-                    }
-                } else if let Some(mp) = cdef.multi_of(p) {
-                    let ty = cdef.multi_props[mp].ty;
-                    for &t in group {
-                        if !t.o.is_null() && t.o.tag() == ty {
-                            f(t, TripleHome::Multi { class: cid, mp });
-                        } else {
-                            f(t, TripleHome::Irregular);
-                        }
-                    }
-                } else {
-                    for &t in group {
-                        f(t, TripleHome::Irregular);
-                    }
-                }
+        let homes = self.homes();
+        // Subjects come in SPO order: a cursor over the classes that fill an
+        // OID range finds theirs without probing the assignment (on a
+        // clustered layout, every class).
+        let ranges = self.dense_ranges();
+        let mut next = 0;
+        for run in runs_by(triples_spo, |t| t.s) {
+            let s = run[0].s;
+            while ranges.get(next).is_some_and(|r| r.1 < s.raw()) {
+                next += 1;
             }
+            let class = match ranges.get(next) {
+                Some(&(first, _, class)) if first <= s.raw() => Some(class),
+                _ => self.class_of(s),
+            };
+            let class_homes = match class {
+                Some(cid) => &homes[cid.0 as usize][..],
+                None => &[],
+            };
+            place_subject(class_homes, run, &mut f);
         }
+    }
+
+    /// `(first, last, class)` (raw OIDs) of each class whose subjects are
+    /// every OID from its first to its last, ascending.
+    fn dense_ranges(&self) -> Vec<(u64, u64, ClassId)> {
+        let mut spans = vec![(u64::MAX, 0, 0); self.classes.len()];
+        for (s, c) in &self.assignment {
+            let span = &mut spans[c.0 as usize];
+            span.0 = span.0.min(s.raw());
+            span.1 = span.1.max(s.raw());
+            span.2 += 1;
+        }
+        let mut ranges: Vec<(u64, u64, ClassId)> = spans
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, (first, last, n))| n > 0 && last - first + 1 == n)
+            .map(|(c, (first, last, _))| (first, last, ClassId(c as u32)))
+            .collect();
+        ranges.sort_unstable();
+        ranges
+    }
+
+    /// Per class, what [`place_subject`] needs: its stored predicates.
+    pub(crate) fn homes(&self) -> Vec<Vec<PredHome>> {
+        self.classes
+            .iter()
+            .map(|c| {
+                let columns = c.columns.iter().enumerate().map(|(col, d)| {
+                    let home = TripleHome::Column { class: c.id, col };
+                    (d.pred, d.ty, home)
+                });
+                let multi = c
+                    .multi_props
+                    .iter()
+                    .enumerate()
+                    .map(|(mp, d)| (d.pred, d.ty, TripleHome::Multi { class: c.id, mp }));
+                let mut homes: Vec<PredHome> = columns.chain(multi).collect();
+                homes.sort_unstable_by_key(|h| h.0);
+                homes
+            })
+            .collect()
     }
 
     /// Render the schema as readable DDL-style text (the "SQL view").
@@ -282,6 +297,44 @@ impl EmergentSchema {
             let _ = writeln!(out, ");");
         }
         out
+    }
+}
+
+/// A predicate a class stores: the type a stored object must have, and
+/// where it goes.
+pub(crate) type PredHome = (Oid, TypeTag, TripleHome);
+
+/// The placement rule, for the triples of one subject (SPO-sorted) whose
+/// class stores `homes` (ascending by predicate; empty when the subject is
+/// in no class). A column stores the first object of its type and a side
+/// table every one; all else is irregular.
+pub(crate) fn place_subject(
+    homes: &[PredHome],
+    run: &[Triple],
+    f: &mut impl FnMut(Triple, TripleHome),
+) {
+    let mut homes = homes.iter().peekable();
+    for group in runs_by(run, |t| t.p) {
+        let p = group[0].p;
+        while homes.next_if(|h| h.0 < p).is_some() {}
+        let stores = homes.next_if(|h| h.0 == p);
+        let mut stored = false;
+        // One call of `f`, so that it inlines: the column build's is hot.
+        for &t in group {
+            let home = match stores {
+                Some(&(_, ty, home)) if !t.o.is_null() && t.o.tag() == ty => {
+                    let single = matches!(home, TripleHome::Column { .. });
+                    if single && stored {
+                        TripleHome::Irregular
+                    } else {
+                        stored = true;
+                        home
+                    }
+                }
+                _ => TripleHome::Irregular,
+            };
+            f(t, home);
+        }
     }
 }
 

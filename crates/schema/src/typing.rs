@@ -10,7 +10,7 @@
 //! the columns are known and homogeneous".
 
 use crate::config::SchemaConfig;
-use crate::cs::walk_sp_groups;
+use crate::cs::{runs_by, ExactCs, Profile, TagCounts};
 use crate::merge::MergedClass;
 use sordf_model::{FxHashMap, Oid, Triple, TypeTag};
 
@@ -24,8 +24,11 @@ pub struct TypedClass {
     pub col_types: Vec<TypeTag>,
     /// Subjects having each property (within this variant).
     pub presence: Vec<u64>,
-    /// Member subjects.
-    pub subjects: Vec<Oid>,
+    /// Member subjects (profile ordinals).
+    pub subjects: Vec<u32>,
+    /// Object counts per property (within this variant), for the
+    /// multiplicity stage.
+    pub(crate) counts: Vec<TagCounts>,
 }
 
 impl TypedClass {
@@ -34,43 +37,26 @@ impl TypedClass {
     }
 }
 
-/// Per-property tag histogram.
-#[derive(Default, Clone)]
-struct TagHist {
-    counts: [u64; 8],
-}
-
-impl TagHist {
-    fn add(&mut self, tag: TypeTag, n: u64) {
-        self.counts[tag as usize] += n;
-    }
-
-    fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// (dominant tag, its fraction of all counted triples).
-    fn dominant(&self) -> (TypeTag, f64) {
-        let (best, &n) = self
-            .counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
-            .unwrap();
-        let total = self.total().max(1);
-        (
-            TypeTag::from_u8(best as u8).unwrap(),
-            n as f64 / total as f64,
-        )
-    }
+/// (dominant tag, its fraction of all counted objects); ties → smaller tag.
+fn dominant(objects: &[u64; 8]) -> (TypeTag, f64) {
+    let (best, &n) = objects
+        .iter()
+        .enumerate()
+        .max_by_key(|&(i, &n)| (n, std::cmp::Reverse(i)))
+        .unwrap();
+    let total = objects.iter().sum::<u64>().max(1);
+    (
+        TypeTag::from_u8(best as u8).unwrap(),
+        n as f64 / total as f64,
+    )
 }
 
 /// Majority tag within one (s, p) object group (ties → smaller tag).
-fn group_majority_tag(objects: &[Oid]) -> Option<TypeTag> {
+fn group_majority_tag(group: &[Triple]) -> Option<TypeTag> {
     let mut counts = [0u32; 8];
-    for &o in objects {
-        if !o.is_null() {
-            counts[o.tag() as usize] += 1;
+    for t in group {
+        if !t.o.is_null() {
+            counts[t.o.tag() as usize] += 1;
         }
     }
     counts
@@ -81,47 +67,47 @@ fn group_majority_tag(objects: &[Oid]) -> Option<TypeTag> {
         .map(|(i, _)| TypeTag::from_u8(i as u8).unwrap())
 }
 
+/// The object counts of a merged class per kept property: the sums over its
+/// member CSs (a merged class is a union of whole CSs).
+fn member_counts(class: &MergedClass, css: &[ExactCs]) -> Vec<TagCounts> {
+    let mut counts = vec![TagCounts::default(); class.props.len()];
+    for &m in &class.members {
+        let cs = &css[m];
+        for (pi, p) in class.props.iter().enumerate() {
+            if let Ok(k) = cs.props.binary_search(p) {
+                counts[pi].add(&cs.counts[k]);
+            }
+        }
+    }
+    counts
+}
+
+/// Calls `f(prop index, group)` for each (s, p) group of `run` whose
+/// predicate is in `props` (both ascending).
+fn for_each_kept_group(props: &[Oid], run: &[Triple], mut f: impl FnMut(usize, &[Triple])) {
+    let mut pi = 0;
+    for group in runs_by(run, |t| t.p) {
+        let p = group[0].p;
+        while pi < props.len() && props[pi] < p {
+            pi += 1;
+        }
+        if pi < props.len() && props[pi] == p {
+            f(pi, group);
+        }
+    }
+}
+
 /// Assign declared column types and split type-incoherent classes into
-/// variants. `triples_spo` must be SPO-sorted.
-pub fn type_classes(
-    triples_spo: &[Triple],
+/// variants.
+pub(crate) fn type_classes(
+    profile: &Profile,
     merged: Vec<MergedClass>,
     cfg: &SchemaConfig,
 ) -> Vec<TypedClass> {
-    // subject -> merged class index
-    let mut assign: FxHashMap<Oid, u32> = FxHashMap::default();
-    for (ci, c) in merged.iter().enumerate() {
-        for &s in &c.subjects {
-            assign.insert(s, ci as u32);
-        }
-    }
-    // prop index lookup per class
-    let prop_idx: Vec<FxHashMap<Oid, usize>> = merged
-        .iter()
-        .map(|c| c.props.iter().enumerate().map(|(i, &p)| (p, i)).collect())
-        .collect();
-
-    // Pass A: per (class, prop) tag histogram over triples.
-    let mut hists: Vec<Vec<TagHist>> = merged
-        .iter()
-        .map(|c| vec![TagHist::default(); c.props.len()])
-        .collect();
-    walk_sp_groups(triples_spo, |s, p, objects| {
-        let Some(&ci) = assign.get(&s) else { return };
-        let Some(&pi) = prop_idx[ci as usize].get(&p) else {
-            return;
-        };
-        for &o in objects {
-            if !o.is_null() {
-                hists[ci as usize][pi].add(o.tag(), 1);
-            }
-        }
-    });
-
-    // Dominant tag and conflict detection per class.
     let mut out: Vec<TypedClass> = Vec::new();
-    for (ci, class) in merged.into_iter().enumerate() {
-        let doms: Vec<(TypeTag, f64)> = hists[ci].iter().map(|h| h.dominant()).collect();
+    for class in merged {
+        let counts = member_counts(&class, &profile.css);
+        let doms: Vec<(TypeTag, f64)> = counts.iter().map(|c| dominant(&c.objects)).collect();
         let conflicted: Vec<usize> = doms
             .iter()
             .enumerate()
@@ -134,68 +120,46 @@ pub fn type_classes(
                 presence: class.presence,
                 props: class.props,
                 subjects: class.subjects,
+                counts,
             });
             continue;
         }
-        out.extend(split_variants(triples_spo, class, &doms, &conflicted, cfg));
+        out.extend(split_variants(profile, class, &doms, &conflicted, cfg));
     }
     out
 }
 
-/// Split one class into per-type-signature variants.
+/// Split one class into per-type-signature variants: the only stage that
+/// walks a class's subjects, and only a conflicted class's.
 fn split_variants(
-    triples_spo: &[Triple],
+    profile: &Profile,
     class: MergedClass,
     doms: &[(TypeTag, f64)],
     conflicted: &[usize],
     cfg: &SchemaConfig,
 ) -> Vec<TypedClass> {
-    let members: FxHashMap<Oid, ()> = class.subjects.iter().map(|&s| (s, ())).collect();
-    let prop_idx: FxHashMap<Oid, usize> = class
-        .props
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i))
-        .collect();
-    let conflict_slot: FxHashMap<usize, usize> = conflicted
-        .iter()
-        .enumerate()
-        .map(|(slot, &pi)| (pi, slot))
-        .collect();
-
-    // Pass B: per-subject signature over conflicted props. Missing props
+    // Per subject, its signature over the conflicted props. Missing props
     // default to the dominant tag, so sparse subjects join the main variant.
     let default_sig: Vec<u8> = conflicted.iter().map(|&pi| doms[pi].0 as u8).collect();
-    let mut sig_of: FxHashMap<Oid, Vec<u8>> = FxHashMap::default();
-    walk_sp_groups(triples_spo, |s, p, objects| {
-        if !members.contains_key(&s) {
-            return;
-        }
-        let Some(&pi) = prop_idx.get(&p) else { return };
-        let Some(&slot) = conflict_slot.get(&pi) else {
-            return;
-        };
-        if let Some(tag) = group_majority_tag(objects) {
-            sig_of.entry(s).or_insert_with(|| default_sig.clone())[slot] = tag as u8;
-        }
-    });
-
-    // Group subjects by signature.
-    let mut groups: FxHashMap<Vec<u8>, Vec<Oid>> = FxHashMap::default();
-    for &s in &class.subjects {
-        let sig = sig_of
-            .get(&s)
-            .cloned()
-            .unwrap_or_else(|| default_sig.clone());
-        groups.entry(sig).or_default().push(s);
+    let mut groups: FxHashMap<Vec<u8>, Vec<u32>> = FxHashMap::default();
+    for &ord in &class.subjects {
+        let mut sig = default_sig.clone();
+        for_each_kept_group(&class.props, profile.range(ord), |pi, group| {
+            if let Ok(slot) = conflicted.binary_search(&pi) {
+                if let Some(tag) = group_majority_tag(group) {
+                    sig[slot] = tag as u8;
+                }
+            }
+        });
+        groups.entry(sig).or_default().push(ord);
     }
-    let mut groups: Vec<(Vec<u8>, Vec<Oid>)> = groups.into_iter().collect();
+    let mut groups: Vec<(Vec<u8>, Vec<u32>)> = groups.into_iter().collect();
     // Deterministic: biggest first, then signature bytes.
     groups.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then_with(|| a.0.cmp(&b.0)));
 
     let min_variant = ((class.subjects.len() as f64 * cfg.variant_min_frac).ceil() as usize).max(2);
-    let mut variants: Vec<(Vec<u8>, Vec<Oid>)> = Vec::new();
-    let mut leftovers: Vec<Oid> = Vec::new();
+    let mut variants: Vec<(Vec<u8>, Vec<u32>)> = Vec::new();
+    let mut leftovers: Vec<u32> = Vec::new();
     for (sig, subjects) in groups {
         if variants.is_empty() || subjects.len() >= min_variant {
             variants.push((sig, subjects));
@@ -207,41 +171,30 @@ fn split_variants(
     // become irregular exceptions at placement time.
     variants[0].1.extend(leftovers);
 
-    // Pass C: presence per variant.
-    let mut variant_of: FxHashMap<Oid, u32> = FxHashMap::default();
-    for (vi, (_, subjects)) in variants.iter().enumerate() {
-        for &s in subjects {
-            variant_of.insert(s, vi as u32);
-        }
-    }
-    let mut presence: Vec<Vec<u64>> = variants
-        .iter()
-        .map(|_| vec![0u64; class.props.len()])
-        .collect();
-    walk_sp_groups(triples_spo, |s, p, _objects| {
-        let Some(&vi) = variant_of.get(&s) else {
-            return;
-        };
-        if let Some(&pi) = prop_idx.get(&p) {
-            presence[vi as usize][pi] += 1;
-        }
-    });
-
+    // Presence and object counts per variant.
     variants
         .into_iter()
-        .enumerate()
-        .map(|(vi, (sig, subjects))| {
+        .map(|(sig, subjects)| {
             let col_types = (0..class.props.len())
-                .map(|pi| match conflict_slot.get(&pi) {
-                    Some(&slot) => TypeTag::from_u8(sig[slot]).unwrap(),
-                    None => doms[pi].0,
+                .map(|pi| match conflicted.binary_search(&pi) {
+                    Ok(slot) => TypeTag::from_u8(sig[slot]).unwrap(),
+                    Err(_) => doms[pi].0,
                 })
                 .collect();
+            let mut presence = vec![0u64; class.props.len()];
+            let mut counts = vec![TagCounts::default(); class.props.len()];
+            for &ord in &subjects {
+                for_each_kept_group(&class.props, profile.range(ord), |pi, group| {
+                    presence[pi] += 1;
+                    counts[pi].add_group(group);
+                });
+            }
             TypedClass {
                 props: class.props.clone(),
                 col_types,
-                presence: presence[vi].clone(),
+                presence,
                 subjects,
+                counts,
             }
         })
         .collect()
@@ -250,14 +203,13 @@ fn split_variants(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cs::extract;
     use crate::merge::generalize;
 
     fn run(triples: &mut [Triple], cfg: &SchemaConfig) -> Vec<TypedClass> {
         triples.sort_by_key(|t| t.key_spo());
-        let (css, _) = extract(triples);
-        let merged = generalize(css, cfg);
-        type_classes(triples, merged, cfg)
+        let profile = Profile::new(triples);
+        let merged = generalize(&profile.css, cfg);
+        type_classes(&profile, merged, cfg)
     }
 
     fn str_oid(n: u64) -> Oid {

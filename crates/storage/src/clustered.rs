@@ -231,21 +231,6 @@ pub fn build_clustered(
     for v in subjects_per_class.iter_mut() {
         v.sort_unstable();
     }
-    // row lookup: subject raw -> row (sparse needs a map; dense arithmetic).
-    let row_of = |_class: usize, s: Oid, subjects: &[u64]| -> usize {
-        if dense {
-            let base = subjects
-                .first()
-                .map(|&x| Oid::from_raw(x).payload())
-                .unwrap_or(0);
-            (s.payload() - base) as usize
-        } else {
-            subjects
-                .binary_search(&s.raw())
-                // sordf-lint: allow(L3) — the router assigned `s` to this segment, so membership is guaranteed.
-                .expect("assigned subject missing")
-        }
-    };
     if dense {
         // Contiguity check: clustering must have produced dense ranges.
         for (ci, subs) in subjects_per_class.iter().enumerate() {
@@ -280,10 +265,27 @@ pub fn build_clustered(
     let mut irregular: Vec<Triple> = Vec::new();
     let mut n_regular = 0usize;
 
+    // A dense class's row is its subject's payload minus the class base.
+    // Placement walks subjects in SPO order, which is a sparse class's row
+    // order too: there the row is a cursor that only moves forward.
+    // Side-table pairs arrive in (s, o) order.
+    let bases: Vec<u64> = subjects_per_class
+        .iter()
+        .map(|subs| subs.first().map_or(0, |&s| Oid::from_raw(s).payload()))
+        .collect();
+    let mut cursors = vec![0usize; n_classes];
     schema.place_triples(triples_spo, |t, home| match home {
         TripleHome::Column { class, col } => {
             let ci = class.0 as usize;
-            let row = row_of(ci, t.s, &subjects_per_class[ci]);
+            let row = if dense {
+                (t.s.payload() - bases[ci]) as usize
+            } else {
+                let (subs, row) = (&subjects_per_class[ci], &mut cursors[ci]);
+                while subs[*row] < t.s.raw() {
+                    *row += 1;
+                }
+                *row
+            };
             col_data[ci][col][row] = t.o.raw();
             n_regular += 1;
         }
@@ -300,11 +302,7 @@ pub fn build_clustered(
         let subs = &subjects_per_class[ci];
         let n = subs.len();
         let subjects = if dense {
-            let base = subs
-                .first()
-                .map(|&x| Oid::from_raw(x).payload())
-                .unwrap_or(0);
-            SubjectIds::Dense { base }
+            SubjectIds::Dense { base: bases[ci] }
         } else {
             SubjectIds::Sparse {
                 subjects: Column::from_slice(disk, subs),
@@ -321,8 +319,8 @@ pub fn build_clustered(
             columns.push(col);
         }
         let mut multi = Vec::with_capacity(class.multi_props.len());
-        for (mi, pairs) in multi_data[ci].iter_mut().enumerate() {
-            pairs.sort_unstable();
+        for (mi, pairs) in multi_data[ci].iter().enumerate() {
+            debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
             let s_col =
                 Column::from_slice(disk, &pairs.iter().map(|&(s, _)| s).collect::<Vec<_>>());
             let o_col =
@@ -484,12 +482,59 @@ mod tests {
         assert_eq!(seg.row_of(&pool, Oid::iri(999_999)), None);
     }
 
+    /// Everything a build stores, decoded: (class, column or side table,
+    /// subject, object) homes and the irregular triples, sorted.
+    type Decoded = (Vec<(u32, String, Term, Term)>, Vec<(Term, Term, Term)>);
+
+    fn decode_store(pool: &BufferPool, store: &ClusteredStore, ts: &TripleSet) -> Decoded {
+        let term = |o: u64| ts.dict.decode(Oid::from_raw(o)).unwrap();
+        let mut homes = Vec::new();
+        for seg in &store.segments {
+            for (col, c) in seg.columns.iter().enumerate() {
+                for (row, v) in c.to_vec(pool, 0..seg.n).into_iter().enumerate() {
+                    if v != sordf_columnar::column::NULL_SENTINEL {
+                        let s = seg.subject_at(pool, row).raw();
+                        homes.push((seg.class.0, format!("col{col}"), term(s), term(v)));
+                    }
+                }
+            }
+            for (mp, m) in seg.multi.iter().enumerate() {
+                let (ss, os) = (
+                    m.s.to_vec(pool, 0..m.s.len()),
+                    m.o.to_vec(pool, 0..m.o.len()),
+                );
+                for (s, o) in ss.into_iter().zip(os) {
+                    homes.push((seg.class.0, format!("multi{mp}"), term(s), term(o)));
+                }
+            }
+        }
+        let mut irregular = Vec::new();
+        for p in ["price", "sold", "tag"] {
+            let p = ts.dict.iri_oid(&format!("http://e/{p}")).unwrap();
+            for (s, o) in store.irregular.scan_p(pool, p) {
+                irregular.push((term(s.raw()), term(p.raw()), term(o.raw())));
+            }
+        }
+        homes.sort();
+        irregular.sort();
+        (homes, irregular)
+    }
+
     #[test]
     fn every_triple_has_exactly_one_home() {
+        let mut decoded = Vec::new();
         for dense in [false, true] {
-            let (_dm, _pool, _schema, store, ts) = build(dense);
+            let (_dm, pool, _schema, store, ts) = build(dense);
             assert_eq!(store.n_triples(), ts.len(), "dense={dense}");
+            let (homes, irregular) = decode_store(&pool, &store, &ts);
+            assert_eq!(homes.len(), store.n_regular, "dense={dense}");
+            assert_eq!(irregular.len(), store.irregular.len(), "dense={dense}");
+            decoded.push((homes, irregular));
         }
+        // Both layouts place every triple alike: the same column contents
+        // and the same irregular triples.
+        assert_eq!(decoded[0], decoded[1]);
+        assert!(!decoded[0].1.is_empty(), "the fixture has exceptions");
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! * dictionary encoding roundtrips arbitrary terms;
 //! * subject clustering (reorganize) is a bijective renaming: the decoded
 //!   triple set is unchanged, and query answers are invariant across all
-//!   plan schemes and storage generations on random graphs.
+//!   plan schemes and storage generations on random graphs;
+//! * the emergent schema's placement partitions the triples.
 
 use proptest::prelude::*;
 use sordf::{Database, ExecConfig, Generation, PlanScheme, QueryRequest};
-use sordf_model::{ntriples, Dictionary, Oid, Term, TermTriple, Value};
+use sordf_model::{ntriples, Dictionary, Oid, Term, TermTriple, Triple, Value};
+use sordf_schema::{SchemaConfig, TripleHome};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -36,6 +38,31 @@ fn arb_triple() -> impl Strategy<Value = TermTriple> {
         arb_term(),
     )
         .prop_map(|(s, p, o)| TermTriple::new(s, p, o))
+}
+
+/// A raw (subject, predicate, object) draw for the placement property:
+/// small numbers, so subjects repeat and groups turn multi-valued.
+fn arb_raw_triple() -> impl Strategy<Value = (u32, u32, u32)> {
+    (0u32..24, 0u32..5, 0u32..60)
+}
+
+/// IRI subjects, blank ones, and two IRIs far from the rest.
+fn raw_subject(i: u32) -> Oid {
+    match i {
+        0..=13 => Oid::iri(i as u64),
+        14..=21 => Oid::blank(i as u64),
+        _ => Oid::iri((1 << 40) + i as u64),
+    }
+}
+
+/// Objects of mixed types: subjects (FK candidates), ints, strings, dates.
+fn raw_object(i: u32) -> Oid {
+    match i % 4 {
+        0 => raw_subject(i / 4 % 24),
+        1 => Oid::from_int(i as i64 % 7).unwrap(),
+        2 => Oid::string(i as u64 % 5),
+        _ => Oid::from_date_days(i as i64).unwrap(),
+    }
 }
 
 proptest! {
@@ -111,6 +138,55 @@ proptest! {
         let spec = sordf_storage::ClusterSpec::auto(&schema);
         sordf_storage::reorganize(&mut ts, &mut schema, &spec);
         prop_assert_eq!(decode(&ts), before);
+    }
+
+    /// Placement is a partition: every triple gets exactly one home, no
+    /// (class, column, subject) gets two, the schema's coverage is the
+    /// regular share and every column's `n_nonnull` counts its homes. The
+    /// graphs mix IRI subjects with blank ones and with IRIs far apart (the
+    /// paths by which discovery finds a subject without its dense table),
+    /// and carry multi-valued and mixed-type groups.
+    #[test]
+    fn placement_is_a_partition(
+        triples in proptest::collection::vec(arb_raw_triple(), 1..120),
+        exact in any::<bool>(),
+    ) {
+        let mut spo: Vec<Triple> = triples.iter().map(|&(s, p, o)| {
+            Triple::new(raw_subject(s), Oid::iri(100 + p as u64), raw_object(o))
+        }).collect();
+        spo.sort_by_key(|t| t.key_spo());
+        spo.dedup();
+        let cfg = if exact { SchemaConfig::exact_cs() } else { SchemaConfig::default() };
+        let schema = sordf_schema::discover(&spo, &Dictionary::new(), &cfg);
+
+        let mut placed = Vec::new();
+        let mut column_homes = std::collections::HashSet::new();
+        let mut col_count = std::collections::HashMap::new();
+        let mut multi_count = std::collections::HashMap::new();
+        schema.place_triples(&spo, |t, home| {
+            placed.push(t);
+            match home {
+                TripleHome::Column { class, col } => {
+                    assert!(column_homes.insert((class, col, t.s)), "two homes in one cell: {t:?}");
+                    *col_count.entry((class, col)).or_insert(0u64) += 1;
+                }
+                TripleHome::Multi { class, mp } => {
+                    *multi_count.entry((class, mp)).or_insert(0u64) += 1;
+                }
+                TripleHome::Irregular => {}
+            }
+        });
+        prop_assert_eq!(&placed, &spo);
+        let regular: u64 = col_count.values().chain(multi_count.values()).sum();
+        prop_assert_eq!(schema.coverage.to_bits(), (regular as f64 / spo.len() as f64).to_bits());
+        for c in &schema.classes {
+            for (col, def) in c.columns.iter().enumerate() {
+                prop_assert_eq!(def.stats.n_nonnull, col_count.get(&(c.id, col)).copied().unwrap_or(0));
+            }
+            for (mp, def) in c.multi_props.iter().enumerate() {
+                prop_assert_eq!(def.stats.n_nonnull, multi_count.get(&(c.id, mp)).copied().unwrap_or(0));
+            }
+        }
     }
 
     /// Query answers are invariant under plan scheme, storage generation
