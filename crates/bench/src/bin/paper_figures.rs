@@ -2,7 +2,8 @@
 //! Q6 under plan scheme × OID scheme × zone maps, cold and hot), **Fig. 3**
 //! (subject clustering: the segment layout, and the locality it buys a
 //! selective scan) and **Fig. 4** (plan shapes: the operators Default and
-//! RDFscan/RDFjoin execute for a star and a star behind a link).
+//! RDFscan/RDFjoin execute for a star and a star behind a link), then the
+//! resident footprint of both databases per triple.
 //!
 //! Absolute times differ from the paper (SF 10 on 2012 hardware inside
 //! MonetDB); the *shape* is the reproduction target — Clustered beats
@@ -243,6 +244,33 @@ SELECT ?o1 ?o2 ?o3 WHERE {
     }
 }
 
+/// Resident bytes per triple of both databases: the dictionary, the column
+/// pages and the packed base, the last split into its parts.
+fn footprint(rig: &Rig) {
+    println!("\n== Footprint: resident bytes per triple ==");
+    for (label, db) in [
+        ("ParseOrder", &rig.parse_order),
+        ("Clustered", &rig.clustered),
+    ] {
+        let m = db.memory_stats();
+        let per = |b: u64| b as f64 / m.n_triples.max(1) as f64;
+        let base = m.base_parts;
+        println!(
+            "  {label:<10} total {:>6.2}  dict {:>5.2}  columns {:>5.2}  base {:>5.2} \
+             (subjects {:.3}  shapes {:.3}  predicates {:.3}  objects {:.3}  directory {:.3})",
+            m.bytes_per_triple(),
+            per(m.dict_bytes),
+            per(m.column_bytes),
+            per(m.base_triples_bytes),
+            per(base.subjects as u64),
+            per(base.shapes as u64),
+            per(base.predicates as u64),
+            per(base.objects as u64),
+            per(base.directory as u64),
+        );
+    }
+}
+
 fn main() {
     let sf = std::env::var("SORDF_SF")
         .ok()
@@ -252,4 +280,5 @@ fn main() {
     table1(&rig);
     fig3(&rig);
     fig4(&rig);
+    footprint(&rig);
 }

@@ -418,6 +418,9 @@ pub struct MemoryStats {
     /// load-order `Vec<Triple>` while staging, the packed blocks and their
     /// directory once a layout is built (`sordf_storage::PackedTriples`).
     pub base_triples_bytes: u64,
+    /// `base_triples_bytes` by part: subjects, shapes, predicates, objects
+    /// and the block directory.
+    pub base_parts: sordf_storage::BaseBytes,
     /// Encoded column/index pages across every built layout (baseline
     /// permutations, CS tables, clustered segments and their irregular
     /// remainders) — the bytes a full scan must touch.
@@ -850,6 +853,7 @@ impl Database {
         MemoryStats {
             dict_bytes: st.gen.dict.approx_bytes().total(),
             base_triples_bytes: st.gen.triples.heap_bytes() as u64,
+            base_parts: st.gen.triples.bytes_by_part(),
             column_bytes: classes.iter().map(|c| c.encoded).sum(),
             column_plain_bytes: classes.iter().map(|c| c.plain).sum(),
             delta_bytes: st.delta.approx_bytes(),
@@ -1432,6 +1436,7 @@ mod tests {
         let staged = db.memory_stats();
         assert!(staged.dict_bytes > 0, "staged dictionary accounted");
         assert!(staged.base_triples_bytes > 0, "base triples accounted");
+        assert_eq!(staged.base_parts.total() as u64, staged.base_triples_bytes);
         assert_eq!(staged.column_bytes, 0, "nothing built yet");
         assert_eq!(staged.column_compression_ratio(), 1.0);
 
@@ -1456,6 +1461,11 @@ mod tests {
             "front-coded strings accounted and smaller than plain"
         );
         assert!(built.bytes_per_triple() > 0.0);
+        assert_eq!(
+            built.base_parts.total() as u64,
+            built.base_triples_bytes,
+            "the base's parts partition its bytes"
+        );
         assert_eq!(built.n_triples as usize, db.n_triples());
         assert_eq!(built.delta_bytes, 0, "no pending writes");
 

@@ -16,14 +16,10 @@ impl Triple {
         Triple { s, p, o }
     }
 
-    /// Sort keys for the six permutation orders.
+    /// Sort keys: SPO, and the two orders the permutation indexes keep.
     #[inline]
     pub fn key_spo(&self) -> (Oid, Oid, Oid) {
         (self.s, self.p, self.o)
-    }
-    #[inline]
-    pub fn key_sop(&self) -> (Oid, Oid, Oid) {
-        (self.s, self.o, self.p)
     }
     #[inline]
     pub fn key_pso(&self) -> (Oid, Oid, Oid) {
@@ -32,14 +28,6 @@ impl Triple {
     #[inline]
     pub fn key_pos(&self) -> (Oid, Oid, Oid) {
         (self.p, self.o, self.s)
-    }
-    #[inline]
-    pub fn key_osp(&self) -> (Oid, Oid, Oid) {
-        (self.o, self.s, self.p)
-    }
-    #[inline]
-    pub fn key_ops(&self) -> (Oid, Oid, Oid) {
-        (self.o, self.p, self.s)
     }
 }
 
@@ -74,6 +62,6 @@ mod tests {
     fn permutation_keys() {
         let t = Triple::new(Oid::iri(1), Oid::iri(2), Oid::iri(3));
         assert_eq!(t.key_pso(), (Oid::iri(2), Oid::iri(1), Oid::iri(3)));
-        assert_eq!(t.key_ops(), (Oid::iri(3), Oid::iri(2), Oid::iri(1)));
+        assert_eq!(t.key_pos(), (Oid::iri(2), Oid::iri(3), Oid::iri(1)));
     }
 }

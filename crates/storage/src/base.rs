@@ -14,22 +14,40 @@
 //! word arena:
 //!
 //! ```text
-//! [S][K][P][O 0][O 1]...[O m-1]
+//! [U][I][L][B][K][O 0][O 1]...[O m-1]
 //! ```
 //!
-//! * `S` — the subjects, one per triple: sorted, so one narrow FOR range.
+//! * `U` — the block's distinct subjects, in order: one narrow FOR range,
+//!   each subject stored once however many triples it has.
+//! * `I` — per subject, the id of its shape.
+//! * `L`, `B` — the block's shape table. A subject's shape is the sequence
+//!   of `K` positions of its triples in the block, a multi-valued
+//!   predicate repeated; `L` holds each shape's length, `B` their bodies
+//!   end to end. Subjects of one characteristic set share a shape, so a
+//!   block of a regular class holds a handful of shapes.
 //! * `K` — the block's `m` distinct predicates, in order of first
 //!   appearance, as indexes into one base-wide predicate table.
-//! * `P` — per triple, the position in `K` of its predicate.
 //! * `O j` — the objects of the block's triples with predicate `K[j]`, in
 //!   order. One predicate's objects share a type and usually a range, so
 //!   they pack narrow where a mixed object run would not.
 //!
-//! A directory holds each block's first triple and arena position. A
-//! subject's triples are found by binary search of the directory and then
-//! of the packed `S` run, which is never decoded; only the `P` prefix that
-//! ranks them and their own objects are. Whatever streams the base decodes
-//! one block at a time.
+//! A block decodes as: for each subject `U[i]`, one triple per entry `j` of
+//! its shape `I[i]`, with predicate `K[j]` and the next unread object of
+//! run `O j`. A subject split by a block boundary has a shape in each
+//! block, over its triples there.
+//!
+//! A directory holds each block's first subject and arena position. A
+//! lookup of subject `s` reads, per block that may hold it:
+//!
+//! 1. the directory, binary-searched for the first such block;
+//! 2. `U`, binary-searched in place for `s`'s index `i`;
+//! 3. `I` up to `i`, and the part of `L` and `B` those ids use (ids number
+//!    shapes in order of first appearance): the shapes of the `i` subjects
+//!    before `s` count, per predicate, the block's objects that come before
+//!    its own — its rank in each `O` run;
+//! 4. `s`'s shape, each object read in place at its rank.
+//!
+//! Whatever streams the base decodes one block at a time.
 
 use std::borrow::Cow;
 
@@ -37,7 +55,7 @@ use sordf_columnar::compress::{pack_run, PackedRun};
 use sordf_model::{FxHashMap, Oid, Triple};
 
 /// Triples per block of a [`PackedTriples`]. Larger blocks pack tighter
-/// (fewer run headers per triple) and cost a lookup a longer `P` prefix.
+/// (fewer run headers per triple) and cost a lookup a longer `I` prefix.
 pub const BLOCK: usize = 1024;
 
 /// A generation's base triples. See the [module docs](self).
@@ -122,6 +140,47 @@ impl BaseTriples {
             BaseTriples::Packed(p) => p.heap_bytes(),
         }
     }
+
+    /// [`BaseTriples::heap_bytes`], by part. A staging list's subject,
+    /// predicate and object columns count as subjects, predicates and
+    /// objects.
+    pub fn bytes_by_part(&self) -> BaseBytes {
+        match self {
+            BaseTriples::Staging(v) => {
+                let column = v.capacity() * std::mem::size_of::<Oid>();
+                BaseBytes {
+                    subjects: column,
+                    predicates: column,
+                    objects: column,
+                    ..BaseBytes::default()
+                }
+            }
+            BaseTriples::Packed(p) => p.bytes_by_part(),
+        }
+    }
+}
+
+/// Heap bytes of a base, by what they hold (see the
+/// [module docs](self#the-packed-form)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BaseBytes {
+    /// The `U` runs.
+    pub subjects: usize,
+    /// The `I`, `L` and `B` runs.
+    pub shapes: usize,
+    /// The `K` runs and the base-wide predicate table.
+    pub predicates: usize,
+    /// The `O` runs.
+    pub objects: usize,
+    /// Each block's first subject and arena position.
+    pub directory: usize,
+}
+
+impl BaseBytes {
+    /// Every part, summed.
+    pub fn total(&self) -> usize {
+        self.subjects + self.shapes + self.predicates + self.objects + self.directory
+    }
 }
 
 /// Iterator over a [`BaseTriples`].
@@ -153,11 +212,12 @@ impl ExactSizeIterator for BaseIter<'_> {}
 
 /// Resolves a batch of triples in subject order against a base: each
 /// subject's triples are found (and decoded) once, however many of the
-/// batch share the subject.
+/// batch share the subject, into buffers every lookup of the batch reuses.
 pub struct SubjectRows<'a> {
     base: &'a BaseTriples,
     subject: Option<Oid>,
     rows: Vec<Triple>,
+    lookup: Lookup<'a>,
 }
 
 impl<'a> SubjectRows<'a> {
@@ -166,6 +226,7 @@ impl<'a> SubjectRows<'a> {
             base,
             subject: None,
             rows: Vec::new(),
+            lookup: Lookup::default(),
         }
     }
 
@@ -173,7 +234,11 @@ impl<'a> SubjectRows<'a> {
     fn of(&mut self, s: Oid) -> &[Triple] {
         if self.subject != Some(s) {
             self.rows.clear();
-            self.base.of_subject(s, &mut self.rows);
+            let base: &'a BaseTriples = self.base;
+            match base {
+                BaseTriples::Packed(p) => p.rows_of(s, &mut self.lookup, &mut self.rows),
+                BaseTriples::Staging(_) => base.of_subject(s, &mut self.rows),
+            }
             self.subject = Some(s);
         }
         &self.rows
@@ -195,8 +260,8 @@ pub struct PackedTriples {
     /// Every predicate of the base, in order of first appearance: what `K`
     /// runs index.
     preds: Vec<Oid>,
-    /// First triple of every block.
-    firsts: Vec<Triple>,
+    /// First subject of every block.
+    firsts: Vec<Oid>,
     /// Arena position of every block's image.
     starts: Vec<usize>,
     arena: Vec<u64>,
@@ -204,22 +269,106 @@ pub struct PackedTriples {
 
 /// One block's runs up to its first object run.
 struct Block<'a> {
-    s: PackedRun<'a>,
+    u: PackedRun<'a>,
+    i: PackedRun<'a>,
+    l: PackedRun<'a>,
+    b: PackedRun<'a>,
     k: PackedRun<'a>,
-    p: PackedRun<'a>,
     /// Arena position of object run 0.
     o_at: usize,
+}
+
+/// The shape table of the block being packed: shape `h` is
+/// `body[at[h]..at[h] + len[h]]`, and `sig[h]` its [`signature`].
+#[derive(Default)]
+struct ShapeTable {
+    len: Vec<u64>,
+    at: Vec<usize>,
+    sig: Vec<u64>,
+    body: Vec<u64>,
+}
+
+/// A shape's length and the set of its `K` positions (modulo 53) in one
+/// word: two shapes that differ here differ, and comparing words is
+/// cheaper than comparing slices.
+fn signature(rows: &[u64]) -> u64 {
+    // The length is at most `BLOCK`, 2^10: it takes the low 11 bits.
+    debug_assert!(rows.len() < 1 << 11);
+    rows.iter()
+        .fold(rows.len() as u64, |sig, &j| sig | 1 << (11 + j % 53))
+}
+
+impl ShapeTable {
+    fn clear(&mut self) {
+        self.len.clear();
+        self.at.clear();
+        self.sig.clear();
+        self.body.clear();
+    }
+
+    fn shape(&self, h: usize) -> &[u64] {
+        &self.body[self.at[h]..self.at[h] + self.len[h] as usize]
+    }
+
+    /// The id of the shape `rows`, added when new. The previous subject's
+    /// shape is tried first (a class's subjects are consecutive), then
+    /// every other whose signature matches, by comparing slices: nothing
+    /// is hashed.
+    fn id_of(&mut self, rows: &[u64], prev: Option<u64>) -> u64 {
+        if let Some(h) = prev {
+            if self.shape(h as usize) == rows {
+                return h;
+            }
+        }
+        let sig = signature(rows);
+        let mut from = 0;
+        while let Some(d) = self.sig[from..].iter().position(|&x| x == sig) {
+            let h = from + d;
+            if self.shape(h) == rows {
+                return h as u64;
+            }
+            from = h + 1;
+        }
+        self.len.push(rows.len() as u64);
+        self.at.push(self.body.len());
+        self.sig.push(sig);
+        self.body.extend_from_slice(rows);
+        (self.len.len() - 1) as u64
+    }
 }
 
 /// Buffers a block decode reuses.
 #[derive(Default)]
 struct Scratch {
-    s: Vec<u64>,
+    u: Vec<u64>,
+    i: Vec<u64>,
+    l: Vec<u64>,
+    b: Vec<u64>,
     k: Vec<u64>,
-    p: Vec<u64>,
     o: Vec<u64>,
-    /// Per `K` position: the next unread object in `o`.
+    /// Per `K` position: its predicate, and the next unread object in `o`.
+    preds: Vec<Oid>,
     next: Vec<usize>,
+}
+
+/// Buffers a subject lookup reuses.
+#[derive(Default)]
+struct Lookup<'a> {
+    i: Vec<u64>,
+    l: Vec<u64>,
+    b: Vec<u64>,
+    k: Vec<u64>,
+    /// Per shape: how many subjects before the one looked up have it.
+    seen: Vec<usize>,
+    /// Per `K` position: the rank of the next object to read.
+    rank: Vec<usize>,
+    runs: Vec<PackedRun<'a>>,
+}
+
+/// Replace `out` with every value of `run`.
+fn decode_all(run: PackedRun<'_>, out: &mut Vec<u64>) {
+    out.clear();
+    run.decode_range(0, run.len(), out);
 }
 
 impl PackedTriples {
@@ -237,18 +386,23 @@ impl PackedTriples {
         let n_blocks = triples.len().div_ceil(BLOCK);
         let mut firsts = Vec::with_capacity(n_blocks);
         let mut starts = Vec::with_capacity(n_blocks);
-        let mut arena = Vec::with_capacity(triples.len() / 2);
-        let (mut k, mut vals, mut objs, mut bounds) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut arena = Vec::with_capacity(triples.len() / 3);
+        let (mut k, mut pos, mut subjects, mut ids, mut objs, mut bounds) = (
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        );
+        let mut shapes = ShapeTable::default();
         for block in triples.chunks(BLOCK) {
-            firsts.push(block[0]);
+            firsts.push(block[0].s);
             starts.push(arena.len());
-            vals.clear();
-            vals.extend(block.iter().map(|t| t.s.raw()));
-            pack_run(&vals, &mut arena);
-            // `K` in order of first appearance in the block.
+            // `K` in order of first appearance in the block, and each
+            // triple's position in it.
             k.clear();
-            vals.clear();
+            pos.clear();
             for t in block {
                 let g = *index.entry(t.p).or_insert_with(|| {
                     preds.push(t.p);
@@ -259,14 +413,30 @@ impl PackedTriples {
                     local[g] = k.len();
                     k.push(g as u64);
                 }
-                vals.push(local[g] as u64);
+                pos.push(local[g] as u64);
             }
+            // `U` and `I`: one shape per run of equal subjects.
+            subjects.clear();
+            ids.clear();
+            shapes.clear();
+            let mut from = 0;
+            for to in 1..=block.len() {
+                if to == block.len() || block[to].s != block[from].s {
+                    subjects.push(block[from].s.raw());
+                    let id = shapes.id_of(&pos[from..to], ids.last().copied());
+                    ids.push(id);
+                    from = to;
+                }
+            }
+            pack_run(&subjects, &mut arena);
+            pack_run(&ids, &mut arena);
+            pack_run(&shapes.len, &mut arena);
+            pack_run(&shapes.body, &mut arena);
             pack_run(&k, &mut arena);
-            pack_run(&vals, &mut arena);
             // Objects grouped by `K` position, stable (a counting sort).
             bounds.clear();
             bounds.resize(k.len() + 1, 0usize);
-            for &j in &vals {
+            for &j in &pos {
                 bounds[j as usize + 1] += 1;
             }
             for j in 0..k.len() {
@@ -274,7 +444,7 @@ impl PackedTriples {
             }
             objs.clear();
             objs.resize(block.len(), 0u64);
-            for (t, &j) in block.iter().zip(&vals) {
+            for (t, &j) in block.iter().zip(&pos) {
                 let at = &mut bounds[j as usize];
                 objs[*at] = t.o.raw();
                 *at += 1;
@@ -317,35 +487,65 @@ impl PackedTriples {
             rows: Vec::with_capacity(BLOCK.min(self.len)),
             at: 0,
             left: self.len,
-            scratch: Scratch::default(),
+            scratch: Box::default(),
         }
     }
 
     /// Heap bytes of every buffer this holds (their capacities).
     pub fn heap_bytes(&self) -> usize {
         self.preds.capacity() * std::mem::size_of::<Oid>()
-            + self.firsts.capacity() * std::mem::size_of::<Triple>()
+            + self.firsts.capacity() * std::mem::size_of::<Oid>()
             + self.starts.capacity() * std::mem::size_of::<usize>()
             + self.arena.capacity() * std::mem::size_of::<u64>()
     }
 
+    /// [`PackedTriples::heap_bytes`], by part: every run of every block is
+    /// measured where it lies in the arena.
+    pub fn bytes_by_part(&self) -> BaseBytes {
+        let word = std::mem::size_of::<u64>();
+        let mut parts = BaseBytes {
+            predicates: self.preds.capacity() * std::mem::size_of::<Oid>(),
+            directory: self.firsts.capacity() * std::mem::size_of::<Oid>()
+                + self.starts.capacity() * std::mem::size_of::<usize>(),
+            ..BaseBytes::default()
+        };
+        for (b, &start) in self.starts.iter().enumerate() {
+            let mut at = start;
+            parts.subjects += next_run(&self.arena, &mut at) * word;
+            for _ in 0..3 {
+                parts.shapes += next_run(&self.arena, &mut at) * word;
+            }
+            parts.predicates += next_run(&self.arena, &mut at) * word;
+            let end = self.starts.get(b + 1).copied().unwrap_or(self.arena.len());
+            parts.objects += (end - at) * word;
+        }
+        parts
+    }
+
     fn block(&self, b: usize) -> Block<'_> {
-        let (s, at) = PackedRun::at(&self.arena, self.starts[b]);
-        let (k, at) = PackedRun::at(&self.arena, at);
-        let (p, o_at) = PackedRun::at(&self.arena, at);
-        Block { s, k, p, o_at }
+        let (u, at) = PackedRun::at(&self.arena, self.starts[b]);
+        let (i, at) = PackedRun::at(&self.arena, at);
+        let (l, at) = PackedRun::at(&self.arena, at);
+        let (b, at) = PackedRun::at(&self.arena, at);
+        let (k, o_at) = PackedRun::at(&self.arena, at);
+        Block {
+            u,
+            i,
+            l,
+            b,
+            k,
+            o_at,
+        }
     }
 
     /// Append block `b`'s triples to `out`.
     fn decode_block(&self, b: usize, sc: &mut Scratch, out: &mut Vec<Triple>) {
         let block = self.block(b);
-        let n = block.s.len();
-        sc.s.clear();
-        block.s.decode_range(0, n, &mut sc.s);
-        sc.k.clear();
-        block.k.decode_range(0, block.k.len(), &mut sc.k);
-        sc.p.clear();
-        block.p.decode_range(0, n, &mut sc.p);
+        decode_all(block.u, &mut sc.u);
+        decode_all(block.i, &mut sc.i);
+        decode_all(block.l, &mut sc.l);
+        decode_all(block.b, &mut sc.b);
+        decode_all(block.k, &mut sc.k);
         sc.o.clear();
         sc.next.clear();
         let mut at = block.o_at;
@@ -355,67 +555,121 @@ impl PackedTriples {
             run.decode_range(0, run.len(), &mut sc.o);
             at = next;
         }
-        out.extend(sc.s.iter().zip(&sc.p).map(|(&s, &j)| {
-            let j = j as usize;
-            let o = sc.o[sc.next[j]];
-            sc.next[j] += 1;
-            Triple::new(
-                Oid::from_raw(s),
-                self.preds[sc.k[j] as usize],
-                Oid::from_raw(o),
-            )
-        }));
+        sc.preds.clear();
+        sc.preds
+            .extend(sc.k.iter().map(|&g| self.preds[g as usize]));
+        // Each shape's body, as a `B` range: `L` read as ends.
+        let mut end = 0;
+        for n in &mut sc.l {
+            end += *n;
+            *n = end;
+        }
+        out.reserve(sc.o.len());
+        for (&s, &h) in sc.u.iter().zip(&sc.i) {
+            let h = h as usize;
+            let from = if h == 0 { 0 } else { sc.l[h - 1] as usize };
+            for &j in &sc.b[from..sc.l[h] as usize] {
+                let j = j as usize;
+                let o = sc.o[sc.next[j]];
+                sc.next[j] += 1;
+                out.push(Triple::new(Oid::from_raw(s), sc.preds[j], Oid::from_raw(o)));
+            }
+        }
     }
 
     /// Append the triples of subject `s` to `out`, in SPO order.
     pub fn of_subject(&self, s: Oid, out: &mut Vec<Triple>) {
+        self.rows_of(s, &mut Lookup::default(), out);
+    }
+
+    /// [`PackedTriples::of_subject`] into buffers the caller keeps.
+    fn rows_of<'a>(&'a self, s: Oid, sc: &mut Lookup<'a>, out: &mut Vec<Triple>) {
         // The last block starting before `s` may end in it; later blocks
         // hold it while they start with it.
-        let first = self.firsts.partition_point(|f| f.s < s).saturating_sub(1);
+        let first = self.firsts.partition_point(|&f| f < s).saturating_sub(1);
         for b in first..self.firsts.len() {
-            if self.firsts[b].s > s {
+            if self.firsts[b] > s {
                 break;
             }
             let block = self.block(b);
-            let n = block.s.len();
-            let lo = block.s.partition_point(0, n, |x| x < s.raw());
-            let hi = block.s.partition_point(lo, n, |x| x <= s.raw());
-            self.decode_rows(&block, lo, hi, s, out);
-            if hi < n {
+            let n = block.u.len();
+            let i = block.u.partition_point(0, n, |x| x < s.raw());
+            if i == n {
+                continue;
+            }
+            if block.u.get(i) != s.raw() {
+                break;
+            }
+            self.subject_rows(&block, i, s, sc, out);
+            if i + 1 < n {
                 break;
             }
         }
     }
 
-    /// Append rows `lo..hi` of `block`, all of subject `s`, to `out`. A
-    /// row's object is its rank among the block's rows of its predicate, so
-    /// the `P` prefix up to `hi` is decoded; the objects are read in place.
-    fn decode_rows(&self, block: &Block<'_>, lo: usize, hi: usize, s: Oid, out: &mut Vec<Triple>) {
-        if lo == hi {
-            return;
+    /// Append the triples of `s`, subject `i` of `block`, to `out`: the
+    /// shapes of subjects `0..i` rank its objects, which are read in place.
+    fn subject_rows<'a>(
+        &'a self,
+        block: &Block<'a>,
+        i: usize,
+        s: Oid,
+        sc: &mut Lookup<'a>,
+        out: &mut Vec<Triple>,
+    ) {
+        sc.i.clear();
+        block.i.decode_range(0, i + 1, &mut sc.i);
+        // Shape ids number shapes in order of first appearance, so subjects
+        // `0..=i` use only the first `used` shapes of the table.
+        let used = sc.i.iter().max().map_or(0, |&h| h as usize + 1);
+        sc.l.clear();
+        block.l.decode_range(0, used, &mut sc.l);
+        let body_len = sc.l.iter().sum::<u64>() as usize;
+        sc.b.clear();
+        block.b.decode_range(0, body_len, &mut sc.b);
+        decode_all(block.k, &mut sc.k);
+        sc.seen.clear();
+        sc.seen.resize(used, 0);
+        for &h in &sc.i[..i] {
+            sc.seen[h as usize] += 1;
         }
-        let mut k = Vec::with_capacity(block.k.len());
-        block.k.decode_range(0, block.k.len(), &mut k);
-        let mut p = Vec::with_capacity(hi);
-        block.p.decode_range(0, hi, &mut p);
-        let mut rank = vec![0usize; k.len()];
-        for &j in &p[..lo] {
-            rank[j as usize] += 1;
+        sc.rank.clear();
+        sc.rank.resize(sc.k.len(), 0);
+        let (mut from, mut body) = (0, 0..0);
+        for (h, &n) in sc.l.iter().enumerate() {
+            let shape = from..from + n as usize;
+            if sc.seen[h] > 0 {
+                for &j in &sc.b[shape.clone()] {
+                    sc.rank[j as usize] += sc.seen[h];
+                }
+            }
+            if h as u64 == sc.i[i] {
+                body = shape.clone();
+            }
+            from = shape.end;
         }
-        let mut runs = Vec::with_capacity(k.len());
+        sc.runs.clear();
         let mut at = block.o_at;
-        for _ in 0..k.len() {
+        for _ in 0..sc.k.len() {
             let (run, next) = PackedRun::at(&self.arena, at);
-            runs.push(run);
+            sc.runs.push(run);
             at = next;
         }
-        out.extend(p[lo..].iter().map(|&j| {
+        out.extend(sc.b[body].iter().map(|&j| {
             let j = j as usize;
-            let o = runs[j].get(rank[j]);
-            rank[j] += 1;
-            Triple::new(s, self.preds[k[j] as usize], Oid::from_raw(o))
+            let o = sc.runs[j].get(sc.rank[j]);
+            sc.rank[j] += 1;
+            Triple::new(s, self.preds[sc.k[j] as usize], Oid::from_raw(o))
         }));
     }
+}
+
+/// Words of the run at `*at`, and `*at` moved past it.
+fn next_run(arena: &[u64], at: &mut usize) -> usize {
+    let (_, next) = PackedRun::at(arena, *at);
+    let words = next - *at;
+    *at = next;
+    words
 }
 
 /// Iterator over a [`PackedTriples`], one decoded block at a time.
@@ -426,7 +680,8 @@ pub struct Iter<'a> {
     rows: Vec<Triple>,
     at: usize,
     left: usize,
-    scratch: Scratch,
+    /// Boxed, so that an iterator (and a `BaseIter`) stays a few words.
+    scratch: Box<Scratch>,
 }
 
 impl Iterator for Iter<'_> {
@@ -526,5 +781,34 @@ mod tests {
         assert_eq!(packed, BaseTriples::Staging(vec![t(1, 1, 1), t(0, 0, 0)]));
         staged.staging_mut().clear();
         assert!(staged.is_empty());
+    }
+
+    #[test]
+    fn the_parts_of_a_base_sum_to_its_heap_bytes() {
+        // One class of 4 000 subjects sharing a shape with a multi-valued
+        // predicate, then subjects with shapes of their own.
+        let mut v = Vec::new();
+        for s in 0..4000u64 {
+            v.extend([t(s, 10, s), t(s, 11, 5), t(s, 11, 6), t(s, 12, s * 3)]);
+        }
+        for s in 4000..4100u64 {
+            v.extend((0..s % 7).map(|p| t(s, 20 + p * (s % 3), s)));
+        }
+        v.sort_unstable();
+        let packed = PackedTriples::from_sorted(&v);
+        let parts = packed.bytes_by_part();
+        assert_eq!(parts.total(), packed.heap_bytes(), "{parts:?}");
+        assert!(parts.objects > 0 && parts.directory > 0, "{parts:?}");
+        // A subject is stored once, its shape as a few bits.
+        let per_triple = |b: usize| b as f64 / v.len() as f64;
+        assert!(per_triple(parts.subjects) < 0.5, "{parts:?}");
+        assert!(per_triple(parts.shapes) < 0.2, "{parts:?}");
+        let staged = BaseTriples::Staging(v);
+        assert_eq!(staged.bytes_by_part().total(), staged.heap_bytes());
+        assert_eq!(
+            BaseTriples::Packed(packed).bytes_by_part(),
+            parts,
+            "a packed base reports its own parts"
+        );
     }
 }

@@ -1,20 +1,26 @@
-//! The exhaustive-indexing baseline store (MonetDB+HSP / RDF-3X layout).
+//! The permutation-indexed triple table: the baseline store (MonetDB+HSP /
+//! RDF-3X layout) and the irregular remainder of a clustered database.
 
 use crate::perm::{Order, PermIndex};
 use sordf_columnar::{BufferPool, DiskManager, PageLease};
 use sordf_model::{Oid, Triple};
 use std::sync::Arc;
 
-/// All six sorted permutation projections over one triple table.
+/// Sorted permutation projections over one triple table: the orders the
+/// engine reads, PSO (a predicate's subject-sorted pairs) and POS (a
+/// predicate's object-sorted pairs).
 ///
 /// This is the paper's baseline: "current state-of-the-art RDF stores such
 /// as RDF-3X create exhaustive indexes for all permutations" — plenty of
 /// access paths, none of which gives the locality of a clustered relational
-/// table. The same structure (over far fewer triples) stores the *irregular*
+/// table. Every plan over it starts from a predicate, so the four orders
+/// that lead with a subject or an object would be built and never read.
+/// The same structure (over far fewer triples) stores the *irregular*
 /// remainder of a clustered database.
 #[derive(Debug, Clone)]
 pub struct BaselineStore {
-    perms: Vec<PermIndex>,
+    /// One projection per [`Order`], at its position in [`Order::ALL`].
+    perms: [PermIndex; 2],
     n_triples: usize,
     /// Leases this store's pages from the disk manager: when the last clone
     /// (i.e. the last generation pin referencing this store) drops, the
@@ -24,12 +30,9 @@ pub struct BaselineStore {
 }
 
 impl BaselineStore {
-    /// Build all six projections.
+    /// Build every projection.
     pub fn build(disk: &Arc<DiskManager>, triples: &[Triple]) -> BaselineStore {
-        let perms: Vec<PermIndex> = Order::ALL
-            .iter()
-            .map(|&o| PermIndex::build(disk, triples, o))
-            .collect();
+        let perms = Order::ALL.map(|o| PermIndex::build(disk, triples, o));
         let mut pages = Vec::new();
         for perm in &perms {
             for i in 0..3 {
@@ -43,7 +46,7 @@ impl BaselineStore {
         }
     }
 
-    /// Bytes a scan of all six projections must touch (encoded size).
+    /// Bytes a scan of every projection must touch (encoded size).
     pub fn used_bytes(&self) -> usize {
         self.perms.iter().map(|p| p.used_bytes()).sum()
     }
@@ -64,13 +67,7 @@ impl BaselineStore {
 
     /// The projection sorted under `order`.
     pub fn perm(&self, order: Order) -> &PermIndex {
-        // sordf-lint: allow(L3) — Order::ALL enumerates every Order variant, so position always hits.
-        &self.perms[Order::ALL.iter().position(|&o| o == order).unwrap()]
-    }
-
-    /// Does the store contain this exact triple?
-    pub fn contains(&self, pool: &BufferPool, t: &Triple) -> bool {
-        !self.perm(Order::Spo).range3(pool, t.s, t.p, t.o).is_empty()
+        &self.perms[order as usize]
     }
 
     /// All (s, o) pairs for predicate `p`, s-sorted (a PSO scan).
@@ -109,12 +106,11 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_scan() {
+    fn pso_scan() {
         let triples = vec![t(1, 10, 100), t(2, 10, 101), t(1, 11, 102)];
         let (_dm, pool, store) = setup(&triples);
         assert_eq!(store.len(), 3);
-        assert!(store.contains(&pool, &triples[0]));
-        assert!(!store.contains(&pool, &t(9, 9, 9)));
+        assert!(store.scan_p(&pool, Oid::iri(9)).is_empty());
         let scan = store.scan_p(&pool, Oid::iri(10));
         assert_eq!(
             scan,

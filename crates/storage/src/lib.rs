@@ -3,9 +3,9 @@
 //! Physical RDF storage in two generations, mirroring the paper:
 //!
 //! * **ParseOrder / exhaustive indexing** ([`BaselineStore`]) — the
-//!   MonetDB+HSP / RDF-3X layout: six sorted permutation projections
-//!   (SPO, SOP, PSO, POS, OSP, OPS) of the full triple table, stored as
-//!   paged columns. OIDs are assigned in order of appearance, so storage
+//!   MonetDB+HSP / RDF-3X layout: sorted permutation projections of the
+//!   full triple table (PSO and POS, the two orders a plan reads), stored
+//!   as paged columns. OIDs are assigned in order of appearance, so storage
 //!   order is uncorrelated with access paths — the paper's "direct cause of
 //!   non-locality in RDF query plans".
 //!
@@ -37,7 +37,7 @@ pub mod reorg;
 pub mod triple_set;
 pub mod wal;
 
-pub use base::{BaseTriples, PackedTriples, SubjectRows};
+pub use base::{BaseBytes, BaseTriples, PackedTriples, SubjectRows};
 pub use baseline::BaselineStore;
 pub use clustered::{build_clustered, ClassSegment, ClusteredStore, MultiTable};
 pub use delta::{DeltaStore, DeltaView, DeltaWrite, Snapshot};

@@ -1,6 +1,6 @@
 //! Sorted permutation projections of the triple table.
 //!
-//! A [`PermIndex`] stores one of the six (S,P,O) orders as three aligned
+//! A [`PermIndex`] stores one (S,P,O) order as three aligned
 //! paged columns, sorted lexicographically by (key0, key1, key2). Prefix
 //! lookups use zone-map-assisted binary search: `range1(a)` finds the run of
 //! rows with key0 = a, `range2(a, b)` narrows to key1 = b, and
@@ -11,49 +11,31 @@ use sordf_columnar::{BufferPool, Column, ColumnBuilder, DiskManager};
 use sordf_model::{Oid, Triple};
 use std::ops::Range;
 
-/// One of the six sort orders.
+/// A sort order of a permutation projection: the two that lead with the
+/// predicate, the only ones a plan reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Order {
-    Spo,
-    Sop,
     Pso,
     Pos,
-    Osp,
-    Ops,
 }
 
 impl Order {
-    /// All six orders (the "exhaustive indexing" set).
-    pub const ALL: [Order; 6] = [
-        Order::Spo,
-        Order::Sop,
-        Order::Pso,
-        Order::Pos,
-        Order::Osp,
-        Order::Ops,
-    ];
+    /// Every order, in the position [`crate::BaselineStore`] builds it.
+    pub const ALL: [Order; 2] = [Order::Pso, Order::Pos];
 
     /// The sort key of a triple under this order.
     #[inline]
     pub fn key(self, t: &Triple) -> (Oid, Oid, Oid) {
         match self {
-            Order::Spo => t.key_spo(),
-            Order::Sop => t.key_sop(),
             Order::Pso => t.key_pso(),
             Order::Pos => t.key_pos(),
-            Order::Osp => t.key_osp(),
-            Order::Ops => t.key_ops(),
         }
     }
 
     pub fn name(self) -> &'static str {
         match self {
-            Order::Spo => "SPO",
-            Order::Sop => "SOP",
             Order::Pso => "PSO",
             Order::Pos => "POS",
-            Order::Osp => "OSP",
-            Order::Ops => "OPS",
         }
     }
 }
@@ -213,15 +195,15 @@ mod tests {
     #[test]
     fn range2_and_range3() {
         let triples = vec![t(1, 10, 5), t(1, 10, 6), t(1, 11, 7), t(2, 10, 5)];
-        let (_dm, pool, idx) = setup(&triples, Order::Spo);
-        assert_eq!(idx.range2(&pool, Oid::iri(1), Oid::iri(10)).len(), 2);
+        let (_dm, pool, idx) = setup(&triples, Order::Pso);
+        assert_eq!(idx.range2(&pool, Oid::iri(10), Oid::iri(1)).len(), 2);
         assert_eq!(
-            idx.range3(&pool, Oid::iri(1), Oid::iri(10), Oid::iri(6))
+            idx.range3(&pool, Oid::iri(10), Oid::iri(1), Oid::iri(6))
                 .len(),
             1
         );
         assert!(idx
-            .range3(&pool, Oid::iri(1), Oid::iri(10), Oid::iri(7))
+            .range3(&pool, Oid::iri(10), Oid::iri(1), Oid::iri(7))
             .is_empty());
     }
 

@@ -9,6 +9,14 @@
 //! must equal the one the sorted slice gives: iteration, `of_subject`,
 //! `occurrences`, `contains`, and the delta fold (`visible_base`,
 //! `fold_delta`) under tombstones and inserts.
+//!
+//! A block stores each subject once with the id of its shape (the
+//! sequence of its predicates there), so the lists also come in the forms
+//! that stress the shape table: regular classes of consecutive subjects
+//! sharing one to three predicate sequences with multi-valued properties;
+//! one class whose subjects every block boundary cuts in two; blocks in
+//! which every subject has a shape of its own; subjects with gaps and of
+//! mixed tags. Every base's parts sum to its heap bytes.
 
 use proptest::prelude::*;
 use sordf_model::oid::PAYLOAD_MASK;
@@ -50,6 +58,9 @@ fn oid(rng: &mut Mix, domain: u64) -> Oid {
 /// One SPO-sorted base of the given shape.
 fn base(seed: u64, shape: u8) -> Vec<Triple> {
     let mut rng = Mix(seed);
+    if shape >= 6 {
+        return classes(&mut rng, shape);
+    }
     let (n, n_preds, domain) = match shape {
         0 => (0, 1, 1),
         1 => (1, 1, 4),
@@ -89,6 +100,85 @@ fn base(seed: u64, shape: u8) -> Vec<Triple> {
     v
 }
 
+/// A predicate sequence: sorted predicates, some multi-valued.
+fn sequence(rng: &mut Mix, preds: &[Oid], min: usize) -> Vec<Oid> {
+    let mut seq = Vec::new();
+    for &p in preds {
+        if seq.len() < min || rng.below(3) == 0 {
+            let values = if rng.below(4) == 0 {
+                2 + rng.below(3)
+            } else {
+                1
+            };
+            seq.extend((0..values).map(|_| p));
+        }
+    }
+    seq
+}
+
+/// The class-like shapes of [`base`]:
+/// * 6 — regular classes: runs of consecutive subjects, each sharing one
+///   to three predicate sequences with multi-valued properties;
+/// * 7 — one class of 3 to 13 triples a subject, so block boundaries cut
+///   a subject's shape in two;
+/// * 8 — every subject of a block with a shape of its own (its predicates
+///   are the bits of a counter);
+/// * 9 — subjects with gaps and of mixed tags, over a few sequences.
+fn classes(rng: &mut Mix, shape: u8) -> Vec<Triple> {
+    let n = BLOCK + rng.below(3 * BLOCK as u64) as usize;
+    let preds: Vec<Oid> = (0..12).map(|i| Oid::iri(i * 5 + 3)).collect();
+    let mut v = Vec::with_capacity(n + 64);
+    let mut payload = rng.below(1 << 20);
+    let push = |v: &mut Vec<Triple>, rng: &mut Mix, s: Oid, seq: &[Oid]| {
+        v.extend(seq.iter().map(|&p| Triple::new(s, p, oid(rng, 1 << 10))));
+    };
+    match shape {
+        6 => {
+            while v.len() < n {
+                let seqs: Vec<Vec<Oid>> = (0..1 + rng.below(3))
+                    .map(|_| sequence(rng, &preds, 3))
+                    .collect();
+                for _ in 0..1 + rng.below(200) {
+                    let seq = &seqs[rng.below(seqs.len() as u64) as usize];
+                    push(&mut v, rng, Oid::iri(payload), seq);
+                    payload += 1;
+                }
+            }
+        }
+        7 => {
+            let width = 3 + rng.below(11) as usize;
+            let seq: Vec<Oid> = (0..width).map(|i| preds[i * preds.len() / width]).collect();
+            while v.len() < n {
+                push(&mut v, rng, Oid::iri(payload), &seq);
+                payload += 1;
+            }
+        }
+        8 => {
+            let mut counter = 1u64;
+            while v.len() < n {
+                let seq: Vec<Oid> = (0..preds.len())
+                    .filter(|&i| counter >> i & 1 == 1)
+                    .map(|i| preds[i])
+                    .collect();
+                push(&mut v, rng, Oid::iri(payload), &seq);
+                payload += 1;
+                counter = counter % ((1 << preds.len()) - 1) + 1;
+            }
+        }
+        _ => {
+            let seqs: Vec<Vec<Oid>> = (0..4).map(|_| sequence(rng, &preds, 1)).collect();
+            while v.len() < n {
+                let tag = TypeTag::ALL[rng.below(8) as usize];
+                let seq = &seqs[rng.below(seqs.len() as u64) as usize];
+                push(&mut v, rng, Oid::new(tag, payload), seq);
+                payload += 1 + rng.below(1000);
+            }
+        }
+    }
+    v.sort_unstable();
+    v
+}
+
 fn rows_of(v: &[Triple], s: Oid) -> Vec<Triple> {
     v.iter().copied().filter(|t| t.s == s).collect()
 }
@@ -102,17 +192,25 @@ fn raw(v: impl IntoIterator<Item = Triple>) -> Vec<[u64; 3]> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn the_packed_base_answers_what_the_slice_answers(
         seed in any::<u64>(),
-        shape in 0u8..6,
+        shape in 0u8..10,
         probe_seed in any::<u64>(),
     ) {
         let v = base(seed, shape);
         let packed = PackedTriples::from_sorted(&v);
         prop_assert_eq!(packed.len(), v.len());
+        let parts = packed.bytes_by_part();
+        prop_assert_eq!(parts.total(), packed.heap_bytes());
+        if shape == 7 {
+            // One shared shape: subjects and shapes take less than a
+            // subject run of one FOR value a triple would (9+ bits here).
+            let per_triple = (parts.subjects + parts.shapes) as f64 / v.len() as f64;
+            prop_assert!(per_triple < 0.75, "{:?} over {} triples", parts, v.len());
+        }
         prop_assert_eq!(packed.iter().len(), v.len());
         let base = BaseTriples::Packed(packed);
         prop_assert_eq!(raw(base.iter()), raw(v.iter().copied()));
