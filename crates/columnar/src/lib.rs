@@ -12,13 +12,11 @@
 //!   pages, with per-page [`ZoneMap`]s (min/max/null-count) built at write
 //!   time, chunked access for vectorized operators, and binary search over
 //!   sorted columns.
-//! * [`Bitmap`] — packed bitsets used for NULL masks and selection vectors.
 //!
 //! Every access to stored data in the engine goes through a [`BufferPool`],
 //! so the paper's locality arguments (how many pages a plan touches) are
 //! directly measurable via [`PoolStats`].
 
-pub mod bitmap;
 pub mod column;
 pub mod compress;
 pub mod disk;
@@ -26,7 +24,6 @@ pub mod fault;
 pub mod pool;
 pub mod zonemap;
 
-pub use bitmap::Bitmap;
 pub use column::Chunk;
 pub use column::{Column, ColumnBuilder};
 pub use compress::PageEnc;

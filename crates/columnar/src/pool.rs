@@ -197,13 +197,6 @@ impl BufferPool {
         PageGuard { data: self.get(id) }
     }
 
-    /// Fallible [`BufferPool::pin`].
-    pub fn try_pin(&self, id: PageId) -> Result<PageGuard, ModelError> {
-        Ok(PageGuard {
-            data: self.try_get(id)?,
-        })
-    }
-
     /// Fetch a page, from cache or disk. The returned `Arc` stays valid even
     /// if the page is evicted while in use.
     ///

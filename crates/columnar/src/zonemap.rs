@@ -86,16 +86,6 @@ impl ZoneMap {
             .map(|p| p.max)
             .max()
     }
-
-    /// Fraction of pages that `[lo, hi]` can skip (the pruning power metric
-    /// reported by the zone-map ablation bench).
-    pub fn skip_fraction(&self, lo: u64, hi: u64) -> f64 {
-        if self.pages.is_empty() {
-            return 0.0;
-        }
-        let kept = self.candidate_pages(lo, hi).len();
-        1.0 - kept as f64 / self.pages.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +130,6 @@ mod tests {
         let z = zm(&[(0, 9), (10, 19), (20, 29), (30, 39)]);
         assert_eq!(z.candidate_pages(12, 22), vec![1, 2]);
         assert_eq!(z.candidate_pages(100, 200), Vec::<usize>::new());
-        assert_eq!(z.skip_fraction(12, 22), 0.5);
         assert_eq!(z.global_min(), Some(0));
         assert_eq!(z.global_max(), Some(39));
     }

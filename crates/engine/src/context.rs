@@ -60,10 +60,6 @@ pub enum StorageRef<'a> {
 }
 
 impl<'a> StorageRef<'a> {
-    pub fn is_clustered(&self) -> bool {
-        matches!(self, StorageRef::Clustered { .. })
-    }
-
     pub fn schema(&self) -> Option<&'a EmergentSchema> {
         match self {
             StorageRef::Baseline(_) => None,

@@ -97,19 +97,6 @@ impl Table {
         self.cols.iter().map(|c| c[i]).collect()
     }
 
-    /// Sort rows by the given column (stable), updating `sorted_by`.
-    pub fn sort_by_col(&mut self, col: usize) {
-        if self.sorted_by == Some(col) || self.len() <= 1 {
-            self.sorted_by = Some(col);
-            return;
-        }
-        let mut perm: Vec<usize> = (0..self.len()).collect();
-        let key = &self.cols[col];
-        perm.sort_by_key(|&i| key[i]);
-        self.apply_perm(&perm);
-        self.sorted_by = Some(col);
-    }
-
     /// Reorder all columns by `perm` (row `i` of the result is old row
     /// `perm[i]`).
     pub fn apply_perm(&mut self, perm: &[usize]) {
@@ -153,36 +140,6 @@ impl Table {
         v
     }
 
-    /// Remove duplicate rows (sorts internally).
-    pub fn dedup_rows(&mut self) {
-        let n = self.len();
-        if n <= 1 {
-            return;
-        }
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.sort_by(|&a, &b| {
-            for c in &self.cols {
-                match c[a].cmp(&c[b]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        let mut keep_rows: Vec<usize> = Vec::with_capacity(n);
-        for (k, &i) in perm.iter().enumerate() {
-            let dup = k > 0 && {
-                let j = perm[k - 1];
-                self.cols.iter().all(|c| c[i] == c[j])
-            };
-            if !dup {
-                keep_rows.push(i);
-            }
-        }
-        self.apply_perm(&keep_rows);
-        self.sorted_by = None;
-    }
-
     /// Concatenate another table with the same variable layout. Appending
     /// to an empty table takes the other's columns over instead of copying
     /// them (the single non-empty partial of a star scan).
@@ -215,7 +172,7 @@ mod tests {
     #[test]
     fn sort_and_project() {
         let mut t = t3();
-        t.sort_by_col(0);
+        t.apply_perm(&[1, 2, 0]);
         assert_eq!(t.cols[0], vec![Oid::iri(1), Oid::iri(2), Oid::iri(3)]);
         assert_eq!(t.cols[1], vec![Oid::iri(10), Oid::iri(20), Oid::iri(30)]);
         let p = t.project(&[VarId(1)]);
@@ -228,19 +185,6 @@ mod tests {
         t.retain_rows(&[true, false, true]);
         assert_eq!(t.len(), 2);
         assert_eq!(t.distinct_col(0), vec![Oid::iri(2), Oid::iri(3)]);
-    }
-
-    #[test]
-    fn dedup_rows_removes_duplicates() {
-        let mut t = Table::empty(vec![VarId(0)]);
-        for x in [3u64, 1, 3, 2, 1] {
-            t.push_row(&[Oid::iri(x)]);
-        }
-        t.dedup_rows();
-        assert_eq!(t.len(), 3);
-        let mut vals = t.cols[0].clone();
-        vals.sort_unstable();
-        assert_eq!(vals, vec![Oid::iri(1), Oid::iri(2), Oid::iri(3)]);
     }
 
     #[test]

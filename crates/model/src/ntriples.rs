@@ -13,28 +13,13 @@ use crate::error::ModelError;
 use crate::term::{parse_decimal, Term, Value};
 use crate::triple::TermTriple;
 use crate::vocab;
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Parse a full N-Triples document, returning all triples.
 pub fn parse_document(text: &str) -> Result<Vec<TermTriple>, ModelError> {
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if let Some(t) = parse_line(line, lineno + 1)? {
-            out.push(t);
-        }
-    }
-    Ok(out)
-}
-
-/// Parse from any buffered reader (streaming, one line at a time).
-pub fn parse_reader<R: BufRead>(reader: R) -> Result<Vec<TermTriple>, ModelError> {
-    let mut out = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| ModelError::Parse {
-            line: lineno + 1,
-            msg: e.to_string(),
-        })?;
-        if let Some(t) = parse_line(&line, lineno + 1)? {
             out.push(t);
         }
     }

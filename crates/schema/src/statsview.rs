@@ -14,7 +14,7 @@
 //! or a schema-index walk — no locks, no allocation beyond the pending
 //! vector handed in.
 
-use crate::types::{ColStats, EmergentSchema};
+use crate::types::EmergentSchema;
 use sordf_model::Oid;
 
 /// A borrowed statistics snapshot over a (possibly absent) emergent schema
@@ -49,11 +49,6 @@ impl<'a> StatsView<'a> {
         self
     }
 
-    /// Is a discovered schema backing this view?
-    pub fn has_schema(&self) -> bool {
-        self.schema.is_some()
-    }
-
     pub fn schema(&self) -> Option<&'a EmergentSchema> {
         self.schema
     }
@@ -64,11 +59,6 @@ impl<'a> StatsView<'a> {
             Ok(i) => self.pending[i].1,
             Err(_) => 0,
         }
-    }
-
-    /// Total visible pending inserts.
-    pub fn n_pending(&self) -> u64 {
-        self.pending.iter().map(|&(_, n)| n).sum()
     }
 
     /// Base (schema-resident) triples with this predicate: the summed
@@ -101,34 +91,6 @@ impl<'a> StatsView<'a> {
         }
         d + self.pending_for(pred)
     }
-
-    /// Column statistics for this predicate merged across every class that
-    /// carries it: summed counts, summed distincts (an upper bound), merged
-    /// min/max. `None` when no schema or no class has the predicate.
-    pub fn merged_col_stats(&self, pred: Oid) -> Option<ColStats> {
-        let schema = self.schema?;
-        let mut out: Option<ColStats> = None;
-        let mut merge = |s: &ColStats| {
-            let acc = out.get_or_insert_with(ColStats::default);
-            acc.n_nonnull += s.n_nonnull;
-            acc.n_distinct += s.n_distinct;
-            acc.min = match (acc.min, s.min) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            acc.max = match (acc.max, s.max) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-        };
-        for (class, ci) in schema.classes_with_column(pred) {
-            merge(&schema.class(class).columns[ci].stats);
-        }
-        for (class, mi) in schema.classes_with_multi(pred) {
-            merge(&schema.class(class).multi_props[mi].stats);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -142,11 +104,9 @@ mod tests {
             (Oid::iri(7), 2),
             (Oid::iri(9), 1),
         ]);
-        assert!(!sv.has_schema());
+        assert!(sv.schema().is_none());
         assert_eq!(sv.pending_for(Oid::iri(7)), 2);
         assert_eq!(sv.pending_for(Oid::iri(4)), 0);
-        assert_eq!(sv.n_pending(), 8);
         assert_eq!(sv.regular_pred_cardinality(Oid::iri(3)), 0);
-        assert!(sv.merged_col_stats(Oid::iri(3)).is_none());
     }
 }

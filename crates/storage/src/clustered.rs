@@ -148,16 +148,6 @@ impl ClusteredStore {
         &self.segments[class.0 as usize]
     }
 
-    /// Find the segment containing subject `s`, if any.
-    pub fn segment_of_subject(&self, pool: &BufferPool, s: Oid) -> Option<(&ClassSegment, usize)> {
-        for seg in &self.segments {
-            if let Some(row) = seg.row_of(pool, s) {
-                return Some((seg, row));
-            }
-        }
-        None
-    }
-
     /// Total triples stored (regular + irregular).
     pub fn n_triples(&self) -> usize {
         self.n_regular + self.irregular.len()

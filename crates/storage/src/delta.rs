@@ -173,17 +173,6 @@ impl DeltaView {
         out
     }
 
-    /// All distinct predicates with visible inserts (ascending).
-    pub fn insert_preds(&self) -> Vec<Oid> {
-        let mut out = Vec::new();
-        for t in &self.inserts_pso {
-            if out.last() != Some(&t.p) {
-                out.push(t.p);
-            }
-        }
-        out
-    }
-
     /// Visible insert counts per predicate, ascending by predicate — the
     /// drift adjustment the optimizer's statistics view folds into its
     /// cardinality estimates (pending writes inflate per-predicate counts).

@@ -119,14 +119,6 @@ impl PermIndex {
         start..end.max(start)
     }
 
-    /// Rows where key0 == `a`, key1 == `b`, key2 == `c` (existence checks).
-    pub fn range3(&self, pool: &BufferPool, a: Oid, b: Oid, c: Oid) -> Range<usize> {
-        let r = self.range2(pool, a, b);
-        let lo = self.cols[2].lower_bound_in(pool, r.clone(), c.raw());
-        let hi = self.cols[2].upper_bound_in(pool, r, c.raw());
-        lo..hi
-    }
-
     /// Materialize `(key1, key2)` pairs of a row range. Chunk-at-a-time:
     /// the two columns share page geometry, so their chunks pair up in
     /// lockstep, one pin per page per column.
@@ -193,18 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn range2_and_range3() {
+    fn range2_finds_a_key_pair() {
         let triples = vec![t(1, 10, 5), t(1, 10, 6), t(1, 11, 7), t(2, 10, 5)];
         let (_dm, pool, idx) = setup(&triples, Order::Pso);
         assert_eq!(idx.range2(&pool, Oid::iri(10), Oid::iri(1)).len(), 2);
-        assert_eq!(
-            idx.range3(&pool, Oid::iri(10), Oid::iri(1), Oid::iri(6))
-                .len(),
-            1
-        );
-        assert!(idx
-            .range3(&pool, Oid::iri(10), Oid::iri(1), Oid::iri(7))
-            .is_empty());
     }
 
     #[test]
@@ -217,7 +201,8 @@ mod tests {
             assert_eq!(idx.len(), triples.len(), "{}", order.name());
             for t in triples.iter().take(20) {
                 let (a, b, c) = order.key(t);
-                assert_eq!(idx.range3(&pool, a, b, c).len(), 1, "{}", order.name());
+                let rows = idx.range2(&pool, a, b);
+                assert!(idx.pairs(&pool, rows).contains(&(b, c)), "{}", order.name());
             }
         }
     }

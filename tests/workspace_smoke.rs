@@ -49,7 +49,7 @@ fn umbrella_reexports_every_crate() {
     // Touch one item per re-exported crate; compilation is the assertion.
     let _ = sordf_workspace::sordf_model::Term::iri("http://ex/x");
     let _ = sordf_workspace::sordf_schema::SchemaConfig::default();
-    let _ = sordf_workspace::sordf_columnar::Bitmap::new(0);
+    let _ = sordf_workspace::sordf_columnar::VALS_PER_PAGE;
     let _ = sordf_workspace::sordf_storage::TripleSet::new();
     let _ = sordf_workspace::sordf_engine::ExecConfig::default();
     let _ = sordf_workspace::sordf_sparql::parse_sparql;
