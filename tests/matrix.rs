@@ -1,1659 +1,36 @@
 //! One correctness matrix: every input answers every query alike in every
-//! cell.
+//! cell (the cells and comparisons are `harness`'s module docs).
 //!
-//! **Inputs.** Random graphs from one generator (classes with NULLs,
-//! multi-valued properties, type exceptions, and second values on every
-//! column — the sort key included — that fall outside the column's zone
-//! map), RDF-H at a tiny scale with its catalog, `sordf_datagen::dirty`, a
-//! page fixture whose items span two zone-map pages, and the printed cases
-//! under `tests/matrix_cases/`. Each input carries a write history (inserts:
-//! second values, filled NULLs and brand-new subjects; tombstones spread over
-//! every page; re-inserts of deleted triples) and generated queries: stars of
-//! one to four properties, repeated predicates included, linked through
-//! object variables into chains of up to three stars, now and then a
-//! component of its own (a cross join), constant objects and subjects,
-//! filters of every pushdown status (pushed exactly, pushed and confirmed by
-//! value, residual, on the subject, across stars, disjunctions), and a
-//! select list of all variables, a subset, DISTINCT, `COUNT(*)`, grouped
-//! aggregates or a sum of a product.
-//!
-//! **Cells.** layout {baseline, CS in parse order (sparse), clustered
-//! (dense)} × executor {1 worker, 3 workers, rowwise oracle} × scheme
-//! {RDFscan/RDFjoin, Default} × zone maps {on, off} × writes {none, inserts,
-//! tombstones, both} × plan {optimizer pick, every star order, every join
-//! strategy of the pick's links} × projection {all variables, pruned} at the
-//! engine, and the same layouts, executors, schemes, zone maps and
-//! projections through the facade (optimizer pick) over its own write path:
-//! writes pending, read at a snapshot taken before the tombstones, after
-//! `reorganize_now`, and after a durable reopen. Forced plans need the
-//! engine's storage handles, which the facade does not expose, so facade
-//! cells run the optimizer's pick only.
-//!
-//! **Comparisons.** Inside one layout and history every executor's answer is
-//! the rowwise oracle's at one worker **byte for byte, row order included**,
-//! and a pruned answer is the all-variables answer projected. Across layouts,
-//! schemes, plans and histories every answer equals, canonically, the
-//! baseline layout of a fresh bulk load of the same logical triples — the
-//! only comparison that sees a defect in code the kernels share with the
-//! oracle (`star::sort_key_narrows`). A cell that panics never agrees. Every
-//! star of the optimizer's plan also enforces its own filters (applying them
-//! again to its unpruned table removes no row), and the plan costs no more
-//! than any forced star order.
-//!
-//! **Shrinking.** The vendored `proptest` does not shrink; this harness does.
-//! On a disagreement it drops triples (the whole list, halves, quarters, …),
-//! then patterns, then filters while the two cells still disagree, and
-//! panics with the input's seed, the shrunk case and both answers. The case
-//! block is the format of `tests/matrix_cases/*.case`: save it there and it
-//! runs as a fixed input in every cell.
-//!
-//! The checks that are not about one answer follow the inputs: the kernel
-//! fixture's zone-map decisions counted page by page, pruning blocked per
-//! segment, the optimizer near the best order on the RDF-H chain family,
-//! Fig. 4's join counts, one cached plan for two constant types.
+//! This binary runs RDF-H at a tiny scale with its catalog at the engine,
+//! `sordf_datagen::dirty` and the printed cases under `tests/matrix_cases/`,
+//! and one check that is not about an answer: pruning blocked per segment.
+//! The other files that include the harness run the inputs of the questions
+//! they are named for: the seeded random graphs of any shape
+//! `planner_differential`, RDF-H's facade cells `updates_differential`, the
+//! page fixture `delta_merge_differential`.
 
+mod harness;
+
+use harness::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sordf::{Database, Generation, QueryRequest, QueryResponse, Snapshot, SyncPolicy};
-use sordf_columnar::{BufferPool, DiskManager};
-use sordf_engine::plan::PhysicalPlan;
-use sordf_engine::{
-    execute_physical, optimize, optimize_with_order, prepare, AggFunc, ExecConfig, ExecContext,
-    Expr, JoinStrategy, LogicalPlan, ParallelConfig, PlanScheme, Query as Plan, SelectItem,
-    StorageRef, VarId,
-};
-use sordf_model::{ntriples, Dictionary, Term, TermTriple};
-use sordf_schema::{EmergentSchema, SchemaConfig};
-use sordf_storage::{
-    build_clustered, encode_triple_skolemized, reorganize, BaselineStore, ClusterSpec,
-    ClusteredStore, DeltaStore, DeltaView, TripleSet,
-};
-use std::collections::HashSet;
-use std::fmt::Write as _;
-use std::sync::Arc;
-
-const NS: &str = "http://m/";
-/// Values per 64 KiB column page.
-const PAGE: usize = 8192;
-
-fn e(local: impl std::fmt::Display) -> Term {
-    Term::iri(format!("{NS}{local}"))
-}
-
-fn triple(s: Term, p: &str, o: Term) -> TermTriple {
-    TermTriple::new(s, e(p), o)
-}
-
-fn day(d: usize) -> String {
-    format!(
-        "{}-{:02}-{:02}",
-        1990 + d / 336,
-        d / 28 % 12 + 1,
-        d % 28 + 1
-    )
-}
-
-// ---- inputs -----------------------------------------------------------------
-
-/// Inserts, then tombstones, then re-inserts of deleted base triples.
-#[derive(Clone, Default, Debug, PartialEq)]
-struct Writes {
-    inserts: Vec<TermTriple>,
-    deletes: Vec<TermTriple>,
-    reinserts: Vec<TermTriple>,
-}
-
-/// What a query selects; the all-variables form is always run beside it.
-#[derive(Clone, Debug, PartialEq)]
-enum Select {
-    All,
-    Vars(Vec<String>),
-    Distinct(Vec<String>),
-    Count,
-    /// `GROUP BY ?key` with COUNT(*), MIN, MAX and SUM of `?of`.
-    Group(String, String),
-    /// `SUM(?a * ?b)`.
-    Product(String, String),
-}
-
-/// A generated query: triple patterns and filters in SPARQL syntax.
-#[derive(Clone, Debug, PartialEq)]
-struct Bgp {
-    patterns: Vec<[String; 3]>,
-    filters: Vec<String>,
-    select: Select,
-}
-
-#[derive(Clone, Debug, PartialEq)]
-enum Query {
-    Bgp(Bgp),
-    /// A fixed catalog query, run as written.
-    Text(String),
-}
-
-#[derive(Clone, Debug, PartialEq)]
-struct Input {
-    name: String,
-    seed: u64,
-    base: Vec<TermTriple>,
-    writes: Writes,
-    queries: Vec<Query>,
-}
-
-fn vars_in(text: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for (i, _) in text.match_indices('?') {
-        let name: String = text[i + 1..]
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !name.is_empty() && !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    out
-}
-
-impl Bgp {
-    fn vars(&self) -> Vec<String> {
-        vars_in(
-            &self
-                .patterns
-                .iter()
-                .flatten()
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(" "),
-        )
-    }
-
-    fn text(&self, select: &Select) -> String {
-        let q = |v: &String| format!("?{v}");
-        let (head, tail) = match select {
-            Select::All => ("*".to_string(), String::new()),
-            Select::Vars(vs) => (
-                vs.iter().map(q).collect::<Vec<_>>().join(" "),
-                String::new(),
-            ),
-            Select::Distinct(vs) => (
-                format!(
-                    "DISTINCT {}",
-                    vs.iter().map(q).collect::<Vec<_>>().join(" ")
-                ),
-                String::new(),
-            ),
-            Select::Count => ("(COUNT(*) AS ?n)".into(), String::new()),
-            Select::Group(k, x) => (
-                format!(
-                    "?{k} (COUNT(*) AS ?n) (MIN(?{x}) AS ?lo) (MAX(?{x}) AS ?hi) (SUM(?{x}) AS ?t)"
-                ),
-                format!(" GROUP BY ?{k}"),
-            ),
-            Select::Product(a, b) => (format!("(SUM(?{a} * ?{b}) AS ?r)"), String::new()),
-        };
-        let mut body: Vec<String> = self.patterns.iter().map(|p| p.join(" ")).collect();
-        body.extend(self.filters.iter().map(|f| format!("FILTER({f})")));
-        format!("SELECT {head} WHERE {{ {} }}{tail}", body.join(" . "))
-    }
-
-    /// `q_all` (the prepared all-variables query) with this select list.
-    fn pruned(&self, q_all: &Plan) -> Plan {
-        let v = |n: &String| VarId(q_all.vars.iter().position(|x| x == n).unwrap() as u16);
-        let agg = |func, expr, name: &str| SelectItem::Agg {
-            func,
-            expr,
-            name: name.into(),
-        };
-        let mut q = q_all.clone();
-        q.select = match &self.select {
-            Select::All => return q,
-            Select::Vars(vs) => vs.iter().map(|n| SelectItem::Var(v(n))).collect(),
-            Select::Distinct(vs) => {
-                q.distinct = true;
-                vs.iter().map(|n| SelectItem::Var(v(n))).collect()
-            }
-            Select::Count => vec![agg(AggFunc::Count, Expr::Num(1.0), "n")],
-            Select::Group(k, x) => {
-                q.group_by = vec![v(k)];
-                let x = || Expr::Var(v(x));
-                vec![
-                    SelectItem::Var(v(k)),
-                    agg(AggFunc::Count, Expr::Num(1.0), "n"),
-                    agg(AggFunc::Min, x(), "lo"),
-                    agg(AggFunc::Max, x(), "hi"),
-                    agg(AggFunc::Sum, x(), "t"),
-                ]
-            }
-            Select::Product(a, b) => {
-                let product = Expr::Arith(
-                    Box::new(Expr::Var(v(a))),
-                    sordf_engine::expr::ArithOp::Mul,
-                    Box::new(Expr::Var(v(b))),
-                );
-                vec![agg(AggFunc::Sum, product, "r")]
-            }
-        };
-        q
-    }
-
-    /// Drop what no longer has its variables bound.
-    fn repair(mut self) -> Bgp {
-        let bound = self.vars();
-        let ok = |v: &String| bound.contains(v);
-        self.filters.retain(|f| vars_in(f).iter().all(ok));
-        self.select = match self.select {
-            Select::Vars(vs) if vs.iter().any(ok) => {
-                Select::Vars(vs.into_iter().filter(ok).collect())
-            }
-            Select::Group(k, x) | Select::Product(k, x) if !(ok(&k) && ok(&x)) => Select::All,
-            Select::Distinct(vs) if vs.iter().any(ok) => {
-                Select::Distinct(vs.into_iter().filter(ok).collect())
-            }
-            Select::Vars(_) | Select::Distinct(_) => Select::All,
-            s => s,
-        };
-        self
-    }
-}
-
-impl Query {
-    /// (pruned?, text) of every projection run.
-    fn texts(&self) -> Vec<(bool, String)> {
-        match self {
-            Query::Text(t) => vec![(false, t.clone())],
-            Query::Bgp(b) if b.select == Select::All => vec![(false, b.text(&Select::All))],
-            Query::Bgp(b) => vec![(false, b.text(&Select::All)), (true, b.text(&b.select))],
-        }
-    }
-}
-
-fn set_of(ts: &[TermTriple]) -> HashSet<&TermTriple> {
-    ts.iter().collect()
-}
-
-impl Input {
-    fn new(name: impl Into<String>, seed: u64, base: Vec<TermTriple>, w: Writes) -> Input {
-        let mut seen = HashSet::new();
-        let base: Vec<TermTriple> = base
-            .into_iter()
-            .filter(|t| seen.insert(t.clone()))
-            .collect();
-        let mut input = Input {
-            name: name.into(),
-            seed,
-            base,
-            writes: w,
-            queries: Vec::new(),
-        };
-        input.normalize_writes();
-        input
-    }
-
-    /// Inserts are new, tombstones hit visible triples, re-inserts bring
-    /// back deleted base triples: no write is a no-op whose meaning a
-    /// layout could choose.
-    fn normalize_writes(&mut self) {
-        let base = set_of(&self.base);
-        let w = &mut self.writes;
-        let (mut inserted, mut deleted, mut back) =
-            (HashSet::new(), HashSet::new(), HashSet::new());
-        w.inserts
-            .retain(|t| !base.contains(t) && inserted.insert(t.clone()));
-        w.deletes
-            .retain(|t| (inserted.contains(t) || base.contains(t)) && deleted.insert(t.clone()));
-        w.reinserts
-            .retain(|t| base.contains(t) && deleted.contains(t) && back.insert(t.clone()));
-    }
-
-    /// The visible triples after `history`.
-    fn logical(&self, history: History) -> Vec<TermTriple> {
-        let w = &self.writes;
-        let (ins, del, reins): (&[TermTriple], &[TermTriple], &[TermTriple]) =
-            match history.logical() {
-                History::None => (&[], &[], &[]),
-                History::Inserts => (&w.inserts, &[], &[]),
-                History::Tombstones => (&[], &w.deletes, &[]),
-                _ => (&w.inserts, &w.deletes, &w.reinserts),
-            };
-        let dead = set_of(del);
-        let mut out: Vec<TermTriple> = self
-            .base
-            .iter()
-            .chain(ins)
-            .filter(|t| !dead.contains(t))
-            .cloned()
-            .collect();
-        out.extend(reins.iter().cloned());
-        out
-    }
-
-    /// The case block the shrinker prints and `tests/matrix_cases/` holds.
-    fn print(&self) -> String {
-        let mut out = format!("# {} · seed {}\n", self.name, self.seed);
-        let w = &self.writes;
-        for (tag, ts) in [
-            ("base", &self.base),
-            ("insert", &w.inserts),
-            ("delete", &w.deletes),
-            ("reinsert", &w.reinserts),
-        ] {
-            out.push_str(&format!("@{tag}\n"));
-            let mut buf = Vec::new();
-            ntriples::write_document(&mut buf, ts).unwrap();
-            out.push_str(&String::from_utf8(buf).unwrap());
-        }
-        for q in &self.queries {
-            match q {
-                Query::Text(t) => out.push_str(&format!("@sparql {}\n", t.replace('\n', " "))),
-                Query::Bgp(b) => {
-                    let sel = match &b.select {
-                        Select::All => "*".into(),
-                        Select::Vars(vs) => vs
-                            .iter()
-                            .map(|v| format!("?{v}"))
-                            .collect::<Vec<_>>()
-                            .join(" "),
-                        Select::Distinct(vs) => format!("distinct ?{}", vs.join(" ?")),
-                        Select::Count => "count".into(),
-                        Select::Group(k, x) => format!("group ?{k} ?{x}"),
-                        Select::Product(a, b) => format!("product ?{a} ?{b}"),
-                    };
-                    out.push_str(&format!("@select {sel}\n"));
-                    for p in &b.patterns {
-                        out.push_str(&format!("@pattern {}\n", p.join(" ")));
-                    }
-                    for f in &b.filters {
-                        out.push_str(&format!("@filter {f}\n"));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn parse(name: &str, text: &str) -> Input {
-        let mut input = Input::new(name, 0, Vec::new(), Writes::default());
-        let mut section = "";
-        for line in text.lines() {
-            if let Some(seed) = line
-                .strip_prefix("# ")
-                .and_then(|l| l.rsplit("seed ").next())
-            {
-                input.seed = seed.trim().parse().unwrap_or(0);
-                continue;
-            }
-            let (tag, rest) = match line.strip_prefix('@') {
-                Some(l) => l.split_once(' ').unwrap_or((l, "")),
-                None => (section, line),
-            };
-            section = tag;
-            match tag {
-                "base" | "insert" | "delete" | "reinsert" if !rest.trim().is_empty() => {
-                    let t = ntriples::parse_line(rest, 0).unwrap().unwrap();
-                    let w = &mut input.writes;
-                    match tag {
-                        "base" => input.base.push(t),
-                        "insert" => w.inserts.push(t),
-                        "delete" => w.deletes.push(t),
-                        _ => w.reinserts.push(t),
-                    }
-                }
-                "sparql" => input.queries.push(Query::Text(rest.into())),
-                "select" => {
-                    let words: Vec<String> = rest
-                        .split_whitespace()
-                        .map(|w| w.trim_start_matches('?').into())
-                        .collect();
-                    let select = match words[0].as_str() {
-                        "*" => Select::All,
-                        "count" => Select::Count,
-                        "distinct" => Select::Distinct(words[1..].to_vec()),
-                        "group" => Select::Group(words[1].clone(), words[2].clone()),
-                        "product" => Select::Product(words[1].clone(), words[2].clone()),
-                        _ => Select::Vars(words),
-                    };
-                    input.queries.push(Query::Bgp(Bgp {
-                        patterns: Vec::new(),
-                        filters: Vec::new(),
-                        select,
-                    }));
-                }
-                "pattern" if !rest.is_empty() => {
-                    let (s, rest) = rest.split_once(' ').unwrap();
-                    let (p, o) = rest.split_once(' ').unwrap();
-                    last_bgp(&mut input.queries)
-                        .patterns
-                        .push([s.into(), p.into(), o.into()]);
-                }
-                "filter" if !rest.is_empty() => {
-                    last_bgp(&mut input.queries).filters.push(rest.into())
-                }
-                _ => {}
-            }
-        }
-        let queries = std::mem::take(&mut input.queries);
-        let input = Input::new(name, input.seed, input.base, input.writes);
-        Input { queries, ..input }
-    }
-}
-
-fn last_bgp(queries: &mut [Query]) -> &mut Bgp {
-    match queries.last_mut() {
-        Some(Query::Bgp(b)) => b,
-        _ => panic!("@pattern or @filter before @select"),
-    }
-}
-
-// ---- generators ---------------------------------------------------------------
-
-/// The random graph: items over a date column (the clustered sort key), two
-/// integer columns (one nullable), a tag link and a sometimes-present note;
-/// tags with a label, a rank and a group; then noise — second values on
-/// every column outside its zone map, a string in an integer column,
-/// multi-valued links, a rare property and subjects of their own shape.
-fn random_graph(rng: &mut StdRng) -> Vec<TermTriple> {
-    let (n, n_tag) = (rng.random_range(4usize..140), rng.random_range(2usize..6));
-    let mut out = Vec::new();
-    for k in 0..n_tag {
-        out.push(triple(
-            e(format!("tag{k}")),
-            "label",
-            Term::str(["red", "green", "blue", "grey", "teal"][k]),
-        ));
-        out.push(triple(
-            e(format!("tag{k}")),
-            "rank",
-            Term::int(k as i64 * 11),
-        ));
-        // Tags belong to groups: item → tag → group chains three stars.
-        out.push(triple(
-            e(format!("tag{k}")),
-            "group",
-            e(format!("grp{}", k % 2)),
-        ));
-    }
-    for g in 0..2 {
-        out.push(triple(
-            e(format!("grp{g}")),
-            "name",
-            Term::str(format!("g{g}")),
-        ));
-    }
-    for i in 0..n {
-        let s = e(format!("s{i}"));
-        out.push(triple(s.clone(), "qty", Term::int((i % 13) as i64)));
-        if i % 4 != 0 {
-            out.push(triple(s.clone(), "price", Term::int((i % 7) as i64 * 10)));
-        }
-        out.push(triple(
-            s.clone(),
-            "date",
-            Term::date(&day(rng.random_range(0..700))),
-        ));
-        out.push(triple(s.clone(), "tag", e(format!("tag{}", i % n_tag))));
-        if i % 3 == 0 {
-            out.push(triple(s, "note", Term::str(format!("n{}", i % 5))));
-        }
-    }
-    for k in 0..rng.random_range(0..n / 2 + 4) {
-        let s = e(format!("s{}", rng.random_range(0..n)));
-        out.push(match rng.random_range(0..7) {
-            0 => triple(s, "qty", Term::int(1000 + k as i64)),
-            1 => triple(s, "date", Term::date(&day(2000 + k))),
-            2 => triple(s, "qty", Term::str("n/a")),
-            3 => triple(s, "tag", e(format!("tag{}", rng.random_range(0..n_tag)))),
-            4 => triple(s, "rare", Term::int(k as i64)),
-            5 => triple(e(format!("odd{k}")), "qty", Term::str(format!("x{k}"))),
-            _ => triple(s, "price", Term::int(-(k as i64))),
-        });
-    }
-    out
-}
-
-/// Subjects in first-seen order with their (predicate, object) pairs, and
-/// every object of each predicate.
-struct Index {
-    subjects: Vec<(Term, Vec<(Term, Term)>)>,
-    of_pred: Vec<(Term, Vec<Term>)>,
-}
-
-impl Index {
-    fn new(triples: &[TermTriple]) -> Index {
-        let mut subjects: Vec<(Term, Vec<(Term, Term)>)> = Vec::new();
-        let mut at = std::collections::HashMap::new();
-        let mut of_pred: Vec<(Term, Vec<Term>)> = Vec::new();
-        let mut pat = std::collections::HashMap::new();
-        for t in triples {
-            let i = *at.entry(t.s.clone()).or_insert_with(|| {
-                subjects.push((t.s.clone(), Vec::new()));
-                subjects.len() - 1
-            });
-            subjects[i].1.push((t.p.clone(), t.o.clone()));
-            let j = *pat.entry(t.p.clone()).or_insert_with(|| {
-                of_pred.push((t.p.clone(), Vec::new()));
-                of_pred.len() - 1
-            });
-            of_pred[j].1.push(t.o.clone());
-        }
-        Index { subjects, of_pred }
-    }
-
-    fn props(&self, s: &Term) -> Option<&[(Term, Term)]> {
-        self.subjects
-            .iter()
-            .find(|(x, _)| x == s)
-            .map(|(_, ps)| ps.as_slice())
-    }
-
-    fn objects(&self, p: &Term) -> &[Term] {
-        &self.of_pred.iter().find(|(x, _)| x == p).unwrap().1
-    }
-}
-
-fn pick<'a, T>(rng: &mut StdRng, xs: &'a [T]) -> &'a T {
-    &xs[rng.random_range(0..xs.len())]
-}
-
-fn term_text(t: &Term) -> String {
-    let mut s = String::new();
-    ntriples::write_term(&mut s, t);
-    s
-}
-
-fn generate_query(rng: &mut StdRng, idx: &Index) -> Bgp {
-    let mut b = Bgp {
-        patterns: Vec::new(),
-        filters: Vec::new(),
-        select: Select::All,
-    };
-    // (subject term, its variable or constant text, depth)
-    let root = pick(rng, &idx.subjects).0.clone();
-    let root_text = if rng.random_bool(0.08) && root.as_iri().is_some() {
-        term_text(&root)
-    } else {
-        "?s0".to_string()
-    };
-    let mut todo = vec![(root, root_text, 0)];
-    let (mut n_vars, mut n_stars) = (0, 1);
-    // Object variables with the predicate they come from.
-    let mut objects: Vec<(String, Term)> = Vec::new();
-    while let Some((s, s_text, depth)) = todo.pop() {
-        let props = idx.props(&s).unwrap();
-        let mut last: Option<Term> = None;
-        for _ in 0..rng.random_range(1..props.len().min(4) + 1) {
-            let (p, o) = match &last {
-                // The same predicate twice: a self-join inside the star.
-                Some(p) if rng.random_bool(0.15) => (p.clone(), pick(rng, idx.objects(p)).clone()),
-                _ if rng.random_bool(0.08) => {
-                    let (p, os) = pick(rng, &idx.of_pred);
-                    (p.clone(), pick(rng, os).clone())
-                }
-                _ => pick(rng, props).clone(),
-            };
-            last = Some(p.clone());
-            let o_text = if rng.random_bool(0.12) && !matches!(o, Term::Blank(_)) {
-                term_text(&o)
-            } else {
-                n_vars += 1;
-                let v = format!("v{n_vars}");
-                objects.push((v.clone(), p.clone()));
-                if n_stars < 3 && depth < 2 && idx.props(&o).is_some() && rng.random_bool(0.5) {
-                    n_stars += 1;
-                    todo.push((o.clone(), format!("?{v}"), depth + 1));
-                }
-                format!("?{v}")
-            };
-            b.patterns.push([s_text.clone(), term_text(&p), o_text]);
-        }
-    }
-    // Now and then a component of its own: a cross join.
-    if rng.random_bool(0.1) {
-        let (s, props) = pick(rng, &idx.subjects);
-        let p = pick(rng, props).0.clone();
-        if s.as_iri().is_some() {
-            n_vars += 1;
-            objects.push((format!("v{n_vars}"), p.clone()));
-            b.patterns
-                .push([term_text(s), term_text(&p), format!("?v{n_vars}")]);
-        }
-    }
-    if objects.is_empty() {
-        b.patterns[0][2] = "?v0".into();
-        objects.push((
-            "v0".into(),
-            Term::iri(b.patterns[0][1].trim_matches(['<', '>'])),
-        ));
-    }
-    let vars = b.vars();
-    // Variables that only ever hold literals: MIN / MAX and `<` between two
-    // variables order IRIs by OID, which differs between layouts.
-    let valued: Vec<&String> = objects
-        .iter()
-        .filter(|(_, p)| idx.objects(p).iter().all(|o| matches!(o, Term::Literal(_))))
-        .map(|(v, _)| v)
-        .collect();
-    for _ in 0..rng.random_range(0..3) {
-        let (v, p) = pick(rng, &objects).clone();
-        // The last values of a predicate are often its noise: a second value
-        // outside the zone map or a value of another type.
-        let (os, noisy) = (idx.objects(&p), rng.random_bool(0.35));
-        let c = if noisy {
-            os[os.len() - 1].clone()
-        } else {
-            pick(rng, os).clone()
-        };
-        let ordered = matches!(c, Term::Literal(_));
-        let c = term_text(&c);
-        let w = &pick(rng, &objects).0;
-        b.filters.push(match rng.random_range(0..8) {
-            // A noise value selects rows whose page zone map misses it.
-            _ if noisy => format!("?{v} = {c}"),
-            0 if ordered => format!("?{v} >= {c}"),
-            1 if ordered => format!("?{v} < {c}"),
-            2 if ordered => format!(
-                "?{v} >= {c} || ?{v} = {}",
-                term_text(pick(rng, idx.objects(&p)))
-            ),
-            3 => format!("?{v} != {c}"),
-            4 => format!("?{v} < 50"),
-            5 if vars[0] != v => format!("?{v} != ?{}", vars[0]),
-            6 if *w != v && valued.contains(&w) && valued.contains(&&v) => format!("?{v} < ?{w}"),
-            _ => format!("?{v} = {c}"),
-        });
-    }
-    let (a, c) = (pick(rng, &vars).clone(), pick(rng, &vars).clone());
-    b.select = match rng.random_range(0..10) {
-        0..=2 => Select::All,
-        3 | 4 if a == c => Select::Vars(vec![a]),
-        3 | 4 => Select::Vars(vec![c, a]),
-        5 => Select::Distinct(vec![a]),
-        6 => Select::Count,
-        7 | 8 if !valued.is_empty() => Select::Group(a, pick(rng, &valued).to_string()),
-        7 | 8 => Select::Count,
-        _ => Select::Product(a, c),
-    };
-    b
-}
-
-/// Writes drawn from the data: second values, values of another subject's
-/// property, brand-new subjects copied from old ones, tombstones anywhere
-/// (page edges of the ordered subjects included) and re-inserts.
-fn generate_writes(rng: &mut StdRng, idx: &Index, base: &[TermTriple]) -> Writes {
-    let n = (base.len() / 40).clamp(3, 60);
-    let mut w = Writes::default();
-    for k in 0..n {
-        let (s, props) = pick(rng, &idx.subjects);
-        let (p, _) = pick(rng, props);
-        match rng.random_range(0..3) {
-            0 => w.inserts.push(TermTriple::new(
-                s.clone(),
-                p.clone(),
-                pick(rng, idx.objects(p)).clone(),
-            )),
-            1 => {
-                let (p, os) = pick(rng, &idx.of_pred);
-                w.inserts
-                    .push(TermTriple::new(s.clone(), p.clone(), pick(rng, os).clone()));
-            }
-            _ => {
-                if let Some(iri) = s.as_iri() {
-                    let fresh = Term::iri(format!("{iri}_new{k}"));
-                    w.inserts.extend(
-                        props
-                            .iter()
-                            .map(|(p, o)| TermTriple::new(fresh.clone(), p.clone(), o.clone())),
-                    );
-                }
-            }
-        }
-    }
-    let edges = [0, PAGE - 1, PAGE, 2 * PAGE - 1, 2 * PAGE];
-    for k in 0..n {
-        let i = match edges.get(k) {
-            Some(&i) if i < idx.subjects.len() => i,
-            _ => rng.random_range(0..idx.subjects.len()),
-        };
-        let (s, props) = &idx.subjects[i];
-        let (p, o) = pick(rng, props);
-        w.deletes
-            .push(TermTriple::new(s.clone(), p.clone(), o.clone()));
-    }
-    if let Some(t) = w.inserts.first() {
-        w.deletes.push(t.clone());
-    }
-    w.reinserts = w.deletes.iter().step_by(3).cloned().collect();
-    w
-}
-
-/// An input from `base` and `seed`: generated writes (plus `fixed`) and
-/// `n_queries` generated queries after the fixed ones.
-fn input(
-    name: &str,
-    seed: u64,
-    base: Vec<TermTriple>,
-    fixed: Writes,
-    catalog: Vec<Query>,
-    n_queries: usize,
-) -> Input {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let idx = Index::new(&base);
-    let mut w = generate_writes(&mut rng, &idx, &base);
-    w.inserts.extend(fixed.inserts);
-    w.deletes.extend(fixed.deletes);
-    w.reinserts.extend(fixed.reinserts);
-    let mut input = Input::new(name, seed, base, w);
-    input.queries = catalog;
-    input
-        .queries
-        .extend((0..n_queries).map(|_| Query::Bgp(generate_query(&mut rng, &idx))));
-    input
-}
-
-// ---- stores -----------------------------------------------------------------
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Layout {
-    Baseline,
-    Sparse,
-    Dense,
-}
-
-const LAYOUTS: [Layout; 3] = [Layout::Baseline, Layout::Sparse, Layout::Dense];
-
-impl Layout {
-    fn generation(self) -> Generation {
-        match self {
-            Layout::Baseline => Generation::Baseline,
-            Layout::Sparse => Generation::CsParseOrder,
-            Layout::Dense => Generation::Clustered,
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum History {
-    None,
-    Inserts,
-    Tombstones,
-    Both,
-    /// Facade: read at the snapshot taken between inserts and tombstones.
-    Snapshot,
-    /// Facade: `reorganize_now` after all writes.
-    Reorganized,
-    /// Facade: a durable store with all writes, dropped and reopened.
-    Reopened,
-}
-
-impl History {
-    fn logical(self) -> History {
-        match self {
-            History::Snapshot => History::Inserts,
-            History::Reorganized | History::Reopened => History::Both,
-            h => h,
-        }
-    }
-}
-
-/// One bulk load at the engine: the baseline and, unless only the reference
-/// is wanted, the sparse and dense CS layouts.
-struct Rig {
-    _dm: Arc<DiskManager>,
-    pool: BufferPool,
-    parse_order: Dictionary,
-    baseline: BaselineStore,
-    sparse: Option<(ClusteredStore, EmergentSchema)>,
-    dense: Option<(Dictionary, ClusteredStore, EmergentSchema)>,
-}
-
-fn rig(triples: &[TermTriple], cs: bool) -> Rig {
-    let mut ts = TripleSet::new();
-    ts.extend_terms(triples).unwrap();
-    let dm = Arc::new(DiskManager::temp().unwrap());
-    let spo = ts.sorted_spo();
-    let baseline = BaselineStore::build(&dm, &spo);
-    let parse_order = ts.dict.clone();
-    let (mut sparse, mut dense) = (None, None);
-    if cs {
-        let mut schema = sordf_schema::discover(&spo, &ts.dict, &SchemaConfig::default());
-        let spec = ClusterSpec::auto(&schema);
-        let store = build_clustered(&dm, &spo, &mut schema, &spec, false);
-        let mut dense_schema = schema.clone();
-        sparse = Some((store, schema));
-        reorganize(&mut ts, &mut dense_schema, &spec);
-        let store = build_clustered(&dm, &ts.sorted_spo(), &mut dense_schema, &spec, true);
-        dense = Some((ts.dict, store, dense_schema));
-    }
-    Rig {
-        pool: BufferPool::new(Arc::clone(&dm), 2048),
-        _dm: dm,
-        parse_order,
-        baseline,
-        sparse,
-        dense,
-    }
-}
-
-impl Rig {
-    fn layer(&self, layout: Layout) -> (&Dictionary, StorageRef<'_>) {
-        match (layout, &self.sparse, &self.dense) {
-            (Layout::Sparse, Some((store, schema)), _) => {
-                (&self.parse_order, StorageRef::Clustered { store, schema })
-            }
-            (Layout::Dense, _, Some((dict, store, schema))) => {
-                (dict, StorageRef::Clustered { store, schema })
-            }
-            _ => (&self.parse_order, StorageRef::Baseline(&self.baseline)),
-        }
-    }
-}
-
-/// The pending writes of `history` in `dict`'s numbering (new subjects are
-/// interned).
-fn delta(dict: &Dictionary, w: &Writes, history: History) -> Option<Arc<DeltaView>> {
-    let enc = |ts: &[TermTriple]| {
-        ts.iter()
-            .map(|t| encode_triple_skolemized(dict, t).unwrap())
-            .collect::<Vec<_>>()
-    };
-    let mut ds = DeltaStore::new();
-    if matches!(history, History::Inserts | History::Both) {
-        let _ = ds.insert_run(enc(&w.inserts));
-    }
-    if matches!(history, History::Tombstones | History::Both) {
-        let _ = ds.delete(&enc(&w.deletes));
-    }
-    if history == History::Both {
-        let _ = ds.insert_run(enc(&w.reinserts));
-    }
-    ds.current_view_arc()
-}
-
-/// A facade store of `input` holding `layouts`, written to the state of
-/// `history`; the snapshot taken between inserts and tombstones.
-fn facade(input: &Input, dense: bool, history: History) -> Facade {
-    let dir = (history == History::Reopened).then(TempDir::new);
-    let db = match &dir {
-        Some(d) => Database::create_durable(&d.0, SyncPolicy::Never).unwrap(),
-        None => Database::in_temp_dir().unwrap(),
-    };
-    db.load_terms(&input.base).unwrap();
-    if dense {
-        db.self_organize().unwrap();
-    } else {
-        db.build_baseline().unwrap();
-        db.build_cs_tables().unwrap();
-    }
-    let w = &input.writes;
-    db.insert_terms(&w.inserts).unwrap();
-    let snap = db.snapshot();
-    assert_eq!(
-        db.delete_triples(&w.deletes).unwrap(),
-        w.deletes.len(),
-        "{}: every tombstone hits",
-        input.name
-    );
-    db.insert_terms(&w.reinserts).unwrap();
-    let db = match (&dir, history) {
-        (Some(d), _) => {
-            drop(db);
-            Database::open(&d.0).unwrap()
-        }
-        (None, History::Reorganized) => {
-            db.reorganize_now().unwrap();
-            db
-        }
-        _ => db,
-    };
-    assert_eq!(
-        db.n_triples(),
-        input.logical(History::Both).len(),
-        "{}: {history:?}",
-        input.name
-    );
-    Facade {
-        db,
-        snap,
-        _dir: dir,
-    }
-}
-
-/// A facade store; its directory, if durable, goes after it.
-struct Facade {
-    db: Database,
-    snap: Snapshot,
-    _dir: Option<TempDir>,
-}
-
-struct TempDir(std::path::PathBuf);
-
-impl TempDir {
-    fn new() -> TempDir {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        TempDir(std::env::temp_dir().join(format!("sordf-matrix-{}-{n}", std::process::id())))
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-// ---- cells --------------------------------------------------------------------
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Exec {
-    One,
-    Three,
-    Rowwise,
-}
-
-#[derive(Clone, Debug, PartialEq)]
-enum PlanPick {
-    Optimizer,
-    Order(Vec<usize>),
-    /// The optimizer's plan with step `step` joined by `label` on `?var`.
-    Join(usize, &'static str, String),
-}
-
-#[derive(Clone, Debug, PartialEq)]
-struct Cell {
-    /// A fresh bulk load of the history's triples (the reference).
-    fresh: bool,
-    facade: bool,
-    layout: Layout,
-    history: History,
-    scheme: PlanScheme,
-    zonemaps: bool,
-    plan: PlanPick,
-    pruned: bool,
-    exec: Exec,
-}
-
-impl Cell {
-    /// The cross-layout reference: the baseline of a fresh bulk load of
-    /// `history`'s triples, Default scheme, no zone maps, rowwise.
-    fn reference(history: History, pruned: bool) -> Cell {
-        Cell {
-            fresh: true,
-            facade: false,
-            layout: Layout::Baseline,
-            history: history.logical(),
-            scheme: PlanScheme::Default,
-            zonemaps: false,
-            plan: PlanPick::Optimizer,
-            pruned,
-            exec: Exec::Rowwise,
-        }
-    }
-}
-
-/// Rendered answer: the header, then the rows in order.
-type Rows = Vec<Vec<String>>;
-
-fn par3() -> ParallelConfig {
-    ParallelConfig {
-        workers: 3,
-        min_morsel_pages: 1,
-        min_morsel_rows: 4,
-    }
-}
-
-fn config(scheme: PlanScheme, zonemaps: bool, exec: Exec) -> ExecConfig {
-    ExecConfig {
-        scheme,
-        zonemaps,
-        rowwise: exec == Exec::Rowwise,
-        ..Default::default()
-    }
-}
-
-fn caught(f: impl FnOnce() -> Rows) -> Rows {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|p| {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()));
-        vec![vec![format!("panic: {}", msg.unwrap_or_default())]]
-    })
-}
-
-fn rendered(rs: &sordf_engine::agg::ResultSet, dict: &Dictionary) -> Rows {
-    std::iter::once(rs.columns.clone())
-        .chain(rs.render(dict))
-        .collect()
-}
-
-fn canonical(rows: &Rows) -> Rows {
-    let mut body = rows[1..].to_vec();
-    body.sort();
-    std::iter::once(rows[0].clone()).chain(body).collect()
-}
-
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    if n == 0 {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    for p in permutations(n - 1) {
-        for at in 0..n {
-            let mut q = p.clone();
-            q.insert(at, n - 1);
-            out.push(q);
-        }
-    }
-    out
-}
-
-/// The plans of one query in one context: the optimizer's pick, every star
-/// order (the pick's rotations beyond three stars), and on CS layouts with
-/// zone maps every join strategy each of the pick's links admits.
-fn plans(cx: &ExecContext, q: &Plan, lp: &LogicalPlan) -> Vec<(PlanPick, PhysicalPlan)> {
-    let pick = optimize(cx, lp);
-    let mut out = vec![(PlanPick::Optimizer, pick.clone())];
-    let n = lp.stars.len();
-    let orders = match n {
-        0 | 1 => Vec::new(),
-        2 | 3 => permutations(n),
-        _ => (0..n)
-            .map(|r| {
-                let mut o = pick.star_order();
-                o.rotate_left(r);
-                o
-            })
-            .collect(),
-    };
-    for o in orders {
-        out.push((PlanPick::Order(o.clone()), optimize_with_order(cx, lp, &o)));
-    }
-    if matches!(cx.storage, StorageRef::Clustered { .. }) && cx.config.zonemaps {
-        for (i, step) in pick.steps.iter().enumerate().skip(1) {
-            for &var in &step.join_vars {
-                let subject = var == lp.stars[step.star].subject_var;
-                let joins = if subject {
-                    vec![
-                        JoinStrategy::Hash { var },
-                        JoinStrategy::Candidates { var },
-                        JoinStrategy::SubjectRange { var },
-                    ]
-                } else {
-                    vec![
-                        JoinStrategy::Hash { var },
-                        JoinStrategy::ObjectRange { var },
-                    ]
-                };
-                for join in joins {
-                    let mut plan = pick.clone();
-                    let name = q.vars[var.0 as usize].clone();
-                    plan.steps[i].join = join;
-                    out.push((PlanPick::Join(i, plan.steps[i].join.label(), name), plan));
-                }
-            }
-        }
-    }
-    let mut seen = HashSet::new();
-    out.retain(|(_, p)| seen.insert(p.signature(&q.vars)));
-    out
-}
-
-/// Where cells run: the engine over one layer of a rig with a delta view,
-/// or the facade over one generation (at a snapshot, maybe).
-enum Store<'a> {
-    Engine {
-        rig: &'a Rig,
-        layout: Layout,
-        delta: Option<Arc<DeltaView>>,
-    },
-    Facade {
-        db: &'a Database,
-        layout: Layout,
-        at: Option<Snapshot>,
-    },
-}
-
-/// Every answer of `query` in `store`: `base` names the store's layout and
-/// history, and `only` restricts the run to one cell.
-fn answers(store: &Store, query: &Query, base: &Cell, only: Option<&Cell>) -> Vec<(Cell, Rows)> {
-    let mut out = Vec::new();
-    let wanted = |c: &Cell| only.map_or(true, |o| o == c);
-    for scheme in [PlanScheme::RdfScanJoin, PlanScheme::Default] {
-        for zonemaps in [true, false] {
-            let cell = |plan: PlanPick, pruned, exec| Cell {
-                scheme,
-                zonemaps,
-                plan,
-                pruned,
-                exec,
-                ..base.clone()
-            };
-            match store {
-                Store::Facade { db, layout, at } => {
-                    for (pruned, text) in query.texts() {
-                        for exec in [Exec::Rowwise, Exec::One, Exec::Three] {
-                            let c = cell(PlanPick::Optimizer, pruned, exec);
-                            if !wanted(&c) {
-                                continue;
-                            }
-                            let mut req = QueryRequest::sparql(text.as_str())
-                                .generation(layout.generation())
-                                .config(config(scheme, zonemaps, exec));
-                            if exec == Exec::Three {
-                                req = req.parallel(par3());
-                            }
-                            if let Some(s) = at {
-                                req = req.snapshot(*s);
-                            }
-                            let rows = match db.execute(&req) {
-                                Ok(resp) => rendered(&resp.results, &resp.pin),
-                                Err(sordf::Error::Exec(msg)) => vec![vec![format!("panic: {msg}")]],
-                                Err(err) => vec![vec![format!("error: {err}")]],
-                            };
-                            out.push((c, rows));
-                        }
-                    }
-                }
-                Store::Engine { rig, layout, delta } => {
-                    let (dict, storage) = rig.layer(*layout);
-                    let cx = ExecContext::new(
-                        &rig.pool,
-                        dict,
-                        storage,
-                        config(scheme, zonemaps, Exec::One),
-                    )
-                    .with_delta(delta.clone());
-                    let Ok(q) = sordf_sparql::parse_sparql(&query.texts()[0].1, dict) else {
-                        out.push((
-                            cell(PlanPick::Optimizer, false, Exec::Rowwise),
-                            vec![vec!["unparsable".into()]],
-                        ));
-                        continue;
-                    };
-                    let (q_all, lp) = prepare(&q);
-                    let variants: Vec<(bool, Plan)> = match query {
-                        Query::Bgp(b) if b.select != Select::All => {
-                            vec![(false, q_all.clone()), (true, b.pruned(&q_all))]
-                        }
-                        _ => vec![(false, q_all.clone())],
-                    };
-                    let plans = plans(&cx, &q_all, &lp);
-                    if only.is_none() {
-                        the_pick_is_the_cheapest_order(&plans);
-                    }
-                    for (pick, plan) in plans {
-                        for (pruned, q) in &variants {
-                            for exec in [Exec::Rowwise, Exec::One, Exec::Three] {
-                                let c = cell(pick.clone(), *pruned, exec);
-                                if !wanted(&c) {
-                                    continue;
-                                }
-                                let (_, storage) = rig.layer(*layout);
-                                let mut cx = ExecContext::new(
-                                    &rig.pool,
-                                    dict,
-                                    storage,
-                                    config(scheme, zonemaps, exec),
-                                )
-                                .with_delta(delta.clone());
-                                if exec == Exec::Three {
-                                    cx = cx.with_parallel(par3());
-                                }
-                                let rows = caught(|| {
-                                    rendered(&execute_physical(&cx, q, &lp, &plan, None), dict)
-                                });
-                                out.push((c, rows));
-                            }
-                        }
-                    }
-                    if only.is_none() {
-                        filters_are_enforced_once(&cx, &lp);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The optimizer's pick costs no more than any forced star order (all of
-/// them up to three stars).
-fn the_pick_is_the_cheapest_order(plans: &[(PlanPick, PhysicalPlan)]) {
-    let pick = plans[0].1.total_cost;
-    for (order, plan) in plans
-        .iter()
-        .filter(|(p, _)| matches!(p, PlanPick::Order(o) if o.len() <= 3))
-    {
-        assert!(
-            pick <= plan.total_cost * (1.0 + 1e-9),
-            "{order:?} costs {} < the pick's {pick}",
-            plan.total_cost
-        );
-    }
-}
-
-/// **A filter is enforced once, by the star that binds all its variables**
-/// — the rule that lets the tail of a plan apply cross-star filters only:
-/// every star of the pick, evaluated with all its variables, loses no row
-/// when every filter is applied to it again.
-fn filters_are_enforced_once(cx: &ExecContext, lp: &LogicalPlan) {
-    let filters: Vec<&Expr> = lp.filters.iter().collect();
-    for step in &optimize(cx, lp).steps {
-        let mut table =
-            sordf_engine::eval_star(cx, &lp.stars[step.star], step.access, &filters, None, None);
-        let bound = table.len();
-        sordf_engine::star::apply_filters(cx, &mut table, &filters);
-        assert_eq!(
-            table.len(),
-            bound,
-            "star {} left one of its filters unenforced: {filters:?}",
-            step.star
-        );
-    }
-}
-
-// ---- checks -------------------------------------------------------------------
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Mode {
-    /// Same rows in the same order.
-    Bytes,
-    /// The second is the first projected to the query's select list.
-    Projected,
-    /// Same rows in any order.
-    Canonical,
-}
-
-fn agree(mode: Mode, select: &Select, a: &Rows, b: &Rows) -> bool {
-    // Two cells that panic alike still fail.
-    if [a, b].iter().any(|r| r[0][0].starts_with("panic: ")) {
-        return false;
-    }
-    match mode {
-        Mode::Bytes => a == b,
-        Mode::Canonical => canonical(a) == canonical(b),
-        Mode::Projected => match select {
-            Select::Vars(vs) => {
-                let cols: Vec<Option<usize>> = vs
-                    .iter()
-                    .map(|v| a[0].iter().position(|h| h == v))
-                    .collect();
-                let projected: Rows = std::iter::once(vs.clone())
-                    .chain(a[1..].iter().map(|r| {
-                        cols.iter()
-                            .map(|c| c.map_or(String::new(), |c| r[c].clone()))
-                            .collect()
-                    }))
-                    .collect();
-                projected == *b
-            }
-            // No row at all counts nothing: no group, no row.
-            Select::Count => b[1..] == [vec![(a.len() - 1).to_string()]] || a.len() + b.len() == 2,
-            _ => true,
-        },
-    }
-}
-
-struct Mismatch {
-    query: usize,
-    mode: Mode,
-    cells: [Cell; 2],
-    rows: [Rows; 2],
-}
-
-/// What one query must satisfy in one store, given its reference answers
-/// (all variables, pruned). Returns the number of comparisons made.
-fn check(
-    answers: &[(Cell, Rows)],
-    references: &[Rows],
-    query: usize,
-    select: &Select,
-) -> Result<usize, Box<Mismatch>> {
-    let mut n = 0;
-    let mismatch = |mode, a: &(Cell, Rows), b: &(Cell, Rows)| {
-        Box::new(Mismatch {
-            query,
-            mode,
-            cells: [a.0.clone(), b.0.clone()],
-            rows: [a.1.clone(), b.1.clone()],
-        })
-    };
-    for answer in answers {
-        let c = &answer.0;
-        let mut against = |mode, other: &(Cell, Rows)| {
-            n += 1;
-            match agree(mode, select, &other.1, &answer.1) {
-                true => Ok(()),
-                false => Err(mismatch(mode, other, answer)),
-            }
-        };
-        let twin = |o: Cell| answers.iter().find(|(x, _)| *x == o).unwrap();
-        if c.exec != Exec::Rowwise {
-            against(
-                Mode::Bytes,
-                twin(Cell {
-                    exec: Exec::Rowwise,
-                    ..c.clone()
-                }),
-            )?;
-            continue;
-        }
-        if c.pruned && !c.facade {
-            against(
-                Mode::Projected,
-                twin(Cell {
-                    pruned: false,
-                    ..c.clone()
-                }),
-            )?;
-        }
-        let reference = (
-            Cell::reference(c.history, c.pruned),
-            references[c.pruned as usize].clone(),
-        );
-        against(Mode::Canonical, &reference)?;
-    }
-    Ok(n)
-}
-
-fn select_of(q: &Query) -> Select {
-    match q {
-        Query::Bgp(b) => b.select.clone(),
-        Query::Text(_) => Select::All,
-    }
-}
-
-/// Run `input` in every cell; on a disagreement, shrink it and panic with
-/// the printed case. Returns the number of answer comparisons made.
-fn run_matrix(input: &Input) -> usize {
-    match run_cells(input) {
-        Ok(n) => n,
-        Err(m) => panic!("{}", shrink(input, &m)),
-    }
-}
-
-fn base_cell(facade: bool, layout: Layout, history: History) -> Cell {
-    Cell {
-        fresh: false,
-        facade,
-        layout,
-        history,
-        ..Cell::reference(History::None, false)
-    }
-}
-
-fn run_cells(input: &Input) -> Result<usize, Box<Mismatch>> {
-    let histories = [
-        History::None,
-        History::Inserts,
-        History::Tombstones,
-        History::Both,
-    ];
-    // References: a fresh bulk load of each history's triples.
-    let mut references: Vec<Vec<Vec<Rows>>> = Vec::new();
-    for h in histories {
-        let fresh = rig(&input.logical(h), false);
-        let store = Store::Engine {
-            rig: &fresh,
-            layout: Layout::Baseline,
-            delta: None,
-        };
-        references.push(
-            input
-                .queries
-                .iter()
-                .map(|q| {
-                    [false, true]
-                        .iter()
-                        .map(|&pruned| {
-                            let only = Cell::reference(h, pruned);
-                            let a = answers(&store, q, &only, Some(&only));
-                            a.first().map_or(Vec::new(), |(_, r)| r.clone())
-                        })
-                        .collect()
-                })
-                .collect(),
-        );
-    }
-    let reference_of =
-        |h: History| &references[histories.iter().position(|&x| x == h.logical()).unwrap()];
-    let mut n = 0;
-    let mut run = |store: &Store, cell: Cell| -> Result<(), Box<Mismatch>> {
-        for (qi, q) in input.queries.iter().enumerate() {
-            let got = answers(store, q, &cell, None);
-            n += check(&got, &reference_of(cell.history)[qi], qi, &select_of(q))?;
-        }
-        Ok(())
-    };
-    let engine = rig(&input.base, true);
-    for layout in LAYOUTS {
-        let dict = engine.layer(layout).0;
-        for h in histories {
-            let store = Store::Engine {
-                rig: &engine,
-                layout,
-                delta: delta(dict, &input.writes, h),
-            };
-            run(&store, base_cell(false, layout, h))?;
-        }
-    }
-    for dense in [false, true] {
-        let layouts: &[Layout] = if dense {
-            &[Layout::Dense]
-        } else {
-            &[Layout::Baseline, Layout::Sparse]
-        };
-        let pending = facade(input, dense, History::Both);
-        let db = &pending.db;
-        for &layout in layouts {
-            for (h, at) in [
-                (History::Both, None),
-                (History::Snapshot, Some(pending.snap)),
-            ] {
-                run(
-                    &Store::Facade { db, layout, at },
-                    base_cell(true, layout, h),
-                )?;
-            }
-        }
-        db.reorganize_now().unwrap();
-        let reopened = facade(input, dense, History::Reopened);
-        for &layout in layouts {
-            run(
-                &Store::Facade {
-                    db,
-                    layout,
-                    at: None,
-                },
-                base_cell(true, layout, History::Reorganized),
-            )?;
-            let db = &reopened.db;
-            run(
-                &Store::Facade {
-                    db,
-                    layout,
-                    at: None,
-                },
-                base_cell(true, layout, History::Reopened),
-            )?;
-        }
-    }
-    Ok(n)
-}
-
-// ---- shrinking ------------------------------------------------------------------
-
-/// The answer of `input`'s only query in one cell, built from scratch.
-fn one_cell(input: &Input, cell: &Cell) -> Rows {
-    let q = &input.queries[0];
-    let run = |store: &Store| {
-        answers(store, q, cell, Some(cell))
-            .pop()
-            .map_or(vec![vec!["no such cell".into()]], |(_, r)| r)
-    };
-    if cell.facade {
-        let f = facade(input, cell.layout == Layout::Dense, cell.history);
-        let at = (cell.history == History::Snapshot).then_some(f.snap);
-        run(&Store::Facade {
-            db: &f.db,
-            layout: cell.layout,
-            at,
-        })
-    } else if cell.fresh {
-        let fresh = rig(&input.logical(cell.history), false);
-        run(&Store::Engine {
-            rig: &fresh,
-            layout: Layout::Baseline,
-            delta: None,
-        })
-    } else {
-        let engine = rig(&input.base, true);
-        let d = delta(engine.layer(cell.layout).0, &input.writes, cell.history);
-        run(&Store::Engine {
-            rig: &engine,
-            layout: cell.layout,
-            delta: d,
-        })
-    }
-}
-
-fn still_fails(input: &Input, m: &Mismatch) -> Option<[Rows; 2]> {
-    let rows = [one_cell(input, &m.cells[0]), one_cell(input, &m.cells[1])];
-    (!agree(m.mode, &select_of(&input.queries[0]), &rows[0], &rows[1])).then_some(rows)
-}
-
-/// Shrink the failing case of `m` and print it with both answers.
-fn shrink(input: &Input, m: &Mismatch) -> String {
-    let mut best = Input {
-        queries: vec![input.queries[m.query].clone()],
-        ..input.clone()
-    };
-    let mut rows = m.rows.clone();
-    // Each attempt rebuilds the stores; two minutes bound the whole walk.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-    let attempt = |candidate: Input, best: &mut Input, rows: &mut [Rows; 2]| -> bool {
-        if std::time::Instant::now() > deadline {
-            return false;
-        }
-        match still_fails(&candidate, m) {
-            Some(r) => {
-                *best = candidate;
-                *rows = r;
-                true
-            }
-            None => false,
-        }
-    };
-    fn list(c: &mut Input, i: usize) -> &mut Vec<TermTriple> {
-        match i {
-            0 => &mut c.base,
-            1 => &mut c.writes.inserts,
-            2 => &mut c.writes.deletes,
-            _ => &mut c.writes.reinserts,
-        }
-    }
-    // Triples: the whole list, then halves, quarters, … of it.
-    for i in 0..4 {
-        let mut chunk = list(&mut best, i).len();
-        while chunk > 0 {
-            let mut at = 0;
-            while at < list(&mut best, i).len() {
-                let mut c = best.clone();
-                let ts = list(&mut c, i);
-                let end = (at + chunk).min(ts.len());
-                ts.drain(at..end);
-                c.normalize_writes();
-                if !attempt(c, &mut best, &mut rows) {
-                    at = end;
-                }
-            }
-            chunk /= 2;
-        }
-    }
-    // Patterns, then filters.
-    for filters in [false, true] {
-        let mut i = 0;
-        while let Query::Bgp(b) = &best.queries[0] {
-            let mut b = b.clone();
-            let list_len = if filters {
-                b.filters.len()
-            } else {
-                b.patterns.len()
-            };
-            if i >= list_len || (!filters && list_len == 1) {
-                break;
-            }
-            if filters {
-                b.filters.remove(i);
-            } else {
-                b.patterns.remove(i);
-            }
-            let c = Input {
-                queries: vec![Query::Bgp(b.repair())],
-                ..best.clone()
-            };
-            if !attempt(c, &mut best, &mut rows) {
-                i += 1;
-            }
-        }
-    }
-    let mut out = format!(
-        "matrix: {} (seed {}) disagrees — {:?} comparison\n  {:?}\n  {:?}\n---- case: save as tests/matrix_cases/<name>.case to rerun\n{}",
-        input.name,
-        input.seed,
-        m.mode,
-        m.cells[0],
-        m.cells[1],
-        best.print()
-    );
-    for (cell, r) in m.cells.iter().zip(&rows) {
-        let _ = writeln!(out, "---- {cell:?}: {} rows", r.len().saturating_sub(1));
-        for row in r.iter().take(25) {
-            let _ = writeln!(out, "  {}", row.join(" | "));
-        }
-    }
-    out
-}
-
-// ---- the inputs ----------------------------------------------------------------
-
+use rand::SeedableRng;
+use sordf::{Database, Generation};
+use sordf_model::{Term, TermTriple};
+
+/// The RDF-H catalog at the engine on the parse-order layouts (baseline,
+/// sparse CS): every write history, executor, scheme, zone map setting,
+/// plan and projection. Its facade cells are `updates_differential`'s.
 #[test]
-fn random_graphs_agree_in_every_cell() {
-    let mut n = 0;
-    for seed in 0..6 {
-        let base = random_graph(&mut StdRng::seed_from_u64(seed));
-        n += run_matrix(&input(
-            "random graph",
-            seed,
-            base,
-            Writes::default(),
-            Vec::new(),
-            5,
-        ));
-    }
-    eprintln!("random graphs: {n} comparisons");
+fn rdfh_catalog_agrees_in_the_parse_order_layouts() {
+    let n = run_matrix_in(&rdfh(), |c| !c.facade && c.layout != Layout::Dense);
+    eprintln!("rdfh, parse order: {n} comparisons");
 }
 
+/// The same on the clustered layout (dense CS).
 #[test]
-fn rdfh_agrees_in_every_cell() {
-    let data = sordf_rdfh::generate(&sordf_rdfh::RdfhConfig::new(0.0001)).triples;
-    let mut catalog: Vec<Query> = sordf_rdfh::ALL_QUERIES
-        .iter()
-        .map(|&q| Query::Text(sordf_rdfh::query(q).into()))
-        .collect();
-    catalog.push(Query::Text(format!(
-        "PREFIX r: <{}> SELECT ?s WHERE {{ ?s r:lineitem_quantity ?a . ?s r:lineitem_extendedprice ?b . \
-         ?s r:lineitem_discount ?c . ?s r:lineitem_tax ?d }}",
-        sordf_rdfh::gen::NS
-    )));
-    let n = run_matrix(&input(
-        "rdfh sf 0.0001",
-        1,
-        data,
-        Writes::default(),
-        catalog,
-        2,
-    ));
-    eprintln!("rdfh: {n} comparisons");
+fn rdfh_catalog_agrees_in_the_clustered_layout() {
+    let n = run_matrix_in(&rdfh(), |c| !c.facade && c.layout == Layout::Dense);
+    eprintln!("rdfh, clustered: {n} comparisons");
 }
 
 #[test]
@@ -1668,93 +45,6 @@ fn dirty_data_agrees_in_every_cell() {
         6,
     ));
     eprintln!("dirty: {n} comparisons");
-}
-
-/// Items over two zone-map pages and parts interleaved with them in load
-/// order; `sold` ascends with the index (the dense sort key), `batch` /
-/// `weight` with it, and a few items lack `sold`. Part 100 carries a second
-/// `weight` its page's zone map excludes; the fixed writes add a `size` to
-/// part 3, so a star restricted on `size` first must leave that exception
-/// to `weight` (the first zone-map wrong answer), fill a `sold` NULL on the
-/// last page, tombstone and refill page-edge rows, and add new items.
-fn pages() -> Input {
-    const N_ITEM: usize = PAGE + 400;
-    const N_PART: usize = 400;
-    let (item, part) = (
-        |i: usize| e(format!("item{i}")),
-        |i: usize| e(format!("part{i}")),
-    );
-    let item_triples = |i: usize| {
-        let d = i % N_ITEM * 1000 / N_ITEM;
-        let mut t = vec![
-            triple(item(i), "qty", Term::int((i % 50) as i64)),
-            triple(item(i), "batch", Term::int((d / 10) as i64)),
-            triple(item(i), "ofpart", part(i * 13 % N_PART)),
-        ];
-        if i % 997 != 500 {
-            t.push(triple(item(i), "sold", Term::date(&day(d))));
-        }
-        t
-    };
-    let part_triples = |i: usize| {
-        let d = i * 1000 / N_PART;
-        vec![
-            triple(part(i), "sold", Term::date(&day(d))),
-            triple(part(i), "weight", Term::int((d / 10) as i64)),
-            triple(part(i), "size", Term::int((i % 20) as i64)),
-        ]
-    };
-    let mut base = vec![triple(part(100), "weight", Term::int(205))];
-    for i in 0..N_ITEM {
-        base.extend(item_triples(i));
-        if i < N_PART {
-            base.extend(part_triples(i));
-        }
-    }
-    let qty = |i: usize, v: i64| triple(item(i), "qty", Term::int(v));
-    let mut w = Writes {
-        inserts: vec![
-            triple(part(3), "size", Term::int(19)),
-            qty(PAGE / 2, 12),
-            qty(PAGE, 11),
-            triple(item(8476), "sold", Term::date("1991-03-01")),
-        ],
-        deletes: [0, N_ITEM - 1]
-            .into_iter()
-            .flat_map(item_triples)
-            .chain(part_triples(17))
-            .collect(),
-        reinserts: Vec::new(),
-    };
-    for i in [PAGE - 1, PAGE, PAGE + 1, PAGE + PAGE / 2] {
-        w.deletes.push(qty(i, (i % 50) as i64));
-    }
-    w.reinserts
-        .push(qty(PAGE + PAGE / 2, ((PAGE + PAGE / 2) % 50) as i64));
-    w.inserts
-        .extend((N_ITEM..N_ITEM + 40).flat_map(item_triples));
-    let q = |body: &str| Query::Text(format!("PREFIX e: <{NS}> {body}"));
-    let catalog = vec![
-        q(
-            r#"SELECT ?s ?d ?q WHERE { ?s e:sold ?d . ?s e:qty ?q . FILTER(?d >= "1991-02-01"^^xsd:date && ?d < "1991-04-01"^^xsd:date) }"#,
-        ),
-        q(
-            r#"SELECT ?s ?b ?q WHERE { ?s e:batch ?b . ?s e:qty ?q . FILTER(?b >= "40"^^xsd:integer && ?b <= "42"^^xsd:integer && ?q >= "10"^^xsd:integer) }"#,
-        ),
-        q(
-            r#"SELECT ?s ?z ?w WHERE { ?s e:size ?z . ?s e:weight ?w . FILTER(?z >= "0"^^xsd:integer && ?z <= "19"^^xsd:integer && ?w >= "200"^^xsd:integer && ?w <= "210"^^xsd:integer) }"#,
-        ),
-        q(
-            r#"SELECT ?i ?q ?p ?z WHERE { ?i e:qty ?q . ?i e:ofpart ?p . ?p e:weight ?w . ?p e:size ?z . FILTER(?w = "41"^^xsd:integer) }"#,
-        ),
-    ];
-    input("pages", 3, base, w, catalog, 1)
-}
-
-#[test]
-fn page_boundaries_agree_in_every_cell() {
-    let n = run_matrix(&pages());
-    eprintln!("pages: {n} comparisons");
 }
 
 /// Every printed case saved under `tests/matrix_cases/` runs as a fixed
@@ -1782,20 +72,6 @@ fn printed_cases_agree_in_every_cell() {
         ));
     }
     eprintln!("printed cases: {n} comparisons");
-}
-
-// ---- checks that are not about the answer ----------------------------------------
-
-/// One traced run of `text` (prefix `e:` declared).
-fn traced(db: &Database, generation: Generation, zonemaps: bool, text: &str) -> QueryResponse {
-    let req = QueryRequest::sparql(format!("PREFIX e: <{NS}> {text}"))
-        .generation(generation)
-        .config(ExecConfig {
-            zonemaps,
-            ..Default::default()
-        })
-        .traced(true);
-    db.execute(&req).unwrap()
 }
 
 /// Pruning is blocked per segment, only where a pending insert can attach
@@ -1842,486 +118,4 @@ fn pruning_is_blocked_per_segment_only() {
         parts_after.rows_scanned > parts_before.rows_scanned,
         "the item segment gives narrowing up"
     );
-}
-
-/// The kernel fixture: one class of two full pages and a partial third,
-/// NULLs of `a` on the first and last row of every page and of every run
-/// between the dirty rows, runs of length 0, 1, 15, 16 and 17, and refs
-/// that drive RDFjoin. Its catalog runs under the three executors byte for
-/// byte on dense and sparse segments, clean and dirty, and equals the
-/// baseline of a fresh bulk load canonically; segment row order is
-/// index order (what puts the NULLs on the edges); and which column pages a
-/// zone map decides without a pin is counted exactly.
-mod kernel {
-    use super::*;
-
-    const N_ROW: usize = 2 * PAGE + 500;
-    const DIRTY: [usize; 6] = [300, 301, 303, 319, 336, 354];
-
-    fn lacks_a(i: usize) -> bool {
-        let edges = [
-            0,
-            PAGE - 1,
-            PAGE,
-            2 * PAGE - 1,
-            2 * PAGE,
-            N_ROW - 1,
-            302,
-            304,
-            318,
-            320,
-            335,
-            337,
-            353,
-            355,
-        ];
-        edges.contains(&i) || i % 97 == 5
-    }
-
-    /// Never 3: `?b = 3` passes every zone map and selects nothing.
-    fn b_of(i: usize) -> i64 {
-        [0, 1, 2, 4, 4, 5, 6][i % 7]
-    }
-
-    fn row(i: usize, p: &str, o: Term) -> TermTriple {
-        triple(e(format!("row{i:05}")), p, o)
-    }
-
-    /// Ascends strictly with `i`: the dense sort key keeps index order.
-    fn day_of(i: usize) -> String {
-        format!(
-            "{}-{:02}-{:02}",
-            1900 + i / 336,
-            i / 28 % 12 + 1,
-            i % 28 + 1
-        )
-    }
-
-    fn base() -> Vec<TermTriple> {
-        let mut t = Vec::new();
-        for i in 0..N_ROW {
-            t.push(row(i, "day", Term::date(&day_of(i))));
-            t.push(row(i, "b", Term::int(b_of(i))));
-            // Every 50th a decimal: `?m >= 5` pushed as a raw range lets it by.
-            t.push(row(
-                i,
-                "m",
-                if i % 50 == 7 {
-                    Term::decimal_f64(2.5)
-                } else {
-                    Term::int((i % 11) as i64)
-                },
-            ));
-            if !lacks_a(i) {
-                t.push(row(i, "a", Term::int((i % 40) as i64)));
-            }
-            if i % 211 != 9 {
-                t.push(row(
-                    i,
-                    "tag",
-                    Term::str(["pear", "apple", "zebra", "fig"][i % 4]),
-                ));
-            }
-        }
-        let special = [
-            0,
-            PAGE - 1,
-            PAGE,
-            N_ROW - 1,
-            300,
-            301,
-            302,
-            303,
-            304,
-            318,
-            319,
-            320,
-        ];
-        for k in 0..3000 {
-            let target = special.get(k).copied().unwrap_or(k * 37 % N_ROW);
-            t.push(triple(
-                e(format!("ref{k:05}")),
-                "to",
-                e(format!("row{target:05}")),
-            ));
-            t.push(triple(
-                e(format!("ref{k:05}")),
-                "w",
-                Term::int((k % 5) as i64),
-            ));
-        }
-        t
-    }
-
-    const CATALOG: [&str; 15] = [
-        "SELECT ?s ?b ?d WHERE { ?s e:b ?b . ?s e:day ?d }",
-        "SELECT ?s ?a ?t ?b WHERE { ?s e:a ?a . ?s e:tag ?t . ?s e:b ?b }",
-        r#"SELECT ?s ?a ?b WHERE { ?s e:a ?a . ?s e:b ?b . FILTER(?a = "5"^^xsd:integer && ?a >= "3"^^xsd:integer && ?a <= "9"^^xsd:integer) }"#,
-        r#"SELECT ?s ?a WHERE { ?s e:a ?a . ?s e:b ?b . FILTER(?a = "5"^^xsd:integer && ?a >= "6"^^xsd:integer) }"#,
-        r#"SELECT ?s ?a ?b WHERE { ?s e:a ?a . ?s e:b ?b . FILTER(?a >= "10"^^xsd:integer && ?a < "30"^^xsd:integer && ?b >= "1"^^xsd:integer && ?b <= "4"^^xsd:integer) }"#,
-        r#"SELECT ?s ?a WHERE { ?s e:a ?a . ?s e:b ?b . FILTER(?b = "3"^^xsd:integer) }"#,
-        "SELECT ?s ?a WHERE { ?s e:b 2 . ?s e:a ?a }",
-        "SELECT ?s ?a ?b WHERE { ?s e:a ?a . ?s e:b ?b . FILTER(?a < 24 && ?b != 1 && ?a * ?b > 6) }",
-        r#"SELECT ?s ?t WHERE { ?s e:tag ?t . ?s e:b ?b . FILTER(?t > "banana" || ?b = 0) }"#,
-        r#"SELECT ?s ?a ?b WHERE { ?s e:a ?a . ?s e:b ?b . FILTER(?a >= "20"^^xsd:integer && ?a != ?b && ?b < 5) }"#,
-        r#"SELECT ?s ?m WHERE { ?s e:m ?m . ?s e:b ?b . FILTER(?m >= "5"^^xsd:integer) }"#,
-        "SELECT ?b (SUM(?a) AS ?t) (COUNT(*) AS ?n) (MIN(?tag) AS ?lo) WHERE { ?s e:a ?a . ?s e:b ?b . ?s e:tag ?tag } GROUP BY ?b ORDER BY ?b",
-        r#"SELECT ?r ?s ?a ?b WHERE { ?r e:to ?s . ?r e:w ?w . ?s e:a ?a . ?s e:b ?b . FILTER(?w = "1"^^xsd:integer) }"#,
-        r#"SELECT ?r ?s ?a WHERE { ?r e:to ?s . ?r e:w ?w . ?s e:a ?a . ?s e:b ?b . FILTER(?w <= "2"^^xsd:integer && ?a > ?b) }"#,
-        "SELECT ?r ?s ?w ?b WHERE { ?r e:to ?s . ?r e:w ?w . ?s e:b ?b . FILTER(?w < ?b) }",
-    ];
-
-    /// Result rows, row-pages scanned, column pages decided, pool requests.
-    fn covered(
-        db: &Database,
-        generation: Generation,
-        zonemaps: bool,
-        text: &str,
-    ) -> (usize, u64, u64, u64) {
-        let resp = traced(db, generation, zonemaps, text);
-        let (stats, pool) = (resp.stats.unwrap(), resp.pool.unwrap());
-        (
-            resp.results.len(),
-            stats.pages_scanned,
-            stats.column_pages_skipped,
-            pool.hits + pool.misses,
-        )
-    }
-
-    /// **A column is decided per page from its zone map before it is
-    /// pinned**: a page without a dirty row whose statistics say "all
-    /// present, all inside the restriction" is neither pinned nor decoded
-    /// for a column nothing reads. `dirty`: `b` on page 0 and `a` on pages 1
-    /// and 2 have pending writes.
-    fn zone_map_decisions(db: &Database, generation: Generation, dense: bool, dirty: bool) {
-        let what = |q: &str| format!("dense={dense} dirty={dirty} {q}");
-        let run = |q: &str| covered(db, generation, true, q);
-        let unread = "SELECT ?s WHERE { ?s e:b ?b . ?s e:day ?d }";
-        let (rows, pages, skipped, requests) = run(unread);
-        assert_eq!(
-            (rows, pages, skipped),
-            (N_ROW, 3, if dirty { 4 } else { 6 }),
-            "{}",
-            what(unread)
-        );
-        // Every column page decided is a pool request not made.
-        let (_, _, read_skipped, read_requests) =
-            run("SELECT ?s ?b ?d WHERE { ?s e:b ?b . ?s e:day ?d }");
-        assert_eq!(
-            (read_skipped, read_requests - requests),
-            (0, skipped),
-            "{}",
-            what(unread)
-        );
-        let counted = "SELECT (COUNT(*) AS ?n) WHERE { ?s e:b ?b . ?s e:day ?d }";
-        let (_, pages, count_skipped, _) = run(counted);
-        assert_eq!((pages, count_skipped), (3, skipped), "{}", what(counted));
-        // A page with one NULL of `a` is pinned; `b` beside it is decided
-        // where clean.
-        let nulls = "SELECT ?s WHERE { ?s e:a ?a . ?s e:b ?b }";
-        let (_, pages, skipped, _) = run(nulls);
-        assert_eq!(
-            (pages, skipped),
-            (3, if dirty { 0 } else { 3 }),
-            "{}",
-            what(nulls)
-        );
-        // From the middle of page 1 on: page 0 is not scanned, page 1
-        // straddles the bound and is pinned for `day`, page 2 is decided;
-        // `b` is decided on both.
-        let from = PAGE + 100;
-        let bounded = format!(
-            r#"SELECT ?s WHERE {{ ?s e:b ?b . ?s e:day ?d . FILTER(?d >= "{}"^^xsd:date) }}"#,
-            day_of(from)
-        );
-        let (rows, pages, skipped, _) = run(&bounded);
-        assert_eq!(
-            (rows, pages, skipped),
-            (N_ROW - from, 2, 3),
-            "{}",
-            what(&bounded)
-        );
-        // Zone maps off: only a NULL count decides; the sparse layout, with
-        // no sort key to narrow by, scans page 0 too.
-        let (rows, pages, skipped, _) = covered(db, generation, false, &bounded);
-        let want = match (dense, dirty) {
-            (true, _) => (2, 2),
-            (false, false) => (3, 3),
-            (false, true) => (3, 2),
-        };
-        assert_eq!(
-            (rows, pages, skipped),
-            (N_ROW - from, want.0, want.1),
-            "{} zone maps off",
-            what(&bounded)
-        );
-        // A sort-key range inside page 0: `day` straddles and is pinned, `b`
-        // passes whole; the sparse layout scans the page's dirty rows too.
-        let inside = format!(
-            r#"SELECT ?s WHERE {{ ?s e:b ?b . ?s e:day ?d . FILTER(?d >= "{}"^^xsd:date && ?d <= "{}"^^xsd:date) }}"#,
-            day_of(1000),
-            day_of(1100)
-        );
-        let (rows, pages, skipped, _) = run(&inside);
-        assert_eq!(
-            (rows, pages, skipped),
-            (101, 1, u64::from(dense || !dirty)),
-            "{}",
-            what(&inside)
-        );
-    }
-
-    /// The catalog's canonical answers on the baseline of a fresh bulk load.
-    fn fresh(triples: &[TermTriple]) -> Vec<Vec<String>> {
-        let db = Database::in_temp_dir().unwrap();
-        db.load_terms(triples).unwrap();
-        db.build_baseline().unwrap();
-        let run = |text: &str| {
-            let req = QueryRequest::sparql(format!("PREFIX e: <{NS}> {text}"))
-                .generation(Generation::Baseline)
-                .config(config(PlanScheme::Default, false, Exec::Rowwise));
-            db.execute(&req).unwrap().results.canonical(&db.dict())
-        };
-        CATALOG.iter().map(|t| run(t)).collect()
-    }
-
-    #[test]
-    fn zone_maps_decide_pages_without_a_pin() {
-        let (mut del, mut ins): (Vec<_>, Vec<_>) = DIRTY
-            .iter()
-            .map(|&i| (row(i, "b", Term::int(b_of(i))), row(i, "b", Term::int(6))))
-            .unzip();
-        ins.push(row(2 * PAGE + 10, "a", Term::int(39)));
-        del.push(row(PAGE + 1, "a", Term::int(((PAGE + 1) % 40) as i64)));
-        let mut dirty_triples: Vec<TermTriple> =
-            base().into_iter().filter(|t| !del.contains(t)).collect();
-        dirty_triples.extend(ins.iter().cloned());
-        let references = [fresh(&base()), fresh(&dirty_triples)];
-        for dense in [true, false] {
-            let db = Database::in_temp_dir().unwrap();
-            db.load_terms(&base()).unwrap();
-            let generation = if dense {
-                Generation::Clustered
-            } else {
-                Generation::CsParseOrder
-            };
-            match dense {
-                true => drop(db.self_organize().unwrap()),
-                false => db.build_cs_tables().unwrap(),
-            }
-            for dirty in [false, true] {
-                if dirty {
-                    db.delete_triples(&del).unwrap();
-                    db.insert_terms(&ins).unwrap();
-                }
-                let dict = db.dict();
-                for (text, reference) in CATALOG.iter().zip(&references[dirty as usize]) {
-                    let text = format!("PREFIX e: <{NS}> {text}");
-                    let exec = |exec: Exec| {
-                        let mut req = QueryRequest::sparql(text.as_str())
-                            .generation(generation)
-                            .config(config(PlanScheme::RdfScanJoin, true, exec));
-                        if exec == Exec::Three {
-                            req = req.parallel(par3());
-                        }
-                        db.execute(&req).unwrap().results.render(&dict)
-                    };
-                    let oracle = exec(Exec::Rowwise);
-                    assert!(
-                        exec(Exec::One) == oracle && exec(Exec::Three) == oracle,
-                        "dense={dense} dirty={dirty}: {text}"
-                    );
-                    let mut canonical: Vec<String> = oracle.iter().map(|r| r.join("\t")).collect();
-                    canonical.sort();
-                    assert_eq!(canonical, *reference, "dense={dense} dirty={dirty}: {text}");
-                }
-                // Segment row order is index order.
-                let all = db
-                    .execute(
-                        &QueryRequest::sparql(format!("PREFIX e: <{NS}> {}", CATALOG[0]))
-                            .generation(generation),
-                    )
-                    .unwrap();
-                let order: Vec<String> = all
-                    .results
-                    .render(&dict)
-                    .into_iter()
-                    .map(|r| r[0].clone())
-                    .collect();
-                assert_eq!(
-                    order,
-                    (0..N_ROW)
-                        .map(|i| format!("<{NS}row{i:05}>"))
-                        .collect::<Vec<_>>(),
-                    "dense={dense} dirty={dirty}"
-                );
-                zone_map_decisions(&db, generation, dense, dirty);
-                // The join shapes are candidate-driven.
-                for text in &CATALOG[12..14] {
-                    let plan = db
-                        .explain_with(
-                            &format!("PREFIX e: <{NS}> {text}"),
-                            generation,
-                            ExecConfig::default(),
-                        )
-                        .unwrap();
-                    assert!(plan.text.contains("RDFjoin"), "{}", plan.text);
-                }
-            }
-        }
-    }
-}
-
-/// The chained-star family over RDF-H: the optimizer's pick costs at most
-/// 1.5× the cheapest forced star order on at least 90 % of the family, on
-/// both CS layouts, and every forced order returns the pick's answer.
-#[test]
-fn chain_family_picks_stay_near_the_best_order() {
-    let data = sordf_rdfh::generate(&sordf_rdfh::RdfhConfig::new(0.001)).triples;
-    let rig = rig(&data, true);
-    let family = [
-        "?li r:lineitem_orderkey ?o . ?li r:lineitem_quantity ?q . ?o r:order_orderdate ?od",
-        "?li r:lineitem_orderkey ?o . ?li r:lineitem_extendedprice ?p . ?o r:order_custkey ?c . ?c r:customer_mktsegment ?seg",
-        "?li r:lineitem_orderkey ?o . ?li r:lineitem_quantity ?q . ?o r:order_custkey ?c . ?c r:customer_nationkey ?n . ?n r:nation_name ?nn",
-        "?li r:lineitem_orderkey ?p1 . ?p1 r:order_custkey ?p2 . ?p2 r:customer_nationkey ?n . ?n r:nation_name ?nn",
-        r#"?li r:lineitem_orderkey ?o . ?li r:lineitem_quantity ?q . ?li r:lineitem_shipdate ?sd . ?o r:order_orderdate ?od . FILTER(?sd >= "1995-01-01"^^xsd:date)"#,
-        "?li r:lineitem_orderkey ?o . ?li r:lineitem_quantity ?q . ?li r:lineitem_extendedprice ?p . ?li r:lineitem_discount ?d . \
-         ?o r:order_custkey ?c . ?o r:order_orderdate ?od . ?c r:customer_nationkey ?n",
-    ];
-    for layout in [Layout::Sparse, Layout::Dense] {
-        let (dict, storage) = rig.layer(layout);
-        let cx = ExecContext::new(&rig.pool, dict, storage, ExecConfig::default());
-        let mut within = 0;
-        for bgp in family {
-            let text = format!(
-                "PREFIX r: <{}> SELECT * WHERE {{ {bgp} }}",
-                sordf_rdfh::gen::NS
-            );
-            let (q, lp) = prepare(&sordf_sparql::parse_sparql(&text, dict).unwrap());
-            let pick = optimize(&cx, &lp);
-            let chosen = execute_physical(&cx, &q, &lp, &pick, None).canonical(dict);
-            assert!(!chosen.is_empty(), "{layout:?} {bgp} found nothing");
-            let mut best = f64::INFINITY;
-            for order in permutations(lp.stars.len()) {
-                let forced = optimize_with_order(&cx, &lp, &order);
-                best = best.min(forced.total_cost);
-                let got = execute_physical(&cx, &q, &lp, &forced, None).canonical(dict);
-                assert_eq!(got, chosen, "{layout:?} {bgp}: order {order:?}");
-            }
-            within += usize::from(pick.total_cost <= best * 1.5);
-        }
-        assert!(
-            within * 10 >= family.len() * 9,
-            "{layout:?}: within 1.5x on {within}/{}",
-            family.len()
-        );
-    }
-}
-
-/// Fig. 4: the Default plan of a four-property star pays three merge
-/// self-joins, RDFscan none; an RDFscan run counts its scans and no merge
-/// join.
-#[test]
-fn fig4_join_counts_and_rdfscan_operator_stats() {
-    let props = ["qty", "price", "date", "tag"];
-    let data: Vec<TermTriple> = (0..50)
-        .flat_map(|i| props.map(|p| triple(e(format!("s{i}")), p, Term::int(i))))
-        .collect();
-    let rig = rig(&data, true);
-    let (dict, _) = rig.layer(Layout::Dense);
-    let star = format!("PREFIX e: <{NS}> SELECT * WHERE {{ ?s e:qty ?a . ?s e:price ?b . ?s e:date ?c . ?s e:tag ?d }}");
-    let q = sordf_sparql::parse_sparql(&star, dict).unwrap();
-    let cx = |scheme, zonemaps| {
-        ExecContext::new(
-            &rig.pool,
-            dict,
-            rig.layer(Layout::Dense).1,
-            ExecConfig {
-                scheme,
-                zonemaps,
-                ..Default::default()
-            },
-        )
-    };
-    let default = sordf_engine::explain(&cx(PlanScheme::Default, false), &q);
-    assert_eq!(
-        (default.intra_star_joins, default.cross_star_joins),
-        (3, 0),
-        "{}",
-        default.text
-    );
-    let rdfscan = sordf_engine::explain(&cx(PlanScheme::RdfScanJoin, true), &q);
-    assert_eq!(rdfscan.intra_star_joins, 0, "{}", rdfscan.text);
-    let run = cx(PlanScheme::RdfScanJoin, true);
-    let _ = sordf_engine::execute(&run, &q);
-    let stats = run.stats.snapshot();
-    assert!(stats.rdf_scans >= 1 && stats.merge_joins == 0, "{stats:?}");
-}
-
-/// One query shape, two constant types: `?ship >= <date>` is pushed exactly
-/// (no residual), `?ship >= <integer>` stays residual and makes the star
-/// bind `?ship`. The plan cache serves both from one plan, so which
-/// variables a step binds cannot be part of the plan.
-#[test]
-fn one_cached_plan_serves_both_constant_types() {
-    let db = Database::in_temp_dir().unwrap();
-    db.load_terms(&sordf_rdfh::generate(&sordf_rdfh::RdfhConfig::new(0.002)).triples)
-        .unwrap();
-    db.self_organize().unwrap();
-    let text = |bound: &str| {
-        format!(
-            "PREFIX r: <{}> SELECT (COUNT(*) AS ?n) (SUM(?q) AS ?s) WHERE {{ ?li r:lineitem_shipdate ?ship . \
-             ?li r:lineitem_quantity ?q . FILTER(?ship >= {bound}) }}",
-            sordf_rdfh::gen::NS
-        )
-    };
-    let (by_date, by_number) = (
-        text(r#""1996-01-01"^^xsd:date"#),
-        text(r#""17"^^xsd:integer"#),
-    );
-    let run = |t: &str, rowwise| {
-        let req = QueryRequest::sparql(t).config(ExecConfig {
-            rowwise,
-            ..Default::default()
-        });
-        db.execute(&req).unwrap().results.render(&db.dict())
-    };
-    let (want_date, want_number) = (run(&by_date, true), run(&by_number, true));
-    assert!(want_date != want_number && want_date[0][0] != "0");
-    for (first, second, want) in [
-        (&by_date, &by_number, &want_number),
-        (&by_number, &by_date, &want_date),
-    ] {
-        let _ = run(first, false);
-        let before = db.plan_cache_stats();
-        assert_eq!(run(second, false), *want);
-        assert!(
-            db.plan_cache_stats().hits > before.hits,
-            "the second constant is answered from the first one's plan"
-        );
-    }
-    // The types decide the residual: the date bound leaves none.
-    let (store, schema, dict) = (
-        db.clustered_store().unwrap(),
-        db.schema().unwrap(),
-        db.dict(),
-    );
-    let cx = ExecContext::new(
-        db.buffer_pool(),
-        &dict,
-        StorageRef::Clustered {
-            store: &store,
-            schema: &schema,
-        },
-        ExecConfig::default(),
-    );
-    for (t, residual) in [(&by_date, 0), (&by_number, 1)] {
-        let (_, lp) = prepare(&sordf_sparql::parse_sparql(t, &dict).unwrap());
-        let refs: Vec<&Expr> = lp.filters.iter().collect();
-        assert_eq!(
-            sordf_engine::star::residual_filters(&cx, &lp.stars[0], &refs).len(),
-            residual,
-            "{t}"
-        );
-    }
 }

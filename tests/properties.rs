@@ -4,11 +4,12 @@
 //! * the N-Triples writer/parser roundtrip is the identity;
 //! * dictionary encoding roundtrips arbitrary terms;
 //! * subject clustering (reorganize) is a bijective renaming: the decoded
-//!   triple set is unchanged (query answers across layouts are
-//!   `tests/matrix.rs`'s);
+//!   triple set is unchanged, and query answers are invariant across all
+//!   plan schemes and storage generations on random graphs;
 //! * the emergent schema's placement partitions the triples.
 
 use proptest::prelude::*;
+use sordf::{Database, ExecConfig, Generation, PlanScheme, QueryRequest};
 use sordf_model::{ntriples, Dictionary, Oid, Term, TermTriple, Triple, Value};
 use sordf_schema::{SchemaConfig, TripleHome};
 
@@ -184,6 +185,43 @@ proptest! {
             }
             for (mp, def) in c.multi_props.iter().enumerate() {
                 prop_assert_eq!(def.stats.n_nonnull, multi_count.get(&(c.id, mp)).copied().unwrap_or(0));
+            }
+        }
+    }
+
+    /// Query answers are invariant under plan scheme, storage generation
+    /// and zone maps, on arbitrary graphs.
+    #[test]
+    fn query_equivalence_on_random_graphs(triples in proptest::collection::vec(arb_triple(), 5..80)) {
+        // A two-pattern star on the most common predicates.
+        let q = "SELECT ?s ?a ?b WHERE { ?s <http://t/p0> ?a . ?s <http://t/p1> ?b . }";
+
+        let po = Database::in_temp_dir().unwrap();
+        po.load_terms(&triples).unwrap();
+        po.build_baseline().unwrap();
+        po.build_cs_tables().unwrap();
+        let cl = Database::in_temp_dir().unwrap();
+        cl.load_terms(&triples).unwrap();
+        cl.self_organize().unwrap();
+
+        let runs = [
+            (&po, Generation::Baseline, PlanScheme::Default, false),
+            (&po, Generation::CsParseOrder, PlanScheme::RdfScanJoin, true),
+            (&cl, Generation::Clustered, PlanScheme::Default, true),
+            (&cl, Generation::Clustered, PlanScheme::RdfScanJoin, false),
+            (&cl, Generation::Clustered, PlanScheme::RdfScanJoin, true),
+        ];
+        let mut reference: Option<Vec<String>> = None;
+        for (db, generation, scheme, zm) in runs {
+            let exec = ExecConfig { scheme, zonemaps: zm, ..Default::default() };
+            let rs = db
+                .execute(&QueryRequest::sparql(q).generation(generation).config(exec))
+                .unwrap()
+                .results;
+            let canon = rs.canonical(&db.dict());
+            match &reference {
+                None => reference = Some(canon),
+                Some(r) => prop_assert_eq!(&canon, r),
             }
         }
     }

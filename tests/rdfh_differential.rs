@@ -1,11 +1,10 @@
-//! RDF-H at a tiny scale: what the built layouts cost, the answers the
-//! paper reports, and the schema discovery finds. (Every catalog query
-//! answering alike in every layout is `tests/matrix.rs`'s.)
+//! The Table-I correctness backbone: every RDF-H catalog query returns the
+//! same answer under all six plan/storage configurations.
 
 use sordf::{Database, ExecConfig, Generation, PlanScheme, QueryRequest};
 use sordf_datagen::{dirty, DirtyConfig};
 use sordf_model::{DictPool, Dictionary};
-use sordf_rdfh::{generate, query, RdfhConfig};
+use sordf_rdfh::{generate, query, RdfhConfig, ALL_QUERIES};
 
 struct Rig {
     parse_order: Database,
@@ -27,14 +26,80 @@ fn rig() -> Rig {
     }
 }
 
-/// Every built layout holds its columns compressed, and the clustered
-/// base triple list is packed. (That every catalog query answers alike in
-/// every layout is `tests/matrix.rs`'s.)
 #[test]
-fn built_layouts_are_compressed_and_packed() {
+fn all_catalog_queries_agree_across_configs() {
     let rig = rig();
-    // Each built layout holds its columns in at most a third of their
-    // plain bytes.
+    let configs: Vec<(&Database, Generation, PlanScheme, bool)> = vec![
+        (
+            &rig.parse_order,
+            Generation::Baseline,
+            PlanScheme::Default,
+            false,
+        ),
+        (
+            &rig.parse_order,
+            Generation::CsParseOrder,
+            PlanScheme::RdfScanJoin,
+            false,
+        ),
+        (
+            &rig.clustered,
+            Generation::Clustered,
+            PlanScheme::Default,
+            false,
+        ),
+        (
+            &rig.clustered,
+            Generation::Clustered,
+            PlanScheme::Default,
+            true,
+        ),
+        (
+            &rig.clustered,
+            Generation::Clustered,
+            PlanScheme::RdfScanJoin,
+            false,
+        ),
+        (
+            &rig.clustered,
+            Generation::Clustered,
+            PlanScheme::RdfScanJoin,
+            true,
+        ),
+    ];
+    for qid in ALL_QUERIES {
+        let mut reference: Option<Vec<String>> = None;
+        for (i, (db, generation, scheme, zonemaps)) in configs.iter().enumerate() {
+            let exec = ExecConfig {
+                scheme: *scheme,
+                zonemaps: *zonemaps,
+                ..Default::default()
+            };
+            let rs = db
+                .execute(
+                    &QueryRequest::sparql(query(qid))
+                        .generation(*generation)
+                        .config(exec),
+                )
+                .unwrap_or_else(|e| panic!("{} config {i}: {e}", qid.name()))
+                .results;
+            let canon = rs.canonical(&db.dict());
+            match &reference {
+                None => reference = Some(canon),
+                Some(r) => assert_eq!(
+                    &canon,
+                    r,
+                    "{} differs between config {i} and config 0",
+                    qid.name()
+                ),
+            }
+        }
+        // Sanity: the benchmark queries must produce data at this SF.
+        let rows = reference.unwrap();
+        assert!(!rows.is_empty(), "{} returned nothing", qid.name());
+    }
+    // Every configuration read compressed pages: each built layout holds
+    // its columns in at most a third of their plain bytes.
     for db in [&rig.parse_order, &rig.clustered] {
         let m = db.memory_stats();
         assert!(
