@@ -5,9 +5,9 @@
 //! `sordf_datagen::dirty` and the printed cases under `tests/matrix_cases/`,
 //! and one check that is not about an answer: pruning blocked per segment.
 //! The other files that include the harness run the inputs of the questions
-//! they are named for: the seeded random graphs of any shape
-//! `planner_differential`, RDF-H's facade cells `updates_differential`, the
-//! page fixture `delta_merge_differential`.
+//! they are named for: the seeded random graphs of any shape run in
+//! `planner_differential`, RDF-H's facade cells in `updates_differential`,
+//! the page fixture in `delta_merge_differential`.
 
 mod harness;
 
