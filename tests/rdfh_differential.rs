@@ -1,10 +1,14 @@
 //! The Table-I correctness backbone: every RDF-H catalog query returns the
-//! same answer under all six plan/storage configurations.
+//! same answer under every plan/storage configuration; and what RDF-H's
+//! built layouts hold and cost.
 
+mod harness;
+
+use harness::{rdfh, run_matrix_in};
 use sordf::{Database, ExecConfig, Generation, PlanScheme, QueryRequest};
 use sordf_datagen::{dirty, DirtyConfig};
 use sordf_model::{DictPool, Dictionary};
-use sordf_rdfh::{generate, query, RdfhConfig, ALL_QUERIES};
+use sordf_rdfh::{generate, query, RdfhConfig};
 
 struct Rig {
     parse_order: Database,
@@ -26,80 +30,23 @@ fn rig() -> Rig {
     }
 }
 
+/// The RDF-H catalog (and generated queries) in every engine cell of the
+/// correctness matrix (`harness`): every layout, write history, executor,
+/// scheme, zone map setting, plan and projection. Its facade cells are
+/// `updates_differential`'s.
 #[test]
 fn all_catalog_queries_agree_across_configs() {
+    let n = run_matrix_in(&rdfh(), |c| !c.facade);
+    eprintln!("rdfh at the engine: {n} comparisons");
+}
+
+/// Both built databases hold their columns compressed, and the clustered
+/// one a packed base.
+#[test]
+fn built_layouts_compress_columns_and_pack_the_base() {
     let rig = rig();
-    let configs: Vec<(&Database, Generation, PlanScheme, bool)> = vec![
-        (
-            &rig.parse_order,
-            Generation::Baseline,
-            PlanScheme::Default,
-            false,
-        ),
-        (
-            &rig.parse_order,
-            Generation::CsParseOrder,
-            PlanScheme::RdfScanJoin,
-            false,
-        ),
-        (
-            &rig.clustered,
-            Generation::Clustered,
-            PlanScheme::Default,
-            false,
-        ),
-        (
-            &rig.clustered,
-            Generation::Clustered,
-            PlanScheme::Default,
-            true,
-        ),
-        (
-            &rig.clustered,
-            Generation::Clustered,
-            PlanScheme::RdfScanJoin,
-            false,
-        ),
-        (
-            &rig.clustered,
-            Generation::Clustered,
-            PlanScheme::RdfScanJoin,
-            true,
-        ),
-    ];
-    for qid in ALL_QUERIES {
-        let mut reference: Option<Vec<String>> = None;
-        for (i, (db, generation, scheme, zonemaps)) in configs.iter().enumerate() {
-            let exec = ExecConfig {
-                scheme: *scheme,
-                zonemaps: *zonemaps,
-                ..Default::default()
-            };
-            let rs = db
-                .execute(
-                    &QueryRequest::sparql(query(qid))
-                        .generation(*generation)
-                        .config(exec),
-                )
-                .unwrap_or_else(|e| panic!("{} config {i}: {e}", qid.name()))
-                .results;
-            let canon = rs.canonical(&db.dict());
-            match &reference {
-                None => reference = Some(canon),
-                Some(r) => assert_eq!(
-                    &canon,
-                    r,
-                    "{} differs between config {i} and config 0",
-                    qid.name()
-                ),
-            }
-        }
-        // Sanity: the benchmark queries must produce data at this SF.
-        let rows = reference.unwrap();
-        assert!(!rows.is_empty(), "{} returned nothing", qid.name());
-    }
-    // Every configuration read compressed pages: each built layout holds
-    // its columns in at most a third of their plain bytes.
+    // Each built layout holds its columns in at most a third of their plain
+    // bytes.
     for db in [&rig.parse_order, &rig.clustered] {
         let m = db.memory_stats();
         assert!(
