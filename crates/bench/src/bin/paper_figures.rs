@@ -244,8 +244,9 @@ SELECT ?o1 ?o2 ?o3 WHERE {
     }
 }
 
-/// Resident bytes per triple of both databases: the dictionary, the column
-/// pages and the packed base, the last split into its parts.
+/// Resident bytes per triple of both databases: the dictionary and the
+/// column pages, the irregular triples' share of those split out. A built
+/// store keeps no other copy of its triples.
 fn footprint(rig: &Rig) {
     println!("\n== Footprint: resident bytes per triple ==");
     for (label, db) in [
@@ -254,19 +255,12 @@ fn footprint(rig: &Rig) {
     ] {
         let m = db.memory_stats();
         let per = |b: u64| b as f64 / m.n_triples.max(1) as f64;
-        let base = m.base_parts;
         println!(
-            "  {label:<10} total {:>6.2}  dict {:>5.2}  columns {:>5.2}  base {:>5.2} \
-             (subjects {:.3}  shapes {:.3}  predicates {:.3}  objects {:.3}  directory {:.3})",
+            "  {label:<10} total {:>6.2}  dict {:>5.2}  columns {:>5.2} (irregular {:.3})",
             m.bytes_per_triple(),
             per(m.dict_bytes),
             per(m.column_bytes),
-            per(m.base_triples_bytes),
-            per(base.subjects as u64),
-            per(base.shapes as u64),
-            per(base.predicates as u64),
-            per(base.objects as u64),
-            per(base.directory as u64),
+            per(m.classes[3].encoded),
         );
     }
 }

@@ -17,13 +17,12 @@ use std::fs;
 use std::sync::Arc;
 use std::thread;
 
-use sordf_columnar::DiskManager;
+use sordf_columnar::{BufferPool, DiskManager};
 use sordf_model::{Dictionary, TermTriple, Triple};
 use sordf_schema::{DriftStats, EmergentSchema, SchemaConfig};
 use sordf_storage::{
-    build_clustered, fold_delta, reorganize_from, BaseTriples, BaselineStore, ClusterSpec,
-    DeltaStore, DeltaView, DeltaWrite, GenerationHandle, LayoutFlags, PackedTriples,
-    StoreGeneration, WalKind,
+    build_clustered, fold_delta, reorganize_from, BaselineStore, ClusterSpec, DeltaStore,
+    DeltaView, DeltaWrite, GenerationHandle, LayoutFlags, StoreGeneration, WalKind,
 };
 
 use crate::durability::{commit_pair, Stage, Staged};
@@ -128,12 +127,9 @@ pub(crate) fn build(
     if layouts.baseline {
         gen.baseline = Some(Arc::new(BaselineStore::build(dm, &triples)));
     }
-    // A built generation holds its base packed (see `StoreGeneration::triples`).
-    gen.triples = Arc::new(if gen.any_built() {
-        BaseTriples::Packed(PackedTriples::from_sorted(&triples))
-    } else {
-        BaseTriples::Staging(triples)
-    });
+    // A built generation holds its triples in its layouts alone (see
+    // `StoreGeneration::triples`).
+    gen.triples = Arc::new(if gen.any_built() { Vec::new() } else { triples });
     Ok(Built { gen, staged })
 }
 
@@ -230,7 +226,8 @@ impl DbInner {
                 "building {layout:?} with pending writes: call reorganize_now() (or maybe_reorganize) first"
             )));
         }
-        let mut triples = fold_delta(st.gen.triples.iter(), st.delta.current_view());
+        let base = st.gen.base(&self.pool).into_owned();
+        let mut triples = fold_delta(base, st.delta.current_view());
         // A staging base is in load order.
         if !triples.windows(2).all(|w| w[0] <= w[1]) {
             triples.sort_unstable();
@@ -381,13 +378,17 @@ pub(crate) fn release_rebuild_claim(inner: &DbInner, epoch: u64) {
     }
 }
 
-/// The heavy lifting, entirely off-lock: fold the pinned delta into an
-/// owned triple list — SPO-sorted, a sorted base merged with sorted inserts
-/// — and build every layout the pinned generation had. This is what runs
-/// for the full rebuild duration while readers and writers proceed against
-/// the live store.
-pub(crate) fn build_generation(dm: &Arc<DiskManager>, pin: &RebuildPin) -> Result<Built, Error> {
-    let triples = fold_delta(pin.gen.triples.iter(), pin.view.as_deref());
+/// The heavy lifting, entirely off-lock: read the pinned generation's base
+/// back from its layouts, fold the pinned delta into it — SPO-sorted, a
+/// sorted base merged with the inserts — and build every layout the pinned
+/// generation had. This is what runs for the full rebuild duration while
+/// readers and writers proceed against the live store.
+pub(crate) fn build_generation(
+    dm: &Arc<DiskManager>,
+    pool: &BufferPool,
+    pin: &RebuildPin,
+) -> Result<Built, Error> {
+    let triples = fold_delta(pin.gen.base(pool).into_owned(), pin.view.as_deref());
     let layouts = layouts_of(&pin.gen);
     build(
         dm,
@@ -518,7 +519,7 @@ fn run_rebuild(
     // The build — the staged snapshot included, so the swap itself stays
     // O(catch-up), never O(data) — runs off-lock.
     let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        build_generation(&inner.dm, &pin)
+        build_generation(&inner.dm, &inner.pool, &pin)
     })) {
         Ok(Ok(b)) => b,
         Ok(Err(e)) => {

@@ -270,7 +270,7 @@ fn fold_log(
     }
     // Writes still pending over recorded layouts merge into the sorted base.
     if !delta.is_empty() {
-        triples = fold_delta(triples.into_iter(), delta.current_view());
+        triples = fold_delta(triples, delta.current_view());
     }
     Ok((triples, flags))
 }
@@ -417,7 +417,8 @@ impl Database {
         let Some(d) = st.durable.as_ref() else {
             return Err(Error::State("not a durable database".into()));
         };
-        let visible = visible_base(st.gen.triples.iter(), st.delta.current_view())
+        let base = st.gen.base(&self.inner.pool);
+        let visible = visible_base(base.iter().copied(), st.delta.current_view())
             .chain(st.delta.visible_inserts());
         let staged =
             Stage::in_place(d).write(layouts_of(&st.gen), &st.schema_cfg, &st.gen.dict, visible)?;

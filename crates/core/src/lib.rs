@@ -120,8 +120,8 @@ use sordf_model::{
 use sordf_schema::{ClassId, IncrementalAssigner};
 pub use sordf_schema::{DriftStats, EmergentSchema, SchemaConfig};
 use sordf_storage::{
-    term_oid_skolemized, visible_base, BaseTriples, BatchResolver, ClusteredStore, DeltaStore,
-    DeltaView, GenerationHandle, ReorgReport, SubjectRows, WalKind,
+    term_oid_skolemized, visible_base, BatchResolver, ClusteredStore, DeltaStore, DeltaView,
+    GenerationHandle, ReorgReport, WalKind,
 };
 pub use sordf_storage::{DictPin, Snapshot, StoreGeneration, SyncPolicy};
 
@@ -414,13 +414,11 @@ pub struct MemoryStats {
     /// front-coded frozen run (with its rank maps) plus an append tail and
     /// the tail's hash index.
     pub dict_bytes: u64,
-    /// The base triple set: the capacity of every buffer it holds — the
-    /// load-order `Vec<Triple>` while staging, the packed blocks and their
-    /// directory once a layout is built (`sordf_storage::PackedTriples`).
+    /// The staging triple list: the capacity of the load-order
+    /// `Vec<Triple>` while nothing is built, 0 once a layout is — a built
+    /// generation holds each triple once, in its layouts
+    /// (`StoreGeneration::triples`).
     pub base_triples_bytes: u64,
-    /// `base_triples_bytes` by part: subjects, shapes, predicates, objects
-    /// and the block directory.
-    pub base_parts: sordf_storage::BaseBytes,
     /// Encoded column/index pages across every built layout (baseline
     /// permutations, CS tables, clustered segments and their irregular
     /// remainders) — the bytes a full scan must touch.
@@ -645,7 +643,7 @@ impl Database {
     // lock-order: acquires(db_state)
     pub fn load_terms(&self, triples: &[TermTriple]) -> Result<usize, Error> {
         let mut st = self.inner.state.lock();
-        load_terms_locked(&mut st, triples)
+        load_terms_locked(&mut st, &self.inner.pool, triples)
     }
 
     /// Number of visible triples: base triples minus tombstoned ones, plus
@@ -654,17 +652,19 @@ impl Database {
     pub fn n_triples(&self) -> usize {
         let st = self.inner.state.lock();
         match st.delta.current_view() {
-            None => st.gen.triples.len(),
+            None => st.gen.n_base(),
             Some(view) => {
-                // O(tombstones · log base): each tombstone hides its
-                // equal-range of the SPO-sorted base (none, for a tombstone
-                // that only ever killed delta inserts), walked in subject
-                // order so each subject is looked up once.
-                let mut dead = view.tombstones().to_vec();
-                dead.sort_unstable();
-                let mut base = SubjectRows::new(&st.gen.triples);
-                let deleted_base: usize = dead.iter().map(|&t| base.occurrences(t)).sum();
-                st.gen.triples.len() - deleted_base + view.n_inserts()
+                // O(tombstones · log base): each tombstone hides every
+                // occurrence the base holds (none, for a tombstone that only
+                // ever killed delta inserts), found by a lookup in the
+                // layout.
+                let pool = &self.inner.pool;
+                let deleted_base: usize = view
+                    .tombstones()
+                    .iter()
+                    .map(|&t| st.gen.base_occurrences(pool, t))
+                    .sum();
+                st.gen.n_base() - deleted_base + view.n_inserts()
             }
         }
     }
@@ -705,7 +705,7 @@ impl Database {
         }
         let mut st = self.inner.state.lock();
         if !st.gen.any_built() {
-            return load_terms_locked(&mut st, triples);
+            return load_terms_locked(&mut st, &self.inner.pool, triples);
         }
         let st = &mut *st;
         let mut encoded = encode_batch(&st.gen.dict, triples)?;
@@ -742,15 +742,15 @@ impl Database {
         let mut targets: Vec<Triple> = triples.iter().filter_map(|t| resolver.lookup(t)).collect();
         targets.sort_unstable();
         targets.dedup();
-        delete_encoded_locked(&mut st, targets)
+        delete_encoded_locked(&mut st, &self.inner.pool, targets)
     }
 
     /// Delete every visible triple matching the pattern (`None` = wildcard).
     /// Returns the number of distinct triples deleted. With a bound subject
     /// on a built generation the candidates are that subject's range of the
-    /// sorted base and of the pending inserts; a pattern with an unbound
-    /// subject (or one issued while still staging, where the base is in load
-    /// order) passes over the whole base and delta.
+    /// base (a lookup in the built layout) and of the pending inserts; a
+    /// pattern with an unbound subject passes over the whole base and
+    /// delta.
     // lock-order: acquires(db_state, dict)
     pub fn delete_matching(
         &self,
@@ -780,18 +780,19 @@ impl Database {
                 && p.map_or(true, |x| t.p == x)
                 && o.map_or(true, |x| t.o == x)
         };
+        let pool = &self.inner.pool;
         let mut targets: Vec<Triple> = {
             let view = st.delta.current_view();
             let visible = |t: &Triple| view.map_or(true, |d| !d.is_deleted(*t)) && matches(t);
             let (mut targets, pending) = match s {
                 Some(s) => {
                     let mut rows = Vec::new();
-                    st.gen.triples.of_subject(s, &mut rows);
+                    st.gen.base_of_subject(pool, s, &mut rows);
                     rows.retain(visible);
                     (rows, view.map(|d| d.inserts_of_subject(s)))
                 }
                 None => (
-                    st.gen.triples.iter().filter(visible).collect(),
+                    st.gen.base(pool).iter().copied().filter(visible).collect(),
                     view.map(|d| d.inserts().to_vec()),
                 ),
             };
@@ -800,7 +801,7 @@ impl Database {
         };
         targets.sort_unstable();
         targets.dedup();
-        delete_encoded_locked(&mut st, targets)
+        delete_encoded_locked(&mut st, pool, targets)
     }
 
     /// A snapshot of the current write sequence. Queries pinned to it via
@@ -821,7 +822,7 @@ impl Database {
     }
 
     /// Per-component resident-byte accounting of the current state: the
-    /// dictionary, the base triple set, every built layout's encoded pages
+    /// dictionary, the staging triple list, every built layout's encoded pages
     /// (with their plain-encoding counterfactual for the compression
     /// ratio) and the pending delta. See [`MemoryStats`].
     // lock-order: acquires(db_state)
@@ -852,12 +853,11 @@ impl Database {
         let (dict_enc, dict_plain) = st.gen.dict.string_front_coding_bytes();
         MemoryStats {
             dict_bytes: st.gen.dict.approx_bytes().total(),
-            base_triples_bytes: st.gen.triples.heap_bytes() as u64,
-            base_parts: st.gen.triples.bytes_by_part(),
+            base_triples_bytes: (st.gen.triples.capacity() * std::mem::size_of::<Triple>()) as u64,
             column_bytes: classes.iter().map(|c| c.encoded).sum(),
             column_plain_bytes: classes.iter().map(|c| c.plain).sum(),
             delta_bytes: st.delta.approx_bytes(),
-            n_triples: st.gen.triples.len() as u64
+            n_triples: st.gen.n_base() as u64
                 + st.delta.current_view().map_or(0, |v| v.n_inserts() as u64),
             classes,
             dict_string_bytes: dict_enc,
@@ -989,7 +989,7 @@ fn drift_stats_locked(st: &State) -> DriftStats {
         None => (0, 0, Vec::new()),
     };
     DriftStats {
-        n_base_triples: st.gen.triples.len() as u64,
+        n_base_triples: st.gen.n_base() as u64,
         n_base_irregular,
         n_delta_inserts: view.map_or(0, |v| v.n_inserts() as u64),
         n_tombstones: st.delta.n_tombstones() as u64,
@@ -1014,28 +1014,35 @@ fn encode_batch(dict: &Dictionary, triples: &[TermTriple]) -> Result<Vec<Triple>
     Ok(encoded)
 }
 
-/// Stage `triples` into the base set: fold pending writes into it — the
-/// visible base, then the visible inserts in run order, as a staging list —
-/// append, and invalidate built stores (the next build sees everything).
-fn load_terms_locked(st: &mut State, triples: &[TermTriple]) -> Result<usize, Error> {
-    if !st.delta.is_empty() {
-        let mut kept: Vec<Triple> =
-            visible_base(st.gen.triples.iter(), st.delta.current_view()).collect();
-        kept.extend(st.delta.visible_inserts());
-        Arc::make_mut(&mut st.gen).triples = Arc::new(BaseTriples::Staging(kept));
-        st.delta = DeltaStore::new();
-        st.write = None;
-        st.epoch += 1; // base content changed: any pinned rebuild is stale
-    }
+/// Stage `triples` into the base set: read a built base back into a
+/// staging list with pending writes folded in — the visible base in SPO
+/// order, then the visible inserts in run order — append, and invalidate
+/// built stores (the next build sees everything).
+fn load_terms_locked(
+    st: &mut State,
+    pool: &BufferPool,
+    triples: &[TermTriple],
+) -> Result<usize, Error> {
     let encoded = encode_batch(&st.gen.dict, triples)?;
     // Log after the encode proves the batch well-formed (so recovery can
     // never trip over a record the live path rejected) but before any
-    // visible mutation. The fold above is logically invisible.
+    // visible mutation.
     log_write(st, WalKind::Load, &encoded)?;
+    if st.gen.any_built() {
+        let base = st.gen.base(pool).into_owned();
+        let kept = if st.delta.is_empty() {
+            base
+        } else {
+            let mut kept: Vec<Triple> =
+                visible_base(base.into_iter(), st.delta.current_view()).collect();
+            kept.extend(st.delta.visible_inserts());
+            st.delta = DeltaStore::new();
+            kept
+        };
+        Arc::make_mut(&mut st.gen).triples = Arc::new(kept);
+    }
     let gen = Arc::make_mut(&mut st.gen);
-    Arc::make_mut(&mut gen.triples)
-        .staging_mut()
-        .extend(encoded);
+    Arc::make_mut(&mut gen.triples).extend(encoded);
     gen.baseline = None;
     gen.schema = None;
     gen.cs_parse_order = None;
@@ -1048,7 +1055,11 @@ fn load_terms_locked(st: &mut State, triples: &[TermTriple]) -> Result<usize, Er
 
 /// Delete already-encoded triples that are currently visible: tombstones on
 /// a built generation, plain removal while staging.
-fn delete_encoded_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, Error> {
+fn delete_encoded_locked(
+    st: &mut State,
+    pool: &BufferPool,
+    targets: Vec<Triple>,
+) -> Result<usize, Error> {
     if targets.is_empty() {
         return Ok(0);
     }
@@ -1056,16 +1067,15 @@ fn delete_encoded_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, 
         return delete_staged_locked(st, targets);
     }
     // A target is visible when it sits in the base untombstoned or among
-    // the delta's visible inserts. Both are sorted, and so is the batch: it
-    // walks the packed base subject by subject (one binary search and one
-    // decode of the subject's triples each) and binary-searches the delta —
-    // O(batch · log n), whatever the store holds.
+    // the delta's visible inserts: a lookup of its subject's home in the
+    // built layout (a column cell, a side-table range, the irregular
+    // triples) and a binary search of the delta — O(batch · log n),
+    // whatever the store holds.
     let view = st.delta.current_view();
-    let mut base = SubjectRows::new(&st.gen.triples);
     let visible: Vec<Triple> = targets
         .into_iter()
         .filter(|&t| {
-            (base.occurrences(t) > 0 && !view.is_some_and(|d| d.is_deleted(t)))
+            (st.gen.base_occurrences(pool, t) > 0 && !view.is_some_and(|d| d.is_deleted(t)))
                 || view.is_some_and(|d| {
                     d.insert_pairs_for(t.p, Some((t.s.raw(), t.s.raw())))
                         .any(|(_, o)| o == t.o)
@@ -1121,7 +1131,7 @@ fn delete_staged_locked(st: &mut State, targets: Vec<Triple>) -> Result<usize, E
     log_write(st, WalKind::Delete, &targets)?;
     let set: FxHashSet<Triple> = targets.into_iter().collect();
     let gen = Arc::make_mut(&mut st.gen);
-    let triples = Arc::make_mut(&mut gen.triples).staging_mut();
+    let triples = Arc::make_mut(&mut gen.triples);
     let before = triples.len();
     triples.retain(|t| !set.contains(t));
     st.epoch += 1;
@@ -1218,7 +1228,7 @@ mod tests {
         begin_rebuild, build_generation, finish_rebuild, release_rebuild_claim, Built, SNAP_TMP,
     };
     use sordf_model::{DictPool, Term};
-    use sordf_storage::Manifest;
+    use sordf_storage::{BaseLayout, Manifest};
     use std::fs;
     use std::path::PathBuf;
     use std::time::Duration;
@@ -1435,8 +1445,7 @@ mod tests {
         db.load_terms(&labels).unwrap();
         let staged = db.memory_stats();
         assert!(staged.dict_bytes > 0, "staged dictionary accounted");
-        assert!(staged.base_triples_bytes > 0, "base triples accounted");
-        assert_eq!(staged.base_parts.total() as u64, staged.base_triples_bytes);
+        assert!(staged.base_triples_bytes > 0, "the staging list accounted");
         assert_eq!(staged.column_bytes, 0, "nothing built yet");
         assert_eq!(staged.column_compression_ratio(), 1.0);
 
@@ -1462,9 +1471,8 @@ mod tests {
         );
         assert!(built.bytes_per_triple() > 0.0);
         assert_eq!(
-            built.base_parts.total() as u64,
-            built.base_triples_bytes,
-            "the base's parts partition its bytes"
+            built.base_triples_bytes, 0,
+            "a built store keeps no copy of its triples beside its layouts"
         );
         assert_eq!(built.n_triples as usize, db.n_triples());
         assert_eq!(built.delta_bytes, 0, "no pending writes");
@@ -1929,7 +1937,7 @@ mod tests {
 
         // Pin and build — but do not swap yet.
         let pin = begin_rebuild(&db.inner).unwrap();
-        let built = build_generation(&db.inner.dm, &pin).unwrap();
+        let built = build_generation(&db.inner.dm, &db.inner.pool, &pin).unwrap();
 
         // Writes that arrive *during* the rebuild: an insert with a fresh
         // string literal (interned only in the old dictionary), a
@@ -2071,7 +2079,7 @@ mod tests {
         let db = sample_db();
         db.self_organize().unwrap();
         let pin = begin_rebuild(&db.inner).unwrap();
-        let built = build_generation(&db.inner.dm, &pin).unwrap();
+        let built = build_generation(&db.inner.dm, &db.inner.pool, &pin).unwrap();
         // A bulk load invalidates the pinned epoch: the swap must refuse.
         db.load_ntriples(
             r#"<http://ex/late> <http://ex/qty> "3"^^<http://www.w3.org/2001/XMLSchema#integer> ."#,
@@ -2141,7 +2149,7 @@ mod tests {
         assert!(db.reorg_in_flight());
         assert!(matches!(db.reorganize_async(), Err(Error::State(_))));
         assert!(matches!(db.reorganize_now(), Err(Error::State(_))));
-        let built = build_generation(&db.inner.dm, &pin).unwrap();
+        let built = build_generation(&db.inner.dm, &db.inner.pool, &pin).unwrap();
         assert!(finish_rebuild(&db.inner, pin, built).unwrap());
         assert!(!db.reorg_in_flight());
         db.reorganize_now().unwrap();
@@ -2340,9 +2348,10 @@ mod tests {
         db
     }
 
-    /// Everything a rebuild produces, rendered: dictionary pools, the packed
-    /// base, schema (names, statistics, coverage), layouts (page ids, encodings,
-    /// zone maps), every page of the page file, and the staged snapshot.
+    /// Everything a rebuild produces, rendered: dictionary pools, the base as
+    /// the layouts enumerate it, schema (names, statistics, coverage), layouts
+    /// (page ids, encodings, zone maps), every page of the page file, and the
+    /// staged snapshot.
     fn built_image(db: &Database, dir: &Path, built: &Built) -> Vec<String> {
         let gen = &built.gen;
         let mut image = Vec::new();
@@ -2357,13 +2366,17 @@ mod tests {
             image.push(format!("{pool:?} {entries:?}"));
         }
         image.push(format!("frozen {}", gen.dict.n_strings_frozen()));
-        // The base, decoded and as its packed image (blocks, directory,
-        // predicate table).
-        image.push(format!("{:?}", gen.triples.iter().collect::<Vec<_>>()));
-        let BaseTriples::Packed(packed) = &*gen.triples else {
-            panic!("a built base is packed");
-        };
-        image.push(format!("{packed:?}"));
+        // The base as each layout enumerates it, and the staging list a
+        // built generation no longer holds.
+        let layouts: [Option<&dyn BaseLayout>; 3] = [
+            gen.clustered.as_deref().map(|s| s as _),
+            gen.cs_parse_order.as_ref().map(|(s, _)| &**s as _),
+            gen.baseline.as_deref().map(|s| s as _),
+        ];
+        for layout in layouts.into_iter().flatten() {
+            image.push(format!("{:?}", layout.triples_spo(&db.inner.pool)));
+        }
+        image.push(format!("{:?}", gen.triples));
         image.push(format!("{:?}", gen.schema));
         image.push(format!("{:?}", gen.clustered));
         image.push(format!("{:?}", gen.cs_parse_order));
@@ -2388,7 +2401,7 @@ mod tests {
             let _c = Cleanup(dir.clone());
             let db = store_to_rebuild(&dir);
             let pin = begin_rebuild(&db.inner).unwrap();
-            let built = build_generation(&db.inner.dm, &pin).unwrap();
+            let built = build_generation(&db.inner.dm, &db.inner.pool, &pin).unwrap();
             let mut image = built_image(&db, &dir, &built);
             assert!(finish_rebuild(&db.inner, pin, built).unwrap());
             // What the swap committed and what the store answers.
@@ -2426,7 +2439,7 @@ mod tests {
         fs::create_dir(dir.join(SNAP_TMP)).unwrap();
         let pin = begin_rebuild(&db.inner).unwrap();
         assert!(matches!(
-            build_generation(&db.inner.dm, &pin),
+            build_generation(&db.inner.dm, &db.inner.pool, &pin),
             Err(Error::Io(_))
         ));
         release_rebuild_claim(&db.inner, pin.epoch);

@@ -545,6 +545,13 @@ fn plan_cache_key(
                 expr(out, a);
                 out.push(')');
             }
+            Expr::InRange(a, ..) => {
+                // The bounds are a class segment's subject range: the
+                // generation decides them, and they are not in the plan.
+                out.push_str("(range ");
+                expr(out, a);
+                out.push(')');
+            }
             Expr::InSet(a, _) => {
                 // The members are constants like any other (the SQL
                 // compiler lists a table's delta-routed subjects here): a

@@ -83,7 +83,7 @@ impl OutVal {
 }
 
 /// Total order over output values (NULLs last, numbers by value, terms by
-/// SPARQL-ish value comparison).
+/// [`TermOrder::sort`]).
 pub fn cmp_outval(a: &OutVal, b: &OutVal, dict: &Dictionary) -> Ordering {
     cmp_outval_in(a, b, TermOrder::by_text(dict))
 }
@@ -95,7 +95,7 @@ fn cmp_outval_in(a: &OutVal, b: &OutVal, order: TermOrder) -> Ordering {
         (OutVal::Null, _) => Ordering::Greater,
         (_, OutVal::Null) => Ordering::Less,
         (OutVal::Num(x), OutVal::Num(y)) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
-        (OutVal::Oid(x), OutVal::Oid(y)) => order.compare(*x, *y).unwrap_or(x.cmp(y)),
+        (OutVal::Oid(x), OutVal::Oid(y)) => order.sort(*x, *y),
         (a, b) => match (a.as_f64(), b.as_f64()) {
             (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
             _ => Ordering::Equal,

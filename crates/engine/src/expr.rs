@@ -103,6 +103,11 @@ pub enum Expr {
     /// The SQL compiler uses this to admit delta-routed subjects past a
     /// class segment's dense-range restriction.
     InSet(Box<Expr>, Arc<Vec<Oid>>),
+    /// Raw OID range membership, bounds included: `lo <= e <= hi` as OIDs,
+    /// not as SPARQL values (IRIs have no SPARQL order). The SQL compiler
+    /// restricts a table's subject variable to its class segment's dense
+    /// subject range with it.
+    InRange(Box<Expr>, Oid, Oid),
 }
 
 /// Runtime value of an expression.
@@ -159,7 +164,7 @@ impl Expr {
                 l.vars(out);
                 r.vars(out);
             }
-            Expr::Not(e) | Expr::InSet(e, _) => e.vars(out),
+            Expr::Not(e) | Expr::InSet(e, _) | Expr::InRange(e, ..) => e.vars(out),
         }
     }
 
@@ -208,7 +213,7 @@ impl Expr {
             Expr::Cmp(l, op, r) => {
                 let lv = l.eval(lookup, dict);
                 let rv = r.eval(lookup, dict);
-                EvalValue::Bool(compare(&lv, &rv, dict).map(|o| op.eval(o)).unwrap_or(false))
+                EvalValue::Bool(holds(&lv, *op, &rv, dict))
             }
             Expr::Arith(l, op, r) => {
                 let (Some(a), Some(b)) =
@@ -234,6 +239,22 @@ impl Expr {
                 EvalValue::Oid(o) => EvalValue::Bool(set.binary_search(&o).is_ok()),
                 _ => EvalValue::Bool(false),
             },
+            Expr::InRange(e, lo, hi) => match e.eval(lookup, dict) {
+                EvalValue::Oid(o) => EvalValue::Bool((lo..=hi).contains(&&o)),
+                _ => EvalValue::Bool(false),
+            },
+        }
+    }
+
+    /// If this expression is `var IN [lo, hi]` ([`Expr::InRange`]), return
+    /// the variable and the raw bounds.
+    pub fn as_var_range(&self) -> Option<(VarId, Oid, Oid)> {
+        match self {
+            Expr::InRange(e, lo, hi) => match **e {
+                Expr::Var(v) => Some((v, *lo, *hi)),
+                _ => None,
+            },
+            _ => None,
         }
     }
 }
@@ -459,7 +480,7 @@ impl<'d> BatchEval<'d> {
         }
         if let (Some(a), Some(b)) = (terms(&l), terms(&r)) {
             let order = self.order;
-            let holds = |x: Oid, y: Oid| order.compare(x, y).is_some_and(|o| op.eval(o));
+            let holds = |x: Oid, y: Oid| order.holds(x, op, y);
             if let (Operand::Const(x), Operand::Const(y)) = (a, b) {
                 return Col::Const(EvalValue::Bool(holds(x, y)));
             }
@@ -590,23 +611,39 @@ impl Expr {
                     Col::Const(EvalValue::Bool(false))
                 }
             },
+            Expr::InRange(e, lo, hi) => match e.eval_batch(ev, cols, rows) {
+                Col::Oid(s) => {
+                    let mut out = ev.take_bools();
+                    out.extend(s.iter().map(|o| (lo..=hi).contains(&o)));
+                    Col::Bool(out)
+                }
+                Col::Const(EvalValue::Oid(o)) => {
+                    Col::Const(EvalValue::Bool((lo..=hi).contains(&&o)))
+                }
+                other => {
+                    ev.recycle(other);
+                    Col::Const(EvalValue::Bool(false))
+                }
+            },
         }
     }
 }
 
-/// SPARQL-style value comparison. Same-tag OIDs compare by raw order except
-/// strings, which compare by decoded text (OID order is only guaranteed to
-/// match after clustering sorts the string pool). Numeric tags compare
-/// cross-type through f64.
-pub fn compare(l: &EvalValue, r: &EvalValue, dict: &Dictionary) -> Option<Ordering> {
+/// Does `l op r` hold? Two terms compare by [`TermOrder::holds`]; anything
+/// else through its numeric view, where a value without one fails every
+/// operator.
+pub fn holds(l: &EvalValue, op: CmpOp, r: &EvalValue, dict: &Dictionary) -> bool {
     match (l, r) {
-        (EvalValue::Oid(a), EvalValue::Oid(b)) => TermOrder::by_text(dict).compare(*a, *b),
-        (a, b) => a.as_num()?.partial_cmp(&b.as_num()?),
+        (EvalValue::Oid(a), EvalValue::Oid(b)) => TermOrder::by_text(dict).holds(*a, op, *b),
+        (a, b) => match (a.as_num(), b.as_num()) {
+            (Some(x), Some(y)) => x.partial_cmp(&y).is_some_and(|o| op.eval(o)),
+            _ => false,
+        },
     }
 }
 
-/// How terms order: by [`compare`]'s rules, with one thing known about the
-/// dictionary — whether string OID order *is* text order
+/// How terms order, with one thing known about the dictionary — whether
+/// string OID order *is* text order
 /// ([`ExecContext::strings_value_ordered`]), which spares the two decodes of
 /// a string comparison.
 #[derive(Clone, Copy)]
@@ -640,27 +677,53 @@ impl<'d> TermOrder<'d> {
         self.strings_ordered
     }
 
-    /// [`compare`] on two term OIDs.
+    /// The order of SPARQL's `<`, `<=`, `>` and `>=` between two terms:
+    /// literals of one type by value (strings by text), numbers across
+    /// their types by value. `None` — a type error — where there is none:
+    /// NULL, an IRI or a blank node (SPARQL does not order them), and
+    /// literals of different types unless both are numbers (`"n/a" < 8`).
     #[inline]
     pub fn compare(&self, a: Oid, b: Oid) -> Option<Ordering> {
         if a.is_null() || b.is_null() {
             return None;
         }
-        if a == b {
-            return Some(Ordering::Equal);
-        }
         match (a.tag(), b.tag()) {
-            (TypeTag::Str, TypeTag::Str) if !self.strings_ordered => {
+            (TypeTag::Iri | TypeTag::Blank, _) | (_, TypeTag::Iri | TypeTag::Blank) => None,
+            (TypeTag::Str, TypeTag::Str) if !self.strings_ordered && a != b => {
                 let (ta, tb) = (self.dict.decode(a).ok()?, self.dict.decode(b).ok()?);
                 Some(ta.cmp(&tb))
             }
             (ta, tb) if ta == tb => Some(a.cmp(&b)),
             // Cross numeric types compare by value.
-            _ => match (a.numeric_f64(), b.numeric_f64()) {
-                (Some(x), Some(y)) => x.partial_cmp(&y),
-                _ => Some(a.cmp(&b)), // fall back to tag order
+            _ => a.numeric_f64()?.partial_cmp(&b.numeric_f64()?),
+        }
+    }
+
+    /// Does `a op b` hold? Where [`Self::compare`] orders the two, by that
+    /// order (numbers equal by value across types); where it does not, `=`
+    /// and `!=` are term equality and the ordered operators fail. NULL
+    /// fails every operator.
+    #[inline]
+    pub fn holds(&self, a: Oid, op: CmpOp, b: Oid) -> bool {
+        match self.compare(a, b) {
+            Some(o) => op.eval(o),
+            None if a.is_null() || b.is_null() => false,
+            None => match op {
+                CmpOp::Eq => a == b,
+                CmpOp::Ne => a != b,
+                _ => false,
             },
         }
+    }
+
+    /// The total order of ORDER BY, MIN and MAX: [`Self::compare`] where it
+    /// orders the two, IRIs and blank nodes by their text, anything else by
+    /// kind (the tag order). No part of it depends on how a layout numbers
+    /// its terms.
+    pub fn sort(&self, a: Oid, b: Oid) -> Ordering {
+        self.compare(a, b)
+            .or_else(|| self.dict.cmp_text(a, b))
+            .unwrap_or(a.cmp(&b))
     }
 }
 
@@ -744,11 +807,15 @@ pub(crate) mod tests {
             7 => Expr::And(sub(), sub()),
             8 if op % 2 == 0 => Expr::Or(sub(), sub()),
             8 => Expr::Not(sub()),
-            _ => {
+            _ if op % 2 == 0 => {
                 let mut set: Vec<Oid> = pool.iter().copied().skip(op % 3).step_by(3).collect();
                 set.sort_unstable();
                 set.dedup();
                 Expr::InSet(sub(), Arc::new(set))
+            }
+            _ => {
+                let (x, y) = (pool[op % pool.len()], pool[op / 7 % pool.len()]);
+                Expr::InRange(sub(), x.min(y), x.max(y))
             }
         }
     }
@@ -856,8 +923,8 @@ pub(crate) mod tests {
         let zebra = d.string_oid("zebra").unwrap();
         let apple = d.string_oid("apple").unwrap();
         assert!(zebra < apple, "parse order puts zebra first");
-        let ord = compare(&EvalValue::Oid(apple), &EvalValue::Oid(zebra), &d).unwrap();
-        assert_eq!(ord, std::cmp::Ordering::Less, "apple < zebra by text");
+        let ord = TermOrder::by_text(&d).compare(apple, zebra);
+        assert_eq!(ord, Some(Ordering::Less), "apple < zebra by text");
     }
 
     #[test]
@@ -865,7 +932,66 @@ pub(crate) mod tests {
         let d = Dictionary::new();
         let int2 = EvalValue::Oid(Oid::from_int(2).unwrap());
         let dec25 = EvalValue::Oid(Oid::from_decimal_unscaled(25_000).unwrap()); // 2.5
-        assert_eq!(compare(&int2, &dec25, &d), Some(std::cmp::Ordering::Less));
+        assert!(holds(&int2, CmpOp::Lt, &dec25, &d));
+        let dec2 = EvalValue::Oid(Oid::from_decimal_unscaled(20_000).unwrap());
+        assert!(holds(&int2, CmpOp::Eq, &dec2, &d), "2 = 2.0");
+    }
+
+    /// Over every pair of the term pool: IRIs and blank nodes have no order
+    /// (`<` and its kin are type errors, `=` and `!=` term equality), nor
+    /// do a number and a literal that is not one; ORDER BY, MIN and MAX
+    /// order IRIs by their text under any numbering, and are a total order.
+    #[test]
+    fn terms_without_an_order_fail_ordered_comparisons() {
+        for sorted in [false, true] {
+            let (dict, pool) = term_pool(sorted);
+            let order = TermOrder {
+                dict: &dict,
+                strings_ordered: sorted,
+            };
+            for &a in &pool {
+                for &b in &pool {
+                    let (ta, tb) = (
+                        (!a.is_null()).then(|| a.tag()),
+                        (!b.is_null()).then(|| b.tag()),
+                    );
+                    let unordered = |t: Option<TypeTag>| {
+                        matches!(t, None | Some(TypeTag::Iri | TypeTag::Blank))
+                    };
+                    let numeric = a.numeric_f64().is_some() && b.numeric_f64().is_some();
+                    let no_order = unordered(ta) || unordered(tb) || (ta != tb && !numeric);
+                    assert_eq!(order.compare(a, b).is_none(), no_order, "{a:?} {b:?}");
+                    if no_order {
+                        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                            assert!(!order.holds(a, op, b), "{a:?} {op:?} {b:?}");
+                        }
+                    }
+                    if !a.is_null() && !b.is_null() {
+                        let eq = order.holds(a, CmpOp::Eq, b);
+                        assert_eq!(eq, !order.holds(a, CmpOp::Ne, b), "{a:?} {b:?}");
+                        if !numeric {
+                            assert_eq!(eq, a == b, "{a:?} = {b:?} is term equality");
+                        }
+                    }
+                    assert_eq!(order.sort(a, b), order.sort(b, a).reverse(), "{a:?} {b:?}");
+                }
+            }
+            // A string and a number: no order, whichever the string.
+            let na = dict.encode_value(&Value::str("n/a")).unwrap();
+            let eight = Oid::from_int(8).unwrap();
+            assert_eq!(order.compare(na, eight), None);
+            assert!(!order.holds(na, CmpOp::Lt, eight));
+            assert!(order.holds(na, CmpOp::Ne, eight));
+        }
+        // IRIs interned out of text order sort by text.
+        let dict = Dictionary::new();
+        let (b, a) = (dict.encode_iri("http://m/b"), dict.encode_iri("http://m/a"));
+        assert!(b < a, "interned first, numbered first");
+        let order = TermOrder::by_text(&dict);
+        assert_eq!(order.sort(a, b), Ordering::Less, "a before b by text");
+        assert!(!order.holds(a, CmpOp::Lt, b), "IRIs have no SPARQL order");
+        assert!(!order.holds(a, CmpOp::Le, a), "not even to themselves");
+        assert!(order.holds(a, CmpOp::Eq, a) && order.holds(a, CmpOp::Ne, b));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::agg::{Finalize, ResultSet};
 use crate::context::{ExecContext, StatsSnapshot};
-use crate::expr::{CmpOp, Expr};
+use crate::expr::Expr;
 use crate::join::hash_join_on;
 use crate::optimizer::optimize;
 use crate::parallel::eval_star_into;
@@ -166,7 +166,7 @@ pub(crate) fn run_steps(
         };
         let bounds = link_vals.first().zip(link_vals.last());
         let (mut filters, mut candidates, mut s_range) = (&filter_refs[..], None, None);
-        let (ge, le, narrowed);
+        let (in_range, narrowed);
         match (&step.join, bounds) {
             // RDFjoin: the prefix's distinct link values drive the star's
             // evaluation directly.
@@ -184,10 +184,11 @@ pub(crate) fn run_steps(
             // the scan layer turns this into POS ranges / zone-map page
             // skipping — e.g. a shipdate restriction on LINEITEM reaching
             // ORDERS through l_orderkey's zone maps.
+            // The range is of raw OIDs, whatever their type: the join
+            // matches OIDs.
             (JoinStrategy::ObjectRange { var }, Some((lo, hi))) => {
-                ge = Expr::cmp(Expr::Var(*var), CmpOp::Ge, Expr::Const(*lo));
-                le = Expr::cmp(Expr::Var(*var), CmpOp::Le, Expr::Const(*hi));
-                narrowed = [&filter_refs[..], &[&ge, &le]].concat();
+                in_range = Expr::InRange(Box::new(Expr::Var(*var)), *lo, *hi);
+                narrowed = [&filter_refs[..], &[&in_range]].concat();
                 filters = &narrowed[..];
             }
             _ => {}

@@ -63,6 +63,7 @@ use crate::parallel::ParallelConfig;
 use crate::query::{Query, VarOrOid};
 use crate::scan::{scan_property, ORestrict, SRange, Source};
 use crate::table::{Table, VarId};
+use sordf_model::oid::PAYLOAD_MASK;
 use sordf_model::{Oid, Triple, TypeTag};
 use sordf_storage::clustered::SubjectIds;
 use sordf_storage::{ClassSegment, Order};
@@ -264,7 +265,18 @@ pub fn restrict_for_var(filters: &[&Expr], v: VarId, strings_ordered: bool) -> O
     let mut lo = 0u64;
     let mut hi = u64::MAX;
     let mut eq: Option<Oid> = None;
+    let empty = ORestrict {
+        eq: None,
+        range: Some((1, 0)),
+    };
     for f in filters {
+        if let Some((fv, from, to)) = f.as_var_range() {
+            if fv == v {
+                lo = lo.max(from.raw());
+                hi = hi.min(to.raw());
+            }
+            continue;
+        }
         let Some((fv, op, c)) = f.as_var_cmp() else {
             continue;
         };
@@ -275,6 +287,21 @@ pub fn restrict_for_var(filters: &[&Expr], v: VarId, strings_ordered: bool) -> O
         // OID-order-compatible; leave them to the post-filter.
         if c.tag() == TypeTag::Str && !strings_ordered && op != CmpOp::Eq {
             continue;
+        }
+        if !matches!(op, CmpOp::Eq | CmpOp::Ne) {
+            match c.tag() {
+                // An IRI or a blank node has no order: a type error on
+                // every row.
+                TypeTag::Iri | TypeTag::Blank => return empty,
+                // Only values of the constant's own type compare with it.
+                // A number's range stays open: the star confirms it by
+                // value (`residual_filters`).
+                tag if c.numeric_f64().is_none() => {
+                    lo = lo.max(Oid::new(tag, 0).raw());
+                    hi = hi.min(Oid::new(tag, PAYLOAD_MASK).raw());
+                }
+                _ => {}
+            }
         }
         match op {
             CmpOp::Eq => eq = Some(eq.map_or(c, |prev| if prev == c { c } else { Oid::NULL })),
@@ -287,17 +314,11 @@ pub fn restrict_for_var(filters: &[&Expr], v: VarId, strings_ordered: bool) -> O
     }
     if eq == Some(Oid::NULL) {
         // Conflicting equalities: empty restriction.
-        return ORestrict {
-            eq: None,
-            range: Some((1, 0)),
-        };
+        return empty;
     }
     if let Some(c) = eq {
         if c.raw() < lo || c.raw() > hi {
-            return ORestrict {
-                eq: None,
-                range: Some((1, 0)),
-            };
+            return empty;
         }
         return ORestrict::eq(c);
     }
@@ -1807,7 +1828,8 @@ fn push_if_passes(cx: &ExecContext, filters: &[&Expr], row: &[Oid], out: &mut Ta
 }
 
 /// Star-local filters minus those fully enforced by pushed restricts:
-/// `var CMP const` on a variable bound by exactly one property, where the
+/// `var CMP const` or `var IN [lo, hi]` on a variable bound by exactly one
+/// property, where the
 /// scan layer's [`ORestrict`] / subject range decides exactly what the
 /// comparison does. That is every such comparison except `!=` (never
 /// pushed), an ordered comparison on unsorted string OIDs (never pushed) and
@@ -1816,38 +1838,44 @@ fn push_if_passes(cx: &ExecContext, filters: &[&Expr], row: &[Oid], out: &mut Ta
 /// type (`2.5` against the integer `5`), so it is pushed *and* stays
 /// residual — the star confirms by value the rows the range let through.
 pub fn residual_filters<'f>(cx: &ExecContext, star: &Star, filters: &[&'f Expr]) -> Vec<&'f Expr> {
+    let single_binding = |v: VarId| {
+        v == star.subject_var
+            || star
+                .props
+                .iter()
+                .filter(|p| p.o == VarOrOid::Var(v))
+                .count()
+                == 1
+    };
     filters_bound_by_refs(filters, &star.bound_vars())
         .into_iter()
-        .filter(|f| match f.as_var_cmp() {
-            Some((v, op, c)) => {
-                let exact_pushdown = match op {
-                    CmpOp::Eq => !c.is_null(),
-                    CmpOp::Ne => false,
-                    _ => {
-                        let unsorted_string =
-                            c.tag() == TypeTag::Str && !cx.strings_value_ordered();
-                        !(c.is_null() || unsorted_string || c.numeric_f64().is_some())
-                    }
-                };
-                let single_binding = v == star.subject_var
-                    || star
-                        .props
-                        .iter()
-                        .filter(|p| p.o == VarOrOid::Var(v))
-                        .count()
-                        == 1;
-                !(exact_pushdown && single_binding)
-            }
-            None => true,
+        .filter(|f| {
+            let pushed = match (f.as_var_cmp(), f.as_var_range()) {
+                (Some((v, op, c)), _) => {
+                    let exact = match op {
+                        CmpOp::Eq => !c.is_null(),
+                        CmpOp::Ne => false,
+                        _ => {
+                            let unsorted_string =
+                                c.tag() == TypeTag::Str && !cx.strings_value_ordered();
+                            !(c.is_null() || unsorted_string || c.numeric_f64().is_some())
+                        }
+                    };
+                    exact.then_some(v)
+                }
+                // A raw range is what the scan layer applies.
+                (None, Some((v, ..))) => Some(v),
+                (None, None) => None,
+            };
+            !pushed.is_some_and(single_binding)
         })
         .collect()
 }
 
-/// Range filters on the subject variable itself (OID-range form).
+/// Range filters on the subject variable itself (OID-range form): the SQL
+/// frontend's class-segment restriction ([`Expr::InRange`]), or a
+/// comparison that no IRI passes.
 pub(crate) fn subject_filter_range(star: &Star, filters: &[&Expr]) -> SRange {
-    // Subject OIDs are IRIs; IRI "ordering" is only meaningful as raw OID
-    // ranges (used by the SQL frontend for class-segment restriction), so
-    // push them unconditionally.
     let r = restrict_for_var(filters, star.subject_var, true);
     if r.is_none() {
         None

@@ -503,19 +503,32 @@ impl Pool {
         }
     }
 
+    /// The rank of entry `i` in the frozen run, if it is there.
+    fn rank(&self, i: u64) -> Option<usize> {
+        (i < self.run.len() as u64).then(|| {
+            self.ranks
+                .as_ref()
+                .map_or(i as usize, |m| m.rank_of_oid[i as usize] as usize)
+        })
+    }
+
     /// Lock-free decode. A frozen entry is one map load plus a walk inside
     /// its group (a follower is rebuilt, so it allocates); group leaders and
     /// tail entries borrow.
     fn get(&self, i: u64) -> Option<Cow<'_, str>> {
-        let f = self.run.len() as u64;
-        if i >= f {
-            return self.tail.get(i - f).map(Cow::Borrowed);
+        match self.rank(i) {
+            Some(rank) => self.run.get(rank),
+            None => self.tail.get(i - self.run.len() as u64).map(Cow::Borrowed),
         }
-        let rank = self
-            .ranks
-            .as_ref()
-            .map_or(i as usize, |m| m.rank_of_oid[i as usize] as usize);
-        self.run.get(rank)
+    }
+
+    /// Entries `a` and `b` in text order: by rank when both are frozen (the
+    /// run is sorted), by their strings otherwise.
+    fn cmp_entries(&self, a: u64, b: u64) -> Option<std::cmp::Ordering> {
+        match (self.rank(a), self.rank(b)) {
+            (Some(x), Some(y)) => Some(x.cmp(&y)),
+            _ => Some(self.get(a)?.cmp(&self.get(b)?)),
+        }
     }
 
     fn len(&self) -> usize {
@@ -920,6 +933,22 @@ impl Dictionary {
         self.iris
             .get(oid.payload())
             .ok_or(ModelError::UnknownOid(oid.raw()))
+    }
+
+    /// Two IRIs, or two blank nodes, in the order of their text — the same
+    /// whatever the numbering — read from the frozen run's ranks where both
+    /// are in it. `None` for any other pair, and for an OID the dictionary
+    /// does not hold.
+    pub fn cmp_text(&self, a: Oid, b: Oid) -> Option<std::cmp::Ordering> {
+        if a.is_null() || b.is_null() {
+            return None;
+        }
+        let pool = match (a.tag(), b.tag()) {
+            (TypeTag::Iri, TypeTag::Iri) => &self.iris,
+            (TypeTag::Blank, TypeTag::Blank) => &self.blanks,
+            _ => return None,
+        };
+        pool.cmp_entries(a.payload(), b.payload())
     }
 
     /// Decode any OID back to a term.

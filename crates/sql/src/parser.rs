@@ -321,10 +321,7 @@ impl<'a> Compiler<'a> {
                 }
                 let lo = Oid::iri(range.start);
                 let hi = Oid::iri(range.end.saturating_sub(1));
-                let in_range = Expr::and(
-                    Expr::cmp(Expr::Var(t.subject_var), CmpOp::Ge, Expr::Const(lo)),
-                    Expr::cmp(Expr::Var(t.subject_var), CmpOp::Le, Expr::Const(hi)),
-                );
+                let in_range = Expr::InRange(Box::new(Expr::Var(t.subject_var)), lo, hi);
                 let filter = if extra.is_empty() {
                     in_range
                 } else {

@@ -1,9 +1,11 @@
 //! The permutation-indexed triple table: the baseline store (MonetDB+HSP /
 //! RDF-3X layout) and the irregular remainder of a clustered database.
 
+use crate::generation::BaseLayout;
 use crate::perm::{Order, PermIndex};
 use sordf_columnar::{BufferPool, DiskManager, PageLease};
 use sordf_model::{Oid, Triple};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Sorted permutation projections over one triple table: the orders the
@@ -77,6 +79,29 @@ impl BaselineStore {
         idx.pairs(pool, r)
     }
 
+    /// Append every stored triple to `out` in PSO order: one SPO-sorted run
+    /// per predicate.
+    pub(crate) fn push_pso(&self, pool: &BufferPool, out: &mut Vec<Triple>) {
+        let pso = self.perm(Order::Pso);
+        let all = 0..self.n_triples;
+        let (s, o) = (
+            pso.col(1).to_vec(pool, all.clone()),
+            pso.col(2).to_vec(pool, all),
+        );
+        out.reserve(self.n_triples);
+        for (p, rows) in pso.runs() {
+            out.extend(rows.map(|i| Triple::new(Oid::from_raw(s[i]), p, Oid::from_raw(o[i]))));
+        }
+    }
+
+    /// The objects of subject `s` among a predicate's PSO rows `run`.
+    fn objects_in(&self, pool: &BufferPool, run: Range<usize>, s: Oid) -> Vec<u64> {
+        let pso = self.perm(Order::Pso);
+        let lo = pso.col(1).lower_bound_in(pool, run.clone(), s.raw());
+        let hi = pso.col(1).upper_bound_in(pool, run, s.raw());
+        pso.col(2).to_vec(pool, lo..hi)
+    }
+
     /// All subjects with `p = o`, sorted (a POS lookup).
     pub fn subjects_pq(&self, pool: &BufferPool, p: Oid, o: Oid) -> Vec<Oid> {
         let idx = self.perm(Order::Pos);
@@ -86,6 +111,43 @@ impl BaselineStore {
             .into_iter()
             .map(Oid::from_raw)
             .collect()
+    }
+}
+
+impl BaseLayout for BaselineStore {
+    fn n_triples(&self) -> usize {
+        self.n_triples
+    }
+
+    /// Every stored triple in SPO order, duplicates included: the PSO
+    /// projection's predicate runs, merged.
+    fn triples_spo(&self, pool: &BufferPool) -> Vec<Triple> {
+        let mut out = Vec::new();
+        self.push_pso(pool, &mut out);
+        // Each predicate's run is already SPO-sorted: the run-adaptive
+        // stable sort merges them.
+        out.sort();
+        out
+    }
+
+    /// How many times the store holds `t`.
+    fn occurrences(&self, pool: &BufferPool, t: Triple) -> usize {
+        let run = self.perm(Order::Pso).run_of(t.p);
+        let objects = self.objects_in(pool, run, t.s);
+        objects.into_iter().filter(|&o| o == t.o.raw()).count()
+    }
+
+    /// Append the triples of subject `s` to `out`, in SPO order: one search
+    /// of the subject in each predicate's run.
+    fn of_subject(&self, pool: &BufferPool, s: Oid, out: &mut Vec<Triple>) {
+        for (p, run) in self.perm(Order::Pso).runs() {
+            let objects = self.objects_in(pool, run, s);
+            out.extend(
+                objects
+                    .into_iter()
+                    .map(|o| Triple::new(s, p, Oid::from_raw(o))),
+            );
+        }
     }
 }
 
@@ -116,6 +178,33 @@ mod tests {
             scan,
             vec![(Oid::iri(1), Oid::iri(100)), (Oid::iri(2), Oid::iri(101))]
         );
+    }
+
+    #[test]
+    fn enumeration_and_lookups_answer_what_the_triples_hold() {
+        let mut triples = vec![
+            t(2, 10, 100),
+            t(1, 11, 102),
+            t(1, 10, 100),
+            t(1, 10, 100),
+            t(3, 12, 5),
+        ];
+        let (_dm, pool, store) = setup(&triples);
+        triples.sort_unstable();
+        assert_eq!(
+            store.triples_spo(&pool),
+            triples,
+            "SPO order, duplicates kept"
+        );
+        assert_eq!(store.occurrences(&pool, t(1, 10, 100)), 2);
+        assert_eq!(store.occurrences(&pool, t(1, 10, 101)), 0);
+        assert_eq!(store.occurrences(&pool, t(1, 13, 100)), 0);
+        let mut rows = Vec::new();
+        store.of_subject(&pool, Oid::iri(1), &mut rows);
+        assert_eq!(rows, [t(1, 10, 100), t(1, 10, 100), t(1, 11, 102)]);
+        rows.clear();
+        store.of_subject(&pool, Oid::iri(4), &mut rows);
+        assert!(rows.is_empty());
     }
 
     #[test]

@@ -17,14 +17,19 @@
 //!   but locality and zone-map clustering benefits are lost.
 
 use crate::baseline::BaselineStore;
+use crate::generation::BaseLayout;
 use crate::reorg::ClusterSpec;
-use sordf_columnar::{BufferPool, Column, DiskManager};
+use sordf_columnar::column::NULL_SENTINEL;
+use sordf_columnar::disk::VALS_PER_PAGE;
+use sordf_columnar::{BufferPool, Chunk, Column, DiskManager};
 use sordf_model::{Oid, Triple};
 use sordf_schema::{ClassId, EmergentSchema, TripleHome};
 
 /// A multi-valued property's side table: (s, o) pairs sorted by (s, o).
 #[derive(Debug, Clone)]
 pub struct MultiTable {
+    /// The property.
+    pub p: Oid,
     pub s: Column,
     pub o: Column,
 }
@@ -55,6 +60,8 @@ pub struct ClassSegment {
     pub subjects: SubjectIds,
     /// Aligned value columns, same order as `ClassDef::columns`.
     pub columns: Vec<Column>,
+    /// The property of each column.
+    pub preds: Vec<Oid>,
     /// Side tables, same order as `ClassDef::multi_props`.
     pub multi: Vec<MultiTable>,
     /// Column index the segment rows are sub-ordered by, if any
@@ -126,6 +133,88 @@ impl ClassSegment {
         let c = &self.columns[col];
         Some(c.lower_bound(pool, lo)..c.upper_bound(pool, hi))
     }
+
+    /// The first subject, if any (a segment's subjects ascend).
+    fn first_subject(&self, pool: &BufferPool) -> Option<Oid> {
+        (self.n > 0).then(|| self.subject_at(pool, 0))
+    }
+
+    /// Columns and side tables in predicate order: the order a subject's
+    /// triples take.
+    fn slots(&self) -> Vec<(Oid, Slot)> {
+        let columns = self
+            .preds
+            .iter()
+            .enumerate()
+            .map(|(c, &p)| (p, Slot::Column(c)));
+        let multi = self
+            .multi
+            .iter()
+            .enumerate()
+            .map(|(m, t)| (t.p, Slot::Multi(m)));
+        let mut slots: Vec<(Oid, Slot)> = columns.chain(multi).collect();
+        slots.sort_unstable_by_key(|&(p, _)| p);
+        slots
+    }
+
+    /// Append the segment's triples to `out` in SPO order, row by row: a
+    /// page of every column pinned at a time, the side tables decoded whole
+    /// and read by a cursor each.
+    fn push_spo(&self, pool: &BufferPool, out: &mut Vec<Triple>) {
+        let slots = self.slots();
+        let multi: Vec<(Vec<u64>, Vec<u64>)> = self
+            .multi
+            .iter()
+            .map(|m| {
+                (
+                    m.s.to_vec(pool, 0..m.s.len()),
+                    m.o.to_vec(pool, 0..m.o.len()),
+                )
+            })
+            .collect();
+        let mut next = vec![0usize; multi.len()];
+        for page in 0..self.n.div_ceil(VALS_PER_PAGE) {
+            let rows = page * VALS_PER_PAGE..self.n.min((page + 1) * VALS_PER_PAGE);
+            let chunks: Vec<Chunk> = self
+                .columns
+                .iter()
+                .map(|c| c.pin_page(pool, page))
+                .collect();
+            let (base, subjects) = match &self.subjects {
+                SubjectIds::Dense { base } => (*base, None),
+                SubjectIds::Sparse { subjects } => (0, Some(subjects.pin_page(pool, page))),
+            };
+            for (i, row) in rows.enumerate() {
+                let s = subjects.as_ref().map_or(Oid::iri(base + row as u64), |c| {
+                    Oid::from_raw(c.values()[i])
+                });
+                for &(p, slot) in &slots {
+                    match slot {
+                        Slot::Column(c) => {
+                            let o = chunks[c].values()[i];
+                            if o != NULL_SENTINEL {
+                                out.push(Triple::new(s, p, Oid::from_raw(o)));
+                            }
+                        }
+                        Slot::Multi(m) => {
+                            let ((ms, mo), at) = (&multi[m], &mut next[m]);
+                            while ms.get(*at) == Some(&s.raw()) {
+                                out.push(Triple::new(s, p, Oid::from_raw(mo[*at])));
+                                *at += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Where a segment keeps one property of its subjects.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Column(usize),
+    Multi(usize),
 }
 
 /// The clustered database: segments + irregular remainder.
@@ -151,6 +240,13 @@ impl ClusteredStore {
     /// Total triples stored (regular + irregular).
     pub fn n_triples(&self) -> usize {
         self.n_regular + self.irregular.len()
+    }
+
+    /// The segment and row of subject `s`, if a class holds it.
+    fn locate(&self, pool: &BufferPool, s: Oid) -> Option<(&ClassSegment, usize)> {
+        self.segments
+            .iter()
+            .find_map(|seg| Some((seg, seg.row_of(pool, s)?)))
     }
 
     /// Bytes a scan of the segment columns must touch (encoded size),
@@ -186,6 +282,80 @@ impl ClusteredStore {
                 .sum::<usize>();
         }
         n
+    }
+}
+
+impl BaseLayout for ClusteredStore {
+    fn n_triples(&self) -> usize {
+        ClusteredStore::n_triples(self)
+    }
+
+    /// Every stored triple in SPO order, duplicates included: each
+    /// segment's rows (columns and side tables in predicate order), merged
+    /// with the irregular triples.
+    fn triples_spo(&self, pool: &BufferPool) -> Vec<Triple> {
+        let mut segments: Vec<(Oid, &ClassSegment)> = self
+            .segments
+            .iter()
+            .filter_map(|seg| Some((seg.first_subject(pool)?, seg)))
+            .collect();
+        segments.sort_unstable_by_key(|&(first, _)| first);
+        let mut out = Vec::with_capacity(self.n_triples());
+        for (_, seg) in segments {
+            seg.push_spo(pool, &mut out);
+        }
+        self.irregular.push_pso(pool, &mut out);
+        // Sorted runs: the segments (one run when dense, whose classes are
+        // disjoint subject ranges) and one per irregular predicate. The
+        // run-adaptive stable sort merges them.
+        out.sort();
+        out
+    }
+
+    /// How many times the store holds `t`: at most once in its subject's
+    /// column, any number of times in a side table, and in the irregular
+    /// triples.
+    fn occurrences(&self, pool: &BufferPool, t: Triple) -> usize {
+        let regular = match self.locate(pool, t.s) {
+            Some((seg, row)) => {
+                if let Some(c) = seg.preds.iter().position(|&p| p == t.p) {
+                    usize::from(seg.columns[c].value(pool, row) == t.o.raw())
+                } else if let Some(m) = seg.multi.iter().find(|m| m.p == t.p) {
+                    let rows = m.rows_of(pool, t.s);
+                    m.o.to_vec(pool, rows)
+                        .into_iter()
+                        .filter(|&o| o == t.o.raw())
+                        .count()
+                } else {
+                    0
+                }
+            }
+            None => 0,
+        };
+        regular + self.irregular.occurrences(pool, t)
+    }
+
+    /// Append the triples of subject `s` to `out`, in SPO order.
+    fn of_subject(&self, pool: &BufferPool, s: Oid, out: &mut Vec<Triple>) {
+        let from = out.len();
+        if let Some((seg, row)) = self.locate(pool, s) {
+            for (col, &p) in seg.columns.iter().zip(&seg.preds) {
+                let o = col.value(pool, row);
+                if o != NULL_SENTINEL {
+                    out.push(Triple::new(s, p, Oid::from_raw(o)));
+                }
+            }
+            for m in &seg.multi {
+                let rows = m.rows_of(pool, s);
+                let os = m.o.to_vec(pool, rows);
+                out.extend(
+                    os.into_iter()
+                        .map(|o| Triple::new(s, m.p, Oid::from_raw(o))),
+                );
+            }
+        }
+        self.irregular.of_subject(pool, s, out);
+        out[from..].sort_unstable();
     }
 }
 
@@ -299,6 +469,7 @@ pub fn build_clustered(
             }
         };
         let mut columns = Vec::with_capacity(class.columns.len());
+        let preds = class.columns.iter().map(|c| c.pred).collect();
         for (coli, data) in col_data[ci].iter().enumerate() {
             let col = Column::from_slice(disk, data);
             // Refresh schema stats from the physical column.
@@ -319,7 +490,11 @@ pub fn build_clustered(
             stats.n_nonnull = pairs.len() as u64;
             stats.min = o_col.zonemap().global_min();
             stats.max = o_col.zonemap().global_max();
-            multi.push(MultiTable { s: s_col, o: o_col });
+            multi.push(MultiTable {
+                p: class.multi_props[mi].pred,
+                s: s_col,
+                o: o_col,
+            });
         }
         let sorted_by = if dense {
             spec.sort_keys
@@ -334,6 +509,7 @@ pub fn build_clustered(
             n,
             subjects,
             columns,
+            preds,
             multi,
             sorted_by,
         });
@@ -525,6 +701,23 @@ mod tests {
         // and the same irregular triples.
         assert_eq!(decoded[0], decoded[1]);
         assert!(!decoded[0].1.is_empty(), "the fixture has exceptions");
+    }
+
+    #[test]
+    fn both_layouts_read_back_the_sorted_load() {
+        for dense in [false, true] {
+            let (_dm, pool, _schema, store, ts) = build(dense);
+            let spo = ts.sorted_spo();
+            assert_eq!(store.triples_spo(&pool), spo, "dense={dense}");
+            for &t in &spo {
+                let n = spo.iter().filter(|&&x| x == t).count();
+                assert_eq!(store.occurrences(&pool, t), n, "dense={dense} {t:?}");
+                let mut rows = Vec::new();
+                store.of_subject(&pool, t.s, &mut rows);
+                let want: Vec<Triple> = spo.iter().copied().filter(|x| x.s == t.s).collect();
+                assert_eq!(rows, want, "dense={dense}");
+            }
+        }
     }
 
     #[test]

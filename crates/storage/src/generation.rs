@@ -1,8 +1,8 @@
 //! Generation pinning: the immutable unit a query executes against.
 //!
 //! A [`StoreGeneration`] bundles everything one *physical generation* of the
-//! store consists of — the dictionary, the base triples and whichever store
-//! layouts have been built over them. It is immutable once published, with
+//! store consists of — the dictionary, and either the staging triple list
+//! or the store layouts built over it. It is immutable once published, with
 //! one carefully-scoped exception: the dictionary keeps growing *within* a
 //! generation (inserts intern new terms, strictly append-only, through the
 //! dictionary's own internal pool locks), which never invalidates an OID a
@@ -17,13 +17,14 @@
 //! reads, short internal writer locks per pool), a pinned dictionary never
 //! blocks interning writers either — pins are plain `Arc` clones.
 
+use std::borrow::Cow;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use sordf_model::{Dictionary, Triple};
+use sordf_columnar::BufferPool;
+use sordf_model::{Dictionary, Oid, Triple};
 use sordf_schema::EmergentSchema;
 
-use crate::base::BaseTriples;
 use crate::baseline::BaselineStore;
 use crate::clustered::ClusteredStore;
 use crate::delta::DeltaView;
@@ -37,12 +38,11 @@ pub struct StoreGeneration {
     /// internal pool locks, `&self`); replaced wholesale — never renumbered
     /// in place — by a generation swap.
     pub dict: Arc<Dictionary>,
-    /// Base triples, encoded under `dict`'s numbering: the load-order list
-    /// while staging, **SPO-sorted and packed on every built generation**
-    /// ([`BaseTriples`]; [`Self::debug_validate`] holds the two together).
-    /// Every builder reads it sorted, and the packed form lets a delete batch
-    /// find its base-resident triples by binary search.
-    pub triples: Arc<BaseTriples>,
+    /// The staging list: the base triples in load order, encoded under
+    /// `dict`'s numbering, while no layout is built — **empty once one is**.
+    /// A built generation holds each triple once, in its layouts, and reads
+    /// its base back from them ([`Self::base`]).
+    pub triples: Arc<Vec<Triple>>,
     /// Exhaustive permutation indexes (ParseOrder scheme), if built.
     pub baseline: Option<Arc<BaselineStore>>,
     /// The frozen emergent schema, if discovered.
@@ -69,7 +69,7 @@ impl StoreGeneration {
     pub fn staging(dict: Dictionary, triples: Vec<Triple>) -> StoreGeneration {
         StoreGeneration {
             dict: Arc::new(dict),
-            triples: Arc::new(BaseTriples::Staging(triples)),
+            triples: Arc::new(triples),
             baseline: None,
             schema: None,
             cs_parse_order: None,
@@ -85,6 +85,51 @@ impl StoreGeneration {
         self.baseline.is_some() || self.cs_parse_order.is_some() || self.clustered.is_some()
     }
 
+    /// The layout a built generation reads its base from: the clustered
+    /// store, else the CS tables, else the baseline.
+    fn base_layout(&self) -> Option<&dyn BaseLayout> {
+        match (&self.clustered, &self.cs_parse_order, &self.baseline) {
+            (Some(store), _, _) | (None, Some((store, _)), _) => Some(&**store),
+            (None, None, Some(store)) => Some(&**store),
+            (None, None, None) => None,
+        }
+    }
+
+    /// Number of base triples, duplicates included.
+    pub fn n_base(&self) -> usize {
+        self.base_layout()
+            .map_or(self.triples.len(), |layout| layout.n_triples())
+    }
+
+    /// The base triples: SPO-sorted, enumerated from a layout, once one is
+    /// built; the staging list, in load order, before.
+    pub fn base(&self, pool: &BufferPool) -> Cow<'_, [Triple]> {
+        match self.base_layout() {
+            Some(layout) => Cow::Owned(layout.triples_spo(pool)),
+            None => Cow::Borrowed(&self.triples),
+        }
+    }
+
+    /// How many times the base holds `t` (bulk loads keep duplicates).
+    pub fn base_occurrences(&self, pool: &BufferPool, t: Triple) -> usize {
+        match self.base_layout() {
+            Some(layout) => layout.occurrences(pool, t),
+            None => self.triples.iter().filter(|&&x| x == t).count(),
+        }
+    }
+
+    /// Append the base triples of subject `s` to `out`, in SPO order.
+    pub fn base_of_subject(&self, pool: &BufferPool, s: Oid, out: &mut Vec<Triple>) {
+        match self.base_layout() {
+            Some(layout) => layout.of_subject(pool, s, out),
+            None => {
+                let from = out.len();
+                out.extend(self.triples.iter().filter(|t| t.s == s));
+                out[from..].sort_unstable();
+            }
+        }
+    }
+
     /// Pin this generation's dictionary: an `Arc` clone that keeps the
     /// dictionary alive for the pin's lifetime. Pins are free — they hold
     /// no lock, so they never block (or are blocked by) interning writers.
@@ -97,12 +142,19 @@ impl StoreGeneration {
     /// build and swap — it is deliberately cheap enough (nothing per triple
     /// or per page) to run there unconditionally.
     pub fn debug_validate(&self) {
-        assert_eq!(
-            self.any_built(),
-            matches!(*self.triples, BaseTriples::Packed(_)),
-            "a built generation's base is SPO-sorted and packed (delete \
-             resolution binary-searches it), a staging one is its load-order list"
+        assert!(
+            !self.any_built() || self.triples.is_empty(),
+            "a built generation holds its triples in its layouts alone, not \
+             in a staging list"
         );
+        let n = self.n_base();
+        if let Some(baseline) = &self.baseline {
+            assert_eq!(
+                baseline.len(),
+                n,
+                "the baseline holds what the other layouts hold"
+            );
+        }
         assert!(
             self.strings_sorted_len <= self.dict.n_strings(),
             "strings_sorted_len {} exceeds string pool size {} — the sort \
@@ -120,7 +172,7 @@ impl StoreGeneration {
             let Some(store) = store else { continue };
             assert_eq!(
                 store.n_triples(),
-                self.triples.len(),
+                n,
                 "{label} store triple count must match the base triple set \
                  (regular + irregular partitions are exhaustive)"
             );
@@ -145,12 +197,30 @@ impl StoreGeneration {
     }
 }
 
+/// A built layout read back as the generation's base. A layout holds each
+/// triple once (the clustered and CS-table stores in a segment's column or
+/// side table, or among the irregular triples), so any built one can
+/// enumerate the whole base and find a triple's or a subject's copies in it.
+pub trait BaseLayout {
+    /// Number of stored triples, duplicates included.
+    fn n_triples(&self) -> usize;
+
+    /// Every stored triple in SPO order, duplicates included.
+    fn triples_spo(&self, pool: &BufferPool) -> Vec<Triple>;
+
+    /// How many times the layout holds `t`.
+    fn occurrences(&self, pool: &BufferPool, t: Triple) -> usize;
+
+    /// Append the triples of subject `s` to `out`, in SPO order.
+    fn of_subject(&self, pool: &BufferPool, s: Oid, out: &mut Vec<Triple>);
+}
+
 /// The triples of the SPO-sorted `base` that `view` leaves visible, in base
 /// order. The view's tombstones are put in SPO order once and subtracted by
 /// a merge cursor — O(base + tombstones · log), no per-triple probe — which
 /// relies on the base being SPO-sorted whenever a delta exists (writes reach
-/// a delta store only over a built generation, whose base is packed and
-/// streams here one decoded block at a time).
+/// a delta store only over a built generation, whose base
+/// [`StoreGeneration::base`] enumerates in SPO order).
 pub fn visible_base(
     base: impl Iterator<Item = Triple>,
     view: Option<&DeltaView>,
@@ -169,30 +239,29 @@ pub fn visible_base(
 /// Fold `view` into `base`: the base with the view's tombstones filtered
 /// out and its visible inserts merged in, under the base's numbering. This
 /// is what a rebuild works from — in the background over a pinned
-/// generation's triples (the dictionary is not copied: a renumbering builds
+/// generation's base (the dictionary is not copied: a renumbering builds
 /// the next one from the pinned one, `Dictionary::renumbered`), or
-/// recovery's over a snapshot and the log behind it. Over an SPO-sorted base (any built
-/// generation's) the result is SPO-sorted: folding is one merge with the
-/// (small, sorted here) inserts, not a sort of the whole.
-pub fn fold_delta(
-    base: impl ExactSizeIterator<Item = Triple>,
-    view: Option<&DeltaView>,
-) -> Vec<Triple> {
+/// recovery's over a snapshot and the log behind it. Over an SPO-sorted base
+/// (any built generation's) the result is SPO-sorted: folding filters the
+/// base in place and merges the (small) inserts in, not a sort of the whole.
+pub fn fold_delta(mut base: Vec<Triple>, view: Option<&DeltaView>) -> Vec<Triple> {
     let Some(v) = view else {
-        return base.collect();
+        return base;
     };
-    let mut inserts = v.inserts().to_vec();
-    inserts.sort_unstable();
-    let mut inserts = inserts.into_iter().peekable();
-    let mut t = Vec::with_capacity(base.len() + inserts.len());
-    for b in visible_base(base, view) {
-        while let Some(i) = inserts.next_if(|&i| i < b) {
-            t.push(i);
+    let mut dead: Vec<Triple> = v.tombstones().to_vec();
+    dead.sort_unstable();
+    let mut at = 0usize;
+    base.retain(|b| {
+        while dead.get(at).is_some_and(|d| d < b) {
+            at += 1;
         }
-        t.push(b);
-    }
-    t.extend(inserts);
-    t
+        dead.get(at) != Some(b)
+    });
+    base.extend_from_slice(v.inserts());
+    // The sorted base and the insert runs: the run-adaptive stable sort
+    // merges them.
+    base.sort();
+    base
 }
 
 /// An owned pin on a generation's dictionary: an `Arc` clone that keeps
@@ -277,7 +346,7 @@ mod tests {
         let extra = Triple::new(s0, p, Oid::from_int(99).unwrap());
         let _ = delta.insert_run(vec![extra]);
         let _ = delta.delete(&[Triple::new(s0, p, Oid::from_int(0).unwrap())]);
-        let folded = fold_delta(gen.triples.iter(), delta.current_view());
+        let folded = fold_delta(gen.triples.to_vec(), delta.current_view());
         assert_eq!(folded.len(), 4, "one deleted, one inserted");
         assert!(folded.contains(&extra));
         assert!(
@@ -285,6 +354,6 @@ mod tests {
             "a sorted base folds into a sorted set"
         );
         // No view: a plain clone.
-        assert_eq!(fold_delta(gen.triples.iter(), None).len(), 4);
+        assert_eq!(fold_delta(gen.triples.to_vec(), None).len(), 4);
     }
 }

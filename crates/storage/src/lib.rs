@@ -26,7 +26,6 @@
 //! snapshot reads. The engine unions delta runs with base scans and filters
 //! tombstones; a reorganization collapses the delta into a fresh base.
 
-pub mod base;
 pub mod baseline;
 pub mod clustered;
 pub mod delta;
@@ -37,11 +36,12 @@ pub mod reorg;
 pub mod triple_set;
 pub mod wal;
 
-pub use base::{BaseBytes, BaseTriples, PackedTriples, SubjectRows};
 pub use baseline::BaselineStore;
 pub use clustered::{build_clustered, ClassSegment, ClusteredStore, MultiTable};
 pub use delta::{DeltaStore, DeltaView, DeltaWrite, Snapshot};
-pub use generation::{fold_delta, visible_base, DictPin, GenerationHandle, StoreGeneration};
+pub use generation::{
+    fold_delta, visible_base, BaseLayout, DictPin, GenerationHandle, StoreGeneration,
+};
 pub use manifest::{LayoutFlags, Manifest, SnapshotHeader, StoreSnapshot};
 pub use perm::{Order, PermIndex};
 pub use reorg::{reorganize, reorganize_from, ClusterSpec, ReorgReport};

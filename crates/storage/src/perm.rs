@@ -48,6 +48,9 @@ pub struct PermIndex {
     /// `cols[0]` = P, `cols[1]` = S, `cols[2]` = O).
     cols: [Column; 3],
     len: usize,
+    /// Each distinct key0 with its first row, ascending: the runs the
+    /// projection is cut into (for PSO, one per predicate).
+    runs: Vec<(Oid, usize)>,
 }
 
 impl PermIndex {
@@ -65,11 +68,37 @@ impl PermIndex {
             builders[1].push(b.raw());
             builders[2].push(c.raw());
         }
+        let mut runs: Vec<(Oid, usize)> = Vec::new();
+        for (i, &(a, _, _)) in keys.iter().enumerate() {
+            if runs.last().map_or(true, |&(last, _)| last != a) {
+                runs.push((a, i));
+            }
+        }
         let [b0, b1, b2] = builders;
         PermIndex {
             order,
             cols: [b0.finish(), b1.finish(), b2.finish()],
             len: keys.len(),
+            runs,
+        }
+    }
+
+    /// Each distinct key0 and its rows, ascending.
+    pub fn runs(&self) -> impl Iterator<Item = (Oid, Range<usize>)> + '_ {
+        self.runs.iter().enumerate().map(|(i, &(a, start))| {
+            let end = self.runs.get(i + 1).map_or(self.len, |&(_, e)| e);
+            (a, start..end)
+        })
+    }
+
+    /// Rows where key0 == `a`, found in the run list without a page read.
+    pub fn run_of(&self, a: Oid) -> Range<usize> {
+        let i = self.runs.partition_point(|&(x, _)| x < a);
+        match self.runs.get(i) {
+            Some(&(x, start)) if x == a => {
+                start..self.runs.get(i + 1).map_or(self.len, |&(_, e)| e)
+            }
+            _ => 0..0,
         }
     }
 
@@ -205,6 +234,20 @@ mod tests {
                 assert!(idx.pairs(&pool, rows).contains(&(b, c)), "{}", order.name());
             }
         }
+    }
+
+    #[test]
+    fn runs_are_the_key0_ranges() {
+        let triples: Vec<Triple> = (0..300).map(|i| t(i % 7, 10 + i % 4, 100 + i)).collect();
+        let (_dm, pool, idx) = setup(&triples, Order::Pso);
+        let runs: Vec<_> = idx.runs().collect();
+        assert_eq!(runs.len(), 4);
+        for (p, rows) in runs {
+            assert_eq!(rows, idx.range1(&pool, p));
+            assert_eq!(idx.run_of(p), rows);
+        }
+        assert!(idx.run_of(Oid::iri(9)).is_empty());
+        assert!(idx.run_of(Oid::iri(99)).is_empty());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Delete resolution against a naive reference.
 //!
-//! `delete_triples` decides which targets are visible by binary search over
-//! the generation's SPO-sorted base plus the delta view. This suite replays
-//! one script of inserts and deletes — mixing every kind of target the
-//! resolver distinguishes — against each layout and against a model that
+//! `delete_triples` decides which targets are visible by lookups in the
+//! built layout — a column cell, a side-table range, the irregular triples —
+//! plus the delta view. This suite replays one script of inserts and
+//! deletes — mixing every kind of target the resolver distinguishes, in
+//! every home a layout gives a triple — against each layout and against a
+//! model that
 //! knows nothing of bases, deltas or order: a plain list of visible triples
 //! scanned in full per delete. Counts must agree batch by batch, and the
 //! visible set must agree at three points: with the writes pending, after
@@ -14,7 +16,7 @@ use sordf::{Database, SyncPolicy};
 use sordf_model::{Term, TermTriple};
 use std::path::PathBuf;
 
-const PREDS: [&str; 3] = ["qty", "sold", "tag"];
+const PREDS: [&str; 5] = ["qty", "sold", "tag", "note", "odd"];
 
 fn tt(s: &str, p: &str, o: Term) -> TermTriple {
     TermTriple::new(
@@ -37,11 +39,43 @@ fn item(i: u64) -> [TermTriple; 3] {
     ]
 }
 
-/// 60 regular subjects; item 3's `qty` and item 5's `tag` are loaded twice.
+/// Item `i`'s multi-valued `note`s (every other item has two or three): a
+/// side table's values.
+fn notes(i: u64) -> Vec<TermTriple> {
+    let n = if i % 2 == 0 { 2 + i % 4 / 2 } else { 0 };
+    (0..n)
+        .map(|k| {
+            tt(
+                &format!("item{i}"),
+                "note",
+                Term::str(format!("note-{}", (i + k) % 9)),
+            )
+        })
+        .collect()
+}
+
+/// A `qty` of another type: an exception the clustered layouts keep among
+/// the irregular triples.
+fn odd_qty(i: u64) -> TermTriple {
+    tt(&format!("item{i}"), "qty", Term::str(format!("n/a-{i}")))
+}
+
+/// A subject no class takes, with a property of its own.
+fn loner(i: u64) -> TermTriple {
+    tt(&format!("loner{i}"), "odd", Term::int(i as i64))
+}
+
+/// 60 regular subjects with side-table values; item 3's `qty` and item 5's
+/// `tag` are loaded twice, item 7 has a second `qty`, every tenth item a
+/// `qty` of another type, and two subjects are irregular.
 fn base_data() -> Vec<TermTriple> {
     let mut out: Vec<TermTriple> = (0..60).flat_map(item).collect();
+    out.extend((0..60).flat_map(notes));
     out.push(item(3)[0].clone());
     out.push(item(5)[2].clone());
+    out.push(tt("item7", "qty", Term::int(70)));
+    out.extend((0..60).step_by(10).map(odd_qty));
+    out.extend([loner(0), loner(1)]);
     out
 }
 
@@ -143,6 +177,12 @@ fn run(layout: Layout) {
     model.insert(&base_data());
     build(&db, layout);
     assert_matches(&db, &model, layout, "freshly built");
+    if let Some(store) = db.clustered_store() {
+        assert!(
+            store.irregular.len() >= 8,
+            "exceptions, a second value and the loners are irregular"
+        );
+    }
 
     // Targets that were never there: a term the dictionary has not seen in
     // each position, and known terms in a combination no triple has.
@@ -155,13 +195,19 @@ fn run(layout: Layout) {
     ];
 
     // 1. Base-resident targets, one of them twice in the batch, one of them
-    //    twice in the base, beside the unknowns.
+    //    twice in the base, in every home — a column, a side table, an
+    //    exception, a second value, a loner — beside the unknowns.
     let mut batch = vec![
         item(0)[0].clone(),
         item(3)[0].clone(),
         item(9)[1].clone(),
         item(59)[2].clone(),
         item(0)[0].clone(),
+        notes(2)[1].clone(),
+        odd_qty(10),
+        tt("item7", "qty", Term::int(70)),
+        loner(1),
+        tt("item4", "note", Term::str("never-a-note")),
     ];
     batch.extend_from_slice(&unknown);
     delete(&db, &mut model, &batch, layout, "base-resident + unknown");
@@ -178,6 +224,9 @@ fn run(layout: Layout) {
         item(20)[1].clone(),
         item(0)[0].clone(),
         item(3)[0].clone(),
+        notes(2)[1].clone(),
+        notes(4)[0].clone(),
+        odd_qty(10),
     ];
     delete(&db, &mut model, &batch, layout, "delta + base + tombstoned");
 
@@ -214,6 +263,9 @@ fn run(layout: Layout) {
         item(3)[0].clone(),
         item(105)[2].clone(),
         unknown[0].clone(),
+        notes(6)[2].clone(),
+        odd_qty(20),
+        loner(0),
     ];
     delete(&db, &mut model, &batch, layout, "after the fold");
     db.insert_terms(&[item(3)[0].clone()]).unwrap();

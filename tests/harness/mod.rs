@@ -50,8 +50,7 @@
 //! then patterns, then filters while the two cells still disagree, and
 //! panics with the input's seed, the shrunk case and both answers. The case
 //! block is the format of `tests/matrix_cases/*.case`: save it there and it
-//! runs as a fixed input in every cell. A known defect not yet mended is
-//! saved as `*.defect` instead, and `matrix` checks that it still shows.
+//! runs as a fixed input in every cell.
 //!
 //! Each test binary that includes this module (`mod harness;`) uses part of
 //! it, so dead code is allowed here.
@@ -652,14 +651,6 @@ pub fn generate_query(rng: &mut StdRng, idx: &Index) -> Bgp {
         ));
     }
     let vars = b.vars();
-    // Variables that only ever hold literals: MIN / MAX and `<` between two
-    // variables order IRIs by OID, which differs between layouts (the known
-    // defects `tests/matrix_cases/iri_*.defect`).
-    let valued: Vec<&String> = objects
-        .iter()
-        .filter(|(_, p)| idx.objects(p).iter().all(|o| matches!(o, Term::Literal(_))))
-        .map(|(v, _)| v)
-        .collect();
     for _ in 0..rng.random_range(0..3) {
         let (v, p) = pick(rng, &objects).clone();
         // The last values of a predicate are often its noise: a second value
@@ -685,7 +676,7 @@ pub fn generate_query(rng: &mut StdRng, idx: &Index) -> Bgp {
             3 => format!("?{v} != {c}"),
             4 => format!("?{v} < 50"),
             5 if vars[0] != v => format!("?{v} != ?{}", vars[0]),
-            6 if *w != v && valued.contains(&w) && valued.contains(&&v) => format!("?{v} < ?{w}"),
+            6 if *w != v => format!("?{v} < ?{w}"),
             _ => format!("?{v} = {c}"),
         });
     }
@@ -696,8 +687,7 @@ pub fn generate_query(rng: &mut StdRng, idx: &Index) -> Bgp {
         3 | 4 => Select::Vars(vec![c, a]),
         5 => Select::Distinct(vec![a]),
         6 => Select::Count,
-        7 | 8 if !valued.is_empty() => Select::Group(a, pick(rng, &valued).to_string()),
-        7 | 8 => Select::Count,
+        7 | 8 => Select::Group(a, pick(rng, &objects).0.clone()),
         _ => Select::Product(a, c),
     };
     b

@@ -2,9 +2,8 @@
 //! cell (the cells and comparisons are `harness`'s module docs).
 //!
 //! This binary runs `sordf_datagen::dirty` and the printed cases under
-//! `tests/matrix_cases/`, checks that the known defects saved there still
-//! show, and makes one check that is not about an answer: pruning blocked
-//! per segment. The other files that include the harness run the inputs of
+//! `tests/matrix_cases/`, and makes one check that is not about an answer:
+//! pruning blocked per segment. The other files that include the harness run the inputs of
 //! the questions they are named for: the seeded random graphs of any shape
 //! in `properties`, RDF-H's engine cells in `rdfh_differential` and its
 //! facade cells in `updates_differential`, the page fixture in
@@ -32,13 +31,13 @@ fn dirty_data_agrees_in_every_cell() {
     eprintln!("dirty: {n} comparisons");
 }
 
-/// The saved inputs under `tests/matrix_cases/` with the extension `ext`.
-fn saved(ext: &str) -> Vec<Input> {
+/// The saved inputs under `tests/matrix_cases/` (`*.case`).
+fn saved() -> Vec<Input> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/matrix_cases");
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
-        if path.extension().is_some_and(|e| e == ext) {
+        if path.extension().is_some_and(|e| e == "case") {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             out.push(Input::parse(
                 &name,
@@ -63,23 +62,8 @@ fn printed_cases_agree_in_every_cell() {
     );
     let reparsed = Input::parse("random graph", &generated.print());
     assert_eq!(reparsed, generated, "a printed case reads back as itself");
-    let n: usize = saved("case").iter().map(run_matrix).sum();
+    let n: usize = saved().iter().map(run_matrix).sum();
     eprintln!("printed cases: {n} comparisons");
-}
-
-/// Each known defect saved as `tests/matrix_cases/*.defect` still makes two
-/// cells disagree. Once a defect is mended this fails: the case then
-/// becomes a `.case` and the generator restriction it names goes.
-#[test]
-fn known_defects_still_disagree() {
-    let defects = saved("defect");
-    assert!(!defects.is_empty());
-    for input in defects {
-        match run_cells(&input, &|_| true) {
-            Ok(n) => panic!("{}: all {n} comparisons agree — mended?", input.name),
-            Err(m) => eprintln!("{}: {:?} vs {:?}", input.name, m.cells[0], m.cells[1]),
-        }
-    }
 }
 
 /// Pruning is blocked per segment, only where a pending insert can attach

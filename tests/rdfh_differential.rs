@@ -40,10 +40,10 @@ fn all_catalog_queries_agree_across_configs() {
     eprintln!("rdfh at the engine: {n} comparisons");
 }
 
-/// Both built databases hold their columns compressed, and the clustered
-/// one a packed base.
+/// Both built databases hold their columns compressed, and no copy of
+/// their triples beside them.
 #[test]
-fn built_layouts_compress_columns_and_pack_the_base() {
+fn built_layouts_compress_columns_and_hold_no_base_copy() {
     let rig = rig();
     // Each built layout holds its columns in at most a third of their plain
     // bytes.
@@ -54,43 +54,36 @@ fn built_layouts_compress_columns_and_pack_the_base() {
             "column pages shrink only {:.2}x",
             m.column_compression_ratio()
         );
+        // An organized store holds no base copy: what it holds is the
+        // dictionary and the column pages.
+        assert_eq!(m.base_triples_bytes, 0, "{m:?}");
+        assert_eq!(m.total_bytes(), m.dict_bytes + m.column_bytes, "{m:?}");
+        assert_eq!(m.n_triples as usize, db.n_triples());
     }
-    // The base triple list of a built generation is packed and stores each
-    // subject once: 1.45 B a triple here (2.70 with a subject and a
-    // predicate position per triple), not the 24 of three plain OIDs.
-    let m = rig.clustered.memory_stats();
-    let base_per_triple = m.base_triples_bytes as f64 / m.n_triples as f64;
-    assert!(
-        base_per_triple <= 1.6,
-        "the clustered generation's base takes {base_per_triple:.2} B a triple: {:?}",
-        m.base_parts
-    );
 }
 
 /// On dirty data (irregularity 0.6: missing, extra, mistyped and
-/// multi-valued properties) nearly every subject of a block has a shape
-/// of its own, and the base still stores each subject once: 8.48 B a
-/// triple here, 1.15 of them subjects and shapes (9.18 with a subject and
-/// a predicate position per triple).
+/// multi-valued properties) a fifth of the triples are irregular, and the
+/// organized store still holds no base copy: each triple lives once, in a
+/// column, a side table or the irregular triples.
 #[test]
-fn the_base_of_a_dirty_store_stores_each_subject_once() {
+fn a_dirty_store_holds_no_base_copy() {
     let data = dirty(&DirtyConfig::with_irregularity(0.6, 1_000));
     let db = Database::in_temp_dir().unwrap();
     db.load_terms(&data).unwrap();
+    assert!(
+        db.memory_stats().base_triples_bytes > 0,
+        "staged, it is a list"
+    );
     db.self_organize().unwrap();
     let m = db.memory_stats();
-    let per_triple = |b: usize| b as f64 / m.n_triples as f64;
-    let (base, parts) = (m.base_triples_bytes as usize, m.base_parts);
+    assert_eq!(m.base_triples_bytes, 0, "{m:?}");
     assert!(
-        per_triple(base) <= 8.7,
-        "the dirty store's base takes {:.2} B a triple: {parts:?}",
-        per_triple(base)
+        m.classes[3].encoded > 0,
+        "the dirty store has irregular triples"
     );
-    assert!(
-        per_triple(parts.subjects + parts.shapes) <= 1.25,
-        "subjects and shapes take {:.2} B a triple: {parts:?}",
-        per_triple(parts.subjects + parts.shapes)
-    );
+    assert_eq!(db.n_triples(), data.len());
+    assert_eq!(m.n_triples as usize, data.len());
 }
 
 /// The IRI pool of a self-organized store is one sorted front-coded run
