@@ -63,22 +63,31 @@ impl OutVal {
 
     /// Render for display: decodes OIDs through the dictionary.
     pub fn render(&self, dict: &Dictionary) -> String {
-        match self {
-            OutVal::Null => "NULL".to_string(),
-            OutVal::Num(n) => {
-                if (n.fract()).abs() < 1e-9 && n.abs() < 1e15 {
-                    format!("{}", *n as i64)
-                } else {
-                    format!("{n:.4}")
-                }
+        let mut out = String::new();
+        self.push_display(dict, &mut out);
+        out
+    }
+
+    /// Append what [`OutVal::render`] returns to `out`: a term's text read
+    /// in place from the dictionary ([`Dictionary::push_display`]), a
+    /// number formatted, `NULL`. Nothing is allocated but `out`'s growth.
+    pub fn push_display(&self, dict: &Dictionary, out: &mut String) {
+        use std::fmt::Write;
+        // Formatting into a `String` cannot fail.
+        let _ = match self {
+            OutVal::Null => {
+                out.push_str("NULL");
+                Ok(())
             }
-            OutVal::Oid(o) => match dict.decode(*o) {
-                Ok(sordf_model::Term::Iri(iri)) => format!("<{iri}>"),
-                Ok(sordf_model::Term::Blank(b)) => format!("_:{b}"),
-                Ok(sordf_model::Term::Literal(l)) => l.value.lexical(),
-                Err(_) => format!("{o:?}"),
+            OutVal::Num(n) if n.fract().abs() < 1e-9 && n.abs() < 1e15 => {
+                write!(out, "{}", *n as i64)
+            }
+            OutVal::Num(n) => write!(out, "{n:.4}"),
+            OutVal::Oid(o) => match dict.push_display(*o, out) {
+                Ok(()) => Ok(()),
+                Err(_) => write!(out, "{o:?}"),
             },
-        }
+        };
     }
 }
 
@@ -158,12 +167,21 @@ impl ResultSet {
     }
 
     /// A canonical sorted text form for differential testing: two result
-    /// sets are equivalent iff this matches.
+    /// sets are equivalent iff this matches. One `String` per row, each
+    /// value appended to it in place.
     pub fn canonical(&self, dict: &Dictionary) -> Vec<String> {
         let mut rows: Vec<String> = self
-            .render(dict)
-            .into_iter()
-            .map(|r| r.join("\t"))
+            .rows()
+            .map(|r| {
+                let mut line = String::new();
+                for (j, v) in r.iter().enumerate() {
+                    if j > 0 {
+                        line.push('\t');
+                    }
+                    v.push_display(dict, &mut line);
+                }
+                line
+            })
             .collect();
         rows.sort();
         rows

@@ -22,12 +22,12 @@ pub(crate) fn restrict_selectivity(r: &ORestrict, stats: &ColStats) -> f64 {
     if r.is_none() {
         return 1.0;
     }
-    if r.eq.is_some() {
+    if r.is_point() {
         return 1.0 / stats.n_distinct.max(1) as f64;
     }
-    let (lo, hi) = r.bounds();
     match (stats.min, stats.max) {
         (Some(min), Some(max)) if max > min => {
+            let (lo, hi) = r.bounds_within(min, max);
             let lo = lo.max(min) as f64;
             let hi = hi.min(max) as f64;
             if hi < lo {
@@ -107,7 +107,7 @@ pub fn estimate_star_independence(cx: &ExecContext, star: &Star, filters: &[&Exp
                 let r = restrict_for_var(filters, v, strings_ordered);
                 if r.is_none() {
                     1.0
-                } else if r.eq.is_some() {
+                } else if r.is_point() {
                     0.001
                 } else {
                     0.3 // generic range guess — the point of the ablation

@@ -465,7 +465,7 @@ impl<'d> BatchEval<'d> {
         }
     }
 
-    /// [`compare`] then `op`, over a chunk: two term columns compare as
+    /// [`TermOrder::compare`] then `op`, over a chunk: two term columns compare as
     /// OIDs, anything else through the numeric views (where `NaN` — no
     /// numeric value — fails every operator, `!=` included).
     // `x < y || x > y` is *not* `x != y`: the latter holds for a `NaN`.

@@ -173,10 +173,13 @@ fn scan_baseline_rw(
             .map(|i| (Oid::from_raw(idx.col(2).value(pool, i)), eq))
             .collect();
     }
-    if let Some((lo, hi)) = restrict.range {
+    if restrict.range.is_some() {
         let idx = store.perm(Order::Pos);
-        let r = range2_between_rw(idx, pool, p, Oid::from_raw(lo), Oid::from_raw(hi));
-        return r
+        return restrict
+            .spans()
+            .flat_map(|(lo, hi)| {
+                range2_between_rw(idx, pool, p, Oid::from_raw(lo), Oid::from_raw(hi))
+            })
             .map(|i| {
                 (
                     Oid::from_raw(idx.col(2).value(pool, i)),

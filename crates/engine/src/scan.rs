@@ -21,11 +21,17 @@ use sordf_model::{Oid, Triple};
 use sordf_storage::clustered::SubjectIds;
 use sordf_storage::{BaselineStore, Order};
 
-/// Object-side restriction pushed into a scan (raw OID bounds, inclusive).
+/// Object-side restriction pushed into a scan (raw OID bounds, inclusive):
+/// one value (`eq`), or one range plus, for a bound on a number, a second
+/// one (`also`). A number compares by value with both numeric types, which
+/// are two tags (`Int`, `Dec`), so its bound admits one range in each.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ORestrict {
     pub eq: Option<Oid>,
     pub range: Option<(u64, u64)>,
+    /// A second admitted range above `range` and disjoint from it; only set
+    /// with `range`.
+    pub also: Option<(u64, u64)>,
 }
 
 impl ORestrict {
@@ -36,7 +42,15 @@ impl ORestrict {
     pub fn eq(o: Oid) -> ORestrict {
         ORestrict {
             eq: Some(o),
-            range: None,
+            ..ORestrict::default()
+        }
+    }
+
+    /// The raw OIDs in `[lo, hi]`.
+    pub fn range(lo: u64, hi: u64) -> ORestrict {
+        ORestrict {
+            range: Some((lo, hi)),
+            ..ORestrict::default()
         }
     }
 
@@ -53,20 +67,51 @@ impl ORestrict {
             }
         }
         if let Some((lo, hi)) = self.range {
-            if v < lo || v > hi {
+            if (v < lo || v > hi) && !self.also.is_some_and(|(lo, hi)| v >= lo && v <= hi) {
                 return false;
             }
         }
         true
     }
 
-    /// Effective raw bounds (for zone-map pruning).
-    pub fn bounds(&self) -> (u64, u64) {
-        match (self.eq, self.range) {
+    /// The admitted raw ranges: the equality as a one-value range, else
+    /// `range` and `also`; everything when unrestricted.
+    pub fn spans(&self) -> impl Iterator<Item = (u64, u64)> {
+        let first = match (self.eq, self.range) {
             (Some(eq), _) => (eq.raw(), eq.raw()),
-            (None, Some((lo, hi))) => (lo, hi),
+            (None, Some(r)) => r,
             (None, None) => (0, u64::MAX),
-        }
+        };
+        std::iter::once(first).chain(self.also.filter(|_| self.eq.is_none()))
+    }
+
+    /// Effective raw bounds: the hull of the spans.
+    pub fn bounds(&self) -> (u64, u64) {
+        self.spans()
+            .fold((u64::MAX, 0), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)))
+    }
+
+    /// The hull of the spans that meet `[min, max]`: on values inside it,
+    /// as exact as the restriction itself — a column holds the values of
+    /// one type tag, so its global zone map picks the one span that applies
+    /// (zone-map pruning, sort-key narrowing, estimates). `(1, 0)` when no
+    /// span meets it.
+    pub fn bounds_within(&self, min: u64, max: u64) -> (u64, u64) {
+        self.spans()
+            .filter(|&(lo, hi)| lo <= max && hi >= min)
+            .fold((1, 0), |(lo, hi), (a, b)| {
+                if lo > hi {
+                    (a, b)
+                } else {
+                    (lo.min(a), hi.max(b))
+                }
+            })
+    }
+
+    /// Does only a handful of single values pass (an equality, or a number's
+    /// `=`)? Estimates treat it as a point.
+    pub fn is_point(&self) -> bool {
+        self.eq.is_some() || (!self.is_none() && self.spans().all(|(lo, hi)| lo == hi))
     }
 }
 
@@ -201,20 +246,30 @@ fn scan_baseline(
         });
         return out;
     }
-    if let Some((lo, hi)) = restrict.range {
-        // POS range scan: pairs arrive (o, s)-sorted; caller re-sorts.
+    if restrict.range.is_some() {
+        // POS range scans, one per span: pairs arrive (o, s)-sorted; caller
+        // re-sorts.
         let idx = store.perm(Order::Pos);
-        let r = idx.range2_between(pool, p, Oid::from_raw(lo), Oid::from_raw(hi));
-        let mut out = Vec::with_capacity(r.len());
-        sordf_columnar::Column::for_each_chunk_pair(idx.col(2), idx.col(1), pool, r, |sc, oc| {
-            out.extend(
-                sc.values()
-                    .iter()
-                    .zip(oc.values())
-                    .filter(|&(&s, _)| s_range.map_or(true, |(lo, hi)| s >= lo && s <= hi))
-                    .map(|(&s, &o)| (Oid::from_raw(s), Oid::from_raw(o))),
+        let mut out = Vec::new();
+        for (lo, hi) in restrict.spans() {
+            let r = idx.range2_between(pool, p, Oid::from_raw(lo), Oid::from_raw(hi));
+            out.reserve(r.len());
+            sordf_columnar::Column::for_each_chunk_pair(
+                idx.col(2),
+                idx.col(1),
+                pool,
+                r,
+                |sc, oc| {
+                    out.extend(
+                        sc.values()
+                            .iter()
+                            .zip(oc.values())
+                            .filter(|&(&s, _)| s_range.map_or(true, |(lo, hi)| s >= lo && s <= hi))
+                            .map(|(&s, &o)| (Oid::from_raw(s), Oid::from_raw(o))),
+                    );
+                },
             );
-        });
+        }
         return out;
     }
     // Plain PSO scan.
@@ -279,7 +334,7 @@ fn scan_segment_column(
     }
     // Row range from the object restriction when the segment is sub-ordered
     // by this very column.
-    let (olo, ohi) = restrict.bounds();
+    let (olo, ohi) = column_bounds(restrict, col);
     if !restrict.is_none() {
         if let Some(r) = seg.sorted_row_range(pool, coli, olo, ohi) {
             rows = rows.start.max(r.start)..rows.end.min(r.end);
@@ -332,6 +387,16 @@ fn scan_segment_column(
             }
         },
     );
+}
+
+/// `restrict`'s bounds on the values of `col` ([`ORestrict::bounds_within`]
+/// its global zone map; the hull when it holds no value).
+pub(crate) fn column_bounds(restrict: &ORestrict, col: &sordf_columnar::Column) -> (u64, u64) {
+    let zm = col.zonemap();
+    match zm.global_min().zip(zm.global_max()) {
+        Some((min, max)) => restrict.bounds_within(min, max),
+        None => restrict.bounds(),
+    }
 }
 
 /// Extract pairs from a multi-valued side table.
@@ -481,10 +546,7 @@ mod tests {
         let sold = f.ts.dict.iri_oid("http://e/sold").unwrap();
         let lo = Oid::from_date_days(sordf_model::date::parse_date("1996-03-01").unwrap()).unwrap();
         let hi = Oid::from_date_days(sordf_model::date::parse_date("1996-04-30").unwrap()).unwrap();
-        let r = ORestrict {
-            eq: None,
-            range: Some((lo.raw(), hi.raw())),
-        };
+        let r = ORestrict::range(lo.raw(), hi.raw());
         let pairs = scan_property(&c, sold, &r, None, Source::Full);
         // Months 3 and 4 -> 2/12 of 200 ≈ 33 subjects (months cycle i%12).
         let expect = (0..200u64)
@@ -506,10 +568,7 @@ mod tests {
                     .unwrap();
                 let hi = Oid::from_date_days(sordf_model::date::parse_date("1996-06-30").unwrap())
                     .unwrap();
-                let r = ORestrict {
-                    eq: None,
-                    range: Some((lo.raw(), hi.raw())),
-                };
+                let r = ORestrict::range(lo.raw(), hi.raw());
                 scan_property(&c, sold, &r, None, Source::Full).len()
             })
             .collect();
@@ -619,10 +678,7 @@ mod tests {
         let _ = sold;
         let qty = f.ts.dict.iri_oid("http://e/qty").unwrap();
         let v = Oid::from_int(3).unwrap();
-        let r = ORestrict {
-            eq: None,
-            range: Some((v.raw(), v.raw())),
-        };
+        let r = ORestrict::range(v.raw(), v.raw());
         let pairs = scan_property(&c, qty, &r, None, Source::Full);
         assert_eq!(pairs.len(), 4);
         // 200 rows fit in one page, so nothing skippable here — just make

@@ -61,9 +61,9 @@ use crate::context::{ExecContext, ExecStats, StorageRef};
 use crate::expr::{batches, BatchEval, CmpOp, Expr};
 use crate::parallel::ParallelConfig;
 use crate::query::{Query, VarOrOid};
-use crate::scan::{scan_property, ORestrict, SRange, Source};
+use crate::scan::{column_bounds, scan_property, ORestrict, SRange, Source};
 use crate::table::{Table, VarId};
-use sordf_model::oid::PAYLOAD_MASK;
+use sordf_model::oid::{DECIMAL_ONE, PAYLOAD_MASK};
 use sordf_model::{Oid, Triple, TypeTag};
 use sordf_storage::clustered::SubjectIds;
 use sordf_storage::{ClassSegment, Order};
@@ -260,75 +260,176 @@ pub fn stars_of(query: &mut Query) -> (Vec<Star>, Vec<Expr>) {
     (stars, extra_filters)
 }
 
-/// Derive a pushable object restriction for `v` from the filters.
-pub fn restrict_for_var(filters: &[&Expr], v: VarId, strings_ordered: bool) -> ORestrict {
-    let mut lo = 0u64;
-    let mut hi = u64::MAX;
-    let mut eq: Option<Oid> = None;
-    let empty = ORestrict {
-        eq: None,
-        range: Some((1, 0)),
-    };
-    for f in filters {
-        if let Some((fv, from, to)) = f.as_var_range() {
-            if fv == v {
-                lo = lo.max(from.raw());
-                hi = hi.min(to.raw());
-            }
-            continue;
+/// A raw OID range, inclusive; empty when `lo > hi`.
+type Span = (u64, u64);
+
+const NO_SPAN: Span = (1, 0);
+
+/// The raw OIDs of one type tag.
+fn tag_span(tag: TypeTag) -> Span {
+    (Oid::new(tag, 0).raw(), Oid::new(tag, PAYLOAD_MASK).raw())
+}
+
+/// The terms of `c`'s own type tag with `term op c`: within a tag, raw
+/// order is value order. (`c` is not an IRI: those have no order.)
+fn own_span(op: CmpOp, c: Oid) -> Span {
+    let (min, max) = tag_span(c.tag());
+    let r = c.raw();
+    match op {
+        CmpOp::Eq => (r, r),
+        CmpOp::Lt => (min, r - 1),
+        CmpOp::Le => (min, r),
+        CmpOp::Gt => (r + 1, max),
+        CmpOp::Ge => (r, max),
+        CmpOp::Ne => (min, max),
+    }
+}
+
+/// The numbers `x` with `x op c`, for a numeric constant `c`: one span in
+/// each numeric tag, as [`crate::expr::TermOrder::holds`] decides — `c`'s
+/// own tag by raw order, the other one by `f64` value.
+fn numeric_spans(op: CmpOp, c: Oid) -> [Span; 2] {
+    let x = c.numeric_f64().unwrap_or(f64::NAN);
+    [TypeTag::Int, TypeTag::Dec].map(|tag| {
+        if tag == c.tag() {
+            return own_span(op, c);
         }
-        let Some((fv, op, c)) = f.as_var_cmp() else {
-            continue;
-        };
-        if fv != v || c.is_null() {
-            continue;
-        }
-        // Ordered comparisons on parse-order string OIDs are not
-        // OID-order-compatible; leave them to the post-filter.
-        if c.tag() == TypeTag::Str && !strings_ordered && op != CmpOp::Eq {
-            continue;
-        }
-        if !matches!(op, CmpOp::Eq | CmpOp::Ne) {
-            match c.tag() {
-                // An IRI or a blank node has no order: a type error on
-                // every row.
-                TypeTag::Iri | TypeTag::Blank => return empty,
-                // Only values of the constant's own type compare with it.
-                // A number's range stays open: the star confirms it by
-                // value (`residual_filters`).
-                tag if c.numeric_f64().is_none() => {
-                    lo = lo.max(Oid::new(tag, 0).raw());
-                    hi = hi.min(Oid::new(tag, PAYLOAD_MASK).raw());
-                }
-                _ => {}
-            }
-        }
+        let (min, max) = tag_span(tag);
+        // The raw OIDs of the first value not below `x` and above it.
+        let ge = min + first_rejected(tag, x, |v| v < x);
+        let gt = min + first_rejected(tag, x, |v| v <= x);
         match op {
-            CmpOp::Eq => eq = Some(eq.map_or(c, |prev| if prev == c { c } else { Oid::NULL })),
-            CmpOp::Ge => lo = lo.max(c.raw()),
-            CmpOp::Gt => lo = lo.max(c.raw().saturating_add(1)),
-            CmpOp::Le => hi = hi.min(c.raw()),
-            CmpOp::Lt => hi = hi.min(c.raw().saturating_sub(1)),
-            CmpOp::Ne => {}
+            CmpOp::Eq => (ge, gt - 1),
+            CmpOp::Lt => (min, ge - 1),
+            CmpOp::Le => (min, gt - 1),
+            CmpOp::Gt => (gt, max),
+            CmpOp::Ge => (ge, max),
+            CmpOp::Ne => (min, max),
+        }
+    })
+}
+
+/// The first payload of numeric `tag` whose value `below` rejects, or
+/// `PAYLOAD_MASK + 1`. A value ascends with its payload, so `below` holds
+/// for a prefix of them: the search gallops out from the payload of `x`,
+/// near the boundary, and bisects the bracket it finds.
+fn first_rejected(tag: TypeTag, x: f64, below: impl Fn(f64) -> bool) -> u64 {
+    let end = PAYLOAD_MASK + 1;
+    let below_at = |p: u64| p < end && Oid::new(tag, p).numeric_f64().is_some_and(&below);
+    let guess = match tag {
+        TypeTag::Int => Oid::from_int(x as i64),
+        _ => Oid::from_decimal_unscaled((x * DECIMAL_ONE as f64) as i64),
+    }
+    .map_or(if x < 0.0 { 0 } else { end }, |o| o.payload());
+    // Bracket: every payload below `lo` is below, `hi` is rejected.
+    let (mut lo, mut hi, mut step) = (guess, guess, 1u64);
+    if below_at(guess) {
+        while below_at(hi) {
+            lo = hi + 1;
+            hi = hi.saturating_add(step).min(end);
+            step *= 2;
+        }
+    } else {
+        while lo > 0 && !below_at(lo - 1) {
+            hi = lo - 1;
+            lo = hi.saturating_sub(step);
+            step *= 2;
         }
     }
-    if eq == Some(Oid::NULL) {
-        // Conflicting equalities: empty restriction.
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below_at(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// `a ∩ b`, each a union of at most two disjoint ascending spans. The
+/// unions [`restrict_for_var`] builds hold at most one span per numeric
+/// tag, so the result fits in two as well; a third would widen the second
+/// to their hull (more, never fewer, terms).
+fn intersect_spans(a: [Span; 2], b: [Span; 2]) -> [Span; 2] {
+    let mut out = [NO_SPAN; 2];
+    let mut n = 0;
+    for x in a {
+        for y in b {
+            let z = (x.0.max(y.0), x.1.min(y.1));
+            if z.0 > z.1 {
+                continue;
+            }
+            if n < 2 {
+                out[n] = z;
+                n += 1;
+            } else {
+                out[1] = (out[1].0.min(z.0), out[1].1.max(z.1));
+            }
+        }
+    }
+    out
+}
+
+/// Derive a pushable object restriction for `v` from the filters: what
+/// every filter on `v` admits, as at most two raw ranges. A comparison with
+/// a number admits both numeric types (`"2.5"^^xsd:decimal < 3`), one range
+/// in each tag. An ordered one stays a residual filter
+/// ([`residual_filters`]) that confirms by value what the ranges let
+/// through; `=` is exact, its ranges holding just the numbers equal to it.
+pub fn restrict_for_var(filters: &[&Expr], v: VarId, strings_ordered: bool) -> ORestrict {
+    let empty = ORestrict::range(1, 0);
+    let mut spans = [(0, u64::MAX), NO_SPAN];
+    let mut eq: Option<Oid> = None;
+    for f in filters {
+        let admitted = if let Some((fv, from, to)) = f.as_var_range() {
+            if fv != v {
+                continue;
+            }
+            [(from.raw(), to.raw()), NO_SPAN]
+        } else {
+            let Some((fv, op, c)) = f.as_var_cmp() else {
+                continue;
+            };
+            if fv != v || c.is_null() || op == CmpOp::Ne {
+                continue;
+            }
+            // Ordered comparisons on parse-order string OIDs are not
+            // OID-order-compatible; leave them to the post-filter.
+            if c.tag() == TypeTag::Str && !strings_ordered && op != CmpOp::Eq {
+                continue;
+            }
+            match (op, c.tag()) {
+                (_, TypeTag::Int | TypeTag::Dec) => numeric_spans(op, c),
+                (CmpOp::Eq, _) => {
+                    eq = Some(eq.map_or(c, |prev| if prev == c { c } else { Oid::NULL }));
+                    continue;
+                }
+                // An IRI or a blank node has no order: a type error on
+                // every row.
+                (_, TypeTag::Iri | TypeTag::Blank) => return empty,
+                // Only values of the constant's own type compare with it.
+                _ => [own_span(op, c), NO_SPAN],
+            }
+        };
+        spans = intersect_spans(spans, admitted);
+    }
+    let [first, second] = spans;
+    if first.0 > first.1 || eq == Some(Oid::NULL) {
+        // Nothing passes every filter, or conflicting equalities.
         return empty;
     }
     if let Some(c) = eq {
-        if c.raw() < lo || c.raw() > hi {
-            return empty;
-        }
-        return ORestrict::eq(c);
+        let inside = spans.iter().any(|&(lo, hi)| lo <= c.raw() && c.raw() <= hi);
+        return if inside { ORestrict::eq(c) } else { empty };
     }
-    if lo == 0 && hi == u64::MAX {
-        ORestrict::none()
-    } else {
-        ORestrict {
-            eq: None,
-            range: Some((lo, hi)),
-        }
+    if first == (0, u64::MAX) {
+        return ORestrict::none();
+    }
+    ORestrict {
+        eq: None,
+        range: Some(first),
+        also: (second.0 <= second.1).then_some(second),
     }
 }
 
@@ -780,7 +881,7 @@ fn build_accesses<'a>(
                     ci: *ci,
                     exceptions: irr(),
                     deleted,
-                    bounds: present_bounds(&restrict),
+                    bounds: present_bounds(&restrict, &seg.columns[*ci]),
                     restrict,
                 },
                 Covered::Multi(mi) => {
@@ -1146,15 +1247,11 @@ struct CleanCol<'v> {
     pos: Option<usize>,
 }
 
-/// A restriction as one inclusive `[lo, hi]` over *present* values: the
-/// equality and the range intersected, NULL (the largest raw value) cut off.
-/// `lo > hi` when nothing can pass.
-fn present_bounds(restrict: &ORestrict) -> (u64, u64) {
-    let (mut lo, mut hi) = restrict.range.unwrap_or((0, u64::MAX));
-    if let Some(eq) = restrict.eq {
-        lo = lo.max(eq.raw());
-        hi = hi.min(eq.raw());
-    }
+/// A restriction as one inclusive `[lo, hi]` over the *present* values of
+/// `col` ([`column_bounds`]: exact, as a column holds one type tag), NULL
+/// (the largest raw value) cut off. `lo > hi` when nothing can pass.
+fn present_bounds(restrict: &ORestrict, col: &sordf_columnar::Column) -> (u64, u64) {
+    let (lo, hi) = column_bounds(restrict, col);
     (lo, hi.min(sordf_columnar::column::NULL_SENTINEL - 1))
 }
 
@@ -1510,7 +1607,7 @@ fn prepare_chunk_scan<'a>(
         if restrict.is_none() || !sort_key_narrows(cx, star.props[pi].pred, seg) {
             continue;
         }
-        let (lo, hi) = restrict.bounds();
+        let (lo, hi) = column_bounds(&restrict, &seg.columns[*ci]);
         if let Some(r) = seg.sorted_row_range(pool, *ci, lo, hi) {
             range = range.start.max(r.start)..range.end.min(r.end);
         }
@@ -1543,7 +1640,8 @@ fn prepare_chunk_scan<'a>(
                 let zoned = cx.config.zonemaps && !restrict.is_none();
                 Some(PageRule {
                     ci: *ci,
-                    zone: (zoned && seg.sorted_by != Some(*ci)).then(|| restrict.bounds()),
+                    zone: (zoned && seg.sorted_by != Some(*ci))
+                        .then(|| column_bounds(restrict, &seg.columns[*ci])),
                 })
             }
             _ => None,
@@ -1833,10 +1931,9 @@ fn push_if_passes(cx: &ExecContext, filters: &[&Expr], row: &[Oid], out: &mut Ta
 /// scan layer's [`ORestrict`] / subject range decides exactly what the
 /// comparison does. That is every such comparison except `!=` (never
 /// pushed), an ordered comparison on unsorted string OIDs (never pushed) and
-/// an ordered comparison with a numeric constant: its raw OID range agrees
-/// with the value comparison only on values of the constant's own numeric
-/// type (`2.5` against the integer `5`), so it is pushed *and* stays
-/// residual — the star confirms by value the rows the range let through.
+/// an ordered comparison with a numeric constant: it is pushed as one range
+/// per numeric tag ([`restrict_for_var`]) *and* stays residual — the star
+/// confirms by value the rows the ranges let through.
 pub fn residual_filters<'f>(cx: &ExecContext, star: &Star, filters: &[&'f Expr]) -> Vec<&'f Expr> {
     let single_binding = |v: VarId| {
         v == star.subject_var
@@ -1907,6 +2004,48 @@ mod tests {
     /// Bounds of an unrestricted column: any present value.
     const ANY: (u64, u64) = (0, NULL_SENTINEL - 1);
 
+    /// A number's span in each numeric tag holds exactly the values the
+    /// evaluator keeps: probed at and around every boundary and at both
+    /// ends of each tag, for constants small, fractional and so large that
+    /// `f64` rounds them.
+    #[test]
+    fn numeric_spans_admit_what_the_evaluator_keeps() {
+        let dict = sordf_model::Dictionary::new();
+        let order = crate::expr::TermOrder::by_text(&dict);
+        let big = (1i64 << 53) + 1;
+        let mut consts: Vec<Oid> = [0, 8, -3, big, -big, (1 << 59) - 1, -(1 << 59)]
+            .into_iter()
+            .map(|i| Oid::from_int(i).unwrap())
+            .collect();
+        consts.extend(
+            [26_000, -1, 30_000, 25_000, big, -big, (1 << 59) - 1]
+                .into_iter()
+                .map(|u| Oid::from_decimal_unscaled(u).unwrap()),
+        );
+        let ops = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        for c in consts {
+            for op in ops {
+                let spans = numeric_spans(op, c);
+                for (tag, (lo, hi)) in [TypeTag::Int, TypeTag::Dec].into_iter().zip(spans) {
+                    let min = Oid::new(tag, 0).raw();
+                    let mut probes = vec![0, 1, PAYLOAD_MASK - 1, PAYLOAD_MASK];
+                    for edge in [lo, hi] {
+                        let p = edge.saturating_sub(min).min(PAYLOAD_MASK);
+                        probes.extend((p.saturating_sub(3)..=p + 3).filter(|&q| q <= PAYLOAD_MASK));
+                    }
+                    for p in probes {
+                        let o = Oid::new(tag, p);
+                        assert_eq!(
+                            (lo..=hi).contains(&o.raw()),
+                            order.holds(o, op, c),
+                            "{o:?} {op:?} {c:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// The per-page decision the RDFscan kernel takes before it pins a
     /// column: partial last page, one NULL, a restriction straddling the
     /// page's range, constant and all-NULL pages.
@@ -1961,18 +2100,25 @@ mod tests {
         assert!(!column_passes_whole(&Column::empty(), ANY));
     }
 
-    /// An equality and a range fold into one interval of present values.
+    /// An equality and a range fold into one interval of present values;
+    /// of a number's two spans, the one in the column's type tag.
     #[test]
     fn present_bounds_fold_restrictions() {
-        assert_eq!(present_bounds(&ORestrict::none()), ANY);
+        let dm = DiskManager::temp().unwrap();
+        let int = |i: i64| Oid::from_int(i).unwrap().raw();
+        let col = Column::from_slice(&dm, &[int(5), int(9)]);
+        assert_eq!(present_bounds(&ORestrict::none(), &col), ANY);
         let eq = ORestrict::eq(Oid::from_int(5).unwrap());
-        let raw = Oid::from_int(5).unwrap().raw();
-        assert_eq!(present_bounds(&eq), (raw, raw));
-        let range = ORestrict {
-            eq: None,
-            range: Some((10, u64::MAX)),
+        assert_eq!(present_bounds(&eq, &col), (int(5), int(5)));
+        let range = ORestrict::range(10, u64::MAX);
+        assert_eq!(present_bounds(&range, &col), (10, NULL_SENTINEL - 1));
+        let below_8 = ORestrict {
+            also: Some((Oid::from_decimal_unscaled(-1).unwrap().raw(), u64::MAX)),
+            ..ORestrict::range(int(-3), int(7))
         };
-        assert_eq!(present_bounds(&range), (10, NULL_SENTINEL - 1));
+        assert_eq!(present_bounds(&below_8, &col), (int(-3), int(7)));
+        let all_null = Column::from_slice(&dm, &[NULL_SENTINEL]);
+        assert_eq!(present_bounds(&below_8, &all_null).0, int(-3));
     }
 
     /// An `Emit` lays out exactly the wanted variables, in canonical order.

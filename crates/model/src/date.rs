@@ -6,6 +6,7 @@
 //! algorithms are Howard Hinnant's public-domain ones.
 
 use crate::error::ModelError;
+use crate::term::push_fmt;
 
 /// Days since 1970-01-01 for the given civil date.
 pub fn days_from_civil(year: i32, month: u32, day: u32) -> i64 {
@@ -49,8 +50,15 @@ pub fn parse_date(s: &str) -> Result<i64, ModelError> {
 
 /// Render days-since-epoch as `YYYY-MM-DD`.
 pub fn format_date(days: i64) -> String {
+    let mut out = String::new();
+    push_date(&mut out, days);
+    out
+}
+
+/// [`format_date`], appended to `out`.
+pub fn push_date(out: &mut String, days: i64) {
     let (y, m, d) = civil_from_days(days);
-    format!("{y:04}-{m:02}-{d:02}")
+    push_fmt(out, format_args!("{y:04}-{m:02}-{d:02}"));
 }
 
 /// Parse an `xsd:dateTime` form `YYYY-MM-DDThh:mm:ss[Z]` into epoch seconds.
@@ -69,12 +77,12 @@ pub fn parse_datetime(s: &str) -> Result<i64, ModelError> {
     Ok(days * 86_400 + h * 3_600 + mi * 60 + sec as i64)
 }
 
-/// Render epoch seconds as `YYYY-MM-DDThh:mm:ssZ`.
-pub fn format_datetime(secs: i64) -> String {
-    let days = secs.div_euclid(86_400);
+/// Append epoch seconds to `out` as `YYYY-MM-DDThh:mm:ssZ`.
+pub fn push_datetime(out: &mut String, secs: i64) {
     let rem = secs.rem_euclid(86_400);
     let (h, mi, s) = (rem / 3_600, (rem % 3_600) / 60, rem % 60);
-    format!("{}T{h:02}:{mi:02}:{s:02}Z", format_date(days))
+    push_date(out, secs.div_euclid(86_400));
+    push_fmt(out, format_args!("T{h:02}:{mi:02}:{s:02}Z"));
 }
 
 #[cfg(test)]
@@ -119,7 +127,9 @@ mod tests {
     #[test]
     fn datetime_roundtrip() {
         let t = parse_datetime("1996-07-04T12:34:56Z").unwrap();
-        assert_eq!(format_datetime(t), "1996-07-04T12:34:56Z");
+        let mut text = String::new();
+        push_datetime(&mut text, t);
+        assert_eq!(text, "1996-07-04T12:34:56Z");
         assert!(parse_datetime("1996-07-04").is_err());
     }
 

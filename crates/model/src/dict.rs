@@ -18,7 +18,10 @@
 //! * The frozen run holds its entries **lexicographically sorted and
 //!   front-coded** (`FrontCoded`): the run is chopped into groups of
 //!   [`FC_GROUP`], each group storing its leader in full and every follower
-//!   as (shared-prefix-length, suffix). Lookups binary-search the group
+//!   as (shared-prefix-length, suffix), the prefix cut back to a character
+//!   boundary: every piece is whole UTF-8, so an entry is put together
+//!   inside a caller's `String` ([`Dictionary::push_display`] writes a
+//!   result value's text that way). Lookups binary-search the group
 //!   leaders, so the run needs *no* hash index and holds no second copy of
 //!   any entry — it costs its compressed bytes.
 //! * Where OID order is not sorted order (IRIs, numbered by cluster; blank
@@ -74,6 +77,12 @@ fn read_varint(bytes: &[u8], mut pos: usize) -> (u64, usize) {
     }
 }
 
+/// A piece of a front-coded image: a leader or a suffix, each whole UTF-8
+/// (shared prefixes end on character boundaries).
+fn whole_utf8(piece: &[u8]) -> &str {
+    std::str::from_utf8(piece).expect("front-coded pieces are whole UTF-8")
+}
+
 /// Entries per front-coded group: one full leader + `FC_GROUP - 1`
 /// prefix-delta followers. Small enough that positional decode (walk the
 /// group) stays a handful of byte copies, large enough that the leader
@@ -100,27 +109,38 @@ struct FrontCoded {
 struct FrontCodedBuilder {
     arena: Vec<u8>,
     groups: Vec<u32>,
-    prev: Vec<u8>,
+    prev: String,
     len: usize,
     plain_bytes: u64,
 }
 
 impl FrontCodedBuilder {
-    fn push(&mut self, e: &[u8]) {
-        debug_assert!(self.len == 0 || self.prev.as_slice() < e, "sorted, unique");
+    fn push(&mut self, e: &str) {
+        debug_assert!(self.len == 0 || self.prev.as_str() < e, "sorted, unique");
         if self.len % FC_GROUP == 0 {
             let start = u32::try_from(self.arena.len()).expect("front-coded arena overflow");
             self.groups.push(start);
             write_varint(&mut self.arena, e.len() as u64);
-            self.arena.extend_from_slice(e);
+            self.arena.extend_from_slice(e.as_bytes());
         } else {
-            let shared = self.prev.iter().zip(e).take_while(|(a, b)| a == b).count();
+            // The shared prefix ends on a character boundary, so every
+            // suffix is whole UTF-8 and a follower is rebuilt inside a
+            // `String` ([`FrontCoded::push_entry`]).
+            let mut shared = self
+                .prev
+                .bytes()
+                .zip(e.bytes())
+                .take_while(|(a, b)| a == b)
+                .count();
+            while !e.is_char_boundary(shared) {
+                shared -= 1;
+            }
             write_varint(&mut self.arena, shared as u64);
             write_varint(&mut self.arena, (e.len() - shared) as u64);
-            self.arena.extend_from_slice(&e[shared..]);
+            self.arena.extend_from_slice(&e.as_bytes()[shared..]);
         }
         self.prev.clear();
-        self.prev.extend_from_slice(e);
+        self.prev.push_str(e);
         self.len += 1;
         self.plain_bytes += e.len() as u64;
     }
@@ -143,7 +163,7 @@ impl FrontCoded {
     fn from_sorted<'a>(entries: impl IntoIterator<Item = &'a str>) -> FrontCoded {
         let mut b = FrontCodedBuilder::default();
         for e in entries {
-            b.push(e.as_bytes());
+            b.push(e);
         }
         b.finish()
     }
@@ -152,42 +172,67 @@ impl FrontCoded {
         self.len
     }
 
-    /// Positional decode: walk the group up to entry `i`.
+    /// Positional decode: a group leader borrows from the arena, a follower
+    /// is rebuilt ([`FrontCoded::push_entry`]).
     fn get(&self, i: usize) -> Option<Cow<'_, str>> {
         if i >= self.len {
             return None;
         }
-        let (g, r) = (i / FC_GROUP, i % FC_GROUP);
-        let (len, mut pos) = read_varint(&self.arena, self.groups[g] as usize);
-        let leader = &self.arena[pos..pos + len as usize];
-        pos += len as usize;
-        if r == 0 {
-            let s = std::str::from_utf8(leader)
-                .expect("front-coded leader is the original UTF-8 string");
-            return Some(Cow::Borrowed(s));
+        if i % FC_GROUP == 0 {
+            return Some(Cow::Borrowed(whole_utf8(self.leader_bytes(i / FC_GROUP))));
         }
-        let mut cur = leader.to_vec();
-        for _ in 0..r {
+        let mut s = String::new();
+        self.push_entry(i, &mut s);
+        Some(Cow::Owned(s))
+    }
+
+    /// Positional decode into the caller's buffer: entry `i` is appended to
+    /// `out`, and nothing is allocated but `out`'s growth. A leader is
+    /// copied from the arena. A follower is put together from arena pieces
+    /// in one walk of its group: the entry so far is a stack of pieces, and
+    /// each follower pops the pieces its shared prefix cuts off and pushes
+    /// its suffix. Only the pieces of entry `i` are copied, and every cut is
+    /// a character boundary. `false` when `i` is out of range.
+    fn push_entry(&self, i: usize, out: &mut String) -> bool {
+        if i >= self.len {
+            return false;
+        }
+        let (len, leader) = read_varint(&self.arena, self.groups[i / FC_GROUP] as usize);
+        // Piece `k` starts at byte `at[k]` of the entry and at `from[k]` in
+        // the arena; it runs to the next piece's start, the last to `end`.
+        let (mut from, mut at) = ([0usize; FC_GROUP], [0usize; FC_GROUP]);
+        from[0] = leader;
+        let mut n = 1;
+        let mut end = len as usize;
+        let mut pos = leader + end;
+        for _ in 0..i % FC_GROUP {
             let (shared, p) = read_varint(&self.arena, pos);
             let (slen, p) = read_varint(&self.arena, p);
-            cur.truncate(shared as usize);
-            cur.extend_from_slice(&self.arena[p..p + slen as usize]);
+            let shared = shared as usize;
+            while n > 1 && at[n - 1] >= shared {
+                n -= 1;
+            }
+            (from[n], at[n]) = (p, shared);
+            n += 1;
+            end = shared + slen as usize;
             pos = p + slen as usize;
         }
-        let s = String::from_utf8(cur)
-            .expect("front-coded deltas reconstruct the original UTF-8 string");
-        Some(Cow::Owned(s))
+        for k in 0..n {
+            let stop = if k + 1 < n { at[k + 1] } else { end };
+            out.push_str(whole_utf8(&self.arena[from[k]..from[k] + stop - at[k]]));
+        }
+        true
     }
 
     /// Visit every entry in rank order: one sequential pass over the
     /// arena, each group decoded once (positional [`FrontCoded::get`] would
     /// re-walk a group per follower).
     fn try_for_each<E>(&self, mut f: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
-        let mut cur: Vec<u8> = Vec::new();
+        let mut cur = String::new();
         for (g, &start) in self.groups.iter().enumerate() {
             let (len, mut pos) = read_varint(&self.arena, start as usize);
             cur.clear();
-            cur.extend_from_slice(&self.arena[pos..pos + len as usize]);
+            cur.push_str(whole_utf8(&self.arena[pos..pos + len as usize]));
             pos += len as usize;
             let in_group = (self.len - g * FC_GROUP).min(FC_GROUP);
             for r in 0..in_group {
@@ -195,11 +240,10 @@ impl FrontCoded {
                     let (shared, p) = read_varint(&self.arena, pos);
                     let (slen, p) = read_varint(&self.arena, p);
                     cur.truncate(shared as usize);
-                    cur.extend_from_slice(&self.arena[p..p + slen as usize]);
+                    cur.push_str(whole_utf8(&self.arena[p..p + slen as usize]));
                     pos = p + slen as usize;
                 }
-                f(std::str::from_utf8(&cur)
-                    .expect("front-coded deltas reconstruct the original UTF-8 string"))?;
+                f(&cur)?;
             }
         }
         Ok(())
@@ -217,8 +261,10 @@ impl FrontCoded {
     /// the key shares with the entry before (which sorts below the key). A
     /// follower that shares more than `lcp` bytes with that entry differs
     /// from the key exactly where it did, so it sorts below the key too; one
-    /// that shares fewer already sorts above it; only one that shares
-    /// exactly `lcp` bytes has to be compared, and only from byte `lcp` on.
+    /// that shares `shared <= lcp` bytes agrees with the key on those, and
+    /// is compared from byte `shared` on. (A shared prefix is cut back to a
+    /// character boundary, so it may be shorter than the entries' common
+    /// prefix.)
     fn search(&self, key: &str) -> Option<usize> {
         let key = key.as_bytes();
         // The candidate group is the last whose leader is <= key.
@@ -246,12 +292,11 @@ impl FrontCoded {
             let (slen, p) = read_varint(&self.arena, p);
             let suffix = &self.arena[p..p + slen as usize];
             pos = p + slen as usize;
-            match (shared as usize).cmp(&lcp) {
-                std::cmp::Ordering::Greater => continue,
-                std::cmp::Ordering::Less => return None,
-                std::cmp::Ordering::Equal => {}
+            let shared = shared as usize;
+            if shared > lcp {
+                continue;
             }
-            let rest = &key[lcp..];
+            let rest = &key[shared..];
             let c = common(suffix, rest);
             if c == suffix.len() && c == rest.len() {
                 return Some(g * FC_GROUP + r);
@@ -263,7 +308,7 @@ impl FrontCoded {
             if !below {
                 return None;
             }
-            lcp += c;
+            lcp = shared + c;
         }
         None
     }
@@ -522,6 +567,20 @@ impl Pool {
         }
     }
 
+    /// Append entry `i` to `out`, read in place: a frozen entry through
+    /// [`FrontCoded::push_entry`], a tail entry copied. `false` when the
+    /// pool does not hold `i`.
+    fn push_entry(&self, i: u64, out: &mut String) -> bool {
+        match self.rank(i) {
+            Some(rank) => self.run.push_entry(rank, out),
+            None => self
+                .tail
+                .get(i - self.run.len() as u64)
+                .map(|s| out.push_str(s))
+                .is_some(),
+        }
+    }
+
     /// Entries `a` and `b` in text order: by rank when both are frozen (the
     /// run is sorted), by their strings otherwise.
     fn cmp_entries(&self, a: u64, b: u64) -> Option<std::cmp::Ordering> {
@@ -568,17 +627,17 @@ impl Pool {
                 rank += 1;
                 if old < n && keep(old) {
                     while let Some((t, t_old)) = tail.next_if(|&(t, _)| t < s) {
-                        run.push(t.as_bytes());
+                        run.push(t);
                         old_of_rank.push(t_old);
                     }
-                    run.push(s.as_bytes());
+                    run.push(s);
                     old_of_rank.push(old as u32);
                 }
                 Ok(())
             })
             .unwrap_or_else(|never: std::convert::Infallible| match never {});
         for (t, t_old) in tail {
-            run.push(t.as_bytes());
+            run.push(t);
             old_of_rank.push(t_old);
         }
         (run.finish(), old_of_rank)
@@ -718,6 +777,19 @@ fn split_str_key(key: &str) -> (&str, Option<&str>) {
         Some((lex, lang)) => (lex, Some(lang)),
         None => (key, None),
     }
+}
+
+/// The value an OID of an inline type (integer, decimal, date, dateTime,
+/// boolean) carries in its payload; `None` for a dictionary-backed tag.
+fn inline_value(oid: Oid) -> Option<Value> {
+    Some(match oid.tag() {
+        TypeTag::Int => Value::Int(oid.as_int()),
+        TypeTag::Dec => Value::Decimal(oid.as_decimal_unscaled()),
+        TypeTag::Date => Value::Date(oid.as_date_days()),
+        TypeTag::DateTime => Value::DateTime(oid.as_datetime_secs()),
+        TypeTag::Bool => Value::Bool(oid.as_bool()),
+        TypeTag::Iri | TypeTag::Blank | TypeTag::Str => return None,
+    })
 }
 
 /// Per-pool heap bytes: the allocated capacity of everything a pool holds
@@ -978,14 +1050,49 @@ impl Dictionary {
                     lang: lang.map(str::to_string),
                 }))
             }
-            TypeTag::Int => Term::Literal(Literal::new(Value::Int(oid.as_int()))),
-            TypeTag::Dec => Term::Literal(Literal::new(Value::Decimal(oid.as_decimal_unscaled()))),
-            TypeTag::Date => Term::Literal(Literal::new(Value::Date(oid.as_date_days()))),
-            TypeTag::DateTime => {
-                Term::Literal(Literal::new(Value::DateTime(oid.as_datetime_secs())))
-            }
-            TypeTag::Bool => Term::Literal(Literal::new(Value::Bool(oid.as_bool()))),
+            _ => Term::Literal(Literal::new(inline_value(oid).ok_or_else(missing)?)),
         })
+    }
+
+    /// Append the display text of `oid` to `out`: `<iri>`, `_:label`, or a
+    /// literal's lexical form ([`Value::push_lexical`]; a string's language
+    /// tag is dropped). The text of [`Dictionary::decode`]'s term, read in
+    /// place: a frozen entry is copied from its front-coded group, or
+    /// rebuilt inside `out`; a tail entry is copied; an inline value is
+    /// formatted. Nothing is allocated but `out`'s growth. On an OID the
+    /// dictionary does not hold, `out` is left as it was.
+    pub fn push_display(&self, oid: Oid, out: &mut String) -> Result<(), ModelError> {
+        if oid.is_null() {
+            return Err(ModelError::UnknownOid(oid.raw()));
+        }
+        let start = out.len();
+        let found = match oid.tag() {
+            TypeTag::Iri => {
+                out.push('<');
+                let found = self.iris.push_entry(oid.payload(), out);
+                out.push('>');
+                found
+            }
+            TypeTag::Blank => {
+                out.push_str("_:");
+                self.blanks.push_entry(oid.payload(), out)
+            }
+            TypeTag::Str => {
+                let found = self.strings.push_entry(oid.payload(), out);
+                // The pool key carries a language tag after a NUL.
+                if let Some(nul) = out.as_bytes()[start..].iter().position(|&b| b == 0) {
+                    out.truncate(start + nul);
+                }
+                found
+            }
+            _ => inline_value(oid).map(|v| v.push_lexical(out)).is_some(),
+        };
+        if found {
+            Ok(())
+        } else {
+            out.truncate(start);
+            Err(ModelError::UnknownOid(oid.raw()))
+        }
     }
 
     /// Number of interned IRIs.
@@ -1057,6 +1164,35 @@ impl Dictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Neighbours that share part of a multi-byte character: the shared
+    /// prefix is cut back to a character boundary, and every entry decodes,
+    /// positionally into a buffer and in the sequential walk, and is found.
+    #[test]
+    fn front_coded_prefixes_end_on_character_boundaries() {
+        let mut sorted: Vec<String> = ["aé", "aê", "aê日", "aê本", "日本", "本", "\u{10ffff}"]
+            .iter()
+            .flat_map(|s| (0..5).map(move |i| format!("{s}{}", "ê".repeat(i))))
+            .collect();
+        sorted.sort();
+        sorted.dedup();
+        let fc = FrontCoded::from_sorted(sorted.iter().map(String::as_str));
+        let mut walked = Vec::new();
+        fc.try_for_each(|s| {
+            walked.push(s.to_string());
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(walked, sorted);
+        for (i, e) in sorted.iter().enumerate() {
+            let mut out = String::from("x");
+            assert!(fc.push_entry(i, &mut out));
+            assert_eq!(out, format!("x{e}"), "decode {i}");
+            assert_eq!(fc.get(i).unwrap(), e.as_str());
+            assert_eq!(fc.search(e), Some(i), "search {e}");
+        }
+        assert!(!fc.push_entry(sorted.len(), &mut String::new()));
+    }
 
     #[test]
     fn iri_interning_is_stable() {

@@ -41,13 +41,21 @@ impl Value {
 
     /// The canonical lexical form (used by the N-Triples writer).
     pub fn lexical(&self) -> String {
+        let mut out = String::new();
+        self.push_lexical(&mut out);
+        out
+    }
+
+    /// Append the canonical lexical form to `out`, allocating nothing but
+    /// `out`'s growth.
+    pub fn push_lexical(&self, out: &mut String) {
         match self {
-            Value::Str { lexical, .. } => lexical.clone(),
-            Value::Int(v) => v.to_string(),
-            Value::Decimal(u) => format_decimal(*u),
-            Value::Date(d) => date::format_date(*d),
-            Value::DateTime(s) => date::format_datetime(*s),
-            Value::Bool(b) => b.to_string(),
+            Value::Str { lexical, .. } => out.push_str(lexical),
+            Value::Int(v) => push_fmt(out, v),
+            Value::Decimal(u) => push_decimal(out, *u),
+            Value::Date(d) => date::push_date(out, *d),
+            Value::DateTime(s) => date::push_datetime(out, *s),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
 
@@ -64,22 +72,38 @@ impl Value {
     }
 }
 
+/// Append `v`'s `Display` form to `out`. Formatting into a `String` cannot
+/// fail.
+pub(crate) fn push_fmt(out: &mut String, v: impl std::fmt::Display) {
+    use std::fmt::Write;
+    let _ = write!(out, "{v}");
+}
+
 /// Render a scale-4 unscaled decimal without trailing zero noise
 /// (`12_3400` → `"12.34"`, `50_000` → `"5"`).
 pub fn format_decimal(unscaled: i64) -> String {
-    let sign = if unscaled < 0 { "-" } else { "" };
+    let mut out = String::new();
+    push_decimal(&mut out, unscaled);
+    out
+}
+
+/// [`format_decimal`], appended to `out`.
+pub fn push_decimal(out: &mut String, unscaled: i64) {
+    if unscaled < 0 {
+        out.push('-');
+    }
     let abs = unscaled.unsigned_abs();
-    let int = abs / DECIMAL_ONE as u64;
+    push_fmt(out, abs / DECIMAL_ONE as u64);
     let mut frac = abs % DECIMAL_ONE as u64;
     if frac == 0 {
-        return format!("{sign}{int}");
+        return;
     }
     let mut digits = DECIMAL_SCALE as usize;
     while frac % 10 == 0 {
         frac /= 10;
         digits -= 1;
     }
-    format!("{sign}{int}.{frac:0digits$}")
+    push_fmt(out, format_args!(".{frac:0digits$}"));
 }
 
 /// Parse a decimal lexical form into a scale-4 unscaled value.

@@ -1,7 +1,8 @@
 //! The dictionary against a model: one `Vec<String>` plus a `HashMap` per
 //! pool.
 //!
-//! Seeded histories interleave interning, lookups, decodes, renumberings
+//! Seeded histories interleave interning, lookups, decodes (to terms, and
+//! as display text appended to a buffer), renumberings
 //! that drop entries (sized before some late interns, which must stay out),
 //! `sort_strings`, and a dump reloaded through `from_pools` — whole, or a
 //! prefix extended by `append_entry` the way recovery replays a log. After
@@ -97,6 +98,16 @@ fn term_of(pool: DictPool, key: &str) -> Term {
     }
 }
 
+/// What a result shows for the entry `key` of `pool`: `<iri>`, `_:label`,
+/// a string's lexical form without its language tag.
+fn display(pool: DictPool, key: &str) -> String {
+    match pool {
+        DictPool::Iris => format!("<{key}>"),
+        DictPool::Blanks => format!("_:{key}"),
+        DictPool::Strings => key.split('\u{0}').next().unwrap_or("").to_string(),
+    }
+}
+
 fn oid_of(pool: DictPool, i: u64) -> Oid {
     match pool {
         DictPool::Iris => Oid::iri(i),
@@ -186,6 +197,15 @@ fn check(d: &Dictionary, m: &Model) {
             let oid = oid_of(pool, i as u64);
             let term = term_of(pool, key);
             assert_eq!(d.decode(oid).unwrap(), term, "{pool:?} decode {i}");
+            // The positional decode into a buffer appends the entry's
+            // display text to what the buffer holds.
+            let mut text = String::from("«");
+            d.push_display(oid, &mut text).unwrap();
+            assert_eq!(
+                text,
+                format!("«{}", display(pool, key)),
+                "{pool:?} text {i}"
+            );
             assert_eq!(d.term_oid(&term), Some(oid), "{pool:?} lookup {key:?}");
             if pool == DictPool::Iris {
                 assert_eq!(d.iri_str(oid).unwrap(), *key);
@@ -213,6 +233,9 @@ fn check(d: &Dictionary, m: &Model) {
         }
         let past = oid_of(pool, entries.len() as u64);
         assert!(d.decode(past).is_err(), "{pool:?} decodes past its end");
+        let mut text = String::from("«");
+        assert!(d.push_display(past, &mut text).is_err());
+        assert_eq!(text, "«", "{pool:?}: a failed decode appends nothing");
     }
     // The sorted run is sorted: string OIDs below it compare like values.
     let run = &m.entries[DictPool::Strings as usize][..m.strings_frozen];

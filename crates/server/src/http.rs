@@ -5,7 +5,7 @@
 //! bodies, keep-alive — over `std::net` streams. No chunked encoding, no
 //! TLS, no HTTP/2.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -262,8 +262,9 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize `resp` onto the stream. Short writes are retried through the
-/// socket's write timeout; an unreachable peer surfaces as the final error.
+/// Serialize `resp` onto the stream: head and body go out in one vectored
+/// write (the body is not copied), and a short write is resumed where it
+/// stopped. An unreachable peer surfaces as the final error.
 pub fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
@@ -279,9 +280,19 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()>
         head.push_str("Connection: close\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
-    stream.flush()
+    let (mut head, mut body) = (head.as_bytes(), resp.body.as_slice());
+    while !head.is_empty() || !body.is_empty() {
+        let n = match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let from_head = n.min(head.len());
+        head = &head[from_head..];
+        body = &body[n - from_head..];
+    }
+    Ok(())
 }
 
 /// A sane per-read poll tick: long blocking reads are chopped into ticks so

@@ -4,22 +4,44 @@
 //! status reports, error envelopes — so a writer-style builder is all that
 //! is needed; no serde, no parsing.
 
-/// Append `s` as a JSON string literal (quotes included).
+use std::fmt::Write;
+
+/// Append `s` as a JSON string literal (quotes included): `"`, the
+/// backslash and the control characters below U+0020 are escaped, and the
+/// runs between them are copied whole. A string with nothing to escape, the
+/// usual case, is found so by one branch-free pass and copied at once.
 pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+    let plain = s.bytes().fold(true, |plain, b| {
+        plain & (b >= 0x20) & (b != b'"') & (b != b'\\')
+    });
+    if plain {
+        out.push_str(s);
+        out.push('"');
+        return;
     }
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a character boundary.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            // Formatting into a `String` cannot fail.
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -83,19 +105,6 @@ impl Default for Obj {
     }
 }
 
-/// Serialize a sequence as a JSON array of strings.
-pub fn str_array<'a>(items: impl IntoIterator<Item = &'a str>) -> String {
-    let mut out = String::from("[");
-    for (i, s) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str(&mut out, s);
-    }
-    out.push(']');
-    out
-}
-
 /// Numbers that serialize losslessly into JSON.
 pub trait Num {
     fn write(&self, out: &mut String);
@@ -143,7 +152,6 @@ mod tests {
             .raw("e", "[1]")
             .build();
         assert_eq!(o, r#"{"a":"x","b":2,"c":true,"d":0.5,"e":[1]}"#);
-        assert_eq!(str_array(["p", "q"]), r#"["p","q"]"#);
         assert_eq!(Obj::new().build(), "{}");
     }
 }

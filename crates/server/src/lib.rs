@@ -16,6 +16,15 @@
 //!   the delta store.
 //! * `GET /status` — drift, plan-cache, memory and server statistics.
 //!
+//! A result reaches the wire without a `Term` or a `String` per value:
+//! [`render_json`] and [`render_tsv`] walk the result row by row into one
+//! body buffer, and each value's text comes straight from the dictionary
+//! ([`sordf_model::Dictionary::push_display`]: an IRI or a string read in
+//! place from its front-coded group or the append tail, an inline literal
+//! formatted from its OID). JSON writes it into one reused scratch buffer
+//! and escapes it from there into the body; TSV appends it to the body.
+//! [`Response`] head and body then go out in one write.
+//!
 //! Three protection mechanisms, all cooperative with the engine:
 //!
 //! * **Deadlines** — `timeout_ms` (clamped by [`ServerConfig::max_timeout`],
@@ -581,60 +590,69 @@ fn handle_status(sh: &Shared) -> Response {
     Response::new(200, "application/json", body)
 }
 
-/// Serialize a successful query as the JSON results document:
-/// `{"head":{"vars":[…]},"results":{"bindings":[[…],…]}}` with decoded
-/// lexical values (an array-of-arrays subset of the SPARQL JSON format),
-/// plus a `"stats"` object when tracing was requested.
-fn render_json(resp: &QueryResponse, trace: bool) -> Response {
-    let rows = resp.results.render(&resp.pin);
-    let mut bindings = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
+/// Serialize a successful query as the JSON results document — what
+/// `/query` answers: `{"head":{"vars":[…]},"results":{"bindings":[[…],…]}}`
+/// with decoded lexical values (an array-of-arrays subset of the SPARQL
+/// JSON format), plus a `"stats"` object when `trace` is set and the
+/// response carries statistics. Written row by row (see the crate docs).
+pub fn render_json(resp: &QueryResponse, trace: bool) -> Response {
+    let results = &resp.results;
+    let mut body = String::from(r#"{"head":{"vars":["#);
+    for (i, var) in results.columns.iter().enumerate() {
         if i > 0 {
-            bindings.push(',');
+            body.push(',');
         }
-        bindings.push_str(&json::str_array(row.iter().map(String::as_str)));
+        json::push_str(&mut body, var);
     }
-    bindings.push(']');
-    let mut obj = Obj::new()
-        .raw(
-            "head",
+    body.push_str(r#"]},"results":{"bindings":["#);
+    let mut text = String::new();
+    for (i, row) in results.rows().enumerate() {
+        body.push_str(if i > 0 { ",[" } else { "[" });
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                body.push(',');
+            }
+            text.clear();
+            v.push_display(&resp.pin, &mut text);
+            json::push_str(&mut body, &text);
+        }
+        body.push(']');
+    }
+    body.push_str("]}");
+    if let Some(stats) = resp.stats.as_ref().filter(|_| trace) {
+        body.push_str(r#","stats":"#);
+        body.push_str(
             &Obj::new()
-                .raw(
-                    "vars",
-                    &json::str_array(resp.results.columns.iter().map(String::as_str)),
-                )
+                .num("rows_scanned", stats.rows_scanned)
+                .num("pages_scanned", stats.pages_scanned)
+                .num("column_pages_skipped", stats.column_pages_skipped)
+                .num("merge_joins", stats.merge_joins)
+                .num("hash_joins", stats.hash_joins)
+                .num("rdf_scans", stats.rdf_scans)
+                .num("rdf_joins", stats.rdf_joins)
                 .build(),
-        )
-        .raw("results", &Obj::new().raw("bindings", &bindings).build());
-    if trace {
-        if let Some(stats) = &resp.stats {
-            obj = obj.raw(
-                "stats",
-                &Obj::new()
-                    .num("rows_scanned", stats.rows_scanned)
-                    .num("pages_scanned", stats.pages_scanned)
-                    .num("column_pages_skipped", stats.column_pages_skipped)
-                    .num("merge_joins", stats.merge_joins)
-                    .num("hash_joins", stats.hash_joins)
-                    .num("rdf_scans", stats.rdf_scans)
-                    .num("rdf_joins", stats.rdf_joins)
-                    .build(),
-            );
-        }
+        );
     }
-    Response::new(200, "application/sparql-results+json", obj.build())
+    body.push('}');
+    Response::new(200, "application/sparql-results+json", body)
 }
 
-/// Serialize a successful query as TSV: header row of variable names, then
-/// one decoded row per line.
-fn render_tsv(resp: &QueryResponse) -> Response {
-    let mut out = resp.results.columns.join("\t");
-    out.push('\n');
-    for row in resp.results.render(&resp.pin) {
-        out.push_str(&row.join("\t"));
-        out.push('\n');
+/// Serialize a successful query as TSV — what `/query` answers under
+/// `Accept: text/tab-separated-values`: a header row of variable names,
+/// then one decoded row per line (TSV escapes nothing).
+pub fn render_tsv(resp: &QueryResponse) -> Response {
+    let mut body = resp.results.columns.join("\t");
+    body.push('\n');
+    for row in resp.results.rows() {
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                body.push('\t');
+            }
+            v.push_display(&resp.pin, &mut body);
+        }
+        body.push('\n');
     }
-    Response::new(200, "text/tab-separated-values", out)
+    Response::new(200, "text/tab-separated-values", body)
 }
 
 /// Map a library error onto the wire: status from the stable error code,

@@ -473,7 +473,8 @@ pub fn last_bgp(queries: &mut [Query]) -> &mut Bgp {
 // ---- generators ---------------------------------------------------------------
 
 /// The random graph: items over a date column (the clustered sort key), two
-/// integer columns (one nullable), a tag link and a sometimes-present note;
+/// numeric columns (one nullable, of integers and decimals), a tag link and
+/// a sometimes-present note;
 /// tags with a label, a rank and a group; then noise — second values on
 /// every column outside its zone map, a string in an integer column,
 /// multi-valued links, a rare property and subjects of their own shape.
@@ -509,7 +510,15 @@ pub fn random_graph(rng: &mut StdRng) -> Vec<TermTriple> {
         let s = e(format!("s{i}"));
         out.push(triple(s.clone(), "qty", Term::int((i % 13) as i64)));
         if i % 4 != 0 {
-            out.push(triple(s.clone(), "price", Term::int((i % 7) as i64 * 10)));
+            // Integers and decimals in one property: numbers compare by
+            // value across the two types.
+            let price = (i % 7) as i64 * 10;
+            let price = if i % 5 == 2 {
+                Term::decimal_f64(price as f64 + 2.5)
+            } else {
+                Term::int(price)
+            };
+            out.push(triple(s.clone(), "price", price));
         }
         out.push(triple(
             s.clone(),

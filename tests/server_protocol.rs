@@ -4,8 +4,10 @@
 //! burst, graceful drain, and the engine-level proof that a cancelled query
 //! stops within a bounded number of pages.
 
-use sordf::{Database, QueryRequest};
+use sordf::{Database, QueryRequest, QueryResponse};
+use sordf_engine::agg::OutVal;
 use sordf_engine::{CancellationToken, ExecConfig, ExecContext, StopReason, StorageRef};
+use sordf_model::{Dictionary, Term, TermTriple, Value};
 use sordf_rdfh::{generate, RdfhConfig};
 use sordf_server::{Server, ServerConfig};
 use std::io::{Read, Write};
@@ -205,6 +207,163 @@ fn round_trip_matches_direct_execution() {
     );
     assert_eq!(traced.status, 200);
     assert!(json_num(&traced.body, "rows_scanned") > 0);
+    server.shutdown();
+}
+
+/// One value as a result shows it, written from scratch: a term through
+/// `Dictionary::decode` and `Value::lexical`, a computed number, NULL.
+fn oracle_text(v: &OutVal, dict: &Dictionary) -> String {
+    match v {
+        OutVal::Null => "NULL".to_string(),
+        OutVal::Num(n) if n.fract().abs() < 1e-9 && n.abs() < 1e15 => format!("{}", *n as i64),
+        OutVal::Num(n) => format!("{n:.4}"),
+        OutVal::Oid(o) => match dict.decode(*o).unwrap() {
+            Term::Iri(iri) => format!("<{iri}>"),
+            Term::Blank(b) => format!("_:{b}"),
+            Term::Literal(l) => l.value.lexical(),
+        },
+    }
+}
+
+/// A JSON string literal, one character at a time.
+fn oracle_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// The JSON results document and the TSV body of `resp`, value by value
+/// through [`oracle_text`].
+fn oracle_bodies(resp: &QueryResponse) -> (String, String) {
+    let rs = &resp.results;
+    let rows: Vec<Vec<String>> = rs
+        .rows()
+        .map(|r| r.iter().map(|v| oracle_text(v, &resp.pin)).collect())
+        .collect();
+    let mut json = String::from("{\"head\":{\"vars\":[");
+    for (i, c) in rs.columns.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        oracle_json_str(&mut json, c);
+    }
+    json.push_str("]},\"results\":{\"bindings\":[");
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        json.push('[');
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                json.push(',');
+            }
+            oracle_json_str(&mut json, v);
+        }
+        json.push(']');
+    }
+    json.push_str("]}}");
+    let mut tsv = rs.columns.join("\t") + "\n";
+    for row in &rows {
+        tsv.push_str(&row.join("\t"));
+        tsv.push('\n');
+    }
+    assert_eq!(rs.render(&resp.pin), rows, "ResultSet::render");
+    (json, tsv)
+}
+
+/// Every JSON and TSV body the server sends is byte for byte the oracle's:
+/// IRIs, blank nodes, plain and language-tagged strings with quotes,
+/// backslashes, control characters and non-ASCII text — front-coded group
+/// leaders and followers, and tail entries interned after the freeze —
+/// integers, decimals, dates, dateTimes, booleans, computed numbers and
+/// NULL.
+#[test]
+fn wire_bodies_match_a_per_value_oracle() {
+    let e = |local: String| Term::iri(format!("http://e/{local}"));
+    let string = |i: usize| {
+        let tricky = [
+            "\"quoted\"",
+            "back\\slash",
+            "line\nbreak\r\ttab",
+            "bell\u{1}\u{1f}",
+            "é日本",
+            "",
+        ];
+        Term::str(format!("name {i:03} {}", tricky[i % tricky.len()]))
+    };
+    let tagged = |i: usize, lang: &str| {
+        Term::literal(Value::Str {
+            lexical: format!("chat \"{i}\" é"),
+            lang: Some(lang.to_string()),
+        })
+    };
+    let triples_of = |from: usize, to: usize| -> Vec<TermTriple> {
+        (from..to)
+            .flat_map(|i| {
+                let s = e(format!("s{i}"));
+                let t = |p: &str, o: Term| TermTriple::new(s.clone(), e(p.to_string()), o);
+                vec![
+                    t("name", string(i)),
+                    t("label", tagged(i, if i % 2 == 0 { "fr" } else { "en-gb" })),
+                    t("link", e(format!("t{i}"))),
+                    t("bnode", Term::blank(format!("b{i}"))),
+                    t("int", Term::int(i as i64 * 7 - 100)),
+                    t("dec", Term::decimal_f64(i as f64 * 1.25 - 3.0)),
+                    t("date", Term::literal(Value::Date(i as i64 * 400 - 9000))),
+                    t(
+                        "dt",
+                        Term::literal(Value::DateTime(i as i64 * 90_061 - 400_000)),
+                    ),
+                    t("bool", Term::literal(Value::Bool(i % 3 == 0))),
+                ]
+            })
+            .collect()
+    };
+    let db = Database::in_temp_dir().unwrap();
+    db.load_terms(&triples_of(0, 40)).unwrap();
+    db.self_organize().unwrap();
+    // Interned after the freeze: tail entries of every pool.
+    db.insert_terms(&triples_of(40, 46)).unwrap();
+    let db = Arc::new(db);
+    let (server, addr) = start(Arc::clone(&db), ServerConfig::default());
+
+    let mut texts: Vec<String> = [
+        "name", "label", "link", "bnode", "int", "dec", "date", "dt", "bool",
+    ]
+    .iter()
+    .map(|p| format!("SELECT ?s ?o WHERE {{ ?s e:{p} ?o }}"))
+    .collect();
+    // Computed numbers, whole and fractional; NULL where nothing is there
+    // to aggregate.
+    texts.push(
+        "SELECT (COUNT(?o) AS ?n) (SUM(?o) AS ?sum) (AVG(?o) AS ?avg) WHERE { ?s e:dec ?o }".into(),
+    );
+    texts.push("SELECT ?s (AVG(?o) AS ?avg) WHERE { ?s e:name ?o } GROUP BY ?s".into());
+    let mut saw = (0, 0);
+    for text in texts {
+        let sparql = format!("PREFIX e: <http://e/> {text}");
+        let direct = db.execute(&QueryRequest::sparql(&sparql)).unwrap();
+        let (json, tsv) = oracle_bodies(&direct);
+        let path = format!("/query?query={}", urlencode(&sparql));
+        let got = http_get(&addr, &path, None);
+        assert_eq!(got.status, 200, "{text}");
+        assert_eq!(got.body, json, "JSON body of {text}");
+        let got = http_get(&addr, &path, Some("text/tab-separated-values"));
+        assert_eq!(got.body, tsv, "TSV body of {text}");
+        saw.0 += direct.results.len();
+        saw.1 += tsv.matches("NULL").count();
+    }
+    assert_eq!(saw, (10 * 46 + 1, 46), "every value kind was served");
     server.shutdown();
 }
 
