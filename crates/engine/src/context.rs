@@ -31,10 +31,6 @@ pub struct ExecConfig {
     /// always an authoring mistake; the budget turns a silent O(n·m) blowup
     /// into an explicit error naming the fix.
     pub cross_join_budget: u64,
-    /// Evaluate stars through the scalar rowwise oracle instead of the
-    /// vectorized kernels. Byte-identical results, far slower — the
-    /// differential-testing executor, not a production path.
-    pub rowwise: bool,
 }
 
 impl Default for ExecConfig {
@@ -43,7 +39,6 @@ impl Default for ExecConfig {
             scheme: PlanScheme::RdfScanJoin,
             zonemaps: true,
             cross_join_budget: 1_000_000,
-            rowwise: false,
         }
     }
 }
@@ -205,8 +200,8 @@ pub struct ExecContext<'a> {
     /// one. `None` when no writes are pending — every scan then skips all
     /// merge work. When set, property scans union the view's insert runs
     /// with base storage and filter its tombstones out of every
-    /// base-resident value (the merged-source contract shared by the
-    /// vectorized and rowwise operators).
+    /// base-resident value (the merged-source contract every scan
+    /// shares).
     delta: Option<Arc<DeltaView>>,
     /// Cooperative interrupt for this query, polled by the operators at
     /// bounded-work boundaries (see [`crate::cancel`]). `None` (the

@@ -6,8 +6,7 @@
 //! literals and, after clustering, for sorted string pools); ordered
 //! comparisons on *unsorted* string OIDs fall back to dictionary decoding, so
 //! results stay correct on ParseOrder storage too. It runs where rows are
-//! handled one at a time anyway: the dirty rows of a star scan and the
-//! rowwise oracle.
+//! handled one at a time anyway: the dirty rows of a star scan.
 //!
 //! [`Expr::eval_batch`] is what everything after RDFscan runs — residual
 //! filters over the rows a clean run emitted, the cross-star filters at the

@@ -28,7 +28,6 @@ pub mod parallel;
 pub mod plan;
 pub mod planner;
 pub mod query;
-pub mod rowwise;
 pub mod scan;
 pub mod star;
 pub mod table;

@@ -33,7 +33,7 @@ use crate::star::{
     default_scan_range, intersect_ranges, join_star_streams, prepare_star_scans, scan_star_prop,
     subject_filter_range, uncovered_rows, Star, StarCall, StarSink,
 };
-use crate::table::{Table, VarId};
+use crate::table::Table;
 use parking_lot::Mutex;
 use sordf_model::Oid;
 use std::ops::Range;
@@ -183,8 +183,8 @@ pub(crate) fn run_tasks<T: Send>(
 /// choice), optionally driven by candidate subjects (RDFjoin) and restricted
 /// to a subject range, into a table binding **every** variable of the star.
 /// Plan steps go through `eval_star_into`, which binds only what is read;
-/// this is its all-variables, materializing form, and what the
-/// differential tests compare the rowwise oracle against.
+/// this is its all-variables, materializing form, on which the tests check
+/// that every star enforces its own filters.
 pub fn eval_star(
     cx: &ExecContext,
     star: &Star,
@@ -193,23 +193,7 @@ pub fn eval_star(
     candidates: Option<&[Oid]>,
     s_range: SRange,
 ) -> Table {
-    eval_star_reading(cx, star, access, filters, candidates, s_range, None)
-}
-
-/// [`eval_star`] binding only the variables in `needed` (plus those of the
-/// star's own residual filters; `None`: all of them) — the materialized form
-/// of what a plan step evaluates, row for row what [`eval_star`] returns with
-/// the other columns dropped.
-pub fn eval_star_reading(
-    cx: &ExecContext,
-    star: &Star,
-    access: StarAccess,
-    filters: &[&Expr],
-    candidates: Option<&[Oid]>,
-    s_range: SRange,
-    needed: Option<&[VarId]>,
-) -> Table {
-    let call = StarCall::new(cx, star, filters, needed);
+    let call = StarCall::new(cx, star, filters, None);
     eval_star_into(cx, &call, access, candidates, s_range, || {
         Table::empty(call.emit.vars.clone())
     })
@@ -220,10 +204,8 @@ pub fn eval_star_reading(
 /// — one per morsel, folded together in morsel order, or a single one taking
 /// every morsel in that order when there is one worker (so a streamed
 /// aggregate at one worker accumulates exactly as over the materialized
-/// table). [`crate::context::ExecConfig::rowwise`] swaps in the
-/// value-at-a-time reference operators the differential tests compare
-/// against; they and IdxScan+MergeJoin produce the star's whole table, which
-/// the sink takes as one chunk.
+/// table). IdxScan+MergeJoin produces the star's whole table, which the
+/// sink takes as one chunk.
 pub(crate) fn eval_star_into<S: StarSink>(
     cx: &ExecContext,
     call: &StarCall,
@@ -233,23 +215,19 @@ pub(crate) fn eval_star_into<S: StarSink>(
     make: impl Fn() -> S + Sync,
 ) -> S {
     let (star, filters) = (call.star, call.filters);
-    let table = if cx.config.rowwise {
-        crate::rowwise::eval_star_rowwise(cx, star, access, filters, candidates, s_range)
-    } else {
-        match (access, &cx.storage) {
-            (StarAccess::RdfScan, StorageRef::Clustered { store, schema }) => {
-                return eval_rdfscan(cx, call, candidates, s_range, store, schema, make);
-            }
-            _ => eval_prop_merge(
-                cx,
-                star,
-                filters,
-                candidates,
-                s_range,
-                Source::Full,
-                cx.parallel.workers,
-            ),
+    let table = match (access, &cx.storage) {
+        (StarAccess::RdfScan, StorageRef::Clustered { store, schema }) => {
+            return eval_rdfscan(cx, call, candidates, s_range, store, schema, make);
         }
+        _ => eval_prop_merge(
+            cx,
+            star,
+            filters,
+            candidates,
+            s_range,
+            Source::Full,
+            cx.parallel.workers,
+        ),
     };
     let mut sink = make();
     sink.take(cx, table.project(&call.emit.vars));

@@ -14,9 +14,9 @@
 //! guarded cross product), the *complete* set of shared join variables, and
 //! the optimizer's cost/cardinality estimates. One executor
 //! ([`crate::planner::execute_physical`]) interprets it, every star through
-//! [`crate::parallel::eval_star`] — so a plan fixes the result bytes
-//! regardless of worker count, and of whether the rowwise oracle
-//! ([`crate::context::ExecConfig::rowwise`]) stands in for the kernels.
+//! one star evaluator (the all-variables form of which is
+//! [`crate::parallel::eval_star`]) — so a plan fixes the result bytes
+//! regardless of worker count.
 
 use crate::context::PlanScheme;
 use crate::expr::Expr;

@@ -130,8 +130,8 @@ impl Emit {
         }
     }
 
-    /// Every variable of the star (the rowwise oracle's layout).
-    pub(crate) fn all(star: &Star) -> Emit {
+    /// Every variable of the star.
+    fn all(star: &Star) -> Emit {
         Emit::of(star, |_| true)
     }
 }
@@ -434,7 +434,7 @@ pub fn restrict_for_var(filters: &[&Expr], v: VarId, strings_ordered: bool) -> O
 }
 
 /// The restriction to push into a property's scan.
-pub(crate) fn prop_restrict(cx: &ExecContext, prop: &StarProp, filters: &[&Expr]) -> ORestrict {
+fn prop_restrict(cx: &ExecContext, prop: &StarProp, filters: &[&Expr]) -> ORestrict {
     match prop.o {
         VarOrOid::Const(c) => ORestrict::eq(c),
         VarOrOid::Var(v) => restrict_for_var(filters, v, cx.strings_value_ordered()),
@@ -450,9 +450,9 @@ pub(crate) fn prop_restrict(cx: &ExecContext, prop: &StarProp, filters: &[&Expr]
 /// insert for `pred` on a subject inside the segment's subject range
 /// (conservative for sparse segments, whose ranges interleave). Brand-new
 /// subjects, which is most of what ingest adds, lie past every segment and
-/// block nothing. The one definition the vectorized and rowwise star paths
-/// narrow by.
-pub(crate) fn delta_blocks_pruning(cx: &ExecContext, pred: Oid, seg: &ClassSegment) -> bool {
+/// block nothing. The one definition RDFscan's narrowing and page pruning
+/// go by.
+fn delta_blocks_pruning(cx: &ExecContext, pred: Oid, seg: &ClassSegment) -> bool {
     let Some(delta) = cx.delta() else {
         return false;
     };
@@ -476,9 +476,9 @@ pub(crate) fn delta_blocks_pruning(cx: &ExecContext, pred: Oid, seg: &ClassSegme
 /// restriction where the stored value misses it, and narrowing would drop
 /// the row with its exception. The check is a binary search of the
 /// irregular store's PSO index for `pred` over the segment's subject range
-/// (no page is pinned when the store is empty); the one rule the vectorized
-/// and rowwise star paths narrow by.
-pub(crate) fn sort_key_narrows(cx: &ExecContext, pred: Oid, seg: &ClassSegment) -> bool {
+/// (no page is pinned when the store is empty); the one rule RDFscan
+/// narrows by.
+fn sort_key_narrows(cx: &ExecContext, pred: Oid, seg: &ClassSegment) -> bool {
     let StorageRef::Clustered { store, .. } = &cx.storage else {
         return false;
     };
@@ -667,7 +667,7 @@ pub(crate) fn join_star_streams(
 /// A star's joined streams in the star's canonical layout: the pipeline
 /// adds columns in join order, and stops early — short of some — when the
 /// table runs empty.
-pub(crate) fn canonical_layout(star: &Star, table: Table) -> Table {
+fn canonical_layout(star: &Star, table: Table) -> Table {
     let vars = star.bound_vars();
     if table.is_empty() {
         return Table::empty(vars);
@@ -676,7 +676,7 @@ pub(crate) fn canonical_layout(star: &Star, table: Table) -> Table {
 }
 
 /// How a star property maps onto one class.
-pub(crate) enum Covered {
+enum Covered {
     Col(usize),
     Multi(usize),
     Uncovered,
@@ -684,7 +684,7 @@ pub(crate) enum Covered {
 
 /// How each star property maps onto `class`, plus how many properties the
 /// class covers at all.
-pub(crate) fn class_coverage(class: &sordf_schema::ClassDef, star: &Star) -> (Vec<Covered>, usize) {
+fn class_coverage(class: &sordf_schema::ClassDef, star: &Star) -> (Vec<Covered>, usize) {
     let covered: Vec<Covered> = star
         .props
         .iter()
@@ -1074,7 +1074,7 @@ impl<'a> SegmentStar<'a> {
     /// the aligned column value (`col_value(property index)`) unless NULL,
     /// rejected or tombstoned, then the subject's exception / side-table /
     /// irregular pairs — and emit their combinations. This is what a dirty
-    /// row pays, and exactly what the rowwise oracle does for every row.
+    /// row pays.
     fn emit_dirty_row(
         &self,
         cx: &ExecContext,
@@ -1596,8 +1596,7 @@ fn prepare_chunk_scan<'a>(
     // or a base exception of the predicate binds one of the segment's rows
     // (`sort_key_narrows`): it can supply the matching value for a row whose
     // stored value is NULL or out of range, and narrowing would drop the row
-    // with it, so such a segment scans its full range. (The rowwise
-    // reference applies the identical rule; byte-identity.)
+    // with it, so such a segment scans its full range.
     for (pi, cov) in covered.iter().enumerate() {
         let Covered::Col(ci) = cov else { continue };
         if seg.sorted_by != Some(*ci) {
@@ -1830,7 +1829,7 @@ fn scan_chunk_pages(
 }
 
 /// Append the objects of all pairs with subject `s` (pairs sorted by s).
-pub(crate) fn extend_from_sorted(list: &mut Vec<Oid>, pairs: &[(Oid, Oid)], s: Oid) {
+fn extend_from_sorted(list: &mut Vec<Oid>, pairs: &[(Oid, Oid)], s: Oid) {
     let start = pairs.partition_point(|&(ps, _)| ps < s);
     for &(ps, o) in &pairs[start..] {
         if ps != s {
@@ -1846,7 +1845,7 @@ pub(crate) fn extend_from_sorted(list: &mut Vec<Oid>, pairs: &[(Oid, Oid)], s: O
 /// (bag semantics). `row` and `counter` are scratch buffers the caller
 /// reuses across subjects.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_combinations(
+fn emit_combinations(
     cx: &ExecContext,
     star: &Star,
     emit: &Emit,
@@ -1981,7 +1980,7 @@ pub(crate) fn subject_filter_range(star: &Star, filters: &[&Expr]) -> SRange {
     }
 }
 
-pub(crate) fn effective_subject_range(star: &Star, s_range: SRange) -> SRange {
+fn effective_subject_range(star: &Star, s_range: SRange) -> SRange {
     match star.subject_const {
         Some(c) => intersect_ranges(Some((c.raw(), c.raw())), s_range),
         None => s_range,

@@ -46,7 +46,7 @@ fn a_blocked_first_column_keeps_a_base_exception_on_the_second() {
         .writes
         .inserts
         .contains(&triple(e("part3"), "size", Term::int(19))));
-    let n = run_matrix_in(&input, |c| !c.facade);
+    let n = run_matrix_in(&input, |c| !c.facade());
     eprintln!("blocked first column: {n} comparisons");
 }
 

@@ -18,32 +18,35 @@
 //! aggregates or a sum of a product.
 //!
 //! **Cells.** layout {baseline, CS in parse order (sparse), clustered
-//! (dense)} × executor {1 worker, 3 workers, rowwise oracle} × scheme
-//! {RDFscan/RDFjoin, Default} × zone maps {on, off} × writes {none, inserts,
-//! tombstones, both} × plan {optimizer pick, every star order, every join
-//! strategy of the pick's links} × projection {all variables, pruned} at the
-//! engine, and the same layouts, executors, schemes, zone maps and
-//! projections through the facade (optimizer pick) over its own write path:
-//! writes pending in a durable store, read at a snapshot taken before the
+//! (dense)} × executor {1 worker, 3 workers} × scheme {RDFscan/RDFjoin,
+//! Default} × zone maps {on, off} × writes {none, inserts, tombstones,
+//! both} × plan {optimizer pick, every star order, every join strategy of
+//! the pick's links} × projection {all variables, pruned} at the engine,
+//! and the same layouts, executors, schemes, zone maps and projections
+//! through the facade (optimizer pick) over its own write path: writes
+//! pending in a durable store, read at a snapshot taken before the
 //! tombstones, after the store is dropped and reopened, and after
 //! `reorganize_now` on the reopened store. Forced plans need the engine's
 //! storage handles, which the facade does not expose, so facade cells run
 //! the optimizer's pick only. Each facade store validates its invariants
 //! (`Database::validate_invariants`: buffer pool, generation, delta) and
 //! counts its triples after the writes, the reopen and the reorganization.
+//! One more cell per history is the baseline of a fresh bulk load of its
+//! logical triples (Default scheme, no zone maps, one worker).
 //!
-//! **Comparisons.** Inside one layout and history every executor's answer is
-//! the rowwise oracle's at one worker **byte for byte, row order included**,
-//! and a pruned subset, DISTINCT or `COUNT(*)` is the all-variables answer
-//! projected (grouped aggregates and sums are not recomputed: the
-//! reference checks them). Across layouts,
-//! schemes, plans and histories every answer equals, canonically, the
-//! baseline layout of a fresh bulk load of the same logical triples — the
-//! only comparison that sees a defect in code the kernels share with the
-//! oracle (`star::sort_key_narrows`). A cell that panics never agrees. Every
-//! star of the optimizer's plan also enforces its own filters (applying them
-//! again to its unpruned table removes no row), and the plan costs no more
-//! than any forced star order.
+//! **Comparisons.** A 3-worker cell's answer is its 1-worker twin's **byte
+//! for byte, row order included**. In a 1-worker engine cell a pruned
+//! subset, DISTINCT or `COUNT(*)` is the all-variables answer projected.
+//! Every answer equals its reference canonically (a SUM within
+//! `reference::SUM_TOLERANCE`): for a generated query the term-level
+//! reference (`reference`) over the history's logical triples — it shares
+//! no code with the engine, so it sees a rule that is wrong the same way
+//! in every layout — and for a catalog query (RDF-H, fixtures) the fresh
+//! bulk load, whose answer to each generated query is checked against the
+//! term-level reference too. A cell that panics never agrees. Every star of
+//! the optimizer's plan also enforces its own filters (applying them again
+//! to its unpruned table removes no row), and the plan costs no more than
+//! any forced star order.
 //!
 //! **Shrinking.** The vendored `proptest` does not shrink; this harness does.
 //! On a disagreement it drops triples (the whole list, halves, quarters, …),
@@ -56,6 +59,8 @@
 //! it, so dead code is allowed here.
 
 #![allow(dead_code)]
+
+pub mod reference;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,11 +126,109 @@ pub enum Select {
     Product(String, String),
 }
 
-/// A generated query: triple patterns and filters in SPARQL syntax.
+/// A comparison operator of a generated filter.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Op {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+/// What a variable is compared with.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Rhs {
+    Var(String),
+    /// A term, written in N-Triples syntax.
+    Const(Term),
+    /// A bare integer (SPARQL's short form of an `xsd:integer`).
+    Int(i64),
+}
+
+/// A generated filter: `?v op rhs`, or a disjunction. `Display` writes it
+/// in SPARQL syntax, and `parse` reads that back.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Filter {
+    Cmp(String, Op, Rhs),
+    Or(Box<Filter>, Box<Filter>),
+}
+
+const OPS: [(Op, &str); 6] = [
+    (Op::Eq, "="),
+    (Op::Ne, "!="),
+    (Op::Lt, "<"),
+    (Op::Le, "<="),
+    (Op::Gt, ">"),
+    (Op::Ge, ">="),
+];
+
+impl std::fmt::Display for Filter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Filter::Or(a, b) => write!(f, "{a} || {b}"),
+            Filter::Cmp(v, op, rhs) => {
+                let op = OPS.iter().find(|(o, _)| o == op).unwrap().1;
+                match rhs {
+                    Rhs::Var(w) => write!(f, "?{v} {op} ?{w}"),
+                    Rhs::Const(t) => write!(f, "?{v} {op} {}", term_text(t)),
+                    Rhs::Int(i) => write!(f, "?{v} {op} {i}"),
+                }
+            }
+        }
+    }
+}
+
+impl Filter {
+    pub fn parse(text: &str) -> Filter {
+        if let Some((a, b)) = text.split_once(" || ") {
+            return Filter::Or(Box::new(Filter::parse(a)), Box::new(Filter::parse(b)));
+        }
+        let mut words = text.splitn(3, ' ');
+        let (v, op, rhs) = (|| Some((words.next()?, words.next()?, words.next()?)))()
+            .unwrap_or_else(|| panic!("not a filter: {text}"));
+        let op = OPS.iter().find(|(_, o)| *o == op).unwrap().0;
+        let rhs = match (rhs.strip_prefix('?'), rhs.parse()) {
+            (Some(w), _) => Rhs::Var(w.into()),
+            (None, Ok(i)) => Rhs::Int(i),
+            (None, Err(_)) => Rhs::Const(parse_term(rhs)),
+        };
+        Filter::Cmp(v.trim_start_matches('?').into(), op, rhs)
+    }
+
+    pub fn vars(&self) -> Vec<String> {
+        match self {
+            Filter::Or(a, b) => {
+                let mut out = a.vars();
+                for v in b.vars() {
+                    if !out.contains(&v) {
+                        out.push(v);
+                    }
+                }
+                out
+            }
+            Filter::Cmp(v, _, Rhs::Var(w)) if v != w => vec![v.clone(), w.clone()],
+            Filter::Cmp(v, ..) => vec![v.clone()],
+        }
+    }
+}
+
+/// A term in N-Triples syntax.
+pub fn parse_term(text: &str) -> Term {
+    ntriples::parse_line(&format!("<x:s> <x:p> {text} ."), 0)
+        .ok()
+        .flatten()
+        .unwrap_or_else(|| panic!("not a term: {text}"))
+        .o
+}
+
+/// A generated query: triple patterns (each position a variable or a term
+/// in SPARQL syntax), filters and a select list.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Bgp {
     pub patterns: Vec<[String; 3]>,
-    pub filters: Vec<String>,
+    pub filters: Vec<Filter>,
     pub select: Select,
 }
 
@@ -145,31 +248,21 @@ pub struct Input {
     pub queries: Vec<Query>,
 }
 
-pub fn vars_in(text: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for (i, _) in text.match_indices('?') {
-        let name: String = text[i + 1..]
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !name.is_empty() && !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    out
-}
-
 impl Bgp {
+    /// The variables of the patterns, in order of first use.
     pub fn vars(&self) -> Vec<String> {
-        vars_in(
-            &self
-                .patterns
-                .iter()
-                .flatten()
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(" "),
-        )
+        let mut out: Vec<String> = Vec::new();
+        for v in self
+            .patterns
+            .iter()
+            .flatten()
+            .filter_map(|t| t.strip_prefix('?'))
+        {
+            if !out.iter().any(|x| x == v) {
+                out.push(v.into());
+            }
+        }
+        out
     }
 
     pub fn text(&self, select: &Select) -> String {
@@ -266,7 +359,7 @@ impl Bgp {
     pub fn repair(mut self) -> Bgp {
         let bound = self.vars();
         let ok = |v: &String| bound.contains(v);
-        self.filters.retain(|f| vars_in(f).iter().all(ok));
+        self.filters.retain(|f| f.vars().iter().all(ok));
         self.select = match self.select {
             Select::Vars(vs) if vs.iter().any(ok) => {
                 Select::Vars(vs.into_iter().filter(ok).collect())
@@ -451,9 +544,9 @@ impl Input {
                         .patterns
                         .push([s.into(), p.into(), o.into()]);
                 }
-                "filter" if !rest.is_empty() => {
-                    last_bgp(&mut input.queries).filters.push(rest.into())
-                }
+                "filter" if !rest.is_empty() => last_bgp(&mut input.queries)
+                    .filters
+                    .push(Filter::parse(rest)),
                 _ => {}
             }
         }
@@ -671,22 +764,23 @@ pub fn generate_query(rng: &mut StdRng, idx: &Index) -> Bgp {
             pick(rng, os).clone()
         };
         let ordered = matches!(c, Term::Literal(_));
-        let c = term_text(&c);
-        let w = &pick(rng, &objects).0;
+        let w = pick(rng, &objects).0.clone();
+        let cmp = |op, rhs| Filter::Cmp(v.clone(), op, rhs);
+        let c = Rhs::Const(c);
         b.filters.push(match rng.random_range(0..8) {
             // A noise value selects rows whose page zone map misses it.
-            _ if noisy => format!("?{v} = {c}"),
-            0 if ordered => format!("?{v} >= {c}"),
-            1 if ordered => format!("?{v} < {c}"),
-            2 if ordered => format!(
-                "?{v} >= {c} || ?{v} = {}",
-                term_text(pick(rng, idx.objects(&p)))
+            _ if noisy => cmp(Op::Eq, c),
+            0 if ordered => cmp(Op::Ge, c),
+            1 if ordered => cmp(Op::Lt, c),
+            2 if ordered => Filter::Or(
+                Box::new(cmp(Op::Ge, c)),
+                Box::new(cmp(Op::Eq, Rhs::Const(pick(rng, idx.objects(&p)).clone()))),
             ),
-            3 => format!("?{v} != {c}"),
-            4 => format!("?{v} < 50"),
-            5 if vars[0] != v => format!("?{v} != ?{}", vars[0]),
-            6 if *w != v => format!("?{v} < ?{w}"),
-            _ => format!("?{v} = {c}"),
+            3 => cmp(Op::Ne, c),
+            4 => cmp(Op::Lt, Rhs::Int(50)),
+            5 if vars[0] != v => cmp(Op::Ne, Rhs::Var(vars[0].clone())),
+            6 if w != v => cmp(Op::Lt, Rhs::Var(w)),
+            _ => cmp(Op::Eq, c),
         });
     }
     let (a, c) = (pick(rng, &vars).clone(), pick(rng, &vars).clone());
@@ -1012,11 +1106,25 @@ impl Drop for TempDir {
 
 // ---- cells --------------------------------------------------------------------
 
+/// The executor: the morsel executor at one worker or at three.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Exec {
     One,
     Three,
-    Rowwise,
+}
+
+/// Where a cell's answer comes from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Source {
+    /// The term-level reference (`reference`) over the history's triples.
+    Terms,
+    /// The baseline of a fresh bulk load of the history's triples.
+    Fresh,
+    /// The engine over a bulk load of the base, the history's writes
+    /// pending.
+    Engine,
+    /// The facade over its own write path.
+    Facade,
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -1029,9 +1137,7 @@ pub enum PlanPick {
 
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cell {
-    /// A fresh bulk load of the history's triples (the reference).
-    pub fresh: bool,
-    pub facade: bool,
+    pub source: Source,
     pub layout: Layout,
     pub history: History,
     pub scheme: PlanScheme,
@@ -1042,20 +1148,36 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// The cross-layout reference: the baseline of a fresh bulk load of
-    /// `history`'s triples, Default scheme, no zone maps, rowwise.
-    pub fn reference(history: History, pruned: bool) -> Cell {
+    /// The baseline of a fresh bulk load of `history`'s triples, Default
+    /// scheme, no zone maps, one worker.
+    pub fn fresh(history: History, pruned: bool) -> Cell {
         Cell {
-            fresh: true,
-            facade: false,
+            source: Source::Fresh,
             layout: Layout::Baseline,
             history: history.logical(),
             scheme: PlanScheme::Default,
             zonemaps: false,
             plan: PlanPick::Optimizer,
             pruned,
-            exec: Exec::Rowwise,
+            exec: Exec::One,
         }
+    }
+
+    /// The cross-layout reference of `query`: the term-level reference for
+    /// a generated query, the fresh bulk load for a catalog one.
+    pub fn reference(query: &Query, history: History, pruned: bool) -> Cell {
+        let source = match query {
+            Query::Bgp(_) => Source::Terms,
+            Query::Text(_) => Source::Fresh,
+        };
+        Cell {
+            source,
+            ..Cell::fresh(history, pruned)
+        }
+    }
+
+    pub fn facade(&self) -> bool {
+        self.source == Source::Facade
     }
 }
 
@@ -1070,11 +1192,10 @@ pub fn par3() -> ParallelConfig {
     }
 }
 
-pub fn config(scheme: PlanScheme, zonemaps: bool, exec: Exec) -> ExecConfig {
+pub fn config(scheme: PlanScheme, zonemaps: bool) -> ExecConfig {
     ExecConfig {
         scheme,
         zonemaps,
-        rowwise: exec == Exec::Rowwise,
         ..Default::default()
     }
 }
@@ -1208,14 +1329,14 @@ pub fn answers(
             match store {
                 Store::Facade { db, layout, at } => {
                     for (pruned, text) in query.texts() {
-                        for exec in [Exec::Rowwise, Exec::One, Exec::Three] {
+                        for exec in [Exec::One, Exec::Three] {
                             let c = cell(PlanPick::Optimizer, pruned, exec);
                             if !wanted(&c) {
                                 continue;
                             }
                             let mut req = QueryRequest::sparql(text.as_str())
                                 .generation(layout.generation())
-                                .config(config(scheme, zonemaps, exec));
+                                .config(config(scheme, zonemaps));
                             if exec == Exec::Three {
                                 req = req.parallel(par3());
                             }
@@ -1233,16 +1354,11 @@ pub fn answers(
                 }
                 Store::Engine { rig, layout, delta } => {
                     let (dict, storage) = rig.layer(*layout);
-                    let cx = ExecContext::new(
-                        &rig.pool,
-                        dict,
-                        storage,
-                        config(scheme, zonemaps, Exec::One),
-                    )
-                    .with_delta(delta.clone());
+                    let cx = ExecContext::new(&rig.pool, dict, storage, config(scheme, zonemaps))
+                        .with_delta(delta.clone());
                     let Ok(q) = sordf_sparql::parse_sparql(&query.texts()[0].1, dict) else {
                         out.push((
-                            cell(PlanPick::Optimizer, false, Exec::Rowwise),
+                            cell(PlanPick::Optimizer, false, Exec::One),
                             vec![vec!["unparsable".into()]],
                         ));
                         continue;
@@ -1266,7 +1382,7 @@ pub fn answers(
                     }
                     for (pick, plan) in plans {
                         for (pruned, q) in &variants {
-                            for exec in [Exec::Rowwise, Exec::One, Exec::Three] {
+                            for exec in [Exec::One, Exec::Three] {
                                 let c = cell(pick.clone(), *pruned, exec);
                                 if !wanted(&c) {
                                     continue;
@@ -1276,7 +1392,7 @@ pub fn answers(
                                     &rig.pool,
                                     dict,
                                     storage,
-                                    config(scheme, zonemaps, exec),
+                                    config(scheme, zonemaps),
                                 )
                                 .with_delta(delta.clone());
                                 if exec == Exec::Three {
@@ -1354,7 +1470,10 @@ pub fn agree(mode: Mode, select: &Select, a: &Rows, b: &Rows) -> bool {
     }
     match mode {
         Mode::Bytes => a == b,
-        Mode::Canonical => canonical(a) == canonical(b),
+        Mode::Canonical => match select.sum_col() {
+            None => canonical(a) == canonical(b),
+            Some(col) => same_sums(a, b, col),
+        },
         Mode::Projected => {
             let project = |vs: &Vec<String>| -> Rows {
                 let cols: Vec<Option<usize>> = vs
@@ -1392,11 +1511,32 @@ pub fn agree(mode: Mode, select: &Select, a: &Rows, b: &Rows) -> bool {
     }
 }
 
+/// Same rows in any order, the sums in column `col` within the
+/// reference's tolerance (`reference::SUM_TOLERANCE`).
+pub fn same_sums(a: &Rows, b: &Rows, col: usize) -> bool {
+    let (a, b) = (canonical(a), canonical(b));
+    let same = |(i, (x, y)): (usize, (&String, &String))| {
+        x == y || (i == col && reference::sums_agree(x, y))
+    };
+    a.len() == b.len()
+        && (a.iter().zip(&b))
+            .all(|(x, y)| x.len() == y.len() && x.iter().zip(y).enumerate().all(same))
+}
+
 impl Select {
     /// Whether a pruned answer can be checked against the all-variables
     /// answer projected (aggregates over groups are not recomputed here).
     pub fn projects(&self) -> bool {
         matches!(self, Select::Vars(_) | Select::Distinct(_) | Select::Count)
+    }
+
+    /// The column a SUM fills.
+    pub fn sum_col(&self) -> Option<usize> {
+        match self {
+            Select::Group(..) => Some(4),
+            Select::Product(..) => Some(0),
+            _ => None,
+        }
     }
 }
 
@@ -1407,44 +1547,53 @@ pub struct Mismatch {
     pub rows: [Rows; 2],
 }
 
-/// What one query must satisfy in one store, given its reference answers
-/// (all variables, pruned). Returns the number of comparisons made.
-pub fn check(
-    answers: &[(Cell, Rows)],
-    references: &[Rows],
-    query: usize,
+/// `b` must agree with `a` (`mode`) in query `query`, whose answer is
+/// pruned to `select`.
+pub fn compare(
+    mode: Mode,
     select: &Select,
-) -> Result<usize, Box<Mismatch>> {
-    let mut n = 0;
-    let mismatch = |mode, a: &(Cell, Rows), b: &(Cell, Rows)| {
-        Box::new(Mismatch {
+    query: usize,
+    a: &(Cell, Rows),
+    b: &(Cell, Rows),
+) -> Result<(), Box<Mismatch>> {
+    match agree(mode, select, &a.1, &b.1) {
+        true => Ok(()),
+        false => Err(Box::new(Mismatch {
             query,
             mode,
             cells: [a.0.clone(), b.0.clone()],
             rows: [a.1.clone(), b.1.clone()],
-        })
-    };
+        })),
+    }
+}
+
+/// What query `query` (`q`) must satisfy in one store, given its reference
+/// answers (all variables, pruned). Returns the number of comparisons made.
+pub fn check(
+    answers: &[(Cell, Rows)],
+    references: &[Rows],
+    query: usize,
+    q: &Query,
+) -> Result<usize, Box<Mismatch>> {
+    let mut n = 0;
     for answer in answers {
         let c = &answer.0;
         let mut against = |mode, other: &(Cell, Rows)| {
             n += 1;
-            match agree(mode, select, &other.1, &answer.1) {
-                true => Ok(()),
-                false => Err(mismatch(mode, other, answer)),
-            }
+            compare(mode, &select_in(q, c.pruned), query, other, answer)
         };
         let twin = |o: Cell| answers.iter().find(|(x, _)| *x == o).unwrap();
-        if c.exec != Exec::Rowwise {
+        if c.exec == Exec::Three {
             against(
                 Mode::Bytes,
                 twin(Cell {
-                    exec: Exec::Rowwise,
+                    exec: Exec::One,
                     ..c.clone()
                 }),
             )?;
             continue;
         }
-        if c.pruned && !c.facade && select.projects() {
+        if c.pruned && !c.facade() && select_of(q).projects() {
             against(
                 Mode::Projected,
                 twin(Cell {
@@ -1454,7 +1603,7 @@ pub fn check(
             )?;
         }
         let reference = (
-            Cell::reference(c.history, c.pruned),
+            Cell::reference(q, c.history, c.pruned),
             references[c.pruned as usize].clone(),
         );
         against(Mode::Canonical, &reference)?;
@@ -1466,6 +1615,14 @@ pub fn select_of(q: &Query) -> Select {
     match q {
         Query::Bgp(b) => b.select.clone(),
         Query::Text(_) => Select::All,
+    }
+}
+
+/// What an answer of `q` selects: its select list when `pruned`.
+pub fn select_in(q: &Query, pruned: bool) -> Select {
+    match pruned {
+        true => select_of(q),
+        false => Select::All,
     }
 }
 
@@ -1485,36 +1642,65 @@ pub fn run_matrix_in(input: &Input, wanted: impl Fn(&Cell) -> bool) -> usize {
 }
 
 pub fn base_cell(facade: bool, layout: Layout, history: History) -> Cell {
+    let source = match facade {
+        true => Source::Facade,
+        false => Source::Engine,
+    };
     Cell {
-        fresh: false,
-        facade,
+        source,
         layout,
         history,
-        ..Cell::reference(History::None, false)
+        ..Cell::fresh(History::None, false)
     }
 }
 
-/// The reference answers of every query of `input` after `history`, all
-/// variables and pruned: a fresh bulk load of the history's triples.
-pub fn references(input: &Input, history: History) -> Vec<Vec<Rows>> {
+/// The reference answers of every query of `input` after `history` (all
+/// variables, then pruned), and the number of comparisons that vouch for
+/// them. A generated query's is the term-level reference's, which the
+/// fresh bulk load's answer must equal canonically; a catalog query's is
+/// the fresh bulk load's.
+pub fn references(
+    input: &Input,
+    history: History,
+) -> Result<(Vec<Vec<Rows>>, usize), Box<Mismatch>> {
     let h = history.logical();
-    let fresh = rig(&input.logical(h), &[]);
+    let triples = input.logical(h);
+    let (fresh, graph) = (rig(&triples, &[]), reference::Graph::new(&triples));
     let store = Store::Engine {
         rig: &fresh,
         layout: Layout::Baseline,
         delta: None,
     };
-    let of_query = |q: &Query| -> Vec<Rows> {
-        [false, true]
-            .iter()
-            .map(|&pruned| {
-                let only = Cell::reference(h, pruned);
-                let a = answers(&store, q, &only, Some(&only));
-                a.first().map_or(Vec::new(), |(_, r)| r.clone())
-            })
-            .collect()
-    };
-    input.queries.iter().map(of_query).collect()
+    let (mut out, mut n) = (Vec::new(), 0);
+    for (qi, q) in input.queries.iter().enumerate() {
+        let mut of_query = Vec::new();
+        for pruned in [false, true] {
+            let only = Cell::fresh(h, pruned);
+            let Some(answer) = answers(&store, q, &only, Some(&only)).pop() else {
+                continue;
+            };
+            of_query.push(match q {
+                Query::Text(_) => answer.1,
+                Query::Bgp(b) => {
+                    let select = select_in(q, pruned);
+                    let terms = (Cell::reference(q, h, pruned), graph.answer(b, &select));
+                    compare(Mode::Canonical, &select, qi, &terms, &answer)?;
+                    n += 1;
+                    terms.1
+                }
+            });
+        }
+        out.push(of_query);
+    }
+    Ok((out, n))
+}
+
+/// `references`' answers; on a disagreement, the shrunk case in a panic.
+pub fn reference_answers(input: &Input, history: History) -> Vec<Vec<Rows>> {
+    match references(input, history) {
+        Ok((answers, _)) => answers,
+        Err(m) => panic!("{}", shrink(input, &m)),
+    }
 }
 
 pub fn run_cells(input: &Input, wanted: &dyn Fn(&Cell) -> bool) -> Result<usize, Box<Mismatch>> {
@@ -1530,6 +1716,7 @@ pub fn run_cells(input: &Input, wanted: &dyn Fn(&Cell) -> bool) -> Result<usize,
         History::Reorganized,
         History::Reopened,
     ];
+    let mut n = 0;
     let stores: Vec<Cell> = LAYOUTS
         .iter()
         .flat_map(|&l| histories.map(|h| base_cell(false, l, h)))
@@ -1540,11 +1727,15 @@ pub fn run_cells(input: &Input, wanted: &dyn Fn(&Cell) -> bool) -> Result<usize,
         )
         .filter(|c| wanted(c))
         .collect();
-    let references: Vec<(History, Vec<Vec<Rows>>)> = histories
+    let references = histories
         .into_iter()
         .filter(|&h| stores.iter().any(|c| c.history.logical() == h))
-        .map(|h| (h, references(input, h)))
-        .collect();
+        .map(|h| {
+            let (answers, k) = references(input, h)?;
+            n += k;
+            Ok((h, answers))
+        })
+        .collect::<Result<Vec<(History, Vec<Vec<Rows>>)>, Box<Mismatch>>>()?;
     let reference_of = |h: History| {
         &references
             .iter()
@@ -1559,7 +1750,7 @@ pub fn run_cells(input: &Input, wanted: &dyn Fn(&Cell) -> bool) -> Result<usize,
         let mut n = 0;
         for (qi, q) in input.queries.iter().enumerate() {
             let got = answers(store, q, &cell, None);
-            n += check(&got, &reference_of(cell.history)[qi], qi, &select_of(q))?;
+            n += check(&got, &reference_of(cell.history)[qi], qi, q)?;
         }
         Ok(n)
     };
@@ -1567,7 +1758,7 @@ pub fn run_cells(input: &Input, wanted: &dyn Fn(&Cell) -> bool) -> Result<usize,
     // a facade store per layout family (parse order, dense).
     let layouts: Vec<Layout> = LAYOUTS
         .into_iter()
-        .filter(|&l| stores.iter().any(|c| !c.facade && c.layout == l))
+        .filter(|&l| stores.iter().any(|c| !c.facade() && c.layout == l))
         .collect();
     let engine = (!layouts.is_empty()).then(|| rig(&input.base, &layouts));
     let family = |dense: bool| -> &'static [Layout] {
@@ -1584,7 +1775,7 @@ pub fn run_cells(input: &Input, wanted: &dyn Fn(&Cell) -> bool) -> Result<usize,
     for dense in [false, true] {
         if stores
             .iter()
-            .any(|c| c.facade && family(dense).contains(&c.layout))
+            .any(|c| c.facade() && family(dense).contains(&c.layout))
         {
             jobs.push((None, History::Both, dense));
         }
@@ -1632,7 +1823,7 @@ pub fn run_cells(input: &Input, wanted: &dyn Fn(&Cell) -> bool) -> Result<usize,
         }
         Ok(n)
     });
-    results.into_iter().sum()
+    Ok(n + results.into_iter().sum::<Result<usize, _>>()?)
 }
 
 /// `f` of every job, on as many threads as the host has cores; the results
@@ -1669,7 +1860,7 @@ pub fn in_parallel<J: Sync, R: Send>(jobs: &[J], f: impl Fn(&J) -> R + Sync) -> 
 /// The answer of `input`'s only query on the baseline of a fresh bulk load
 /// of its base triples (no writes): header, then rows.
 pub fn fresh_answer(input: &Input) -> Rows {
-    one_cell(input, &Cell::reference(History::None, false))
+    one_cell(input, &Cell::fresh(History::None, false))
 }
 
 // ---- shrinking ------------------------------------------------------------------
@@ -1682,35 +1873,49 @@ pub fn one_cell(input: &Input, cell: &Cell) -> Rows {
             .pop()
             .map_or(vec![vec!["no such cell".into()]], |(_, r)| r)
     };
-    if cell.facade {
-        let f = facade(input, cell.layout == Layout::Dense, cell.history);
-        let at = (cell.history == History::Snapshot).then_some(f.snap);
-        run(&Store::Facade {
-            db: &f.db,
-            layout: cell.layout,
-            at,
-        })
-    } else if cell.fresh {
-        let fresh = rig(&input.logical(cell.history), &[]);
-        run(&Store::Engine {
-            rig: &fresh,
-            layout: Layout::Baseline,
-            delta: None,
-        })
-    } else {
-        let engine = rig(&input.base, &[cell.layout]);
-        let d = delta(engine.layer(cell.layout).0, &input.writes, cell.history);
-        run(&Store::Engine {
-            rig: &engine,
-            layout: cell.layout,
-            delta: d,
-        })
+    match cell.source {
+        Source::Terms => {
+            let triples = input.logical(cell.history);
+            let Query::Bgp(b) = q else {
+                return vec![vec!["no such cell".into()]];
+            };
+            reference::Graph::new(&triples).answer(b, &select_in(q, cell.pruned))
+        }
+        Source::Facade => {
+            let f = facade(input, cell.layout == Layout::Dense, cell.history);
+            let at = (cell.history == History::Snapshot).then_some(f.snap);
+            run(&Store::Facade {
+                db: &f.db,
+                layout: cell.layout,
+                at,
+            })
+        }
+        Source::Fresh => {
+            let fresh = rig(&input.logical(cell.history), &[]);
+            run(&Store::Engine {
+                rig: &fresh,
+                layout: Layout::Baseline,
+                delta: None,
+            })
+        }
+        Source::Engine => {
+            let engine = rig(&input.base, &[cell.layout]);
+            let d = delta(engine.layer(cell.layout).0, &input.writes, cell.history);
+            run(&Store::Engine {
+                rig: &engine,
+                layout: cell.layout,
+                delta: d,
+            })
+        }
     }
 }
 
+/// The two cells of `m` still disagree on `input`: their answers. (The
+/// second cell is the pruned one of a projected comparison.)
 pub fn still_fails(input: &Input, m: &Mismatch) -> Option<[Rows; 2]> {
     let rows = [one_cell(input, &m.cells[0]), one_cell(input, &m.cells[1])];
-    (!agree(m.mode, &select_of(&input.queries[0]), &rows[0], &rows[1])).then_some(rows)
+    let select = select_in(&input.queries[0], m.cells[1].pruned);
+    (!agree(m.mode, &select, &rows[0], &rows[1])).then_some(rows)
 }
 
 /// Shrink the failing case of `m` and print it with both answers.
@@ -1852,13 +2057,11 @@ pub fn rdfh() -> Input {
         sordf_rdfh::gen::NS
     )));
     let base = Input::new("rdfh catalog", 1, data.clone(), Writes::default());
-    let answers = references(
-        &Input {
-            queries: catalog.clone(),
-            ..base
-        },
-        History::None,
-    );
+    let catalog_input = Input {
+        queries: catalog.clone(),
+        ..base
+    };
+    let answers = reference_answers(&catalog_input, History::None);
     for (q, rows) in catalog.iter().zip(&answers) {
         assert!(rows[0].len() > 1, "returns nothing at sf 0.0001: {q:?}");
     }

@@ -2,7 +2,7 @@
 //! class of two full pages and a partial third, NULLs of `a` on the first
 //! and last row of every page and of every run between the dirty rows, runs
 //! of length 0, 1, 15, 16 and 17, and refs that drive RDFjoin. Its catalog
-//! runs under the three executors byte for byte on dense and sparse
+//! runs at three workers byte for byte like one worker on dense and sparse
 //! segments, clean and dirty, and equals the baseline of a fresh bulk load
 //! canonically; segment row order is index order (what puts the NULLs on
 //! the edges); and which column pages a zone map decides without a pin is
@@ -240,7 +240,7 @@ fn fresh(triples: &[TermTriple]) -> Vec<Vec<String>> {
     let run = |text: &str| {
         let req = QueryRequest::sparql(format!("PREFIX e: <{NS}> {text}"))
             .generation(Generation::Baseline)
-            .config(config(PlanScheme::Default, false, Exec::Rowwise));
+            .config(config(PlanScheme::Default, false));
         db.execute(&req).unwrap().results.canonical(&db.dict())
     };
     CATALOG.iter().map(|t| run(t)).collect()
@@ -288,18 +288,18 @@ fn scenario(dense: bool) {
             let exec = |exec: Exec| {
                 let mut req = QueryRequest::sparql(text.as_str())
                     .generation(generation)
-                    .config(config(PlanScheme::RdfScanJoin, true, exec));
+                    .config(config(PlanScheme::RdfScanJoin, true));
                 if exec == Exec::Three {
                     req = req.parallel(par3());
                 }
                 db.execute(&req).unwrap().results.render(&dict)
             };
-            let oracle = exec(Exec::Rowwise);
+            let one = exec(Exec::One);
             assert!(
-                exec(Exec::One) == oracle && exec(Exec::Three) == oracle,
+                exec(Exec::Three) == one,
                 "dense={dense} dirty={dirty}: {text}"
             );
-            let mut canonical: Vec<String> = oracle.iter().map(|r| r.join("\t")).collect();
+            let mut canonical: Vec<String> = one.iter().map(|r| r.join("\t")).collect();
             canonical.sort();
             assert_eq!(canonical, *reference, "dense={dense} dirty={dirty}: {text}");
         }

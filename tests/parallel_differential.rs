@@ -1,7 +1,7 @@
 //! The worker count is a pure scheduling choice: in the correctness matrix
 //! (`harness`) the morsel executor at three workers answers byte for byte
-//! like one worker and like the value-at-a-time rowwise oracle. And
-//! threads that share one pool and one store answer alike.
+//! like one worker, and both like the term-level reference. And threads
+//! that share one pool and one store answer alike.
 
 mod harness;
 
@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-fn parallel_execution_matches_sequential_and_rowwise() {
+fn parallel_execution_matches_sequential() {
     let n = random_graphs(3..4, 5, |_| true);
     eprintln!("random graphs: {n} comparisons");
 }

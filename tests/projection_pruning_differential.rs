@@ -9,7 +9,7 @@
 mod harness;
 
 use harness::*;
-use sordf::{Database, ExecConfig, QueryRequest};
+use sordf::{Database, ExecConfig, Generation, QueryRequest};
 use sordf_engine::{prepare, ExecContext, Expr, StorageRef};
 
 /// One-star queries that select a subset (or only count) over dirty data:
@@ -56,10 +56,15 @@ fn link_variables_live_as_long_as_needed() {
 /// variables a step binds cannot be part of the plan.
 #[test]
 fn one_cached_plan_serves_both_constant_types() {
+    let data = sordf_rdfh::generate(&sordf_rdfh::RdfhConfig::new(0.002)).triples;
     let db = Database::in_temp_dir().unwrap();
-    db.load_terms(&sordf_rdfh::generate(&sordf_rdfh::RdfhConfig::new(0.002)).triples)
-        .unwrap();
+    db.load_terms(&data).unwrap();
     db.self_organize().unwrap();
+    // The wanted answers: the baseline of a fresh bulk load, whose plan
+    // cache serves neither query from the other's plan.
+    let fresh = Database::in_temp_dir().unwrap();
+    fresh.load_terms(&data).unwrap();
+    fresh.build_baseline().unwrap();
     let text = |bound: &str| {
         format!(
             "PREFIX r: <{}> SELECT (COUNT(*) AS ?n) (SUM(?q) AS ?s) WHERE {{ ?li r:lineitem_shipdate ?ship . \
@@ -71,22 +76,23 @@ fn one_cached_plan_serves_both_constant_types() {
         text(r#""1996-01-01"^^xsd:date"#),
         text(r#""17"^^xsd:integer"#),
     );
-    let run = |t: &str, rowwise| {
-        let req = QueryRequest::sparql(t).config(ExecConfig {
-            rowwise,
-            ..Default::default()
-        });
+    let want = |t: &str| {
+        let req = QueryRequest::sparql(t).generation(Generation::Baseline);
+        fresh.execute(&req).unwrap().results.render(&fresh.dict())
+    };
+    let run = |t: &str| {
+        let req = QueryRequest::sparql(t);
         db.execute(&req).unwrap().results.render(&db.dict())
     };
-    let (want_date, want_number) = (run(&by_date, true), run(&by_number, true));
+    let (want_date, want_number) = (want(&by_date), want(&by_number));
     assert!(want_date != want_number && want_date[0][0] != "0");
     for (first, second, want) in [
         (&by_date, &by_number, &want_number),
         (&by_number, &by_date, &want_date),
     ] {
-        let _ = run(first, false);
+        let _ = run(first);
         let before = db.plan_cache_stats();
-        assert_eq!(run(second, false), *want);
+        assert_eq!(run(second), *want);
         assert!(
             db.plan_cache_stats().hits > before.hits,
             "the second constant is answered from the first one's plan"

@@ -36,7 +36,7 @@ fn rig() -> Rig {
 /// `updates_differential`'s.
 #[test]
 fn all_catalog_queries_agree_across_configs() {
-    let n = run_matrix_in(&rdfh(), |c| !c.facade);
+    let n = run_matrix_in(&rdfh(), |c| !c.facade());
     eprintln!("rdfh at the engine: {n} comparisons");
 }
 

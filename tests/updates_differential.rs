@@ -59,7 +59,7 @@ fn drifted_rdfh() -> Input {
 #[test]
 fn updates_match_fresh_bulk_load() {
     let input = drifted_rdfh();
-    let n = run_matrix_in(&input, |c| c.facade);
+    let n = run_matrix_in(&input, |c| c.facade());
     eprintln!("rdfh through the facade: {n} comparisons");
 
     // The unorganized inserts dominate the irregular share; the default
@@ -91,7 +91,7 @@ fn updates_match_fresh_bulk_load() {
         before.irregular_ratio()
     );
     db.validate_invariants();
-    let references = references(&input, History::Both);
+    let references = reference_answers(&input, History::Both);
     let cell = base_cell(true, Layout::Dense, History::Reorganized);
     for (qi, q) in input.queries.iter().enumerate() {
         let store = Store::Facade {
@@ -100,7 +100,7 @@ fn updates_match_fresh_bulk_load() {
             at: None,
         };
         let got = answers(&store, q, &cell, None);
-        if let Err(m) = check(&got, &references[qi], qi, &select_of(q)) {
+        if let Err(m) = check(&got, &references[qi], qi, q) {
             panic!("after maybe_reorganize: {}", shrink(&input, &m));
         }
     }
