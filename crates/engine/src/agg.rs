@@ -2108,7 +2108,7 @@ mod tests {
         let (_, lp) = prepare(&query);
         let call = StarCall::new(&cx, &lp.stars[0], &[], Some(&[]));
         let stopped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eval_star_into(&cx, &call, StarAccess::RdfScan, None, None, || {
+            eval_star_into(&cx, &call, StarAccess::RdfScan, None, || {
                 CancelAtFirstPage(Table::empty(Vec::new()), token.clone())
             });
         }))

@@ -9,10 +9,9 @@
 //! by the subject domain — systematically underestimating star results.
 
 use crate::context::{ExecContext, StorageRef};
-use crate::expr::Expr;
 use crate::query::VarOrOid;
 use crate::scan::ORestrict;
-use crate::star::{restrict_for_var, Star};
+use crate::star::{Pushdown, Star};
 use crate::table::VarId;
 use sordf_schema::{ColStats, StatsView};
 use sordf_storage::Order;
@@ -40,29 +39,25 @@ pub(crate) fn restrict_selectivity(r: &ORestrict, stats: &ColStats) -> f64 {
     }
 }
 
-/// CS-based estimate: sum over classes covering the whole star.
-/// Returns `None` on storage without a discovered schema.
-pub fn estimate_star_cs(cx: &ExecContext, star: &Star, filters: &[&Expr]) -> Option<f64> {
+/// CS-based estimate of `star` under its pushdown `pd`: sum over classes
+/// covering the whole star. Returns `None` on storage without a discovered
+/// schema.
+pub fn estimate_star_cs(cx: &ExecContext, star: &Star, pd: &Pushdown) -> Option<f64> {
     let StorageRef::Clustered { schema, .. } = &cx.storage else {
         return None;
     };
-    let strings_ordered = cx.strings_value_ordered();
     let mut total = 0.0;
     for class in &schema.classes {
         let mut card = class.n_subjects as f64;
         let mut covers_all = true;
-        for prop in &star.props {
-            let restrict = match prop.o {
-                VarOrOid::Const(c) => ORestrict::eq(c),
-                VarOrOid::Var(v) => restrict_for_var(filters, v, strings_ordered),
-            };
+        for (prop, restrict) in star.props.iter().zip(&pd.objects) {
             if let Some(ci) = class.column_of(prop.pred) {
                 let col = &class.columns[ci];
                 // presence = P(subject has the property at all)
-                card *= col.presence * restrict_selectivity(&restrict, &col.stats);
+                card *= col.presence * restrict_selectivity(restrict, &col.stats);
             } else if let Some(mi) = class.multi_of(prop.pred) {
                 let mp = &class.multi_props[mi];
-                card *= mp.mean_multiplicity * restrict_selectivity(&restrict, &mp.stats);
+                card *= mp.mean_multiplicity * restrict_selectivity(restrict, &mp.stats);
             } else {
                 covers_all = false;
                 break;
@@ -77,12 +72,11 @@ pub fn estimate_star_cs(cx: &ExecContext, star: &Star, filters: &[&Expr]) -> Opt
 
 /// Independence-assumption estimate (what a schema-oblivious triple store
 /// does): product of per-pattern cardinalities over |subject domain|^(k-1).
-pub fn estimate_star_independence(cx: &ExecContext, star: &Star, filters: &[&Expr]) -> f64 {
-    let strings_ordered = cx.strings_value_ordered();
+pub fn estimate_star_independence(cx: &ExecContext, star: &Star, pd: &Pushdown) -> f64 {
     let domain = cx.dict.n_iris().max(1) as f64;
     let mut est = 1.0f64;
     let mut k = 0usize;
-    for prop in &star.props {
+    for (prop, r) in star.props.iter().zip(&pd.objects) {
         // |pattern| ≈ triples with this predicate × filter selectivity.
         let n_pred = match &cx.storage {
             StorageRef::Baseline(store) => store.perm(Order::Pso).range1(cx.pool, prop.pred).len(),
@@ -101,18 +95,12 @@ pub fn estimate_star_independence(cx: &ExecContext, star: &Star, filters: &[&Exp
                 n
             }
         } as f64;
-        let restrict = match prop.o {
-            VarOrOid::Const(_) => 0.001f64, // generic point-selectivity guess
-            VarOrOid::Var(v) => {
-                let r = restrict_for_var(filters, v, strings_ordered);
-                if r.is_none() {
-                    1.0
-                } else if r.is_point() {
-                    0.001
-                } else {
-                    0.3 // generic range guess — the point of the ablation
-                }
-            }
+        let restrict = if r.is_none() {
+            1.0
+        } else if r.is_point() {
+            0.001 // generic point-selectivity guess (a constant object too)
+        } else {
+            0.3 // generic range guess — the point of the ablation
         };
         est *= n_pred * restrict;
         k += 1;
@@ -124,9 +112,8 @@ pub fn estimate_star_independence(cx: &ExecContext, star: &Star, filters: &[&Exp
 }
 
 /// Best available estimate (CS when a schema exists).
-pub fn estimate_star(cx: &ExecContext, star: &Star, filters: &[&Expr]) -> f64 {
-    estimate_star_cs(cx, star, filters)
-        .unwrap_or_else(|| estimate_star_independence(cx, star, filters))
+pub fn estimate_star(cx: &ExecContext, star: &Star, pd: &Pushdown) -> f64 {
+    estimate_star_cs(cx, star, pd).unwrap_or_else(|| estimate_star_independence(cx, star, pd))
 }
 
 // ---- optimizer-facing estimates (drift-adjusted via StatsView) -------------
@@ -160,8 +147,8 @@ pub fn pred_cardinality(cx: &ExecContext, sv: &StatsView, pred: sordf_model::Oid
 /// [`estimate_star`] inflated by the delta: a pending subject can only
 /// satisfy the whole star if every property got a pending (or base) value,
 /// so the scarcest pending predicate bounds the extra rows.
-pub fn estimate_star_with(cx: &ExecContext, sv: &StatsView, star: &Star, filters: &[&Expr]) -> f64 {
-    let base = estimate_star(cx, star, filters);
+pub fn estimate_star_with(cx: &ExecContext, sv: &StatsView, star: &Star, pd: &Pushdown) -> f64 {
+    let base = estimate_star(cx, star, pd);
     let bonus = star
         .props
         .iter()

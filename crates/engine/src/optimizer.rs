@@ -47,8 +47,7 @@ use crate::cardest::{
 use crate::context::{ExecContext, PlanScheme, StorageRef};
 use crate::expr::Expr;
 use crate::plan::{JoinStrategy, LogicalPlan, PhysicalPlan, PhysicalStep, StarAccess};
-use crate::query::VarOrOid;
-use crate::star::{restrict_for_var, Star};
+use crate::star::{Pushdown, Star};
 use crate::table::VarId;
 use sordf_model::FxHashMap;
 use sordf_schema::StatsView;
@@ -274,8 +273,8 @@ impl<'a, 'cx> OptCtx<'a, 'cx> {
 
 /// Per-star statistics for the cost model (see module docs).
 fn star_stats(cx: &ExecContext, sv: &StatsView, star: &Star, filters: &[&Expr]) -> StarStats {
-    let rows = estimate_star_with(cx, sv, star, filters).max(0.0);
-    let strings_ordered = cx.strings_value_ordered();
+    let pd = Pushdown::new(cx, star, filters);
+    let rows = estimate_star_with(cx, sv, star, &pd).max(0.0);
 
     // IdxScan+MergeJoin: every property stream is scanned end to end. Every
     // scanned row pays the decode surcharge of its page.
@@ -296,11 +295,7 @@ fn star_stats(cx: &ExecContext, sv: &StatsView, star: &Star, filters: &[&Expr]) 
             for class in &schema.classes {
                 let mut covers_all = true;
                 let mut zm_sel = 1.0f64;
-                for prop in &star.props {
-                    let restrict = match prop.o {
-                        VarOrOid::Const(c) => crate::scan::ORestrict::eq(c),
-                        VarOrOid::Var(v) => restrict_for_var(filters, v, strings_ordered),
-                    };
+                for (prop, restrict) in star.props.iter().zip(&pd.objects) {
                     let stats = if let Some(ci) = class.column_of(prop.pred) {
                         &class.columns[ci].stats
                     } else if let Some(mi) = class.multi_of(prop.pred) {
@@ -310,7 +305,7 @@ fn star_stats(cx: &ExecContext, sv: &StatsView, star: &Star, filters: &[&Expr]) 
                         break;
                     };
                     if !restrict.is_none() {
-                        zm_sel = zm_sel.min(restrict_selectivity(&restrict, stats));
+                        zm_sel = zm_sel.min(restrict_selectivity(restrict, stats));
                     }
                 }
                 if covers_all {

@@ -28,10 +28,9 @@
 use crate::context::{ExecContext, StorageRef};
 use crate::expr::Expr;
 use crate::plan::StarAccess;
-use crate::scan::{SRange, Source};
+use crate::scan::Source;
 use crate::star::{
-    default_scan_range, intersect_ranges, join_star_streams, prepare_star_scans, scan_star_prop,
-    subject_filter_range, uncovered_rows, Star, StarCall, StarSink,
+    join_star_streams, prepare_star_scans, scan_star_prop, uncovered_rows, Star, StarCall, StarSink,
 };
 use crate::table::Table;
 use parking_lot::Mutex;
@@ -180,8 +179,8 @@ pub(crate) fn run_tasks<T: Send>(
 
 /// Evaluate one star with the plan's chosen access path (not the scheme —
 /// the optimizer already folded the scheme and the storage layout into that
-/// choice), optionally driven by candidate subjects (RDFjoin) and restricted
-/// to a subject range, into a table binding **every** variable of the star.
+/// choice), optionally driven by candidate subjects (RDFjoin), into a table
+/// binding **every** variable of the star.
 /// Plan steps go through `eval_star_into`, which binds only what is read;
 /// this is its all-variables, materializing form, on which the tests check
 /// that every star enforces its own filters.
@@ -191,10 +190,9 @@ pub fn eval_star(
     access: StarAccess,
     filters: &[&Expr],
     candidates: Option<&[Oid]>,
-    s_range: SRange,
 ) -> Table {
     let call = StarCall::new(cx, star, filters, None);
-    eval_star_into(cx, &call, access, candidates, s_range, || {
+    eval_star_into(cx, &call, access, candidates, || {
         Table::empty(call.emit.vars.clone())
     })
 }
@@ -211,23 +209,13 @@ pub(crate) fn eval_star_into<S: StarSink>(
     call: &StarCall,
     access: StarAccess,
     candidates: Option<&[Oid]>,
-    s_range: SRange,
     make: impl Fn() -> S + Sync,
 ) -> S {
-    let (star, filters) = (call.star, call.filters);
     let table = match (access, &cx.storage) {
         (StarAccess::RdfScan, StorageRef::Clustered { store, schema }) => {
-            return eval_rdfscan(cx, call, candidates, s_range, store, schema, make);
+            return eval_rdfscan(cx, call, candidates, store, schema, make);
         }
-        _ => eval_prop_merge(
-            cx,
-            star,
-            filters,
-            candidates,
-            s_range,
-            Source::Full,
-            cx.parallel.workers,
-        ),
+        _ => eval_prop_merge(cx, call, candidates, Source::Full, cx.parallel.workers),
     };
     let mut sink = make();
     sink.take(cx, table.project(&call.emit.vars));
@@ -239,21 +227,15 @@ pub(crate) fn eval_star_into<S: StarSink>(
 /// join pipeline is a small fraction of the work).
 fn eval_prop_merge(
     cx: &ExecContext,
-    star: &Star,
-    filters: &[&Expr],
+    call: &StarCall,
     candidates: Option<&[Oid]>,
-    s_range: SRange,
     source: Source,
     workers: usize,
 ) -> Table {
-    let s_range = default_scan_range(star, filters, s_range);
-    let streams = run_tasks(cx.cancel_token(), workers, star.props.len(), |i| {
-        (
-            i,
-            scan_star_prop(cx, star, i, filters, candidates, s_range, source),
-        )
+    let streams = run_tasks(cx.cancel_token(), workers, call.star.props.len(), |i| {
+        (i, scan_star_prop(cx, call, i, candidates, source))
     });
-    join_star_streams(cx, star, filters, streams)
+    join_star_streams(cx, call, streams)
 }
 
 /// One unit of RDFscan/RDFjoin work.
@@ -298,33 +280,20 @@ fn eval_rdfscan<S: StarSink>(
     cx: &ExecContext,
     call: &StarCall,
     candidates: Option<&[Oid]>,
-    s_range: SRange,
     store: &sordf_storage::ClusteredStore,
     schema: &sordf_schema::EmergentSchema,
     make: impl Fn() -> S + Sync,
 ) -> S {
     let par = &cx.parallel;
-    let (star, filters) = (call.star, call.filters);
-    let s_range = intersect_ranges(subject_filter_range(star, filters), s_range);
-
-    let (covering_classes, preps) =
-        prepare_star_scans(cx, call, candidates, s_range, store, schema);
+    let (covering_classes, preps) = prepare_star_scans(cx, call, candidates, store, schema);
     let morsels = morselize(preps.iter().map(|p| p.span(par)), par.workers);
     let run = |morsel: &Morsel, sink: &mut S| match morsel {
         Morsel::Class { prep, span } => preps[*prep].scan(cx, span.clone(), sink),
         // Subjects in no covering class, the star fully answered from
         // the irregular store — inline: this already is one task.
         Morsel::Irregular => {
-            let irr = eval_prop_merge(
-                cx,
-                star,
-                filters,
-                candidates,
-                s_range,
-                Source::IrregularOnly,
-                1,
-            );
-            let rows = uncovered_rows(irr, star, schema, &covering_classes, &call.emit.vars);
+            let irr = eval_prop_merge(cx, call, candidates, Source::IrregularOnly, 1);
+            let rows = uncovered_rows(irr, call.star, schema, &covering_classes, &call.emit.vars);
             sink.take(cx, rows);
         }
     };

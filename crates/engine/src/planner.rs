@@ -120,7 +120,7 @@ pub fn execute_physical(
             cx.check_cancelled();
             let filters: Vec<&Expr> = lp.filters.iter().collect();
             let call = StarCall::new(cx, &lp.stars[step.star], &filters, Some(&reads.star[0]));
-            let fold = eval_star_into(cx, &call, step.access, None, None, || {
+            let fold = eval_star_into(cx, &call, step.access, None, || {
                 select.fold(cx, &call.emit.vars)
             });
             if let Some(a) = actuals {
@@ -165,7 +165,7 @@ pub(crate) fn run_steps(
             _ => Vec::new(),
         };
         let bounds = link_vals.first().zip(link_vals.last());
-        let (mut filters, mut candidates, mut s_range) = (&filter_refs[..], None, None);
+        let (mut filters, mut candidates) = (&filter_refs[..], None);
         let (in_range, narrowed);
         match (&step.join, bounds) {
             // RDFjoin: the prefix's distinct link values drive the star's
@@ -173,20 +173,18 @@ pub(crate) fn run_steps(
             (JoinStrategy::Candidates { .. }, _) if result.is_some() => {
                 candidates = Some(&link_vals[..]);
             }
-            // Zone-map pushdown: restrict the probed star's scans to the
-            // candidate OID range.
-            (JoinStrategy::SubjectRange { .. }, Some((lo, hi))) => {
-                s_range = Some((lo.raw(), hi.raw()));
-            }
-            // Zone-map sideways information passing (§II-D): the link
-            // variable is an object column of this star (typically an FK).
-            // Restrict it to the [min, max] of the already-bound values;
-            // the scan layer turns this into POS ranges / zone-map page
-            // skipping — e.g. a shipdate restriction on LINEITEM reaching
-            // ORDERS through l_orderkey's zone maps.
+            // Zone-map pushdown: restrict the link variable — the probed
+            // star's subject (its scans' subject range), or an object column
+            // of this star, typically an FK (§II-D's sideways information
+            // passing: POS ranges / zone-map page skipping, e.g. a shipdate
+            // restriction on LINEITEM reaching ORDERS through l_orderkey's
+            // zone maps) — to the [min, max] of the already-bound values.
             // The range is of raw OIDs, whatever their type: the join
             // matches OIDs.
-            (JoinStrategy::ObjectRange { var }, Some((lo, hi))) => {
+            (
+                JoinStrategy::SubjectRange { var } | JoinStrategy::ObjectRange { var },
+                Some((lo, hi)),
+            ) => {
                 in_range = Expr::InRange(Box::new(Expr::Var(*var)), *lo, *hi);
                 narrowed = [&filter_refs[..], &[&in_range]].concat();
                 filters = &narrowed[..];
@@ -194,7 +192,7 @@ pub(crate) fn run_steps(
             _ => {}
         }
         let call = StarCall::new(cx, star, filters, Some(&reads.star[i]));
-        let star_table = eval_star_into(cx, &call, step.access, candidates, s_range, || {
+        let star_table = eval_star_into(cx, &call, step.access, candidates, || {
             Table::empty(call.emit.vars.clone())
         });
 
@@ -412,7 +410,7 @@ mod tests {
     fn tail_keeps_only_cross_star_filters() {
         use crate::expr::CmpOp;
         use crate::query::{TriplePattern, VarOrOid};
-        use crate::star::{residual_filters, tail_filters};
+        use crate::star::{tail_filters, Pushdown};
         let mut q = Query::default();
         let (s, a, t, b) = (q.var("s"), q.var("a"), q.var("t"), q.var("b"));
         for (subj, pred, obj) in [(s, 1, a), (t, 2, b)] {
@@ -455,11 +453,11 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(
-            residual_filters(&cx, star_of(s), &refs),
+            Pushdown::new(&cx, star_of(s), &refs).residual,
             vec![&q.filters[5], &q.filters[6]]
         );
         assert_eq!(
-            residual_filters(&cx, star_of(t), &refs),
+            Pushdown::new(&cx, star_of(t), &refs).residual,
             vec![&q.filters[2], &q.filters[3]]
         );
     }

@@ -21,74 +21,89 @@ use sordf_model::{Oid, Triple};
 use sordf_storage::clustered::SubjectIds;
 use sordf_storage::{BaselineStore, Order};
 
-/// Object-side restriction pushed into a scan (raw OID bounds, inclusive):
-/// one value (`eq`), or one range plus, for a bound on a number, a second
-/// one (`also`). A number compares by value with both numeric types, which
-/// are two tags (`Int`, `Dec`), so its bound admits one range in each.
-#[derive(Debug, Clone, Copy, Default)]
+/// A raw OID range, inclusive; empty when `lo > hi`.
+pub(crate) type Span = (u64, u64);
+
+/// The empty span.
+const NO_SPAN: Span = (1, 0);
+
+/// The raw OIDs a scan position may bind (inclusive bounds): at most two
+/// disjoint ascending spans. A constant is a one-value span; a bound on a
+/// number admits one span in each numeric tag (`Int`, `Dec`), since a number
+/// compares by value with both. A star's pushdown
+/// ([`crate::star::Pushdown`]) holds one per object and one for the subject.
+#[derive(Debug, Clone, Copy)]
 pub struct ORestrict {
-    pub eq: Option<Oid>,
-    pub range: Option<(u64, u64)>,
-    /// A second admitted range above `range` and disjoint from it; only set
-    /// with `range`.
-    pub also: Option<(u64, u64)>,
+    /// Non-empty spans first; an empty one is [`NO_SPAN`].
+    spans: [Span; 2],
 }
 
 impl ORestrict {
+    /// Every OID.
     pub fn none() -> ORestrict {
-        ORestrict::default()
+        ORestrict::range(0, u64::MAX)
     }
 
+    /// One OID.
     pub fn eq(o: Oid) -> ORestrict {
-        ORestrict {
-            eq: Some(o),
-            ..ORestrict::default()
-        }
+        ORestrict::range(o.raw(), o.raw())
     }
 
-    /// The raw OIDs in `[lo, hi]`.
+    /// The raw OIDs in `[lo, hi]` (none when `lo > hi`).
     pub fn range(lo: u64, hi: u64) -> ORestrict {
         ORestrict {
-            range: Some((lo, hi)),
-            ..ORestrict::default()
+            spans: [(lo, hi), NO_SPAN],
         }
+    }
+
+    /// The union of two disjoint spans, either of which may be empty.
+    pub fn of(spans: [Span; 2]) -> ORestrict {
+        ORestrict::none().intersect(ORestrict { spans })
     }
 
     pub fn is_none(&self) -> bool {
-        self.eq.is_none() && self.range.is_none()
+        self.spans[0] == (0, u64::MAX)
     }
 
     /// Does a raw value pass?
     #[inline]
     pub fn accepts(&self, v: u64) -> bool {
-        if let Some(eq) = self.eq {
-            if v != eq.raw() {
-                return false;
-            }
-        }
-        if let Some((lo, hi)) = self.range {
-            if (v < lo || v > hi) && !self.also.is_some_and(|(lo, hi)| v >= lo && v <= hi) {
-                return false;
-            }
-        }
-        true
+        let [(a, b), (c, d)] = self.spans;
+        (a <= v && v <= b) || (c <= v && v <= d)
     }
 
-    /// The admitted raw ranges: the equality as a one-value range, else
-    /// `range` and `also`; everything when unrestricted.
-    pub fn spans(&self) -> impl Iterator<Item = (u64, u64)> {
-        let first = match (self.eq, self.range) {
-            (Some(eq), _) => (eq.raw(), eq.raw()),
-            (None, Some(r)) => r,
-            (None, None) => (0, u64::MAX),
-        };
-        std::iter::once(first).chain(self.also.filter(|_| self.eq.is_none()))
+    /// The admitted spans, ascending; none when nothing passes.
+    pub fn spans(&self) -> impl Iterator<Item = Span> {
+        self.spans.into_iter().filter(|&(lo, hi)| lo <= hi)
     }
 
-    /// Effective raw bounds: the hull of the spans.
-    pub fn bounds(&self) -> (u64, u64) {
-        self.spans()
-            .fold((u64::MAX, 0), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)))
+    /// What both admit. Each side is at most two disjoint ascending spans,
+    /// and a pushdown intersects only unions that hold at most one span per
+    /// numeric tag, so the result fits in two; a third piece would widen the
+    /// second to their hull (more, never fewer, OIDs).
+    pub fn intersect(self, other: ORestrict) -> ORestrict {
+        let mut spans = [NO_SPAN; 2];
+        let mut n = 0;
+        for x in self.spans() {
+            for y in other.spans() {
+                let z = (x.0.max(y.0), x.1.min(y.1));
+                if z.0 > z.1 {
+                    continue;
+                }
+                if n < 2 {
+                    spans[n] = z;
+                    n += 1;
+                } else {
+                    spans[1] = (spans[1].0.min(z.0), spans[1].1.max(z.1));
+                }
+            }
+        }
+        ORestrict { spans }
+    }
+
+    /// Effective raw bounds: the hull of the spans; `(1, 0)` when none.
+    pub fn bounds(&self) -> Span {
+        self.bounds_within(0, u64::MAX)
     }
 
     /// The hull of the spans that meet `[min, max]`: on values inside it,
@@ -96,10 +111,10 @@ impl ORestrict {
     /// one type tag, so its global zone map picks the one span that applies
     /// (zone-map pruning, sort-key narrowing, estimates). `(1, 0)` when no
     /// span meets it.
-    pub fn bounds_within(&self, min: u64, max: u64) -> (u64, u64) {
+    pub fn bounds_within(&self, min: u64, max: u64) -> Span {
         self.spans()
             .filter(|&(lo, hi)| lo <= max && hi >= min)
-            .fold((1, 0), |(lo, hi), (a, b)| {
+            .fold(NO_SPAN, |(lo, hi), (a, b)| {
                 if lo > hi {
                     (a, b)
                 } else {
@@ -108,16 +123,18 @@ impl ORestrict {
             })
     }
 
-    /// Does only a handful of single values pass (an equality, or a number's
+    /// The hull, or `None` when unrestricted: the form a subject range
+    /// takes in the delta store's lookups.
+    pub fn as_range(&self) -> Option<Span> {
+        (!self.is_none()).then(|| self.bounds())
+    }
+
+    /// Does only a handful of single values pass (a constant, or a number's
     /// `=`)? Estimates treat it as a point.
     pub fn is_point(&self) -> bool {
-        self.eq.is_some() || (!self.is_none() && self.spans().all(|(lo, hi)| lo == hi))
+        self.spans().next().is_some() && self.spans().all(|(lo, hi)| lo == hi)
     }
 }
-
-/// Subject-side restriction (raw OID bounds, inclusive) — used by the
-/// zone-map cross-table pushdown.
-pub(crate) type SRange = Option<(u64, u64)>;
 
 /// Which part of the storage to read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,20 +146,20 @@ pub(crate) enum Source {
 }
 
 /// Scan all (s, o) pairs of predicate `p`, restricted by `restrict` on the
-/// object and `s_range` on the subject. The result is sorted by (s, o).
+/// object and `subject` on the subject. The result is sorted by (s, o).
 pub(crate) fn scan_property(
     cx: &ExecContext,
     p: Oid,
     restrict: &ORestrict,
-    s_range: SRange,
+    subject: &ORestrict,
     source: Source,
 ) -> Vec<(Oid, Oid)> {
     cx.check_cancelled();
     ExecStats::bump(&cx.stats.property_scans, 1);
     let mut out = match (&cx.storage, source) {
-        (StorageRef::Baseline(store), _) => scan_baseline(cx, store, p, restrict, s_range),
+        (StorageRef::Baseline(store), _) => scan_baseline(cx, store, p, restrict, subject),
         (StorageRef::Clustered { store, .. }, Source::IrregularOnly) => {
-            scan_baseline(cx, &store.irregular, p, restrict, s_range)
+            scan_baseline(cx, &store.irregular, p, restrict, subject)
         }
         (StorageRef::Clustered { store, schema }, Source::Full) => {
             let mut pairs = Vec::new();
@@ -152,18 +169,18 @@ pub(crate) fn scan_property(
                     store.segment(class),
                     coli,
                     restrict,
-                    s_range,
+                    subject,
                     &mut pairs,
                 );
             }
             for (class, mi) in schema.classes_with_multi(p) {
-                scan_multi_table(cx, store.segment(class), mi, restrict, s_range, &mut pairs);
+                scan_multi_table(cx, store.segment(class), mi, restrict, subject, &mut pairs);
             }
-            pairs.extend(scan_baseline(cx, &store.irregular, p, restrict, s_range));
+            pairs.extend(scan_baseline(cx, &store.irregular, p, restrict, subject));
             pairs
         }
     };
-    apply_delta_pairs(cx, p, restrict, s_range, &mut out);
+    apply_delta_pairs(cx, p, restrict, subject, &mut out);
     // Segments were appended in class order; different sources may
     // interleave in subject space (sparse segments, irregular exceptions,
     // delta runs).
@@ -183,14 +200,14 @@ fn apply_delta_pairs(
     cx: &ExecContext,
     p: Oid,
     restrict: &ORestrict,
-    s_range: SRange,
+    subject: &ORestrict,
     out: &mut Vec<(Oid, Oid)>,
 ) {
     let Some(delta) = cx.delta() else { return };
-    subtract_tombstones(out, delta.tombstones_for(p, s_range));
+    subtract_tombstones(out, delta.tombstones_for(p, subject.as_range()));
     out.extend(
         delta
-            .insert_pairs_for(p, s_range)
+            .insert_pairs_for(p, subject.as_range())
             .filter(|&(_, o)| restrict.accepts(o.raw())),
     );
 }
@@ -221,65 +238,89 @@ fn subtract_tombstones(pairs: &mut Vec<(Oid, Oid)>, tombs: &[Triple]) {
     });
 }
 
-/// Property scan against a permutation-indexed store.
+/// Property scan against a permutation-indexed store: PSO unrestricted, else
+/// one POS lookup per span — an exact object by its subject-sorted run, a
+/// range by its (o, s)-sorted pairs (the caller re-sorts).
 fn scan_baseline(
     cx: &ExecContext,
     store: &BaselineStore,
     p: Oid,
     restrict: &ORestrict,
-    s_range: SRange,
+    subject: &ORestrict,
 ) -> Vec<(Oid, Oid)> {
     let pool = cx.pool;
-    if let Some(eq) = restrict.eq {
-        // POS: exact object lookup, subjects sorted.
-        let idx = store.perm(Order::Pos);
-        let mut r = idx.range2(pool, p, eq);
-        if let Some((lo, hi)) = s_range {
-            let start = idx.col(2).lower_bound_in(pool, r.clone(), lo);
-            let end = idx.col(2).upper_bound_in(pool, r.clone(), hi);
-            r = start..end.max(start);
-        }
-        let mut out = Vec::with_capacity(r.len());
-        idx.col(2).for_each_chunk(pool, r, |c| {
-            out.extend(c.values().iter().map(|&s| (Oid::from_raw(s), eq)));
-        });
-        return out;
+    // The rows of `r`, a subject-sorted run of `col`, in the subject range.
+    let narrow = |col: &sordf_columnar::Column, r: std::ops::Range<usize>| {
+        let Some((lo, hi)) = subject.as_range() else {
+            return r;
+        };
+        let start = col.lower_bound_in(pool, r.clone(), lo);
+        start..col.upper_bound_in(pool, r, hi).max(start)
+    };
+    if restrict.is_none() {
+        let idx = store.perm(Order::Pso);
+        return idx.pairs(pool, narrow(idx.col(1), idx.range1(pool, p)));
     }
-    if restrict.range.is_some() {
-        // POS range scans, one per span: pairs arrive (o, s)-sorted; caller
-        // re-sorts.
-        let idx = store.perm(Order::Pos);
-        let mut out = Vec::new();
-        for (lo, hi) in restrict.spans() {
-            let r = idx.range2_between(pool, p, Oid::from_raw(lo), Oid::from_raw(hi));
+    let idx = store.perm(Order::Pos);
+    let mut out = Vec::new();
+    for (lo, hi) in restrict.spans() {
+        if lo == hi {
+            let o = Oid::from_raw(lo);
+            let r = narrow(idx.col(2), idx.range2(pool, p, o));
             out.reserve(r.len());
-            sordf_columnar::Column::for_each_chunk_pair(
-                idx.col(2),
-                idx.col(1),
-                pool,
-                r,
-                |sc, oc| {
-                    out.extend(
-                        sc.values()
-                            .iter()
-                            .zip(oc.values())
-                            .filter(|&(&s, _)| s_range.map_or(true, |(lo, hi)| s >= lo && s <= hi))
-                            .map(|(&s, &o)| (Oid::from_raw(s), Oid::from_raw(o))),
-                    );
-                },
-            );
+            idx.col(2).for_each_chunk(pool, r, |c| {
+                out.extend(c.values().iter().map(|&s| (Oid::from_raw(s), o)));
+            });
+            continue;
         }
-        return out;
+        let r = idx.range2_between(pool, p, Oid::from_raw(lo), Oid::from_raw(hi));
+        out.reserve(r.len());
+        sordf_columnar::Column::for_each_chunk_pair(idx.col(2), idx.col(1), pool, r, |sc, oc| {
+            out.extend(
+                sc.values()
+                    .iter()
+                    .zip(oc.values())
+                    .filter(|&(&s, _)| subject.accepts(s))
+                    .map(|(&s, &o)| (Oid::from_raw(s), Oid::from_raw(o))),
+            );
+        });
     }
-    // Plain PSO scan.
-    let idx = store.perm(Order::Pso);
-    let mut r = idx.range1(pool, p);
-    if let Some((lo, hi)) = s_range {
-        let start = idx.col(1).lower_bound_in(pool, r.clone(), lo);
-        let end = idx.col(1).upper_bound_in(pool, r.clone(), hi);
-        r = start..end.max(start);
+    out
+}
+
+/// The rows of `seg` whose subjects `subject` admits, as one range: the
+/// hull of its spans, clamped to the subjects the segment holds — on a dense
+/// segment the IRIs `base ..= base + n - 1`, so a bound of another tag (a
+/// literal a filter compared the subject with) maps to no row, never to the
+/// row its payload names. The one mapping from a subject restriction to
+/// rows: RDFscan's row range and the per-property segment scans both narrow
+/// by it. Exact, because a star's subject restriction is at most one span
+/// of IRIs ([`crate::star::Pushdown`]).
+pub(crate) fn subject_rows(
+    cx: &ExecContext,
+    seg: &sordf_storage::ClassSegment,
+    subject: &ORestrict,
+) -> std::ops::Range<usize> {
+    let Some((lo, hi)) = subject.as_range() else {
+        return 0..seg.n;
+    };
+    match &seg.subjects {
+        SubjectIds::Dense { base } => {
+            if seg.n == 0 {
+                return 0..0;
+            }
+            let first = Oid::iri(*base).raw();
+            let (lo, hi) = (lo.max(first), hi.min(first + seg.n as u64 - 1));
+            if lo > hi {
+                return 0..0;
+            }
+            (lo - first) as usize..(hi - first) as usize + 1
+        }
+        SubjectIds::Sparse { subjects } => {
+            let start = subjects.lower_bound(cx.pool, lo);
+            start..subjects.upper_bound(cx.pool, hi).max(start)
+        }
     }
-    idx.pairs(pool, r)
 }
 
 /// Extract (subject, value) pairs from one class segment column.
@@ -288,49 +329,12 @@ fn scan_segment_column(
     seg: &sordf_storage::ClassSegment,
     coli: usize,
     restrict: &ORestrict,
-    s_range: SRange,
+    subject: &ORestrict,
     out: &mut Vec<(Oid, Oid)>,
 ) {
     let pool = cx.pool;
     let col = &seg.columns[coli];
-    // Row range from the subject restriction.
-    let mut rows = 0..seg.n;
-    if let Some((lo, hi)) = s_range {
-        match &seg.subjects {
-            SubjectIds::Dense { base } => {
-                let lo_oid = Oid::from_raw(lo);
-                let hi_oid = Oid::from_raw(hi);
-                // The range may span non-IRI tags; clamp to the IRI space.
-                if hi_oid < Oid::iri(0) || lo_oid > Oid::iri(sordf_model::oid::PAYLOAD_MASK) {
-                    return;
-                }
-                let lo_p = if lo_oid < Oid::iri(0) {
-                    0
-                } else {
-                    lo_oid.payload()
-                }
-                .max(*base);
-                let hi_p = if hi_oid > Oid::iri(sordf_model::oid::PAYLOAD_MASK) {
-                    sordf_model::oid::PAYLOAD_MASK
-                } else {
-                    hi_oid.payload()
-                }
-                .min(base + seg.n as u64 - 1);
-                if lo_p > hi_p {
-                    return;
-                }
-                rows = (lo_p - base) as usize..(hi_p - base + 1) as usize;
-            }
-            SubjectIds::Sparse { subjects } => {
-                let start = subjects.lower_bound(pool, lo);
-                let end = subjects.upper_bound(pool, hi);
-                if start >= end {
-                    return;
-                }
-                rows = start..end;
-            }
-        }
-    }
+    let mut rows = subject_rows(cx, seg, subject);
     // Row range from the object restriction when the segment is sub-ordered
     // by this very column.
     let (olo, ohi) = column_bounds(restrict, col);
@@ -404,13 +408,13 @@ fn scan_multi_table(
     seg: &sordf_storage::ClassSegment,
     mi: usize,
     restrict: &ORestrict,
-    s_range: SRange,
+    subject: &ORestrict,
     out: &mut Vec<(Oid, Oid)>,
 ) {
     let pool = cx.pool;
     let table = &seg.multi[mi];
     let mut rows = 0..table.s.len();
-    if let Some((lo, hi)) = s_range {
+    if let Some((lo, hi)) = subject.as_range() {
         let start = table.s.lower_bound(pool, lo);
         let end = table.s.upper_bound(pool, hi);
         rows = start..end.max(start);
@@ -522,7 +526,13 @@ mod tests {
         let f = fixture();
         let c = cx(&f, true);
         let qty_new = f.ts.dict.iri_oid("http://e/qty").unwrap();
-        let pairs = scan_property(&c, qty_new, &ORestrict::none(), None, Source::Full);
+        let pairs = scan_property(
+            &c,
+            qty_new,
+            &ORestrict::none(),
+            &ORestrict::none(),
+            Source::Full,
+        );
         assert_eq!(pairs.len(), 201, "200 ints + 1 string exception");
         assert!(pairs.windows(2).all(|w| w[0] <= w[1]), "sorted by (s,o)");
     }
@@ -533,7 +543,13 @@ mod tests {
         let c = cx(&f, true);
         let qty = f.ts.dict.iri_oid("http://e/qty").unwrap();
         let five = Oid::from_int(5).unwrap();
-        let pairs = scan_property(&c, qty, &ORestrict::eq(five), None, Source::Full);
+        let pairs = scan_property(
+            &c,
+            qty,
+            &ORestrict::eq(five),
+            &ORestrict::none(),
+            Source::Full,
+        );
         assert_eq!(pairs.len(), 4, "i % 50 == 5 for 4 of 200");
         assert!(pairs.iter().all(|&(_, o)| o == five));
     }
@@ -546,7 +562,7 @@ mod tests {
         let lo = Oid::from_date_days(sordf_model::date::parse_date("1996-03-01").unwrap()).unwrap();
         let hi = Oid::from_date_days(sordf_model::date::parse_date("1996-04-30").unwrap()).unwrap();
         let r = ORestrict::range(lo.raw(), hi.raw());
-        let pairs = scan_property(&c, sold, &r, None, Source::Full);
+        let pairs = scan_property(&c, sold, &r, &ORestrict::none(), Source::Full);
         // Months 3 and 4 -> 2/12 of 200 ≈ 33 subjects (months cycle i%12).
         let expect = (0..200u64)
             .filter(|i| (i % 12) + 1 == 3 || (i % 12) + 1 == 4)
@@ -568,7 +584,7 @@ mod tests {
                 let hi = Oid::from_date_days(sordf_model::date::parse_date("1996-06-30").unwrap())
                     .unwrap();
                 let r = ORestrict::range(lo.raw(), hi.raw());
-                scan_property(&c, sold, &r, None, Source::Full).len()
+                scan_property(&c, sold, &r, &ORestrict::none(), Source::Full).len()
             })
             .collect();
         assert_eq!(sold_results[0], sold_results[1]);
@@ -579,14 +595,20 @@ mod tests {
         let f = fixture();
         let c = cx(&f, true);
         let qty = f.ts.dict.iri_oid("http://e/qty").unwrap();
-        let all = scan_property(&c, qty, &ORestrict::none(), None, Source::Full);
+        let all = scan_property(
+            &c,
+            qty,
+            &ORestrict::none(),
+            &ORestrict::none(),
+            Source::Full,
+        );
         let mid_lo = all[50].0.raw();
         let mid_hi = all[99].0.raw();
         let some = scan_property(
             &c,
             qty,
             &ORestrict::none(),
-            Some((mid_lo, mid_hi)),
+            &ORestrict::range(mid_lo, mid_hi),
             Source::Full,
         );
         assert!(some
@@ -600,7 +622,13 @@ mod tests {
         let f = fixture();
         let c = cx(&f, true);
         let qty = f.ts.dict.iri_oid("http://e/qty").unwrap();
-        let irr = scan_property(&c, qty, &ORestrict::none(), None, Source::IrregularOnly);
+        let irr = scan_property(
+            &c,
+            qty,
+            &ORestrict::none(),
+            &ORestrict::none(),
+            Source::IrregularOnly,
+        );
         assert_eq!(irr.len(), 1, "only the string exception is irregular");
     }
 
@@ -610,7 +638,13 @@ mod tests {
         let qty = f.ts.dict.iri_oid("http://e/qty").unwrap();
         let base = {
             let c = cx(&f, true);
-            scan_property(&c, qty, &ORestrict::none(), None, Source::Full)
+            scan_property(
+                &c,
+                qty,
+                &ORestrict::none(),
+                &ORestrict::none(),
+                Source::Full,
+            )
         };
         // Delete one base triple, insert one brand-new subject, and insert a
         // second value for an existing subject.
@@ -632,10 +666,22 @@ mod tests {
 
         for clustered in [false, true] {
             let c = cx(&f, clustered).with_delta(Some(view.clone()));
-            let merged = scan_property(&c, qty, &ORestrict::none(), None, Source::Full);
+            let merged = scan_property(
+                &c,
+                qty,
+                &ORestrict::none(),
+                &ORestrict::none(),
+                Source::Full,
+            );
             assert_eq!(merged, want, "clustered={clustered}");
             // Restrictions apply to delta pairs too.
-            let only7 = scan_property(&c, qty, &ORestrict::eq(seven), None, Source::Full);
+            let only7 = scan_property(
+                &c,
+                qty,
+                &ORestrict::eq(seven),
+                &ORestrict::none(),
+                Source::Full,
+            );
             assert!(only7.contains(&(new_s, seven)));
             assert!(only7.iter().all(|&(_, o)| o == seven));
             // Subject ranges narrow delta pairs.
@@ -643,14 +689,20 @@ mod tests {
                 &c,
                 qty,
                 &ORestrict::none(),
-                Some((new_s.raw() + 1, u64::MAX)),
+                &ORestrict::range(new_s.raw() + 1, u64::MAX),
                 Source::Full,
             );
             assert!(!none.contains(&(new_s, seven)));
         }
         // Delta triples are logically irregular: IrregularOnly sees them.
         let c = cx(&f, true).with_delta(Some(view.clone()));
-        let irr = scan_property(&c, qty, &ORestrict::none(), None, Source::IrregularOnly);
+        let irr = scan_property(
+            &c,
+            qty,
+            &ORestrict::none(),
+            &ORestrict::none(),
+            Source::IrregularOnly,
+        );
         assert!(irr.contains(&(new_s, seven)));
         assert!(irr.contains(&(s1, seven)));
     }
@@ -666,7 +718,7 @@ mod tests {
         let qty = f.ts.dict.iri_oid("http://e/qty").unwrap();
         let v = Oid::from_int(3).unwrap();
         let r = ORestrict::range(v.raw(), v.raw());
-        let pairs = scan_property(&c, qty, &r, None, Source::Full);
+        let pairs = scan_property(&c, qty, &r, &ORestrict::none(), Source::Full);
         assert_eq!(pairs.len(), 4);
         // 200 rows fit in one page, so nothing skippable here — just make
         // sure the counter exists and nothing crashed with zonemaps on.

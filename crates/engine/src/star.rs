@@ -52,16 +52,25 @@
 //! row.
 //!
 //! **Filters are enforced once, by the star that binds all their
-//! variables**: pushed into the scans as a restriction ([`ORestrict`], a
-//! subject range) or applied star-locally (`residual_filters`) on every
-//! access path. The tail of a plan applies only what no single star can
-//! decide (`tail_filters`).
+//! variables**: pushed into the scans as a restriction or applied
+//! star-locally as a residual filter on every access path. **The pushdown
+//! is computed once per star call** ([`Pushdown`], made by `StarCall`): one
+//! rule turns each filter into raw OID spans ([`ORestrict`]) on an object
+//! or the subject and decides in the same step whether the spans are exact
+//! (the filter is dropped) or stay a residual filter; every reader — the
+//! per-property scans, the segment scans, sort-key narrowing, the page
+//! rules, the estimates and the optimizer's cost — takes it from there,
+//! and nothing re-derives it per segment. A subject restriction is clamped
+//! to the IRIs (a subject holds nothing else), and one mapping turns it into
+//! a segment's rows (`scan::subject_rows`): a filter comparing the subject
+//! with a literal admits no row. The tail of a plan applies only what no
+//! single star can decide (`tail_filters`).
 
 use crate::context::{ExecContext, ExecStats, StorageRef};
 use crate::expr::{batches, BatchEval, CmpOp, Expr};
 use crate::parallel::ParallelConfig;
 use crate::query::{Query, VarOrOid};
-use crate::scan::{column_bounds, scan_property, ORestrict, SRange, Source};
+use crate::scan::{column_bounds, scan_property, subject_rows, ORestrict, Source, Span};
 use crate::table::{Table, VarId};
 use sordf_model::oid::{DECIMAL_ONE, PAYLOAD_MASK};
 use sordf_model::{Oid, Triple, TypeTag};
@@ -136,43 +145,40 @@ impl Emit {
     }
 }
 
-/// One evaluation of one star — what every segment scan of it shares. The
-/// emitted variables are the ones the plan reads after this step (`needed`;
-/// `None`: all of them) **plus the variables of the star's own residual
-/// filters**, resolved here and not in the plan because which filters stay
-/// residual depends on the query's constants (a date bound is pushed
-/// exactly, a bare number is confirmed by value), and one cached plan serves
-/// every constant.
+/// One evaluation of one star — what every segment scan of it shares: the
+/// star's [`Pushdown`], derived here once, and the emitted variables: the
+/// ones the plan reads after this step (`needed`; `None`: all of them)
+/// **plus the variables of the star's own residual filters**, resolved here
+/// and not in the plan because which filters stay residual depends on the
+/// query's constants (a date bound is pushed exactly, a bare number is
+/// confirmed by value), and one cached plan serves every constant.
 pub(crate) struct StarCall<'a> {
     pub(crate) star: &'a Star,
-    /// Every filter conjunct of the query: the pushed restrictions derive
-    /// from the ones on this star's variables.
-    pub(crate) filters: &'a [&'a Expr],
-    /// Star-local filters the pushed restricts do not already enforce.
-    pub(crate) residual: Vec<&'a Expr>,
+    pub(crate) pushdown: Pushdown<'a>,
     pub(crate) emit: Emit,
 }
 
 impl<'a> StarCall<'a> {
+    /// `filters`: every filter conjunct of the query (the pushdown keeps
+    /// the ones on this star's variables).
     pub(crate) fn new(
         cx: &ExecContext,
         star: &'a Star,
-        filters: &'a [&'a Expr],
+        filters: &[&'a Expr],
         needed: Option<&[VarId]>,
     ) -> StarCall<'a> {
-        let residual = residual_filters(cx, star, filters);
+        let pushdown = Pushdown::new(cx, star, filters);
         let emit = match needed {
             None => Emit::all(star),
             Some(needed) => {
                 let mut read = needed.to_vec();
-                residual.iter().for_each(|f| f.vars(&mut read));
+                pushdown.residual.iter().for_each(|f| f.vars(&mut read));
                 Emit::of(star, |v| read.contains(&v))
             }
         };
         StarCall {
             star,
-            filters,
-            residual,
+            pushdown,
             emit,
         }
     }
@@ -260,11 +266,6 @@ pub fn stars_of(query: &mut Query) -> (Vec<Star>, Vec<Expr>) {
     (stars, extra_filters)
 }
 
-/// A raw OID range, inclusive; empty when `lo > hi`.
-type Span = (u64, u64);
-
-const NO_SPAN: Span = (1, 0);
-
 /// The raw OIDs of one type tag.
 fn tag_span(tag: TypeTag) -> Span {
     (Oid::new(tag, 0).raw(), Oid::new(tag, PAYLOAD_MASK).raw())
@@ -347,98 +348,108 @@ fn first_rejected(tag: TypeTag, x: f64, below: impl Fn(f64) -> bool) -> u64 {
     lo
 }
 
-/// `a ∩ b`, each a union of at most two disjoint ascending spans. The
-/// unions [`restrict_for_var`] builds hold at most one span per numeric
-/// tag, so the result fits in two as well; a third would widen the second
-/// to their hull (more, never fewer, terms).
-fn intersect_spans(a: [Span; 2], b: [Span; 2]) -> [Span; 2] {
-    let mut out = [NO_SPAN; 2];
-    let mut n = 0;
-    for x in a {
-        for y in b {
-            let z = (x.0.max(y.0), x.1.min(y.1));
-            if z.0 > z.1 {
-                continue;
-            }
-            if n < 2 {
-                out[n] = z;
-                n += 1;
-            } else {
-                out[1] = (out[1].0.min(z.0), out[1].1.max(z.1));
-            }
-        }
-    }
-    out
+/// What a star's filters push into its scans: **the one place a filter
+/// becomes an OID restriction**, derived once per star call (`StarCall`)
+/// and read by every access path — the per-property scans, the segment
+/// scans' accesses, sort-key narrowing and the page rules — and by the
+/// estimates and the optimizer's RDFscan cost.
+#[derive(Debug)]
+pub struct Pushdown<'a> {
+    /// Per property, in pattern order: what its object may bind; a constant
+    /// object is a one-value span.
+    pub objects: Vec<ORestrict>,
+    /// What the subject may bind: the constant subject and the filters on
+    /// the subject variable, intersected, then clamped to the tag a subject
+    /// holds (an IRI: blank nodes are skolemized) — so `?s = "x"` or
+    /// `?s >= "x"` admits no subject. Unrestricted when nothing restricts
+    /// it.
+    pub subject: ORestrict,
+    /// The filters over the star's variables that the spans do not decide
+    /// exactly: the star applies them to every row it binds.
+    pub residual: Vec<&'a Expr>,
 }
 
-/// Derive a pushable object restriction for `v` from the filters: what
-/// every filter on `v` admits, as at most two raw ranges. A comparison with
-/// a number admits both numeric types (`"2.5"^^xsd:decimal < 3`), one range
-/// in each tag. An ordered one stays a residual filter
-/// ([`residual_filters`]) that confirms by value what the ranges let
-/// through; `=` is exact, its ranges holding just the numbers equal to it.
-pub fn restrict_for_var(filters: &[&Expr], v: VarId, strings_ordered: bool) -> ORestrict {
-    let empty = ORestrict::range(1, 0);
-    let mut spans = [(0, u64::MAX), NO_SPAN];
-    let mut eq: Option<Oid> = None;
-    for f in filters {
-        let admitted = if let Some((fv, from, to)) = f.as_var_range() {
-            if fv != v {
+impl<'a> Pushdown<'a> {
+    /// The pushdown of `filters` into `star`: of every filter of the query,
+    /// those whose variables the star binds. One loop builds the spans and
+    /// the residual set: a filter whose spans decide it exactly is dropped,
+    /// any other stays residual.
+    pub fn new(cx: &ExecContext, star: &Star, filters: &[&'a Expr]) -> Pushdown<'a> {
+        let strings_ordered = cx.strings_value_ordered();
+        let mut pd = Pushdown {
+            objects: (star.props.iter())
+                .map(|p| match p.o {
+                    VarOrOid::Const(c) => ORestrict::eq(c),
+                    VarOrOid::Var(_) => ORestrict::none(),
+                })
+                .collect(),
+            subject: star
+                .subject_const
+                .map_or_else(ORestrict::none, ORestrict::eq),
+            residual: Vec::new(),
+        };
+        let bound = star.bound_vars();
+        for &f in filters {
+            if !binds_all(&bound, f) {
                 continue;
             }
-            [(from.raw(), to.raw()), NO_SPAN]
-        } else {
-            let Some((fv, op, c)) = f.as_var_cmp() else {
+            let Some((v, admitted, exact)) = pushed(f, strings_ordered) else {
+                pd.residual.push(f);
                 continue;
             };
-            if fv != v || c.is_null() || op == CmpOp::Ne {
-                continue;
+            if v == star.subject_var {
+                pd.subject = pd.subject.intersect(admitted);
             }
-            // Ordered comparisons on parse-order string OIDs are not
-            // OID-order-compatible; leave them to the post-filter.
-            if c.tag() == TypeTag::Str && !strings_ordered && op != CmpOp::Eq {
-                continue;
-            }
-            match (op, c.tag()) {
-                (_, TypeTag::Int | TypeTag::Dec) => numeric_spans(op, c),
-                (CmpOp::Eq, _) => {
-                    eq = Some(eq.map_or(c, |prev| if prev == c { c } else { Oid::NULL }));
-                    continue;
+            for (p, r) in star.props.iter().zip(&mut pd.objects) {
+                if p.o == VarOrOid::Var(v) {
+                    *r = r.intersect(admitted);
                 }
-                // An IRI or a blank node has no order: a type error on
-                // every row.
-                (_, TypeTag::Iri | TypeTag::Blank) => return empty,
-                // Only values of the constant's own type compare with it.
-                _ => [own_span(op, c), NO_SPAN],
             }
-        };
-        spans = intersect_spans(spans, admitted);
-    }
-    let [first, second] = spans;
-    if first.0 > first.1 || eq == Some(Oid::NULL) {
-        // Nothing passes every filter, or conflicting equalities.
-        return empty;
-    }
-    if let Some(c) = eq {
-        let inside = spans.iter().any(|&(lo, hi)| lo <= c.raw() && c.raw() <= hi);
-        return if inside { ORestrict::eq(c) } else { empty };
-    }
-    if first == (0, u64::MAX) {
-        return ORestrict::none();
-    }
-    ORestrict {
-        eq: None,
-        range: Some(first),
-        also: (second.0 <= second.1).then_some(second),
+            if !exact {
+                pd.residual.push(f);
+            }
+        }
+        if !pd.subject.is_none() {
+            let (lo, hi) = tag_span(TypeTag::Iri);
+            pd.subject = pd.subject.intersect(ORestrict::range(lo, hi));
+        }
+        pd
     }
 }
 
-/// The restriction to push into a property's scan.
-fn prop_restrict(cx: &ExecContext, prop: &StarProp, filters: &[&Expr]) -> ORestrict {
-    match prop.o {
-        VarOrOid::Const(c) => ORestrict::eq(c),
-        VarOrOid::Var(v) => restrict_for_var(filters, v, cx.strings_value_ordered()),
+/// What one filter pushes: the variable it restricts, the raw OIDs it
+/// admits, and whether they decide it exactly. `None` when it is not
+/// pushed: `!=`, a comparison with NULL, an ordered comparison with a
+/// string on parse-order string OIDs (their order is not text order),
+/// anything but `?v op const` and `?v IN [lo, hi]`.
+///
+/// A comparison with a number admits both numeric types
+/// (`"2.5"^^xsd:decimal < 3`), one span in each tag ([`numeric_spans`]);
+/// an ordered one is confirmed by value (not exact), `=` is exact, its
+/// spans holding just the numbers equal to it. Only values of the
+/// constant's own type compare with any other constant; an IRI or a blank
+/// node has no order, so an ordered comparison with one admits nothing.
+fn pushed(f: &Expr, strings_ordered: bool) -> Option<(VarId, ORestrict, bool)> {
+    if let Some((v, from, to)) = f.as_var_range() {
+        return Some((v, ORestrict::range(from.raw(), to.raw()), true));
     }
+    let (v, op, c) = f.as_var_cmp()?;
+    if c.is_null() || op == CmpOp::Ne {
+        return None;
+    }
+    let admitted = match (op, c.tag()) {
+        (_, TypeTag::Int | TypeTag::Dec) => {
+            return Some((v, ORestrict::of(numeric_spans(op, c)), op == CmpOp::Eq));
+        }
+        (CmpOp::Eq, _) => ORestrict::eq(c),
+        (_, TypeTag::Str) if !strings_ordered => return None,
+        (_, TypeTag::Iri | TypeTag::Blank) => ORestrict::range(1, 0),
+        _ => {
+            let (lo, hi) = own_span(op, c);
+            ORestrict::range(lo, hi)
+        }
+    };
+    Some((v, admitted, true))
 }
 
 /// Do pending delta inserts forbid base-value narrowing/pruning (sort-key
@@ -544,7 +555,7 @@ fn retain_passing(
 /// The filters the tail of a plan still has to apply once every star is
 /// joined. **A filter is owned by the star that binds all its variables**:
 /// every access path enforces it there, as a pushed restrict or as a
-/// star-local residual ([`residual_filters`]), so it is enforced once and
+/// star-local residual ([`Pushdown::residual`]), so it is enforced once and
 /// never re-evaluated over the joined table. What is left for the tail is
 /// what no single star can decide — a filter spanning stars (`?a < ?b`).
 pub(crate) fn tail_filters<'f>(stars: &[Star], filters: &'f [Expr]) -> Vec<&'f Expr> {
@@ -571,33 +582,19 @@ pub(crate) fn filters_bound_by_refs<'f>(filters: &[&'f Expr], vars: &[VarId]) ->
         .collect()
 }
 
-/// Effective subject range of a Default-scheme star: constant subject,
-/// caller-provided range, and any pushable range filters on the subject
-/// variable (the SQL frontend restricts table scans to class segments this
-/// way).
-pub(crate) fn default_scan_range(star: &Star, filters: &[&Expr], s_range: SRange) -> SRange {
-    let s_range = intersect_ranges(subject_filter_range(star, filters), s_range);
-    match star.subject_const {
-        Some(c) => intersect_ranges(Some((c.raw(), c.raw())), s_range),
-        None => s_range,
-    }
-}
-
 /// Scan one property's (subject, object) stream for a Default-scheme star —
-/// pushes the property's restriction and semi-joins against candidates.
-/// The unit of work the morsel executor fans out per property.
+/// the call's pushdown on its object and subject — and semi-join it against
+/// candidates. The unit of work the morsel executor fans out per property.
 pub(crate) fn scan_star_prop(
     cx: &ExecContext,
-    star: &Star,
+    call: &StarCall,
     prop_idx: usize,
-    filters: &[&Expr],
     candidates: Option<&[Oid]>,
-    s_range: SRange,
     source: Source,
 ) -> Vec<(Oid, Oid)> {
-    let p = &star.props[prop_idx];
-    let restrict = prop_restrict(cx, p, filters);
-    let mut pairs = scan_property(cx, p.pred, &restrict, s_range, source);
+    let pd = &call.pushdown;
+    let pred = call.star.props[prop_idx].pred;
+    let mut pairs = scan_property(cx, pred, &pd.objects[prop_idx], &pd.subject, source);
     if let Some(c) = candidates {
         pairs = crate::join::semi_join_pairs(&pairs, c);
     }
@@ -610,10 +607,10 @@ pub(crate) fn scan_star_prop(
 /// pairs)` in pattern order.
 pub(crate) fn join_star_streams(
     cx: &ExecContext,
-    star: &Star,
-    filters: &[&Expr],
+    call: &StarCall,
     mut streams: Vec<(usize, Vec<(Oid, Oid)>)>,
 ) -> Table {
+    let star = call.star;
     // Join smallest-first (classic heuristic).
     streams.sort_by_key(|(_, s)| s.len());
     if streams[0].1.is_empty() {
@@ -659,8 +656,7 @@ pub(crate) fn join_star_streams(
         }
     }
     // Skip re-evaluating filters the pushed restricts already enforced.
-    let residual = residual_filters(cx, star, filters);
-    apply_filters(cx, &mut table, &residual);
+    apply_filters(cx, &mut table, &call.pushdown.residual);
     canonical_layout(star, table)
 }
 
@@ -777,7 +773,6 @@ pub(crate) fn prepare_star_scans<'a>(
     cx: &'a ExecContext,
     call: &'a StarCall<'a>,
     candidates: Option<&[Oid]>,
-    s_range: SRange,
     store: &'a sordf_storage::ClusteredStore,
     schema: &sordf_schema::EmergentSchema,
 ) -> (Vec<bool>, Vec<ClassScanPrep<'a>>) {
@@ -795,12 +790,12 @@ pub(crate) fn prepare_star_scans<'a>(
         }
         match candidates {
             Some(cands) => {
-                if let Some(p) = prepare_row_scan(cx, call, cands, s_range, seg, &covered) {
+                if let Some(p) = prepare_row_scan(cx, call, cands, seg, &covered) {
                     preps.push(ClassScanPrep::Rows(p));
                 }
             }
             None => {
-                if let Some(p) = prepare_chunk_scan(cx, call, s_range, seg, &covered) {
+                if let Some(p) = prepare_chunk_scan(cx, call, seg, &covered) {
                     preps.push(ClassScanPrep::Chunks(p));
                 }
             }
@@ -846,31 +841,23 @@ fn pair_deleted(deleted: &[Triple], s: Oid, v: u64) -> bool {
         .is_ok()
 }
 
-/// Build the per-property accesses for subjects in `[s_lo, s_hi]`.
+/// Build the per-property accesses for subjects in `[s_lo, s_hi]`, each
+/// restricted by the call's pushdown on its object.
 fn build_accesses<'a>(
     cx: &'a ExecContext,
-    star: &Star,
-    filters: &[&Expr],
+    call: &StarCall,
     seg: &ClassSegment,
     covered: &[Covered],
     s_lo: u64,
     s_hi: u64,
 ) -> Vec<Access<'a>> {
     let pool = cx.pool;
-    star.props
-        .iter()
+    let subjects = ORestrict::range(s_lo, s_hi);
+    (call.star.props.iter())
+        .zip(&call.pushdown.objects)
         .zip(covered)
-        .map(|(prop, cov)| {
-            let restrict = prop_restrict(cx, prop, filters);
-            let irr = || {
-                scan_property(
-                    cx,
-                    prop.pred,
-                    &restrict,
-                    Some((s_lo, s_hi)),
-                    Source::IrregularOnly,
-                )
-            };
+        .map(|((prop, &restrict), cov)| {
+            let irr = || scan_property(cx, prop.pred, &restrict, &subjects, Source::IrregularOnly);
             // This predicate's tombstones in the subject range — the
             // kernels filter them out of base column values.
             let deleted: &[Triple] = cx
@@ -995,7 +982,7 @@ impl<'a> SegmentStar<'a> {
         (s_lo, s_hi): (u64, u64),
         positions_of: impl FnOnce(&[Oid]) -> Vec<usize>,
     ) -> SegmentStar<'a> {
-        let accesses = build_accesses(cx, call.star, call.filters, seg, covered, s_lo, s_hi);
+        let accesses = build_accesses(cx, call, seg, covered, s_lo, s_hi);
 
         // Clean rows exist only where every access is an aligned column;
         // there, the dirty rows are the subjects of the exceptions and
@@ -1118,7 +1105,7 @@ impl<'a> SegmentStar<'a> {
             cx,
             self.call.star,
             &self.call.emit,
-            &self.call.residual,
+            &self.call.pushdown.residual,
             s,
             &scratch.lists,
             &mut scratch.row,
@@ -1152,9 +1139,10 @@ impl<'a> SegmentStar<'a> {
             if d > i {
                 let before = out.len();
                 emit_clean_run(cols, i..d, subjects, subject_pos, &mut scratch.sel, out);
-                if !self.call.residual.is_empty() {
+                let residual = &self.call.pushdown.residual;
+                if !residual.is_empty() {
                     let RowScratch { batch, mask, .. } = scratch;
-                    retain_passing(&self.call.residual, before, batch, mask, out);
+                    retain_passing(residual, before, batch, mask, out);
                 }
             }
             if d < len {
@@ -1408,16 +1396,16 @@ fn prepare_row_scan<'a>(
     cx: &'a ExecContext,
     call: &'a StarCall<'a>,
     cands: &[Oid],
-    s_range: SRange,
     seg: &'a ClassSegment,
     covered: &[Covered],
 ) -> Option<RowScanPrep<'a>> {
     let pool = cx.pool;
     ExecStats::bump(&cx.stats.rdf_joins, 1);
 
+    let subject = &call.pushdown.subject;
     let mut rows: Vec<usize> = cands
         .iter()
-        .filter(|&&s| s_range.map_or(true, |(lo, hi)| s.raw() >= lo && s.raw() <= hi))
+        .filter(|s| subject.accepts(s.raw()))
         .filter_map(|&s| seg.row_of(pool, s))
         .collect();
     rows.sort_unstable();
@@ -1563,34 +1551,16 @@ fn has_exception_in(access: &Access, (lo, hi): (u64, u64)) -> bool {
 fn prepare_chunk_scan<'a>(
     cx: &'a ExecContext,
     call: &'a StarCall<'a>,
-    s_range: SRange,
     seg: &'a ClassSegment,
     covered: &[Covered],
 ) -> Option<ChunkScanPrep<'a>> {
     use sordf_columnar::VALS_PER_PAGE;
     let pool = cx.pool;
-    let (star, filters) = (call.star, call.filters);
+    let (star, pd) = (call.star, &call.pushdown);
     ExecStats::bump(&cx.stats.rdf_scans, 1);
 
     // ---- Row range -------------------------------------------------------
-    let mut range = 0..seg.n;
-    if let Some((lo, hi)) = effective_subject_range(star, s_range) {
-        match &seg.subjects {
-            SubjectIds::Dense { base } => {
-                let lo_p = Oid::from_raw(lo).payload().max(*base);
-                let hi_p = Oid::from_raw(hi).payload().min(base + seg.n as u64 - 1);
-                if lo_p > hi_p {
-                    return None;
-                }
-                range = (lo_p - base) as usize..(hi_p - base + 1) as usize;
-            }
-            SubjectIds::Sparse { subjects } => {
-                let start = subjects.lower_bound(pool, lo);
-                let end = subjects.upper_bound(pool, hi);
-                range = start..end.max(start);
-            }
-        }
-    }
+    let mut range = subject_rows(cx, seg, &pd.subject);
     // Sort-key narrowing: if the segment is sub-ordered by a column this
     // star restricts, binary-search the row range — unless a pending insert
     // or a base exception of the predicate binds one of the segment's rows
@@ -1599,14 +1569,14 @@ fn prepare_chunk_scan<'a>(
     // with it, so such a segment scans its full range.
     for (pi, cov) in covered.iter().enumerate() {
         let Covered::Col(ci) = cov else { continue };
-        if seg.sorted_by != Some(*ci) {
+        let restrict = &pd.objects[pi];
+        if seg.sorted_by != Some(*ci)
+            || restrict.is_none()
+            || !sort_key_narrows(cx, star.props[pi].pred, seg)
+        {
             continue;
         }
-        let restrict = prop_restrict(cx, &star.props[pi], filters);
-        if restrict.is_none() || !sort_key_narrows(cx, star.props[pi].pred, seg) {
-            continue;
-        }
-        let (lo, hi) = column_bounds(&restrict, &seg.columns[*ci]);
+        let (lo, hi) = column_bounds(restrict, &seg.columns[*ci]);
         if let Some(r) = seg.sorted_row_range(pool, *ci, lo, hi) {
             range = range.start.max(r.start)..range.end.min(r.end);
         }
@@ -1924,76 +1894,6 @@ fn push_if_passes(cx: &ExecContext, filters: &[&Expr], row: &[Oid], out: &mut Ta
     out.push_row(row);
 }
 
-/// Star-local filters minus those fully enforced by pushed restricts:
-/// `var CMP const` or `var IN [lo, hi]` on a variable bound by exactly one
-/// property, where the
-/// scan layer's [`ORestrict`] / subject range decides exactly what the
-/// comparison does. That is every such comparison except `!=` (never
-/// pushed), an ordered comparison on unsorted string OIDs (never pushed) and
-/// an ordered comparison with a numeric constant: it is pushed as one range
-/// per numeric tag ([`restrict_for_var`]) *and* stays residual — the star
-/// confirms by value the rows the ranges let through.
-pub fn residual_filters<'f>(cx: &ExecContext, star: &Star, filters: &[&'f Expr]) -> Vec<&'f Expr> {
-    let single_binding = |v: VarId| {
-        v == star.subject_var
-            || star
-                .props
-                .iter()
-                .filter(|p| p.o == VarOrOid::Var(v))
-                .count()
-                == 1
-    };
-    filters_bound_by_refs(filters, &star.bound_vars())
-        .into_iter()
-        .filter(|f| {
-            let pushed = match (f.as_var_cmp(), f.as_var_range()) {
-                (Some((v, op, c)), _) => {
-                    let exact = match op {
-                        CmpOp::Eq => !c.is_null(),
-                        CmpOp::Ne => false,
-                        _ => {
-                            let unsorted_string =
-                                c.tag() == TypeTag::Str && !cx.strings_value_ordered();
-                            !(c.is_null() || unsorted_string || c.numeric_f64().is_some())
-                        }
-                    };
-                    exact.then_some(v)
-                }
-                // A raw range is what the scan layer applies.
-                (None, Some((v, ..))) => Some(v),
-                (None, None) => None,
-            };
-            !pushed.is_some_and(single_binding)
-        })
-        .collect()
-}
-
-/// Range filters on the subject variable itself (OID-range form): the SQL
-/// frontend's class-segment restriction ([`Expr::InRange`]), or a
-/// comparison that no IRI passes.
-pub(crate) fn subject_filter_range(star: &Star, filters: &[&Expr]) -> SRange {
-    let r = restrict_for_var(filters, star.subject_var, true);
-    if r.is_none() {
-        None
-    } else {
-        Some(r.bounds())
-    }
-}
-
-fn effective_subject_range(star: &Star, s_range: SRange) -> SRange {
-    match star.subject_const {
-        Some(c) => intersect_ranges(Some((c.raw(), c.raw())), s_range),
-        None => s_range,
-    }
-}
-
-pub(crate) fn intersect_ranges(a: SRange, b: SRange) -> SRange {
-    match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some((al, ah)), Some((bl, bh))) => Some((al.max(bl), ah.min(bh))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2111,10 +2011,10 @@ mod tests {
         assert_eq!(present_bounds(&eq, &col), (int(5), int(5)));
         let range = ORestrict::range(10, u64::MAX);
         assert_eq!(present_bounds(&range, &col), (10, NULL_SENTINEL - 1));
-        let below_8 = ORestrict {
-            also: Some((Oid::from_decimal_unscaled(-1).unwrap().raw(), u64::MAX)),
-            ..ORestrict::range(int(-3), int(7))
-        };
+        let below_8 = ORestrict::of([
+            (int(-3), int(7)),
+            (Oid::from_decimal_unscaled(-1).unwrap().raw(), u64::MAX),
+        ]);
         assert_eq!(present_bounds(&below_8, &col), (int(-3), int(7)));
         let all_null = Column::from_slice(&dm, &[NULL_SENTINEL]);
         assert_eq!(present_bounds(&below_8, &all_null).0, int(-3));

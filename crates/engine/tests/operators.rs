@@ -6,7 +6,7 @@ use sordf_columnar::{BufferPool, DiskManager};
 use sordf_engine::agg::{cmp_outval, finalize, OutVal};
 use sordf_engine::cardest::{estimate_star_cs, estimate_star_independence};
 use sordf_engine::query::OrderKey;
-use sordf_engine::star::stars_of;
+use sordf_engine::star::{stars_of, Pushdown};
 use sordf_engine::{
     execute, explain, AggFunc, CmpOp, ExecConfig, ExecContext, Expr, PlanScheme, Query, SelectItem,
     StorageRef, Table, TriplePattern, VarId, VarOrOid,
@@ -242,8 +242,9 @@ fn cs_estimate_beats_independence_on_correlated_star() {
     let (stars, _) = stars_of(&mut q);
     let c = cx(&f);
     let truth = 60.0;
-    let cs = estimate_star_cs(&c, &stars[0], &[]).unwrap();
-    let ind = estimate_star_independence(&c, &stars[0], &[]);
+    let pd = Pushdown::new(&c, &stars[0], &[]);
+    let cs = estimate_star_cs(&c, &stars[0], &pd).unwrap();
+    let ind = estimate_star_independence(&c, &stars[0], &pd);
     let qerr = |e: f64| (e.max(1.0) / truth).max(truth / e.max(1.0));
     assert!(
         qerr(cs) <= qerr(ind) + 1e-9,
@@ -262,14 +263,15 @@ fn estimate_accounts_for_filters() {
     let p = q.var("p");
     let (stars, _) = stars_of(&mut q);
     let c = cx(&f);
-    let unfiltered = estimate_star_cs(&c, &stars[0], &[]).unwrap();
+    let unfiltered = estimate_star_cs(&c, &stars[0], &Pushdown::new(&c, &stars[0], &[])).unwrap();
     let filter = Expr::cmp(
         Expr::Var(p),
         CmpOp::Eq,
         Expr::Const(Oid::from_int(5).unwrap()),
     );
     let refs = vec![&filter];
-    let filtered = estimate_star_cs(&c, &stars[0], &refs).unwrap();
+    let pd = Pushdown::new(&c, &stars[0], &refs);
+    let filtered = estimate_star_cs(&c, &stars[0], &pd).unwrap();
     assert!(filtered < unfiltered, "{filtered} !< {unfiltered}");
 }
 

@@ -78,3 +78,49 @@ fn a_base_exception_on_the_sort_key_survives_narrowing() {
     let n = run_matrix(&input);
     eprintln!("sort-key exception: {n} comparisons");
 }
+
+/// Generated queries reach the two exceptions a page decision can drop
+/// (`paged_graph`: items over two zone-map pages): a filter on the dense
+/// segment's sort key that selects a subject's second `date` of another
+/// type — sort-key narrowing reads only the stored dates and must give up —
+/// and one on `qty` whose constant only a base exception matches — the
+/// page's zone map misses it, and the page must still be read. One
+/// generated query of each shape whose answer holds such a row, in every
+/// cell.
+#[test]
+fn generated_filters_keep_exceptions_of_another_type() {
+    let base = paged_graph();
+    let graph = harness::reference::Graph::new(&base);
+    let shaped = |seed, pred: &str, tag: &str| {
+        let pred = format!("<{NS}{pred}>");
+        let shape = |b: &Bgp| {
+            let object_of = |v: &String| {
+                (b.patterns.iter()).any(|[_, p, o]| *p == pred && *o == format!("?{v}"))
+            };
+            let another_type = |f: &Filter| match f {
+                Filter::Cmp(v, Op::Eq, Rhs::Const(c)) => {
+                    object_of(v) && !term_text(c).contains(tag)
+                }
+                _ => false,
+            };
+            b.filters.iter().any(another_type) && graph.answer(b, &Select::All).len() > 1
+        };
+        shaped_input(
+            "paged graph",
+            seed,
+            base.clone(),
+            Writes::default(),
+            Vec::new(),
+            1,
+            shape,
+        )
+    };
+    let sort_key = shaped(21, "date", "#date");
+    let zoned = shaped(22, "qty", "#integer");
+    let input = Input {
+        queries: [sort_key.queries.clone(), zoned.queries].concat(),
+        ..sort_key
+    };
+    let n = run_matrix(&input);
+    eprintln!("paged graph: {n} comparisons");
+}

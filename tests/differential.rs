@@ -237,3 +237,47 @@ fn numeric_filters_compare_integers_with_decimals() {
         0,
     ));
 }
+
+/// A subject compared with a literal: an IRI never equals a string, and `<`
+/// or `>=` between the two is a type error, so each filter answers no row.
+/// A dense segment maps a subject range to its rows, and a bound of another
+/// tag must map to no row, not to the row its payload names. Forty subjects
+/// whose names are strings, on the baseline, on the organized store and in
+/// every matrix cell, against the term-level reference.
+#[test]
+fn subject_filters_with_a_literal_admit_no_subject() {
+    let triples: Vec<TermTriple> = (0..40)
+        .flat_map(|i| {
+            let s = e(format!("s{i}"));
+            [
+                triple(s.clone(), "name", Term::str(format!("name{i}"))),
+                triple(s, "year", Term::int(1990 + i)),
+            ]
+        })
+        .collect();
+    let queries = ["?s = \"name3\"", "?s >= \"name3\"", "?s < \"name3\""]
+        .into_iter()
+        .map(|f| {
+            Query::Bgp(Bgp {
+                patterns: vec![
+                    ["?s".into(), format!("<{NS}name>"), "?n".into()],
+                    ["?s".into(), format!("<{NS}year>"), "?y".into()],
+                ],
+                filters: vec![Filter::parse(f)],
+                select: Select::Vars(vec!["s".into()]),
+            })
+        })
+        .collect();
+    let input = input(
+        "subject filters",
+        11,
+        triples,
+        Writes::default(),
+        queries,
+        0,
+    );
+    for answers in reference_answers(&input, History::Both) {
+        assert!(answers.iter().all(|rows| rows.len() == 1), "{answers:?}");
+    }
+    run_matrix(&input);
+}

@@ -13,7 +13,8 @@
 //! object variables into chains of up to three stars, now and then a
 //! component of its own (a cross join), constant objects and subjects,
 //! filters of every pushdown status (pushed exactly, pushed and confirmed by
-//! value, residual, on the subject, across stars, disjunctions), and a
+//! value, residual, on a star's subject, across stars, disjunctions; now and
+//! then with a constant of another predicate, so a literal meets an IRI), and a
 //! select list of all variables, a subset, DISTINCT, `COUNT(*)`, grouped
 //! aggregates or a sum of a product.
 //!
@@ -638,6 +639,31 @@ pub fn random_graph(rng: &mut StdRng) -> Vec<TermTriple> {
     out
 }
 
+/// Items of one class over two zone-map pages: `date` ascends with the
+/// index (the dense layout's sort key) and `qty` cycles. Four items hold a
+/// second value of another type, kept as base exceptions, on both pages — a
+/// string and an integer `date`, a string and a date `qty` — loaded last, so
+/// that they are the noise constants a generated filter draws.
+pub fn paged_graph() -> Vec<TermTriple> {
+    const N: usize = PAGE + 300;
+    let s = |i: usize| e(format!("s{i}"));
+    let mut out: Vec<TermTriple> = (0..N)
+        .flat_map(|i| {
+            [
+                triple(s(i), "date", Term::date(&day(i * 700 / N))),
+                triple(s(i), "qty", Term::int((i % 13) as i64)),
+            ]
+        })
+        .collect();
+    out.extend([
+        triple(s(PAGE + 7), "date", Term::int(7)),
+        triple(s(40), "date", Term::str("n/a")),
+        triple(s(3), "qty", Term::date(&day(5))),
+        triple(s(PAGE + 100), "qty", Term::str("n/a")),
+    ]);
+    out
+}
+
 /// Subjects in first-seen order with their (predicate, object) pairs, and
 /// every object of each predicate.
 pub struct Index {
@@ -753,8 +779,20 @@ pub fn generate_query(rng: &mut StdRng, idx: &Index) -> Bgp {
         ));
     }
     let vars = b.vars();
+    let subjects: Vec<String> = (b.subjects().into_iter())
+        .filter_map(|s| s.strip_prefix('?').map(String::from))
+        .collect();
     for _ in 0..rng.random_range(0..3) {
-        let (v, p) = pick(rng, &objects).clone();
+        let (mut v, mut p) = pick(rng, &objects).clone();
+        // Now and then the variable is a star's subject (`?s0`, a link), or
+        // the constant comes from another predicate: a literal meets an
+        // IRI-valued variable, a number a date.
+        if !subjects.is_empty() && rng.random_bool(0.15) {
+            v = pick(rng, &subjects).clone();
+            p = pick(rng, &idx.of_pred).0.clone();
+        } else if rng.random_bool(0.1) {
+            p = pick(rng, &idx.of_pred).0.clone();
+        }
         // The last values of a predicate are often its noise: a second value
         // outside the zone map or a value of another type.
         let (os, noisy) = (idx.objects(&p), rng.random_bool(0.35));
@@ -1439,7 +1477,7 @@ pub fn filters_are_enforced_once(cx: &ExecContext, lp: &LogicalPlan) {
     let filters: Vec<&Expr> = lp.filters.iter().collect();
     for step in &optimize(cx, lp).steps {
         let mut table =
-            sordf_engine::eval_star(cx, &lp.stars[step.star], step.access, &filters, None, None);
+            sordf_engine::eval_star(cx, &lp.stars[step.star], step.access, &filters, None);
         let bound = table.len();
         sordf_engine::star::apply_filters(cx, &mut table, &filters);
         assert_eq!(
@@ -1761,6 +1799,14 @@ pub fn run_cells(input: &Input, wanted: &dyn Fn(&Cell) -> bool) -> Result<usize,
         .filter(|&l| stores.iter().any(|c| !c.facade() && c.layout == l))
         .collect();
     let engine = (!layouts.is_empty()).then(|| rig(&input.base, &layouts));
+    // The jobs below share each layer's dictionary and intern the terms the
+    // writes bring; interned here first, in write order, they number alike
+    // in every run, whichever job runs first.
+    if let Some(engine) = &engine {
+        for &layout in &layouts {
+            delta(engine.layer(layout).0, &input.writes, History::Both);
+        }
+    }
     let family = |dense: bool| -> &'static [Layout] {
         if dense {
             &[Layout::Dense]

@@ -281,6 +281,12 @@ fn keeps(f: &Filter, vars: &[String], row: &[Option<&Term>]) -> bool {
     }
 }
 
+/// Does `f`, a filter on one variable, keep a row that binds it to `t`?
+pub fn keeps_term(f: &Filter, t: &Term) -> bool {
+    let v = f.vars().remove(0);
+    keeps(f, &[v], &[Some(&skolem(t))])
+}
+
 /// `a op b` by SPARQL 1.1's operator mapping; `None` is a type error.
 pub fn holds(a: &Term, op: Op, b: &Term) -> Option<bool> {
     match (compare(a, b), op) {

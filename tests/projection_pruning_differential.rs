@@ -117,7 +117,9 @@ fn one_cached_plan_serves_both_constant_types() {
         let (_, lp) = prepare(&sordf_sparql::parse_sparql(t, &dict).unwrap());
         let refs: Vec<&Expr> = lp.filters.iter().collect();
         assert_eq!(
-            sordf_engine::star::residual_filters(&cx, &lp.stars[0], &refs).len(),
+            sordf_engine::star::Pushdown::new(&cx, &lp.stars[0], &refs)
+                .residual
+                .len(),
             residual,
             "{t}"
         );

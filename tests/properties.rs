@@ -201,3 +201,81 @@ fn query_equivalence_on_random_graphs() {
     let n = harness::random_graphs(0..3, 5, |_| true);
     eprintln!("random graphs: {n} comparisons");
 }
+
+/// **The pushdown admits what the reference keeps, and decides exactly what
+/// it drops**, per term. Every generated filter on one variable (six random
+/// graphs, forty generated queries each) is compiled from its SPARQL text
+/// and pushed by the engine's one rule (`Pushdown`) into a star that binds
+/// its variable as an object, and into one that binds it as the subject.
+/// Then, for every term of the graph's value pool (its subjects, predicates
+/// and objects) and its OID: if the term-level reference keeps the term,
+/// the restriction admits the OID (soundness; of a subject, asked of IRIs
+/// only, the one kind a subject is); and if the filter left the residual
+/// set, an OID the restriction admits is a term the reference keeps
+/// (exactness). On the parse-order numbering (strings in load order) and on
+/// the dense layout's value-ordered one.
+#[test]
+fn pushdown_admits_what_the_reference_keeps() {
+    use harness::{reference::keeps_term, term_text, Layout, NS};
+    use rand::{rngs::StdRng, SeedableRng};
+    use sordf_engine::{prepare, star::Pushdown, ExecConfig, ExecContext, Expr};
+    let mut checks = 0usize;
+    for seed in 0..6 {
+        let base = harness::random_graph(&mut StdRng::seed_from_u64(seed));
+        let idx = harness::Index::new(&base);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let filters: Vec<harness::Filter> = (0..40)
+            .flat_map(|_| harness::generate_query(&mut rng, &idx).filters)
+            .filter(|f| f.vars().len() == 1)
+            .collect();
+        let mut pool: Vec<&Term> = base.iter().flat_map(|t| [&t.s, &t.p, &t.o]).collect();
+        pool.sort();
+        pool.dedup();
+        let rig = harness::rig(&base, &[Layout::Dense]);
+        for layout in [Layout::Sparse, Layout::Dense] {
+            let (dict, storage) = rig.layer(layout);
+            let cx = ExecContext::new(&rig.pool, dict, storage, ExecConfig::default());
+            let oids: Vec<Oid> = (pool.iter())
+                .map(|t| sordf_storage::term_oid_skolemized(dict, t).unwrap())
+                .collect();
+            for f in &filters {
+                let v = &f.vars()[0];
+                for on_subject in [false, true] {
+                    let pattern = match on_subject {
+                        false => format!("?x <{NS}qty> ?{v}"),
+                        true => format!("?{v} <{NS}qty> ?x"),
+                    };
+                    let text = format!("SELECT * WHERE {{ {pattern} . FILTER({f}) }}");
+                    let (_, lp) = prepare(&sordf_sparql::parse_sparql(&text, dict).unwrap());
+                    let refs: Vec<&Expr> = lp.filters.iter().collect();
+                    let pd = Pushdown::new(&cx, &lp.stars[0], &refs);
+                    let r = if on_subject {
+                        pd.subject
+                    } else {
+                        pd.objects[0]
+                    };
+                    let exact = pd.residual.is_empty();
+                    for (t, oid) in pool.iter().zip(&oids) {
+                        let (keeps, admits) = (keeps_term(f, t), r.accepts(oid.raw()));
+                        let subject_kind = matches!(t, Term::Iri(_) | Term::Blank(_));
+                        let at = || {
+                            let side = if on_subject { "subject" } else { "object" };
+                            format!(
+                                "{layout:?}, seed {seed}, {text}: the {side} {}",
+                                term_text(t)
+                            )
+                        };
+                        assert!(
+                            !keeps || admits || (on_subject && !subject_kind),
+                            "unsound: {}",
+                            at()
+                        );
+                        assert!(!exact || !admits || keeps, "inexact: {}", at());
+                        checks += 1;
+                    }
+                }
+            }
+        }
+    }
+    eprintln!("pushdown: {checks} term checks");
+}
